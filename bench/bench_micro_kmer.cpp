@@ -269,10 +269,10 @@ BENCHMARK(BM_CountEdgeMersSharded)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Streaming ingestion (CounterSession): same work as the sharded batch
-// counter but counting overlaps scanning under a bounded queue — compare
-// against BM_CountEdgeMersSharded to price the streaming memory bound.
-// Arg is the queued-code bound (0 = default 4 Mi codes).
+// Streaming ingestion (CounterSession) from one caller in 1024-read
+// batches — the batch counter feeds the same session from a thread pool,
+// so compare against BM_CountEdgeMersSharded to price single-caller
+// scanning and the queued-byte bound. Arg is the bound (0 = default 32 MB).
 void BM_CountEdgeMersStream(benchmark::State& state) {
   const std::vector<Read>& reads = Hc2Reads();
   KmerCountConfig config = Hc2CountConfig();
@@ -538,8 +538,8 @@ void WriteEncodingJson(std::ofstream& out, const char* key,
 
 // ---------------------------------------------------------------------------
 // SIMD dispatch measurements for BENCH_kmer.json: per-kernel encode
-// throughput, hardware vs table CRC-32, the scalar-vs-SIMD counter grid
-// across thread counts, and mutex vs ring queues. All once per process —
+// throughput, hardware vs table CRC-32, and the scalar-vs-SIMD counter grid
+// across thread counts. All once per process —
 // CI's bench-smoke runs with --benchmark_filter='^$' and still gets these.
 // ---------------------------------------------------------------------------
 
@@ -579,13 +579,6 @@ struct DispatchGridRow {
   double simd_seconds = 0;
 };
 
-struct QueueRow {
-  const char* name;
-  double seconds = 0;
-  uint64_t spin_parks = 0;
-  uint64_t peak_queued_bytes = 0;
-};
-
 double CountWallSeconds(unsigned threads) {
   const std::vector<Read>& reads = Hc2Reads();
   KmerCountConfig config = Hc2CountConfig();
@@ -614,32 +607,11 @@ DispatchGridRow MeasureDispatchRow(unsigned threads) {
   return row;
 }
 
-QueueRow MeasureQueueImpl(QueueImpl impl, unsigned threads) {
-  const std::vector<Read>& reads = Hc2Reads();
-  KmerCountConfig config = Hc2CountConfig();
-  config.num_threads = threads;
-  config.queue_impl = impl;
-  QueueRow row{QueueImplName(impl)};
-  Timer timer;
-  CounterSession session(config);
-  constexpr size_t kBatch = 1024;
-  for (size_t begin = 0; begin < reads.size(); begin += kBatch) {
-    session.AddBatch(reads.data() + begin,
-                     std::min(kBatch, reads.size() - begin));
-  }
-  KmerCountStats stats;
-  session.Finish(&stats);
-  row.seconds = timer.Seconds();
-  row.spin_parks = stats.queue_spin_parks;
-  row.peak_queued_bytes = stats.peak_queued_bytes;
-  return row;
-}
-
 /// Measures everything SIMD-shaped and returns the JSON members (indented
 /// for the top-level BENCH_kmer.json object, trailing comma included).
 std::string RunSimdComparison() {
-  bench::PrintHeader("bench_micro_kmer: SIMD dispatch (encode / CRC-32 / "
-                     "counter grid / queues)");
+  bench::PrintHeader(
+      "bench_micro_kmer: SIMD dispatch (encode / CRC-32 / counter grid)");
   std::printf("active simd_level = %s%s\n",
               SimdLevelName(ActiveSimdLevel()),
               SimdForcedScalar() ? " (PPA_FORCE_SCALAR)" : "");
@@ -699,17 +671,6 @@ std::string RunSimdComparison() {
                     : row.scalar_seconds / row.simd_seconds);
   }
 
-  // Mutex vs ring chunk queues on the streaming session.
-  unsigned threads = bench::BenchThreads();
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  const QueueRow mutex_row = MeasureQueueImpl(QueueImpl::kMutex, threads);
-  const QueueRow rings_row = MeasureQueueImpl(QueueImpl::kRings, threads);
-  for (const QueueRow& row : {mutex_row, rings_row}) {
-    std::printf("queue %-6s threads=%u %.3fs  spin_parks=%llu\n", row.name,
-                threads, row.seconds,
-                static_cast<unsigned long long>(row.spin_parks));
-  }
-
   std::string json = "  \"simd\": {\n    \"kernels\": {\n";
   for (size_t i = 0; i < kernels.size(); ++i) {
     json += "      \"" + std::string(kernels[i].name) +
@@ -730,14 +691,6 @@ std::string RunSimdComparison() {
             "\": {\"scalar_seconds\": " + std::to_string(grid[i].scalar_seconds) +
             ", \"simd_seconds\": " + std::to_string(grid[i].simd_seconds) +
             "}" + (i + 1 < grid.size() ? ",\n" : "\n");
-  }
-  json += "    },\n    \"queue\": {\n";
-  for (const QueueRow* row : {&mutex_row, &rings_row}) {
-    json += "      \"" + std::string(row->name) +
-            "\": {\"seconds\": " + std::to_string(row->seconds) +
-            ", \"spin_parks\": " + std::to_string(row->spin_parks) +
-            ", \"peak_queued_bytes\": " + std::to_string(row->peak_queued_bytes) +
-            "}" + (row == &mutex_row ? ",\n" : "\n");
   }
   json += "    }\n  },\n";
   return json;

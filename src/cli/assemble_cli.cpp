@@ -72,8 +72,6 @@ void WriteIngestLines(std::ostream& out, const char* mode, const char* pass1,
       << " surviving=" << s.Get("counting.surviving")
       << " peak_queued_bytes=" << s.Get("counting.peak_queued_bytes")
       << " queue_bound_bytes=" << s.Get("counting.queue_bound_bytes")
-      << " queue_impl="
-      << QueueImplName(static_cast<QueueImpl>(s.Get("counting.queue_impl")))
       << " queue_spin_parks=" << s.Get("counting.queue_spin_parks")
       << " spilled_bytes=" << s.Get("counting.spilled_bytes")
       << " readback_bytes=" << s.Get("counting.readback_bytes") << '\n';

@@ -21,15 +21,13 @@ namespace {
 
 const char kUsage[] =
     "usage: ppa_shard_worker --listen <endpoint> [--once]\n"
-    "                        [--io-timeout-ms N] [--fail-after-frames N]\n"
-    "                        [--fault-plan PLAN] [--log-level LEVEL]\n"
+    "                        [--io-timeout-ms N] [--fault-plan PLAN]\n"
+    "                        [--log-level LEVEL]\n"
     "\n"
     "Endpoints: unix:/path/to.sock, host:port, or a bare port\n"
     "(= 127.0.0.1:port; port 0 picks a free one and logs it).\n"
     "--once exits after the first connection ends (spawned-fleet mode).\n"
     "--io-timeout-ms bounds each socket read/write (0 = no timeout).\n"
-    "--fail-after-frames drops every connection after N frames — a crash\n"
-    "simulation hook for tests, not for production use.\n"
     "--fault-plan runs a deterministic fault script per connection\n"
     "(grammar in src/net/faultinject.h; kill-worker exits 137).\n"
     "--log-level: debug|info|warn|error|silent (default info: a server\n"
@@ -89,17 +87,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       ppa::SetLogLevel(level);
-    } else if (arg == "--io-timeout-ms" || arg == "--fail-after-frames") {
+    } else if (arg == "--io-timeout-ms") {
       if (i + 1 >= argc || !ParseU64(argv[++i], &value)) {
         PPA_LOG(kError) << "ppa_shard_worker: " << arg
                         << " requires a non-negative integer";
         return 2;
       }
-      if (arg == "--io-timeout-ms") {
-        options.io_timeout_ms = static_cast<int>(value);
-      } else {
-        options.fail_after_frames = value;
-      }
+      options.io_timeout_ms = static_cast<int>(value);
     } else {
       PPA_LOG(kError) << "ppa_shard_worker: unexpected argument '" << arg
                       << "'";

@@ -47,6 +47,24 @@ void RecordSpillSummary(const AssemblerOptions& options,
 
 AssemblyResult Assembler::Assemble(const std::vector<Read>& reads,
                                    LabelingMethod method) const {
+  return Run(options_.sharded_kmer_counting ? "sharded" : "serial",
+             [&](const AssemblerOptions& options, PipelineStats* stats) {
+               return BuildDbg(reads, options, stats);
+             },
+             method);
+}
+
+AssemblyResult Assembler::Assemble(ReadStream& reads,
+                                   LabelingMethod method) const {
+  return Run("streaming sharded",
+             [&](const AssemblerOptions& options, PipelineStats* stats) {
+               return BuildDbg(reads, options, stats);
+             },
+             method);
+}
+
+AssemblyResult Assembler::Run(const char* counting, const DbgStep& build_dbg,
+                              LabelingMethod method) const {
   Timer timer;
   AssemblyResult result;
   AssemblerOptions options = options_;
@@ -55,10 +73,11 @@ AssemblyResult Assembler::Assemble(const std::vector<Read>& reads,
   // spill store ("spill to cluster memory").
   std::unique_ptr<NetContext> net_guard = WireNetContext(&options);
   // ---- (1) DBG construction. ----------------------------------------------
-  PPA_LOG(kInfo) << "k-mer counting: "
-                 << (options.sharded_kmer_counting ? "sharded" : "serial")
+  PPA_LOG(kInfo) << "k-mer counting: " << counting
                  << " (threads=" << options.num_threads
-                 << ", shards=" << options.kmer_shards << "; 0 = auto)"
+                 << ", shards=" << options.kmer_shards
+                 << ", queue_bytes=" << options.kmer_queue_bytes
+                 << "; 0 = auto)"
                  << ", pass1=" << Pass1EncodingName(options.pass1_encoding)
                  << ", shuffle="
                  << ShuffleStrategyName(options.shuffle_strategy)
@@ -68,43 +87,7 @@ AssemblyResult Assembler::Assemble(const std::vector<Read>& reads,
   }
   DbgResult dbg = [&] {
     PPA_TRACE_SPAN("dbg_construction", "phase");
-    return BuildDbg(reads, options, &result.stats);
-  }();
-  FinishAssembly(&result, std::move(dbg), options, method);
-  RecordSpillSummary(options, &result);
-  // Last: the shuffle spills into the fleet's depot during the phases
-  // above, so only now are the workers' numbers final.
-  if (options.net_context != nullptr) {
-    result.worker_telemetry = options.net_context->CollectMetrics();
-    result.worker_traces = options.net_context->CollectTraces();
-  }
-  result.wall_seconds = timer.Seconds();
-  return result;
-}
-
-AssemblyResult Assembler::Assemble(ReadStream& reads,
-                                   LabelingMethod method) const {
-  Timer timer;
-  AssemblyResult result;
-  AssemblerOptions options = options_;
-  std::unique_ptr<SpillContext> spill_guard = WireSpillContext(&options);
-  // Wired after the spill context so the fleet's depot can take over the
-  // spill store ("spill to cluster memory").
-  std::unique_ptr<NetContext> net_guard = WireNetContext(&options);
-  // ---- (1) DBG construction, streaming. -----------------------------------
-  PPA_LOG(kInfo) << "k-mer counting: streaming sharded"
-                 << " (threads=" << options.num_threads
-                 << ", shards=" << options.kmer_shards
-                 << ", pass1=" << Pass1EncodingName(options.pass1_encoding)
-                 << ", queue_bytes=" << options.kmer_queue_bytes
-                 << "; 0 = auto)"
-                 << ", spill=" << SpillModeName(options.spill_mode);
-  if (options.net_context != nullptr) {
-    PPA_LOG(kInfo) << "distributed: " << options.net_context->description();
-  }
-  DbgResult dbg = [&] {
-    PPA_TRACE_SPAN("dbg_construction", "phase");
-    return BuildDbg(reads, options, &result.stats);
+    return build_dbg(options, &result.stats);
   }();
   FinishAssembly(&result, std::move(dbg), options, method);
   RecordSpillSummary(options, &result);

@@ -11,6 +11,7 @@
 #define PPA_CORE_ASSEMBLER_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/contig_labeling.h"
@@ -100,9 +101,20 @@ class Assembler {
   const AssemblerOptions& options() const { return options_; }
 
  private:
-  /// Operations (2)..(6) shared by both Assemble overloads; appends to the
-  /// PipelineStats BuildDbg already populated in `result`. `options` is the
-  /// per-run copy carrying the spill wiring.
+  /// DBG construction from one kind of input: BuildDbg over the reads,
+  /// given the per-run options and the stats to populate.
+  using DbgStep =
+      std::function<DbgResult(const AssemblerOptions&, PipelineStats*)>;
+
+  /// The one assembly body behind both Assemble overloads: wires the
+  /// per-run spill and fleet contexts, runs `build_dbg`, then operations
+  /// (2)..(6). `counting` names the counter in the log.
+  AssemblyResult Run(const char* counting, const DbgStep& build_dbg,
+                     LabelingMethod method) const;
+
+  /// Operations (2)..(6); appends to the PipelineStats BuildDbg already
+  /// populated in `result`. `options` is the per-run copy carrying the
+  /// spill wiring.
   void FinishAssembly(AssemblyResult* result, DbgResult dbg,
                       const AssemblerOptions& options,
                       LabelingMethod method) const;

@@ -5,7 +5,6 @@
 #include <bit>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <stdexcept>
 #include <string_view>
@@ -37,23 +36,20 @@ namespace {
 // is safe as the empty-slot sentinel.
 constexpr uint64_t kEmptySlot = ~0ULL;
 
-// Payload appended per (thread, shard) chunk before it is moved into the
-// shard's queue. Large enough that the per-shard mutex is touched once per
-// tens of kilobytes, small enough to stay cache-resident. Raw chunks flush
-// at kFlushCodes codes (= kFlushChunkBytes); super-k-mer chunks flush at
-// the first record that reaches kFlushChunkBytes, so a chunk never exceeds
+// Payload appended per (thread, shard) chunk before it is admitted and
+// routed. Large enough that admission runs once per tens of kilobytes,
+// small enough to stay cache-resident. Raw chunks flush at kFlushCodes
+// codes (= kFlushChunkBytes); super-k-mer chunks flush at the first record
+// that reaches kFlushChunkBytes, so a chunk never exceeds
 // kFlushChunkBytes + kMaxSuperkmerRecordBytes.
 constexpr size_t kFlushCodes = 4096;
 constexpr size_t kFlushChunkBytes = kFlushCodes * sizeof(uint64_t);
 
-// Reads claimed per grab of the shared cursor in pass 1.
-constexpr size_t kReadBlock = 256;
-
-// Ring-queue shape (QueueImpl::kRings). 64 slots per shard bounds ring
-// memory at ~6 KB/shard of cell headers while holding far more chunk
-// bytes than the session byte bound admits; the spin budget is how long a
-// thread burns on a full/empty ring before parking on the session condvar
-// (each park is one counting.queue_spin tick).
+// Ring-queue shape. 64 slots per shard bounds ring memory at ~6 KB/shard
+// of cell headers while holding far more chunk bytes than the session byte
+// bound admits; the spin budget is how long a thread burns on a full bound,
+// full ring or empty ring before parking on the session condvar (each park
+// is one counting.queue_spin tick).
 constexpr size_t kRingCapacity = 64;
 constexpr int kQueueSpinIters = 64;
 
@@ -241,11 +237,6 @@ class CountTable {
   uint64_t size_ = 0;
 };
 
-struct Shard {
-  std::mutex mu;
-  std::vector<Pass1Chunk> chunks;  // flushed pass-1 buffers
-};
-
 /// Resolved execution shape of one counting job.
 struct Plan {
   unsigned threads;
@@ -266,9 +257,9 @@ Plan MakePlan(const KmerCountConfig& config) {
   return plan;
 }
 
-/// Per-thread pass-1 state shared by the batch counter and CounterSession:
-/// cuts reads into per-shard chunks under the configured encoding and hands
-/// full chunks to a sink (which locks/queues them). The per-base hot path
+/// Per-AddBatch pass-1 state: cuts reads into per-shard chunks under the
+/// configured encoding and hands full chunks to a sink (which admits and
+/// routes them). The per-base hot path
 /// touches only thread-local state.
 class Pass1Scanner {
  public:
@@ -376,145 +367,41 @@ class Pass1Scanner {
   uint64_t superkmers_ = 0;
 };
 
-/// Fills the encoding/shuffle-volume fields shared by the batch counter and
-/// CounterSession from the per-shard measurements.
-void FillShardStats(const KmerCountConfig& config, KmerCountStats* stats,
-                    std::vector<uint64_t> shard_windows,
-                    std::vector<uint64_t> shard_bytes,
-                    std::vector<uint64_t> shard_messages,
-                    uint64_t superkmers) {
-  stats->encoding = config.pass1_encoding;
-  for (uint64_t b : shard_bytes) stats->shuffled_bytes += b;
-  if (config.pass1_encoding == Pass1Encoding::kRaw) {
-    stats->shuffled_messages = stats->total_windows;
-    stats->message_size = sizeof(uint64_t);
-  } else {
-    stats->minimizer_len = EffectiveMinimizerLen(config);
-    stats->superkmers = superkmers;
-    stats->shuffled_messages = superkmers;
-    stats->message_size = 0;  // variable-size records; see shuffled_bytes
-  }
-  stats->shard_windows = std::move(shard_windows);
-  stats->shard_bytes = std::move(shard_bytes);
-  stats->shard_messages = std::move(shard_messages);
+/// Pass-2 tail of one shard: keeps every mer counted at least `threshold`
+/// times and routes it to output partition Mix64(code) % W, the routing
+/// phase (ii) consumes. Every counting mode (local tables, degraded-local
+/// replay, and the worker-side ShardCounterBank) filters through here.
+MerCounts FilterAndRoute(const CountTable& table, uint32_t threshold,
+                         uint32_t W) {
+  MerCounts out(W);
+  table.ForEach([&](uint64_t code, uint32_t count) {
+    if (count >= threshold) out[Mix64(code) % W].emplace_back(code, count);
+  });
+  return out;
+}
+
+/// Concatenates the per-shard slices of each output partition in ascending
+/// shard order, one partition per pool task. Local and distributed finishes
+/// both end here, which is what keeps their outputs bit-identical.
+MerCounts ConcatenatePartitions(std::vector<MerCounts>& shard_out, uint32_t W,
+                                ThreadPool& pool) {
+  MerCounts result(W);
+  pool.Run(W, [&](uint32_t d) {
+    size_t total = 0;
+    for (const MerCounts& out : shard_out) total += out[d].size();
+    result[d].reserve(total);
+    for (MerCounts& out : shard_out) {
+      std::move(out[d].begin(), out[d].end(), std::back_inserter(result[d]));
+      out[d].clear();
+    }
+  });
+  return result;
 }
 
 }  // namespace
 
-MerCounts CountCanonicalMers(const std::vector<Read>& reads,
-                             const KmerCountConfig& config,
-                             KmerCountStats* stats) {
-  PPA_CHECK(config.mer_length >= 1 && config.mer_length <= kMaxMerLength);
-  PPA_CHECK(config.num_workers >= 1);
-  PPA_CHECK(config.minimizer_len >= 1);
-  const Plan plan = MakePlan(config);
-  const uint32_t S = plan.shards;
-  const uint32_t W = config.num_workers;
-  ThreadPool pool(plan.threads);
-
-  // ---- Pass 1: partition encoded chunks into shards. -----------------------
-  Timer pass1_timer;
-  std::vector<Shard> shards(S);
-  std::atomic<size_t> cursor{0};
-  std::vector<uint64_t> scanned_bases(plan.threads, 0);
-  std::vector<uint64_t> scanned_windows(plan.threads, 0);
-  std::vector<uint64_t> scanned_superkmers(plan.threads, 0);
-
-  pool.Run(plan.threads, [&](uint32_t t) {
-    PPA_TRACE_SPAN("pass1_scan", "count");
-    Pass1Scanner scanner(config, plan);
-    auto sink = [&](uint32_t s, Pass1Chunk&& chunk) {
-      std::lock_guard<std::mutex> lock(shards[s].mu);
-      shards[s].chunks.push_back(std::move(chunk));
-    };
-    for (;;) {
-      const size_t begin = cursor.fetch_add(kReadBlock);
-      if (begin >= reads.size()) break;
-      const size_t end = std::min(begin + kReadBlock, reads.size());
-      for (size_t r = begin; r < end; ++r) scanner.ScanRead(reads[r], sink);
-    }
-    scanner.Drain(sink);
-    scanned_bases[t] = scanner.bases();
-    scanned_windows[t] = scanner.windows();
-    scanned_superkmers[t] = scanner.superkmers();
-  });
-  const double pass1_seconds = pass1_timer.Seconds();
-
-  // ---- Pass 2: decode + count each shard independently, filter, route. -----
-  Timer pass2_timer;
-  std::vector<uint64_t> distinct_per_shard(S, 0);
-  std::vector<uint64_t> windows_per_shard(S, 0);
-  std::vector<uint64_t> bytes_per_shard(S, 0);
-  std::vector<uint64_t> messages_per_shard(S, 0);
-  std::vector<MerCounts> shard_out(S);
-  pool.Run(S, [&](uint32_t s) {
-    PPA_TRACE_SPAN("pass2_count", "count");
-    uint64_t windows = 0, bytes = 0, messages = 0;
-    for (const Pass1Chunk& chunk : shards[s].chunks) {
-      windows += chunk.windows;
-      bytes += chunk.SizeBytes();
-      messages += chunk.records;
-    }
-    windows_per_shard[s] = windows;
-    bytes_per_shard[s] = bytes;
-    messages_per_shard[s] = messages;
-    // Start from a coverage-informed estimate; the table grows if the data
-    // turns out more diverse.
-    CountTable table(windows / 4 + 16);
-    for (const Pass1Chunk& chunk : shards[s].chunks) {
-      ForEachChunkCode(chunk, config.mer_length,
-                       [&](uint64_t code) { table.Add(code); });
-    }
-    shards[s].chunks.clear();
-    shards[s].chunks.shrink_to_fit();
-    distinct_per_shard[s] = table.size();
-    shard_out[s].resize(W);
-    table.ForEach([&](uint64_t code, uint32_t count) {
-      if (count >= config.coverage_threshold) {
-        shard_out[s][Mix64(code) % W].emplace_back(code, count);
-      }
-    });
-  });
-
-  // Concatenate the per-shard slices of each output partition.
-  MerCounts result(W);
-  pool.Run(W, [&](uint32_t d) {
-    size_t total = 0;
-    for (uint32_t s = 0; s < S; ++s) total += shard_out[s][d].size();
-    result[d].reserve(total);
-    for (uint32_t s = 0; s < S; ++s) {
-      auto& slice = shard_out[s][d];
-      std::move(slice.begin(), slice.end(), std::back_inserter(result[d]));
-      slice.clear();
-    }
-  });
-  const double pass2_seconds = pass2_timer.Seconds();
-
-  if (stats != nullptr) {
-    *stats = KmerCountStats{};
-    stats->shards = S;
-    stats->threads = plan.threads;
-    stats->pass1_seconds = pass1_seconds;
-    stats->pass2_seconds = pass2_seconds;
-    uint64_t superkmers = 0;
-    for (unsigned t = 0; t < plan.threads; ++t) {
-      stats->total_bases += scanned_bases[t];
-      stats->total_windows += scanned_windows[t];
-      superkmers += scanned_superkmers[t];
-    }
-    for (uint32_t s = 0; s < S; ++s) {
-      stats->distinct_mers += distinct_per_shard[s];
-    }
-    for (uint32_t d = 0; d < W; ++d) stats->surviving_mers += result[d].size();
-    FillShardStats(config, stats, std::move(windows_per_shard),
-                   std::move(bytes_per_shard), std::move(messages_per_shard),
-                   superkmers);
-  }
-  return result;
-}
-
 // ---------------------------------------------------------------------------
-// CounterSession: count-while-scanning with a bounded shard queue.
+// CounterSession: count-while-scanning behind one byte admission.
 // ---------------------------------------------------------------------------
 
 struct CounterSession::Impl {
@@ -523,28 +410,38 @@ struct CounterSession::Impl {
   uint64_t bound;
   unsigned num_counters;
 
-  // External spill wiring (null or kNever = fully memory-resident).
+  // External spill wiring. kNever without a spill context, and for
+  // distributed sessions (their chunks leave the process instead).
   SpillContext* spill;
-  bool spilling;                        // spill != nullptr && mode != kNever
-  std::vector<uint32_t> spill_file;     // shard -> spill file id
+  SpillMode spill_mode = SpillMode::kNever;
+  std::vector<uint32_t> spill_file;  // shard -> spill file id
+  // Chunks handed to the writer per shard; readback must find exactly this
+  // many records. Atomic because scanners spill concurrently.
+  std::unique_ptr<std::atomic<uint64_t>[]> shard_spilled;
+  // Serialized record bytes written (encoding runs on the scanners).
+  std::atomic<uint64_t> spilled_payload_bytes{0};
+  // kAuto only: chunk bytes resident in the shard rings. A chunk joins its
+  // ring while this stays within bound / 2; past that it is spilled, so the
+  // scanners stall on disk bandwidth rather than on counter throughput.
+  std::atomic<uint64_t> ring_bytes{0};
 
   // Distributed wiring (net/coordinator.h). When distributed, the local
-  // tables and counter threads are idle: every sealed chunk ships to worker
-  // s % N and queued_bytes bounds the unacknowledged in-flight bytes, so
-  // the scanners still feel backpressure from slow workers. A transport
-  // failure is recorded here (never thrown — Enqueue runs on pool threads)
-  // and surfaces from Finish.
+  // tables and counter threads are idle: every sealed chunk ships to its
+  // shard's lease owner and queued_bytes bounds the unacknowledged
+  // in-flight bytes, so the scanners still feel backpressure from slow
+  // workers. A journal failure is recorded here (never thrown — EnqueueNet
+  // runs on pool threads) and surfaces from Finish.
   NetContext* net;
   bool distributed;
   std::vector<uint64_t> shard_net_chunks;  // chunks shipped per shard
   std::atomic<uint64_t> net_sent_payload_bytes{0};
-  bool net_failed = false;   // under mu; unrecoverable (journal) failures only
-  std::string net_error;     // under mu
+  std::atomic<bool> net_failed{false};  // unrecoverable (journal) failure
+  std::string net_error;                // under mu; set before net_failed
 
-  // Fault-tolerance layer. route_mu serializes {journal append, lease
-  // lookup, send} in EnqueueNet against RecoverLocked, which is what keeps
-  // a journaled-but-unsent chunk from being both replayed by recovery and
-  // then sent again by its scanner. Everything below it is guarded by
+  // Fault-tolerance layer. route_mu serializes {ledger, journal append,
+  // lease lookup, send} in EnqueueNet against RecoverLocked, which is what
+  // keeps a journaled-but-unsent chunk from being both replayed by recovery
+  // and then sent again by its scanner. Everything below it is guarded by
   // route_mu (net_degraded is also read from admission predicates, hence
   // atomic).
   std::unique_ptr<net::ChunkJournal> journal;
@@ -562,38 +459,33 @@ struct CounterSession::Impl {
   uint64_t chunks_replayed = 0;
 
   // One open-addressing table per shard; tables[s] is touched only by the
-  // counter thread owning shard s (s % num_counters), never under mu.
+  // counter thread owning shard s (s % num_counters) until Finish.
   std::vector<CountTable> tables;
 
-  // Ring-queue path (QueueImpl::kRings, in-memory sessions only): one
-  // lock-free MPSC ring per shard replaces pending/pending_bytes, and the
-  // byte accounting moves to atomics. mu + the condvars below are then
-  // used only for parking after the spin budget runs out — never to move
-  // a chunk.
-  bool use_rings = false;
+  // One lock-free MPSC ring per shard, drained by the counter threads;
+  // empty when none run (kAlways and distributed sessions).
   std::vector<std::unique_ptr<MpscRing<Pass1Chunk>>> rings;
-  std::atomic<uint64_t> ring_queued_bytes{0};
-  std::atomic<uint64_t> ring_peak_queued_bytes{0};
+
+  // Byte admission, one gate for every mode: chunk bytes admitted and not
+  // yet released, whether ring-resident, on the spill writer, or unacked
+  // on the wire. mu and the condvars only park threads whose spin budget
+  // ran out; no chunk ever moves under mu.
+  std::atomic<uint64_t> queued_bytes{0};
+  std::atomic<uint64_t> peak_queued_bytes{0};
   std::atomic<uint32_t> not_full_waiters{0};
   std::atomic<uint32_t> not_empty_waiters{0};
   std::atomic<uint64_t> queue_spin_parks{0};
-  std::atomic<bool> finishing_flag{false};
-
+  std::atomic<bool> finishing{false};
   std::mutex mu;
-  std::condition_variable not_full;   // scanners wait here (backpressure)
+  std::condition_variable not_full;   // admission waits here (backpressure)
   std::condition_variable not_empty;  // counters wait here
-  std::vector<std::deque<Pass1Chunk>> pending;  // per shard
-  std::vector<uint64_t> pending_bytes;   // bytes currently in pending[s]
-  std::vector<uint64_t> shard_windows;   // enqueued windows per shard
-  std::vector<uint64_t> shard_bytes;     // enqueued chunk bytes per shard
-  std::vector<uint64_t> shard_messages;  // enqueued shipped units per shard
-  std::vector<uint64_t> shard_spilled;   // chunks spilled per shard
-  // Serialized record bytes written; atomic because encoding and Append
-  // run outside mu (see SpillChunkUnlocked).
-  std::atomic<uint64_t> spilled_payload_bytes{0};
-  uint64_t queued_bytes = 0;  // pending deques + async writer backlog
-  uint64_t peak_queued_bytes = 0;
-  bool finishing = false;
+
+  // Per-shard ledgers, written by whoever consumes a chunk: the shard's
+  // counter thread (ring chunks), Finish's readback (spilled chunks), or
+  // EnqueueNet under route_mu (distributed chunks).
+  std::vector<uint64_t> shard_windows;   // windows per shard
+  std::vector<uint64_t> shard_bytes;     // chunk bytes per shard
+  std::vector<uint64_t> shard_messages;  // shipped units per shard
 
   std::atomic<uint64_t> total_bases{0};
   std::atomic<uint64_t> total_windows{0};
@@ -603,19 +495,14 @@ struct CounterSession::Impl {
   bool finished = false;
 
   explicit Impl(const KmerCountConfig& cfg, uint64_t max_queued_bytes)
-      : config(cfg), plan(MakePlan(cfg)) {
-    net = cfg.net;
+      : config(cfg), plan(MakePlan(cfg)), spill(cfg.spill), net(cfg.net) {
     distributed = net != nullptr && net->num_workers() != 0;
-    spill = cfg.spill;
-    // Distributed chunks leave the process instead of spilling to disk; the
-    // queued-byte bound below keeps covering them until the worker acks.
-    spilling =
-        !distributed && spill != nullptr && spill->mode != SpillMode::kNever;
+    if (!distributed && spill != nullptr) spill_mode = spill->mode;
     bound = max_queued_bytes == 0 ? CounterSession::kDefaultMaxQueuedBytes
                                   : max_queued_bytes;
     // A nonzero pipeline memory budget also caps this session's resident
     // chunk bytes (the budget is the reason to spill at all).
-    if (spilling && spill->budget.budget_bytes() != 0) {
+    if (spill_mode != SpillMode::kNever && spill->budget.budget_bytes() != 0) {
       bound = std::min(bound, spill->budget.budget_bytes());
     }
     // A single flushed chunk (<= flush threshold + one maximal super-k-mer
@@ -626,15 +513,10 @@ struct CounterSession::Impl {
     // Under kAlways every chunk goes through disk and is counted at
     // readback — and distributed chunks are counted by the workers — so
     // in-memory counter threads would only ever sleep.
-    num_counters = distributed || (spilling && spill->mode == SpillMode::kAlways)
+    num_counters = distributed || spill_mode == SpillMode::kAlways
                        ? 0
                        : std::min<unsigned>(plan.threads, plan.shards);
-    // Rings only serve the pure in-memory path: spill admission needs the
-    // session-wide queue view (TakeLargestLocked) and distributed chunks
-    // never enter a local queue at all.
-    use_rings = config.queue_impl == QueueImpl::kRings && !spilling &&
-                !distributed && num_counters > 0;
-    if (use_rings) {
+    if (num_counters > 0) {
       rings.reserve(plan.shards);
       for (uint32_t s = 0; s < plan.shards; ++s) {
         rings.push_back(std::make_unique<MpscRing<Pass1Chunk>>(kRingCapacity));
@@ -646,12 +528,9 @@ struct CounterSession::Impl {
       // and let the tables grow with the data.
       tables.emplace_back(1024);
     }
-    pending.resize(plan.shards);
-    pending_bytes.assign(plan.shards, 0);
     shard_windows.assign(plan.shards, 0);
     shard_bytes.assign(plan.shards, 0);
     shard_messages.assign(plan.shards, 0);
-    shard_spilled.assign(plan.shards, 0);
     shard_net_chunks.assign(plan.shards, 0);
     if (distributed) {
       shard_owner.resize(plan.shards);
@@ -683,30 +562,29 @@ struct CounterSession::Impl {
         net->client(w).SendControl(net::MsgType::kCounterOpen, open);
       }
     }
-    if (spilling) {
+    if (spill_mode != SpillMode::kNever) {
       spill_file.reserve(plan.shards);
       for (uint32_t s = 0; s < plan.shards; ++s) {
         spill_file.push_back(
             spill->manager.NewFile("kmer-shard-" + std::to_string(s)));
       }
+      shard_spilled = std::make_unique<std::atomic<uint64_t>[]>(plan.shards);
     }
     counters.reserve(num_counters);
     for (unsigned c = 0; c < num_counters; ++c) {
-      counters.emplace_back(
-          [this, c] { use_rings ? CounterLoopRings(c) : CounterLoop(c); });
+      counters.emplace_back([this, c] { RunCounter(c); });
     }
   }
 
-  // Spin-then-park for the ring path: spins re-checking `ready`, then
-  // parks on `cv` for at most 1 ms. The predicate reads atomics that are
-  // not written under mu, so an untimed wait could sleep through a wakeup
-  // that slipped between check and park; the timed wait bounds that race
-  // at 1 ms instead of making every hot-path update take the lock. Each
-  // park ticks counting.queue_spin — the contention signal the bench
-  // grids record.
+  // Spin-then-park: spins re-checking `ready`, then parks on `cv` for at
+  // most 1 ms. The predicate reads atomics that are not written under mu,
+  // so an untimed wait could sleep through a wakeup that slipped between
+  // check and park; the timed wait bounds that race at 1 ms instead of
+  // making every hot-path update take the lock. Each park ticks
+  // counting.queue_spin — the contention signal the bench grids record.
   template <typename Pred>
-  void RingWait(std::condition_variable& cv, std::atomic<uint32_t>& waiters,
-                Pred&& ready) {
+  void Wait(std::condition_variable& cv, std::atomic<uint32_t>& waiters,
+            Pred&& ready) {
     for (int i = 0; i < kQueueSpinIters; ++i) {
       if (ready()) return;
       std::this_thread::yield();
@@ -721,42 +599,132 @@ struct CounterSession::Impl {
     waiters.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  // Ring-path enqueue: byte admission by CAS (same invariant as the mutex
-  // path — admit when under the bound, or unconditionally when nothing is
-  // queued, so progress is guaranteed for any single chunk), then a
-  // lock-free push into the shard's ring.
-  void EnqueueRing(uint32_t s, Pass1Chunk&& chunk) {
-    const uint64_t n = chunk.SizeBytes();
+  // A distributed session stops admitting once the fleet is gone or the
+  // journal failed; never true for local sessions.
+  bool Stopped() const {
+    return net_failed.load(std::memory_order_relaxed) ||
+           net_degraded.load(std::memory_order_relaxed);
+  }
+
+  // The byte admission every chunk passes. Admits n bytes by CAS when the
+  // queued total stays within the bound — or unconditionally when nothing
+  // is queued, so progress is guaranteed for any single chunk (n <= bound,
+  // so queued_bytes <= bound still holds) — and spins, then parks, while
+  // it would not. False, with nothing charged, when the session stopped.
+  bool Admit(uint64_t n) {
     PPA_TRACE_SPAN_V("queue_wait", "count", n);
-    uint64_t cur = ring_queued_bytes.load(std::memory_order_relaxed);
+    uint64_t cur = queued_bytes.load(std::memory_order_relaxed);
     for (;;) {
       if (cur == 0 || cur + n <= bound) {
-        if (ring_queued_bytes.compare_exchange_weak(
-                cur, cur + n, std::memory_order_relaxed)) {
+        if (queued_bytes.compare_exchange_weak(cur, cur + n,
+                                               std::memory_order_relaxed)) {
           break;
         }
         continue;  // CAS refreshed cur; re-evaluate the admission test
       }
-      RingWait(not_full, not_full_waiters, [&] {
-        const uint64_t q = ring_queued_bytes.load(std::memory_order_relaxed);
-        return q == 0 || q + n <= bound;
+      if (Stopped()) return false;
+      Wait(not_full, not_full_waiters, [&] {
+        const uint64_t q = queued_bytes.load(std::memory_order_relaxed);
+        return q == 0 || q + n <= bound || Stopped();
       });
-      cur = ring_queued_bytes.load(std::memory_order_relaxed);
+      cur = queued_bytes.load(std::memory_order_relaxed);
     }
-    uint64_t peak = ring_peak_queued_bytes.load(std::memory_order_relaxed);
+    uint64_t peak = peak_queued_bytes.load(std::memory_order_relaxed);
     while (cur + n > peak &&
-           !ring_peak_queued_bytes.compare_exchange_weak(
+           !peak_queued_bytes.compare_exchange_weak(
                peak, cur + n, std::memory_order_relaxed)) {
     }
-    while (!rings[s]->TryPush(std::move(chunk))) {
-      RingWait(not_full, not_full_waiters, [&] { return !rings[s]->Full(); });
-    }
-    if (not_empty_waiters.load(std::memory_order_relaxed) != 0) {
+    if (spill_mode != SpillMode::kNever) spill->budget.Charge(n);
+    return true;
+  }
+
+  // Returns n admitted bytes: a counter drained them or the spill writer
+  // wrote them.
+  void Release(uint64_t n) {
+    queued_bytes.fetch_sub(n, std::memory_order_relaxed);
+    if (spill_mode != SpillMode::kNever) spill->budget.Release(n);
+    if (not_full_waiters.load(std::memory_order_relaxed) != 0) {
       // Taking mu pairs the notify with the waiter's locked predicate
       // check; the waiter's wait_for bounds anything that still slips.
       std::lock_guard<std::mutex> lock(mu);
+      not_full.notify_all();
+    }
+  }
+
+  // Release for distributed chunks. Ack callbacks run on a client's
+  // receive thread and may outlive the scanners, so the release happens
+  // under mu: DrainNetAcks reads the counter under mu, and once it sees
+  // zero no callback is still inside this session.
+  void ReleaseNet(uint64_t n) {
+    std::lock_guard<std::mutex> lock(mu);
+    queued_bytes.fetch_sub(n, std::memory_order_relaxed);
+    not_full.notify_all();
+  }
+
+  void Tally(uint32_t s, const Pass1Chunk& chunk) {
+    shard_windows[s] += chunk.windows;
+    shard_bytes[s] += chunk.SizeBytes();
+    shard_messages[s] += chunk.records;
+  }
+
+  // Counts one chunk into shard s's table. Callers own shard s: its
+  // counter thread, or Finish's pool task for s.
+  void CountChunk(uint32_t s, const Pass1Chunk& chunk) {
+    {
+      PPA_TRACE_SPAN_V("count_chunk", "count", chunk.SizeBytes());
+      ForEachChunkCode(chunk, config.mer_length,
+                       [&](uint64_t code) { tables[s].Add(code); });
+    }
+    Tally(s, chunk);
+  }
+
+  // Every sealed chunk enters here: admission, then the mode's route.
+  void Enqueue(uint32_t s, Pass1Chunk&& chunk) {
+    if (distributed) {
+      EnqueueNet(s, std::move(chunk));
+      return;
+    }
+    const uint64_t n = chunk.SizeBytes();
+    Admit(n);
+    if (spill_mode == SpillMode::kAlways ||
+        (spill_mode == SpillMode::kAuto && !TakeRingRoom(n))) {
+      Spill(s, chunk);
+      return;
+    }
+    while (!rings[s]->TryPush(std::move(chunk))) {
+      Wait(not_full, not_full_waiters, [&] { return !rings[s]->Full(); });
+    }
+    if (not_empty_waiters.load(std::memory_order_relaxed) != 0) {
+      std::lock_guard<std::mutex> lock(mu);
       not_empty.notify_all();
     }
+  }
+
+  // kAuto: reserves n bytes of the rings' half of the bound, or refuses.
+  bool TakeRingRoom(uint64_t n) {
+    uint64_t cur = ring_bytes.load(std::memory_order_relaxed);
+    while (cur + n <= bound / 2) {
+      if (ring_bytes.compare_exchange_weak(cur, cur + n,
+                                           std::memory_order_relaxed)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Serializes `chunk` and hands it to the async writer. The chunk's bytes
+  // stay admitted (writer backlog) until the write completes, so the bound
+  // keeps covering every resident chunk byte. Counting is commutative, so
+  // cross-thread interleaving of a shard's records is fine; per-shard
+  // record counts still reconcile at readback.
+  void Spill(uint32_t s, const Pass1Chunk& chunk) {
+    const uint64_t n = chunk.SizeBytes();
+    std::vector<uint8_t> payload = EncodePass1Chunk(chunk);
+    spilled_payload_bytes.fetch_add(payload.size(),
+                                    std::memory_order_relaxed);
+    shard_spilled[s].fetch_add(1, std::memory_order_relaxed);
+    spill->manager.Append(spill_file[s], std::move(payload),
+                          [this, n] { Release(n); });
   }
 
   // Drains every ring owned by counter c into its tables. Returns whether
@@ -767,41 +735,30 @@ struct CounterSession::Impl {
       Pass1Chunk chunk;
       while (rings[s]->TryPop(&chunk)) {
         const uint64_t n = chunk.SizeBytes();
-        {
-          PPA_TRACE_SPAN_V("count_chunk", "count", n);
-          ForEachChunkCode(chunk, config.mer_length,
-                           [&](uint64_t code) { tables[s].Add(code); });
+        CountChunk(s, chunk);
+        if (spill_mode == SpillMode::kAuto) {
+          ring_bytes.fetch_sub(n, std::memory_order_relaxed);
         }
-        // In ring mode the per-shard ledgers are owned by this consumer
-        // (the mutex path updates them producer-side under mu); totals at
-        // Finish are identical, with no atomics on the vectors.
-        shard_windows[s] += chunk.windows;
-        shard_bytes[s] += n;
-        shard_messages[s] += chunk.records;
-        ring_queued_bytes.fetch_sub(n, std::memory_order_relaxed);
-        if (not_full_waiters.load(std::memory_order_relaxed) != 0) {
-          std::lock_guard<std::mutex> lock(mu);
-          not_full.notify_all();
-        }
+        Release(n);
         worked = true;
       }
     }
     return worked;
   }
 
-  void CounterLoopRings(unsigned c) {
+  void RunCounter(unsigned c) {
     obs::SetTraceThreadName("counter");
     for (;;) {
       if (DrainOwnedRings(c)) continue;
-      if (finishing_flag.load(std::memory_order_acquire)) {
+      if (finishing.load(std::memory_order_acquire)) {
         // Every AddBatch returned before Finish set the flag, so all
         // pushes happen-before this load observes it; one more drain
         // catches anything that raced the empty sweep above.
         DrainOwnedRings(c);
         return;
       }
-      RingWait(not_empty, not_empty_waiters, [&] {
-        if (finishing_flag.load(std::memory_order_acquire)) return true;
+      Wait(not_empty, not_empty_waiters, [&] {
+        if (finishing.load(std::memory_order_acquire)) return true;
         for (uint32_t s = c; s < plan.shards; s += num_counters) {
           if (!rings[s]->Empty()) return true;
         }
@@ -810,47 +767,13 @@ struct CounterSession::Impl {
     }
   }
 
-  // Serializes `chunk` and hands it to the async writer. Runs OUTSIDE mu —
-  // encoding copies tens of kilobytes, and doing that under the session
-  // mutex would serialize every scanner and counter thread on each spill.
-  // The chunk's bytes stay in queued_bytes (writer backlog, accounted by
-  // the caller under mu before calling this) until the write completes, so
-  // the session bound keeps covering every resident chunk byte. Counting
-  // is commutative, so cross-thread interleaving of a shard's records is
-  // fine; per-shard record counts still reconcile at readback.
-  void SpillChunkUnlocked(uint32_t s, const Pass1Chunk& chunk) {
-    const uint64_t n = chunk.SizeBytes();
-    std::vector<uint8_t> payload = EncodePass1Chunk(chunk);
-    spilled_payload_bytes.fetch_add(payload.size(),
-                                    std::memory_order_relaxed);
-    spill->manager.Append(spill_file[s], std::move(payload), [this, n] {
+  void StopCounters() {
+    {
       std::lock_guard<std::mutex> lock(mu);
-      queued_bytes -= n;
-      spill->budget.Release(n);
-      not_full.notify_all();
-    });
-  }
-
-  // Requires mu. Seals the shard queue holding the most pending bytes and
-  // moves it into `victim` (bookkeeping done here; the caller serializes
-  // and appends after dropping the lock). Returns plan.shards when nothing
-  // is pending — all resident bytes are already on the writer, so the only
-  // relief left is write completion.
-  uint32_t TakeLargestLocked(std::deque<Pass1Chunk>* victim) {
-    uint32_t best = plan.shards;
-    uint64_t best_bytes = 0;
-    for (uint32_t s = 0; s < plan.shards; ++s) {
-      if (pending_bytes[s] > best_bytes) {
-        best_bytes = pending_bytes[s];
-        best = s;
-      }
+      finishing.store(true, std::memory_order_release);
+      not_empty.notify_all();
     }
-    if (best == plan.shards) return best;
-    *victim = std::move(pending[best]);
-    pending[best].clear();
-    pending_bytes[best] = 0;
-    shard_spilled[best] += victim->size();
-    return best;
+    for (auto& t : counters) t.join();
   }
 
   // Builds the kCounterChunk body for one journal payload of `s`.
@@ -931,9 +854,9 @@ struct CounterSession::Impl {
         if (!ok) {
           // The journal itself is damaged — that is not recoverable.
           std::lock_guard<std::mutex> lock(mu);
-          if (!net_failed) {
-            net_failed = true;
+          if (!net_failed.load(std::memory_order_relaxed)) {
             net_error = jerr;
+            net_failed.store(true, std::memory_order_relaxed);
           }
           not_full.notify_all();
           return;
@@ -942,45 +865,27 @@ struct CounterSession::Impl {
     }
   }
 
-  // Distributed enqueue: serialize outside mu (like SpillChunkUnlocked),
-  // admit against the session bound, journal the payload, then ship it to
-  // the shard's current lease owner. The chunk's bytes stay in
-  // queued_bytes until the worker's ack runs the done callback. A send
-  // failure triggers recovery in place — the chunk is already journaled,
-  // so the failover replay covers it.
+  // Distributed route: serialize, admit, then — under route_mu — ledger,
+  // journal, and ship the payload to the shard's current lease owner. The
+  // chunk's bytes stay admitted until the worker's ack runs the done
+  // callback. A send failure triggers recovery in place — the chunk is
+  // already journaled, so the failover replay covers it.
   void EnqueueNet(uint32_t s, Pass1Chunk&& chunk) {
     const uint64_t n = chunk.SizeBytes();
     const std::vector<uint8_t> payload = EncodePass1Chunk(chunk);
-    bool charged = false;
-    {
-      PPA_TRACE_SPAN_V("queue_wait", "count", n);
-      std::unique_lock<std::mutex> lock(mu);
-      not_full.wait(lock, [&] {
-        return net_failed ||
-               net_degraded.load(std::memory_order_relaxed) ||
-               queued_bytes == 0 || queued_bytes + n <= bound;
-      });
-      if (net_failed) return;
-      if (!net_degraded.load(std::memory_order_relaxed)) {
-        queued_bytes += n;
-        peak_queued_bytes = std::max(peak_queued_bytes, queued_bytes);
-        charged = true;
-      }
-      shard_windows[s] += chunk.windows;
-      shard_bytes[s] += n;
-      shard_messages[s] += chunk.records;
-      shard_net_chunks[s] += 1;
+    const bool charged = Admit(n);
+    if (net_failed.load(std::memory_order_relaxed)) {
+      if (charged) ReleaseNet(n);
+      return;
     }
     std::lock_guard<std::mutex> route_lock(route_mu);
+    Tally(s, chunk);
+    shard_net_chunks[s] += 1;
     journal->Append(s, payload);
     if (net_degraded.load(std::memory_order_relaxed)) {
       // Fleet exhausted (possibly while this thread waited on route_mu):
       // the journal is the chunk's only consumer now.
-      if (charged) {
-        std::lock_guard<std::mutex> lock(mu);
-        queued_bytes -= n;
-        not_full.notify_all();
-      }
+      if (charged) ReleaseNet(n);
       return;
     }
     std::vector<uint8_t> body = ChunkBody(s, payload);
@@ -988,11 +893,7 @@ struct CounterSession::Impl {
     net::WorkerClient& client = net->client(shard_owner[s]);
     const bool sent =
         client.SendData(net::MsgType::kCounterChunk, std::move(body),
-                        [this, n] {
-                          std::lock_guard<std::mutex> lock(mu);
-                          queued_bytes -= n;
-                          not_full.notify_all();
-                        });
+                        [this, n] { ReleaseNet(n); });
     if (!sent) {
       // The done callback already ran (SendData runs it exactly once, on
       // ack or on failure). The chunk is in the journal, so recovery's
@@ -1002,109 +903,133 @@ struct CounterSession::Impl {
     }
   }
 
-  void Enqueue(uint32_t s, Pass1Chunk&& chunk) {
-    if (distributed) {
-      EnqueueNet(s, std::move(chunk));
-      return;
-    }
-    if (use_rings) {
-      EnqueueRing(s, std::move(chunk));
-      return;
-    }
-    const uint64_t n = chunk.SizeBytes();
-    PPA_TRACE_SPAN_V("queue_wait", "count", n);
-    std::unique_lock<std::mutex> lock(mu);
-    // Admit when under the bound — or unconditionally when the queue is
-    // empty, which keeps progress guaranteed (n <= flush threshold + one
-    // record <= bound, so the invariant queued_bytes <= bound still holds).
-    // Under kAuto a would-block first seals-and-spills the largest pending
-    // queue, so the scanners stall on disk bandwidth, not on counter
-    // throughput.
-    if (spilling && spill->mode == SpillMode::kAuto) {
-      while (!(queued_bytes == 0 || queued_bytes + n <= bound)) {
-        std::deque<Pass1Chunk> victim;
-        const uint32_t victim_shard = TakeLargestLocked(&victim);
-        if (victim_shard == plan.shards) {
-          not_full.wait(lock);
-          continue;
-        }
-        lock.unlock();
-        // Destroy each original as soon as its serialized copy is queued:
-        // otherwise the whole victim deque would stay alive alongside its
-        // unaccounted serialized copies, transiently doubling real
-        // residency against what queued_bytes (and the budget) report.
-        while (!victim.empty()) {
-          SpillChunkUnlocked(victim_shard, victim.front());
-          victim.pop_front();
-        }
-        lock.lock();
-      }
-    } else {
-      not_full.wait(lock, [&] {
-        return queued_bytes == 0 || queued_bytes + n <= bound;
-      });
-    }
-    queued_bytes += n;
-    peak_queued_bytes = std::max(peak_queued_bytes, queued_bytes);
-    if (spilling) spill->budget.Charge(n);
-    shard_windows[s] += chunk.windows;
-    shard_bytes[s] += n;
-    shard_messages[s] += chunk.records;
-    if (spilling && spill->mode == SpillMode::kAlways) {
-      ++shard_spilled[s];
-      lock.unlock();
-      SpillChunkUnlocked(s, chunk);
-      return;
-    }
-    pending_bytes[s] += n;
-    pending[s].push_back(std::move(chunk));
-    not_empty.notify_all();
-  }
-
-  void CounterLoop(unsigned c) {
-    obs::SetTraceThreadName("counter");
-    std::unique_lock<std::mutex> lock(mu);
-    for (;;) {
-      bool worked = false;
-      for (uint32_t s = c; s < plan.shards; s += num_counters) {
-        while (!pending[s].empty()) {
-          Pass1Chunk chunk = std::move(pending[s].front());
-          pending[s].pop_front();
-          pending_bytes[s] -= chunk.SizeBytes();
-          lock.unlock();
-          {
-            PPA_TRACE_SPAN_V("count_chunk", "count", chunk.SizeBytes());
-            ForEachChunkCode(chunk, config.mer_length,
-                             [&](uint64_t code) { tables[s].Add(code); });
-          }
-          lock.lock();
-          queued_bytes -= chunk.SizeBytes();
-          if (spilling) spill->budget.Release(chunk.SizeBytes());
-          not_full.notify_all();
-          worked = true;
-        }
-      }
-      if (!worked) {
-        if (finishing) return;
-        not_empty.wait(lock);
-      }
-    }
-  }
-
   // Blocks until every in-flight chunk is acknowledged (or the transport
   // has failed, which drains the acks through the same done callbacks).
   // Required before impl can die: pending callbacks lock this session's
   // state.
   void DrainNetAcks() {
     std::unique_lock<std::mutex> lock(mu);
-    not_full.wait(lock, [&] { return queued_bytes == 0; });
+    not_full.wait(lock, [&] {
+      return queued_bytes.load(std::memory_order_relaxed) == 0;
+    });
+  }
+
+  // Replays shard s's spilled chunks into its table. Returns the diagnostic
+  // of a failed or short readback, empty on success.
+  std::string ReadBack(uint32_t s, uint64_t* chunks, uint64_t* bytes) {
+    PPA_TRACE_SPAN("spill.readback", "spill");
+    SpillReader reader = spill->manager.OpenReader(spill_file[s]);
+    std::vector<uint8_t> payload;
+    Pass1Chunk chunk;
+    while (reader.Next(&payload)) {
+      if (!DecodePass1Chunk(payload.data(), payload.size(), &chunk)) {
+        return "spill readback failed: malformed Pass1Chunk record in " +
+               spill->manager.FilePath(spill_file[s]);
+      }
+      CountChunk(s, chunk);
+      ++*chunks;
+      *bytes += payload.size();
+    }
+    if (!reader.ok()) return reader.error();
+    const uint64_t expected = shard_spilled[s].load();
+    if (reader.records() != expected) {
+      // A spill file that parses cleanly but holds fewer records than
+      // were written would silently drop counts; refuse it.
+      return "spill readback failed: " +
+             spill->manager.FilePath(spill_file[s]) + " holds " +
+             std::to_string(reader.records()) + " records, expected " +
+             std::to_string(expected);
+    }
+    return "";
+  }
+
+  // The stats every mode shares, filled in one place.
+  void FillStats(KmerCountStats* stats, double pass1_seconds,
+                 double pass2_seconds,
+                 const std::vector<uint64_t>& distinct_per_shard,
+                 const MerCounts& result) {
+    *stats = KmerCountStats{};
+    stats->shards = plan.shards;
+    stats->threads = plan.threads;
+    stats->pass1_seconds = pass1_seconds;
+    stats->pass2_seconds = pass2_seconds;
+    stats->total_bases = total_bases.load();
+    stats->total_windows = total_windows.load();
+    for (uint64_t d : distinct_per_shard) stats->distinct_mers += d;
+    for (const auto& part : result) stats->surviving_mers += part.size();
+    stats->encoding = config.pass1_encoding;
+    for (uint64_t b : shard_bytes) stats->shuffled_bytes += b;
+    if (config.pass1_encoding == Pass1Encoding::kRaw) {
+      stats->shuffled_messages = stats->total_windows;
+      stats->message_size = sizeof(uint64_t);
+    } else {
+      stats->minimizer_len = EffectiveMinimizerLen(config);
+      stats->superkmers = total_superkmers.load();
+      stats->shuffled_messages = stats->superkmers;
+      stats->message_size = 0;  // variable-size records; see shuffled_bytes
+    }
+    stats->shard_windows = std::move(shard_windows);
+    stats->shard_bytes = std::move(shard_bytes);
+    stats->shard_messages = std::move(shard_messages);
+    stats->peak_queued_bytes = peak_queued_bytes.load();
+    stats->queue_bound_bytes = bound;
+    stats->queue_spin_parks = queue_spin_parks.load();
+  }
+
+  // Local pass-2 tail: read spilled chunks back shard-locally, then filter,
+  // route and concatenate. Readback errors are collected (not thrown)
+  // inside the pool — an exception on a pool worker thread would terminate
+  // the process.
+  MerCounts FinishLocal(KmerCountStats* stats) {
+    // Barrier the spill writers first: every spilled chunk must be on disk
+    // (and every byte-accounting callback run) before readback starts.
+    if (spill_mode != SpillMode::kNever && !spill->manager.Sync()) {
+      throw std::runtime_error(spill->manager.error());
+    }
+    const double pass1_seconds = wall.Seconds();
+    Timer pass2_timer;
+    const uint32_t S = plan.shards;
+    ThreadPool pool(plan.threads);
+    std::vector<uint64_t> distinct_per_shard(S, 0);
+    std::vector<uint64_t> readback_chunks(S, 0);
+    std::vector<uint64_t> readback_bytes(S, 0);
+    std::vector<std::string> readback_errors(S);
+    std::vector<MerCounts> shard_out(S);
+    pool.Run(S, [&](uint32_t s) {
+      if (spill_mode != SpillMode::kNever && shard_spilled[s].load() != 0) {
+        readback_errors[s] =
+            ReadBack(s, &readback_chunks[s], &readback_bytes[s]);
+        if (!readback_errors[s].empty()) return;
+      }
+      distinct_per_shard[s] = tables[s].size();
+      shard_out[s] = FilterAndRoute(tables[s], config.coverage_threshold,
+                                    config.num_workers);
+    });
+    for (const std::string& error : readback_errors) {
+      if (!error.empty()) throw std::runtime_error(error);
+    }
+    MerCounts result = ConcatenatePartitions(shard_out, config.num_workers,
+                                             pool);
+    if (stats != nullptr) {
+      FillStats(stats, pass1_seconds, pass2_timer.Seconds(),
+                distinct_per_shard, result);
+      for (uint32_t s = 0; s < S && spill_mode != SpillMode::kNever; ++s) {
+        const uint64_t spilled = shard_spilled[s].load();
+        stats->spilled_chunks += spilled;
+        if (spilled != 0) ++stats->spill_files;
+        stats->readback_chunks += readback_chunks[s];
+        stats->readback_bytes += readback_bytes[s];
+      }
+      stats->spilled_bytes = spilled_payload_bytes.load();
+    }
+    return result;
   }
 
   // Distributed pass-2 tail: finalize + collect on every worker, reconcile
   // the per-shard chunk/window ledgers against what this session shipped,
-  // and concatenate the per-(shard, partition) survivor slices in ascending
-  // shard order — the exact order the in-process tail uses, which is what
-  // makes the distributed output bit-identical.
+  // and concatenate the per-(shard, partition) survivor slices with the
+  // local tail's ConcatenatePartitions, which is what makes the
+  // distributed output bit-identical.
   MerCounts FinishDistributed(KmerCountStats* stats) {
     const uint32_t S = plan.shards;
     const uint32_t W = config.num_workers;
@@ -1116,10 +1041,11 @@ struct CounterSession::Impl {
     };
     {
       std::lock_guard<std::mutex> lock(mu);
-      if (net_failed) fail(net_error);
+      if (net_failed.load(std::memory_order_relaxed)) fail(net_error);
     }
 
     Timer pass2_timer;
+    ThreadPool pool(plan.threads);
     std::vector<MerCounts> shard_out(S);
     for (uint32_t s = 0; s < S; ++s) shard_out[s].resize(W);
     std::vector<uint64_t> distinct_per_shard(S, 0);
@@ -1151,7 +1077,7 @@ struct CounterSession::Impl {
       }
       {
         std::lock_guard<std::mutex> lock(mu);
-        if (net_failed) fail(net_error);
+        if (net_failed.load(std::memory_order_relaxed)) fail(net_error);
       }
       if (net_degraded.load(std::memory_order_relaxed)) break;
       if (all_sealed()) break;
@@ -1274,7 +1200,6 @@ struct CounterSession::Impl {
       // partition routing — which keeps the output bit-identical to a
       // failure-free run.
       PPA_TRACE_SPAN("net.degraded_local", "net");
-      ThreadPool pool(plan.threads);
       std::vector<std::string> replay_errors(S);
       pool.Run(S, [&](uint32_t s) {
         if (shard_sealed[s]) return;
@@ -1299,11 +1224,8 @@ struct CounterSession::Impl {
         if (!ok && replay_errors[s].empty()) replay_errors[s] = jerr;
         if (!replay_errors[s].empty()) return;
         distinct_per_shard[s] = tables[s].size();
-        tables[s].ForEach([&](uint64_t code, uint32_t count) {
-          if (count >= config.coverage_threshold) {
-            shard_out[s][Mix64(code) % W].emplace_back(code, count);
-          }
-        });
+        shard_out[s] =
+            FilterAndRoute(tables[s], config.coverage_threshold, W);
         shard_sealed[s] = true;
       });
       for (const std::string& error : replay_errors) {
@@ -1314,37 +1236,10 @@ struct CounterSession::Impl {
       fail("collection did not converge after repeated worker failures");
     }
 
-    MerCounts result(W);
-    for (uint32_t d = 0; d < W; ++d) {
-      size_t total = 0;
-      for (uint32_t s = 0; s < S; ++s) total += shard_out[s][d].size();
-      result[d].reserve(total);
-      for (uint32_t s = 0; s < S; ++s) {
-        auto& slice = shard_out[s][d];
-        std::move(slice.begin(), slice.end(), std::back_inserter(result[d]));
-        slice.clear();
-      }
-    }
-
+    MerCounts result = ConcatenatePartitions(shard_out, W, pool);
     if (stats != nullptr) {
-      *stats = KmerCountStats{};
-      stats->shards = S;
-      stats->threads = plan.threads;
-      stats->pass1_seconds = pass1_seconds;
-      stats->pass2_seconds = pass2_timer.Seconds();
-      stats->total_bases = total_bases.load();
-      stats->total_windows = total_windows.load();
-      for (uint32_t s = 0; s < S; ++s) {
-        stats->distinct_mers += distinct_per_shard[s];
-      }
-      for (uint32_t d = 0; d < W; ++d) {
-        stats->surviving_mers += result[d].size();
-      }
-      FillShardStats(config, stats, std::move(shard_windows),
-                     std::move(shard_bytes), std::move(shard_messages),
-                     total_superkmers.load());
-      stats->peak_queued_bytes = peak_queued_bytes;
-      stats->queue_bound_bytes = bound;
+      FillStats(stats, pass1_seconds, pass2_timer.Seconds(),
+                distinct_per_shard, result);
       stats->distributed_workers = N;
       for (uint32_t s = 0; s < S; ++s) {
         stats->net_chunks += shard_net_chunks[s];
@@ -1374,17 +1269,11 @@ CounterSession::CounterSession(const KmerCountConfig& config,
 
 CounterSession::~CounterSession() {
   if (impl_ == nullptr || impl_->finished) return;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->finishing = true;
-    impl_->finishing_flag.store(true, std::memory_order_release);
-    impl_->not_empty.notify_all();
-  }
-  for (auto& t : impl_->counters) t.join();
+  impl_->StopCounters();
   // Abandoned-without-Finish path: queued spill writes and unacknowledged
   // network chunks hold callbacks that lock this session's state, so they
   // must settle before impl_ dies.
-  if (impl_->spilling) impl_->spill->manager.Sync();
+  if (impl_->spill_mode != SpillMode::kNever) impl_->spill->manager.Sync();
   if (impl_->distributed) impl_->DrainNetAcks();
 }
 
@@ -1412,122 +1301,25 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
   Impl& impl = *impl_;
   PPA_CHECK(!impl.finished);
   impl.finished = true;
-  {
-    std::lock_guard<std::mutex> lock(impl.mu);
-    impl.finishing = true;
-    impl.finishing_flag.store(true, std::memory_order_release);
-    impl.not_empty.notify_all();
-  }
-  for (auto& t : impl.counters) t.join();
-  if (impl.distributed) return impl.FinishDistributed(stats);
-  // Barrier the spill writers before pass 2: every spilled chunk must be on
-  // disk (and every byte-accounting callback run) before readback starts.
-  if (impl.spilling && !impl.spill->manager.Sync()) {
-    throw std::runtime_error(impl.spill->manager.error());
-  }
-  const double pass1_seconds = impl.wall.Seconds();
+  impl.StopCounters();
+  return impl.distributed ? impl.FinishDistributed(stats)
+                          : impl.FinishLocal(stats);
+}
 
-  // Replay spilled chunks shard-locally, then filter + route + concatenate,
-  // exactly as the batch counter's pass-2 tail, so the output contract is
-  // shared. Readback errors are collected (not thrown) inside the pool —
-  // an exception on a pool worker thread would terminate the process.
-  Timer pass2_timer;
-  const uint32_t S = impl.plan.shards;
-  const uint32_t W = impl.config.num_workers;
-  ThreadPool pool(impl.plan.threads);
-  std::vector<uint64_t> distinct_per_shard(S, 0);
-  std::vector<uint64_t> readback_chunks(S, 0);
-  std::vector<uint64_t> readback_bytes(S, 0);
-  std::vector<std::string> readback_errors(S);
-  std::vector<MerCounts> shard_out(S);
-  pool.Run(S, [&](uint32_t s) {
-    if (impl.spilling && impl.shard_spilled[s] != 0) {
-      PPA_TRACE_SPAN("spill.readback", "spill");
-      SpillReader reader = impl.spill->manager.OpenReader(impl.spill_file[s]);
-      std::vector<uint8_t> payload;
-      Pass1Chunk chunk;
-      while (reader.Next(&payload)) {
-        if (!DecodePass1Chunk(payload.data(), payload.size(), &chunk)) {
-          readback_errors[s] = "spill readback failed: malformed Pass1Chunk "
-                               "record in " +
-                               impl.spill->manager.FilePath(impl.spill_file[s]);
-          return;
-        }
-        ForEachChunkCode(chunk, impl.config.mer_length,
-                         [&](uint64_t code) { impl.tables[s].Add(code); });
-        ++readback_chunks[s];
-        readback_bytes[s] += payload.size();
-      }
-      if (!reader.ok()) {
-        readback_errors[s] = reader.error();
-        return;
-      }
-      if (reader.records() != impl.shard_spilled[s]) {
-        // A spill file that parses cleanly but holds fewer records than
-        // were written would silently drop counts; refuse it.
-        readback_errors[s] =
-            "spill readback failed: " +
-            impl.spill->manager.FilePath(impl.spill_file[s]) + " holds " +
-            std::to_string(reader.records()) + " records, expected " +
-            std::to_string(impl.shard_spilled[s]);
-        return;
-      }
-    }
-    distinct_per_shard[s] = impl.tables[s].size();
-    shard_out[s].resize(W);
-    impl.tables[s].ForEach([&](uint64_t code, uint32_t count) {
-      if (count >= impl.config.coverage_threshold) {
-        shard_out[s][Mix64(code) % W].emplace_back(code, count);
-      }
-    });
+MerCounts CountCanonicalMers(const std::vector<Read>& reads,
+                             const KmerCountConfig& config,
+                             KmerCountStats* stats) {
+  CounterSession session(config);
+  // One AddBatch per thread over a contiguous slice, so each thread runs
+  // one Pass1Scanner.
+  const unsigned threads = MakePlan(config).threads;
+  ThreadPool pool(threads);
+  pool.Run(threads, [&](uint32_t t) {
+    const size_t begin = reads.size() * t / threads;
+    const size_t end = reads.size() * (t + 1) / threads;
+    session.AddBatch(reads.data() + begin, end - begin);
   });
-  for (const std::string& error : readback_errors) {
-    if (!error.empty()) throw std::runtime_error(error);
-  }
-  MerCounts result(W);
-  pool.Run(W, [&](uint32_t d) {
-    size_t total = 0;
-    for (uint32_t s = 0; s < S; ++s) total += shard_out[s][d].size();
-    result[d].reserve(total);
-    for (uint32_t s = 0; s < S; ++s) {
-      auto& slice = shard_out[s][d];
-      std::move(slice.begin(), slice.end(), std::back_inserter(result[d]));
-      slice.clear();
-    }
-  });
-
-  if (stats != nullptr) {
-    *stats = KmerCountStats{};
-    stats->shards = S;
-    stats->threads = impl.plan.threads;
-    stats->pass1_seconds = pass1_seconds;
-    stats->pass2_seconds = pass2_timer.Seconds();
-    stats->total_bases = impl.total_bases.load();
-    stats->total_windows = impl.total_windows.load();
-    for (uint32_t s = 0; s < S; ++s) {
-      stats->distinct_mers += distinct_per_shard[s];
-    }
-    for (uint32_t d = 0; d < W; ++d) stats->surviving_mers += result[d].size();
-    FillShardStats(impl.config, stats, std::move(impl.shard_windows),
-                   std::move(impl.shard_bytes),
-                   std::move(impl.shard_messages),
-                   impl.total_superkmers.load());
-    stats->peak_queued_bytes = impl.use_rings
-                                   ? impl.ring_peak_queued_bytes.load()
-                                   : impl.peak_queued_bytes;
-    stats->queue_bound_bytes = impl.bound;
-    stats->queue_impl =
-        impl.use_rings ? QueueImpl::kRings : QueueImpl::kMutex;
-    stats->queue_spin_parks = impl.queue_spin_parks.load();
-    for (uint32_t s = 0; s < S; ++s) {
-      stats->spilled_chunks += impl.shard_spilled[s];
-      if (impl.shard_spilled[s] != 0) ++stats->spill_files;
-      stats->readback_chunks += readback_chunks[s];
-      stats->readback_bytes += readback_bytes[s];
-    }
-    stats->spilled_bytes = impl.spilled_payload_bytes.load();
-  }
-  return result;
+  return session.Finish(stats);
 }
 
 MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
@@ -1745,13 +1537,7 @@ Partitioned<std::pair<uint64_t, uint32_t>> ShardCounterBank::Finalize(
     uint32_t shard, uint32_t coverage_threshold, uint32_t num_workers) {
   PPA_CHECK(shard < rep_->tables.size());
   PPA_CHECK(num_workers >= 1);
-  Partitioned<std::pair<uint64_t, uint32_t>> out(num_workers);
-  rep_->tables[shard].ForEach([&](uint64_t code, uint32_t count) {
-    if (count >= coverage_threshold) {
-      out[Mix64(code) % num_workers].emplace_back(code, count);
-    }
-  });
-  return out;
+  return FilterAndRoute(rep_->tables[shard], coverage_threshold, num_workers);
 }
 
 }  // namespace ppa

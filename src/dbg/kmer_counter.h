@@ -6,10 +6,11 @@
 // the two-pass sharded design proven in k-mer tools such as yak:
 //
 //   Pass 1 (partition): scanner threads cut reads into per-shard chunks and
-//   move a full chunk into the shard's queue under a per-shard mutex — the
-//   mutex is taken once per tens of kilobytes, so the per-base hot path
-//   takes no locks and shares no cache lines between threads. What a chunk
-//   holds depends on Pass1Encoding:
+//   hand each full chunk to one byte admission (a CAS on the session's
+//   queued-byte counter), then to the shard's lock-free ring — once per
+//   tens of kilobytes, so the per-base hot path takes no locks and shares
+//   no cache lines between threads. What a chunk holds depends on
+//   Pass1Encoding:
 //
 //     kSuperkmer (default): minimizer-bucketed super-k-mers — maximal runs
 //     of consecutive windows sharing one Mix64-ordered minimizer, shipped
@@ -27,22 +28,22 @@
 //   shards are counted fully independently in parallel, one open-addressing
 //   (linear-probe) table per shard; super-k-mer chunks are decoded locally
 //   right before the table probes. No atomics, no merging of tables.
+//   Counter threads drain the rings into the tables *while* the scanners
+//   are still producing.
 //
 // Survivors of the coverage filter are routed into `num_workers` output
 // partitions by Mix64(code) % num_workers — the same routing the seed path
 // used — so downstream phase (ii) MapReduce consumes the result unchanged,
 // bit-identically under either encoding.
 //
-// Memory tradeoff: the pass-1/pass-2 barrier of the batch counters holds
-// the whole chunk stream (proportional to coverage x genome size; ~4-6x
-// smaller under kSuperkmer). CounterSession removes that barrier: shard
-// counter threads drain the chunk queues into the count tables *while* the
-// scanners are still producing, and the queued *bytes* are bounded — a
-// scanner flushing into a full queue blocks until the counters catch up
-// (backpressure that propagates through ReadStream to the input file). Peak
-// transient memory is the configured byte bound plus the tables (~12 bytes
-// per distinct mer). Under kSuperkmer the same byte bound buys ~4-6x more
-// in-flight windows, or the same backlog in ~4-6x less memory.
+// CounterSession is the one sharded counter; the batch CountCanonicalMers
+// feeds one from a thread pool. The queued *bytes* are bounded: a scanner
+// flushing past the bound blocks until the counters (or the spill writer,
+// or the remote workers' acks) catch up — backpressure that propagates
+// through ReadStream to the input file. Peak transient memory is the
+// configured byte bound plus the tables (~12 bytes per distinct mer).
+// Under kSuperkmer the same byte bound buys ~4-6x more in-flight windows,
+// or the same backlog in ~4-6x less memory.
 #ifndef PPA_DBG_KMER_COUNTER_H_
 #define PPA_DBG_KMER_COUNTER_H_
 
@@ -83,21 +84,6 @@ inline bool ParsePass1Encoding(const std::string& name, Pass1Encoding* out) {
   return false;
 }
 
-/// How CounterSession moves sealed pass-1 chunks from scanners to shard
-/// counters.
-enum class QueueImpl : uint8_t {
-  kRings = 0,  // lock-free bounded MPSC rings (util/mpsc_ring.h); the
-               // default for the pure in-memory path. Spilling and
-               // distributed sessions always use the mutex queues (their
-               // admission decisions need the session-wide view).
-  kMutex = 1,  // mutex + condvar deques (the pre-SIMD path; kept as the
-               // contention baseline and for spill/distributed sessions)
-};
-
-inline const char* QueueImplName(QueueImpl q) {
-  return q == QueueImpl::kRings ? "rings" : "mutex";
-}
-
 /// Configuration of one counting job.
 struct KmerCountConfig {
   int mer_length = 32;         // length of the counted mers; <= 32.
@@ -112,31 +98,27 @@ struct KmerCountConfig {
   Pass1Encoding pass1_encoding = Pass1Encoding::kSuperkmer;
   int minimizer_len = 11;
 
-  // External spill (spill/spill.h), streaming sessions only. nullptr (or
-  // SpillMode::kNever) keeps the chunk queues fully memory-resident; kAuto
-  // seals-and-spills the largest shard queues to per-shard files when the
-  // context's memory budget is exceeded instead of blocking the scanners on
-  // counter throughput; kAlways routes every sealed chunk through disk.
-  // A nonzero budget also caps the session's queued-byte bound.
+  // External spill (spill/spill.h). nullptr (or SpillMode::kNever) keeps
+  // every chunk memory-resident; kAuto keeps a chunk in its shard ring
+  // while the ring-resident bytes stay within half the queued-byte bound
+  // and hands the rest to the spill writer, so scanners stall on disk
+  // bandwidth rather than on counter throughput; kAlways routes every
+  // sealed chunk through disk. A nonzero budget also caps the session's
+  // queued-byte bound.
   SpillContext* spill = nullptr;
 
-  // Distributed execution (net/coordinator.h), streaming sessions only.
-  // Non-null routes every sealed pass-1 chunk to the shard's current owner
-  // (the lease starts at worker s % N and moves to a survivor if the owner
-  // dies) instead of a local count table; the queued-byte bound then
-  // covers unacked in-flight network bytes, and the spill wiring above is
-  // ignored for the counter (the chunks leave the process instead — though
-  // the fault-tolerance journal may use the spill manager for overflow).
+  // Distributed execution (net/coordinator.h). Non-null routes every
+  // sealed pass-1 chunk to the shard's current owner (the lease starts at
+  // worker s % N and moves to a survivor if the owner dies) instead of a
+  // local count table; the queued-byte bound then covers unacked in-flight
+  // network bytes, and the spill wiring above is ignored for the counter
+  // (the chunks leave the process instead — though the fault-tolerance
+  // journal may use the spill manager for overflow).
   // Output is bit-identical to the in-process path, including across
   // worker failures: every chunk is journaled before it is sent, orphaned
   // shards are replayed to their new owner, and when the whole fleet dies
   // the session degrades to counting the journal locally.
   NetContext* net = nullptr;
-
-  // Scan->count queue implementation (streaming sessions, in-memory path
-  // only; spilling/distributed sessions use kMutex regardless). Counting
-  // is commutative, so output is bit-identical either way.
-  QueueImpl queue_impl = QueueImpl::kRings;
 };
 
 /// Execution metrics of one counting job (feeds RunStats / benches).
@@ -169,20 +151,17 @@ struct KmerCountStats {
   std::vector<uint64_t> shard_bytes;
   std::vector<uint64_t> shard_messages;
 
-  // Streaming sessions (CounterSession) only: high-water mark of chunk
-  // bytes buffered between the scanners and the shard counters, and the
-  // bound it is guaranteed to stay under. Both zero for the batch counters.
-  // With spilling on, queued bytes include the async writer backlog, so the
-  // bound covers every resident chunk byte of the session.
+  // Sharded counters only (zero for serial): high-water mark of admitted
+  // chunk bytes not yet released, and the bound it is guaranteed to stay
+  // under. Admitted bytes include the async spill writer backlog and the
+  // unacked network bytes, so the bound covers every resident chunk byte.
   uint64_t peak_queued_bytes = 0;
   uint64_t queue_bound_bytes = 0;
 
-  // Queue implementation the session actually ran (may differ from the
-  // configured one: spill/distributed force kMutex), and how many times a
-  // thread exhausted its spin budget on a full/empty ring and parked
-  // (kRings only; also published as the counting.queue_spin metric). Like
-  // peak_queued_bytes, scheduling-dependent — equivalence tests mask it.
-  QueueImpl queue_impl = QueueImpl::kMutex;
+  // How many times a thread exhausted its spin budget on a full bound,
+  // full ring or empty ring and parked (also published as the
+  // counting.queue_spin metric). Like peak_queued_bytes, scheduling-
+  // dependent — equivalence tests mask it.
   uint64_t queue_spin_parks = 0;
 
   // External spill volume (spill/spill.h); all zero when spilling is off.
@@ -215,7 +194,8 @@ struct KmerCountStats {
 /// (canonical code, count) pairs partitioned by Mix64(code) % num_workers.
 using MerCounts = Partitioned<std::pair<uint64_t, uint32_t>>;
 
-/// Two-pass sharded parallel counter (the hot path).
+/// Sharded parallel counter over an in-memory read set: a CounterSession
+/// fed from a thread pool, one AddBatch per thread over a contiguous slice.
 MerCounts CountCanonicalMers(const std::vector<Read>& reads,
                              const KmerCountConfig& config,
                              KmerCountStats* stats = nullptr);
@@ -227,10 +207,10 @@ MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
                                    const KmerCountConfig& config,
                                    KmerCountStats* stats = nullptr);
 
-/// Streaming batch-ingest counter: the same sharded design as
-/// CountCanonicalMers, but counting runs concurrently with scanning under a
-/// bounded buffer, so the whole chunk stream is never resident. Intended
-/// consumers are the io/read_stream.h worker threads:
+/// Streaming batch-ingest counter, the one sharded counter: counting runs
+/// concurrently with scanning under a bounded buffer, so the whole chunk
+/// stream is never resident. Intended consumers are the io/read_stream.h
+/// worker threads:
 ///
 ///   CounterSession session(config);
 ///   stream.ForEachBatch(threads, [&](ReadBatch& b) {
@@ -284,7 +264,7 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
                           const std::string& job_name);
 
 /// Pass-2 counting state of one shard worker endpoint (net/worker.h): the
-/// batch counter's open-addressing tables and survivor routing, fed one
+/// session's open-addressing tables and survivor routing, fed one
 /// serialized pass-1 chunk (the spill/wire record payload) at a time.
 /// Because counting is commutative and the coverage filter + partition
 /// routing reuse the exact in-process code, a bank fed any interleaving of
@@ -313,8 +293,8 @@ class ShardCounterBank {
   uint64_t distinct(uint32_t shard) const;
 
   /// Coverage-filters `shard`'s table and routes survivors into
-  /// `num_workers` partitions by Mix64(code) % num_workers — the batch
-  /// counter's pass-2 tail, verbatim.
+  /// `num_workers` partitions by Mix64(code) % num_workers — the session's
+  /// filter + route, verbatim.
   Partitioned<std::pair<uint64_t, uint32_t>> Finalize(
       uint32_t shard, uint32_t coverage_threshold, uint32_t num_workers);
 

@@ -30,26 +30,6 @@ uint64_t SteadyNowMs() {
           .count());
 }
 
-/// Recognizes a worker's version refusal ("protocol version <offered> !=
-/// <worker's>") and extracts the worker's version — the negotiate-down
-/// signal from workers too old to range-accept.
-bool ParseVersionMismatch(const std::string& text, uint64_t* peer) {
-  constexpr const char* kPrefix = "protocol version ";
-  if (text.compare(0, 17, kPrefix) != 0) return false;
-  const size_t tail = text.rfind(" != ");
-  if (tail == std::string::npos) return false;
-  uint64_t version = 0;
-  size_t pos = tail + 4;
-  if (pos >= text.size()) return false;
-  for (; pos < text.size(); ++pos) {
-    if (text[pos] < '0' || text[pos] > '9') return false;
-    version = version * 10 + static_cast<uint64_t>(text[pos] - '0');
-    if (version > 1000) return false;
-  }
-  *peer = version;
-  return true;
-}
-
 }  // namespace
 
 WorkerClient::WorkerClient(const Options& options) : options_(options) {
@@ -64,66 +44,44 @@ WorkerClient::WorkerClient(const Options& options) : options_(options) {
     return std::runtime_error("worker '" + options_.endpoint +
                               "': handshake failed: " + what);
   };
-  // One redial is allowed: an old worker refuses our version with a
-  // diagnostic naming its own, and we dial again offering that.
-  uint64_t offer = kProtocolVersion;
-  for (bool redialed = false;; redialed = true) {
-    const int fd =
-        ConnectWithRetry(endpoint, options.connect_timeout_ms, &err);
-    if (fd < 0) {
-      throw std::runtime_error("worker '" + options.endpoint + "': " + err);
-    }
-    conn_ = std::make_unique<FrameConn>(fd);
-    conn_->SetTimeouts(options.io_timeout_ms);
-    std::vector<uint8_t> hello;
-    PutVarint64(&hello, offer);
-    if (offer >= 4) {
-      // v3 workers read a bare version varint and ignore the rest, so the
-      // flags field is invisible to the peers that predate it.
-      PutVarint64(&hello, options_.arm_trace ? kHelloFlagTrace : 0);
-    }
-    if (!conn_->SendMagic(&err) ||
-        !conn_->Send(MsgType::kHello, hello, &err) ||
-        !conn_->ExpectMagic(&err)) {
-      throw handshake_error(err);
-    }
-    Frame frame;
-    if (conn_->Recv(&frame, &err) != FrameConn::RecvResult::kOk) {
-      throw handshake_error(err.empty() ? "connection closed" : err);
-    }
-    if (frame.type == MsgType::kError) {
-      const std::string text(frame.body.begin(), frame.body.end());
-      uint64_t peer = 0;
-      if (!redialed && ParseVersionMismatch(text, &peer) &&
-          peer >= kMinProtocolVersion && peer < offer) {
-        offer = peer;
-        conn_.reset();  // the worker dropped us; dial a fresh connection
-        continue;
-      }
-      throw handshake_error(text);
-    }
-    if (frame.type != MsgType::kHelloOk) {
-      throw handshake_error(std::string("unexpected ") +
-                            MsgTypeName(frame.type));
-    }
-    size_t pos = 0;
-    uint64_t version = 0;
-    if (!GetVarint64(frame.body.data(), frame.body.size(), &pos, &version) ||
-        version < kMinProtocolVersion || version > offer) {
-      throw handshake_error("protocol version mismatch");
-    }
-    negotiated_version_ = static_cast<uint32_t>(version);
-    break;
+  const int fd = ConnectWithRetry(endpoint, options.connect_timeout_ms, &err);
+  if (fd < 0) {
+    throw std::runtime_error("worker '" + options.endpoint + "': " + err);
+  }
+  conn_ = std::make_unique<FrameConn>(fd);
+  conn_->SetTimeouts(options.io_timeout_ms);
+  std::vector<uint8_t> hello;
+  PutVarint64(&hello, kProtocolVersion);
+  PutVarint64(&hello, options_.arm_trace ? kHelloFlagTrace : 0);
+  if (!conn_->SendMagic(&err) || !conn_->Send(MsgType::kHello, hello, &err) ||
+      !conn_->ExpectMagic(&err)) {
+    throw handshake_error(err);
+  }
+  Frame frame;
+  if (conn_->Recv(&frame, &err) != FrameConn::RecvResult::kOk) {
+    throw handshake_error(err.empty() ? "connection closed" : err);
+  }
+  if (frame.type == MsgType::kError) {
+    throw handshake_error(std::string(frame.body.begin(), frame.body.end()));
+  }
+  if (frame.type != MsgType::kHelloOk) {
+    throw handshake_error(std::string("unexpected ") +
+                          MsgTypeName(frame.type));
+  }
+  size_t pos = 0;
+  uint64_t version = 0;
+  if (!GetVarint64(frame.body.data(), frame.body.size(), &pos, &version) ||
+      version != kProtocolVersion) {
+    throw handshake_error("protocol version mismatch");
   }
   last_frame_ms_.store(SteadyNowMs(), std::memory_order_relaxed);
   receiver_ = std::thread([this] { ReceiveLoop(); });
   // A first offset estimate while the link is otherwise silent; trace
   // collection re-probes right before it pulls the rings.
-  if (negotiated_version_ >= 4) ProbeClockOffset();
+  ProbeClockOffset();
 }
 
 bool WorkerClient::ProbeClockOffset(int probes) {
-  if (negotiated_version_ < 4) return false;
   int64_t best_rtt = 0;
   int64_t best_offset = 0;
   bool any = false;
@@ -671,7 +629,7 @@ std::vector<obs::ProcessTrace> NetContext::CollectTraces() {
   // and the workers were never asked to arm, so their rings are empty.
   if (!obs::TraceEnabled()) return out;
   for (auto& client : clients_) {
-    if (client->failed() || client->negotiated_version() < 4) continue;
+    if (client->failed()) continue;
     // Re-probe now: the merged trace uses one offset per worker, and an
     // estimate from the same neighborhood as the spans it corrects beats
     // the handshake-time one on a long run.

@@ -51,7 +51,7 @@ class WorkerClient {
     int io_timeout_ms = 30000;             // per read/write; 0 = none
     int connect_timeout_ms = 10000;        // total, across retries
     // Set kHelloFlagTrace in the hello so the worker arms its span
-    // collection (v4+ links only; a downgraded link never sees the flag).
+    // collection.
     bool arm_trace = false;
   };
 
@@ -107,17 +107,11 @@ class WorkerClient {
   /// and the recovery layer picks the carcass up at its next touch point.
   void FailForRecovery(const std::string& what) { Fail(what); }
 
-  /// The protocol version this link settled on. A v3 worker refuses the v4
-  /// hello with its versioned diagnostic; the constructor parses the
-  /// worker's version out of it and redials offering that, so mixed fleets
-  /// degrade instead of failing. Trace/clock frames require >= 4.
-  uint32_t negotiated_version() const { return negotiated_version_; }
-
   /// Estimates the worker's clock offset (worker MonotonicMicros minus
   /// ours) with `probes` ping exchanges, keeping the midpoint of the
   /// minimum-RTT sample — the sample whose midpoint assumption is best.
-  /// Updates clock_offset_us(); false (offset unchanged) on a failed or
-  /// pre-v4 link. Run at handshake and again at trace collection.
+  /// Updates clock_offset_us(); false (offset unchanged) on a failed
+  /// link. Run at handshake and again at trace collection.
   bool ProbeClockOffset(int probes = 5);
 
   /// The latest ProbeClockOffset estimate, microseconds.
@@ -137,7 +131,6 @@ class WorkerClient {
   Options options_;
   std::unique_ptr<FrameConn> conn_;
   std::thread receiver_;
-  uint32_t negotiated_version_ = kProtocolVersion;
   std::atomic<int64_t> clock_offset_us_{0};
   // Steady-clock millis of the last received frame, for the liveness
   // deadline. Atomic: written by the receive thread, read by the liveness
@@ -217,7 +210,7 @@ struct NetConfig {
   // processes directly).
   std::string fault_plan;
 
-  // Ask every (v4+) worker to arm span tracing at handshake, so
+  // Ask every worker to arm span tracing at handshake, so
   // CollectTraces has rings to pull. Set when the coordinator itself is
   // tracing (--trace-out).
   bool arm_trace = false;
@@ -254,7 +247,7 @@ class NetContext {
 
   /// Pulls every worker's span rings (kTraceRequest -> kTraceSnapshot) for
   /// the merged timeline, re-probing each link's clock offset first. Same
-  /// best-effort contract as CollectMetrics; pre-v4 links are skipped, and
+  /// best-effort contract as CollectMetrics; failed links are skipped, and
   /// the whole pull is a no-op unless this process is tracing.
   std::vector<obs::ProcessTrace> CollectTraces();
 

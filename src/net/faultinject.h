@@ -33,9 +33,6 @@
 // coordinator fans a plan out to its fleet (FaultPlan::ForWorker); entries
 // without it apply to every worker. Each entry fires at most once per
 // connection.
-//
-// The legacy `--fail-after-frames N` worker flag is exactly
-// `drop-conn@frame=N+1` and is kept as an alias.
 #ifndef PPA_NET_FAULTINJECT_H_
 #define PPA_NET_FAULTINJECT_H_
 

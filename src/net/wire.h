@@ -31,23 +31,16 @@ namespace net {
 /// Connection preamble, sent by each side before any frame.
 extern const char kNetMagic[8];
 
-/// Bumped on any incompatible wire change; negotiated in the hello
-/// exchange. v2 added the telemetry pull (kMetricsRequest/kMetricsSnapshot);
-/// v3 the liveness exchange (kHeartbeat/kHeartbeatOk); v4 the trace pull
-/// (kTraceRequest/kTraceSnapshot), the clock-offset probe
-/// (kClockProbe/kClockProbeOk), and hello flags (below).
+/// Bumped on any incompatible wire change. v2 added the telemetry pull
+/// (kMetricsRequest/kMetricsSnapshot); v3 the liveness exchange
+/// (kHeartbeat/kHeartbeatOk); v4 the trace pull (kTraceRequest/
+/// kTraceSnapshot), the clock-offset probe (kClockProbe/kClockProbeOk), and
+/// hello flags (below). Coordinator and worker ship together, so the worker
+/// accepts exactly this version: any other hello is refused with one
+/// kError naming both versions, which the coordinator throws.
 constexpr uint32_t kProtocolVersion = 4;
 
-/// Oldest peer version this build still speaks. The worker accepts any
-/// hello in [kMinProtocolVersion, kProtocolVersion] and replies with
-/// min(offered, own); the coordinator parses a version-mismatch refusal
-/// from an older worker and redials offering the worker's version. Frames
-/// introduced after the negotiated version never travel on that link.
-constexpr uint32_t kMinProtocolVersion = 3;
-
-/// v4+ hello bodies carry varint(version) + varint(flags). v3 peers send a
-/// bare varint(version) and ignore trailing bytes, so the flags field is
-/// invisible to them.
+/// Hello bodies carry varint(version) + varint(flags).
 constexpr uint64_t kHelloFlagTrace = 1;  // arm the worker's span tracing
 
 /// Hard cap on one frame's payload (type byte + body). Chunks and result
@@ -61,8 +54,8 @@ constexpr uint64_t kMaxFramePayload = 64ULL << 20;
 /// data-plane messages (kCounterChunk, kStoreAppend): the coordinator keeps
 /// a bounded number of unacked bytes in flight per worker.
 enum class MsgType : uint8_t {
-  kHello = 1,          // c->w: varint(version) [+ varint(flags), v4+]
-  kHelloOk = 2,        // w->c: varint(negotiated version)
+  kHello = 1,          // c->w: varint(version) varint(flags)
+  kHelloOk = 2,        // w->c: varint(version)
   kCounterOpen = 3,    // c->w: varint(mer_length) varint(num_shards)
                        //       varint(num_workers) varint(coverage_threshold)
   kCounterChunk = 4,   // c->w: varint(shard) + EncodePass1Chunk payload [ack]
@@ -87,8 +80,8 @@ enum class MsgType : uint8_t {
   kHeartbeat = 21,        // c->w: empty liveness probe
   kHeartbeatOk = 22,      // w->c: empty; any frame refreshes the deadline
   kTraceRequest = 23,     // c->w: empty; worker replies with its span rings
-  kTraceSnapshot = 24,    // w->c: obs::EncodeTraceSnapshot payload (v4+)
-  kClockProbe = 25,       // c->w: empty; clock-offset ping (v4+)
+  kTraceSnapshot = 24,    // w->c: obs::EncodeTraceSnapshot payload
+  kClockProbe = 25,       // c->w: empty; clock-offset ping
   kClockProbeOk = 26,     // w->c: zigzag varint(worker MonotonicMicros)
 };
 

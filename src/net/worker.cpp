@@ -302,59 +302,42 @@ void ShardWorkerServer::ServeConnection(int fd) {
         }
       }
     } else {
-    // Handshake: the coordinator speaks first; magic both ways. Any offer
-    // in [kMinProtocolVersion, kProtocolVersion] is accepted and answered
-    // with min(offered, own); older offers get the legacy refusal text,
-    // whose "!= <own>" tail a newer coordinator parses to redial lower.
-    uint64_t negotiated = kProtocolVersion;
+    // Handshake: the coordinator speaks first; magic both ways. Coordinator
+    // and worker ship together, so only kProtocolVersion is accepted; any
+    // other offer gets one refusal naming both versions.
     bool ok = conn.ExpectMagic(&err);
     Frame frame;
     if (ok && conn.Recv(&frame, &err) != FrameConn::RecvResult::kOk) ok = false;
     if (ok && conn.SendMagic(&err)) {
       size_t pos = 0;
       uint64_t version = 0;
+      uint64_t flags = 0;
       if (frame.type != MsgType::kHello ||
           !GetV(frame.body, &pos, &version)) {
         SendError(conn, "handshake: expected a hello frame");
         ok = false;
-      } else if (version < kMinProtocolVersion) {
+      } else if (version != kProtocolVersion) {
         SendError(conn, "protocol version " + std::to_string(version) +
                             " != " + std::to_string(kProtocolVersion));
         ok = false;
+      } else if (pos < frame.body.size() && !GetV(frame.body, &pos, &flags)) {
+        SendError(conn, "handshake: malformed hello flags");
+        ok = false;
       } else {
-        negotiated = std::min<uint64_t>(version, kProtocolVersion);
-        uint64_t flags = 0;
-        if (version >= 4 && pos < frame.body.size() &&
-            !GetV(frame.body, &pos, &flags)) {
-          SendError(conn, "handshake: malformed hello flags");
-          ok = false;
+        if ((flags & kHelloFlagTrace) != 0 && !obs::TraceEnabled()) {
+          // Arm span collection for the coordinator's trace pull. The
+          // guard keeps an embedded (in-process) server from resetting
+          // a trace session its host already started.
+          obs::StartTrace();
         }
-        if (ok) {
-          if (negotiated >= 4 && (flags & kHelloFlagTrace) != 0 &&
-              !obs::TraceEnabled()) {
-            // Arm span collection for the coordinator's trace pull. The
-            // guard keeps an embedded (in-process) server from resetting
-            // a trace session its host already started.
-            obs::StartTrace();
-          }
-          std::vector<uint8_t> hello_ok;
-          PutVarint64(&hello_ok, negotiated);
-          ok = conn.Send(MsgType::kHelloOk, hello_ok, &err);
-        }
+        std::vector<uint8_t> hello_ok;
+        PutVarint64(&hello_ok, kProtocolVersion);
+        ok = conn.Send(MsgType::kHelloOk, hello_ok, &err);
       }
     }
     obs::SetTraceThreadName("worker-conn");
 
-    // The connection's fault schedule: the configured plan plus the legacy
-    // fail-after-frames alias (drop-conn@frame=N+1).
-    FaultPlan plan = options_.fault_plan;
-    if (options_.fail_after_frames != 0) {
-      FaultRule alias;
-      alias.kind = FaultKind::kDropConn;
-      alias.frame = options_.fail_after_frames + 1;
-      plan.rules.push_back(alias);
-    }
-    FaultInjector injector(plan);
+    FaultInjector injector(options_.fault_plan);
 
     ConnState state;
     uint64_t crc_folded = 0;  // rejects already added to the registry
@@ -375,15 +358,10 @@ void ShardWorkerServer::ServeConnection(int fd) {
       }
       if (frame.type == MsgType::kClockProbe ||
           frame.type == MsgType::kTraceRequest) {
-        // Trace-plane frames: v4+, answered like heartbeats — before the
-        // fault injector and outside the reconciled counters — so arming
-        // tracing never shifts a fault plan's frame numbering.
-        if (negotiated < 4) {
-          SendError(conn, std::string(MsgTypeName(frame.type)) +
-                              " on a v" + std::to_string(negotiated) +
-                              " link");
-          ok = false;
-        } else if (frame.type == MsgType::kClockProbe) {
+        // Trace-plane frames, answered like heartbeats — before the fault
+        // injector and outside the reconciled counters — so arming tracing
+        // never shifts a fault plan's frame numbering.
+        if (frame.type == MsgType::kClockProbe) {
           std::vector<uint8_t> now;
           PutVarint64(&now, ZigZagEncode(static_cast<int64_t>(
                                              MonotonicMicros()) +

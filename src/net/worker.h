@@ -37,12 +37,9 @@ struct WorkerOptions {
   std::string listen;      // endpoint spec (wire.h); port 0 picks a free port
   bool once = false;       // exit Wait() after the first connection ends
   int io_timeout_ms = 0;   // per read/write on accepted connections; 0 = none
-  // Test hook: abruptly drop every connection after this many post-handshake
-  // frames, simulating a worker crash mid-stream. 0 = never. Exactly the
-  // fault-plan rule drop-conn@frame=N+1, kept as an alias; both compose.
-  uint64_t fail_after_frames = 0;
   // Deterministic fault script (faultinject.h grammar), evaluated per
-  // connection.
+  // connection. drop-conn@frame=N+1 simulates a worker crash after N
+  // post-handshake frames.
   FaultPlan fault_plan;
   // Honor kill-worker rules with _exit(137). Only the ppa_shard_worker
   // binary sets this; embedded test servers treat kill-worker as

@@ -34,7 +34,6 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
 
   if (data.counting != nullptr) {
     const KmerCountStats& c = *data.counting;
-    Set(r, "counting.queue_impl", static_cast<uint64_t>(c.queue_impl));
     Set(r, "counting.queue_spin_parks", c.queue_spin_parks);
     Set(r, "counting.minimizer_len", c.minimizer_len);
     Set(r, "counting.shards", c.shards);

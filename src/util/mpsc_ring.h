@@ -4,9 +4,10 @@
 // The pass-1 scan->count handoff in dbg/kmer_counter used to move every
 // sealed chunk through a session mutex; with one scanner per core that
 // mutex is the first thing the multi-core bench hits. This ring replaces
-// it for the in-memory path: producers claim a cell with one CAS on the
-// enqueue cursor, consumers with one CAS on the dequeue cursor, and the
-// per-cell sequence number is the only synchronization between them —
+// it for every chunk a counter thread drains: producers claim a cell with
+// one CAS on the enqueue cursor, consumers with one CAS on the dequeue
+// cursor, and the per-cell sequence number is the only synchronization
+// between them —
 // a cell's payload is published by the release store of its sequence and
 // acquired by the matching load, so no two threads ever contend on a lock
 // to move a chunk. Both cursors live on their own cache line; otherwise

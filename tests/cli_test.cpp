@@ -626,6 +626,19 @@ TEST(AssembleCliRunTest, InMemoryModeMatchesStreamingMode) {
             SortedContigSeqs(mem_opts.contigs_out));
   EXPECT_NE(ReadFile(mem_opts.stats_out).find("mode=in-memory-serial"),
             std::string::npos);
+
+  // The in-memory sharded counter feeds a CounterSession from a thread
+  // pool; it must agree with both.
+  AssembleCliOptions sharded_opts = mem_opts;
+  sharded_opts.assembler.sharded_kmer_counting = true;
+  sharded_opts.contigs_out = TempPath("hc2_modes.sharded.fasta");
+  sharded_opts.stats_out = TempPath("hc2_modes.sharded.txt");
+  ASSERT_EQ(RunAssembleCli(sharded_opts, out, err), 0) << err.str();
+
+  EXPECT_EQ(SortedContigSeqs(stream_opts.contigs_out),
+            SortedContigSeqs(sharded_opts.contigs_out));
+  EXPECT_NE(ReadFile(sharded_opts.stats_out).find("mode=in-memory-sharded"),
+            std::string::npos);
 }
 
 }  // namespace

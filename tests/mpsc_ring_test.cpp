@@ -173,10 +173,10 @@ MerCounts RunSession(const std::vector<Read>& reads,
   return session.Finish(stats);
 }
 
-// Ring-mode sessions under a tiny byte bound (constant backpressure, spins
-// and parks) still produce bit-identical counts to the serial reference,
-// from concurrent AddBatch callers, under both encodings. TSan covers the
-// EnqueueRing / DrainOwnedRings protocol here.
+// Sessions under a tiny byte bound (constant backpressure, spins and
+// parks) still produce bit-identical counts to the serial reference, from
+// concurrent AddBatch callers, under both encodings. TSan covers the
+// Admit / ring push / DrainOwnedRings protocol here.
 TEST(MpscRingTest, SessionWithRingsMatchesSerialUnderBackpressure) {
   std::vector<Read> reads = SimulatedReads(12000, 8.0, 31);
   reads.push_back({"n_runs", "ACGTACGTNNNNNNNNNNACGTACGATCGATTACA", ""});
@@ -189,7 +189,6 @@ TEST(MpscRingTest, SessionWithRingsMatchesSerialUnderBackpressure) {
       SortedPartitions(CountCanonicalMersSerial(reads, config));
   for (Pass1Encoding enc : {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
     config.pass1_encoding = enc;
-    config.queue_impl = QueueImpl::kRings;
     KmerCountStats stats;
     // 1 byte rounds up to the minimum admissible bound: every chunk fights
     // the byte-budget CAS and the ring capacity at once.
@@ -197,61 +196,43 @@ TEST(MpscRingTest, SessionWithRingsMatchesSerialUnderBackpressure) {
         RunSession(reads, config, /*max_queued_bytes=*/1, /*add_threads=*/3,
                    &stats));
     EXPECT_EQ(actual, expected) << Pass1EncodingName(enc);
-    EXPECT_EQ(stats.queue_impl, QueueImpl::kRings);
     EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes);
-    // Per-shard ledgers are consumer-side in ring mode; they must still sum
-    // to the totals exactly.
+    // Per-shard ledgers are consumer-side; they must still sum to the
+    // totals exactly.
     uint64_t windows = 0;
     for (uint64_t w : stats.shard_windows) windows += w;
     EXPECT_EQ(windows, stats.total_windows);
   }
 }
 
-// The two queue implementations are interchangeable: same counts, and the
-// stats report which one actually ran.
-TEST(MpscRingTest, MutexAndRingSessionsAgreeAndReportQueueImpl) {
-  std::vector<Read> reads = SimulatedReads(8000, 6.0, 17);
-  KmerCountConfig config;
-  config.mer_length = 15;
-  config.num_workers = 4;
-  config.num_threads = 2;
-
-  config.queue_impl = QueueImpl::kRings;
-  KmerCountStats ring_stats;
-  const auto with_rings =
-      SortedPartitions(RunSession(reads, config, 0, 2, &ring_stats));
-  EXPECT_EQ(ring_stats.queue_impl, QueueImpl::kRings);
-
-  config.queue_impl = QueueImpl::kMutex;
-  KmerCountStats mutex_stats;
-  const auto with_mutex =
-      SortedPartitions(RunSession(reads, config, 0, 2, &mutex_stats));
-  EXPECT_EQ(mutex_stats.queue_impl, QueueImpl::kMutex);
-  EXPECT_EQ(mutex_stats.queue_spin_parks, 0u);
-
-  EXPECT_EQ(with_rings, with_mutex);
-  EXPECT_EQ(ring_stats.total_windows, mutex_stats.total_windows);
-}
-
-// Spilling sessions must fall back to the mutex queues (their admission
-// decisions need the session-wide view) even when rings are requested —
-// and still count correctly.
-TEST(MpscRingTest, SpillSessionForcesMutexQueues) {
+// Spilling sessions share the rings' byte admission: under kAuto (rings
+// up to half the bound, the rest spilled) and kAlways (everything
+// spilled), with the tightest bound and concurrent AddBatch callers, the
+// counts match the serial reference, the bound holds, and readback
+// replays exactly what was spilled. TSan covers the admission handoff
+// between scanners, counters and the spill writer here.
+TEST(MpscRingTest, SpillSessionsShareTheRingAdmission) {
   std::vector<Read> reads = SimulatedReads(8000, 6.0, 23);
   KmerCountConfig config;
   config.mer_length = 21;
   config.num_workers = 4;
   config.num_threads = 2;
-  config.queue_impl = QueueImpl::kRings;  // must be overridden
   const auto expected =
       SortedPartitions(CountCanonicalMersSerial(reads, config));
-  auto spill = MakeSpillContext(SpillMode::kAlways, "", 1 << 20);
-  config.spill = spill.get();
-  KmerCountStats stats;
-  const auto actual = SortedPartitions(RunSession(reads, config, 0, 2, &stats));
-  EXPECT_EQ(actual, expected);
-  EXPECT_EQ(stats.queue_impl, QueueImpl::kMutex);
-  EXPECT_GT(stats.spilled_chunks, 0u);
+  for (SpillMode mode : {SpillMode::kAuto, SpillMode::kAlways}) {
+    auto spill = MakeSpillContext(mode, "", 1 << 20);
+    config.spill = spill.get();
+    KmerCountStats stats;
+    const auto actual = SortedPartitions(
+        RunSession(reads, config, /*max_queued_bytes=*/1, /*add_threads=*/3,
+                   &stats));
+    EXPECT_EQ(actual, expected) << SpillModeName(mode);
+    EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
+        << SpillModeName(mode);
+    EXPECT_GT(stats.spilled_chunks, 0u) << SpillModeName(mode);
+    EXPECT_EQ(stats.readback_chunks, stats.spilled_chunks)
+        << SpillModeName(mode);
+  }
 }
 
 }  // namespace

@@ -268,24 +268,21 @@ std::string MakeTempDir() {
 
 /// N in-process ShardWorkerServers on unix sockets plus the NetContext
 /// connected to them. The context must die before the servers stop.
-/// `plans` (when non-empty, one entry per worker) injects a deterministic
-/// fault script into each server.
+/// `plans` injects a deterministic fault script into the servers: one
+/// entry applies to every worker, more give one per worker.
 struct Fleet {
   std::string dir;
   std::vector<std::unique_ptr<ShardWorkerServer>> servers;
   std::unique_ptr<NetContext> context;
 
-  explicit Fleet(uint32_t n, uint64_t fail_after_frames = 0,
-                 uint64_t window_bytes = 1 << 20,
-                 std::vector<net::FaultPlan> plans = {},
-                 int io_timeout_ms = 20000) {
+  explicit Fleet(uint32_t n, std::vector<net::FaultPlan> plans = {},
+                 uint64_t window_bytes = 1 << 20, int io_timeout_ms = 20000) {
     dir = MakeTempDir();
     std::string endpoints;
     for (uint32_t w = 0; w < n; ++w) {
       WorkerOptions options;
       options.listen = "unix:" + dir + "/w" + std::to_string(w) + ".sock";
-      options.fail_after_frames = fail_after_frames;
-      if (!plans.empty()) options.fault_plan = plans[w];
+      if (!plans.empty()) options.fault_plan = plans[plans.size() == 1 ? 0 : w];
       servers.push_back(std::make_unique<ShardWorkerServer>(options));
       std::string error;
       EXPECT_TRUE(servers.back()->Start(&error)) << error;
@@ -409,7 +406,7 @@ TEST(DistributedCounterTest, TinyWindowStillBitIdentical) {
   config.num_workers = 3;
   config.num_threads = 4;
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/4096);
+  Fleet fleet(2, /*plans=*/{}, /*window_bytes=*/4096);
   config.net = fleet.context.get();
   CounterSession session(config);
   session.AddBatch(reads);
@@ -498,8 +495,7 @@ TEST(DistributedCounterTest, WorkerDeathMidStreamRecoversBitIdentical) {
   config.num_threads = 4;
   config.num_shards = 8;
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/1 << 20,
-              {Plan("drop-conn@frame=5"), net::FaultPlan{}});
+  Fleet fleet(2, {Plan("drop-conn@frame=5"), net::FaultPlan{}});
   config.net = fleet.context.get();
   CounterSession session(config);
   session.AddBatch(reads);
@@ -538,9 +534,8 @@ TEST(DistributedCounterTest, DeathDuringCollectionRecovers) {
     finish_frame = w0.Get("worker.frames_total");
     ASSERT_GT(finish_frame, 2u);  // open + at least one chunk + finish
   }
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/1 << 20,
-              {Plan("drop-conn@frame=" + std::to_string(finish_frame)),
-               net::FaultPlan{}});
+  Fleet fleet(2, {Plan("drop-conn@frame=" + std::to_string(finish_frame)),
+                  net::FaultPlan{}});
   config.net = fleet.context.get();
   CounterSession session(config);
   session.AddBatch(reads);
@@ -553,8 +548,8 @@ TEST(DistributedCounterTest, DeathDuringCollectionRecovers) {
 }
 
 // Every worker dying degrades the run to local counting from the journal —
-// still bit-identical, still exit-clean. (fail_after_frames hits every
-// server, so both workers die.)
+// still bit-identical, still exit-clean. (A single plan applies to every
+// server, so both workers die after their third frame.)
 TEST(DistributedCounterTest, AllWorkersDyingDegradesToLocalBitIdentical) {
   std::vector<Read> reads = SimulatedReads(30000, 12.0, 0.02, 3);
   KmerCountConfig config;
@@ -563,7 +558,7 @@ TEST(DistributedCounterTest, AllWorkersDyingDegradesToLocalBitIdentical) {
   config.num_threads = 4;
   config.num_shards = 8;
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
-  Fleet fleet(2, /*fail_after_frames=*/3);
+  Fleet fleet(2, {Plan("drop-conn@frame=4")});
   config.net = fleet.context.get();
   CounterSession session(config);
   session.AddBatch(reads);
@@ -584,8 +579,7 @@ TEST(DistributedCounterTest, CorruptWorkerFrameTriggersRecovery) {
   config.num_threads = 4;
   config.num_shards = 8;
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/1 << 20,
-              {Plan("corrupt-frame@frame=4"), net::FaultPlan{}});
+  Fleet fleet(2, {Plan("corrupt-frame@frame=4"), net::FaultPlan{}});
   config.net = fleet.context.get();
   CounterSession session(config);
   session.AddBatch(reads);
@@ -607,9 +601,8 @@ TEST(DistributedCounterTest, StalledWorkerDetectedAndRecovered) {
   auto expected = SortedPartitions(CountCanonicalMers(reads, config));
   // The stall (2.5 s) far exceeds the io timeout (400 ms): the liveness
   // thread must declare the worker dead long before the stall ends.
-  Fleet fleet(2, /*fail_after_frames=*/0, /*window_bytes=*/1 << 20,
-              {Plan("stall-worker@frame=4@ms=2500"), net::FaultPlan{}},
-              /*io_timeout_ms=*/400);
+  Fleet fleet(2, {Plan("stall-worker@frame=4@ms=2500"), net::FaultPlan{}},
+              /*window_bytes=*/1 << 20, /*io_timeout_ms=*/400);
   config.net = fleet.context.get();
   CounterSession session(config);
   session.AddBatch(reads);
@@ -657,148 +650,70 @@ void RawHello(const std::string& spec, uint64_t offer, Frame* reply) {
   ASSERT_EQ(conn.Recv(reply, &error), FrameConn::RecvResult::kOk) << error;
 }
 
-// Version negotiation at the hello: a client offering a future version is
-// answered with the worker's own (lower) version instead of a refusal;
-// only an offer below the compatibility floor keeps the versioned
-// refusal diagnostic.
-TEST(WorkerServerTest, HelloNegotiatesDownAndRefusesBelowFloor) {
+// Coordinator and worker ship together, so the hello accepts exactly
+// kProtocolVersion. A raw hello offering one more or one less gets one
+// kError naming both versions; a WorkerClient facing a worker built at one
+// more or one less is refused the same way and throws that diagnostic.
+TEST(WorkerServerTest, HelloRefusesAnyOtherProtocolVersion) {
   Fleet fleet(1);  // reuses its server; open more raw connections
   const std::string spec = fleet.servers[0]->listen_spec();
-  Frame frame;
-  RawHello(spec, net::kProtocolVersion + 7, &frame);
-  ASSERT_EQ(frame.type, MsgType::kHelloOk);
-  uint64_t negotiated = 0;
-  size_t pos = 0;
-  ASSERT_TRUE(
-      GetVarint64(frame.body.data(), frame.body.size(), &pos, &negotiated));
-  EXPECT_EQ(negotiated, net::kProtocolVersion);
-
-  RawHello(spec, net::kMinProtocolVersion - 1, &frame);
-  EXPECT_EQ(frame.type, MsgType::kError);
-  const std::string text(frame.body.begin(), frame.body.end());
-  EXPECT_NE(text.find("protocol version"), std::string::npos) << text;
-}
-
-// A v3-era client (bare-varint hello, no flags word) negotiates down and
-// keeps the full frame plane — but the v4-only trace/clock frames are
-// refused on the downgraded link with a diagnostic naming the version.
-TEST(WorkerServerTest, V3ClientKeepsFramePlaneButNotTraceFrames) {
-  Fleet fleet(1);
-  net::Endpoint endpoint;
-  std::string error;
-  ASSERT_TRUE(net::ParseEndpoint(fleet.servers[0]->listen_spec(), &endpoint,
-                                 &error))
-      << error;
-  for (const MsgType refused :
-       {MsgType::kTraceRequest, MsgType::kClockProbe}) {
-    int fd = net::ConnectWithRetry(endpoint, 5000, &error);
-    ASSERT_GE(fd, 0) << error;
-    FrameConn conn(fd);
-    ASSERT_TRUE(conn.SendMagic(&error)) << error;
-    std::vector<uint8_t> hello;
-    PutVarint64(&hello, 3);
-    ASSERT_TRUE(conn.Send(MsgType::kHello, hello, &error)) << error;
-    ASSERT_TRUE(conn.ExpectMagic(&error)) << error;
+  const std::vector<uint32_t> others = {net::kProtocolVersion - 1,
+                                        net::kProtocolVersion + 1};
+  for (const uint32_t offer : others) {
     Frame frame;
-    ASSERT_EQ(conn.Recv(&frame, &error), FrameConn::RecvResult::kOk) << error;
-    ASSERT_EQ(frame.type, MsgType::kHelloOk);
-    uint64_t negotiated = 0;
-    size_t pos = 0;
-    ASSERT_TRUE(
-        GetVarint64(frame.body.data(), frame.body.size(), &pos, &negotiated));
-    EXPECT_EQ(negotiated, 3u);
-    // The ordinary frame plane works on the downgraded link.
-    ASSERT_TRUE(conn.Send(MsgType::kHeartbeat, {}, &error)) << error;
-    ASSERT_EQ(conn.Recv(&frame, &error), FrameConn::RecvResult::kOk) << error;
-    EXPECT_EQ(frame.type, MsgType::kHeartbeatOk);
-    // The v4-only control frames do not.
-    ASSERT_TRUE(conn.Send(refused, {}, &error)) << error;
-    ASSERT_EQ(conn.Recv(&frame, &error), FrameConn::RecvResult::kOk) << error;
-    EXPECT_EQ(frame.type, MsgType::kError);
+    RawHello(spec, offer, &frame);
+    ASSERT_EQ(frame.type, MsgType::kError);
     const std::string text(frame.body.begin(), frame.body.end());
-    EXPECT_NE(text.find("v3"), std::string::npos) << text;
+    EXPECT_EQ(text, "protocol version " + std::to_string(offer) + " != " +
+                        std::to_string(net::kProtocolVersion));
   }
-}
 
-// The coordinator side of the downgrade: offered v4, a v3-era worker
-// replies with its legacy refusal diagnostic; the client parses the
-// worker's version out of it and redials offering v3 with a bare-varint
-// hello (no flags word — a v3 peer would misparse trailing bytes).
-TEST(WorkerClientTest, RedialsDownToAV3Worker) {
   const std::string dir = MakeTempDir();
+  const std::string worker_spec = "unix:" + dir + "/other.sock";
   net::Endpoint endpoint;
   std::string error;
-  ASSERT_TRUE(
-      net::ParseEndpoint("unix:" + dir + "/v3.sock", &endpoint, &error))
-      << error;
+  ASSERT_TRUE(net::ParseEndpoint(worker_spec, &endpoint, &error)) << error;
   int listen_fd = net::ListenOn(endpoint, &error);
   ASSERT_GE(listen_fd, 0) << error;
-
-  std::vector<uint8_t> first_hello, second_hello;
-  std::thread v3_worker([&] {
-    std::string err;
-    // First dial: refuse the v4 offer the way a v3 worker does.
-    int fd = net::AcceptOn(listen_fd, &err);
-    ASSERT_GE(fd, 0) << err;
-    {
+  for (const uint32_t own : others) {
+    // A worker built at `own` refuses our hello with its diagnostic.
+    std::thread other_worker([&] {
+      std::string err;
+      int fd = net::AcceptOn(listen_fd, &err);
+      ASSERT_GE(fd, 0) << err;
       FrameConn conn(fd);
       ASSERT_TRUE(conn.ExpectMagic(&err)) << err;
       Frame hello;
       ASSERT_EQ(conn.Recv(&hello, &err), FrameConn::RecvResult::kOk) << err;
-      first_hello = hello.body;
+      size_t pos = 0;
+      uint64_t offered = 0;
+      ASSERT_TRUE(
+          GetVarint64(hello.body.data(), hello.body.size(), &pos, &offered));
       ASSERT_TRUE(conn.SendMagic(&err)) << err;
-      const std::string text = "protocol version 4 != 3";
+      const std::string text = "protocol version " + std::to_string(offered) +
+                               " != " + std::to_string(own);
       ASSERT_TRUE(conn.Send(MsgType::kError,
                             std::vector<uint8_t>(text.begin(), text.end()),
                             &err))
           << err;
-    }
-    // Redial: accept the downgraded offer and serve until the client
-    // hangs up.
-    fd = net::AcceptOn(listen_fd, &err);
-    ASSERT_GE(fd, 0) << err;
-    FrameConn conn(fd);
-    ASSERT_TRUE(conn.ExpectMagic(&err)) << err;
-    Frame hello;
-    ASSERT_EQ(conn.Recv(&hello, &err), FrameConn::RecvResult::kOk) << err;
-    second_hello = hello.body;
-    ASSERT_TRUE(conn.SendMagic(&err)) << err;
-    std::vector<uint8_t> ok;
-    PutVarint64(&ok, 3);
-    ASSERT_TRUE(conn.Send(MsgType::kHelloOk, ok, &err)) << err;
-    Frame frame;
-    while (conn.Recv(&frame, &err) == FrameConn::RecvResult::kOk) {
-      if (frame.type == MsgType::kHeartbeat) {
-        conn.Send(MsgType::kHeartbeatOk, {}, &err);
-      }
-    }
-  });
-
-  {
+    });
     net::WorkerClient::Options options;
-    options.endpoint = "unix:" + dir + "/v3.sock";
-    options.arm_trace = true;  // must be withheld from the v3 hello
-    net::WorkerClient client(options);
-    EXPECT_EQ(client.negotiated_version(), 3u);
-    EXPECT_FALSE(client.failed()) << client.error();
-    // Pre-v4 link: the probe declines client-side, offset stays put.
-    EXPECT_FALSE(client.ProbeClockOffset());
-    EXPECT_EQ(client.clock_offset_us(), 0);
+    options.endpoint = worker_spec;
+    std::string thrown;
+    try {
+      net::WorkerClient client(options);
+    } catch (const std::runtime_error& e) {
+      thrown = e.what();
+    }
+    other_worker.join();
+    EXPECT_NE(thrown.find("protocol version " +
+                          std::to_string(net::kProtocolVersion) +
+                          " != " + std::to_string(own)),
+              std::string::npos)
+        << thrown;
   }
-  v3_worker.join();
   close(listen_fd);
   std::filesystem::remove_all(dir);
-
-  // The v4 hello carried version + flags; the downgraded one is the bare
-  // v3 varint — exactly one byte, no trace flag smuggled after it.
-  size_t pos = 0;
-  uint64_t offered = 0;
-  ASSERT_TRUE(
-      GetVarint64(first_hello.data(), first_hello.size(), &pos, &offered));
-  EXPECT_EQ(offered, net::kProtocolVersion);
-  EXPECT_GT(first_hello.size(), pos);  // flags word present on the v4 dial
-  EXPECT_EQ(second_hello.size(), 1u);
-  EXPECT_EQ(second_hello[0], 3u);
 }
 
 // Garbage after a valid handshake gets a kError frame, then the connection
@@ -1139,8 +1054,7 @@ TEST(ClockOffsetTest, EstimatesInjectedSkewBothDirections) {
     {
       net::WorkerClient::Options copts;
       copts.endpoint = options.listen;
-      net::WorkerClient client(copts);  // probes at handshake on v4 links
-      EXPECT_EQ(client.negotiated_version(), net::kProtocolVersion);
+      net::WorkerClient client(copts);  // probes at handshake
       // Unix-socket RTTs are tens of microseconds; 20 ms of tolerance is
       // orders of magnitude of slack without letting the sign flip.
       EXPECT_NEAR(static_cast<double>(client.clock_offset_us()),
