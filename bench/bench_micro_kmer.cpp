@@ -5,9 +5,9 @@
 // counting throughput on the simulated HC-2 dataset (the dominant cost of
 // DBG construction).
 //
-// The custom main() additionally runs the raw-vs-superkmer pass-1 encoding
-// comparison on the HC-2-sim workload before the registered benchmarks and
-// writes its measurements to BENCH_kmer.json (override the path with
+// The custom main() additionally runs the counter's SIMD, spill and
+// distributed comparisons on the HC-2-sim workload before the registered
+// benchmarks and writes their measurements to BENCH_kmer.json (override the path with
 // PPA_BENCH_JSON), so the perf trajectory of the counter accumulates in
 // machine-readable form. CI runs just that part with
 // --benchmark_filter='^$'.
@@ -240,14 +240,11 @@ void BM_CountEdgeMersSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_CountEdgeMersSerial)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Arg(0) selects the pass-1 encoding (0 = raw, 1 = superkmer), Arg(1) the
-// thread count — so the same grid prices the encoding at every parallelism.
+// Arg is the thread count.
 void BM_CountEdgeMersSharded(benchmark::State& state) {
   const std::vector<Read>& reads = Hc2Reads();
   KmerCountConfig config = Hc2CountConfig();
-  config.pass1_encoding = state.range(0) == 0 ? Pass1Encoding::kRaw
-                                              : Pass1Encoding::kSuperkmer;
-  config.num_threads = static_cast<unsigned>(state.range(1));
+  config.num_threads = static_cast<unsigned>(state.range(0));
   uint64_t bases = 0;
   double bytes_per_window = 0;
   for (auto _ : state) {
@@ -265,7 +262,8 @@ void BM_CountEdgeMersSharded(benchmark::State& state) {
                           static_cast<int64_t>(bases));
 }
 BENCHMARK(BM_CountEdgeMersSharded)
-    ->ArgsProduct({{0, 1}, {1, 2, 4, 8}})
+    ->RangeMultiplier(2)
+    ->Range(1, 8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -377,35 +375,9 @@ BENCHMARK(BM_CountEdgeMersDistributed)
     ->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// Raw vs superkmer pass-1 on HC-2-sim, measured once per process and
-// emitted as BENCH_kmer.json. Each encoding runs the batch counter (clean
-// pass-1/pass-2 split and chunk-byte totals) and a CounterSession (the
-// streaming path's peak queued bytes under the default bound).
+// Counter comparisons on HC-2-sim, measured once per process and emitted as
+// BENCH_kmer.json.
 // ---------------------------------------------------------------------------
-
-struct EncodingMeasurement {
-  KmerCountStats batch;    // CountCanonicalMers
-  KmerCountStats stream;   // CounterSession over 1024-read batches
-};
-
-EncodingMeasurement MeasureEncoding(Pass1Encoding encoding,
-                                    unsigned threads) {
-  const std::vector<Read>& reads = Hc2Reads();
-  KmerCountConfig config = Hc2CountConfig();
-  config.pass1_encoding = encoding;
-  config.num_threads = threads;
-  EncodingMeasurement m;
-  CountCanonicalMers(reads, config, &m.batch);
-
-  CounterSession session(config);
-  constexpr size_t kBatch = 1024;
-  for (size_t begin = 0; begin < reads.size(); begin += kBatch) {
-    session.AddBatch(reads.data() + begin,
-                     std::min(kBatch, reads.size() - begin));
-  }
-  session.Finish(&m.stream);
-  return m;
-}
 
 /// Streaming-session throughput under a spill mode (satellite of the spill
 /// subsystem): --spill-mode always routes every pass-1 chunk through disk,
@@ -512,28 +484,6 @@ DistributedMeasurement MeasureDistributed(uint32_t workers, bool inject,
   for (auto& server : servers) server->Stop();
   std::filesystem::remove_all(dir);
   return m;
-}
-
-double BytesPerWindow(const KmerCountStats& stats) {
-  return stats.total_windows == 0
-             ? 0
-             : static_cast<double>(stats.shuffled_bytes) /
-                   static_cast<double>(stats.total_windows);
-}
-
-void WriteEncodingJson(std::ofstream& out, const char* key,
-                       const EncodingMeasurement& m) {
-  out << "  \"" << key << "\": {\n"
-      << "    \"windows\": " << m.batch.total_windows << ",\n"
-      << "    \"superkmers\": " << m.batch.superkmers << ",\n"
-      << "    \"chunk_bytes\": " << m.batch.shuffled_bytes << ",\n"
-      << "    \"bytes_per_window\": " << BytesPerWindow(m.batch) << ",\n"
-      << "    \"surviving_mers\": " << m.batch.surviving_mers << ",\n"
-      << "    \"pass1_seconds\": " << m.batch.pass1_seconds << ",\n"
-      << "    \"pass2_seconds\": " << m.batch.pass2_seconds << ",\n"
-      << "    \"peak_queued_bytes\": " << m.stream.peak_queued_bytes << ",\n"
-      << "    \"queue_bound_bytes\": " << m.stream.queue_bound_bytes << "\n"
-      << "  }";
 }
 
 // ---------------------------------------------------------------------------
@@ -696,44 +646,15 @@ std::string RunSimdComparison() {
   return json;
 }
 
-/// The comparison the acceptance criterion asks for: superkmer pass-1 must
-/// move a small fraction of the raw path's chunk bytes with identical
-/// surviving mers. Prints a table, writes BENCH_kmer.json, and returns the
-/// raw/superkmer chunk-byte ratio.
-double RunPass1EncodingComparison() {
+/// The counter's spill and distributed comparisons (after the SIMD one):
+/// prints a line per comparison and writes BENCH_kmer.json.
+void RunCounterComparison() {
   unsigned threads = bench::BenchThreads();
   if (threads == 0) threads = std::thread::hardware_concurrency();
   const std::string simd_json = RunSimdComparison();
   bench::PrintHeader(
-      "bench_micro_kmer: pass-1 encoding (raw vs superkmer), HC-2-sim, "
+      "bench_micro_kmer: counter spill + distributed, HC-2-sim, "
       "k=31 edge mers");
-  const EncodingMeasurement raw =
-      MeasureEncoding(Pass1Encoding::kRaw, threads);
-  const EncodingMeasurement sk =
-      MeasureEncoding(Pass1Encoding::kSuperkmer, threads);
-
-  std::printf("%-10s %12s %12s %8s %9s %9s %12s\n", "encoding", "windows",
-              "chunk_bytes", "B/win", "pass1_s", "pass2_s", "peak_queued");
-  for (const auto& [name, m] :
-       {std::pair<const char*, const EncodingMeasurement&>{"raw", raw},
-        {"superkmer", sk}}) {
-    std::printf("%-10s %12llu %12llu %8.2f %9.3f %9.3f %12llu\n", name,
-                static_cast<unsigned long long>(m.batch.total_windows),
-                static_cast<unsigned long long>(m.batch.shuffled_bytes),
-                BytesPerWindow(m.batch), m.batch.pass1_seconds,
-                m.batch.pass2_seconds,
-                static_cast<unsigned long long>(m.stream.peak_queued_bytes));
-  }
-  const double ratio =
-      sk.batch.shuffled_bytes == 0
-          ? 0
-          : static_cast<double>(raw.batch.shuffled_bytes) /
-                static_cast<double>(sk.batch.shuffled_bytes);
-  const bool identical =
-      raw.batch.surviving_mers == sk.batch.surviving_mers &&
-      raw.batch.total_windows == sk.batch.total_windows;
-  std::printf("chunk-byte ratio raw/superkmer = %.2fx, surviving_mers %s\n",
-              ratio, identical ? "identical" : "MISMATCH");
 
   // Spill overhead: the streaming session with every chunk through disk
   // (--spill-mode always) vs fully memory-resident (never).
@@ -813,18 +734,14 @@ double RunPass1EncodingComparison() {
                                                  : "BENCH_kmer.json";
   std::ofstream out(json_path);
   out << "{\n"
-      << "  \"bench\": \"bench_micro_kmer.pass1_encoding\",\n"
+      << "  \"bench\": \"bench_micro_kmer.counter\",\n"
       << "  \"dataset\": \"HC-2-sim\",\n"
       << "  \"dataset_scale\": " << DatasetScaleFromEnv() << ",\n"
       << "  \"mer_length\": 32,\n"
-      << "  \"minimizer_len\": " << sk.batch.minimizer_len << ",\n"
+      << "  \"minimizer_len\": " << spill_never.stats.minimizer_len << ",\n"
       << bench::JsonProvenanceFields()
       << "  \"threads\": " << threads << ",\n"
       << simd_json;
-  WriteEncodingJson(out, "raw", raw);
-  out << ",\n";
-  WriteEncodingJson(out, "superkmer", sk);
-  out << ",\n";
   WriteSpillJson(out, "spill_never", spill_never);
   out << ",\n";
   WriteSpillJson(out, "spill_always", spill_always);
@@ -847,21 +764,17 @@ double RunPass1EncodingComparison() {
       << "    \"trace_overhead\": " << trace_overhead << ",\n"
       << "    \"trace_processes\": " << trace_processes << "\n"
       << "  },\n"
-      << "  \"chunk_bytes_ratio_raw_over_superkmer\": " << ratio << ",\n"
       << "  \"spill_always_over_never_seconds\": " << spill_overhead << ",\n"
       << "  \"spill_surviving_mers_identical\": "
-      << (spill_identical ? "true" : "false") << ",\n"
-      << "  \"surviving_mers_identical\": " << (identical ? "true" : "false")
-      << "\n}\n";
+      << (spill_identical ? "true" : "false") << "\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
-  return ratio;
 }
 
 }  // namespace
 }  // namespace ppa
 
 int main(int argc, char** argv) {
-  ppa::RunPass1EncodingComparison();
+  ppa::RunCounterComparison();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

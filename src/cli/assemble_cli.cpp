@@ -55,13 +55,13 @@ const char* CountingModeName(const AssembleCliOptions& opts) {
 }
 
 /// The one rendering of ingest + counting metrics (both report modes),
-/// read from the run's registry snapshot. `mode`/`pass1` are the
-/// non-numeric facts the snapshot does not carry.
-void WriteIngestLines(std::ostream& out, const char* mode, const char* pass1,
+/// read from the run's registry snapshot. `mode` is the non-numeric fact
+/// the snapshot does not carry.
+void WriteIngestLines(std::ostream& out, const char* mode,
                       const obs::SnapshotView& s) {
   out << "reads=" << s.Get("ingest.reads") << " bases=" << s.Get("ingest.bases")
       << " batches=" << s.Get("ingest.batches") << '\n';
-  out << "counting: mode=" << mode << " pass1=" << pass1
+  out << "counting: mode=" << mode
       << " minimizer_len=" << s.Get("counting.minimizer_len")
       << " shards=" << s.Get("counting.shards")
       << " threads=" << s.Get("counting.threads")
@@ -133,15 +133,14 @@ QuastReport EvaluateContigs(const AssembleCliOptions& opts,
 }
 
 void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
-                 const obs::SnapshotView& s, const char* pass1,
-                 const std::string& ref_warning, const QuastReport& quast,
+                 const obs::SnapshotView& s, const std::string& ref_warning, const QuastReport& quast,
                  const std::vector<obs::TelemetrySnapshot>& workers,
                  double wall_seconds) {
   out << "== ppa_assemble report ==\n";
   out << "inputs:";
   for (const std::string& path : opts.inputs) out << ' ' << path;
   out << '\n';
-  WriteIngestLines(out, CountingModeName(opts), pass1, s);
+  WriteIngestLines(out, CountingModeName(opts), s);
   out << "pipeline: jobs=" << s.Get("pipeline.jobs")
       << " supersteps=" << s.Get("pipeline.supersteps")
       << " messages=" << s.Get("pipeline.messages")
@@ -288,14 +287,6 @@ std::string AssembleCliUsage() {
       "\n"
       "counting options:\n"
       "  --shards INT        counting shards; 0 = auto\n"
-      "  --pass1-encoding superkmer|raw\n"
-      "                      pass-1 shuffle unit (default superkmer:\n"
-      "                      2-bit-packed minimizer-bucketed super-k-mers,\n"
-      "                      ~4-6x fewer shuffle bytes; raw = one 8-byte\n"
-      "                      code per window, the equivalence oracle —\n"
-      "                      both give identical contigs)\n"
-      "  --minimizer-len INT minimizer length for superkmer encoding,\n"
-      "                      in [1, 31], clamped to k+1 (default 11)\n"
       "  --queue-bytes INT   bound on buffered pass-1 chunk bytes\n"
       "                      (streaming; 0 = default 32 MB)\n"
       "  --in-memory         load all reads, use the in-memory pipeline\n"
@@ -303,8 +294,10 @@ std::string AssembleCliUsage() {
       "memory budget & spilling:\n"
       "  --spill-mode never|auto|always\n"
       "                      never (default): chunk queues stay in memory;\n"
-      "                      auto: seal-and-spill the largest queues to\n"
-      "                      per-shard files when the budget is exceeded;\n"
+      "                      auto: the counter keeps a chunk in its ring\n"
+      "                      while ring bytes stay <= half the queue\n"
+      "                      bound and spills the rest to per-shard files;\n"
+      "                      the shuffle spills chunks over the budget;\n"
       "                      always: every sealed chunk goes through disk.\n"
       "                      All modes produce identical contigs\n"
       "  --memory-budget-bytes INT\n"
@@ -452,25 +445,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
     } else if (arg == "--shards") {
       if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
       opts->assembler.kmer_shards = static_cast<uint32_t>(v);
-    } else if (arg == "--pass1-encoding") {
-      if (!need_value(i, arg)) return false;
-      const std::string value = argv[++i];
-      if (!ParsePass1Encoding(value, &opts->assembler.pass1_encoding)) {
-        *error =
-            "--pass1-encoding: expected 'raw' or 'superkmer', got '" + value +
-            "'";
-        return false;
-      }
-    } else if (arg == "--minimizer-len") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      // Range-check the full 64-bit value so out-of-range inputs cannot
-      // wrap into range through the uint32 cast.
-      if (v < 1 || v > 31) {
-        *error =
-            "--minimizer-len: must be in [1, 31], got " + std::string(argv[i]);
-        return false;
-      }
-      opts->assembler.minimizer_len = static_cast<uint32_t>(v);
     } else if (arg == "--queue-bytes") {
       if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
       opts->assembler.kmer_queue_bytes = v;
@@ -598,11 +572,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
     *error = "--workers: must be >= 1";
     return false;
   }
-  const uint32_t m = opts->assembler.minimizer_len;
-  if (m < 1 || m > 31) {
-    *error = "--minimizer-len: must be in [1, 31], got " + std::to_string(m);
-    return false;
-  }
   const bool distributed = opts->assembler.shard_workers != 0 ||
                            !opts->assembler.worker_endpoints.empty();
   if (distributed && opts->in_memory) {
@@ -709,8 +678,7 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
 
       report << "== ppa_assemble report ==\n"
              << "mode: dbg-only\n";
-      WriteIngestLines(report, "stream",
-                       Pass1EncodingName(dbg.count_stats.encoding), snapshot);
+      WriteIngestLines(report, "stream", snapshot);
       WriteSpillLine(report, assembler_options.spill_mode, snapshot);
       report << "dbg: kmer_vertices=" << snapshot.Get("dbg.kmer_vertices")
              << " wall_seconds=" << data.wall_seconds << '\n';
@@ -718,7 +686,6 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
 
       if (write_json) {
         info.counting_mode = "stream";
-        info.pass1_encoding = Pass1EncodingName(dbg.count_stats.encoding);
         info.shuffle_strategy =
             ShuffleStrategyName(assembler_options.shuffle_strategy);
         info.spill_mode = SpillModeName(assembler_options.spill_mode);
@@ -774,13 +741,11 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
       const obs::SnapshotView snapshot(registry.Snapshot());
 
       worker_traces = std::move(result.worker_traces);
-      WriteReport(opts, report, snapshot,
-                  Pass1EncodingName(result.count_stats.encoding), ref_warning,
-                  quast, result.worker_telemetry, wall_seconds);
+      WriteReport(opts, report, snapshot, ref_warning, quast,
+                  result.worker_telemetry, wall_seconds);
 
       if (write_json) {
         info.counting_mode = CountingModeName(opts);
-        info.pass1_encoding = Pass1EncodingName(result.count_stats.encoding);
         info.shuffle_strategy =
             ShuffleStrategyName(opts.assembler.shuffle_strategy);
         info.spill_mode = SpillModeName(opts.assembler.spill_mode);

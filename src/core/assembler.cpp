@@ -78,7 +78,6 @@ AssemblyResult Assembler::Run(const char* counting, const DbgStep& build_dbg,
                  << ", shards=" << options.kmer_shards
                  << ", queue_bytes=" << options.kmer_queue_bytes
                  << "; 0 = auto)"
-                 << ", pass1=" << Pass1EncodingName(options.pass1_encoding)
                  << ", shuffle="
                  << ShuffleStrategyName(options.shuffle_strategy)
                  << ", spill=" << SpillModeName(options.spill_mode);

@@ -67,7 +67,7 @@ struct AssemblyResult {
 
   // Distributed traced runs: each worker's span rings with its estimated
   // clock offset, for the merged WriteTraceJson timeline. Empty unless the
-  // run traced with a v4+ fleet (same best-effort contract as telemetry).
+  // run traced (same best-effort contract as telemetry).
   std::vector<obs::ProcessTrace> worker_traces;
 
   /// Contig sequences as strings (reporting convenience).

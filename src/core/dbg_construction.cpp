@@ -55,8 +55,6 @@ KmerCountConfig MakeCountConfig(const AssemblerOptions& options) {
   count_config.num_threads = options.num_threads;
   count_config.num_shards = options.kmer_shards;
   count_config.coverage_threshold = options.coverage_threshold;
-  count_config.pass1_encoding = options.pass1_encoding;
-  count_config.minimizer_len = static_cast<int>(options.minimizer_len);
   count_config.spill = options.spill_context;
   count_config.net = options.net_context;
   return count_config;

@@ -37,14 +37,6 @@ struct AssemblerOptions {
                                       // and shard counters (backpressure);
                                       // 0 = CounterSession default (32 MB).
 
-  // Pass-1 shuffle encoding of the sharded counter. kSuperkmer ships
-  // 2-bit-packed minimizer-bucketed super-k-mers (~4-6x fewer bytes than
-  // kRaw's 8-byte codes); kRaw is the equivalence oracle — both produce
-  // bit-identical counts and contigs. minimizer_len is clamped internally
-  // to min(minimizer_len, k + 1, 31).
-  Pass1Encoding pass1_encoding = Pass1Encoding::kSuperkmer;
-  uint32_t minimizer_len = 11;
-
   // MapReduce shuffle (every grouping operation: DBG construction phase
   // (ii), both contig-merging jobs, bubble filtering). kSort is the
   // reference path; both produce bit-identical pipeline output.
@@ -52,9 +44,11 @@ struct AssemblerOptions {
 
   // External spill (spill/spill.h): ppa_assemble --spill-mode/--spill-dir/
   // --memory-budget-bytes. kNever keeps every chunk queue memory-resident
-  // (the oracle path); kAuto seals-and-spills to per-shard files when
-  // resident chunk bytes exceed memory_budget_bytes; kAlways routes every
-  // sealed chunk through disk. All modes produce bit-identical contigs.
+  // (the oracle path). kAuto: the counter keeps a chunk in its shard ring
+  // while ring-resident bytes stay within half its queued-byte bound and
+  // spills the rest to per-shard files; the shuffle spills its chunks
+  // that exceed memory_budget_bytes. kAlways routes every sealed chunk
+  // through disk. All modes produce bit-identical contigs.
   SpillMode spill_mode = SpillMode::kNever;
   std::string spill_dir;             // parent directory; empty = system temp
   uint64_t memory_budget_bytes = 0;  // 0 = no budget (queue bounds only)
@@ -88,7 +82,6 @@ struct AssemblerOptions {
     PPA_CHECK(k >= 3 && k <= 31);
     PPA_CHECK(k % 2 == 1);  // Odd k rules out palindromic k-mers.
     PPA_CHECK(num_workers >= 1);
-    PPA_CHECK(minimizer_len >= 1 && minimizer_len <= 31);
     PPA_CHECK(net_timeout_ms >= 0);
   }
 };

@@ -38,12 +38,10 @@ constexpr uint64_t kEmptySlot = ~0ULL;
 
 // Payload appended per (thread, shard) chunk before it is admitted and
 // routed. Large enough that admission runs once per tens of kilobytes,
-// small enough to stay cache-resident. Raw chunks flush at kFlushCodes
-// codes (= kFlushChunkBytes); super-k-mer chunks flush at the first record
-// that reaches kFlushChunkBytes, so a chunk never exceeds
+// small enough to stay cache-resident. A chunk flushes at the first record
+// that reaches kFlushChunkBytes, so it never exceeds
 // kFlushChunkBytes + kMaxSuperkmerRecordBytes.
-constexpr size_t kFlushCodes = 4096;
-constexpr size_t kFlushChunkBytes = kFlushCodes * sizeof(uint64_t);
+constexpr size_t kFlushChunkBytes = 32 << 10;
 
 // Ring-queue shape. 64 slots per shard bounds ring memory at ~6 KB/shard
 // of cell headers while holding far more chunk bytes than the session byte
@@ -78,81 +76,35 @@ void ScanCanonicalMers(const Read& read, KmerWindow& window, Fn&& fn) {
   }
 }
 
-/// ScanCanonicalMers over pre-classified 2-bit codes (dna/encode_simd.h;
-/// values > 3 = invalid base). Identical window sequence by construction —
-/// ClassifyBases is byte-for-byte BaseFromChar — so the char-based form
-/// above stays the definitional oracle (the serial counter runs it) while
-/// the sharded hot path consumes vectorized classifications.
-template <typename Fn>
-void ScanCanonicalMerCodes(const uint8_t* codes, size_t size,
-                           KmerWindow& window, Fn&& fn) {
-  window.Reset();
-  for (size_t i = 0; i < size; ++i) {
-    if (codes[i] > 3) {
-      window.Reset();
-      continue;
-    }
-    if (window.Push(codes[i])) {
-      fn(window.Current().Canonical().code());
-    }
-  }
-}
-
-/// One flushed pass-1 buffer. Exactly one payload is populated: `codes`
-/// under Pass1Encoding::kRaw, `packed` (back-to-back superkmer records)
-/// under kSuperkmer.
+/// One flushed pass-1 buffer: back-to-back super-k-mer records
+/// (dna/superkmer.h) bound for one shard.
 struct Pass1Chunk {
-  std::vector<uint64_t> codes;
   std::vector<uint8_t> packed;
   uint64_t windows = 0;  // canonical windows this chunk carries
-  uint64_t records = 0;  // shipped units (codes, or super-k-mer records)
+  uint64_t records = 0;  // super-k-mer records in `packed`
 
-  size_t SizeBytes() const {
-    return codes.size() * sizeof(uint64_t) + packed.size();
-  }
+  size_t SizeBytes() const { return packed.size(); }
 };
 
-/// Serialized spill-record payload of one Pass1Chunk:
+/// Serialized spill/journal/wire payload of one Pass1Chunk:
 ///
-///   varint(windows) varint(records)
-///   varint(#codes)  #codes x 8-byte little-endian canonical codes
-///   varint(#packed) packed super-k-mer bytes
+///   varint(windows) varint(records) packed super-k-mer records
 ///
-/// Framing (length, CRC) is the spill store's job; this is just the chunk.
+/// Framing (length, CRC) is the spill store's or the wire's job; this is
+/// just the chunk.
 std::vector<uint8_t> EncodePass1Chunk(const Pass1Chunk& chunk) {
   std::vector<uint8_t> payload;
-  payload.reserve(chunk.SizeBytes() + 4 * 10);
+  payload.reserve(chunk.SizeBytes() + 2 * 10);
   PutVarint64(&payload, chunk.windows);
   PutVarint64(&payload, chunk.records);
-  PutVarint64(&payload, chunk.codes.size());
-  for (uint64_t code : chunk.codes) {
-    for (int b = 0; b < 8; ++b) {
-      payload.push_back(static_cast<uint8_t>(code >> (8 * b)));
-    }
-  }
-  PutVarint64(&payload, chunk.packed.size());
   payload.insert(payload.end(), chunk.packed.begin(), chunk.packed.end());
   return payload;
 }
 
 bool DecodePass1Chunk(const uint8_t* data, size_t size, Pass1Chunk* chunk) {
   size_t pos = 0;
-  uint64_t n = 0;
   if (!GetVarint64(data, size, &pos, &chunk->windows)) return false;
   if (!GetVarint64(data, size, &pos, &chunk->records)) return false;
-  if (!GetVarint64(data, size, &pos, &n)) return false;
-  if (n > (size - pos) / sizeof(uint64_t)) return false;
-  chunk->codes.clear();
-  chunk->codes.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t code = 0;
-    for (int b = 0; b < 8; ++b) {
-      code |= static_cast<uint64_t>(data[pos++]) << (8 * b);
-    }
-    chunk->codes.push_back(code);
-  }
-  if (!GetVarint64(data, size, &pos, &n)) return false;
-  if (n != size - pos) return false;  // packed bytes must end the record
   chunk->packed.assign(data + pos, data + size);
   return true;
 }
@@ -161,13 +113,10 @@ bool DecodePass1Chunk(const uint8_t* data, size_t size, Pass1Chunk* chunk) {
 /// place pass 2 undoes what pass 1 encoded.
 template <typename Fn>
 void ForEachChunkCode(const Pass1Chunk& chunk, int mer_length, Fn&& fn) {
-  for (uint64_t code : chunk.codes) fn(code);
-  if (!chunk.packed.empty()) {
-    // Chunks never leave this process, so a decode failure is a program
-    // invariant violation, not an input error.
-    PPA_CHECK(DecodeSuperkmers(chunk.packed.data(), chunk.packed.size(),
-                               mer_length, fn));
-  }
+  // Chunks never leave this process, so a decode failure is a program
+  // invariant violation, not an input error.
+  PPA_CHECK(DecodeSuperkmers(chunk.packed.data(), chunk.packed.size(),
+                             mer_length, fn));
 }
 
 /// One shard's open-addressing (linear probing) count table. Keys are
@@ -257,16 +206,13 @@ Plan MakePlan(const KmerCountConfig& config) {
   return plan;
 }
 
-/// Per-AddBatch pass-1 state: cuts reads into per-shard chunks under the
-/// configured encoding and hands full chunks to a sink (which admits and
-/// routes them). The per-base hot path
-/// touches only thread-local state.
+/// Per-AddBatch pass-1 state: cuts reads into super-k-mers, appends each
+/// to its shard's chunk and hands full chunks to a sink (which admits and
+/// routes them). The per-base hot path touches only thread-local state.
 class Pass1Scanner {
  public:
   Pass1Scanner(const KmerCountConfig& config, const Plan& plan)
-      : config_(config),
-        plan_(plan),
-        window_(config.mer_length),
+      : plan_(plan),
         sk_scanner_(config.mer_length, config.minimizer_len),
         local_(plan.shards) {}
 
@@ -290,23 +236,11 @@ class Pass1Scanner {
       ClassifyBases(read.bases.data(), read.bases.size(), codes_.data());
       codes = codes_.data();
     }
-    const size_t n = read.bases.size();
-    if (config_.pass1_encoding == Pass1Encoding::kRaw) {
-      ScanCanonicalMerCodes(codes, n, window_, [&](uint64_t code) {
-        const uint32_t s = ShardOf(Mix64(code));
-        ++windows_;
-        local_[s].codes.push_back(code);
-        if (local_[s].codes.size() >= kFlushCodes) {
-          Flush(s, /*refill=*/true, sink);
-        }
-      });
-      return;
-    }
-    sk_scanner_.ScanCodes(codes, n, [&](const Superkmer& sk) {
+    sk_scanner_.ScanCodes(codes, read.bases.size(), [&](const Superkmer& sk) {
       const uint32_t s = ShardOf(sk.minimizer_hash);
       Pass1Chunk& chunk = local_[s];
       AppendSuperkmerCodes(codes + sk.base_offset, sk.base_length,
-                           /*first_window_offset=*/0, &chunk.packed);
+                           &chunk.packed);
       chunk.windows += sk.windows;
       chunk.records += 1;
       windows_ += sk.windows;
@@ -335,30 +269,18 @@ class Pass1Scanner {
   template <typename Sink>
   void Flush(uint32_t s, bool refill, Sink&& sink) {
     Pass1Chunk chunk = std::move(local_[s]);
-    if (chunk.codes.size() != 0) {
-      // Raw chunks tally at flush time — one code is one window is one
-      // shipped unit.
-      chunk.windows = chunk.codes.size();
-      chunk.records = chunk.codes.size();
-    }
     local_[s] = Pass1Chunk{};
     // Buffers start unreserved: with S buffers per thread, eager reserves
     // would cost threads x shards x 32 KB before any input is seen. Only a
     // buffer that actually filled once gets the full-size replacement, and
     // the final drain never writes one.
     if (refill) {
-      if (config_.pass1_encoding == Pass1Encoding::kRaw) {
-        local_[s].codes.reserve(kFlushCodes);
-      } else {
-        local_[s].packed.reserve(kFlushChunkBytes + kMaxSuperkmerRecordBytes);
-      }
+      local_[s].packed.reserve(kFlushChunkBytes + kMaxSuperkmerRecordBytes);
     }
     sink(s, std::move(chunk));
   }
 
-  const KmerCountConfig& config_;
   const Plan& plan_;
-  KmerWindow window_;
   SuperkmerScanner sk_scanner_;
   std::vector<uint8_t> codes_;  // per-read classify buffer, reused
   std::vector<Pass1Chunk> local_;
@@ -957,17 +879,10 @@ struct CounterSession::Impl {
     stats->total_windows = total_windows.load();
     for (uint64_t d : distinct_per_shard) stats->distinct_mers += d;
     for (const auto& part : result) stats->surviving_mers += part.size();
-    stats->encoding = config.pass1_encoding;
     for (uint64_t b : shard_bytes) stats->shuffled_bytes += b;
-    if (config.pass1_encoding == Pass1Encoding::kRaw) {
-      stats->shuffled_messages = stats->total_windows;
-      stats->message_size = sizeof(uint64_t);
-    } else {
-      stats->minimizer_len = EffectiveMinimizerLen(config);
-      stats->superkmers = total_superkmers.load();
-      stats->shuffled_messages = stats->superkmers;
-      stats->message_size = 0;  // variable-size records; see shuffled_bytes
-    }
+    stats->minimizer_len = EffectiveMinimizerLen(config);
+    stats->superkmers = total_superkmers.load();
+    stats->shuffled_messages = stats->superkmers;
     stats->shard_windows = std::move(shard_windows);
     stats->shard_bytes = std::move(shard_bytes);
     stats->shard_messages = std::move(shard_messages);
@@ -1363,10 +1278,9 @@ MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
     stats->pass2_seconds = timer.Seconds();
     // Seed shuffle model: one locally pre-aggregated (code, count) pair per
     // distinct mer.
-    stats->encoding = Pass1Encoding::kRaw;
     stats->shuffled_messages = counts.size();
-    stats->message_size = sizeof(std::pair<uint64_t, uint32_t>);
-    stats->shuffled_bytes = stats->shuffled_messages * stats->message_size;
+    stats->shuffled_bytes =
+        stats->shuffled_messages * sizeof(std::pair<uint64_t, uint32_t>);
   }
   return result;
 }
@@ -1403,15 +1317,14 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
   const std::vector<uint64_t> worker_windows = fold_shards(stats.shard_windows);
   const std::vector<uint64_t> worker_bytes = fold_shards(stats.shard_bytes);
   const std::vector<uint64_t> worker_msgs = fold_shards(stats.shard_messages);
-  // Pass-2 work units: one table probe per window for the sharded paths
-  // (whatever the pass-1 encoding), one pair summation per aggregated pair
-  // for the serial fallback.
+  // Pass-2 work units: one table probe per window for the sharded paths,
+  // one pair summation per aggregated pair for the serial fallback.
   const uint64_t reduce_units =
       measured ? stats.total_windows : stats.shuffled_messages;
 
-  // Map/shuffle superstep: one message per shipped unit (raw code or
-  // super-k-mer record for the sharded counter, pre-aggregated pair for the
-  // serial fallback), with the measured chunk payload as the byte volume.
+  // Map/shuffle superstep: one message per shipped unit (super-k-mer
+  // record for the sharded counter, pre-aggregated pair for the serial
+  // fallback), with the measured chunk payload as the byte volume.
   SuperstepStats map_ss;
   map_ss.superstep = 0;
   map_ss.active_vertices = stats.distinct_mers;
@@ -1495,10 +1408,8 @@ bool ShardCounterBank::AddChunkPayload(uint32_t shard, const uint8_t* data,
   // connection, and the coordinator's ledger reconciliation would reject
   // the shard anyway.
   CountTable& table = rep_->tables[shard];
-  uint64_t decoded = chunk.codes.size();
-  for (uint64_t code : chunk.codes) table.Add(code);
-  if (!chunk.packed.empty() &&
-      !DecodeSuperkmers(chunk.packed.data(), chunk.packed.size(),
+  uint64_t decoded = 0;
+  if (!DecodeSuperkmers(chunk.packed.data(), chunk.packed.size(),
                         rep_->mer_length, [&](uint64_t code) {
                           table.Add(code);
                           ++decoded;

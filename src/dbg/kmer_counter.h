@@ -9,20 +9,13 @@
 //   hand each full chunk to one byte admission (a CAS on the session's
 //   queued-byte counter), then to the shard's lock-free ring — once per
 //   tens of kilobytes, so the per-base hot path takes no locks and shares
-//   no cache lines between threads. What a chunk holds depends on
-//   Pass1Encoding:
-//
-//     kSuperkmer (default): minimizer-bucketed super-k-mers — maximal runs
-//     of consecutive windows sharing one Mix64-ordered minimizer, shipped
-//     as 2-bit-packed bases with a varint header (dna/superkmer.h). Shard =
-//     high bits of Mix64(minimizer); strand-invariant minimizers guarantee
-//     every occurrence of a canonical mer lands in the same shard. A run of
-//     w windows costs ~(w + L - 1)/4 + 2 bytes instead of 8w, cutting the
-//     pass-1 shuffle volume ~4-6x on real read sets.
-//
-//     kRaw: one 8-byte canonical code per window, shard = high bits of
-//     Mix64(code). The PR-2 path, kept as the equivalence oracle (like the
-//     shuffle engine's sort strategy) and as the bench baseline.
+//   no cache lines between threads. A chunk holds minimizer-bucketed
+//   super-k-mers — maximal runs of consecutive windows sharing one
+//   Mix64-ordered minimizer, shipped as 2-bit-packed bases behind a varint
+//   length (dna/superkmer.h). Shard = high bits of Mix64(minimizer);
+//   strand-invariant minimizers guarantee every occurrence of a canonical
+//   mer lands in the same shard. A run of w windows costs
+//   ~(w + L - 1)/4 + 1 bytes instead of 8w for one code per window.
 //
 //   Pass 2 (count): each shard owns a disjoint slice of mer space, so the
 //   shards are counted fully independently in parallel, one open-addressing
@@ -34,16 +27,18 @@
 // Survivors of the coverage filter are routed into `num_workers` output
 // partitions by Mix64(code) % num_workers — the same routing the seed path
 // used — so downstream phase (ii) MapReduce consumes the result unchanged,
-// bit-identically under either encoding.
+// bit-identical to CountCanonicalMersSerial, the one counting oracle.
 //
 // CounterSession is the one sharded counter; the batch CountCanonicalMers
 // feeds one from a thread pool. The queued *bytes* are bounded: a scanner
 // flushing past the bound blocks until the counters (or the spill writer,
 // or the remote workers' acks) catch up — backpressure that propagates
 // through ReadStream to the input file. Peak transient memory is the
-// configured byte bound plus the tables (~12 bytes per distinct mer).
-// Under kSuperkmer the same byte bound buys ~4-6x more in-flight windows,
-// or the same backlog in ~4-6x less memory.
+// configured byte bound plus the tables: a table slot is an 8-byte key
+// plus a 4-byte count, and a table doubles when an insert would reach 70%
+// load, so after its first doubling the load stays in [0.35, 0.7) — 17 to
+// 34 bytes per distinct mer — over a floor of 2048 slots (24 KiB) per
+// shard.
 #ifndef PPA_DBG_KMER_COUNTER_H_
 #define PPA_DBG_KMER_COUNTER_H_
 
@@ -62,28 +57,6 @@ namespace ppa {
 struct SpillContext;  // spill/spill.h
 class NetContext;     // net/coordinator.h
 
-/// What pass 1 ships through the shard chunk queues.
-enum class Pass1Encoding : uint8_t {
-  kRaw = 0,        // one 8-byte canonical code per window (oracle path)
-  kSuperkmer = 1,  // 2-bit-packed minimizer-bucketed super-k-mers (default)
-};
-
-inline const char* Pass1EncodingName(Pass1Encoding e) {
-  return e == Pass1Encoding::kRaw ? "raw" : "superkmer";
-}
-
-inline bool ParsePass1Encoding(const std::string& name, Pass1Encoding* out) {
-  if (name == "raw") {
-    *out = Pass1Encoding::kRaw;
-    return true;
-  }
-  if (name == "superkmer") {
-    *out = Pass1Encoding::kSuperkmer;
-    return true;
-  }
-  return false;
-}
-
 /// Configuration of one counting job.
 struct KmerCountConfig {
   int mer_length = 32;         // length of the counted mers; <= 32.
@@ -93,9 +66,8 @@ struct KmerCountConfig {
                                // 1024; 0 = auto (4x threads).
   uint32_t coverage_threshold = 1;  // keep mers with count >= threshold.
 
-  // Pass-1 shuffle encoding. minimizer_len only applies to kSuperkmer and
-  // is clamped internally to min(minimizer_len, mer_length, 31).
-  Pass1Encoding pass1_encoding = Pass1Encoding::kSuperkmer;
+  // Super-k-mer minimizer length, clamped internally to
+  // min(minimizer_len, mer_length, 31).
   int minimizer_len = 11;
 
   // External spill (spill/spill.h). nullptr (or SpillMode::kNever) keeps
@@ -132,17 +104,13 @@ struct KmerCountStats {
   double pass1_seconds = 0;     // partition pass
   double pass2_seconds = 0;     // count pass
 
-  // Pass-1 shuffle volume. shuffled_messages counts the shipped units (raw
-  // codes, super-k-mer records, or — serial fallback — pre-aggregated
-  // (code, count) pairs); shuffled_bytes is the measured chunk payload.
-  // message_size is the fixed per-unit size, or 0 when variable
-  // (superkmer — shuffled_bytes is authoritative).
-  Pass1Encoding encoding = Pass1Encoding::kRaw;
-  int minimizer_len = 0;        // effective m (superkmer encoding only)
-  uint64_t superkmers = 0;      // super-k-mer records (superkmer only)
+  // Pass-1 shuffle volume. shuffled_messages counts the shipped units
+  // (super-k-mer records, or — serial fallback — pre-aggregated (code,
+  // count) pairs); shuffled_bytes is the measured chunk payload.
+  int minimizer_len = 0;        // effective m (sharded counters only)
+  uint64_t superkmers = 0;      // super-k-mer records (sharded counters only)
   uint64_t shuffled_messages = 0;
   uint64_t shuffled_bytes = 0;
-  uint32_t message_size = sizeof(uint64_t);
 
   // Measured per-shard pass-2 load (sharded counters only; empty for
   // serial): windows counted, chunk payload bytes, shipped units. Used for

@@ -2,11 +2,9 @@
 
 namespace ppa {
 
-size_t AppendSuperkmer(std::string_view bases, uint32_t first_window_offset,
-                       std::vector<uint8_t>* out) {
+size_t AppendSuperkmer(std::string_view bases, std::vector<uint8_t>* out) {
   const size_t start = out->size();
   PutVarint64(out, bases.size());
-  PutVarint64(out, first_window_offset);
   const size_t packed_bytes = (bases.size() + 3) / 4;
   out->resize(out->size() + packed_bytes, 0);
   uint8_t* packed = out->data() + out->size() - packed_bytes;
@@ -19,11 +17,9 @@ size_t AppendSuperkmer(std::string_view bases, uint32_t first_window_offset,
 }
 
 size_t AppendSuperkmerCodes(const uint8_t* codes, size_t size,
-                            uint32_t first_window_offset,
                             std::vector<uint8_t>* out) {
   const size_t start = out->size();
   PutVarint64(out, size);
-  PutVarint64(out, first_window_offset);
   const size_t packed_bytes = (size + 3) / 4;
   out->resize(out->size() + packed_bytes);
   // PackCodes writes whole bytes (zero-padded tail), so packing straight
@@ -37,13 +33,12 @@ bool SummarizeSuperkmerChunk(const uint8_t* data, size_t size, int mer_length,
   *out = SuperkmerChunkSummary{};
   size_t pos = 0;
   while (pos < size) {
-    uint64_t base_length = 0, first_window_offset = 0;
-    if (!ParseSuperkmerHeader(data, size, &pos, mer_length, &base_length,
-                              &first_window_offset)) {
+    uint64_t base_length = 0;
+    if (!ParseSuperkmerHeader(data, size, &pos, mer_length, &base_length)) {
       return false;
     }
     ++out->records;
-    out->windows += base_length - mer_length + 1 - first_window_offset;
+    out->windows += base_length - mer_length + 1;
     out->bases += base_length;
     pos += (base_length + 3) / 4;
   }

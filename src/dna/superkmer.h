@@ -1,8 +1,8 @@
 // Minimizer-bucketed super-k-mers: the pass-1 shuffle unit of the sharded
-// (k+1)-mer counter (dbg/kmer_counter.h, Pass1Encoding::kSuperkmer).
+// (k+1)-mer counter (dbg/kmer_counter.h).
 //
-// Consecutive L-base windows of a read share L-1 bases, so shipping one raw
-// 8-byte canonical code per window moves ~8 bytes per base of input. The
+// Consecutive L-base windows of a read share L-1 bases, so shipping one
+// 8-byte canonical code per window would move ~8 bytes per base of input. The
 // super-k-mer design of KMC2/Gerbil instead splits each read into maximal
 // runs of consecutive windows that share one *minimizer* — the smallest
 // m-mer of the window — and ships each run once as 2-bit-packed bases. A
@@ -24,10 +24,10 @@
 //     runs, which lexicographic minimizers famously pile onto one bucket)
 //     spreads across shards like any other sequence.
 //
-// The decoder replays a packed run through the same KmerWindow + Canonical
-// arithmetic the raw path uses, so the multiset of canonical window codes is
-// bit-identical between the two encodings — the raw path stays available as
-// the equivalence oracle.
+// The decoder replays a packed run through the same canonical arithmetic as
+// KmerWindow + Kmer::Canonical, so the multiset of canonical window codes is
+// bit-identical to a direct scan of the reads — which is what keeps the
+// serial counter (CountCanonicalMersSerial) a valid oracle.
 #ifndef PPA_DNA_SUPERKMER_H_
 #define PPA_DNA_SUPERKMER_H_
 
@@ -52,10 +52,10 @@ namespace ppa {
 /// the bounded-queue admission clamp in CounterSession has a hard ceiling.
 inline constexpr uint32_t kMaxSuperkmerBases = 1024;
 
-/// Upper bound on one encoded record: two varint header fields plus the
+/// Upper bound on one encoded record: the base-length varint plus the
 /// packed bases. Used to clamp queue bounds so any record is admissible.
 inline constexpr size_t kMaxSuperkmerRecordBytes =
-    2 * 10 + (kMaxSuperkmerBases + 3) / 4;
+    VarintLength(kMaxSuperkmerBases) + (kMaxSuperkmerBases + 3) / 4;
 
 /// One maximal run of consecutive windows sharing a minimizer, as a view
 /// into the scanned read (the scanner never copies bases).
@@ -203,22 +203,18 @@ class SuperkmerScanner {
 
 /// Appends one encoded super-k-mer record to `out`:
 ///
-///   varint(base_length) varint(first_window_offset) packed[ceil(len/4)]
+///   varint(base_length) packed[ceil(len/4)]
 ///
 /// Bases are 2-bit codes, 4 per byte, base j in byte j/4 at bits 2*(j%4).
 /// `bases` must be pure ACGT (the scanner only ever emits ACGT runs).
-/// `first_window_offset` tells the decoder to skip that many leading
-/// windows — 0 for scanner-produced runs; nonzero lets a re-shipped
-/// overlapping range replay only its new windows. Returns bytes appended.
-size_t AppendSuperkmer(std::string_view bases, uint32_t first_window_offset,
-                       std::vector<uint8_t>* out);
+/// Returns bytes appended.
+size_t AppendSuperkmer(std::string_view bases, std::vector<uint8_t>* out);
 
 /// AppendSuperkmer over pre-classified 2-bit codes: identical record bytes,
 /// but the packing runs through the dispatched PackCodes kernel instead of
 /// a per-base loop. Every code must be 0..3 (the scanner only emits ACGT
 /// runs); invalid codes would corrupt the packed bytes, not abort.
 size_t AppendSuperkmerCodes(const uint8_t* codes, size_t size,
-                            uint32_t first_window_offset,
                             std::vector<uint8_t>* out);
 
 /// Parses and validates one record header at data[*pos], advancing *pos
@@ -228,22 +224,18 @@ size_t AppendSuperkmerCodes(const uint8_t* codes, size_t size,
 /// the remaining bytes cannot hold.
 inline bool ParseSuperkmerHeader(const uint8_t* data, size_t size,
                                  size_t* pos, int mer_length,
-                                 uint64_t* base_length,
-                                 uint64_t* first_window_offset) {
+                                 uint64_t* base_length) {
   if (!GetVarint64(data, size, pos, base_length)) return false;
-  if (!GetVarint64(data, size, pos, first_window_offset)) return false;
-  // Overflow-safe forms of base_length < offset + L and of the packed-
-  // byte availability check, on untrusted headers.
-  return *first_window_offset <= *base_length &&
-         *base_length - *first_window_offset >=
-             static_cast<uint64_t>(mer_length) &&
+  // Overflow-safe form of the packed-byte availability check, on untrusted
+  // headers.
+  return *base_length >= static_cast<uint64_t>(mer_length) &&
          *base_length <= 4 * static_cast<uint64_t>(size - *pos);
 }
 
 /// Decodes a buffer of back-to-back records, calling fn(uint64_t) with the
 /// canonical code of every replayed L-window. The canonical form is
-/// min(window, reverse complement) — numerically identical to the raw
-/// scan's Kmer::Canonical — computed with rolling forward/RC codes so the
+/// min(window, reverse complement) — numerically identical to
+/// Kmer::Canonical — computed with rolling forward/RC codes so the
 /// decode hot loop does O(1) work per base with no per-window bit
 /// reversal. Returns false on malformed input (truncated varint or packed
 /// bases, or a record with no windows).
@@ -254,22 +246,18 @@ bool DecodeSuperkmers(const uint8_t* data, size_t size, int mer_length,
   const uint64_t mask = L == 32 ? ~0ULL : ((1ULL << (2 * L)) - 1);
   size_t pos = 0;
   while (pos < size) {
-    uint64_t base_length = 0, first_window_offset = 0;
-    if (!ParseSuperkmerHeader(data, size, &pos, L, &base_length,
-                              &first_window_offset)) {
+    uint64_t base_length = 0;
+    if (!ParseSuperkmerHeader(data, size, &pos, L, &base_length)) {
       return false;
     }
     uint64_t fwd = 0, rc = 0;
     int filled = 0;
-    uint64_t window_index = 0;
     for (uint64_t j = 0; j < base_length; ++j) {
       const uint64_t b = (data[pos + (j >> 2)] >> (2 * (j & 3))) & 3;
       fwd = ((fwd << 2) | b) & mask;
       rc = (rc >> 2) | ((b ^ 3) << (2 * (L - 1)));
       if (filled < L) ++filled;
-      if (filled == L && window_index++ >= first_window_offset) {
-        fn(std::min(fwd, rc));
-      }
+      if (filled == L) fn(std::min(fwd, rc));
     }
     pos += (base_length + 3) / 4;
   }

@@ -35,10 +35,12 @@ extern const char kNetMagic[8];
 /// (kMetricsRequest/kMetricsSnapshot); v3 the liveness exchange
 /// (kHeartbeat/kHeartbeatOk); v4 the trace pull (kTraceRequest/
 /// kTraceSnapshot), the clock-offset probe (kClockProbe/kClockProbeOk), and
-/// hello flags (below). Coordinator and worker ship together, so the worker
+/// hello flags (below); v5 the single pass-1 chunk format (super-k-mer
+/// records only, no raw-code section, no per-record window offset), which
+/// changes every kChunk body. Coordinator and worker ship together, so the worker
 /// accepts exactly this version: any other hello is refused with one
 /// kError naming both versions, which the coordinator throws.
-constexpr uint32_t kProtocolVersion = 4;
+constexpr uint32_t kProtocolVersion = 5;
 
 /// Hello bodies carry varint(version) + varint(flags).
 constexpr uint64_t kHelloFlagTrace = 1;  // arm the worker's span tracing

@@ -114,8 +114,6 @@ void WriteRunReportJson(std::ostream& out, const SnapshotView& snapshot,
   w.EndArray();
   w.Key("counting_mode");
   w.Value(info.counting_mode);
-  w.Key("pass1_encoding");
-  w.Value(info.pass1_encoding);
   w.Key("shuffle_strategy");
   w.Value(info.shuffle_strategy);
   w.Key("spill_mode");

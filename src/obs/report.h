@@ -82,7 +82,6 @@ class SnapshotView {
 struct RunReportInfo {
   std::vector<std::string> inputs;
   std::string counting_mode;     // "stream" | "in-memory-sharded" | ...
-  std::string pass1_encoding;    // "raw" | "superkmer"
   std::string shuffle_strategy;  // "sort" | "hash"
   std::string spill_mode;        // "never" | "auto" | "always"
   double wall_seconds = 0;

@@ -56,7 +56,8 @@ namespace ppa {
 /// When producers move sealed chunks to disk.
 enum class SpillMode : uint8_t {
   kNever = 0,   // fully memory-resident (the oracle path)
-  kAuto = 1,    // spill largest queues when the memory budget is exceeded
+  kAuto = 1,    // counter: ring while ring bytes <= bound / 2, else disk;
+                // shuffle: spill the chunks over the memory budget
   kAlways = 2,  // every sealed chunk goes to disk (max-pressure testing)
 };
 

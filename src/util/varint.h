@@ -52,7 +52,7 @@ inline bool GetVarint64(const uint8_t* data, size_t size, size_t* pos,
 }
 
 /// Number of bytes PutVarint64 would emit for `value`.
-inline size_t VarintLength(uint64_t value) {
+constexpr size_t VarintLength(uint64_t value) {
   size_t n = 1;
   while (value >= 0x80) {
     value >>= 7;

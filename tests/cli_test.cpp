@@ -43,9 +43,7 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   ASSERT_TRUE(Parse({"-k", "21", "--theta", "3", "--tip-length", "60",
                      "--bubble-edit", "4", "--workers", "8", "--threads", "2",
                      "--rounds", "2", "--labeling", "sv", "--shuffle", "sort",
-                     "--shards", "16", "--pass1-encoding", "raw",
-                     "--minimizer-len", "9",
-                     "--queue-bytes", "5000", "--spill-mode", "auto",
+                     "--shards", "16", "--queue-bytes", "5000", "--spill-mode", "auto",
                      "--memory-budget-bytes", "123456", "--spill-dir",
                      "/tmp/spill-parent", "--batch-reads", "128",
                      "--batch-bases", "65536", "--queue-depth", "2",
@@ -64,8 +62,6 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   EXPECT_EQ(opts.labeling, LabelingMethod::kSimplifiedSv);
   EXPECT_EQ(opts.assembler.shuffle_strategy, ShuffleStrategy::kSort);
   EXPECT_EQ(opts.assembler.kmer_shards, 16u);
-  EXPECT_EQ(opts.assembler.pass1_encoding, Pass1Encoding::kRaw);
-  EXPECT_EQ(opts.assembler.minimizer_len, 9u);
   EXPECT_EQ(opts.assembler.kmer_queue_bytes, 5000u);
   EXPECT_EQ(opts.assembler.spill_mode, SpillMode::kAuto);
   EXPECT_EQ(opts.assembler.memory_budget_bytes, 123456u);
@@ -107,20 +103,6 @@ TEST(AssembleCliParseTest, RejectsBadInput) {
   opts = {};
   EXPECT_FALSE(Parse({"--shuffle", "merge", "in.fastq"}, &opts, &error));
   EXPECT_NE(error.find("--shuffle"), std::string::npos);
-  opts = {};
-  EXPECT_FALSE(Parse({"--pass1-encoding", "packed", "in.fastq"}, &opts,
-                     &error));
-  EXPECT_NE(error.find("--pass1-encoding"), std::string::npos);
-  opts = {};
-  EXPECT_FALSE(Parse({"--minimizer-len", "0", "in.fastq"}, &opts, &error));
-  EXPECT_NE(error.find("--minimizer-len"), std::string::npos);
-  opts = {};
-  EXPECT_FALSE(Parse({"--minimizer-len", "32", "in.fastq"}, &opts, &error));
-  opts = {};
-  // 2^32 + 11 must not wrap into range through the uint32 cast.
-  EXPECT_FALSE(
-      Parse({"--minimizer-len", "4294967307", "in.fastq"}, &opts, &error));
-  EXPECT_NE(error.find("--minimizer-len"), std::string::npos);
   opts = {};
   EXPECT_FALSE(Parse({"--spill-mode", "sometimes", "in.fastq"}, &opts,
                      &error));
@@ -230,6 +212,16 @@ std::vector<std::string> SortedContigSeqs(const std::string& path) {
   return seqs;
 }
 
+/// The numeric value of `key=` in a text stats report. The key is either
+/// mid-line (" reads=") or at line start ("reads=").
+uint64_t ReportField(const std::string& stats, const std::string& key) {
+  size_t at = stats.find(" " + key + "=");
+  if (at == std::string::npos) at = stats.find("\n" + key + "=");
+  EXPECT_NE(at, std::string::npos) << key << " missing in:\n" << stats;
+  if (at == std::string::npos) return 0;
+  return static_cast<uint64_t>(std::stoull(stats.substr(at + key.size() + 2)));
+}
+
 // The acceptance property: ppa_assemble on an exported simulated FASTQ ==
 // the in-memory pipeline on the same dataset, asserted on QUAST metrics.
 TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
@@ -288,62 +280,10 @@ TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
             std::string::npos)
       << stats;
   EXPECT_EQ(stats.find("combined_away=0\n"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("pass1=superkmer"), std::string::npos) << stats;
   EXPECT_NE(stats.find("peak_queued_bytes="), std::string::npos);
   EXPECT_NE(stats.find("n50="), std::string::npos);
   EXPECT_NE(stats.find("queue_bound_bytes=65536"), std::string::npos)
       << stats;
-}
-
-// The acceptance property of the pass-1 encodings: streaming ppa_assemble
-// under --pass1-encoding raw and superkmer produces identical surviving-mer
-// counts, identical contig multisets, and identical QUAST metrics — the
-// superkmer run just ships fewer pass-1 bytes.
-TEST(AssembleCliRunTest, Pass1EncodingsProduceIdenticalAssemblies) {
-  Dataset dataset = MakeDataset(DatasetId::kHc2, 0.04);
-  const std::string prefix = TempPath("hc2_pass1");
-  std::vector<std::string> written = ExportDatasetFastq(dataset, prefix);
-
-  auto run = [&](const char* encoding) {
-    AssembleCliOptions opts;
-    opts.inputs = {written[0]};
-    opts.reference = written[1];
-    opts.contigs_out =
-        TempPath(std::string("hc2_pass1.") + encoding + ".fasta");
-    opts.stats_out = TempPath(std::string("hc2_pass1.") + encoding + ".txt");
-    opts.assembler.num_workers = 8;
-    opts.assembler.num_threads = 2;
-    EXPECT_TRUE(
-        ParsePass1Encoding(encoding, &opts.assembler.pass1_encoding));
-    std::ostringstream out, err;
-    EXPECT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
-    return opts;
-  };
-  const AssembleCliOptions raw = run("raw");
-  const AssembleCliOptions sk = run("superkmer");
-
-  EXPECT_EQ(SortedContigSeqs(raw.contigs_out), SortedContigSeqs(sk.contigs_out));
-
-  // Grep the per-encoding evidence out of the stats reports: identical
-  // surviving/window counts, and a smaller pass-1 byte volume for superkmer.
-  auto field = [](const std::string& stats, const std::string& key) {
-    // The key is either mid-line (" reads=") or at line start ("reads=").
-    size_t at = stats.find(" " + key + "=");
-    if (at == std::string::npos) at = stats.find("\n" + key + "=");
-    EXPECT_NE(at, std::string::npos) << key << " missing in:\n" << stats;
-    if (at == std::string::npos) return uint64_t{0};
-    return static_cast<uint64_t>(
-        std::stoull(stats.substr(at + key.size() + 2)));
-  };
-  const std::string raw_stats = ReadFile(raw.stats_out);
-  const std::string sk_stats = ReadFile(sk.stats_out);
-  EXPECT_NE(raw_stats.find("pass1=raw"), std::string::npos);
-  EXPECT_NE(sk_stats.find("pass1=superkmer"), std::string::npos);
-  EXPECT_EQ(field(raw_stats, "windows"), field(sk_stats, "windows"));
-  EXPECT_EQ(field(raw_stats, "distinct"), field(sk_stats, "distinct"));
-  EXPECT_EQ(field(raw_stats, "surviving"), field(sk_stats, "surviving"));
-  EXPECT_EQ(field(raw_stats, "n50"), field(sk_stats, "n50"));
-  EXPECT_LT(field(sk_stats, "pass1_bytes"), field(raw_stats, "pass1_bytes"));
 }
 
 // The spill acceptance property: `ppa_assemble --spill-mode always
@@ -380,15 +320,6 @@ TEST(AssembleCliRunTest, SpillAlwaysMatchesNeverUnderTinyBudget) {
   EXPECT_EQ(SortedContigSeqs(always.contigs_out),
             SortedContigSeqs(never.contigs_out));
 
-  auto field = [](const std::string& stats, const std::string& key) {
-    // The key is either mid-line (" reads=") or at line start ("reads=").
-    size_t at = stats.find(" " + key + "=");
-    if (at == std::string::npos) at = stats.find("\n" + key + "=");
-    EXPECT_NE(at, std::string::npos) << key << " missing in:\n" << stats;
-    if (at == std::string::npos) return uint64_t{0};
-    return static_cast<uint64_t>(
-        std::stoull(stats.substr(at + key.size() + 2)));
-  };
   const std::string never_stats = ReadFile(never.stats_out);
   const std::string always_stats = ReadFile(always.stats_out);
   EXPECT_NE(always_stats.find("spill: mode=always"), std::string::npos);
@@ -396,20 +327,20 @@ TEST(AssembleCliRunTest, SpillAlwaysMatchesNeverUnderTinyBudget) {
   // Identical counting + assembly metrics.
   for (const char* key : {"windows", "distinct", "surviving", "n50",
                           "total_length", "pairs_shuffled"}) {
-    EXPECT_EQ(field(always_stats, key), field(never_stats, key)) << key;
+    EXPECT_EQ(ReportField(always_stats, key), ReportField(never_stats, key)) << key;
   }
   // The always run really spilled, replayed everything it spilled, and the
   // pipeline-wide peak of resident chunk bytes stayed under the budget.
-  EXPECT_GT(field(always_stats, "spilled_chunks"), 0u);
-  EXPECT_GT(field(always_stats, "spill_files"), 0u);
-  EXPECT_EQ(field(always_stats, "readback_bytes"),
-            field(always_stats, "spilled_bytes"));
-  EXPECT_EQ(field(always_stats, "budget_bytes"), kBudget);
-  EXPECT_LE(field(always_stats, "peak_resident_bytes"), kBudget);
-  EXPECT_LE(field(always_stats, "peak_queued_bytes"),
-            field(always_stats, "queue_bound_bytes"));
-  EXPECT_LE(field(always_stats, "queue_bound_bytes"), kBudget);
-  EXPECT_EQ(field(never_stats, "spilled_bytes"), 0u);
+  EXPECT_GT(ReportField(always_stats, "spilled_chunks"), 0u);
+  EXPECT_GT(ReportField(always_stats, "spill_files"), 0u);
+  EXPECT_EQ(ReportField(always_stats, "readback_bytes"),
+            ReportField(always_stats, "spilled_bytes"));
+  EXPECT_EQ(ReportField(always_stats, "budget_bytes"), kBudget);
+  EXPECT_LE(ReportField(always_stats, "peak_resident_bytes"), kBudget);
+  EXPECT_LE(ReportField(always_stats, "peak_queued_bytes"),
+            ReportField(always_stats, "queue_bound_bytes"));
+  EXPECT_LE(ReportField(always_stats, "queue_bound_bytes"), kBudget);
+  EXPECT_EQ(ReportField(never_stats, "spilled_bytes"), 0u);
 }
 
 // The distributed acceptance property: ppa_assemble against a worker fleet
@@ -454,27 +385,18 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
   EXPECT_EQ(SortedContigSeqs(distributed.contigs_out),
             SortedContigSeqs(local.contigs_out));
 
-  auto field = [](const std::string& stats, const std::string& key) {
-    // The key is either mid-line (" reads=") or at line start ("reads=").
-    size_t at = stats.find(" " + key + "=");
-    if (at == std::string::npos) at = stats.find("\n" + key + "=");
-    EXPECT_NE(at, std::string::npos) << key << " missing in:\n" << stats;
-    if (at == std::string::npos) return uint64_t{0};
-    return static_cast<uint64_t>(
-        std::stoull(stats.substr(at + key.size() + 2)));
-  };
   const std::string local_stats = ReadFile(local.stats_out);
   const std::string dist_stats = ReadFile(distributed.stats_out);
   for (const char* key : {"windows", "distinct", "surviving", "n50",
                           "total_length", "pairs_shuffled"}) {
-    EXPECT_EQ(field(dist_stats, key), field(local_stats, key)) << key;
+    EXPECT_EQ(ReportField(dist_stats, key), ReportField(local_stats, key)) << key;
   }
   EXPECT_NE(dist_stats.find("net: workers=2"), std::string::npos)
       << dist_stats;
   EXPECT_NE(local_stats.find("net: workers=0"), std::string::npos)
       << local_stats;
-  EXPECT_GT(field(dist_stats, "chunks"), 0u);
-  EXPECT_GT(field(dist_stats, "sent_bytes"), 0u);
+  EXPECT_GT(ReportField(dist_stats, "chunks"), 0u);
+  EXPECT_GT(ReportField(dist_stats, "sent_bytes"), 0u);
 }
 
 // The spawned-fleet path: --shard-workers forks real ppa_shard_worker
@@ -535,15 +457,6 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   std::ostringstream out, err;
   ASSERT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
 
-  auto field = [](const std::string& stats, const std::string& key) {
-    // The key is either mid-line (" reads=") or at line start ("reads=").
-    size_t at = stats.find(" " + key + "=");
-    if (at == std::string::npos) at = stats.find("\n" + key + "=");
-    EXPECT_NE(at, std::string::npos) << key << " missing in:\n" << stats;
-    if (at == std::string::npos) return uint64_t{0};
-    return static_cast<uint64_t>(
-        std::stoull(stats.substr(at + key.size() + 2)));
-  };
   const std::string stats = ReadFile(opts.stats_out);
 
   JsonValue run;
@@ -552,7 +465,6 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   ASSERT_NE(run.Find("schema"), nullptr);
   EXPECT_EQ(run.Find("schema")->str, "ppa.run_report.v1");
   EXPECT_EQ(run.Find("counting_mode")->str, "stream");
-  EXPECT_EQ(run.Find("pass1_encoding")->str, "superkmer");
   EXPECT_EQ(run.Find("shuffle_strategy")->str, "hash");
   ASSERT_EQ(run.Find("inputs")->array.size(), 1u);
   EXPECT_EQ(run.Find("inputs")->array[0].str, written[0]);
@@ -575,11 +487,11 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
       {"contigs.total_length", "total_length"},
   };
   for (const auto& [metric, key] : kPairs) {
-    EXPECT_EQ(metrics->GetU64(metric), field(stats, key)) << metric;
+    EXPECT_EQ(metrics->GetU64(metric), ReportField(stats, key)) << metric;
   }
   // The live io.* counters saw the same stream the ingest totals did.
-  EXPECT_EQ(metrics->GetU64("io.reads"), field(stats, "reads"));
-  EXPECT_EQ(metrics->GetU64("io.bases"), field(stats, "bases"));
+  EXPECT_EQ(metrics->GetU64("io.reads"), ReportField(stats, "reads"));
+  EXPECT_EQ(metrics->GetU64("io.bases"), ReportField(stats, "bases"));
 
   JsonValue trace;
   ASSERT_TRUE(ParseJson(ReadFile(opts.trace_out), &trace, &error)) << error;
@@ -624,8 +536,14 @@ TEST(AssembleCliRunTest, InMemoryModeMatchesStreamingMode) {
 
   EXPECT_EQ(SortedContigSeqs(stream_opts.contigs_out),
             SortedContigSeqs(mem_opts.contigs_out));
-  EXPECT_NE(ReadFile(mem_opts.stats_out).find("mode=in-memory-serial"),
-            std::string::npos);
+  const std::string stream_stats = ReadFile(stream_opts.stats_out);
+  const std::string mem_stats = ReadFile(mem_opts.stats_out);
+  EXPECT_NE(mem_stats.find("mode=in-memory-serial"), std::string::npos);
+  // The serial oracle counts what the streaming super-k-mer pass 1 counts.
+  for (const char* key : {"windows", "distinct", "surviving", "n50"}) {
+    EXPECT_EQ(ReportField(stream_stats, key), ReportField(mem_stats, key))
+        << key;
+  }
 
   // The in-memory sharded counter feeds a CounterSession from a thread
   // pool; it must agree with both.

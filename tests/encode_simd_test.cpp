@@ -208,13 +208,12 @@ TEST(EncodeSimdTest, AppendSuperkmerCodesMatchesStringEncoder) {
       codes[i] = static_cast<uint8_t>(rng() & 3);
       bases[i] = "ACGT"[codes[i]];
     }
-    const uint32_t offset = static_cast<uint32_t>(rng() % 7);
     std::vector<uint8_t> want, got;
     // Nonempty prefixes check the append-at-tail arithmetic.
     want.push_back(0x5A);
     got.push_back(0x5A);
-    const size_t want_n = AppendSuperkmer(bases, offset, &want);
-    const size_t got_n = AppendSuperkmerCodes(codes.data(), len, offset, &got);
+    const size_t want_n = AppendSuperkmer(bases, &want);
+    const size_t got_n = AppendSuperkmerCodes(codes.data(), len, &got);
     EXPECT_EQ(got_n, want_n) << "len=" << len;
     EXPECT_EQ(got, want) << "len=" << len;
   }
@@ -247,7 +246,7 @@ std::vector<std::vector<Pair>> SortedPartitions(const MerCounts& counts) {
 }
 
 // End-to-end counter equivalence across dispatch modes: the full sharded
-// counter (both encodings, 1 and 4 threads) produces bit-identical
+// counter (1 and 4 threads) produces bit-identical
 // partitioned counts whether the SIMD kernels are active or pinned off,
 // and both match the serial reference.
 TEST(EncodeSimdTest, CounterBitIdenticalAcrossDispatchModes) {
@@ -264,25 +263,20 @@ TEST(EncodeSimdTest, CounterBitIdenticalAcrossDispatchModes) {
       config.coverage_threshold = 2;
       const auto serial =
           SortedPartitions(CountCanonicalMersSerial(reads, config));
-      for (Pass1Encoding enc :
-           {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-        for (unsigned threads : {1u, 4u}) {
-          config.pass1_encoding = enc;
-          config.num_threads = threads;
-          const auto dispatched =
-              SortedPartitions(CountCanonicalMers(reads, config));
-          std::vector<std::vector<Pair>> forced;
-          {
-            ScopedForceScalar scalar;
-            forced = SortedPartitions(CountCanonicalMers(reads, config));
-          }
-          EXPECT_EQ(dispatched, serial)
-              << "k=" << k << " m=" << m << " threads=" << threads
-              << " enc=" << Pass1EncodingName(enc);
-          EXPECT_EQ(forced, serial)
-              << "k=" << k << " m=" << m << " threads=" << threads
-              << " enc=" << Pass1EncodingName(enc) << " (forced scalar)";
+      for (unsigned threads : {1u, 4u}) {
+        config.num_threads = threads;
+        const auto dispatched =
+            SortedPartitions(CountCanonicalMers(reads, config));
+        std::vector<std::vector<Pair>> forced;
+        {
+          ScopedForceScalar scalar;
+          forced = SortedPartitions(CountCanonicalMers(reads, config));
         }
+        EXPECT_EQ(dispatched, serial)
+            << "k=" << k << " m=" << m << " threads=" << threads;
+        EXPECT_EQ(forced, serial) << "k=" << k << " m=" << m
+                                  << " threads=" << threads
+                                  << " (forced scalar)";
       }
     }
   }

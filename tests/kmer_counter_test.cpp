@@ -1,9 +1,8 @@
 // Tests for the sharded parallel k-mer counter: the central property is
-// that the sharded counter — under both pass-1 encodings (raw codes and
-// minimizer-bucketed super-k-mers) — and the single-thread serial reference
-// produce bit-identical (code, count) sets, per output partition, on
-// simulated genomes across k-mer sizes, minimizer lengths, thread counts
-// and shard counts.
+// that the sharded counter (minimizer-bucketed super-k-mer pass 1) and the
+// single-thread serial reference produce bit-identical (code, count) sets,
+// per output partition, on simulated genomes across k-mer sizes, minimizer
+// lengths, thread counts and shard counts.
 #include "dbg/kmer_counter.h"
 
 #include <gtest/gtest.h>
@@ -15,9 +14,11 @@
 #include <vector>
 
 #include "dna/kmer.h"
+#include "dna/superkmer.h"
 #include "sim/genome.h"
 #include "sim/read_simulator.h"
 #include "util/hash.h"
+#include "util/varint.h"
 
 namespace ppa {
 namespace {
@@ -49,8 +50,7 @@ std::vector<Read> SimulatedReads(uint64_t genome_length, double coverage,
 }
 
 // The headline property: parallel sharded counts are bit-identical to the
-// serial reference, per output partition, for every (k, threads) combo the
-// issue calls out — under both pass-1 encodings.
+// serial reference, per output partition, for every (k, threads) combo.
 TEST(KmerCounterTest, ShardedMatchesSerialAcrossKAndThreads) {
   std::vector<Read> reads = SimulatedReads(20000, 12.0, 0.01, 99);
   for (int k : {15, 21, 31}) {
@@ -59,29 +59,22 @@ TEST(KmerCounterTest, ShardedMatchesSerialAcrossKAndThreads) {
     config.num_workers = 4;
     config.coverage_threshold = 1;
     auto expected = SortedPartitions(CountCanonicalMersSerial(reads, config));
-    for (Pass1Encoding enc : {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-      for (unsigned threads : {1u, 4u, 8u}) {
-        config.pass1_encoding = enc;
-        config.num_threads = threads;
-        config.num_shards = 0;  // auto
-        KmerCountStats stats;
-        auto actual =
-            SortedPartitions(CountCanonicalMers(reads, config, &stats));
-        EXPECT_EQ(actual, expected)
-            << "k=" << k << " threads=" << threads << " encoding="
-            << Pass1EncodingName(enc);
-        EXPECT_EQ(stats.threads, threads);
-        EXPECT_EQ(stats.encoding, enc);
-      }
+    for (unsigned threads : {1u, 4u, 8u}) {
+      config.num_threads = threads;
+      config.num_shards = 0;  // auto
+      KmerCountStats stats;
+      auto actual = SortedPartitions(CountCanonicalMers(reads, config, &stats));
+      EXPECT_EQ(actual, expected) << "k=" << k << " threads=" << threads;
+      EXPECT_EQ(stats.threads, threads);
     }
   }
 }
 
-// The tentpole's equivalence grid: raw and superkmer pass-1 produce
-// bit-identical surviving-mer sets and per-worker partitions across
-// k x minimizer-length x threads, with shuffle-volume accounting that sums
-// exactly and shows the superkmer compression.
-TEST(KmerCounterTest, SuperkmerMatchesRawAcrossKMinimizerAndThreads) {
+// The equivalence grid: the super-k-mer pass 1 produces the serial
+// oracle's surviving-mer sets and per-worker partitions across
+// k x minimizer length x threads, with shuffle-volume accounting that sums
+// exactly and shows the super-k-mer compression.
+TEST(KmerCounterTest, SuperkmerMatchesSerialAcrossKMinimizerAndThreads) {
   std::vector<Read> reads = SimulatedReads(20000, 12.0, 0.01, 42);
   // Exercise the edge paths inside the grid too.
   reads.push_back({"n_runs", "ACGTACGTNNNNNNNNNNACGTACGATCGATTACA", ""});
@@ -92,13 +85,11 @@ TEST(KmerCounterTest, SuperkmerMatchesRawAcrossKMinimizerAndThreads) {
     config.mer_length = k;
     config.num_workers = 4;
     config.coverage_threshold = 2;
-    config.pass1_encoding = Pass1Encoding::kRaw;
-    KmerCountStats raw_stats;
-    auto expected =
-        SortedPartitions(CountCanonicalMers(reads, config, &raw_stats));
+    KmerCountStats serial_stats;
+    auto expected = SortedPartitions(
+        CountCanonicalMersSerial(reads, config, &serial_stats));
     for (int m : {7, 11}) {
       for (unsigned threads : {1u, 4u, 8u}) {
-        config.pass1_encoding = Pass1Encoding::kSuperkmer;
         config.minimizer_len = m;
         config.num_threads = threads;
         KmerCountStats stats;
@@ -106,9 +97,10 @@ TEST(KmerCounterTest, SuperkmerMatchesRawAcrossKMinimizerAndThreads) {
             SortedPartitions(CountCanonicalMers(reads, config, &stats));
         EXPECT_EQ(actual, expected)
             << "k=" << k << " m=" << m << " threads=" << threads;
-        EXPECT_EQ(stats.total_windows, raw_stats.total_windows);
-        EXPECT_EQ(stats.distinct_mers, raw_stats.distinct_mers);
-        EXPECT_EQ(stats.surviving_mers, raw_stats.surviving_mers);
+        EXPECT_EQ(stats.total_bases, serial_stats.total_bases);
+        EXPECT_EQ(stats.total_windows, serial_stats.total_windows);
+        EXPECT_EQ(stats.distinct_mers, serial_stats.distinct_mers);
+        EXPECT_EQ(stats.surviving_mers, serial_stats.surviving_mers);
         // Accounting integrity: per-shard measurements sum to the totals.
         uint64_t windows = 0, bytes = 0, records = 0;
         for (uint64_t w : stats.shard_windows) windows += w;
@@ -119,8 +111,9 @@ TEST(KmerCounterTest, SuperkmerMatchesRawAcrossKMinimizerAndThreads) {
         EXPECT_EQ(records, stats.superkmers);
         EXPECT_EQ(stats.shuffled_messages, stats.superkmers);
         EXPECT_EQ(stats.minimizer_len, std::min(m, k));
-        // The point of the encoding: fewer shuffle bytes than 8 B/window.
-        EXPECT_LT(stats.shuffled_bytes, raw_stats.shuffled_bytes)
+        // The point of the encoding: fewer shuffle bytes than one 8-byte
+        // code per window would ship.
+        EXPECT_LT(stats.shuffled_bytes, 8 * stats.total_windows)
             << "k=" << k << " m=" << m;
       }
     }
@@ -265,56 +258,23 @@ TEST(KmerCounterTest, TableGrowthPreservesCounts) {
   EXPECT_GT(stats.distinct_mers, 60000u);  // enough to force rehashing
 }
 
-TEST(KmerCounterTest, RunStatsTotalsAreExact) {
-  std::vector<Read> reads = SimulatedReads(5000, 10.0, 0.01, 23);
-  KmerCountConfig config;
-  config.mer_length = 21;
-  config.num_workers = 4;
-  config.pass1_encoding = Pass1Encoding::kRaw;
-  KmerCountStats stats;
-  CountCanonicalMers(reads, config, &stats);
-  // Raw shuffle model: one 8-byte code per window, and per-shard measured
-  // loads folded into the worker slots.
-  EXPECT_EQ(stats.shuffled_messages, stats.total_windows);
-  EXPECT_EQ(stats.message_size, sizeof(uint64_t));
-  EXPECT_EQ(stats.shuffled_bytes, stats.total_windows * sizeof(uint64_t));
-  ASSERT_EQ(stats.shard_windows.size(), stats.shards);
-  uint64_t shard_sum = 0;
-  for (uint64_t w : stats.shard_windows) shard_sum += w;
-  EXPECT_EQ(shard_sum, stats.total_windows);
-
-  RunStats run = MerCountRunStats(stats, 4, "phase1");
-  ASSERT_EQ(run.num_supersteps(), 2u);
-  EXPECT_EQ(run.total_messages(), stats.total_windows);
-  EXPECT_EQ(run.supersteps[0].message_bytes, stats.shuffled_bytes);
-  // Per-worker attributions sum exactly to the totals.
-  const SuperstepStats& map_ss = run.supersteps[0];
-  uint64_t worker_sum = 0;
-  for (uint64_t m : map_ss.worker_messages) worker_sum += m;
-  EXPECT_EQ(worker_sum, map_ss.messages_sent);
-  uint64_t bytes_sum = 0;
-  for (uint64_t b : map_ss.worker_bytes) bytes_sum += b;
-  EXPECT_EQ(bytes_sum, map_ss.message_bytes);
-  uint64_t ops_sum = 0;
-  for (uint64_t o : map_ss.worker_ops) ops_sum += o;
-  EXPECT_EQ(ops_sum, map_ss.compute_ops);
-}
-
-// Same exactness under the superkmer encoding: messages are super-k-mer
-// records, bytes are the measured packed chunks, and reduce ops stay one
-// table probe per window.
+// Run-stats exactness: messages are super-k-mer records, bytes are the
+// measured packed chunks, reduce ops stay one table probe per window, and
+// the per-shard loads folded into worker slots sum to the totals.
 TEST(KmerCounterTest, SuperkmerRunStatsTotalsAreExact) {
   std::vector<Read> reads = SimulatedReads(5000, 10.0, 0.01, 23);
   KmerCountConfig config;
   config.mer_length = 21;
   config.num_workers = 4;
-  config.pass1_encoding = Pass1Encoding::kSuperkmer;
   KmerCountStats stats;
   CountCanonicalMers(reads, config, &stats);
   EXPECT_EQ(stats.shuffled_messages, stats.superkmers);
   EXPECT_GT(stats.superkmers, 0u);
   EXPECT_LT(stats.superkmers, stats.total_windows);
-  EXPECT_EQ(stats.message_size, 0u);  // variable-size records
+  ASSERT_EQ(stats.shard_windows.size(), stats.shards);
+  uint64_t shard_sum = 0;
+  for (uint64_t w : stats.shard_windows) shard_sum += w;
+  EXPECT_EQ(shard_sum, stats.total_windows);
 
   RunStats run = MerCountRunStats(stats, 4, "phase1-superkmer");
   ASSERT_EQ(run.num_supersteps(), 2u);
@@ -342,7 +302,8 @@ TEST(KmerCounterTest, SerialRunStatsUseAggregatedPairModel) {
   KmerCountStats stats;
   CountCanonicalMersSerial(reads, config, &stats);
   EXPECT_EQ(stats.shuffled_messages, stats.distinct_mers);
-  EXPECT_EQ(stats.message_size, (sizeof(std::pair<uint64_t, uint32_t>)));
+  EXPECT_EQ(stats.shuffled_bytes,
+            stats.distinct_mers * sizeof(std::pair<uint64_t, uint32_t>));
   EXPECT_TRUE(stats.shard_windows.empty());
 
   RunStats run = MerCountRunStats(stats, 4, "phase1-serial");
@@ -366,18 +327,13 @@ void ExpectSerialShardedAgree(const std::vector<Read>& reads, int mer_length,
   KmerCountStats serial_stats;
   auto expected =
       SortedPartitions(CountCanonicalMersSerial(reads, config, &serial_stats));
-  for (Pass1Encoding enc : {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-    config.pass1_encoding = enc;
-    KmerCountStats sharded_stats;
-    auto actual =
-        SortedPartitions(CountCanonicalMers(reads, config, &sharded_stats));
-    EXPECT_EQ(actual, expected) << label << " " << Pass1EncodingName(enc);
-    EXPECT_EQ(sharded_stats.total_bases, serial_stats.total_bases) << label;
-    EXPECT_EQ(sharded_stats.total_windows, serial_stats.total_windows)
-        << label << " " << Pass1EncodingName(enc);
-    EXPECT_EQ(sharded_stats.distinct_mers, serial_stats.distinct_mers)
-        << label << " " << Pass1EncodingName(enc);
-  }
+  KmerCountStats sharded_stats;
+  auto actual =
+      SortedPartitions(CountCanonicalMers(reads, config, &sharded_stats));
+  EXPECT_EQ(actual, expected) << label;
+  EXPECT_EQ(sharded_stats.total_bases, serial_stats.total_bases) << label;
+  EXPECT_EQ(sharded_stats.total_windows, serial_stats.total_windows) << label;
+  EXPECT_EQ(sharded_stats.distinct_mers, serial_stats.distinct_mers) << label;
 }
 
 TEST(KmerCounterTest, NRunsSplitIdenticallyOnBothPaths) {
@@ -436,48 +392,41 @@ TEST(KmerCounterTest, EmptyInputOnBothPaths) {
 
 // ---------------------------------------------------------------------------
 // CounterSession: the streaming batch-ingest path must be bit-identical to
-// the batch counters on the concatenated input, and its buffered-byte
-// high-water mark must respect the configured bound — under both pass-1
-// encodings.
+// the serial counter on the concatenated input, and its buffered-byte
+// high-water mark must respect the configured bound.
 // ---------------------------------------------------------------------------
 
-TEST(CounterSessionTest, MatchesBatchCounterAcrossBatchSizes) {
+TEST(CounterSessionTest, MatchesSerialCounterAcrossBatchSizes) {
   std::vector<Read> reads = SimulatedReads(20000, 12.0, 0.01, 99);
-  for (Pass1Encoding enc : {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-    KmerCountConfig config;
-    config.mer_length = 21;
-    config.num_workers = 4;
-    config.num_threads = 4;
-    config.pass1_encoding = enc;
-    KmerCountStats batch_stats;
-    auto expected =
-        SortedPartitions(CountCanonicalMers(reads, config, &batch_stats));
-    for (size_t batch_size :
-         {size_t{1}, size_t{7}, size_t{64}, reads.size()}) {
-      CounterSession session(config);
-      for (size_t begin = 0; begin < reads.size(); begin += batch_size) {
-        const size_t n = std::min(batch_size, reads.size() - begin);
-        session.AddBatch(reads.data() + begin, n);
-      }
-      KmerCountStats stats;
-      auto actual = SortedPartitions(session.Finish(&stats));
-      EXPECT_EQ(actual, expected) << "batch_size=" << batch_size
-                                  << " encoding=" << Pass1EncodingName(enc);
-      EXPECT_EQ(stats.total_bases, batch_stats.total_bases);
-      EXPECT_EQ(stats.total_windows, batch_stats.total_windows);
-      EXPECT_EQ(stats.distinct_mers, batch_stats.distinct_mers);
-      EXPECT_EQ(stats.surviving_mers, batch_stats.surviving_mers);
-      EXPECT_EQ(stats.queue_bound_bytes,
-                CounterSession::kDefaultMaxQueuedBytes);
-      EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
-          << "batch_size=" << batch_size;
-      // Enqueued accounting covers every window and every shipped byte.
-      uint64_t shard_sum = 0, bytes_sum = 0;
-      for (uint64_t w : stats.shard_windows) shard_sum += w;
-      for (uint64_t b : stats.shard_bytes) bytes_sum += b;
-      EXPECT_EQ(shard_sum, stats.total_windows);
-      EXPECT_EQ(bytes_sum, stats.shuffled_bytes);
+  KmerCountConfig config;
+  config.mer_length = 21;
+  config.num_workers = 4;
+  config.num_threads = 4;
+  KmerCountStats serial_stats;
+  auto expected =
+      SortedPartitions(CountCanonicalMersSerial(reads, config, &serial_stats));
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}, reads.size()}) {
+    CounterSession session(config);
+    for (size_t begin = 0; begin < reads.size(); begin += batch_size) {
+      const size_t n = std::min(batch_size, reads.size() - begin);
+      session.AddBatch(reads.data() + begin, n);
     }
+    KmerCountStats stats;
+    auto actual = SortedPartitions(session.Finish(&stats));
+    EXPECT_EQ(actual, expected) << "batch_size=" << batch_size;
+    EXPECT_EQ(stats.total_bases, serial_stats.total_bases);
+    EXPECT_EQ(stats.total_windows, serial_stats.total_windows);
+    EXPECT_EQ(stats.distinct_mers, serial_stats.distinct_mers);
+    EXPECT_EQ(stats.surviving_mers, serial_stats.surviving_mers);
+    EXPECT_EQ(stats.queue_bound_bytes, CounterSession::kDefaultMaxQueuedBytes);
+    EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
+        << "batch_size=" << batch_size;
+    // Enqueued accounting covers every window and every shipped byte.
+    uint64_t shard_sum = 0, bytes_sum = 0;
+    for (uint64_t w : stats.shard_windows) shard_sum += w;
+    for (uint64_t b : stats.shard_bytes) bytes_sum += b;
+    EXPECT_EQ(shard_sum, stats.total_windows);
+    EXPECT_EQ(bytes_sum, stats.shuffled_bytes);
   }
 }
 
@@ -552,6 +501,60 @@ TEST(CounterSessionTest, EdgeCaseReadsMatchBatchCounter) {
   for (const auto& part : empty) EXPECT_TRUE(part.empty());
   EXPECT_EQ(empty_stats.total_windows, 0u);
   EXPECT_EQ(empty_stats.peak_queued_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ShardCounterBank decodes chunk payloads that crossed a socket, so every
+// malformed payload must come back as a diagnostic, never an abort.
+// ---------------------------------------------------------------------------
+
+TEST(ShardCounterBankTest, RejectsMalformedChunkPayloads) {
+  constexpr int L = 5;
+  const std::vector<std::string> runs = {"ACGTACGTAC", "GGATCCA",
+                                         std::string(22, 'T')};
+  uint64_t windows = 0;
+  for (const std::string& run : runs) windows += run.size() - L + 1;
+  // The chunk payload by hand: varint(windows) varint(records) records.
+  auto payload_declaring = [&](uint64_t declared_windows) {
+    std::vector<uint8_t> payload;
+    PutVarint64(&payload, declared_windows);
+    PutVarint64(&payload, runs.size());
+    for (const std::string& run : runs) AppendSuperkmer(run, &payload);
+    return payload;
+  };
+  const std::vector<uint8_t> valid = payload_declaring(windows);
+
+  ShardCounterBank bank(L, 2);
+  std::string error;
+  ASSERT_TRUE(bank.AddChunkPayload(1, valid.data(), valid.size(), &error))
+      << error;
+  EXPECT_EQ(bank.chunks(1), 1u);
+  EXPECT_EQ(bank.windows(1), windows);
+
+  auto expect_rejected = [&](const std::vector<uint8_t>& payload, size_t size,
+                             const std::string& label) {
+    ShardCounterBank fresh(L, 2);
+    std::string diagnostic;
+    EXPECT_FALSE(fresh.AddChunkPayload(0, payload.data(), size, &diagnostic))
+        << label;
+    EXPECT_FALSE(diagnostic.empty()) << label;
+  };
+  for (size_t size = 0; size < valid.size(); ++size) {
+    expect_rejected(valid, size, "truncated to " + std::to_string(size));
+  }
+  for (uint64_t declared : {windows - 1, windows + 1}) {
+    const std::vector<uint8_t> payload = payload_declaring(declared);
+    expect_rejected(payload, payload.size(),
+                    "declares " + std::to_string(declared) + " windows");
+  }
+  // One record whose base_length (13 bases = 4 packed bytes) runs past the
+  // 3 bytes that follow it.
+  std::vector<uint8_t> overlong;
+  PutVarint64(&overlong, 13 - L + 1);
+  PutVarint64(&overlong, 1);
+  PutVarint64(&overlong, 13);
+  overlong.insert(overlong.end(), 3, 0);
+  expect_rejected(overlong, overlong.size(), "base_length past the buffer");
 }
 
 }  // namespace

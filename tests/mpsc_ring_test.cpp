@@ -175,7 +175,7 @@ MerCounts RunSession(const std::vector<Read>& reads,
 
 // Sessions under a tiny byte bound (constant backpressure, spins and
 // parks) still produce bit-identical counts to the serial reference, from
-// concurrent AddBatch callers, under both encodings. TSan covers the
+// concurrent AddBatch callers. TSan covers the
 // Admit / ring push / DrainOwnedRings protocol here.
 TEST(MpscRingTest, SessionWithRingsMatchesSerialUnderBackpressure) {
   std::vector<Read> reads = SimulatedReads(12000, 8.0, 31);
@@ -187,22 +187,18 @@ TEST(MpscRingTest, SessionWithRingsMatchesSerialUnderBackpressure) {
   config.num_threads = 4;
   const auto expected =
       SortedPartitions(CountCanonicalMersSerial(reads, config));
-  for (Pass1Encoding enc : {Pass1Encoding::kRaw, Pass1Encoding::kSuperkmer}) {
-    config.pass1_encoding = enc;
-    KmerCountStats stats;
-    // 1 byte rounds up to the minimum admissible bound: every chunk fights
-    // the byte-budget CAS and the ring capacity at once.
-    const auto actual = SortedPartitions(
-        RunSession(reads, config, /*max_queued_bytes=*/1, /*add_threads=*/3,
-                   &stats));
-    EXPECT_EQ(actual, expected) << Pass1EncodingName(enc);
-    EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes);
-    // Per-shard ledgers are consumer-side; they must still sum to the
-    // totals exactly.
-    uint64_t windows = 0;
-    for (uint64_t w : stats.shard_windows) windows += w;
-    EXPECT_EQ(windows, stats.total_windows);
-  }
+  KmerCountStats stats;
+  // 1 byte rounds up to the minimum admissible bound: every chunk fights
+  // the byte-budget CAS and the ring capacity at once.
+  const auto actual = SortedPartitions(RunSession(
+      reads, config, /*max_queued_bytes=*/1, /*add_threads=*/3, &stats));
+  EXPECT_EQ(actual, expected);
+  EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes);
+  // Per-shard ledgers are consumer-side; they must still sum to the totals
+  // exactly.
+  uint64_t windows = 0;
+  for (uint64_t w : stats.shard_windows) windows += w;
+  EXPECT_EQ(windows, stats.total_windows);
 }
 
 // Spilling sessions share the rings' byte admission: under kAuto (rings

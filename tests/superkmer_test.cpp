@@ -1,8 +1,8 @@
 // Tests for the super-k-mer scanner/codec (dna/superkmer.h): run structure
 // (every window in exactly one run, constant minimizer per run), strand
 // invariance of the minimizer (the property the counter's shard routing
-// relies on), codec round-trips including the first-window-offset header,
-// long-run splitting, and malformed-input rejection.
+// relies on), codec round-trips, long-run splitting, and malformed-input
+// rejection.
 #include "dna/superkmer.h"
 
 #include <gtest/gtest.h>
@@ -212,7 +212,7 @@ TEST(SuperkmerCodecTest, RoundTripsScannerOutput) {
     scanner.Scan(bases, [&](const Superkmer& sk) {
       AppendSuperkmer(std::string_view(bases).substr(sk.base_offset,
                                                      sk.base_length),
-                      0, &buf);
+                      &buf);
     });
     std::vector<uint64_t> decoded;
     ASSERT_TRUE(DecodeSuperkmersToVector(buf.data(), buf.size(), L, &decoded));
@@ -226,27 +226,13 @@ TEST(SuperkmerCodecTest, RoundTripsScannerOutput) {
   }
 }
 
-TEST(SuperkmerCodecTest, FirstWindowOffsetSkipsLeadingWindows) {
-  const std::string bases = RandomBases(40, 41);
-  const int L = 11;
-  const std::vector<uint64_t> all = RawWindowCodes(bases, L);
-  for (uint32_t offset : {0u, 1u, 5u, 29u}) {
-    std::vector<uint8_t> buf;
-    AppendSuperkmer(bases, offset, &buf);
-    std::vector<uint64_t> decoded;
-    ASSERT_TRUE(DecodeSuperkmersToVector(buf.data(), buf.size(), L, &decoded));
-    const std::vector<uint64_t> expected(all.begin() + offset, all.end());
-    EXPECT_EQ(decoded, expected) << "offset=" << offset;
-  }
-}
-
 TEST(SuperkmerCodecTest, RejectsMalformedChunks) {
   const int L = 11;
   std::vector<uint64_t> decoded;
 
   // Truncated packed bases.
   std::vector<uint8_t> buf;
-  AppendSuperkmer(RandomBases(20, 5), 0, &buf);
+  AppendSuperkmer(RandomBases(20, 5), &buf);
   std::vector<uint8_t> truncated(buf.begin(), buf.end() - 1);
   EXPECT_FALSE(DecodeSuperkmersToVector(truncated.data(), truncated.size(), L,
                                         &decoded));
@@ -256,20 +242,19 @@ TEST(SuperkmerCodecTest, RejectsMalformedChunks) {
   EXPECT_FALSE(DecodeSuperkmersToVector(dangling.data(), dangling.size(), L,
                                         &decoded));
 
-  // A record with no full window (base_length < L + offset).
+  // A record with no full window (base_length < L).
   std::vector<uint8_t> no_window;
-  AppendSuperkmer(RandomBases(20, 5), 15, &no_window);
+  AppendSuperkmer(RandomBases(L - 1, 5), &no_window);
   EXPECT_FALSE(DecodeSuperkmersToVector(no_window.data(), no_window.size(), L,
                                         &decoded));
   SuperkmerChunkSummary summary;
   EXPECT_FALSE(SummarizeSuperkmerChunk(no_window.data(), no_window.size(), L,
                                        &summary));
 
-  // A base length implying more packed bytes than the chunk holds, with a
-  // huge offset that would overflow a naive offset + L comparison.
+  // A base length implying more packed bytes than the chunk holds, large
+  // enough to overflow a naive byte-count comparison.
   std::vector<uint8_t> huge;
   PutVarint64(&huge, UINT64_MAX);
-  PutVarint64(&huge, UINT64_MAX - 1);
   huge.push_back(0);
   EXPECT_FALSE(DecodeSuperkmersToVector(huge.data(), huge.size(), L,
                                         &decoded));
@@ -278,11 +263,10 @@ TEST(SuperkmerCodecTest, RejectsMalformedChunks) {
 TEST(SuperkmerCodecTest, PackingIsTwoBitsLsbFirst) {
   // "ACGT" packs into one byte: A=00 at bits 0-1 ... T=11 at bits 6-7.
   std::vector<uint8_t> buf;
-  AppendSuperkmer("ACGT", 0, &buf);
-  ASSERT_EQ(buf.size(), 3u);            // varint(4), varint(0), 1 packed byte
+  AppendSuperkmer("ACGT", &buf);
+  ASSERT_EQ(buf.size(), 2u);  // varint(4), 1 packed byte
   EXPECT_EQ(buf[0], 4u);
-  EXPECT_EQ(buf[1], 0u);
-  EXPECT_EQ(buf[2], 0b11100100);
+  EXPECT_EQ(buf[1], 0b11100100);
   std::vector<uint64_t> decoded;
   ASSERT_TRUE(DecodeSuperkmersToVector(buf.data(), buf.size(), 4, &decoded));
   ASSERT_EQ(decoded.size(), 1u);
