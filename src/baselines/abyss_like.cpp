@@ -1,6 +1,5 @@
 // ABySS-like baseline (see baselines/baseline.h).
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 

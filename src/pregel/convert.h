@@ -52,11 +52,15 @@ PartitionedGraph<DstVertexT> ConvertGraph(PartitionedGraph<SrcVertexT>&& src,
     }
     part.vertices.clear();
     part.vertices.shrink_to_fit();
-    part.index.clear();
+    part.index = {};
   });
 
   PartitionedGraph<DstVertexT> dst(W);
   for (uint32_t d = 0; d < W; ++d) {
+    size_t n = 0;
+    for (uint32_t s = 0; s < W; ++s) n += routed[s][d].size();
+    dst.partition(d).vertices.reserve(n);
+    dst.partition(d).index.Reserve(n);
     for (uint32_t s = 0; s < W; ++s) {
       for (DstVertexT& v : routed[s][d]) {
         dst.AddToPartition(d, std::move(v));

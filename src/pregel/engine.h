@@ -11,8 +11,40 @@
 //
 // The `num_workers` logical workers of the graph are the distribution unit
 // the paper scales (16..64); they are multiplexed onto up to `num_threads`
-// OS threads. Message routing is per-(source, destination)-partition
-// buffered and lock-free within a superstep.
+// OS threads. A superstep is a compute phase (one thread per partition at a
+// time), a serial barrier (stats, aggregators, vertex additions) and a
+// delivery phase (one thread per destination partition at a time). Neither
+// phase takes a lock: each partition's mutable state (context and
+// outboxes, compute list, next list and next-list positions, inbox) sits in
+// one cache-line-aligned PartitionState that only the partition's thread of
+// the current phase writes, and counters are kept in locals and published
+// once per partition per phase.
+//
+// Delivery contract:
+//   * Order. A vertex receives its messages ordered by source worker, then
+//     by send order within that worker. Each partition computes, in order,
+//     the vertices that did not vote to halt (in the previous superstep's
+//     compute order), the vertices added at the barrier (by adding worker,
+//     then call order), then the halted vertices a message woke (in
+//     first-arrival order).
+//   * Drops. A message to an id that its partition does not hold is
+//     dropped at delivery; one to a removed vertex is dropped at compute,
+//     where the removed vertex is skipped. Neither reaches Compute or
+//     counts in compute_ops. messages_sent counts every message staged by
+//     a sender (after combining), dropped or not.
+//   * Cost. Delivery into partition d resolves each message's slot once in
+//     the partition's IdSlotIndex, appends receivers not yet scheduled to
+//     the next compute list (in first-arrival order), counts each
+//     receiver's messages at its position in that list, prefix-sums the
+//     counts and scatters the messages stably into one flat array. This
+//     CSR inbox is in compute order: Compute gets a span of it, and the
+//     compute loop reads it front to back. A superstep costs O(computed
+//     vertices + delivered messages) and never walks all slots of a
+//     partition, so jobs with tiny frontiers (tip removal, the propagation
+//     baseline) stay cheap.
+//   * Reuse. Outboxes, the combiner's id -> outbox-position map, the CSR
+//     inbox arrays and the compute lists are cleared in place each
+//     superstep and keep their capacity until Run returns.
 //
 // VertexT contract:
 //   struct V {
@@ -31,9 +63,9 @@
 
 #include <array>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,10 +94,9 @@ struct HasCombiner<T, std::void_t<typename T::Combiner>> : std::true_type {};
 
 /// Engine configuration.
 struct EngineConfig {
-  unsigned num_threads = 0;        // 0 = hardware concurrency.
+  unsigned num_threads = 0;  // 0 = hardware concurrency.
   uint32_t max_supersteps = 1u << 20;
   std::string job_name = "pregel-job";
-  bool collect_per_worker = true;  // per-worker stat vectors in RunStats.
 };
 
 template <typename VertexT>
@@ -84,17 +115,16 @@ class Engine {
     /// Sends `msg` to the vertex with id `dst` (delivered next superstep).
     void SendTo(uint64_t dst, Message msg) {
       ++ops_;
-      uint32_t part = PartitionOf(dst, num_workers_);
+      auto& box = outbox_[PartitionOf(dst, num_workers_)];
       if constexpr (pregel_internal::HasCombiner<VertexT>::value) {
-        auto [it, inserted] = combine_slots_[part].try_emplace(
-            dst, static_cast<uint32_t>(outbox_[part].size()));
-        if (!inserted) {
-          VertexT::Combiner::Combine(outbox_[part][it->second].second,
-                                     msg);
+        const uint32_t pos = static_cast<uint32_t>(box.size());
+        const uint32_t at = combine_slots_.Insert(dst, pos);
+        if (at != pos) {
+          VertexT::Combiner::Combine(box[at].second, msg);
           return;
         }
       }
-      outbox_[part].emplace_back(dst, std::move(msg));
+      box.emplace_back(dst, std::move(msg));
     }
 
     /// Current vertex votes to halt; it is reactivated by any message.
@@ -127,21 +157,16 @@ class Engine {
     uint64_t ops_ = 0;
     std::array<uint64_t, kNumAggregatorSlots> agg_{};
     std::array<uint64_t, kNumAggregatorSlots> prev_agg_{};
+    // Staged (dst id, message) pairs, by destination partition.
     std::vector<std::vector<std::pair<uint64_t, Message>>> outbox_;
-    std::vector<std::unordered_map<uint64_t, uint32_t, IdHash>>
-        combine_slots_;
+    IdSlotIndex combine_slots_;  // Combiner: dst id -> position in its box.
     std::vector<VertexT> additions_;
   };
 
   explicit Engine(EngineConfig config = {}) : config_(std::move(config)) {}
 
-  /// Runs the job to termination; the graph is mutated in place.
-  ///
-  /// Per-superstep cost is O(computed vertices + delivered messages): each
-  /// partition keeps a compute list of vertices that are either still
-  /// active (did not vote to halt) or received a message, so quiescent
-  /// regions of the graph cost nothing — essential for jobs whose active
-  /// frontier is small (e.g. the baselines' sequential propagation).
+  /// Runs the job to termination; the graph is mutated in place. See the
+  /// delivery contract at the top of this file.
   RunStats Run(PartitionedGraph<VertexT>& graph) {
     Timer timer;
     const uint32_t W = graph.num_workers();
@@ -151,135 +176,155 @@ class Engine {
     RunStats stats;
     stats.job_name = config_.job_name;
 
-    // Per-partition message inboxes plus compute scheduling state.
-    std::vector<std::vector<std::vector<Message>>> inbox(W);
-    std::vector<std::vector<uint32_t>> compute_list(W);
-    std::vector<std::vector<uint8_t>> scheduled(W);
+    std::vector<PartitionState> parts(W);
     for (uint32_t p = 0; p < W; ++p) {
+      PartitionState& st = parts[p];
       const size_t n = graph.partition(p).vertices.size();
-      inbox[p].resize(n);
-      scheduled[p].assign(n, 1);
-      compute_list[p].resize(n);
-      for (uint32_t i = 0; i < n; ++i) compute_list[p][i] = i;
+      st.ctx.num_workers_ = W;
+      st.ctx.worker_id_ = p;
+      st.ctx.outbox_.resize(W);
+      st.compute.resize(n);
+      std::iota(st.compute.begin(), st.compute.end(), 0u);
+      st.ends.assign(n, 0);
+      st.next_pos.assign(n, kNotNext);
     }
-
-    std::vector<Context> contexts(W);
     std::array<uint64_t, kNumAggregatorSlots> prev_agg{};
 
     for (uint32_t step = 0; step < config_.max_supersteps; ++step) {
       // --- Compute phase -------------------------------------------------
       const uint64_t n_vertices = graph.size();
-      for (uint32_t p = 0; p < W; ++p) {
-        Context& ctx = contexts[p];
+      pool.Run(W, [&](uint32_t p) {
+        PartitionState& st = parts[p];
+        Context& ctx = st.ctx;
         ctx.superstep_ = step;
-        ctx.num_workers_ = W;
-        ctx.worker_id_ = p;
         ctx.num_vertices_ = n_vertices;
         ctx.ops_ = 0;
         ctx.agg_.fill(0);
         ctx.prev_agg_ = prev_agg;
-        ctx.outbox_.assign(W, {});
-        if constexpr (pregel_internal::HasCombiner<VertexT>::value) {
-          ctx.combine_slots_.assign(W, {});
-        }
+        for (auto& box : ctx.outbox_) box.clear();
+        ctx.combine_slots_.Clear();
         ctx.additions_.clear();
-      }
 
-      std::vector<uint64_t> active_per_part(W, 0);
-      std::vector<std::vector<uint32_t>> next_list(W);
-      pool.Run(W, [&](uint32_t p) {
-        auto& part = graph.partition(p);
-        Context& ctx = contexts[p];
-        for (uint32_t i : compute_list[p]) {
-          scheduled[p][i] = 0;  // Delivery may re-schedule this vertex.
-          VertexT& v = part.vertices[i];
-          if (v.removed) continue;
-          std::vector<Message>& msgs = inbox[p][i];
+        std::vector<VertexT>& vertices = graph.partition(p).vertices;
+        const Message* inbox = st.inbox.data();
+        uint32_t begin = 0;
+        uint64_t active = 0;
+        for (size_t k = 0; k < st.compute.size(); ++k) {
+          const uint32_t i = st.compute[k];
+          const std::span<const Message> msgs(inbox + begin,
+                                              inbox + st.ends[k]);
+          begin = st.ends[k];
+          st.next_pos[i] = kNotNext;  // Delivery may schedule it again.
+          VertexT& v = vertices[i];
+          if (v.removed) continue;  // Drops the messages sent to it.
           if (v.halted && msgs.empty()) continue;
           v.halted = false;
-          ++active_per_part[p];
+          ++active;
           ctx.current_ = &v;
           ctx.ops_ += 1 + msgs.size();
-          v.Compute(ctx, std::span<const Message>(msgs));
-          msgs.clear();
-          if (!v.halted && !v.removed && scheduled[p][i] == 0) {
-            scheduled[p][i] = 1;
-            next_list[p].push_back(i);
+          v.Compute(ctx, msgs);
+          if (!v.halted && !v.removed) {
+            st.next_pos[i] = static_cast<uint32_t>(st.next.size());
+            st.next.push_back(i);
           }
         }
+        st.active = active;
       });
 
-      // --- Barrier: stats, aggregators, mutations, message delivery ------
+      // --- Barrier: stats, aggregators, mutations ------------------------
       SuperstepStats ss;
       ss.superstep = step;
-      if (config_.collect_per_worker) {
-        ss.worker_messages.resize(W);
-        ss.worker_bytes.resize(W);
-        ss.worker_ops.resize(W);
-      }
+      ss.worker_messages.resize(W);
+      ss.worker_bytes.resize(W);
+      ss.worker_ops.resize(W);
       prev_agg.fill(0);
-      uint64_t staged_messages = 0;
       for (uint32_t p = 0; p < W; ++p) {
-        Context& ctx = contexts[p];
-        ss.active_vertices += active_per_part[p];
+        const Context& ctx = parts[p].ctx;
         uint64_t sent = 0;
-        for (uint32_t d = 0; d < W; ++d) sent += ctx.outbox_[d].size();
-        staged_messages += sent;
+        for (const auto& box : ctx.outbox_) sent += box.size();
+        ss.active_vertices += parts[p].active;
         ss.messages_sent += sent;
         ss.message_bytes += sent * sizeof(Message);
         ss.compute_ops += ctx.ops_;
-        if (config_.collect_per_worker) {
-          ss.worker_messages[p] = sent;
-          ss.worker_bytes[p] = sent * sizeof(Message);
-          ss.worker_ops[p] = ctx.ops_;
-        }
+        ss.worker_messages[p] = sent;
+        ss.worker_bytes[p] = sent * sizeof(Message);
+        ss.worker_ops[p] = ctx.ops_;
         for (int s = 0; s < kNumAggregatorSlots; ++s) {
           prev_agg[s] += ctx.agg_[s];
         }
       }
+      const uint64_t staged_messages = ss.messages_sent;
       stats.supersteps.push_back(std::move(ss));
 
       // Vertex additions (routed by id); new vertices start active.
       for (uint32_t p = 0; p < W; ++p) {
-        for (VertexT& v : contexts[p].additions_) {
-          uint32_t dst = PartitionOf(v.id, W);
-          graph.AddToPartition(dst, std::move(v));
-          const size_t n = graph.partition(dst).vertices.size();
-          inbox[dst].resize(n);
-          scheduled[dst].resize(n, 0);
-          scheduled[dst][n - 1] = 1;
-          next_list[dst].push_back(static_cast<uint32_t>(n - 1));
+        for (VertexT& v : parts[p].ctx.additions_) {
+          const uint32_t d = PartitionOf(v.id, W);
+          const auto slot =
+              static_cast<uint32_t>(graph.partition(d).vertices.size());
+          graph.AddToPartition(d, std::move(v));
+          PartitionState& st = parts[d];
+          st.next_pos.push_back(static_cast<uint32_t>(st.next.size()));
+          st.next.push_back(slot);
         }
       }
 
-      // Deliver staged messages into next-superstep inboxes, scheduling
-      // each receiving vertex for the next compute phase.
+      // --- Delivery phase: staged messages -> CSR inboxes ----------------
       pool.Run(W, [&](uint32_t d) {
-        auto& part = graph.partition(d);
-        for (uint32_t src = 0; src < W; ++src) {
-          for (auto& [dst_id, msg] : contexts[src].outbox_[d]) {
-            auto it = part.index.find(dst_id);
-            if (it == part.index.end()) continue;  // Unknown: dropped.
-            const uint32_t idx = it->second;
-            if (part.vertices[idx].removed) continue;
-            inbox[d][idx].push_back(std::move(msg));
-            if (scheduled[d][idx] == 0) {
-              scheduled[d][idx] = 1;
-              next_list[d].push_back(idx);
+        PartitionState& st = parts[d];
+        const IdSlotIndex& index = graph.partition(d).index;
+        size_t staged = 0;
+        for (const PartitionState& src : parts) {
+          staged += src.ctx.outbox_[d].size();
+        }
+        if (st.staged_pos.size() < staged) st.staged_pos.resize(staged);
+
+        // Resolve each message's slot once, schedule receivers not yet in
+        // the next list (appending them in first-arrival order) and count
+        // each receiver's messages at its next-list position.
+        st.ends.assign(st.next.size(), 0);
+        uint32_t* staged_pos = st.staged_pos.data();
+        for (const PartitionState& src : parts) {
+          for (const auto& staged_msg : src.ctx.outbox_[d]) {
+            const uint32_t slot = index.Find(staged_msg.first);
+            uint32_t k = kNotNext;  // Unknown id: dropped.
+            if (slot != IdSlotIndex::kAbsent) {
+              k = st.next_pos[slot];
+              if (k == kNotNext) {
+                k = st.next_pos[slot] = static_cast<uint32_t>(st.next.size());
+                st.next.push_back(slot);
+                st.ends.push_back(0);
+              }
+              ++st.ends[k];
+            }
+            *staged_pos++ = k;
+          }
+        }
+
+        // Exclusive prefix sum, then a stable scatter that leaves ends[k]
+        // at the end of the run of next[k].
+        uint32_t total = 0;
+        for (uint32_t& e : st.ends) total += std::exchange(e, total);
+        if (st.inbox.size() < total) st.inbox.resize(total);
+        staged_pos = st.staged_pos.data();
+        for (PartitionState& src : parts) {
+          for (auto& staged_msg : src.ctx.outbox_[d]) {
+            const uint32_t k = *staged_pos++;
+            if (k != kNotNext) {
+              st.inbox[st.ends[k]++] = std::move(staged_msg.second);
             }
           }
         }
       });
-      compute_list = std::move(next_list);
 
-      // Termination test: nothing scheduled for the next superstep.
-      if (staged_messages == 0) {
-        bool any_scheduled = false;
-        for (uint32_t p = 0; p < W && !any_scheduled; ++p) {
-          any_scheduled = !compute_list[p].empty();
-        }
-        if (!any_scheduled) break;
+      bool any_scheduled = false;
+      for (PartitionState& st : parts) {
+        std::swap(st.compute, st.next);
+        st.next.clear();
+        any_scheduled = any_scheduled || !st.compute.empty();
       }
+      // Termination: nothing in flight and nothing scheduled.
+      if (staged_messages == 0 && !any_scheduled) break;
     }
 
     stats.wall_seconds = timer.Seconds();
@@ -287,6 +332,27 @@ class Engine {
   }
 
  private:
+  static constexpr uint32_t kNotNext = UINT32_MAX;
+
+  // Everything partition p mutates in a superstep, on cache lines of its
+  // own. In the compute phase only p's thread writes it (ctx, next,
+  // next_pos, `active`); in the delivery phase only the thread delivering
+  // into p (next, next_pos and the inbox), which also moves messages out
+  // of every source's outbox_[p].
+  struct alignas(64) PartitionState {
+    Context ctx;
+    // This superstep's compute list and its CSR inbox: the messages of
+    // compute[k] are inbox[k == 0 ? 0 : ends[k - 1], ends[k]).
+    std::vector<uint32_t> compute;
+    std::vector<uint32_t> ends;
+    std::vector<Message> inbox;  // High-water size.
+    // The next superstep's compute list, and each slot's position in it.
+    std::vector<uint32_t> next;
+    std::vector<uint32_t> next_pos;    // Per slot: index in next or kNotNext.
+    std::vector<uint32_t> staged_pos;  // Scratch: next index per message.
+    uint64_t active = 0;               // Vertices computed this superstep.
+  };
+
   EngineConfig config_;
 };
 

@@ -3,12 +3,13 @@
 // Pregel+ "distributes vertices to machines by hashing vertex ID" (Sec. II).
 // A PartitionedGraph owns `num_workers` partitions; vertex v lives in
 // partition PartitionOf(v.id). Each partition keeps a dense vertex vector
-// plus an id -> slot index for message delivery.
+// plus an IdSlotIndex (id -> slot) for message delivery and Find.
 #ifndef PPA_PREGEL_GRAPH_H_
 #define PPA_PREGEL_GRAPH_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +17,96 @@
 #include "util/logging.h"
 
 namespace ppa {
+
+/// Open-addressing id -> slot table: the per-partition vertex index, and the
+/// engine's sender-side combiner map (id -> outbox position).
+///
+/// Linear probing over a power-of-two array of 16-byte {id, slot, epoch}
+/// entries; no per-key heap node. An id's home entry is the top
+/// log2(capacity) bits of Mix64(id), because PartitionOf already fixed
+/// Mix64(id) mod num_workers for every id of one partition and the low bits
+/// would collide. The table doubles before an insert would push the load
+/// past 7/10, so the load stays at most 0.7 (and above 0.35 once grown); by
+/// Knuth's linear-probing estimates a hit then probes at most ~2.2 entries
+/// on average and a miss at most ~6. An entry is live only if it carries the
+/// current epoch: Clear() is O(1) and keeps the allocation.
+class IdSlotIndex {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  /// Slot of `id`, or kAbsent.
+  uint32_t Find(uint64_t id) const {
+    if (size_ == 0) return kAbsent;
+    for (size_t i = Home(id);; i = (i + 1) & mask_) {
+      const Entry& e = entries_[i];
+      if (e.epoch != epoch_) return kAbsent;
+      if (e.id == id) return e.slot;
+    }
+  }
+
+  /// Maps `id` to `slot` unless `id` is already present (the first mapping
+  /// wins); returns the slot `id` maps to.
+  uint32_t Insert(uint64_t id, uint32_t slot) {
+    if ((size_ + 1) * 10 > entries_.size() * 7) Rehash(CapacityFor(size_ + 1));
+    for (size_t i = Home(id);; i = (i + 1) & mask_) {
+      Entry& e = entries_[i];
+      if (e.epoch != epoch_) {
+        e = Entry{id, slot, epoch_};
+        ++size_;
+        return slot;
+      }
+      if (e.id == id) return e.slot;
+    }
+  }
+
+  /// Grows once so that `n` ids fit without further rehashing.
+  void Reserve(size_t n) {
+    if (n * 10 > entries_.size() * 7) Rehash(CapacityFor(n));
+  }
+
+  /// Forgets every id in O(1), keeping the allocation.
+  void Clear() {
+    size_ = 0;
+    if (++epoch_ == 0) {  // Wrapped: stale entries would look live.
+      std::fill(entries_.begin(), entries_.end(), Entry{});
+      epoch_ = 1;
+    }
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  struct Entry {
+    uint64_t id = 0;
+    uint32_t slot = 0;
+    uint32_t epoch = 0;  // Live iff equal to the table's epoch_ (never 0).
+  };
+
+  static size_t CapacityFor(size_t n) {
+    return std::bit_ceil(std::max<size_t>(16, n * 10 / 7 + 1));
+  }
+
+  size_t Home(uint64_t id) const { return Mix64(id) >> shift_; }
+
+  void Rehash(size_t capacity) {
+    std::vector<Entry> old(capacity);
+    old.swap(entries_);
+    const uint32_t live = epoch_;
+    epoch_ = 1;
+    size_ = 0;
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    for (const Entry& e : old) {
+      if (e.epoch == live) Insert(e.id, e.slot);
+    }
+  }
+
+  std::vector<Entry> entries_;
+  size_t size_ = 0;
+  size_t mask_ = 0;
+  int shift_ = 64;
+  uint32_t epoch_ = 1;
+};
 
 /// Partitioned vertex store. VertexT must expose:
 ///   uint64_t id;        -- unique vertex ID
@@ -26,7 +117,7 @@ class PartitionedGraph {
  public:
   struct Partition {
     std::vector<VertexT> vertices;
-    std::unordered_map<uint64_t, uint32_t, IdHash> index;
+    IdSlotIndex index;
   };
 
   explicit PartitionedGraph(uint32_t num_workers)
@@ -40,16 +131,14 @@ class PartitionedGraph {
 
   /// Adds a vertex (routed by hash of its id). Not thread-safe.
   void Add(VertexT v) {
-    Partition& p = partitions_[PartitionOf(v.id, num_workers())];
-    p.index.emplace(v.id, static_cast<uint32_t>(p.vertices.size()));
-    p.vertices.push_back(std::move(v));
+    AddToPartition(PartitionOf(v.id, num_workers()), std::move(v));
   }
 
   /// Adds a vertex into a specific partition without routing. The caller
   /// must have routed it correctly (used by shuffle-producing jobs).
   void AddToPartition(uint32_t part, VertexT v) {
     Partition& p = partitions_[part];
-    p.index.emplace(v.id, static_cast<uint32_t>(p.vertices.size()));
+    p.index.Insert(v.id, static_cast<uint32_t>(p.vertices.size()));
     p.vertices.push_back(std::move(v));
   }
 
@@ -77,9 +166,9 @@ class PartitionedGraph {
   /// Pointer to the vertex with `id`, or nullptr if absent/removed.
   VertexT* Find(uint64_t id) {
     Partition& p = partitions_[PartitionOf(id, num_workers())];
-    auto it = p.index.find(id);
-    if (it == p.index.end()) return nullptr;
-    VertexT* v = &p.vertices[it->second];
+    const uint32_t slot = p.index.Find(id);
+    if (slot == IdSlotIndex::kAbsent) return nullptr;
+    VertexT* v = &p.vertices[slot];
     return v->removed ? nullptr : v;
   }
 
@@ -115,9 +204,10 @@ class PartitionedGraph {
         if (!v.removed) kept.push_back(std::move(v));
       }
       p.vertices = std::move(kept);
-      p.index.clear();
+      p.index.Clear();
+      p.index.Reserve(p.vertices.size());
       for (uint32_t i = 0; i < p.vertices.size(); ++i) {
-        p.index.emplace(p.vertices[i].id, i);
+        p.index.Insert(p.vertices[i].id, i);
       }
     }
   }

@@ -1,13 +1,21 @@
 // Tests for the Pregel engine: supersteps, vote-to-halt/reactivation,
-// aggregators, combiners, graph mutation and statistics.
+// aggregators, combiners, graph mutation and statistics, plus an
+// equivalence grid against a serial reference engine.
 #include "pregel/engine.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <span>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "pregel/convert.h"
 #include "pregel/graph.h"
+#include "util/hash.h"
+#include "util/random.h"
 
 namespace ppa {
 namespace {
@@ -241,6 +249,342 @@ TEST(EngineTest, CombinerCorrectUnderConcurrency) {
   EXPECT_LE(stats.supersteps[0].messages_sent, kWorkers);
 }
 
+// ---- Reference engine -------------------------------------------------
+//
+// The straightforward form of the delivery contract in pregel/engine.h, run
+// serially: per-vertex inbox vectors, an unordered_map index per partition,
+// messages dropped at delivery when the receiver is unknown or removed. The
+// engine must match it in compute order, message order, vertex mutations
+// and every SuperstepStats field.
+
+template <typename VertexT>
+struct RefContext {
+  using Message = typename VertexT::Message;
+
+  uint32_t superstep() const { return step; }
+  uint32_t num_workers() const { return workers; }
+  uint32_t worker_id() const { return worker; }
+  uint64_t num_vertices() const { return n_vertices; }
+  void SendTo(uint64_t dst, Message msg) {
+    ++ops;
+    const uint32_t part = PartitionOf(dst, workers);
+    if constexpr (pregel_internal::HasCombiner<VertexT>::value) {
+      auto [it, inserted] = combine[part].try_emplace(dst, outbox[part].size());
+      if (!inserted) {
+        VertexT::Combiner::Combine(outbox[part][it->second].second, msg);
+        return;
+      }
+    }
+    outbox[part].emplace_back(dst, msg);
+  }
+  void VoteToHalt() { current->halted = true; }
+  void RemoveSelf() { current->removed = current->halted = true; }
+  void AddVertex(VertexT v) { additions.push_back(std::move(v)); }
+  void Aggregate(int slot, uint64_t delta) { agg[slot] += delta; }
+  uint64_t PrevAggregate(int slot) const { return prev_agg[slot]; }
+
+  uint32_t step = 0, workers = 0, worker = 0;
+  uint64_t n_vertices = 0, ops = 0;
+  VertexT* current = nullptr;
+  std::array<uint64_t, kNumAggregatorSlots> agg{}, prev_agg{};
+  std::vector<std::vector<std::pair<uint64_t, Message>>> outbox;
+  std::vector<std::unordered_map<uint64_t, size_t>> combine;
+  std::vector<VertexT> additions;
+};
+
+template <typename VertexT>
+RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
+                      uint32_t max_supersteps) {
+  using Message = typename VertexT::Message;
+  const uint32_t W = graph.num_workers();
+  std::vector<std::unordered_map<uint64_t, uint32_t>> index(W);
+  std::vector<std::vector<std::vector<Message>>> inbox(W);
+  std::vector<std::vector<uint8_t>> scheduled(W);
+  std::vector<std::vector<uint32_t>> compute_list(W);
+  for (uint32_t p = 0; p < W; ++p) {
+    const auto& vertices = graph.partition(p).vertices;
+    for (uint32_t i = 0; i < vertices.size(); ++i) {
+      index[p].emplace(vertices[i].id, i);
+      compute_list[p].push_back(i);
+    }
+    inbox[p].resize(vertices.size());
+    scheduled[p].assign(vertices.size(), 1);
+  }
+  RunStats stats;
+  std::array<uint64_t, kNumAggregatorSlots> prev_agg{};
+  for (uint32_t step = 0; step < max_supersteps; ++step) {
+    std::vector<RefContext<VertexT>> ctxs(W);
+    std::vector<std::vector<uint32_t>> next_list(W);
+    SuperstepStats ss;
+    ss.superstep = step;
+    const uint64_t n_vertices = graph.size();
+    for (uint32_t p = 0; p < W; ++p) {
+      RefContext<VertexT>& ctx = ctxs[p];
+      ctx.step = step;
+      ctx.workers = W;
+      ctx.worker = p;
+      ctx.n_vertices = n_vertices;
+      ctx.prev_agg = prev_agg;
+      ctx.outbox.resize(W);
+      ctx.combine.resize(W);
+      for (uint32_t i : compute_list[p]) {
+        scheduled[p][i] = 0;
+        VertexT& v = graph.partition(p).vertices[i];
+        if (v.removed) continue;
+        std::vector<Message>& msgs = inbox[p][i];
+        if (v.halted && msgs.empty()) continue;
+        v.halted = false;
+        ++ss.active_vertices;
+        ctx.current = &v;
+        ctx.ops += 1 + msgs.size();
+        v.Compute(ctx, std::span<const Message>(msgs));
+        msgs.clear();
+        if (!v.halted && !v.removed && scheduled[p][i] == 0) {
+          scheduled[p][i] = 1;
+          next_list[p].push_back(i);
+        }
+      }
+    }
+    prev_agg.fill(0);
+    for (uint32_t p = 0; p < W; ++p) {
+      uint64_t sent = 0;
+      for (const auto& box : ctxs[p].outbox) sent += box.size();
+      ss.messages_sent += sent;
+      ss.message_bytes += sent * sizeof(Message);
+      ss.compute_ops += ctxs[p].ops;
+      ss.worker_messages.push_back(sent);
+      ss.worker_bytes.push_back(sent * sizeof(Message));
+      ss.worker_ops.push_back(ctxs[p].ops);
+      for (int s = 0; s < kNumAggregatorSlots; ++s) {
+        prev_agg[s] += ctxs[p].agg[s];
+      }
+    }
+    const uint64_t staged = ss.messages_sent;
+    stats.supersteps.push_back(ss);
+    for (uint32_t p = 0; p < W; ++p) {
+      for (VertexT& v : ctxs[p].additions) {
+        const uint32_t d = PartitionOf(v.id, W);
+        const auto n = static_cast<uint32_t>(inbox[d].size());
+        index[d].emplace(v.id, n);
+        graph.AddToPartition(d, std::move(v));
+        inbox[d].emplace_back();
+        scheduled[d].push_back(1);
+        next_list[d].push_back(n);
+      }
+    }
+    for (uint32_t d = 0; d < W; ++d) {
+      for (uint32_t src = 0; src < W; ++src) {
+        for (auto& [dst_id, msg] : ctxs[src].outbox[d]) {
+          auto it = index[d].find(dst_id);
+          if (it == index[d].end()) continue;
+          if (graph.partition(d).vertices[it->second].removed) continue;
+          inbox[d][it->second].push_back(msg);
+          if (scheduled[d][it->second] == 0) {
+            scheduled[d][it->second] = 1;
+            next_list[d].push_back(it->second);
+          }
+        }
+      }
+    }
+    compute_list = std::move(next_list);
+    bool any_scheduled = false;
+    for (const auto& list : compute_list) any_scheduled |= !list.empty();
+    if (staged == 0 && !any_scheduled) break;
+  }
+  return stats;
+}
+
+// Per logical worker, one entry per Compute call: (superstep, id, graph
+// size, previous aggregates, then (from, seq, tag) of every message).
+using TraceLog = std::vector<std::vector<std::vector<uint64_t>>>;
+
+struct TraceMessage {
+  uint64_t from = 0;
+  uint32_t seq = 0;
+  uint32_t tag = 0;
+};
+
+constexpr uint64_t kUnknownIdBase = 1ull << 62;  // Never a vertex id.
+constexpr uint64_t kFreshIdBit = 1ull << 63;     // Ids of added vertices.
+constexpr uint32_t kTraceActiveSteps = 10;       // Then everyone winds down.
+
+// A vertex program that exercises every Context call from a seeded RNG
+// keyed on (seed, vertex state, superstep), so the same run reproduces on
+// any engine, worker count and thread count. It logs every Compute call.
+template <typename Self>
+struct TraceVertexBase {
+  using Message = TraceMessage;
+  uint64_t id = 0;
+  bool halted = false;
+  bool removed = false;
+  std::vector<uint64_t> nbrs;
+  uint64_t acc = 0;  // Folds in everything the vertex received.
+  uint32_t computes = 0;
+  uint32_t sent = 0;
+  TraceLog* log = nullptr;
+
+  auto Fields() const {
+    return std::tie(id, halted, removed, nbrs, acc, computes, sent);
+  }
+
+  template <typename Ctx>
+  void Compute(Ctx& ctx, std::span<const TraceMessage> msgs) {
+    const uint32_t step = ctx.superstep();
+    std::vector<uint64_t> entry = {step, id, ctx.num_vertices(),
+                                   ctx.PrevAggregate(0), ctx.PrevAggregate(1)};
+    for (const TraceMessage& m : msgs) {
+      entry.insert(entry.end(), {m.from, m.seq, m.tag});
+      acc = HashCombine(acc, HashCombine(m.from, (uint64_t{m.seq} << 32) |
+                                                     m.tag));
+    }
+    (*log)[ctx.worker_id()].push_back(std::move(entry));
+    ++computes;
+    Rng rng(HashCombine(HashCombine(acc, id), step));
+    ctx.Aggregate(0, 1);
+    ctx.Aggregate(1, msgs.size());
+    if (step >= kTraceActiveSteps) {
+      ctx.VoteToHalt();
+      return;
+    }
+    const double p = 0.7 * (kTraceActiveSteps - step) / kTraceActiveSteps;
+    auto send = [&](uint64_t dst) {
+      ctx.SendTo(dst, TraceMessage{id, sent++,
+                                   static_cast<uint32_t>(rng.Next())});
+    };
+    for (uint64_t nbr : nbrs) {
+      if (rng.Bernoulli(p)) send(nbr);
+      if (rng.Bernoulli(p / 4)) send(nbr);  // Repeats keep send order.
+    }
+    if (rng.Bernoulli(p / 3)) send(kUnknownIdBase + rng.Below(8));
+    if (rng.Bernoulli(p / 3)) send(id);
+    if (rng.Bernoulli(0.06)) {
+      // The child is added at this barrier, so it receives this message.
+      Self child;
+      child.id = kFreshIdBit | (Mix64(HashCombine(id, step)) >> 2);
+      child.nbrs = {id};
+      if (!nbrs.empty()) child.nbrs.push_back(nbrs[rng.Below(nbrs.size())]);
+      child.log = log;
+      nbrs.push_back(child.id);
+      send(child.id);
+      ctx.AddVertex(std::move(child));
+    }
+    if (rng.Bernoulli(0.04)) {
+      ctx.RemoveSelf();
+    } else if (rng.Bernoulli(0.6)) {
+      ctx.VoteToHalt();
+    }
+  }
+};
+
+struct TraceVertex : TraceVertexBase<TraceVertex> {};
+
+// Same program with an order-sensitive combiner: a combined message keeps
+// the position of the first send to its destination and folds later sends
+// in send order.
+struct CombiningTraceVertex : TraceVertexBase<CombiningTraceVertex> {
+  struct Combiner {
+    static void Combine(TraceMessage& into, const TraceMessage& m) {
+      into.seq = into.seq * 31 + m.seq;
+      into.tag = into.tag * 1000003u + m.tag;
+    }
+  };
+};
+
+// A seeded random graph: some vertices start halted (they compute only
+// when messaged), some start removed (messages to them are dropped).
+template <typename V>
+PartitionedGraph<V> TraceGraph(uint64_t seed, uint32_t workers,
+                               TraceLog* log) {
+  constexpr uint64_t kVertices = 240;
+  Rng rng(seed);
+  std::vector<uint64_t> ids;
+  for (uint64_t i = 0; i < kVertices; ++i) ids.push_back(i * 7919 + seed);
+  PartitionedGraph<V> graph(workers);
+  for (uint64_t id : ids) {
+    V v;
+    v.id = id;
+    v.log = log;
+    const uint64_t degree = rng.Below(5);
+    for (uint64_t e = 0; e < degree; ++e) {
+      v.nbrs.push_back(ids[rng.Below(ids.size())]);
+    }
+    v.halted = rng.Bernoulli(0.2);
+    v.removed = rng.Bernoulli(0.05);
+    graph.Add(std::move(v));
+  }
+  log->assign(workers, {});
+  return graph;
+}
+
+void ExpectSameStats(const RunStats& want, const RunStats& got) {
+  ASSERT_EQ(want.supersteps.size(), got.supersteps.size());
+  for (size_t s = 0; s < want.supersteps.size(); ++s) {
+    const SuperstepStats& a = want.supersteps[s];
+    const SuperstepStats& b = got.supersteps[s];
+    SCOPED_TRACE("superstep " + std::to_string(s));
+    EXPECT_EQ(a.superstep, b.superstep);
+    EXPECT_EQ(a.active_vertices, b.active_vertices);
+    EXPECT_EQ(a.messages_sent, b.messages_sent);
+    EXPECT_EQ(a.message_bytes, b.message_bytes);
+    EXPECT_EQ(a.compute_ops, b.compute_ops);
+    EXPECT_EQ(a.worker_messages, b.worker_messages);
+    EXPECT_EQ(a.worker_bytes, b.worker_bytes);
+    EXPECT_EQ(a.worker_ops, b.worker_ops);
+  }
+}
+
+template <typename V>
+void ExpectEngineMatchesReference(uint64_t seed, uint32_t max_supersteps) {
+  for (uint32_t workers : {1u, 3u, 16u}) {
+    TraceLog want_log;
+    PartitionedGraph<V> want = TraceGraph<V>(seed, workers, &want_log);
+    const RunStats want_stats = ReferenceRun(want, max_supersteps);
+    ASSERT_GT(want_stats.total_messages(), 0u);
+    for (unsigned threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " workers=" + std::to_string(workers) +
+                   " threads=" + std::to_string(threads));
+      TraceLog got_log;
+      PartitionedGraph<V> got = TraceGraph<V>(seed, workers, &got_log);
+      Engine<V> engine({.num_threads = threads,
+                        .max_supersteps = max_supersteps,
+                        .job_name = "trace"});
+      ExpectSameStats(want_stats, engine.Run(got));
+      for (uint32_t p = 0; p < workers; ++p) {
+        const auto& a = want_log[p];
+        const auto& b = got_log[p];
+        ASSERT_EQ(a.size(), b.size()) << "compute calls on worker " << p;
+        for (size_t i = 0; i < a.size(); ++i) {
+          ASSERT_EQ(a[i], b[i]) << "compute call " << i << " on worker " << p;
+        }
+        const auto& va = want.partition(p).vertices;
+        const auto& vb = got.partition(p).vertices;
+        ASSERT_EQ(va.size(), vb.size()) << "vertices on worker " << p;
+        for (size_t i = 0; i < va.size(); ++i) {
+          ASSERT_EQ(va[i].Fields(), vb[i].Fields()) << "slot " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalenceTest, MatchesReferenceEngine) {
+  for (uint64_t seed : {1, 2, 3}) {
+    ExpectEngineMatchesReference<TraceVertex>(seed, 1u << 20);
+  }
+}
+
+TEST(EngineEquivalenceTest, MatchesReferenceEngineWithCombiner) {
+  for (uint64_t seed : {1, 2, 3}) {
+    ExpectEngineMatchesReference<CombiningTraceVertex>(seed, 1u << 20);
+  }
+}
+
+// A job cut by max_supersteps while messages are still in flight.
+TEST(EngineEquivalenceTest, MatchesReferenceEngineWhenCut) {
+  ExpectEngineMatchesReference<TraceVertex>(4, 5);
+}
+
 TEST(ConvertTest, ReshufflesByNewIds) {
   PartitionedGraph<MaxVertex> src(4);
   for (uint64_t id = 0; id < 20; ++id) {
@@ -271,6 +615,26 @@ TEST(ConvertTest, ReshufflesByNewIds) {
       EXPECT_EQ(PartitionOf(v.id, dst.num_workers()), p);
     }
   }
+}
+
+TEST(IdSlotIndexTest, FirstMappingWinsAndClearKeepsWorking) {
+  IdSlotIndex index;
+  EXPECT_EQ(index.Find(7), IdSlotIndex::kAbsent);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    EXPECT_EQ(index.Insert(uint64_t{i} * 16, i), i);  // Same partition bits.
+  }
+  EXPECT_EQ(index.Insert(32, 999), 2u);  // Duplicate keeps the first slot.
+  EXPECT_EQ(index.size(), 1000u);
+  for (uint32_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(index.Find(uint64_t{i} * 16), i);
+  }
+  EXPECT_EQ(index.Find(1), IdSlotIndex::kAbsent);
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Find(32), IdSlotIndex::kAbsent);
+  EXPECT_EQ(index.Insert(32, 5), 5u);
+  EXPECT_EQ(index.Find(32), 5u);
+  EXPECT_EQ(index.Find(48), IdSlotIndex::kAbsent);
 }
 
 }  // namespace
