@@ -66,6 +66,7 @@ void WriteIngestLines(std::ostream& out, const char* mode,
       << " shards=" << s.Get("counting.shards")
       << " threads=" << s.Get("counting.threads")
       << " windows=" << s.Get("counting.windows")
+      << " max_shard_windows=" << s.Get("counting.max_shard_windows")
       << " superkmers=" << s.Get("counting.superkmers")
       << " pass1_bytes=" << s.Get("counting.pass1_bytes")
       << " distinct=" << s.Get("counting.distinct")

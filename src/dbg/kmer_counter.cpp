@@ -260,10 +260,15 @@ class Pass1Scanner {
   }
 
  private:
+  // `hash` is the run's minimizer_hash, the smallest key among the window's
+  // m-mers, so its top bits are heavily skewed toward zero (a window lands
+  // in shard 0 of 8 with probability ~1 - (7/8)^(L-m+1)). Re-mixing it gives
+  // a key that is uniform over shards and still a function of the canonical
+  // minimizer alone, which keeps the routing strand-invariant.
   uint32_t ShardOf(uint64_t hash) const {
     return plan_.shard_shift >= 64
                ? 0
-               : static_cast<uint32_t>(hash >> plan_.shard_shift);
+               : static_cast<uint32_t>(Mix64(hash) >> plan_.shard_shift);
   }
 
   template <typename Sink>

@@ -12,10 +12,13 @@
 //   no cache lines between threads. A chunk holds minimizer-bucketed
 //   super-k-mers — maximal runs of consecutive windows sharing one
 //   Mix64-ordered minimizer, shipped as 2-bit-packed bases behind a varint
-//   length (dna/superkmer.h). Shard = high bits of Mix64(minimizer);
-//   strand-invariant minimizers guarantee every occurrence of a canonical
-//   mer lands in the same shard. A run of w windows costs
-//   ~(w + L - 1)/4 + 1 bytes instead of 8w for one code per window.
+//   length (dna/superkmer.h). Shard = high bits of a re-mixed minimizer
+//   hash, Mix64(Mix64(minimizer)): the ordering key Mix64(minimizer) is a
+//   window minimum whose high bits lean toward zero, so routing by it sends
+//   most windows to shard 0. Strand-invariant minimizers guarantee every
+//   occurrence of a canonical mer lands in the same shard. A run of w
+//   windows costs ~(w + L - 1)/4 + 1 bytes instead of 8w for one code per
+//   window.
 //
 //   Pass 2 (count): each shard owns a disjoint slice of mer space, so the
 //   shards are counted fully independently in parallel, one open-addressing

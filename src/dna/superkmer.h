@@ -22,7 +22,11 @@
 //   * Skew resistance. Minimizers are ordered by Mix64 of the canonical
 //     m-mer code, not lexicographically, so low-complexity sequence (poly-A
 //     runs, which lexicographic minimizers famously pile onto one bucket)
-//     spreads across shards like any other sequence.
+//     picks minimizers like any other sequence. The ordering key is not a
+//     routing key, though: as the smallest of a window's L - m + 1 keys its
+//     high bits lean heavily toward zero. The counter therefore routes a run
+//     by a re-mixed hash of its minimizer (dbg/kmer_counter.cpp, ShardOf),
+//     the way KMC 2 maps signatures to bins in a separate step.
 //
 // The decoder replays a packed run through the same canonical arithmetic as
 // KmerWindow + Kmer::Canonical, so the multiset of canonical window codes is
@@ -64,7 +68,7 @@ struct Superkmer {
   uint32_t base_length = 0;  // bases covered = windows + L - 1
   uint32_t windows = 0;      // L-windows this run replays
   uint64_t minimizer = 0;       // canonical m-mer code shared by the run
-  uint64_t minimizer_hash = 0;  // Mix64(minimizer): the shard routing key
+  uint64_t minimizer_hash = 0;  // Mix64(minimizer): the ordering key
 };
 
 /// Splits reads into super-k-mers. L = mer_length is the counted window

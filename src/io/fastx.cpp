@@ -170,33 +170,37 @@ bool FastxReader::Next(Read* read) {
     // never whitespace to skip. Blank lines are skipped only between
     // records, by the header read above.
     const uint64_t header_line = line_number_;
-    const std::string at_record =
-        " (record at line " + std::to_string(header_line) + ")";
+    // Formatted only on the failure paths: every record passes through
+    // here on the reader thread, which pass 1 can wait on.
+    auto at_record = [header_line] {
+      return " (record at line " + std::to_string(header_line) + ")";
+    };
     read->name = line.substr(1);
     if (!ReadLine(&line)) {
       FailAt(header_line + 1, "truncated FASTQ record: missing sequence line" +
-                                  at_record);
+                                  at_record());
     }
     read->bases = std::move(line);
     if (!ReadLine(&line)) {
       FailAt(header_line + 2,
-             "truncated FASTQ record: missing '+' separator line" + at_record);
+             "truncated FASTQ record: missing '+' separator line" +
+                 at_record());
     }
     if (line.empty() || line[0] != '+') {
       Fail("malformed FASTQ record: expected '+' separator, got " +
            (line.empty() ? std::string("a blank line")
                          : "'" + line.substr(0, 1) + "'") +
-           at_record);
+           at_record());
     }
     if (!ReadLine(&line)) {
       FailAt(header_line + 3,
-             "truncated FASTQ record: missing quality line" + at_record);
+             "truncated FASTQ record: missing quality line" + at_record());
     }
     read->quals = std::move(line);
     if (read->quals.size() != read->bases.size()) {
       Fail("FASTQ quality length (" + std::to_string(read->quals.size()) +
            ") does not match sequence length (" +
-           std::to_string(read->bases.size()) + ")" + at_record);
+           std::to_string(read->bases.size()) + ")" + at_record());
     }
   }
   // With a SIMD level active, classify the bases here on the reader thread

@@ -1,5 +1,7 @@
 #include "obs/report.h"
 
+#include <algorithm>
+
 #include "dbg/kmer_counter.h"
 #include "pregel/stats.h"
 #include "util/cpu.h"
@@ -39,6 +41,13 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
     Set(r, "counting.shards", c.shards);
     Set(r, "counting.threads", c.threads);
     Set(r, "counting.windows", c.total_windows);
+    // Windows of the fullest shard (0 for the serial counter):
+    // max_shard_windows * shards / windows is the pass-2 load skew.
+    uint64_t max_shard_windows = 0;
+    for (uint64_t w : c.shard_windows) {
+      max_shard_windows = std::max(max_shard_windows, w);
+    }
+    Set(r, "counting.max_shard_windows", max_shard_windows);
     Set(r, "counting.superkmers", c.superkmers);
     Set(r, "counting.pass1_bytes", c.shuffled_bytes);
     Set(r, "counting.messages", c.shuffled_messages);

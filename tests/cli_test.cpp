@@ -325,8 +325,9 @@ TEST(AssembleCliRunTest, SpillAlwaysMatchesNeverUnderTinyBudget) {
   EXPECT_NE(always_stats.find("spill: mode=always"), std::string::npos);
   EXPECT_NE(never_stats.find("spill: mode=never"), std::string::npos);
   // Identical counting + assembly metrics.
-  for (const char* key : {"windows", "distinct", "surviving", "n50",
-                          "total_length", "pairs_shuffled"}) {
+  for (const char* key : {"windows", "max_shard_windows", "distinct",
+                          "surviving", "n50", "total_length",
+                          "pairs_shuffled"}) {
     EXPECT_EQ(ReportField(always_stats, key), ReportField(never_stats, key)) << key;
   }
   // The always run really spilled, replayed everything it spilled, and the
@@ -478,6 +479,7 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
       {"ingest.reads", "reads"},
       {"ingest.bases", "bases"},
       {"counting.windows", "windows"},
+      {"counting.max_shard_windows", "max_shard_windows"},
       {"counting.distinct", "distinct"},
       {"counting.surviving", "surviving"},
       {"counting.pass1_bytes", "pass1_bytes"},
@@ -489,6 +491,12 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   for (const auto& [metric, key] : kPairs) {
     EXPECT_EQ(metrics->GetU64(metric), ReportField(stats, key)) << metric;
   }
+  // The fullest shard holds at least the mean share and at most every window.
+  const uint64_t max_shard_windows =
+      metrics->GetU64("counting.max_shard_windows");
+  EXPECT_GE(max_shard_windows * metrics->GetU64("counting.shards"),
+            metrics->GetU64("counting.windows"));
+  EXPECT_LE(max_shard_windows, metrics->GetU64("counting.windows"));
   // The live io.* counters saw the same stream the ingest totals did.
   EXPECT_EQ(metrics->GetU64("io.reads"), ReportField(stats, "reads"));
   EXPECT_EQ(metrics->GetU64("io.bases"), ReportField(stats, "bases"));
@@ -539,6 +547,7 @@ TEST(AssembleCliRunTest, InMemoryModeMatchesStreamingMode) {
   const std::string stream_stats = ReadFile(stream_opts.stats_out);
   const std::string mem_stats = ReadFile(mem_opts.stats_out);
   EXPECT_NE(mem_stats.find("mode=in-memory-serial"), std::string::npos);
+  EXPECT_EQ(ReportField(mem_stats, "max_shard_windows"), 0u);  // no shards
   // The serial oracle counts what the streaming super-k-mer pass 1 counts.
   for (const char* key : {"windows", "distinct", "surviving", "n50"}) {
     EXPECT_EQ(ReportField(stream_stats, key), ReportField(mem_stats, key))

@@ -136,6 +136,45 @@ TEST(KmerCounterTest, ShardedMatchesSerialAcrossShardCounts) {
   }
 }
 
+// Shard routing must spread the windows evenly: the fullest shard carries
+// at most 30% more than the mean, on the batch counter and on a session.
+// Routing by the minimizer's ordering key (the smallest Mix64 among the
+// window's m-mers) would put nearly every window into shard 0. Beyond ~64
+// shards this genome has too few distinct minimizers to balance, so the
+// grid stops at 8.
+TEST(KmerCounterTest, ShardsCarryBalancedWindowLoads) {
+  std::vector<Read> reads = SimulatedReads(20000, 12.0, 0.01, 99);
+  auto expect_balanced = [](const KmerCountStats& stats,
+                            const std::string& where) {
+    ASSERT_EQ(stats.shard_windows.size(), stats.shards) << where;
+    const uint64_t max_windows = *std::max_element(
+        stats.shard_windows.begin(), stats.shard_windows.end());
+    const double mean =
+        static_cast<double>(stats.total_windows) / stats.shards;
+    EXPECT_LE(static_cast<double>(max_windows), 1.3 * mean)
+        << where << " max=" << max_windows << " mean=" << mean;
+  };
+  for (int k : {16, 22, 32}) {
+    for (uint32_t shards : {2u, 8u}) {
+      KmerCountConfig config;
+      config.mer_length = k;
+      config.num_workers = 4;
+      config.num_threads = 2;
+      config.num_shards = shards;
+      const std::string where =
+          "k=" + std::to_string(k) + " shards=" + std::to_string(shards);
+      KmerCountStats batch_stats;
+      CountCanonicalMers(reads, config, &batch_stats);
+      expect_balanced(batch_stats, "batch " + where);
+      CounterSession session(config);
+      session.AddBatch(reads);
+      KmerCountStats session_stats;
+      session.Finish(&session_stats);
+      expect_balanced(session_stats, "session " + where);
+    }
+  }
+}
+
 TEST(KmerCounterTest, CoverageThresholdFiltersBothPathsIdentically) {
   std::vector<Read> reads = SimulatedReads(10000, 15.0, 0.03, 11);
   for (uint32_t theta : {1u, 2u, 5u}) {
