@@ -103,7 +103,6 @@ void WriteWorkerLines(std::ostream& out,
         << " frames_served=" << w.Get("worker.frames_served")
         << " chunk_bytes=" << w.Get("worker.chunk_bytes")
         << " recv_bytes=" << w.Get("worker.bytes_received")
-        << " store_appends=" << w.Get("worker.store_appends")
         << " crc_rejects=" << w.Get("worker.crc_rejects") << '\n';
   }
 }
@@ -282,9 +281,6 @@ std::string AssembleCliUsage() {
       "                      unless scanners outrun them)\n"
       "  --rounds INT        error-correction rounds (default 1)\n"
       "  --labeling lr|sv    contig labeling method (default lr)\n"
-      "  --shuffle sort|hash MapReduce shuffle group-by strategy (default\n"
-      "                      hash; sort is the reference path — both give\n"
-      "                      identical contigs)\n"
       "\n"
       "counting options:\n"
       "  --shards INT        counting shards; 0 = auto\n"
@@ -317,8 +313,7 @@ std::string AssembleCliUsage() {
       "  --shard-workers INT spawn this many local ppa_shard_worker\n"
       "                      processes (unix sockets in a private temp\n"
       "                      dir) and stream counting pass-2 shards to\n"
-      "                      them; with spilling on, shuffle spill chunks\n"
-      "                      also land in the workers' memory. 0 =\n"
+      "                      them; shuffle spill stays on local disk. 0 =\n"
       "                      in-process (default). Identical contigs\n"
       "  --worker-endpoints LIST\n"
       "                      comma-separated endpoints of already-running\n"
@@ -343,11 +338,6 @@ std::string AssembleCliUsage() {
       "                      'kill-worker@chunk=3@worker=0' or\n"
       "                      'seed=7,drop-conn'. Grammar in\n"
       "                      src/net/faultinject.h. Testing only\n"
-      "\n"
-      "streaming options:\n"
-      "  --batch-reads INT   max records per batch (default 1024)\n"
-      "  --batch-bases INT   max bases per batch (default 1 Mbp)\n"
-      "  --queue-depth INT   batches buffered ahead of consumers (default 4)\n"
       "\n"
       "output options:\n"
       "  --contigs PATH      contig FASTA (default contigs.fasta)\n"
@@ -376,9 +366,7 @@ std::string AssembleCliUsage() {
       "                      flight: curl http://host:port/metrics.\n"
       "                      Workers answer GET /metrics on their own\n"
       "                      listen sockets\n"
-      "  --log-level LEVEL   debug|info|warn|error|silent (default warn;\n"
-      "                      wins over --verbose)\n"
-      "  --verbose           info-level logging\n"
+      "  --log-level LEVEL   debug|info|warn|error|silent (default warn)\n"
       "  --help              this text\n";
 }
 
@@ -407,7 +395,7 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
     } else if (arg == "-k" || arg == "--k") {
       if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
       opts->assembler.k = static_cast<int>(v);
-    } else if (arg == "--theta" || arg == "--coverage-threshold") {
+    } else if (arg == "--theta") {
       if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
       opts->assembler.coverage_threshold = static_cast<uint32_t>(v);
     } else if (arg == "--tip-length") {
@@ -434,13 +422,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
         opts->labeling = LabelingMethod::kSimplifiedSv;
       } else {
         *error = "--labeling: expected 'lr' or 'sv', got '" + value + "'";
-        return false;
-      }
-    } else if (arg == "--shuffle") {
-      if (!need_value(i, arg)) return false;
-      const std::string value = argv[++i];
-      if (!ParseShuffleStrategy(value, &opts->assembler.shuffle_strategy)) {
-        *error = "--shuffle: expected 'sort' or 'hash', got '" + value + "'";
         return false;
       }
     } else if (arg == "--shards") {
@@ -492,15 +473,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
       opts->in_memory = true;
     } else if (arg == "--serial-counting") {
       opts->assembler.sharded_kmer_counting = false;
-    } else if (arg == "--batch-reads") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->stream.batch_reads = static_cast<size_t>(v);
-    } else if (arg == "--batch-bases") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->stream.batch_bases = static_cast<size_t>(v);
-    } else if (arg == "--queue-depth") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->stream.queue_depth = static_cast<size_t>(v);
     } else if (arg == "--contigs") {
       if (!need_value(i, arg)) return false;
       opts->contigs_out = argv[++i];
@@ -544,8 +516,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
         return false;
       }
       opts->log_level = value;
-    } else if (arg == "--verbose") {
-      opts->verbose = true;
     } else if (!arg.empty() && arg[0] == '-') {
       *error = "unknown flag '" + arg + "' (see --help)";
       return false;
@@ -608,8 +578,6 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
     LogLevel level = LogLevel::kWarning;
     ParseLogLevel(opts.log_level, &level);  // validated at parse time
     SetLogLevel(level);
-  } else if (opts.verbose) {
-    SetLogLevel(LogLevel::kInfo);
   }
 
   // One registry, one publication, one snapshot: the text report and

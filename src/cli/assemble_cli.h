@@ -31,12 +31,11 @@ struct AssembleCliOptions {
   LabelingMethod labeling = LabelingMethod::kListRanking;
   size_t min_contig = 500;    // QUAST-style assessment cutoff
   bool in_memory = false;     // load all reads, use the in-memory pipeline
-  bool verbose = false;
 
   // Observability (obs/).
   std::string report_json;    // non-empty: write the machine-readable report
   std::string trace_out;      // non-empty: collect + write a Chrome trace
-  std::string log_level;      // validated at parse time; wins over --verbose
+  std::string log_level;      // validated at parse time; empty = warn
   bool progress = false;      // periodic heartbeat line on stderr
   std::string metrics_listen; // non-empty: serve GET /metrics here mid-run
 };

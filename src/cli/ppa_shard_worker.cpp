@@ -1,10 +1,10 @@
 // ppa_shard_worker: one distributed shard worker process. Listens on an
-// endpoint, serves the counter + record-store services over the framed
-// spill wire format (net/wire.h), and — with --once — exits after its
-// first connection ends, which is how the coordinator tears a spawned
-// fleet down by just closing the sockets. SIGTERM/SIGINT drain gracefully:
-// the in-flight frame completes, connections close, and the process exits
-// 0 — so an orchestrator's routine stop never looks like a crash.
+// endpoint, serves the counter service over the framed spill wire format
+// (net/wire.h), and — with --once — exits after its first connection
+// ends, which is how the coordinator tears a spawned fleet down by just
+// closing the sockets. SIGTERM/SIGINT drain gracefully: the in-flight
+// frame completes, connections close, and the process exits 0 — so an
+// orchestrator's routine stop never looks like a crash.
 #include <csignal>
 #include <cstdlib>
 #include <iostream>

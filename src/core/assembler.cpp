@@ -69,8 +69,6 @@ AssemblyResult Assembler::Run(const char* counting, const DbgStep& build_dbg,
   AssemblyResult result;
   AssemblerOptions options = options_;
   std::unique_ptr<SpillContext> spill_guard = WireSpillContext(&options);
-  // Wired after the spill context so the fleet's depot can take over the
-  // spill store ("spill to cluster memory").
   std::unique_ptr<NetContext> net_guard = WireNetContext(&options);
   // ---- (1) DBG construction. ----------------------------------------------
   PPA_LOG(kInfo) << "k-mer counting: " << counting
@@ -90,8 +88,7 @@ AssemblyResult Assembler::Run(const char* counting, const DbgStep& build_dbg,
   }();
   FinishAssembly(&result, std::move(dbg), options, method);
   RecordSpillSummary(options, &result);
-  // Last: the shuffle spills into the fleet's depot during the phases
-  // above, so only now are the workers' numbers final.
+  // Last, after all data-plane traffic, so the workers' numbers are final.
   if (options.net_context != nullptr) {
     result.worker_telemetry = options.net_context->CollectMetrics();
     result.worker_traces = options.net_context->CollectTraces();

@@ -39,7 +39,8 @@ struct AssemblerOptions {
 
   // MapReduce shuffle (every grouping operation: DBG construction phase
   // (ii), both contig-merging jobs, bubble filtering). kSort is the
-  // reference path; both produce bit-identical pipeline output.
+  // reference path, set only by tests (shuffle_equivalence_test); both
+  // produce bit-identical pipeline output.
   ShuffleStrategy shuffle_strategy = ShuffleStrategy::kHash;
 
   // External spill (spill/spill.h): ppa_assemble --spill-mode/--spill-dir/
@@ -62,9 +63,9 @@ struct AssemblerOptions {
   // --worker-endpoints. shard_workers spawns that many local
   // ppa_shard_worker processes; worker_endpoints connects to an
   // already-running fleet instead (and wins when both are set). The fleet
-  // takes the counter's pass-2 shards, and — when spilling is also on —
-  // the shuffle's spill destinations ("spill to cluster memory"). All
-  // configurations produce bit-identical contigs.
+  // takes the counter's pass-2 shards; shuffle spill always stays on the
+  // local spill directory. All configurations produce bit-identical
+  // contigs.
   uint32_t shard_workers = 0;        // 0 = in-process (no fleet)
   std::string worker_endpoints;      // comma-separated specs, see net/wire.h
   std::string worker_binary;         // spawn override; empty = next to argv0
@@ -109,18 +110,12 @@ inline std::unique_ptr<SpillContext> WireSpillContext(
 /// distribution is requested and no fleet was injected, the processes are
 /// spawned/connected once for the whole run and every operation shares
 /// them through options->net_context. The returned guard owns the fleet
-/// (shutdown + reap on destruction). When a spill context is also wired,
-/// its record store is repointed at the fleet's in-memory depot, so
-/// shuffle spill chunks land in cluster memory instead of local disk.
-/// Throws std::runtime_error when the fleet cannot be reached. Mirrors
-/// WireSpillContext — keep both call sites on these helpers.
+/// (shutdown + reap on destruction). Throws std::runtime_error when the
+/// fleet cannot be reached. Mirrors WireSpillContext — keep both call sites
+/// on these helpers.
 inline std::unique_ptr<NetContext> WireNetContext(AssemblerOptions* options) {
   if (options->net_context != nullptr ||
       (options->shard_workers == 0 && options->worker_endpoints.empty())) {
-    if (options->net_context != nullptr &&
-        options->spill_context != nullptr) {
-      options->spill_context->store = options->net_context->depot();
-    }
     return nullptr;
   }
   NetConfig config;
@@ -137,9 +132,6 @@ inline std::unique_ptr<NetContext> WireNetContext(AssemblerOptions* options) {
   config.arm_trace = obs::TraceEnabled();
   std::unique_ptr<NetContext> context = MakeNetContext(config);
   options->net_context = context.get();
-  if (context != nullptr && options->spill_context != nullptr) {
-    options->spill_context->store = context->depot();
-  }
   return context;
 }
 

@@ -220,7 +220,7 @@ class CounterSession {
   /// be called exactly once, after all AddBatch callers have finished.
   /// With spilling enabled this is where spilled chunks are read back
   /// shard-locally; a failed spill write or a corrupt readback throws
-  /// std::runtime_error with the store's diagnostic.
+  /// std::runtime_error with the spill manager's diagnostic.
   MerCounts Finish(KmerCountStats* stats = nullptr);
 
  private:

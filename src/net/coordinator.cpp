@@ -321,150 +321,6 @@ void WorkerClient::ReceiveLoop() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// RemoteRecordStore
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// RecordSource over an already-fetched record list (the store pulls the
-/// whole remote file in one exchange). A fetch error makes the source
-/// yield nothing and report !ok(), so partial data is never consumed.
-class FetchedRecordSource : public RecordSource {
- public:
-  FetchedRecordSource(std::vector<std::vector<uint8_t>> records,
-                      std::string error)
-      : records_(std::move(records)), error_(std::move(error)) {}
-
-  bool Next(std::vector<uint8_t>* payload) override {
-    if (!error_.empty() || pos_ >= records_.size()) return false;
-    *payload = std::move(records_[pos_++]);
-    ++returned_;
-    bytes_read_ += payload->size();
-    return true;
-  }
-  bool ok() const override { return error_.empty(); }
-  const std::string& error() const override { return error_; }
-  uint64_t records() const override { return returned_; }
-  uint64_t bytes_read() const override { return bytes_read_; }
-
- private:
-  std::vector<std::vector<uint8_t>> records_;
-  size_t pos_ = 0;
-  uint64_t returned_ = 0;
-  uint64_t bytes_read_ = 0;
-  std::string error_;
-};
-
-}  // namespace
-
-RemoteRecordStore::RemoteRecordStore(std::vector<WorkerClient*> clients)
-    : clients_(std::move(clients)) {
-  PPA_CHECK(!clients_.empty());
-}
-
-uint32_t RemoteRecordStore::NewFile(const std::string& name) {
-  uint32_t id = 0;
-  uint32_t owner = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    id = static_cast<uint32_t>(files_.size());
-    owner = id % static_cast<uint32_t>(clients_.size());
-    files_.push_back(File{name, owner});
-  }
-  std::vector<uint8_t> body;
-  PutVarint64(&body, id);
-  body.insert(body.end(), name.begin(), name.end());
-  // Unacknowledged: frames on one connection are ordered, so the open is
-  // processed before any append that references it.
-  clients_[owner]->SendControl(MsgType::kStoreOpen, body);
-  return id;
-}
-
-void RemoteRecordStore::Append(uint32_t file, std::vector<uint8_t> payload,
-                               std::function<void()> done) {
-  uint32_t owner = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PPA_CHECK(file < files_.size());
-    owner = files_[file].owner;
-  }
-  std::vector<uint8_t> body;
-  PutVarint64(&body, file);
-  body.insert(body.end(), payload.begin(), payload.end());
-  clients_[owner]->SendData(MsgType::kStoreAppend, std::move(body),
-                            std::move(done));
-}
-
-bool RemoteRecordStore::Sync() {
-  // In-order acks mean a sync round trip proves every prior append on that
-  // connection landed and ran its completion callback — the same barrier
-  // SpillManager::Sync gives the shuffle before readback.
-  bool ok = true;
-  for (WorkerClient* client : clients_) {
-    ok = client->Exchange(MsgType::kStoreSync, {}, MsgType::kStoreSyncOk,
-                          [](const Frame& frame) {
-                            return frame.type == MsgType::kStoreSyncOk;
-                          }) &&
-         ok;
-  }
-  return ok;
-}
-
-std::unique_ptr<RecordSource> RemoteRecordStore::OpenSource(uint32_t file) {
-  uint32_t owner = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PPA_CHECK(file < files_.size());
-    owner = files_[file].owner;
-  }
-  WorkerClient* client = clients_[owner];
-  std::vector<uint8_t> body;
-  PutVarint64(&body, file);
-  std::vector<std::vector<uint8_t>> records;
-  uint64_t declared = 0;
-  bool saw_done = false;
-  const bool ok = client->Exchange(
-      MsgType::kStoreRead, body, MsgType::kStoreReadDone,
-      [&](const Frame& frame) {
-        if (frame.type == MsgType::kStoreRecord) {
-          records.push_back(frame.body);
-          return true;
-        }
-        if (frame.type != MsgType::kStoreReadDone) return false;
-        size_t pos = 0;
-        saw_done = GetVarint64(frame.body.data(), frame.body.size(), &pos,
-                               &declared);
-        return saw_done;
-      });
-  std::string error;
-  if (!ok || !saw_done) {
-    error = client->error();
-    if (error.empty()) error = "read of " + Describe(file) + " failed";
-  } else if (declared != records.size()) {
-    error = Describe(file) + " returned " + std::to_string(records.size()) +
-            " records but declared " + std::to_string(declared);
-  }
-  return std::make_unique<FetchedRecordSource>(std::move(records),
-                                               std::move(error));
-}
-
-std::string RemoteRecordStore::Describe(uint32_t file) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (file >= files_.size()) return "store file #" + std::to_string(file);
-  const File& f = files_[file];
-  return "store file #" + std::to_string(file) + " ('" + f.name +
-         "' on worker '" + clients_[f.owner]->endpoint() + "')";
-}
-
-std::string RemoteRecordStore::error() const {
-  for (WorkerClient* client : clients_) {
-    std::string e = client->error();
-    if (!e.empty()) return e;
-  }
-  return "";
-}
-
 }  // namespace net
 
 // ---------------------------------------------------------------------------
@@ -557,7 +413,6 @@ void NetContext::StopLiveness() {
 
 NetContext::~NetContext() {
   StopLiveness();
-  depot_.reset();
   for (auto& client : clients_) {
     if (client != nullptr && !client->failed()) {
       client->SendControl(net::MsgType::kShutdown, {});
@@ -704,8 +559,6 @@ std::unique_ptr<NetContext> MakeNetContext(const NetConfig& config) {
         config.endpoints + ")";
   }
 
-  std::vector<net::WorkerClient*> raw;
-  raw.reserve(specs.size());
   for (const std::string& spec : specs) {
     net::WorkerClient::Options opts;
     opts.endpoint = spec;
@@ -716,9 +569,7 @@ std::unique_ptr<NetContext> MakeNetContext(const NetConfig& config) {
     // The client constructor throws on connect/handshake failure; the
     // partially built context then tears down whatever was spawned.
     ctx->clients_.push_back(std::make_unique<net::WorkerClient>(opts));
-    raw.push_back(ctx->clients_.back().get());
   }
-  ctx->depot_ = std::make_unique<net::RemoteRecordStore>(raw);
   ctx->StartLiveness(config.io_timeout_ms);
   return ctx;
 }

@@ -1,10 +1,9 @@
 // Coordinator side of distributed execution: per-worker framed clients
-// with windowed flow control, a RecordStore that lives in the workers'
-// memory, and the NetContext that owns the fleet (spawning local worker
-// processes or connecting to given endpoints).
+// with windowed flow control, and the NetContext that owns the fleet
+// (spawning local worker processes or connecting to given endpoints).
 //
-// Flow control: the two data-plane messages (kCounterChunk, kStoreAppend)
-// are acknowledged by the worker in order. WorkerClient admits a send only
+// Flow control: the one data-plane message, kCounterChunk, is
+// acknowledged by the worker in order. WorkerClient admits a send only
 // while the unacknowledged bytes stay under a per-worker window, so a slow
 // worker backpressures its producers the same way MemoryBudget does — and
 // the caller's completion callback runs when the ack arrives, which is how
@@ -35,7 +34,6 @@
 #include "net/wire.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "spill/spill.h"
 
 namespace ppa {
 namespace net {
@@ -85,7 +83,8 @@ class WorkerClient {
   /// feeds every response frame to `visit` until one of type `end` (which
   /// is also visited). `visit` returns false to reject a frame, which
   /// fails the client. Exchanges from different threads are serialized
-  /// internally (the store runs them from pool threads).
+  /// internally, so one request's responses never interleave with
+  /// another's.
   bool Exchange(MsgType type, const std::vector<uint8_t>& body, MsgType end,
                 const std::function<bool(const Frame&)>& visit);
 
@@ -160,34 +159,6 @@ class WorkerClient {
   std::mutex request_mu_;
 };
 
-/// RecordStore whose files live in the workers' memory: file id -> worker
-/// id % N. Appends are acknowledged (windowed per client); Sync barriers
-/// every worker, which — acks being in-order on each connection — proves
-/// every prior append landed and its completion callback ran. OpenSource
-/// fetches the whole file back eagerly and serves it from memory.
-class RemoteRecordStore : public RecordStore {
- public:
-  explicit RemoteRecordStore(std::vector<WorkerClient*> clients);
-
-  uint32_t NewFile(const std::string& name) override;
-  void Append(uint32_t file, std::vector<uint8_t> payload,
-              std::function<void()> done) override;
-  bool Sync() override;
-  std::unique_ptr<RecordSource> OpenSource(uint32_t file) override;
-  std::string Describe(uint32_t file) const override;
-  std::string error() const override;
-
- private:
-  struct File {
-    std::string name;
-    uint32_t owner = 0;  // index into clients_
-  };
-
-  std::vector<WorkerClient*> clients_;
-  mutable std::mutex mu_;
-  std::deque<File> files_;  // deque: stable refs while appends run
-};
-
 }  // namespace net
 
 /// How to reach (or create) the worker fleet.
@@ -216,10 +187,10 @@ struct NetConfig {
   bool arm_trace = false;
 };
 
-/// The connected fleet. Owns the clients, the remote record depot, and any
-/// processes it spawned; the destructor shuts the workers down (kShutdown
-/// + connection close), reaps spawned processes (SIGKILL after a grace
-/// period), and removes the socket dir.
+/// The connected fleet. Owns the clients and any processes it spawned; the
+/// destructor shuts the workers down (kShutdown + connection close), reaps
+/// spawned processes (SIGKILL after a grace period), and removes the
+/// socket dir.
 class NetContext {
  public:
   ~NetContext();
@@ -231,7 +202,6 @@ class NetContext {
     return static_cast<uint32_t>(clients_.size());
   }
   net::WorkerClient& client(uint32_t w) { return *clients_[w]; }
-  RecordStore* depot() { return depot_.get(); }
 
   /// First recorded failure across the fleet; "" while healthy.
   std::string error() const;
@@ -259,7 +229,6 @@ class NetContext {
   void StopLiveness();
 
   std::vector<std::unique_ptr<net::WorkerClient>> clients_;
-  std::unique_ptr<net::RemoteRecordStore> depot_;
   std::vector<pid_t> spawned_;
   std::string spawn_dir_;  // owned socket dir; "" when connecting out
   std::string description_;

@@ -62,16 +62,16 @@ bool ChunkJournal::Replay(
       *error = "journal sync failed: " + spill->error();
       return false;
     }
-    std::unique_ptr<RecordSource> source = spill->OpenSource(s.spill_file);
+    SpillReader reader = spill->OpenReader(s.spill_file);
     std::vector<uint8_t> payload;
-    while (source->Next(&payload)) fn(payload);
-    if (!source->ok()) {
-      *error = "journal replay failed: " + source->error();
+    while (reader.Next(&payload)) fn(payload);
+    if (!reader.ok()) {
+      *error = "journal replay failed: " + reader.error();
       return false;
     }
-    if (source->records() != s.spilled_chunks) {
+    if (reader.records() != s.spilled_chunks) {
       *error = "journal replay of shard " + std::to_string(shard) +
-               " read " + std::to_string(source->records()) +
+               " read " + std::to_string(reader.records()) +
                " spilled chunks, expected " +
                std::to_string(s.spilled_chunks);
       return false;

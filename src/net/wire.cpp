@@ -65,13 +65,6 @@ const char* MsgTypeName(MsgType type) {
     case MsgType::kCounterResult: return "counter-result";
     case MsgType::kCounterShard: return "counter-shard";
     case MsgType::kCounterDone: return "counter-done";
-    case MsgType::kStoreOpen: return "store-open";
-    case MsgType::kStoreAppend: return "store-append";
-    case MsgType::kStoreSync: return "store-sync";
-    case MsgType::kStoreSyncOk: return "store-sync-ok";
-    case MsgType::kStoreRead: return "store-read";
-    case MsgType::kStoreRecord: return "store-record";
-    case MsgType::kStoreReadDone: return "store-read-done";
     case MsgType::kAck: return "ack";
     case MsgType::kError: return "error";
     case MsgType::kShutdown: return "shutdown";

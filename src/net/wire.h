@@ -37,10 +37,12 @@ extern const char kNetMagic[8];
 /// kTraceSnapshot), the clock-offset probe (kClockProbe/kClockProbeOk), and
 /// hello flags (below); v5 the single pass-1 chunk format (super-k-mer
 /// records only, no raw-code section, no per-record window offset), which
-/// changes every kChunk body. Coordinator and worker ship together, so the worker
-/// accepts exactly this version: any other hello is refused with one
-/// kError naming both versions, which the coordinator throws.
-constexpr uint32_t kProtocolVersion = 5;
+/// changes every kCounterChunk body; v6 retired the remote record store
+/// (types 9-15), leaving kCounterChunk the only acknowledged data message.
+/// Coordinator and worker ship together, so the worker accepts exactly
+/// this version: any other hello is refused with one kError naming both
+/// versions, which the coordinator throws.
+constexpr uint32_t kProtocolVersion = 6;
 
 /// Hello bodies carry varint(version) + varint(flags).
 constexpr uint64_t kHelloFlagTrace = 1;  // arm the worker's span tracing
@@ -51,10 +53,11 @@ constexpr uint64_t kHelloFlagTrace = 1;  // arm the worker's span tracing
 constexpr uint64_t kMaxFramePayload = 64ULL << 20;
 
 /// Message types. The counter service streams pass-1 chunks per shard and
-/// returns per-(shard, partition) survivor slices; the store service is the
-/// RecordStore surface (remote shuffle spill). kAck flow-controls the two
-/// data-plane messages (kCounterChunk, kStoreAppend): the coordinator keeps
-/// a bounded number of unacked bytes in flight per worker.
+/// returns per-(shard, partition) survivor slices. kAck flow-controls the
+/// one data-plane message, kCounterChunk: the coordinator keeps a bounded
+/// number of unacked bytes in flight per worker. Numbers 9-15 (the retired
+/// record-store messages) stay unassigned, so every surviving frame keeps
+/// its bytes and a worker refuses those type bytes as unknown.
 enum class MsgType : uint8_t {
   kHello = 1,          // c->w: varint(version) varint(flags)
   kHelloOk = 2,        // w->c: varint(version)
@@ -67,13 +70,6 @@ enum class MsgType : uint8_t {
   kCounterShard = 7,   // w->c: varint(shard) varint(chunks) varint(windows)
                        //       varint(distinct)
   kCounterDone = 8,    // w->c: varint(shards reported)
-  kStoreOpen = 9,      // c->w: varint(file id) + name bytes
-  kStoreAppend = 10,   // c->w: varint(file id) + record payload [ack]
-  kStoreSync = 11,     // c->w: empty
-  kStoreSyncOk = 12,   // w->c: empty
-  kStoreRead = 13,     // c->w: varint(file id)
-  kStoreRecord = 14,   // w->c: record payload
-  kStoreReadDone = 15, // w->c: varint(record count)
   kAck = 16,           // w->c: varint(acked body bytes)
   kError = 17,         // w->c: diagnostic text; connection is then dead
   kShutdown = 18,      // c->w: worker process exits after this connection

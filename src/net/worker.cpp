@@ -7,7 +7,6 @@
 
 #include <cerrno>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "dbg/kmer_counter.h"
@@ -35,7 +34,7 @@ bool GetV(const std::vector<uint8_t>& body, size_t* pos, uint64_t* value) {
 }
 
 /// Everything one connection accumulates: the counter bank (after
-/// kCounterOpen) and the in-memory record store files.
+/// kCounterOpen) and which of its shards were already reported.
 struct ConnState {
   std::unique_ptr<ShardCounterBank> bank;
   uint32_t out_workers = 1;
@@ -45,11 +44,6 @@ struct ConnState {
   // chunk replays can land between finishes), so repeating the finish must
   // be idempotent: a shard's results go out exactly once.
   std::vector<bool> reported;
-  struct StoreFile {
-    std::string name;
-    std::vector<std::vector<uint8_t>> records;
-  };
-  std::unordered_map<uint64_t, StoreFile> stores;
 };
 
 /// Sends the kError diagnostic; the caller then drops the connection.
@@ -267,8 +261,6 @@ void ShardWorkerServer::ServeConnection(int fd) {
   obs::Counter* m_chunk_bytes = metrics_.GetCounter("worker.chunk_bytes");
   obs::Counter* m_bytes_received =
       metrics_.GetCounter("worker.bytes_received");
-  obs::Counter* m_store_appends = metrics_.GetCounter("worker.store_appends");
-  obs::Counter* m_store_bytes = metrics_.GetCounter("worker.store_bytes");
   obs::Counter* m_crc_rejects = metrics_.GetCounter("worker.crc_rejects");
   m_connections->Increment();
   {
@@ -433,56 +425,6 @@ void ShardWorkerServer::ServeConnection(int fd) {
           ok = SendCounterResults(conn, state, &err);
           break;
         }
-        case MsgType::kStoreOpen: {
-          uint64_t id = 0;
-          if (!GetV(body, &pos, &id)) {
-            SendError(conn, "malformed store-open");
-            ok = false;
-            break;
-          }
-          ConnState::StoreFile& file = state.stores[id];
-          file.name.assign(body.begin() + pos, body.end());
-          break;
-        }
-        case MsgType::kStoreAppend: {
-          uint64_t id = 0;
-          if (!GetV(body, &pos, &id) ||
-              state.stores.find(id) == state.stores.end()) {
-            SendError(conn, "store-append to an unopened file");
-            ok = false;
-            break;
-          }
-          state.stores[id].records.emplace_back(body.begin() + pos,
-                                                body.end());
-          m_store_appends->Increment();
-          m_store_bytes->Add(body.size() - pos);
-          ok = SendAck(conn, body.size(), &err);
-          break;
-        }
-        case MsgType::kStoreSync: {
-          const std::vector<uint8_t> empty;
-          ok = conn.Send(MsgType::kStoreSyncOk, empty, &err);
-          break;
-        }
-        case MsgType::kStoreRead: {
-          uint64_t id = 0;
-          const auto it = GetV(body, &pos, &id) ? state.stores.find(id)
-                                                : state.stores.end();
-          if (it == state.stores.end()) {
-            SendError(conn, "store-read of an unopened file");
-            ok = false;
-            break;
-          }
-          for (const std::vector<uint8_t>& record : it->second.records) {
-            if (!(ok = conn.Send(MsgType::kStoreRecord, record, &err))) break;
-          }
-          if (ok) {
-            std::vector<uint8_t> done;
-            PutVarint64(&done, it->second.records.size());
-            ok = conn.Send(MsgType::kStoreReadDone, done, &err);
-          }
-          break;
-        }
         case MsgType::kMetricsRequest: {
           // Fold rejects seen so far on this connection in before
           // snapshotting, so the pull reflects this very connection too.
@@ -499,8 +441,11 @@ void ShardWorkerServer::ServeConnection(int fd) {
           ok = false;  // close; with --once the process then exits
           break;
         default:
-          SendError(conn, std::string("unexpected ") +
-                              MsgTypeName(frame.type) + " frame");
+          // Named by its byte: a retired or unassigned type has no name.
+          SendError(conn, "unexpected frame type " +
+                              std::to_string(static_cast<unsigned>(
+                                  frame.type)) +
+                              " (" + MsgTypeName(frame.type) + ")");
           ok = false;
           break;
       }

@@ -1,12 +1,11 @@
 // Shard worker server: the remote end of distributed execution.
 //
-// A worker serves two things over one framed connection (wire.h): the
-// counter service — it owns the pass-2 count tables for every shard whose
-// chunks the coordinator routes to it (dbg/kmer_counter.h's
-// ShardCounterBank) — and the record store service, an in-memory RecordStore
-// the coordinator's shuffle spills into instead of local disk. Both
-// data-plane messages are acknowledged in arrival order, which is what the
-// coordinator's flow-control window and sync barrier are built on.
+// A worker serves the counter service over one framed connection (wire.h):
+// it owns the pass-2 count tables for every shard whose chunks the
+// coordinator routes to it (dbg/kmer_counter.h's ShardCounterBank). Each
+// chunk is acknowledged in arrival order, which is what the coordinator's
+// flow-control window is built on. Telemetry, trace and liveness requests
+// are answered on the same connection.
 //
 // Malformed input (bad frame, bad payload, a chunk whose decoded windows
 // contradict its header) is answered with a kError frame carrying the

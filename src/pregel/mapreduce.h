@@ -120,19 +120,6 @@ inline const char* ShuffleStrategyName(ShuffleStrategy s) {
   return s == ShuffleStrategy::kSort ? "sort" : "hash";
 }
 
-inline bool ParseShuffleStrategy(const std::string& name,
-                                 ShuffleStrategy* out) {
-  if (name == "sort") {
-    *out = ShuffleStrategy::kSort;
-    return true;
-  }
-  if (name == "hash") {
-    *out = ShuffleStrategy::kHash;
-    return true;
-  }
-  return false;
-}
-
 /// Mini MapReduce job configuration.
 struct MapReduceConfig {
   uint32_t num_workers = 16;
@@ -244,8 +231,8 @@ class ShuffleSpill {
     if (context_ == nullptr || context_->mode == SpillMode::kNever) return;
     files_.reserve(num_workers);
     for (uint32_t d = 0; d < num_workers; ++d) {
-      files_.push_back(context_->store->NewFile(job_name + "-dst-" +
-                                                std::to_string(d)));
+      files_.push_back(context_->manager.NewFile(job_name + "-dst-" +
+                                                 std::to_string(d)));
     }
     dst_spilled_ = std::vector<std::atomic<uint64_t>>(num_workers);
   }
@@ -296,8 +283,8 @@ class ShuffleSpill {
       context_->budget.ChargeBlocking(payload.size());
       MemoryBudget* budget = &context_->budget;
       const uint64_t written = payload.size();
-      context_->store->Append(files_[dst], std::move(payload),
-                              [budget, written] { budget->Release(written); });
+      context_->manager.Append(files_[dst], std::move(payload),
+                               [budget, written] { budget->Release(written); });
       return true;
     } else {
       (void)src;
@@ -324,10 +311,9 @@ class ShuffleSpill {
       return out;
     }
     if constexpr (kSpillablePair<K, V>) {
-      std::unique_ptr<RecordSource> reader =
-          context_->store->OpenSource(files_[dst]);
+      SpillReader reader = context_->manager.OpenReader(files_[dst]);
       std::vector<uint8_t> payload;
-      while (reader->Next(&payload)) {
+      while (reader.Next(&payload)) {
         ReadChunk chunk;
         size_t pos = 0;
         uint64_t n = 0;
@@ -342,7 +328,7 @@ class ShuffleSpill {
             (payload.size() - pos) % kPairBytes == 0;
         if (!header_ok) {
           *error = "spill readback failed: malformed shuffle record in " +
-                   context_->store->Describe(files_[dst]);
+                   context_->manager.FilePath(files_[dst]);
           return out;
         }
         chunk.pairs.resize(n);
@@ -357,15 +343,15 @@ class ShuffleSpill {
         readback_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
         out.push_back(std::move(chunk));
       }
-      if (!reader->ok()) {
-        *error = reader->error();
+      if (!reader.ok()) {
+        *error = reader.error();
         return out;
       }
       const uint64_t expected =
           dst_spilled_[dst].load(std::memory_order_relaxed);
       if (out.size() != expected) {
         *error = "spill readback failed: " +
-                 context_->store->Describe(files_[dst]) + " holds " +
+                 context_->manager.FilePath(files_[dst]) + " holds " +
                  std::to_string(out.size()) + " records, expected " +
                  std::to_string(expected);
         return out;
@@ -381,8 +367,8 @@ class ShuffleSpill {
   /// Barriers the writers between map and reduce. Throws on write failure.
   void SyncOrThrow() {
     if (enabled() && spilled_chunks_.load(std::memory_order_relaxed) != 0 &&
-        !context_->store->Sync()) {
-      throw std::runtime_error(context_->store->error());
+        !context_->manager.Sync()) {
+      throw std::runtime_error(context_->manager.error());
     }
   }
 

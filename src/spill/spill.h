@@ -31,9 +31,7 @@
 //
 // Consumers read a shard's records back shard-locally (counter pass 2, the
 // reduce side), so counts, partitions and contigs are bit-identical to the
-// in-memory path, which SpillMode::kNever keeps as the oracle. A spill
-// file is also the serialization format a remote shard would receive in
-// the planned network-endpoint distributed mode.
+// in-memory path, which SpillMode::kNever keeps as the oracle.
 #ifndef PPA_SPILL_SPILL_H_
 #define PPA_SPILL_SPILL_H_
 
@@ -196,47 +194,6 @@ class MemoryBudget {
   uint64_t peak_ = 0;
 };
 
-/// A pull stream of byte records: the read side of a RecordStore. Exhaust
-/// with Next(), then check ok() — corruption and transport errors turn
-/// Next() false with a diagnostic in error(), never a silently short
-/// stream. Single-consumer.
-class RecordSource {
- public:
-  virtual ~RecordSource() = default;
-
-  /// Fills `payload` with the next record; false at end of stream or on
-  /// error (distinguish with ok()).
-  virtual bool Next(std::vector<uint8_t>* payload) = 0;
-
-  virtual bool ok() const = 0;
-  virtual const std::string& error() const = 0;
-  virtual uint64_t records() const = 0;
-  virtual uint64_t bytes_read() const = 0;
-};
-
-/// Destination-addressed record transport: the surface the shuffle and the
-/// counter spill through, implemented by the local spill directory
-/// (SpillManager) and by the distributed coordinator's remote worker depot
-/// (net/coordinator.h). Producers register files, append framed records
-/// (append order per file is preserved), barrier with Sync, then read a
-/// file's records back with OpenSource.
-class RecordStore {
- public:
-  virtual ~RecordStore() = default;
-
-  virtual uint32_t NewFile(const std::string& name) = 0;
-  virtual void Append(uint32_t file, std::vector<uint8_t> payload,
-                      std::function<void()> done) = 0;
-  /// Blocks until every Append so far is durable at its destination.
-  /// Returns false with the diagnostic in error(); never throws.
-  virtual bool Sync() = 0;
-  virtual std::unique_ptr<RecordSource> OpenSource(uint32_t file) = 0;
-  /// Human-readable location of `file` for diagnostics (a path, or a
-  /// worker endpoint + file id).
-  virtual std::string Describe(uint32_t file) const = 0;
-  virtual std::string error() const = 0;
-};
-
 /// Replays one spill file's records in write order.
 ///
 ///   SpillReader reader(path);
@@ -249,10 +206,10 @@ class RecordStore {
 /// magic, CRC mismatch, record length past EOF — turns Next() false with
 /// ok() == false and a path/record/offset diagnostic in error(), so a
 /// consumer can never mistake a damaged file for a short one.
-class SpillReader : public RecordSource {
+class SpillReader {
  public:
   explicit SpillReader(std::string path);
-  ~SpillReader() override;
+  ~SpillReader();
 
   SpillReader(SpillReader&&) noexcept;
   SpillReader& operator=(SpillReader&&) = delete;
@@ -261,12 +218,12 @@ class SpillReader : public RecordSource {
 
   /// Fills `payload` with the next record; false at end of file or on
   /// corruption (distinguish with ok()).
-  bool Next(std::vector<uint8_t>* payload) override;
+  bool Next(std::vector<uint8_t>* payload);
 
-  bool ok() const override { return error_.empty(); }
-  const std::string& error() const override { return error_; }
-  uint64_t records() const override { return records_; }
-  uint64_t bytes_read() const override { return bytes_read_; }
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
+  uint64_t records() const { return records_; }
+  uint64_t bytes_read() const { return bytes_read_; }
 
   /// The 8-byte magic every spill file starts with.
   static const char kMagic[8];
@@ -296,7 +253,7 @@ class SpillReader : public RecordSource {
 /// the destructor on every path — normal completion, early destruction
 /// with writes still queued (they are drained first so `done` callbacks
 /// always run), and stack unwinding.
-class SpillManager : public RecordStore {
+class SpillManager {
  public:
   struct Config {
     std::string parent_dir;      // empty = std::filesystem::temp_directory_path()
@@ -305,42 +262,36 @@ class SpillManager : public RecordStore {
 
   SpillManager();  // defaults: system temp parent, one writer thread
   explicit SpillManager(const Config& config);
-  ~SpillManager() override;
+  ~SpillManager();
 
   SpillManager(const SpillManager&) = delete;
   SpillManager& operator=(const SpillManager&) = delete;
 
   /// Registers a spill file under `name` (sanitized to [A-Za-z0-9._-]).
   /// The file is created on its first Append.
-  uint32_t NewFile(const std::string& name) override;
+  uint32_t NewFile(const std::string& name);
 
   /// Queues one framed record append. `done`, if given, runs on the writer
   /// thread after the record's bytes have been handed to the OS (use it to
   /// release byte accounting). Payloads are moved, never copied.
   void Append(uint32_t file, std::vector<uint8_t> payload,
-              std::function<void()> done = {}) override;
+              std::function<void()> done = {});
 
   /// Blocks until every Append so far is written and flushed. Returns
   /// false (with the diagnostic in error()) if any write failed — never
   /// throws, so it is destructor-safe.
-  bool Sync() override;
+  bool Sync();
 
   /// Opens a reader over `file`'s records in write order. Call Sync()
   /// first; reading a file with queued writes sees a prefix.
   SpillReader OpenReader(uint32_t file) const;
 
-  /// RecordStore read side: OpenReader behind the polymorphic interface.
-  std::unique_ptr<RecordSource> OpenSource(uint32_t file) override {
-    return std::make_unique<SpillReader>(FilePath(file));
-  }
-
-  /// Filesystem path of `file` (tests use this to corrupt records).
+  /// Filesystem path of `file`, for diagnostics (tests also use it to
+  /// corrupt records).
   std::string FilePath(uint32_t file) const;
 
-  std::string Describe(uint32_t file) const override { return FilePath(file); }
-
   const std::string& dir() const { return dir_; }
-  std::string error() const override;
+  std::string error() const;
 
   uint64_t files_written() const;  // files holding >= 1 record
   uint64_t spilled_chunks() const {
@@ -391,22 +342,16 @@ class SpillManager : public RecordStore {
 };
 
 /// The spill wiring one pipeline run shares across the counter and every
-/// MapReduce job: the policy knob, the pipeline-wide budget, and the store.
+/// MapReduce job: the policy knob, the pipeline-wide budget, and the local
+/// spill directory every sealed chunk that leaves memory goes to.
 struct SpillContext {
   SpillMode mode;
   MemoryBudget budget;
   SpillManager manager;
-  /// Where sealed chunks actually go. Defaults to the local spill
-  /// directory (`manager`); the distributed coordinator repoints this at
-  /// the remote worker depot, so shuffle overflow spills to cluster memory
-  /// instead of local disk. The manager still owns the temp directory (a
-  /// harmless empty one in that case).
-  RecordStore* store;
 
   SpillContext(SpillMode mode_in, uint64_t budget_bytes,
                const SpillManager::Config& config)
-      : mode(mode_in), budget(budget_bytes), manager(config),
-        store(&manager) {}
+      : mode(mode_in), budget(budget_bytes), manager(config) {}
 };
 
 /// Builds the context for one run, or nullptr when mode == kNever (the

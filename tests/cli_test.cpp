@@ -42,13 +42,11 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   std::string error;
   ASSERT_TRUE(Parse({"-k", "21", "--theta", "3", "--tip-length", "60",
                      "--bubble-edit", "4", "--workers", "8", "--threads", "2",
-                     "--rounds", "2", "--labeling", "sv", "--shuffle", "sort",
-                     "--shards", "16", "--queue-bytes", "5000", "--spill-mode", "auto",
+                     "--rounds", "2", "--labeling", "sv", "--shards", "16",
+                     "--queue-bytes", "5000", "--spill-mode", "auto",
                      "--memory-budget-bytes", "123456", "--spill-dir",
-                     "/tmp/spill-parent", "--batch-reads", "128",
-                     "--batch-bases", "65536", "--queue-depth", "2",
-                     "--contigs", "c.fasta", "--stats", "s.txt",
-                     "--reference", "r.fasta", "--min-contig", "100",
+                     "/tmp/spill-parent", "--contigs", "c.fasta", "--stats",
+                     "s.txt", "--reference", "r.fasta", "--min-contig", "100",
                      "in.fastq", "in2.fasta"},
                     &opts, &error))
       << error;
@@ -60,15 +58,11 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   EXPECT_EQ(opts.assembler.num_threads, 2u);
   EXPECT_EQ(opts.assembler.error_correction_rounds, 2);
   EXPECT_EQ(opts.labeling, LabelingMethod::kSimplifiedSv);
-  EXPECT_EQ(opts.assembler.shuffle_strategy, ShuffleStrategy::kSort);
   EXPECT_EQ(opts.assembler.kmer_shards, 16u);
   EXPECT_EQ(opts.assembler.kmer_queue_bytes, 5000u);
   EXPECT_EQ(opts.assembler.spill_mode, SpillMode::kAuto);
   EXPECT_EQ(opts.assembler.memory_budget_bytes, 123456u);
   EXPECT_EQ(opts.assembler.spill_dir, "/tmp/spill-parent");
-  EXPECT_EQ(opts.stream.batch_reads, 128u);
-  EXPECT_EQ(opts.stream.batch_bases, 65536u);
-  EXPECT_EQ(opts.stream.queue_depth, 2u);
   EXPECT_EQ(opts.contigs_out, "c.fasta");
   EXPECT_EQ(opts.stats_out, "s.txt");
   EXPECT_EQ(opts.reference, "r.fasta");
@@ -101,9 +95,16 @@ TEST(AssembleCliParseTest, RejectsBadInput) {
   opts = {};
   EXPECT_FALSE(Parse({"--workers", "0", "in.fastq"}, &opts, &error));
   opts = {};
-  EXPECT_FALSE(Parse({"--shuffle", "merge", "in.fastq"}, &opts, &error));
-  EXPECT_NE(error.find("--shuffle"), std::string::npos);
-  opts = {};
+  // Retired flags are refused, never silently accepted.
+  for (const char* removed :
+       {"--coverage-threshold", "--verbose", "--batch-reads", "--batch-bases",
+        "--queue-depth", "--shuffle"}) {
+    EXPECT_FALSE(Parse({removed, "1", "in.fastq"}, &opts, &error)) << removed;
+    EXPECT_NE(error.find(std::string("unknown flag '") + removed + "'"),
+              std::string::npos)
+        << error;
+    opts = {};
+  }
   EXPECT_FALSE(Parse({"--spill-mode", "sometimes", "in.fastq"}, &opts,
                      &error));
   EXPECT_NE(error.find("--spill-mode"), std::string::npos);
@@ -367,7 +368,8 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
     endpoints += options.listen;
   }
 
-  auto run = [&](const std::string& worker_endpoints, const char* tag) {
+  auto run = [&](const std::string& worker_endpoints, const char* tag,
+                 SpillMode spill_mode = SpillMode::kNever) {
     AssembleCliOptions opts;
     opts.inputs = {written[0]};
     opts.contigs_out = TempPath(std::string("hc2_net.") + tag + ".fasta");
@@ -375,22 +377,37 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
     opts.assembler.num_workers = 8;
     opts.assembler.num_threads = 2;
     opts.assembler.worker_endpoints = worker_endpoints;
+    if (spill_mode != SpillMode::kNever) {
+      opts.assembler.spill_mode = spill_mode;
+      opts.assembler.memory_budget_bytes = 262144;
+      opts.assembler.spill_dir = ::testing::TempDir();
+    }
     std::ostringstream out, err;
     EXPECT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
     return opts;
   };
   const AssembleCliOptions local = run("", "local");
   const AssembleCliOptions distributed = run(endpoints, "dist");
+  // A fleet with spilling on: counting goes to the workers, the shuffle
+  // spills to the local spill directory.
+  const AssembleCliOptions dist_spill =
+      run(endpoints, "dist_spill", SpillMode::kAlways);
   for (auto& server : servers) server->Stop();
 
   EXPECT_EQ(SortedContigSeqs(distributed.contigs_out),
             SortedContigSeqs(local.contigs_out));
+  EXPECT_EQ(SortedContigSeqs(dist_spill.contigs_out),
+            SortedContigSeqs(local.contigs_out));
 
   const std::string local_stats = ReadFile(local.stats_out);
   const std::string dist_stats = ReadFile(distributed.stats_out);
+  const std::string dist_spill_stats = ReadFile(dist_spill.stats_out);
   for (const char* key : {"windows", "distinct", "surviving", "n50",
                           "total_length", "pairs_shuffled"}) {
     EXPECT_EQ(ReportField(dist_stats, key), ReportField(local_stats, key)) << key;
+    EXPECT_EQ(ReportField(dist_spill_stats, key),
+              ReportField(local_stats, key))
+        << key;
   }
   EXPECT_NE(dist_stats.find("net: workers=2"), std::string::npos)
       << dist_stats;
@@ -398,6 +415,13 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
       << local_stats;
   EXPECT_GT(ReportField(dist_stats, "chunks"), 0u);
   EXPECT_GT(ReportField(dist_stats, "sent_bytes"), 0u);
+  EXPECT_NE(dist_spill_stats.find("net: workers=2"), std::string::npos)
+      << dist_spill_stats;
+  EXPECT_NE(dist_spill_stats.find("spill: mode=always"), std::string::npos)
+      << dist_spill_stats;
+  EXPECT_GT(ReportField(dist_spill_stats, "spilled_chunks"), 0u);
+  EXPECT_EQ(ReportField(dist_spill_stats, "readback_bytes"),
+            ReportField(dist_spill_stats, "spilled_bytes"));
 }
 
 // The spawned-fleet path: --shard-workers forks real ppa_shard_worker

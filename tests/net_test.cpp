@@ -126,14 +126,14 @@ TEST(FrameConnTest, RoundTripsFramesAndCleanEof) {
   bodies.push_back(std::vector<uint8_t>(200, 0xAB));
   bodies.push_back(std::vector<uint8_t>(1 << 17, 0x5C));  // crosses buffers
   for (const auto& body : bodies) {
-    ASSERT_TRUE(pair.a->Send(MsgType::kStoreRecord, body, &error)) << error;
+    ASSERT_TRUE(pair.a->Send(MsgType::kCounterResult, body, &error)) << error;
   }
   pair.a->Close();
   for (const auto& body : bodies) {
     Frame frame;
     ASSERT_EQ(pair.b->Recv(&frame, &error), FrameConn::RecvResult::kOk)
         << error;
-    EXPECT_EQ(frame.type, MsgType::kStoreRecord);
+    EXPECT_EQ(frame.type, MsgType::kCounterResult);
     EXPECT_EQ(frame.body, body);
   }
   Frame frame;
@@ -210,7 +210,7 @@ TEST(FrameConnTest, EverySingleBitFlipIsRejected) {
 
 TEST(FrameConnTest, TruncationMidFrameIsAnErrorNotEof) {
   const std::vector<uint8_t> good =
-      RawFrame(MsgType::kStoreAppend, std::vector<uint8_t>(64, 0x33));
+      RawFrame(MsgType::kCounterChunk, std::vector<uint8_t>(64, 0x33));
   for (size_t keep : {size_t{1}, good.size() / 2, good.size() - 1}) {
     std::vector<uint8_t> cut(good.begin(), good.begin() + keep);
     Frame frame;
@@ -634,20 +634,23 @@ TEST(NetContextTest, NoWorkersAskedReturnsNull) {
 
 // Connects a raw frame connection to a fleet server and completes the
 // magic exchange + kHello offering `offer`. The reply frame lands in
-// `*reply`.
-void RawHello(const std::string& spec, uint64_t offer, Frame* reply) {
+// `*reply`; the connection is handed to `*conn_out` when given, else it
+// closes on return.
+void RawHello(const std::string& spec, uint64_t offer, Frame* reply,
+              std::unique_ptr<FrameConn>* conn_out = nullptr) {
   net::Endpoint endpoint;
   std::string error;
   ASSERT_TRUE(net::ParseEndpoint(spec, &endpoint, &error)) << error;
   int fd = net::ConnectWithRetry(endpoint, 5000, &error);
   ASSERT_GE(fd, 0) << error;
-  FrameConn conn(fd);
-  ASSERT_TRUE(conn.SendMagic(&error)) << error;
+  auto conn = std::make_unique<FrameConn>(fd);
+  ASSERT_TRUE(conn->SendMagic(&error)) << error;
   std::vector<uint8_t> hello;
   PutVarint64(&hello, offer);
-  ASSERT_TRUE(conn.Send(MsgType::kHello, hello, &error)) << error;
-  ASSERT_TRUE(conn.ExpectMagic(&error)) << error;
-  ASSERT_EQ(conn.Recv(reply, &error), FrameConn::RecvResult::kOk) << error;
+  ASSERT_TRUE(conn->Send(MsgType::kHello, hello, &error)) << error;
+  ASSERT_TRUE(conn->ExpectMagic(&error)) << error;
+  ASSERT_EQ(conn->Recv(reply, &error), FrameConn::RecvResult::kOk) << error;
+  if (conn_out != nullptr) *conn_out = std::move(conn);
 }
 
 // Coordinator and worker ship together, so the hello accepts exactly
@@ -714,6 +717,35 @@ TEST(WorkerServerTest, HelloRefusesAnyOtherProtocolVersion) {
   }
   close(listen_fd);
   std::filesystem::remove_all(dir);
+}
+
+// A frame type the worker does not serve — a retired record-store type
+// (9-15) or a byte never assigned — gets one kError naming the byte, then
+// the connection drops.
+TEST(WorkerServerTest, RefusesRetiredAndUnknownFrameTypesByByte) {
+  Fleet fleet(1);  // reuses its server; open more raw connections
+  const std::string spec = fleet.servers[0]->listen_spec();
+  for (const unsigned type_byte : {9u, 15u, 0u, 255u}) {
+    SCOPED_TRACE("type byte " + std::to_string(type_byte));
+    Frame frame;
+    std::unique_ptr<FrameConn> conn;
+    RawHello(spec, net::kProtocolVersion, &frame, &conn);
+    ASSERT_NE(conn, nullptr);
+    ASSERT_EQ(frame.type, MsgType::kHelloOk);
+    std::string error;
+    ASSERT_TRUE(conn->Send(static_cast<MsgType>(type_byte),
+                           std::vector<uint8_t>{}, &error))
+        << error;
+    ASSERT_EQ(conn->Recv(&frame, &error), FrameConn::RecvResult::kOk)
+        << error;
+    ASSERT_EQ(frame.type, MsgType::kError);
+    const std::string text(frame.body.begin(), frame.body.end());
+    EXPECT_NE(text.find("frame type " + std::to_string(type_byte) + " "),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(conn->Recv(&frame, &error), FrameConn::RecvResult::kEof)
+        << error;
+  }
 }
 
 // Garbage after a valid handshake gets a kError frame, then the connection
@@ -970,66 +1002,10 @@ TEST(WorkerProcessTest, SendToClosedPeerFailsWithoutSigpipe) {
   // The first sends may land in the socket buffer; keep pushing until the
   // kernel reports the broken pipe as an error return.
   for (int i = 0; i < 64 && !failed; ++i) {
-    failed = !pair.a->Send(MsgType::kStoreRecord, body, &error);
+    failed = !pair.a->Send(MsgType::kCounterResult, body, &error);
   }
   EXPECT_TRUE(failed);
   EXPECT_FALSE(error.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Remote record store (the shuffle's "spill to cluster memory" path).
-// ---------------------------------------------------------------------------
-
-TEST(RemoteRecordStoreTest, RoundTripsRecordsAcrossWorkers) {
-  Fleet fleet(3);
-  RecordStore* store = fleet.context->depot();
-  const uint32_t kFiles = 7;  // > workers: several files share an owner
-  std::vector<uint32_t> ids;
-  for (uint32_t f = 0; f < kFiles; ++f) {
-    ids.push_back(store->NewFile("shard-" + std::to_string(f)));
-  }
-  std::atomic<int> done_count{0};
-  std::vector<std::vector<std::vector<uint8_t>>> written(kFiles);
-  for (uint32_t f = 0; f < kFiles; ++f) {
-    for (uint32_t r = 0; r < 5 + f; ++r) {
-      std::vector<uint8_t> payload((r * 37) % 256 + 1,
-                                   static_cast<uint8_t>(f * 16 + r));
-      written[f].push_back(payload);
-      store->Append(ids[f], std::move(payload),
-                    [&done_count] { ++done_count; });
-    }
-  }
-  ASSERT_TRUE(store->Sync()) << store->error();
-  // In-order acks: the barrier proves every completion callback ran.
-  int expected_done = 0;
-  for (uint32_t f = 0; f < kFiles; ++f) {
-    expected_done += static_cast<int>(written[f].size());
-  }
-  EXPECT_EQ(done_count.load(), expected_done);
-
-  for (uint32_t f = 0; f < kFiles; ++f) {
-    std::unique_ptr<RecordSource> source = store->OpenSource(ids[f]);
-    ASSERT_NE(source, nullptr);
-    std::vector<std::vector<uint8_t>> got;
-    std::vector<uint8_t> record;
-    while (source->Next(&record)) got.push_back(record);
-    EXPECT_TRUE(source->ok()) << source->error();
-    EXPECT_EQ(got, written[f]) << "file " << f;
-    EXPECT_FALSE(store->Describe(ids[f]).empty());
-  }
-  EXPECT_TRUE(store->error().empty());
-}
-
-TEST(RemoteRecordStoreTest, EmptyFileReadsBackEmpty) {
-  Fleet fleet(1);
-  RecordStore* store = fleet.context->depot();
-  uint32_t id = store->NewFile("empty");
-  ASSERT_TRUE(store->Sync());
-  std::unique_ptr<RecordSource> source = store->OpenSource(id);
-  ASSERT_NE(source, nullptr);
-  std::vector<uint8_t> record;
-  EXPECT_FALSE(source->Next(&record));
-  EXPECT_TRUE(source->ok()) << source->error();
 }
 
 // ---------------------------------------------------------------------------
