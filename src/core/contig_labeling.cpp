@@ -204,10 +204,7 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
                           options.num_threads, "contig-labeling-cycle-sv");
       result.cycle_sv_stats = sv.stats;
       if (stats != nullptr) stats->Add(sv.stats);
-      for (const auto& [id, comp] : sv.component) {
-        result.labels[id] = comp;
-        result.on_cycle[id] = true;
-      }
+      for (const auto& [id, comp] : sv.component) result.labels[id] = comp;
     }
   } else {
     // S-V over the whole unambiguous subgraph: neighbors are the non-end

@@ -45,8 +45,6 @@ inline const char* LabelingMethodName(LabelingMethod m) {
 struct LabelingResult {
   // Node id -> contig label, for every unambiguous node.
   std::unordered_map<uint64_t, uint64_t, IdHash> labels;
-  // Node ids that were found to lie on a cycle of <1-1> vertices.
-  std::unordered_map<uint64_t, bool, IdHash> on_cycle;
   uint64_t num_unambiguous = 0;
   uint64_t num_ambiguous = 0;
   uint64_t num_cycle_vertices = 0;

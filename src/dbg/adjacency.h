@@ -44,8 +44,6 @@ inline Side ComplementSide(Side s) {
   return s == Side::kL ? Side::kH : Side::kL;
 }
 
-inline char SideChar(Side s) { return s == Side::kL ? 'L' : 'H'; }
-
 /// An end of a node's stored (canonical / as-written) sequence.
 enum class NodeEnd : uint8_t {
   k5 = 0,  // 5' end (sequence start)

@@ -7,16 +7,13 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 
 #include "dna/encode_simd.h"
 #include "dna/kmer.h"
 #include "dna/superkmer.h"
-#include "net/coordinator.h"
-#include "net/journal.h"
-#include "net/wire.h"
+#include "net/fleet_counter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spill/spill.h"
@@ -91,7 +88,7 @@ struct Pass1Chunk {
 ///   varint(windows) varint(records) packed super-k-mer records
 ///
 /// Framing (length, CRC) is the spill store's or the wire's job; this is
-/// just the chunk.
+/// just the chunk. ShardCounterBank::AddChunkPayload decodes it.
 std::vector<uint8_t> EncodePass1Chunk(const Pass1Chunk& chunk) {
   std::vector<uint8_t> payload;
   payload.reserve(chunk.SizeBytes() + 2 * 10);
@@ -99,24 +96,6 @@ std::vector<uint8_t> EncodePass1Chunk(const Pass1Chunk& chunk) {
   PutVarint64(&payload, chunk.records);
   payload.insert(payload.end(), chunk.packed.begin(), chunk.packed.end());
   return payload;
-}
-
-bool DecodePass1Chunk(const uint8_t* data, size_t size, Pass1Chunk* chunk) {
-  size_t pos = 0;
-  if (!GetVarint64(data, size, &pos, &chunk->windows)) return false;
-  if (!GetVarint64(data, size, &pos, &chunk->records)) return false;
-  chunk->packed.assign(data + pos, data + size);
-  return true;
-}
-
-/// Replays a chunk's canonical codes into the given consumer — the one
-/// place pass 2 undoes what pass 1 encoded.
-template <typename Fn>
-void ForEachChunkCode(const Pass1Chunk& chunk, int mer_length, Fn&& fn) {
-  // Chunks never leave this process, so a decode failure is a program
-  // invariant violation, not an input error.
-  PPA_CHECK(DecodeSuperkmers(chunk.packed.data(), chunk.packed.size(),
-                             mer_length, fn));
 }
 
 /// One shard's open-addressing (linear probing) count table. Keys are
@@ -225,17 +204,11 @@ class Pass1Scanner {
   void ScanRead(const Read& read, Sink&& sink) {
     bases_ += read.bases.size();
     if (read.bases.empty()) return;
-    // Work from 2-bit codes: the reader thread's pre-classified buffer
-    // when present (io/fastx.cpp fills it under SIMD dispatch), else
-    // classify here — vectorized or scalar per the active dispatch level.
-    const uint8_t* codes;
-    if (read.codes.size() == read.bases.size()) {
-      codes = read.codes.data();
-    } else {
-      codes_.resize(read.bases.size());
-      ClassifyBases(read.bases.data(), read.bases.size(), codes_.data());
-      codes = codes_.data();
-    }
+    // Work from 2-bit codes, classified here (vectorized or scalar per the
+    // active dispatch level) so the reader thread never touches a base.
+    codes_.resize(read.bases.size());
+    ClassifyBases(read.bases.data(), read.bases.size(), codes_.data());
+    const uint8_t* codes = codes_.data();
     sk_scanner_.ScanCodes(codes, read.bases.size(), [&](const Superkmer& sk) {
       const uint32_t s = ShardOf(sk.minimizer_hash);
       Pass1Chunk& chunk = local_[s];
@@ -294,22 +267,9 @@ class Pass1Scanner {
   uint64_t superkmers_ = 0;
 };
 
-/// Pass-2 tail of one shard: keeps every mer counted at least `threshold`
-/// times and routes it to output partition Mix64(code) % W, the routing
-/// phase (ii) consumes. Every counting mode (local tables, degraded-local
-/// replay, and the worker-side ShardCounterBank) filters through here.
-MerCounts FilterAndRoute(const CountTable& table, uint32_t threshold,
-                         uint32_t W) {
-  MerCounts out(W);
-  table.ForEach([&](uint64_t code, uint32_t count) {
-    if (count >= threshold) out[Mix64(code) % W].emplace_back(code, count);
-  });
-  return out;
-}
-
 /// Concatenates the per-shard slices of each output partition in ascending
-/// shard order, one partition per pool task. Local and distributed finishes
-/// both end here, which is what keeps their outputs bit-identical.
+/// shard order, one partition per pool task. Local and fleet sessions both
+/// end here, which is what keeps their outputs bit-identical.
 MerCounts ConcatenatePartitions(std::vector<MerCounts>& shard_out, uint32_t W,
                                 ThreadPool& pool) {
   MerCounts result(W);
@@ -337,60 +297,38 @@ struct CounterSession::Impl {
   uint64_t bound;
   unsigned num_counters;
 
-  // External spill wiring. kNever without a spill context, and for
-  // distributed sessions (their chunks leave the process instead).
+  // External spill wiring. kNever without a spill context, and for fleet
+  // sessions (their chunks leave the process instead).
   SpillContext* spill;
   SpillMode spill_mode = SpillMode::kNever;
   std::vector<uint32_t> spill_file;  // shard -> spill file id
   // Chunks handed to the writer per shard; readback must find exactly this
   // many records. Atomic because scanners spill concurrently.
   std::unique_ptr<std::atomic<uint64_t>[]> shard_spilled;
-  // Serialized record bytes written (encoding runs on the scanners).
+  // Serialized record bytes written (encoding runs on the scanners) and
+  // read back (by Finish's pool tasks).
   std::atomic<uint64_t> spilled_payload_bytes{0};
+  std::atomic<uint64_t> readback_chunks{0};
+  std::atomic<uint64_t> readback_bytes{0};
   // kAuto only: chunk bytes resident in the shard rings. A chunk joins its
   // ring while this stays within bound / 2; past that it is spilled, so the
   // scanners stall on disk bandwidth rather than on counter throughput.
   std::atomic<uint64_t> ring_bytes{0};
 
-  // Distributed wiring (net/coordinator.h). When distributed, the local
-  // tables and counter threads are idle: every sealed chunk ships to its
-  // shard's lease owner and queued_bytes bounds the unacknowledged
-  // in-flight bytes, so the scanners still feel backpressure from slow
-  // workers. A journal failure is recorded here (never thrown — EnqueueNet
-  // runs on pool threads) and surfaces from Finish.
-  NetContext* net;
-  bool distributed;
-  std::vector<uint64_t> shard_net_chunks;  // chunks shipped per shard
-  std::atomic<uint64_t> net_sent_payload_bytes{0};
-  std::atomic<bool> net_failed{false};  // unrecoverable (journal) failure
-  std::string net_error;                // under mu; set before net_failed
+  // Local sessions count every chunk into this bank: shard s's ring chunks
+  // on its counter thread (s % num_counters), its spilled chunks in
+  // Finish's pool task for s. Null for fleet sessions.
+  std::unique_ptr<ShardCounterBank> bank;
 
-  // Fault-tolerance layer. route_mu serializes {ledger, journal append,
-  // lease lookup, send} in EnqueueNet against RecoverLocked, which is what
-  // keeps a journaled-but-unsent chunk from being both replayed by recovery
-  // and then sent again by its scanner. Everything below it is guarded by
-  // route_mu (net_degraded is also read from admission predicates, hence
-  // atomic).
-  std::unique_ptr<net::ChunkJournal> journal;
-  std::mutex route_mu;
-  std::vector<uint32_t> shard_owner;  // current lease; starts at s % N
-  std::vector<bool> worker_live;
-  // One byte per shard, not vector<bool>: the degraded-local pool writes
-  // shard_sealed[s] from parallel workers, and packed bits would make
-  // neighbouring shards share a word.
-  std::vector<uint8_t> shard_sealed;  // results collected and ledger-verified
-  uint32_t live_workers = 0;
-  std::atomic<bool> net_degraded{false};  // fleet exhausted; finish locally
-  uint64_t worker_failures = 0;
-  uint64_t shards_reassigned = 0;
-  uint64_t chunks_replayed = 0;
-
-  // One open-addressing table per shard; tables[s] is touched only by the
-  // counter thread owning shard s (s % num_counters) until Finish.
-  std::vector<CountTable> tables;
+  // Distributed execution (net/fleet_counter.h). Non-null ships every
+  // sealed chunk to the worker fleet, and queued_bytes then bounds the
+  // unacknowledged in-flight bytes, so the scanners still feel
+  // backpressure from slow workers. Reset when Finish returns, which ends
+  // the journal and its budget charge with counting.
+  std::unique_ptr<net::FleetCounter> fleet;
 
   // One lock-free MPSC ring per shard, drained by the counter threads;
-  // empty when none run (kAlways and distributed sessions).
+  // empty when none run (kAlways and fleet sessions).
   std::vector<std::unique_ptr<MpscRing<Pass1Chunk>>> rings;
 
   // Byte admission, one gate for every mode: chunk bytes admitted and not
@@ -407,12 +345,14 @@ struct CounterSession::Impl {
   std::condition_variable not_full;   // admission waits here (backpressure)
   std::condition_variable not_empty;  // counters wait here
 
-  // Per-shard ledgers, written by whoever consumes a chunk: the shard's
-  // counter thread (ring chunks), Finish's readback (spilled chunks), or
-  // EnqueueNet under route_mu (distributed chunks).
-  std::vector<uint64_t> shard_windows;   // windows per shard
-  std::vector<uint64_t> shard_bytes;     // chunk bytes per shard
-  std::vector<uint64_t> shard_messages;  // shipped units per shard
+  // Per-shard ledger of every sealed chunk, tallied as it enters Enqueue
+  // (scanners seal chunks of one shard concurrently, hence atomic).
+  struct ShardLedger {
+    std::atomic<uint64_t> windows{0};
+    std::atomic<uint64_t> bytes{0};     // chunk payload bytes
+    std::atomic<uint64_t> messages{0};  // super-k-mer records
+  };
+  std::unique_ptr<ShardLedger[]> ledger;
 
   std::atomic<uint64_t> total_bases{0};
   std::atomic<uint64_t> total_windows{0};
@@ -422,14 +362,17 @@ struct CounterSession::Impl {
   bool finished = false;
 
   explicit Impl(const KmerCountConfig& cfg, uint64_t max_queued_bytes)
-      : config(cfg), plan(MakePlan(cfg)), spill(cfg.spill), net(cfg.net) {
-    distributed = net != nullptr && net->num_workers() != 0;
-    if (!distributed && spill != nullptr) spill_mode = spill->mode;
+      : config(cfg), plan(MakePlan(cfg)), spill(cfg.spill) {
+    fleet = net::FleetCounter::Open(config, plan.shards, [this] {
+      std::lock_guard<std::mutex> lock(mu);
+      not_full.notify_all();
+    });
+    if (fleet == nullptr && spill != nullptr) spill_mode = spill->mode;
     bound = max_queued_bytes == 0 ? CounterSession::kDefaultMaxQueuedBytes
                                   : max_queued_bytes;
     // A nonzero pipeline memory budget also caps this session's resident
-    // chunk bytes (the budget is the reason to spill at all).
-    if (spill_mode != SpillMode::kNever && spill->budget.budget_bytes() != 0) {
+    // chunk bytes, in every mode (the budget is the reason to spill at all).
+    if (spill != nullptr && spill->budget.budget_bytes() != 0) {
       bound = std::min(bound, spill->budget.budget_bytes());
     }
     // A single flushed chunk (<= flush threshold + one maximal super-k-mer
@@ -438,9 +381,9 @@ struct CounterSession::Impl {
     bound = std::max<uint64_t>(bound,
                                kFlushChunkBytes + kMaxSuperkmerRecordBytes);
     // Under kAlways every chunk goes through disk and is counted at
-    // readback — and distributed chunks are counted by the workers — so
+    // readback — and fleet chunks are counted by the workers — so
     // in-memory counter threads would only ever sleep.
-    num_counters = distributed || spill_mode == SpillMode::kAlways
+    num_counters = fleet != nullptr || spill_mode == SpillMode::kAlways
                        ? 0
                        : std::min<unsigned>(plan.threads, plan.shards);
     if (num_counters > 0) {
@@ -449,46 +392,11 @@ struct CounterSession::Impl {
         rings.push_back(std::make_unique<MpscRing<Pass1Chunk>>(kRingCapacity));
       }
     }
-    tables.reserve(plan.shards);
-    for (uint32_t s = 0; s < plan.shards; ++s) {
-      // Streaming has no per-shard window total to size from; start small
-      // and let the tables grow with the data.
-      tables.emplace_back(1024);
+    if (fleet == nullptr) {
+      bank = std::make_unique<ShardCounterBank>(config.mer_length,
+                                                plan.shards);
     }
-    shard_windows.assign(plan.shards, 0);
-    shard_bytes.assign(plan.shards, 0);
-    shard_messages.assign(plan.shards, 0);
-    shard_net_chunks.assign(plan.shards, 0);
-    if (distributed) {
-      shard_owner.resize(plan.shards);
-      for (uint32_t s = 0; s < plan.shards; ++s) {
-        shard_owner[s] = s % net->num_workers();
-      }
-      worker_live.assign(net->num_workers(), true);
-      shard_sealed.assign(plan.shards, false);
-      live_workers = net->num_workers();
-      // Every chunk is journaled before it is sent, so a dead worker's
-      // shards can be rebuilt on a survivor (or locally). The journal
-      // shares the run's memory budget and spill manager when a spill
-      // context exists; otherwise it caps itself and owns its overflow.
-      net::ChunkJournal::Options jopts;
-      jopts.num_shards = plan.shards;
-      if (spill != nullptr) {
-        jopts.budget = &spill->budget;
-        jopts.spill = &spill->manager;
-      }
-      journal = std::make_unique<net::ChunkJournal>(jopts);
-      // Configure every worker's bank before any chunk can arrive; frames
-      // on one connection are ordered, so no extra round trip is needed.
-      std::vector<uint8_t> open;
-      PutVarint64(&open, static_cast<uint64_t>(config.mer_length));
-      PutVarint64(&open, plan.shards);
-      PutVarint64(&open, config.num_workers);
-      PutVarint64(&open, config.coverage_threshold);
-      for (uint32_t w = 0; w < net->num_workers(); ++w) {
-        net->client(w).SendControl(net::MsgType::kCounterOpen, open);
-      }
-    }
+    ledger = std::make_unique<ShardLedger[]>(plan.shards);
     if (spill_mode != SpillMode::kNever) {
       spill_file.reserve(plan.shards);
       for (uint32_t s = 0; s < plan.shards; ++s) {
@@ -526,12 +434,9 @@ struct CounterSession::Impl {
     waiters.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  // A distributed session stops admitting once the fleet is gone or the
-  // journal failed; never true for local sessions.
-  bool Stopped() const {
-    return net_failed.load(std::memory_order_relaxed) ||
-           net_degraded.load(std::memory_order_relaxed);
-  }
+  // A fleet session stops admitting once the fleet is gone or its journal
+  // failed; never true for local sessions.
+  bool Stopped() const { return fleet != nullptr && fleet->Stopped(); }
 
   // The byte admission every chunk passes. Admits n bytes by CAS when the
   // queued total stays within the bound — or unconditionally when nothing
@@ -578,40 +483,31 @@ struct CounterSession::Impl {
     }
   }
 
-  // Release for distributed chunks. Ack callbacks run on a client's
-  // receive thread and may outlive the scanners, so the release happens
-  // under mu: DrainNetAcks reads the counter under mu, and once it sees
-  // zero no callback is still inside this session.
+  // Release for fleet chunks. Ack callbacks run on a client's receive
+  // thread and may outlive the scanners, so the release happens under mu:
+  // DrainNetAcks reads the counter under mu, and once it sees zero no
+  // callback is still inside this session.
   void ReleaseNet(uint64_t n) {
     std::lock_guard<std::mutex> lock(mu);
     queued_bytes.fetch_sub(n, std::memory_order_relaxed);
     not_full.notify_all();
   }
 
-  void Tally(uint32_t s, const Pass1Chunk& chunk) {
-    shard_windows[s] += chunk.windows;
-    shard_bytes[s] += chunk.SizeBytes();
-    shard_messages[s] += chunk.records;
-  }
-
-  // Counts one chunk into shard s's table. Callers own shard s: its
-  // counter thread, or Finish's pool task for s.
-  void CountChunk(uint32_t s, const Pass1Chunk& chunk) {
-    {
-      PPA_TRACE_SPAN_V("count_chunk", "count", chunk.SizeBytes());
-      ForEachChunkCode(chunk, config.mer_length,
-                       [&](uint64_t code) { tables[s].Add(code); });
-    }
-    Tally(s, chunk);
-  }
-
-  // Every sealed chunk enters here: admission, then the mode's route.
+  // Every sealed chunk enters here: ledger, admission, then the mode's
+  // route.
   void Enqueue(uint32_t s, Pass1Chunk&& chunk) {
-    if (distributed) {
-      EnqueueNet(s, std::move(chunk));
+    const uint64_t n = chunk.SizeBytes();
+    ledger[s].windows.fetch_add(chunk.windows, std::memory_order_relaxed);
+    ledger[s].bytes.fetch_add(n, std::memory_order_relaxed);
+    ledger[s].messages.fetch_add(chunk.records, std::memory_order_relaxed);
+    if (fleet != nullptr) {
+      // The chunk's bytes stay admitted until the worker's ack. Admission
+      // refuses only once the fleet stopped, and then nothing is sent.
+      std::function<void()> done;
+      if (Admit(n)) done = [this, n] { ReleaseNet(n); };
+      fleet->Route(s, EncodePass1Chunk(chunk), std::move(done));
       return;
     }
-    const uint64_t n = chunk.SizeBytes();
     Admit(n);
     if (spill_mode == SpillMode::kAlways ||
         (spill_mode == SpillMode::kAuto && !TakeRingRoom(n))) {
@@ -654,15 +550,22 @@ struct CounterSession::Impl {
                           [this, n] { Release(n); });
   }
 
-  // Drains every ring owned by counter c into its tables. Returns whether
+  // Drains every ring owned by counter c into the bank. Returns whether
   // any chunk was processed.
   bool DrainOwnedRings(unsigned c) {
     bool worked = false;
+    std::string error;
     for (uint32_t s = c; s < plan.shards; s += num_counters) {
       Pass1Chunk chunk;
       while (rings[s]->TryPop(&chunk)) {
         const uint64_t n = chunk.SizeBytes();
-        CountChunk(s, chunk);
+        {
+          PPA_TRACE_SPAN_V("count_chunk", "count", n);
+          // Ring chunks never left this process, so a decode failure is a
+          // broken invariant, not an input error.
+          PPA_CHECK(bank->AddChunk(s, chunk.packed.data(), n, chunk.windows,
+                                   &error));
+        }
         if (spill_mode == SpillMode::kAuto) {
           ring_bytes.fetch_sub(n, std::memory_order_relaxed);
         }
@@ -703,133 +606,6 @@ struct CounterSession::Impl {
     for (auto& t : counters) t.join();
   }
 
-  // Builds the kCounterChunk body for one journal payload of `s`.
-  static std::vector<uint8_t> ChunkBody(uint32_t s,
-                                        const std::vector<uint8_t>& payload) {
-    std::vector<uint8_t> body;
-    body.reserve(payload.size() + 8);
-    PutVarint64(&body, s);
-    body.insert(body.end(), payload.begin(), payload.end());
-    return body;
-  }
-
-  // Requires route_mu. Sweeps the fleet for newly dead workers, moves
-  // their shard leases to survivors, and replays the journal of every
-  // orphaned unsealed shard to its new owner. A dead worker's partial
-  // counts died with its connection (the bank is per-connection state), so
-  // the full-journal rebuild is exact — no chunk is ever counted twice.
-  // Loops because a replay can itself reveal another dead worker; when the
-  // last worker dies the session flips to degraded-local mode instead.
-  void RecoverLocked() {
-    PPA_TRACE_SPAN("net.recover", "net");
-    for (;;) {
-      std::vector<uint32_t> newly_dead;
-      for (uint32_t w = 0; w < net->num_workers(); ++w) {
-        if (worker_live[w] && net->client(w).failed()) {
-          worker_live[w] = false;
-          --live_workers;
-          ++worker_failures;
-          newly_dead.push_back(w);
-          PPA_LOG(kWarning) << "distributed counting: "
-                            << net->client(w).error()
-                            << "; recovering its shards";
-        }
-      }
-      if (newly_dead.empty()) return;
-      if (live_workers == 0) {
-        net_degraded.store(true, std::memory_order_relaxed);
-        PPA_LOG(kWarning) << "distributed counting: every worker is dead; "
-                             "degrading to local counting from the journal";
-        std::lock_guard<std::mutex> lock(mu);
-        not_full.notify_all();
-        return;
-      }
-      std::vector<uint32_t> live;
-      for (uint32_t w = 0; w < net->num_workers(); ++w) {
-        if (worker_live[w]) live.push_back(w);
-      }
-      std::vector<uint32_t> orphaned;
-      for (uint32_t s = 0; s < plan.shards; ++s) {
-        if (worker_live[shard_owner[s]]) continue;
-        shard_owner[s] = live[s % live.size()];
-        // Sealed shards already have their results collected and verified;
-        // the lease only moves so future lookups stay valid.
-        if (shard_sealed[s]) continue;
-        ++shards_reassigned;
-        orphaned.push_back(s);
-      }
-      for (const uint32_t s : orphaned) {
-        if (journal->chunks(s) == 0) continue;
-        PPA_TRACE_SPAN_V("net.replay", "net", journal->chunks(s));
-        net::WorkerClient& client = net->client(shard_owner[s]);
-        uint64_t replayed = 0;
-        std::string jerr;
-        const bool ok = journal->Replay(
-            s,
-            [&](const std::vector<uint8_t>& payload) {
-              std::vector<uint8_t> body = ChunkBody(s, payload);
-              net_sent_payload_bytes.fetch_add(body.size(),
-                                               std::memory_order_relaxed);
-              // No done callback: the original enqueue's accounting was
-              // already settled (acked, or drained by the owner's Fail).
-              client.SendData(net::MsgType::kCounterChunk, std::move(body),
-                              nullptr);
-              ++replayed;
-            },
-            &jerr);
-        chunks_replayed += replayed;
-        if (!ok) {
-          // The journal itself is damaged — that is not recoverable.
-          std::lock_guard<std::mutex> lock(mu);
-          if (!net_failed.load(std::memory_order_relaxed)) {
-            net_error = jerr;
-            net_failed.store(true, std::memory_order_relaxed);
-          }
-          not_full.notify_all();
-          return;
-        }
-      }
-    }
-  }
-
-  // Distributed route: serialize, admit, then — under route_mu — ledger,
-  // journal, and ship the payload to the shard's current lease owner. The
-  // chunk's bytes stay admitted until the worker's ack runs the done
-  // callback. A send failure triggers recovery in place — the chunk is
-  // already journaled, so the failover replay covers it.
-  void EnqueueNet(uint32_t s, Pass1Chunk&& chunk) {
-    const uint64_t n = chunk.SizeBytes();
-    const std::vector<uint8_t> payload = EncodePass1Chunk(chunk);
-    const bool charged = Admit(n);
-    if (net_failed.load(std::memory_order_relaxed)) {
-      if (charged) ReleaseNet(n);
-      return;
-    }
-    std::lock_guard<std::mutex> route_lock(route_mu);
-    Tally(s, chunk);
-    shard_net_chunks[s] += 1;
-    journal->Append(s, payload);
-    if (net_degraded.load(std::memory_order_relaxed)) {
-      // Fleet exhausted (possibly while this thread waited on route_mu):
-      // the journal is the chunk's only consumer now.
-      if (charged) ReleaseNet(n);
-      return;
-    }
-    std::vector<uint8_t> body = ChunkBody(s, payload);
-    net_sent_payload_bytes.fetch_add(body.size(), std::memory_order_relaxed);
-    net::WorkerClient& client = net->client(shard_owner[s]);
-    const bool sent =
-        client.SendData(net::MsgType::kCounterChunk, std::move(body),
-                        [this, n] { ReleaseNet(n); });
-    if (!sent) {
-      // The done callback already ran (SendData runs it exactly once, on
-      // ack or on failure). The chunk is in the journal, so recovery's
-      // replay to the next owner — or the degraded-local finish — will
-      // deliver it.
-      RecoverLocked();
-    }
-  }
-
   // Blocks until every in-flight chunk is acknowledged (or the transport
   // has failed, which drains the acks through the same done callbacks).
   // Required before impl can die: pending callbacks lock this session's
@@ -841,21 +617,21 @@ struct CounterSession::Impl {
     });
   }
 
-  // Replays shard s's spilled chunks into its table. Returns the diagnostic
-  // of a failed or short readback, empty on success.
-  std::string ReadBack(uint32_t s, uint64_t* chunks, uint64_t* bytes) {
+  // Counts shard s's spilled chunks into the bank. Returns the diagnostic
+  // of a failed, malformed or short readback, empty on success.
+  std::string ReadBack(uint32_t s) {
     PPA_TRACE_SPAN("spill.readback", "spill");
     SpillReader reader = spill->manager.OpenReader(spill_file[s]);
     std::vector<uint8_t> payload;
-    Pass1Chunk chunk;
+    std::string error;
     while (reader.Next(&payload)) {
-      if (!DecodePass1Chunk(payload.data(), payload.size(), &chunk)) {
-        return "spill readback failed: malformed Pass1Chunk record in " +
+      PPA_TRACE_SPAN_V("count_chunk", "count", payload.size());
+      if (!bank->AddChunkPayload(s, payload.data(), payload.size(), &error)) {
+        return "spill readback failed: " + error + " in " +
                spill->manager.FilePath(spill_file[s]);
       }
-      CountChunk(s, chunk);
-      ++*chunks;
-      *bytes += payload.size();
+      readback_chunks.fetch_add(1, std::memory_order_relaxed);
+      readback_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
     }
     if (!reader.ok()) return reader.error();
     const uint64_t expected = shard_spilled[s].load();
@@ -870,311 +646,90 @@ struct CounterSession::Impl {
     return "";
   }
 
-  // The stats every mode shares, filled in one place.
-  void FillStats(KmerCountStats* stats, double pass1_seconds,
-                 double pass2_seconds,
-                 const std::vector<uint64_t>& distinct_per_shard,
-                 const MerCounts& result) {
-    *stats = KmerCountStats{};
-    stats->shards = plan.shards;
-    stats->threads = plan.threads;
-    stats->pass1_seconds = pass1_seconds;
-    stats->pass2_seconds = pass2_seconds;
-    stats->total_bases = total_bases.load();
-    stats->total_windows = total_windows.load();
-    for (uint64_t d : distinct_per_shard) stats->distinct_mers += d;
-    for (const auto& part : result) stats->surviving_mers += part.size();
-    for (uint64_t b : shard_bytes) stats->shuffled_bytes += b;
-    stats->minimizer_len = EffectiveMinimizerLen(config);
-    stats->superkmers = total_superkmers.load();
-    stats->shuffled_messages = stats->superkmers;
-    stats->shard_windows = std::move(shard_windows);
-    stats->shard_bytes = std::move(shard_bytes);
-    stats->shard_messages = std::move(shard_messages);
-    stats->peak_queued_bytes = peak_queued_bytes.load();
-    stats->queue_bound_bytes = bound;
-    stats->queue_spin_parks = queue_spin_parks.load();
+  // Local pass 2: reads each shard's spilled chunks back into the bank,
+  // then filters and routes the shard. Readback errors are collected (not
+  // thrown) inside the pool — an exception on a pool worker thread would
+  // terminate the process.
+  std::vector<MerCounts> CountLocal(ThreadPool& pool,
+                                    std::vector<uint64_t>* distinct) {
+    std::vector<std::string> errors(plan.shards);
+    std::vector<MerCounts> shard_out(plan.shards);
+    pool.Run(plan.shards, [&](uint32_t s) {
+      if (spill_mode != SpillMode::kNever && shard_spilled[s].load() != 0) {
+        errors[s] = ReadBack(s);
+        if (!errors[s].empty()) return;
+      }
+      (*distinct)[s] = bank->distinct(s);
+      shard_out[s] = bank->Finalize(s, config.coverage_threshold,
+                                    config.num_workers);
+    });
+    for (const std::string& error : errors) {
+      if (!error.empty()) throw std::runtime_error(error);
+    }
+    return shard_out;
   }
 
-  // Local pass-2 tail: read spilled chunks back shard-locally, then filter,
-  // route and concatenate. Readback errors are collected (not thrown)
-  // inside the pool — an exception on a pool worker thread would terminate
-  // the process.
-  MerCounts FinishLocal(KmerCountStats* stats) {
-    // Barrier the spill writers first: every spilled chunk must be on disk
-    // (and every byte-accounting callback run) before readback starts.
-    if (spill_mode != SpillMode::kNever && !spill->manager.Sync()) {
+  // The pass-2 tail of every mode: barrier what is in flight, count the
+  // shards (locally, or by collecting them from the fleet), concatenate,
+  // and fill the stats in one place.
+  MerCounts Finish(KmerCountStats* stats) {
+    // Every routed chunk must be acked before collection, and every
+    // spilled chunk on disk (its byte-accounting callback run) before
+    // readback.
+    if (fleet != nullptr) {
+      DrainNetAcks();
+    } else if (spill_mode != SpillMode::kNever && !spill->manager.Sync()) {
       throw std::runtime_error(spill->manager.error());
     }
     const double pass1_seconds = wall.Seconds();
     Timer pass2_timer;
     const uint32_t S = plan.shards;
-    ThreadPool pool(plan.threads);
-    std::vector<uint64_t> distinct_per_shard(S, 0);
-    std::vector<uint64_t> readback_chunks(S, 0);
-    std::vector<uint64_t> readback_bytes(S, 0);
-    std::vector<std::string> readback_errors(S);
-    std::vector<MerCounts> shard_out(S);
-    pool.Run(S, [&](uint32_t s) {
-      if (spill_mode != SpillMode::kNever && shard_spilled[s].load() != 0) {
-        readback_errors[s] =
-            ReadBack(s, &readback_chunks[s], &readback_bytes[s]);
-        if (!readback_errors[s].empty()) return;
-      }
-      distinct_per_shard[s] = tables[s].size();
-      shard_out[s] = FilterAndRoute(tables[s], config.coverage_threshold,
-                                    config.num_workers);
-    });
-    for (const std::string& error : readback_errors) {
-      if (!error.empty()) throw std::runtime_error(error);
+    std::vector<uint64_t> windows(S), bytes(S), messages(S);
+    for (uint32_t s = 0; s < S; ++s) {
+      windows[s] = ledger[s].windows.load();
+      bytes[s] = ledger[s].bytes.load();
+      messages[s] = ledger[s].messages.load();
     }
-    MerCounts result = ConcatenatePartitions(shard_out, config.num_workers,
-                                             pool);
+    ThreadPool pool(plan.threads);
+    std::vector<uint64_t> distinct(S, 0);
+    std::vector<MerCounts> shard_out =
+        fleet != nullptr ? fleet->Collect(windows, pool, &distinct)
+                         : CountLocal(pool, &distinct);
+    MerCounts result =
+        ConcatenatePartitions(shard_out, config.num_workers, pool);
     if (stats != nullptr) {
-      FillStats(stats, pass1_seconds, pass2_timer.Seconds(),
-                distinct_per_shard, result);
+      *stats = KmerCountStats{};
+      stats->shards = S;
+      stats->threads = plan.threads;
+      stats->pass1_seconds = pass1_seconds;
+      stats->pass2_seconds = pass2_timer.Seconds();
+      stats->total_bases = total_bases.load();
+      stats->total_windows = total_windows.load();
+      for (uint64_t d : distinct) stats->distinct_mers += d;
+      for (const auto& part : result) stats->surviving_mers += part.size();
+      for (uint64_t b : bytes) stats->shuffled_bytes += b;
+      stats->minimizer_len = EffectiveMinimizerLen(config);
+      stats->superkmers = total_superkmers.load();
+      stats->shuffled_messages = stats->superkmers;
+      stats->shard_windows = std::move(windows);
+      stats->shard_bytes = std::move(bytes);
+      stats->shard_messages = std::move(messages);
+      stats->peak_queued_bytes = peak_queued_bytes.load();
+      stats->queue_bound_bytes = bound;
+      stats->queue_spin_parks = queue_spin_parks.load();
       for (uint32_t s = 0; s < S && spill_mode != SpillMode::kNever; ++s) {
         const uint64_t spilled = shard_spilled[s].load();
         stats->spilled_chunks += spilled;
         if (spilled != 0) ++stats->spill_files;
-        stats->readback_chunks += readback_chunks[s];
-        stats->readback_bytes += readback_bytes[s];
       }
       stats->spilled_bytes = spilled_payload_bytes.load();
+      stats->readback_chunks = readback_chunks.load();
+      stats->readback_bytes = readback_bytes.load();
+      if (fleet != nullptr) fleet->FillStats(stats);
     }
-    return result;
-  }
-
-  // Distributed pass-2 tail: finalize + collect on every worker, reconcile
-  // the per-shard chunk/window ledgers against what this session shipped,
-  // and concatenate the per-(shard, partition) survivor slices with the
-  // local tail's ConcatenatePartitions, which is what makes the
-  // distributed output bit-identical.
-  MerCounts FinishDistributed(KmerCountStats* stats) {
-    const uint32_t S = plan.shards;
-    const uint32_t W = config.num_workers;
-    const uint32_t N = net->num_workers();
-    DrainNetAcks();
-    const double pass1_seconds = wall.Seconds();
-    auto fail = [](const std::string& why) {
-      throw std::runtime_error("distributed counting failed: " + why);
-    };
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (net_failed.load(std::memory_order_relaxed)) fail(net_error);
-    }
-
-    Timer pass2_timer;
-    ThreadPool pool(plan.threads);
-    std::vector<MerCounts> shard_out(S);
-    for (uint32_t s = 0; s < S; ++s) shard_out[s].resize(W);
-    std::vector<uint64_t> distinct_per_shard(S, 0);
-    uint64_t received_bytes = 0;
-    // A shard nothing was routed to has nothing to collect.
-    for (uint32_t s = 0; s < S; ++s) {
-      if (shard_net_chunks[s] == 0) shard_sealed[s] = true;
-    }
-    auto all_sealed = [&] {
-      for (uint32_t s = 0; s < S; ++s) {
-        if (!shard_sealed[s]) return false;
-      }
-      return true;
-    };
-
-    // Collection runs in rounds: recover any dead workers (reassign their
-    // leases, replay their shards' journals to survivors), finalize the
-    // live fleet, and collect until every shard is sealed against the
-    // ledger. A worker that dies mid-collection loses only its unsealed
-    // staging — the next round rebuilds those shards on a new owner. Each
-    // of the N workers can die at most once, so N + 2 rounds bound the
-    // loop; a fleet that somehow keeps failing without shrinking is
-    // refused below rather than spun on.
-    const std::vector<uint8_t> empty;
-    for (uint32_t round = 0; round < N + 2; ++round) {
-      {
-        std::lock_guard<std::mutex> route_lock(route_mu);
-        RecoverLocked();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        if (net_failed.load(std::memory_order_relaxed)) fail(net_error);
-      }
-      if (net_degraded.load(std::memory_order_relaxed)) break;
-      if (all_sealed()) break;
-      // Tell every live worker to finalize before collecting from any, so
-      // their filter/route work overlaps. Workers report each shard at
-      // most once across rounds, so repeats only pick up newly replayed
-      // shards.
-      for (uint32_t w = 0; w < N; ++w) {
-        if (worker_live[w]) {
-          net->client(w).SendControl(net::MsgType::kCounterFinish, empty);
-        }
-      }
-      for (uint32_t w = 0; w < N; ++w) {
-        if (!worker_live[w]) continue;
-        net::WorkerClient& client = net->client(w);
-        const std::string who = "worker '" + client.endpoint() + "' ";
-        // Per-round staging: result slices commit to shard_out only when
-        // the shard's summary arrives and matches the ledger. If the
-        // worker dies first, the staged slices are discarded and the
-        // shard is rebuilt elsewhere from the journal.
-        std::vector<MerCounts> staging(S);
-        bool lost = false;
-        for (bool done = false; !done && !lost;) {
-          net::Frame frame;
-          if (!client.NextResponse(&frame)) {
-            // Lazy failure detection: the next round's recovery sweep
-            // reassigns this worker's unsealed shards.
-            lost = true;
-            break;
-          }
-          received_bytes += frame.body.size() + 1;
-          const uint8_t* data = frame.body.data();
-          const size_t size = frame.body.size();
-          size_t pos = 0;
-          uint64_t sh = 0;
-          switch (frame.type) {
-            case net::MsgType::kCounterResult: {
-              uint64_t part = 0, pairs = 0;
-              if (!GetVarint64(data, size, &pos, &sh) ||
-                  !GetVarint64(data, size, &pos, &part) ||
-                  !GetVarint64(data, size, &pos, &pairs)) {
-                fail(who + "sent a malformed result header");
-              }
-              if (sh >= S || part >= W || shard_sealed[sh] ||
-                  shard_owner[sh] != w) {
-                fail(who + "sent a result for shard " + std::to_string(sh) +
-                     " partition " + std::to_string(part) +
-                     " it does not own");
-              }
-              const size_t kPairBytes = sizeof(uint64_t) + sizeof(uint32_t);
-              if (pairs != (size - pos) / kPairBytes ||
-                  (size - pos) % kPairBytes != 0) {
-                fail(who +
-                     "result pair count disagrees with its payload size");
-              }
-              if (staging[sh].empty()) staging[sh].resize(W);
-              auto& slice = staging[sh][part];
-              slice.reserve(slice.size() + pairs);
-              for (uint64_t i = 0; i < pairs; ++i) {
-                uint64_t code = 0;
-                for (int b = 0; b < 8; ++b) {
-                  code |= static_cast<uint64_t>(data[pos++]) << (8 * b);
-                }
-                uint32_t count = 0;
-                for (int b = 0; b < 4; ++b) {
-                  count |= static_cast<uint32_t>(data[pos++]) << (8 * b);
-                }
-                slice.emplace_back(code, count);
-              }
-              break;
-            }
-            case net::MsgType::kCounterShard: {
-              uint64_t chunks = 0, windows = 0, distinct = 0;
-              if (!GetVarint64(data, size, &pos, &sh) ||
-                  !GetVarint64(data, size, &pos, &chunks) ||
-                  !GetVarint64(data, size, &pos, &windows) ||
-                  !GetVarint64(data, size, &pos, &distinct)) {
-                fail(who + "sent a malformed shard summary");
-              }
-              if (sh >= S || shard_sealed[sh] || shard_owner[sh] != w) {
-                fail(who + "summarized shard " + std::to_string(sh) +
-                     " it does not own");
-              }
-              // Reconcile the ledger: every chunk and window this session
-              // shipped for the shard must have been decoded and counted
-              // by exactly its owner. A live worker answering from a
-              // fully-delivered (or fully-replayed) stream has no excuse
-              // for a mismatch — it means records were lost or doubled,
-              // so the result is refused.
-              if (chunks != shard_net_chunks[sh] ||
-                  windows != shard_windows[sh]) {
-                fail("shard " + std::to_string(sh) +
-                     " ledger mismatch: shipped " +
-                     std::to_string(shard_net_chunks[sh]) + " chunks / " +
-                     std::to_string(shard_windows[sh]) + " windows, " + who +
-                     "counted " + std::to_string(chunks) + " / " +
-                     std::to_string(windows));
-              }
-              if (!staging[sh].empty()) shard_out[sh] = std::move(staging[sh]);
-              distinct_per_shard[sh] = distinct;
-              shard_sealed[sh] = true;
-              break;
-            }
-            case net::MsgType::kCounterDone:
-              done = true;
-              break;
-            default:
-              fail(who + "sent unexpected " +
-                   std::string(net::MsgTypeName(frame.type)) +
-                   " during counter collection");
-          }
-        }
-      }
-    }
-
-    if (net_degraded.load(std::memory_order_relaxed)) {
-      // The whole fleet is gone. The journal holds every chunk ever
-      // routed, so the unsealed shards are rebuilt locally with the exact
-      // in-process pass-2 tail — same tables, same coverage filter, same
-      // partition routing — which keeps the output bit-identical to a
-      // failure-free run.
-      PPA_TRACE_SPAN("net.degraded_local", "net");
-      std::vector<std::string> replay_errors(S);
-      pool.Run(S, [&](uint32_t s) {
-        if (shard_sealed[s]) return;
-        Pass1Chunk chunk;
-        std::string jerr;
-        const bool ok = journal->Replay(
-            s,
-            [&](const std::vector<uint8_t>& payload) {
-              if (!replay_errors[s].empty()) return;
-              if (!DecodePass1Chunk(payload.data(), payload.size(),
-                                    &chunk)) {
-                replay_errors[s] =
-                    "degraded-local replay found a malformed journal chunk "
-                    "for shard " +
-                    std::to_string(s);
-                return;
-              }
-              ForEachChunkCode(chunk, config.mer_length,
-                               [&](uint64_t code) { tables[s].Add(code); });
-            },
-            &jerr);
-        if (!ok && replay_errors[s].empty()) replay_errors[s] = jerr;
-        if (!replay_errors[s].empty()) return;
-        distinct_per_shard[s] = tables[s].size();
-        shard_out[s] =
-            FilterAndRoute(tables[s], config.coverage_threshold, W);
-        shard_sealed[s] = true;
-      });
-      for (const std::string& error : replay_errors) {
-        if (!error.empty()) fail(error);
-      }
-    }
-    if (!all_sealed()) {
-      fail("collection did not converge after repeated worker failures");
-    }
-
-    MerCounts result = ConcatenatePartitions(shard_out, W, pool);
-    if (stats != nullptr) {
-      FillStats(stats, pass1_seconds, pass2_timer.Seconds(),
-                distinct_per_shard, result);
-      stats->distributed_workers = N;
-      for (uint32_t s = 0; s < S; ++s) {
-        stats->net_chunks += shard_net_chunks[s];
-      }
-      stats->net_sent_bytes = net_sent_payload_bytes.load();
-      stats->net_received_bytes = received_bytes;
-      // Quiescent by now: scanners are joined and collection is done, so
-      // the recovery counters have no concurrent writer.
-      stats->worker_failures = worker_failures;
-      stats->shards_reassigned = shards_reassigned;
-      stats->chunks_replayed = chunks_replayed;
-      stats->net_journal_bytes = journal->total_bytes();
-      stats->net_journal_spilled_bytes = journal->spilled_bytes();
-      stats->net_degraded = net_degraded.load(std::memory_order_relaxed);
-    }
+    // The journal's pinned budget charge ends with counting, so phase
+    // (ii)'s shuffle gets the whole budget.
+    fleet.reset();
     return result;
   }
 };
@@ -1194,7 +749,7 @@ CounterSession::~CounterSession() {
   // network chunks hold callbacks that lock this session's state, so they
   // must settle before impl_ dies.
   if (impl_->spill_mode != SpillMode::kNever) impl_->spill->manager.Sync();
-  if (impl_->distributed) impl_->DrainNetAcks();
+  if (impl_->fleet != nullptr) impl_->DrainNetAcks();
 }
 
 void CounterSession::AddBatch(const Read* reads, size_t n) {
@@ -1222,8 +777,7 @@ MerCounts CounterSession::Finish(KmerCountStats* stats) {
   PPA_CHECK(!impl.finished);
   impl.finished = true;
   impl.StopCounters();
-  return impl.distributed ? impl.FinishDistributed(stats)
-                          : impl.FinishLocal(stats);
+  return impl.Finish(stats);
 }
 
 MerCounts CountCanonicalMers(const std::vector<Read>& reads,
@@ -1367,7 +921,7 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
 }
 
 // ---------------------------------------------------------------------------
-// ShardCounterBank: the worker-process side of distributed counting.
+// ShardCounterBank: the one place a chunk becomes table counts.
 // ---------------------------------------------------------------------------
 
 struct ShardCounterBank::Rep {
@@ -1383,6 +937,8 @@ ShardCounterBank::ShardCounterBank(int mer_length, uint32_t num_shards)
   PPA_CHECK(num_shards >= 1);
   rep_->mer_length = mer_length;
   rep_->tables.reserve(num_shards);
+  // Chunks arrive with no per-shard window total to size from; start small
+  // and let the tables grow with the data.
   for (uint32_t s = 0; s < num_shards; ++s) rep_->tables.emplace_back(1024);
   rep_->chunks.assign(num_shards, 0);
   rep_->windows.assign(num_shards, 0);
@@ -1394,44 +950,48 @@ uint32_t ShardCounterBank::num_shards() const {
   return static_cast<uint32_t>(rep_->tables.size());
 }
 
-bool ShardCounterBank::AddChunkPayload(uint32_t shard, const uint8_t* data,
-                                       size_t size, std::string* error) {
+bool ShardCounterBank::AddChunk(uint32_t shard, const uint8_t* records,
+                                size_t size, uint64_t windows,
+                                std::string* error) {
   if (shard >= rep_->tables.size()) {
     *error = "chunk for shard " + std::to_string(shard) + " but the bank has " +
              std::to_string(rep_->tables.size()) + " shards";
     return false;
   }
-  Pass1Chunk chunk;
-  if (!DecodePass1Chunk(data, size, &chunk)) {
-    *error = "malformed Pass1Chunk payload (" + std::to_string(size) +
-             " bytes) for shard " + std::to_string(shard);
-    return false;
-  }
-  // Unlike the in-process ForEachChunkCode, a decode failure here is an
-  // input error (the bytes crossed a socket), so it reports instead of
-  // aborting. A partially counted table is fine: the caller kills the
-  // connection, and the coordinator's ledger reconciliation would reject
-  // the shard anyway.
+  // A partially counted table is fine on failure: the caller drops the
+  // whole count (a worker kills the connection, a session throws).
   CountTable& table = rep_->tables[shard];
   uint64_t decoded = 0;
-  if (!DecodeSuperkmers(chunk.packed.data(), chunk.packed.size(),
-                        rep_->mer_length, [&](uint64_t code) {
-                          table.Add(code);
-                          ++decoded;
-                        })) {
+  if (!DecodeSuperkmers(records, size, rep_->mer_length, [&](uint64_t code) {
+        table.Add(code);
+        ++decoded;
+      })) {
     *error = "malformed super-k-mer bytes in a chunk for shard " +
              std::to_string(shard);
     return false;
   }
-  if (decoded != chunk.windows) {
+  if (decoded != windows) {
     *error = "chunk for shard " + std::to_string(shard) + " declares " +
-             std::to_string(chunk.windows) + " windows but decodes to " +
+             std::to_string(windows) + " windows but decodes to " +
              std::to_string(decoded);
     return false;
   }
   rep_->chunks[shard] += 1;
-  rep_->windows[shard] += chunk.windows;
+  rep_->windows[shard] += windows;
   return true;
+}
+
+bool ShardCounterBank::AddChunkPayload(uint32_t shard, const uint8_t* data,
+                                       size_t size, std::string* error) {
+  size_t pos = 0;
+  uint64_t windows = 0, records = 0;
+  if (!GetVarint64(data, size, &pos, &windows) ||
+      !GetVarint64(data, size, &pos, &records)) {
+    *error = "malformed Pass1Chunk payload (" + std::to_string(size) +
+             " bytes) for shard " + std::to_string(shard);
+    return false;
+  }
+  return AddChunk(shard, data + pos, size - pos, windows, error);
 }
 
 uint64_t ShardCounterBank::chunks(uint32_t shard) const {
@@ -1449,11 +1009,18 @@ uint64_t ShardCounterBank::distinct(uint32_t shard) const {
   return rep_->tables[shard].size();
 }
 
-Partitioned<std::pair<uint64_t, uint32_t>> ShardCounterBank::Finalize(
-    uint32_t shard, uint32_t coverage_threshold, uint32_t num_workers) {
+MerCounts ShardCounterBank::Finalize(uint32_t shard,
+                                     uint32_t coverage_threshold,
+                                     uint32_t num_workers) {
   PPA_CHECK(shard < rep_->tables.size());
   PPA_CHECK(num_workers >= 1);
-  return FilterAndRoute(rep_->tables[shard], coverage_threshold, num_workers);
+  MerCounts out(num_workers);
+  rep_->tables[shard].ForEach([&](uint64_t code, uint32_t count) {
+    if (count >= coverage_threshold) {
+      out[Mix64(code) % num_workers].emplace_back(code, count);
+    }
+  });
+  return out;
 }
 
 }  // namespace ppa

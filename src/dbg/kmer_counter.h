@@ -5,27 +5,30 @@
 // per-logical-worker std::unordered_maps; this subsystem replaces it with
 // the two-pass sharded design proven in k-mer tools such as yak:
 //
-//   Pass 1 (partition): scanner threads cut reads into per-shard chunks and
-//   hand each full chunk to one byte admission (a CAS on the session's
-//   queued-byte counter), then to the shard's lock-free ring — once per
-//   tens of kilobytes, so the per-base hot path takes no locks and shares
-//   no cache lines between threads. A chunk holds minimizer-bucketed
-//   super-k-mers — maximal runs of consecutive windows sharing one
-//   Mix64-ordered minimizer, shipped as 2-bit-packed bases behind a varint
-//   length (dna/superkmer.h). Shard = high bits of a re-mixed minimizer
-//   hash, Mix64(Mix64(minimizer)): the ordering key Mix64(minimizer) is a
-//   window minimum whose high bits lean toward zero, so routing by it sends
-//   most windows to shard 0. Strand-invariant minimizers guarantee every
-//   occurrence of a canonical mer lands in the same shard. A run of w
-//   windows costs ~(w + L - 1)/4 + 1 bytes instead of 8w for one code per
-//   window.
+//   Pass 1 (partition): scanner threads classify each read's bases, cut
+//   the read into per-shard chunks and hand each full chunk to one byte
+//   admission (a CAS on the session's queued-byte counter), then to the
+//   shard's route — once per tens of kilobytes, so the per-base hot path
+//   takes no locks and shares no cache lines between threads. A chunk
+//   holds minimizer-bucketed super-k-mers — maximal runs of consecutive
+//   windows sharing one Mix64-ordered minimizer, shipped as 2-bit-packed
+//   bases behind a varint length (dna/superkmer.h). Shard = high bits of a
+//   re-mixed minimizer hash, Mix64(Mix64(minimizer)): the ordering key
+//   Mix64(minimizer) is a window minimum whose high bits lean toward zero,
+//   so routing by it sends most windows to shard 0. Strand-invariant
+//   minimizers guarantee every occurrence of a canonical mer lands in the
+//   same shard. A run of w windows costs ~(w + L - 1)/4 + 1 bytes instead
+//   of 8w for one code per window.
 //
 //   Pass 2 (count): each shard owns a disjoint slice of mer space, so the
 //   shards are counted fully independently in parallel, one open-addressing
-//   (linear-probe) table per shard; super-k-mer chunks are decoded locally
-//   right before the table probes. No atomics, no merging of tables.
-//   Counter threads drain the rings into the tables *while* the scanners
-//   are still producing.
+//   (linear-probe) table per shard. ShardCounterBank is the one place a
+//   chunk becomes table counts: counter threads drain the shards' lock-free
+//   rings into a local session's bank *while* the scanners are still
+//   producing, spill readback feeds it the spilled chunks, and shard
+//   workers (net/worker.h) and a degraded fleet (net/fleet_counter.h) count
+//   serialized chunks through the same decoder. No atomics, no merging of
+//   tables.
 //
 // Survivors of the coverage filter are routed into `num_workers` output
 // partitions by Mix64(code) % num_workers — the same routing the seed path
@@ -79,20 +82,22 @@ struct KmerCountConfig {
   // and hands the rest to the spill writer, so scanners stall on disk
   // bandwidth rather than on counter throughput; kAlways routes every
   // sealed chunk through disk. A nonzero budget also caps the session's
-  // queued-byte bound.
+  // queued-byte bound, in every mode (a fleet session's too).
   SpillContext* spill = nullptr;
 
-  // Distributed execution (net/coordinator.h). Non-null routes every
-  // sealed pass-1 chunk to the shard's current owner (the lease starts at
-  // worker s % N and moves to a survivor if the owner dies) instead of a
-  // local count table; the queued-byte bound then covers unacked in-flight
-  // network bytes, and the spill wiring above is ignored for the counter
-  // (the chunks leave the process instead — though the fault-tolerance
-  // journal may use the spill manager for overflow).
-  // Output is bit-identical to the in-process path, including across
-  // worker failures: every chunk is journaled before it is sent, orphaned
-  // shards are replayed to their new owner, and when the whole fleet dies
-  // the session degrades to counting the journal locally.
+  // Distributed execution over this fleet (net/coordinator.h). Non-null,
+  // with at least one worker, hands every sealed pass-1 chunk to
+  // net::FleetCounter (net/fleet_counter.h), which journals it and ships it
+  // to the shard's current owner (the lease starts at worker s % N and
+  // moves to a survivor if the owner dies); the session then keeps no
+  // count table. The queued-byte bound covers the unacked in-flight
+  // network bytes, and the spill mode above is ignored for the counter (the
+  // chunks leave the process instead — though the journal shares the
+  // budget and spills its overflow to the spill manager). Output is
+  // bit-identical to the in-process path, including across worker
+  // failures: orphaned shards are replayed from the journal to their new
+  // owner, and when the whole fleet dies the journal is counted locally.
+  // The journal is released when Finish returns.
   NetContext* net = nullptr;
 };
 
@@ -234,14 +239,15 @@ class CounterSession {
 RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
                           const std::string& job_name);
 
-/// Pass-2 counting state of one shard worker endpoint (net/worker.h): the
-/// session's open-addressing tables and survivor routing, fed one
-/// serialized pass-1 chunk (the spill/wire record payload) at a time.
-/// Because counting is commutative and the coverage filter + partition
-/// routing reuse the exact in-process code, a bank fed any interleaving of
-/// a shard's chunks finalizes to the same (code, count) multiset per
-/// partition as the local counter. Not thread-safe: a worker drives one
-/// bank per coordinator connection.
+/// Pass-2 counting state: one open-addressing table per shard plus the
+/// survivor filter and routing, fed one pass-1 chunk at a time. It is the
+/// one place a chunk becomes table counts — a local CounterSession's ring
+/// drain and spill readback, a shard worker endpoint (net/worker.h, one
+/// bank per coordinator connection), and a degraded fleet's journal replay
+/// (net/fleet_counter.h) all count through it. Counting is commutative, so
+/// a bank fed any interleaving of a shard's chunks finalizes to the same
+/// (code, count) multiset per partition. Calls on distinct shards may run
+/// concurrently; calls on one shard must not.
 class ShardCounterBank {
  public:
   ShardCounterBank(int mer_length, uint32_t num_shards);
@@ -252,10 +258,16 @@ class ShardCounterBank {
 
   uint32_t num_shards() const;
 
-  /// Decodes one chunk payload and counts its windows into `shard`'s
-  /// table. False (with a diagnostic in *error) on a shard out of range,
-  /// a malformed payload, or a decoded window count that contradicts the
-  /// chunk header — remote bytes are never trusted to be well-formed.
+  /// Decodes `size` bytes of back-to-back super-k-mer records in place and
+  /// counts their windows into `shard`'s table. False (with a diagnostic in
+  /// *error) on a shard out of range, malformed records, or a decoded
+  /// window count other than `windows`.
+  bool AddChunk(uint32_t shard, const uint8_t* records, size_t size,
+                uint64_t windows, std::string* error);
+
+  /// AddChunk over one serialized chunk payload — the spill, journal and
+  /// wire record: varint(windows) varint(records) records. Bytes read back
+  /// from disk or a socket are never trusted to be well-formed.
   bool AddChunkPayload(uint32_t shard, const uint8_t* data, size_t size,
                        std::string* error);
 
@@ -263,11 +275,11 @@ class ShardCounterBank {
   uint64_t windows(uint32_t shard) const;
   uint64_t distinct(uint32_t shard) const;
 
-  /// Coverage-filters `shard`'s table and routes survivors into
-  /// `num_workers` partitions by Mix64(code) % num_workers — the session's
-  /// filter + route, verbatim.
-  Partitioned<std::pair<uint64_t, uint32_t>> Finalize(
-      uint32_t shard, uint32_t coverage_threshold, uint32_t num_workers);
+  /// Keeps `shard`'s mers counted at least `coverage_threshold` times and
+  /// routes them into `num_workers` partitions by Mix64(code) %
+  /// num_workers, the routing phase (ii) consumes.
+  MerCounts Finalize(uint32_t shard, uint32_t coverage_threshold,
+                     uint32_t num_workers);
 
  private:
   struct Rep;

@@ -164,21 +164,6 @@ struct AsmNode {
 /// The partitioned assembly graph all operations read and write.
 using AssemblyGraph = PartitionedGraph<AsmNode>;
 
-/// Human-readable vertex type (debugging / reports).
-inline const char* VertexTypeName(VertexType t) {
-  switch (t) {
-    case VertexType::kOne:
-      return "<1>";
-    case VertexType::kOneOne:
-      return "<1-1>";
-    case VertexType::kManyMany:
-      return "<m-n>";
-    case VertexType::kIsolated:
-      return "<isolated>";
-  }
-  return "?";
-}
-
 }  // namespace ppa
 
 #endif  // PPA_DBG_NODE_H_

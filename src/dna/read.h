@@ -3,7 +3,8 @@
 // All evaluation datasets in the paper are FASTQ ("which includes the
 // sequence of each DNA read", Sec. V). Reads keep their raw ASCII bases
 // because they may contain 'N' (undetermined base); DBG construction splits
-// on 'N' (Sec. IV.B-1), so 2-bit packing happens only after splitting.
+// on 'N' (Sec. IV.B-1), so 2-bit classification and packing happen only on
+// the counter's scanner threads (dbg/kmer_counter.h), never on the reader.
 #ifndef PPA_DNA_READ_H_
 #define PPA_DNA_READ_H_
 
@@ -18,14 +19,6 @@ struct Read {
   std::string name;   // e.g. "@sim.12345/1" without the leading '@'.
   std::string bases;  // ASCII A/C/G/T/N.
   std::string quals;  // Phred+33; empty for FASTA input.
-
-  // Optional pre-classified 2-bit codes of `bases` (dna/encode_simd.h:
-  // 0..3 for ACGT, kInvalidBaseCode otherwise). Either empty or exactly
-  // bases.size() long. FastxReader fills it on the reader thread when a
-  // SIMD dispatch level is active, so the scanner threads skip the
-  // per-base classification entirely; consumers must fall back to
-  // classifying `bases` themselves when it is empty.
-  std::vector<uint8_t> codes;
 };
 
 /// Parses FASTQ text (4 lines per record). Tolerates trailing blank lines.

@@ -60,9 +60,6 @@ class PackedSequence {
 
   std::string ToString() const;
 
-  /// Heap bytes used by the packed payload (for the memory ablation).
-  size_t PackedBytes() const { return words_.size() * sizeof(uint64_t); }
-
   friend bool operator==(const PackedSequence& a, const PackedSequence& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;
   }

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "dna/encode_simd.h"
-#include "util/cpu.h"
 #include "util/logging.h"
 
 #if defined(PPA_HAVE_ZLIB)
@@ -149,7 +147,6 @@ bool FastxReader::Next(Read* read) {
   read->name.clear();
   read->bases.clear();
   read->quals.clear();
-  read->codes.clear();
 
   if (format_ == FastxFormat::kFasta) {
     if (line[0] != '>') Fail("expected '>' FASTA header");
@@ -202,17 +199,6 @@ bool FastxReader::Next(Read* read) {
            ") does not match sequence length (" +
            std::to_string(read->bases.size()) + ")" + at_record());
     }
-  }
-  // With a SIMD level active, classify the bases here on the reader thread
-  // — the vector units chew through it faster than the scanners' batches
-  // arrive, and every downstream consumer then works from codes without
-  // re-touching the ASCII. Under scalar dispatch (forced or no hardware)
-  // codes stays empty and the scanner threads classify locally, keeping
-  // the pre-SIMD work distribution.
-  if (ActiveSimdLevel() != SimdLevel::kScalar && !read->bases.empty()) {
-    read->codes.resize(read->bases.size());
-    ClassifyBases(read->bases.data(), read->bases.size(),
-                  read->codes.data());
   }
   ++records_;
   return true;

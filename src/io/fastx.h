@@ -29,17 +29,6 @@ namespace ppa {
 /// Detected record format of a FASTX file.
 enum class FastxFormat { kUnknown = 0, kFasta = 1, kFastq = 2 };
 
-inline const char* FastxFormatName(FastxFormat f) {
-  switch (f) {
-    case FastxFormat::kFasta:
-      return "fasta";
-    case FastxFormat::kFastq:
-      return "fastq";
-    default:
-      return "unknown";
-  }
-}
-
 /// A pull-based stream of reads. Implementations are single-consumer; the
 /// concurrency layer on top is io/read_stream.h.
 class ReadSource {

@@ -15,9 +15,11 @@
 // context. Without a shared budget a fallback resident cap applies so the
 // journal cannot silently eat the heap.
 //
-// Thread-safe; in the counter every call is additionally serialized by the
-// session's routing lock, which is what makes journal-append + send
-// atomic with respect to recovery replay.
+// Thread-safe. net::FleetCounter (net/fleet_counter.h) appends and replays
+// to the fleet under its routing lock, which is what makes journal-append +
+// send atomic with respect to recovery replay; its end-of-run reads and the
+// degraded-local replay rely on the journal's own lock. The fleet, and with
+// it the journal and its pinned budget charge, ends when counting finishes.
 #ifndef PPA_NET_JOURNAL_H_
 #define PPA_NET_JOURNAL_H_
 

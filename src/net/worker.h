@@ -2,10 +2,12 @@
 //
 // A worker serves the counter service over one framed connection (wire.h):
 // it owns the pass-2 count tables for every shard whose chunks the
-// coordinator routes to it (dbg/kmer_counter.h's ShardCounterBank). Each
-// chunk is acknowledged in arrival order, which is what the coordinator's
-// flow-control window is built on. Telemetry, trace and liveness requests
-// are answered on the same connection.
+// coordinator routes to it (dbg/kmer_counter.h's ShardCounterBank, one per
+// connection). Its counterpart, the coordinator half of the kCounter*
+// messages, is net/fleet_counter.h. Each chunk is acknowledged in arrival
+// order, which is what the coordinator's flow-control window is built on.
+// Telemetry, trace and liveness requests are answered on the same
+// connection.
 //
 // Malformed input (bad frame, bad payload, a chunk whose decoded windows
 // contradict its header) is answered with a kError frame carrying the

@@ -75,9 +75,6 @@ class Gauge {
   void Add(uint64_t delta) {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
-  void Sub(uint64_t delta) {
-    value_.fetch_sub(delta, std::memory_order_relaxed);
-  }
   /// Raises the gauge to `v` if it is higher (peak tracking).
   void SetMax(uint64_t v) {
     uint64_t cur = value_.load(std::memory_order_relaxed);

@@ -70,21 +70,6 @@ PartitionedGraph<DstVertexT> ConvertGraph(PartitionedGraph<SrcVertexT>&& src,
   return dst;
 }
 
-/// Convenience: converts each vertex of a graph into flat records (e.g. for
-/// dumping results), preserving partition order.
-template <typename OutT, typename VertexT, typename Fn>
-Partitioned<OutT> ExtractPartitioned(const PartitionedGraph<VertexT>& graph,
-                                     Fn fn) {
-  Partitioned<OutT> out(graph.num_workers());
-  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
-    for (const VertexT& v : graph.partition(p).vertices) {
-      if (v.removed) continue;
-      fn(v, out[p]);
-    }
-  }
-  return out;
-}
-
 }  // namespace ppa
 
 #endif  // PPA_PREGEL_CONVERT_H_

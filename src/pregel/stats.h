@@ -64,12 +64,6 @@ struct RunStats {
     for (const auto& s : supersteps) n += s.message_bytes;
     return n;
   }
-
-  uint64_t total_ops() const {
-    uint64_t n = 0;
-    for (const auto& s : supersteps) n += s.compute_ops;
-    return n;
-  }
 };
 
 /// Accumulated statistics across the jobs of a whole workflow run.

@@ -99,10 +99,6 @@ inline void SetLogLevel(LogLevel level) {
   internal::LogLevelFlag().store(static_cast<int>(level));
 }
 
-inline LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(internal::LogLevelFlag().load());
-}
-
 /// Emits a raw line (no "[LEVEL ...]" prefix) to stderr at `level`,
 /// honoring the global level filter and the log mutex. For user-facing
 /// periodic output — the CLI's --progress heartbeat — that must still be

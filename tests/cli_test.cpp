@@ -422,6 +422,11 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
   EXPECT_GT(ReportField(dist_spill_stats, "spilled_chunks"), 0u);
   EXPECT_EQ(ReportField(dist_spill_stats, "readback_bytes"),
             ReportField(dist_spill_stats, "spilled_bytes"));
+  // The fleet run held the budget too: it caps the counting queue bound,
+  // and the chunk journal's budget charge ends with counting instead of
+  // lasting through phase (ii)'s shuffle.
+  EXPECT_LE(ReportField(dist_spill_stats, "peak_resident_bytes"), 262144u);
+  EXPECT_LE(ReportField(dist_spill_stats, "queue_bound_bytes"), 262144u);
 }
 
 // The spawned-fleet path: --shard-workers forks real ppa_shard_worker

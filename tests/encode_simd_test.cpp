@@ -282,23 +282,5 @@ TEST(EncodeSimdTest, CounterBitIdenticalAcrossDispatchModes) {
   }
 }
 
-// Reads carrying pre-classified codes from the reader (Read::codes) count
-// the same as reads without them — the scanner accepts both shapes.
-TEST(EncodeSimdTest, PreclassifiedReadCodesCountIdentically) {
-  std::vector<Read> reads = SimulatedReads(8000, 8.0, 0.01, 9);
-  reads.push_back({"n_runs", "ACGTNNNACGTACGATCGATTACAGGG", ""});
-  KmerCountConfig config;
-  config.mer_length = 21;
-  config.num_workers = 4;
-  config.num_threads = 2;
-  const auto bare = SortedPartitions(CountCanonicalMers(reads, config));
-  for (Read& read : reads) {
-    read.codes.resize(read.bases.size());
-    ClassifyBases(read.bases.data(), read.bases.size(), read.codes.data());
-  }
-  const auto with_codes = SortedPartitions(CountCanonicalMers(reads, config));
-  EXPECT_EQ(with_codes, bare);
-}
-
 }  // namespace
 }  // namespace ppa

@@ -23,12 +23,14 @@
 
 #include "core/assembler.h"
 #include "dbg/kmer_counter.h"
+#include "dna/superkmer.h"
 #include "io/fastx.h"
 #include "io/read_stream.h"
 #include "pregel/mapreduce.h"
 #include "sim/genome.h"
 #include "sim/read_simulator.h"
 #include "util/crc32.h"
+#include "util/varint.h"
 
 namespace ppa {
 namespace {
@@ -463,6 +465,53 @@ TEST(CounterSessionSpillTest, AbandonedSessionCleansUp) {
     // callbacks; the context removes the directory.
   }
   EXPECT_FALSE(fs::exists(dir));
+}
+
+// A malformed record in a spill file is reported as a readback failure
+// naming the file, never an abort: readback counts through the same
+// ShardCounterBank that checks chunks arriving from a socket.
+TEST(CounterSessionSpillTest, MalformedSpilledChunkFailsFinishNotProcess) {
+  const std::vector<Read> reads = SimulatedReads(4000, 4.0, 13);
+  constexpr int L = 21;
+  // The chunk payload by hand: varint(windows) varint(records) records.
+  auto payload = [](uint64_t windows, const std::string& bases) {
+    std::vector<uint8_t> out;
+    PutVarint64(&out, windows);
+    PutVarint64(&out, 1);
+    AppendSuperkmer(bases, &out);
+    return out;
+  };
+  const std::string run30 = "ACGTTGCAACGTTGCAACGTTGCAACGTTG";  // 10 windows
+  const std::vector<std::pair<std::string, std::vector<uint8_t>>> records = {
+      {"base length below the mer length", payload(0, "ACGTA")},
+      {"declared windows disagree", payload(11, run30)},
+  };
+  for (const auto& [label, record] : records) {
+    std::unique_ptr<SpillContext> context =
+        MakeSpillContext(SpillMode::kAlways, "", 64 << 10);
+    KmerCountConfig config;
+    config.mer_length = L;
+    config.num_workers = 4;
+    config.num_threads = 2;
+    config.num_shards = 1;  // every chunk spills to shard 0's file
+    config.spill = context.get();
+    CounterSession session(config);
+    session.AddBatch(reads);
+    // The session registered its shard files on a fresh manager, so shard
+    // 0's is file 0.
+    const std::string path = context->manager.FilePath(0);
+    ASSERT_NE(path.find("kmer-shard-0"), std::string::npos) << path;
+    context->manager.Append(0, record);
+    try {
+      session.Finish();
+      ADD_FAILURE() << label << ": Finish did not throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("spill readback failed"), std::string::npos)
+          << label << ": " << what;
+      EXPECT_NE(what.find(path), std::string::npos) << label << ": " << what;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
