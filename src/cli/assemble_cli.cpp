@@ -2,21 +2,15 @@
 
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
-#include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
-#include <memory>
-#include <mutex>
+#include <limits>
 #include <sstream>
-#include <thread>
+#include <type_traits>
 
 #include "core/assembler.h"
-#include "core/dbg_construction.h"
-#include "dbg/kmer_counter.h"
 #include "io/fasta_writer.h"
 #include "io/fastx.h"
 #include "net/faultinject.h"
@@ -34,7 +28,8 @@ namespace ppa {
 
 namespace {
 
-bool ParseU64(const std::string& s, uint64_t* out) {
+/// Parses a decimal integer no larger than `max`.
+bool ParseU64(const std::string& s, uint64_t max, uint64_t* out) {
   // strtoull would silently negate "-1" to 2^64-1, so reject any sign.
   if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) {
     return false;
@@ -42,69 +37,9 @@ bool ParseU64(const std::string& s, uint64_t* out) {
   errno = 0;
   char* end = nullptr;
   unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
+  if (errno != 0 || end == s.c_str() || *end != '\0' || v > max) return false;
   *out = static_cast<uint64_t>(v);
   return true;
-}
-
-/// The streaming-vs-in-memory selector and coverage knobs the report names.
-const char* CountingModeName(const AssembleCliOptions& opts) {
-  if (!opts.in_memory) return "stream";
-  return opts.assembler.sharded_kmer_counting ? "in-memory-sharded"
-                                              : "in-memory-serial";
-}
-
-/// The one rendering of ingest + counting metrics (both report modes),
-/// read from the run's registry snapshot. `mode` is the non-numeric fact
-/// the snapshot does not carry.
-void WriteIngestLines(std::ostream& out, const char* mode,
-                      const obs::SnapshotView& s) {
-  out << "reads=" << s.Get("ingest.reads") << " bases=" << s.Get("ingest.bases")
-      << " batches=" << s.Get("ingest.batches") << '\n';
-  out << "counting: mode=" << mode
-      << " minimizer_len=" << s.Get("counting.minimizer_len")
-      << " shards=" << s.Get("counting.shards")
-      << " threads=" << s.Get("counting.threads")
-      << " windows=" << s.Get("counting.windows")
-      << " max_shard_windows=" << s.Get("counting.max_shard_windows")
-      << " superkmers=" << s.Get("counting.superkmers")
-      << " pass1_bytes=" << s.Get("counting.pass1_bytes")
-      << " distinct=" << s.Get("counting.distinct")
-      << " surviving=" << s.Get("counting.surviving")
-      << " peak_queued_bytes=" << s.Get("counting.peak_queued_bytes")
-      << " queue_bound_bytes=" << s.Get("counting.queue_bound_bytes")
-      << " queue_spin_parks=" << s.Get("counting.queue_spin_parks")
-      << " spilled_bytes=" << s.Get("counting.spilled_bytes")
-      << " readback_bytes=" << s.Get("counting.readback_bytes") << '\n';
-}
-
-/// The pipeline-wide spill line (both report modes): policy, budget, the
-/// measured high-water mark of resident chunk bytes, and the volume that
-/// moved through the external store across counting + every shuffle job.
-void WriteSpillLine(std::ostream& out, SpillMode mode,
-                    const obs::SnapshotView& s) {
-  out << "spill: mode=" << SpillModeName(mode)
-      << " budget_bytes=" << s.Get("spill.budget_bytes")
-      << " peak_resident_bytes=" << s.Get("spill.peak_resident_bytes")
-      << " spilled_chunks=" << s.Get("spill.spilled_chunks")
-      << " spilled_bytes=" << s.Get("spill.spilled_bytes")
-      << " spill_files=" << s.Get("spill.spill_files")
-      << " readback_bytes=" << s.Get("spill.readback_bytes") << '\n';
-}
-
-/// Per-worker telemetry lines (distributed runs only). A fresh "worker:"
-/// prefix so equivalence diffs over counting/dbg/contigs lines never see
-/// these chunk-boundary-dependent numbers.
-void WriteWorkerLines(std::ostream& out,
-                      const std::vector<obs::TelemetrySnapshot>& workers) {
-  for (const obs::TelemetrySnapshot& w : workers) {
-    out << "worker: endpoint=" << w.source
-        << " connections=" << w.Get("worker.connections")
-        << " frames_served=" << w.Get("worker.frames_served")
-        << " chunk_bytes=" << w.Get("worker.chunk_bytes")
-        << " recv_bytes=" << w.Get("worker.bytes_received")
-        << " crc_rejects=" << w.Get("worker.crc_rejects") << '\n';
-  }
 }
 
 /// QUAST-style evaluation shared by the text and JSON reports. Fills
@@ -133,14 +68,31 @@ QuastReport EvaluateContigs(const AssembleCliOptions& opts,
 }
 
 void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
-                 const obs::SnapshotView& s, const std::string& ref_warning, const QuastReport& quast,
+                 const obs::SnapshotView& s, const std::string& ref_warning,
+                 const QuastReport& quast,
                  const std::vector<obs::TelemetrySnapshot>& workers,
                  double wall_seconds) {
   out << "== ppa_assemble report ==\n";
   out << "inputs:";
   for (const std::string& path : opts.inputs) out << ' ' << path;
   out << '\n';
-  WriteIngestLines(out, CountingModeName(opts), s);
+  out << "reads=" << s.Get("ingest.reads") << " bases=" << s.Get("ingest.bases")
+      << " batches=" << s.Get("ingest.batches") << '\n';
+  out << "counting: mode=stream"
+      << " minimizer_len=" << s.Get("counting.minimizer_len")
+      << " shards=" << s.Get("counting.shards")
+      << " threads=" << s.Get("counting.threads")
+      << " windows=" << s.Get("counting.windows")
+      << " max_shard_windows=" << s.Get("counting.max_shard_windows")
+      << " superkmers=" << s.Get("counting.superkmers")
+      << " pass1_bytes=" << s.Get("counting.pass1_bytes")
+      << " distinct=" << s.Get("counting.distinct")
+      << " surviving=" << s.Get("counting.surviving")
+      << " peak_queued_bytes=" << s.Get("counting.peak_queued_bytes")
+      << " queue_bound_bytes=" << s.Get("counting.queue_bound_bytes")
+      << " queue_spin_parks=" << s.Get("counting.queue_spin_parks")
+      << " spilled_bytes=" << s.Get("counting.spilled_bytes")
+      << " readback_bytes=" << s.Get("counting.readback_bytes") << '\n';
   out << "pipeline: jobs=" << s.Get("pipeline.jobs")
       << " supersteps=" << s.Get("pipeline.supersteps")
       << " messages=" << s.Get("pipeline.messages")
@@ -154,7 +106,16 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << " pairs_emitted=" << s.Get("shuffle.pairs_emitted")
       << " pairs_shuffled=" << s.Get("shuffle.pairs_shuffled")
       << " combined_away=" << s.Get("shuffle.combined_away") << '\n';
-  WriteSpillLine(out, opts.assembler.spill_mode, s);
+  // Pipeline-wide spill: policy, budget, the measured high-water mark of
+  // resident chunk bytes, and the volume that moved through the external
+  // store across counting + every shuffle job.
+  out << "spill: mode=" << SpillModeName(opts.assembler.spill_mode)
+      << " budget_bytes=" << s.Get("spill.budget_bytes")
+      << " peak_resident_bytes=" << s.Get("spill.peak_resident_bytes")
+      << " spilled_chunks=" << s.Get("spill.spilled_chunks")
+      << " spilled_bytes=" << s.Get("spill.spilled_bytes")
+      << " spill_files=" << s.Get("spill.spill_files")
+      << " readback_bytes=" << s.Get("spill.readback_bytes") << '\n';
   // Distributed execution (all zero for in-process runs). Byte totals
   // depend on chunk boundaries, so equivalence comparisons mask (or drop)
   // this line, like the queue/spill byte fields.
@@ -177,86 +138,18 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << " n50=" << s.Get("contigs.n50")
       << " largest=" << s.Get("contigs.largest") << '\n';
   out << FormatReport(quast);
-  WriteWorkerLines(out, workers);
+  // Per-worker telemetry (distributed runs only). A fresh "worker:" prefix
+  // so equivalence diffs over counting/dbg/contigs lines never see these
+  // chunk-boundary-dependent numbers.
+  for (const obs::TelemetrySnapshot& w : workers) {
+    out << "worker: endpoint=" << w.source
+        << " connections=" << w.Get("worker.connections")
+        << " frames_served=" << w.Get("worker.frames_served")
+        << " chunk_bytes=" << w.Get("worker.chunk_bytes")
+        << " recv_bytes=" << w.Get("worker.bytes_received")
+        << " crc_rejects=" << w.Get("worker.crc_rejects") << '\n';
+  }
 }
-
-/// Periodic stderr heartbeat (--progress): reads/s, resident bytes vs
-/// budget, and per-worker unacked bytes, read live from the registry.
-/// Emitted through the logger at warning level — visible at the default
-/// level, silenced by --log-level error/silent — and under the log mutex
-/// so lines never interleave.
-class ProgressHeartbeat {
- public:
-  explicit ProgressHeartbeat(bool enabled) {
-    if (enabled) thread_ = std::thread([this] { Loop(); });
-  }
-
-  ~ProgressHeartbeat() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
-      cv_.notify_all();
-    }
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  void Loop() {
-    const uint64_t start_us = MonotonicMicros();
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!cv_.wait_for(lock, std::chrono::seconds(2),
-                         [&] { return stop_; })) {
-      lock.unlock();
-      Emit(start_us);
-      lock.lock();
-    }
-  }
-
-  void Emit(uint64_t start_us) {
-    const obs::SnapshotView s(obs::MetricsRegistry::Global().Snapshot());
-    const uint64_t elapsed_us = MonotonicMicros() - start_us;
-    const uint64_t reads = s.Get("io.reads");
-    const uint64_t reads_per_s =
-        elapsed_us == 0 ? 0 : reads * 1000000 / elapsed_us;
-    std::ostringstream line;
-    line << "progress: reads=" << reads << " bases=" << s.Get("io.bases")
-         << " reads_per_s=" << reads_per_s
-         << " resident_bytes=" << s.Get("mem.resident_bytes")
-         << " budget_bytes=" << s.Get("mem.budget_bytes");
-    // net.worker.<endpoint>.unacked_bytes -> lag[<endpoint>]=N; with a
-    // single worker the endpoint adds nothing, so the line dedupes to
-    // lag=N.
-    constexpr const char* kPrefix = "net.worker.";
-    constexpr const char* kSuffix = ".unacked_bytes";
-    std::vector<const obs::MetricValue*> lags;
-    for (const obs::MetricValue& m : s.samples()) {
-      if (m.name.rfind(kPrefix, 0) != 0) continue;
-      if (m.name.size() < std::strlen(kPrefix) + std::strlen(kSuffix) ||
-          m.name.compare(m.name.size() - std::strlen(kSuffix),
-                         std::string::npos, kSuffix) != 0) {
-        continue;
-      }
-      lags.push_back(&m);
-    }
-    if (lags.size() == 1) {
-      line << " lag=" << lags[0]->value;
-    } else {
-      for (const obs::MetricValue* m : lags) {
-        line << " lag["
-             << m->name.substr(std::strlen(kPrefix),
-                               m->name.size() - std::strlen(kPrefix) -
-                                   std::strlen(kSuffix))
-             << "]=" << m->value;
-      }
-    }
-    LogRawLine(LogLevel::kWarning, line.str());
-  }
-
-  std::thread thread_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
 
 }  // namespace
 
@@ -275,18 +168,17 @@ std::string AssembleCliUsage() {
       "  --tip-length INT    tip length threshold (default 80)\n"
       "  --bubble-edit INT   bubble edit-distance threshold (default 5)\n"
       "  --workers INT       logical Pregel workers (default 16)\n"
-      "  --threads INT       OS threads; 0 = hardware (default 0). While\n"
-      "                      streaming, counting overlaps scanning, so up\n"
-      "                      to 2x this many threads exist (counters sleep\n"
-      "                      unless scanners outrun them)\n"
+      "  --threads INT       OS threads; 0 = hardware (default 0).\n"
+      "                      Counting overlaps scanning, so up to 2x this\n"
+      "                      many threads exist (counters sleep unless\n"
+      "                      scanners outrun them)\n"
       "  --rounds INT        error-correction rounds (default 1)\n"
       "  --labeling lr|sv    contig labeling method (default lr)\n"
       "\n"
       "counting options:\n"
       "  --shards INT        counting shards; 0 = auto\n"
       "  --queue-bytes INT   bound on buffered pass-1 chunk bytes\n"
-      "                      (streaming; 0 = default 32 MB)\n"
-      "  --in-memory         load all reads, use the in-memory pipeline\n"
+      "                      (0 = default 32 MB)\n"
       "\n"
       "memory budget & spilling:\n"
       "  --spill-mode never|auto|always\n"
@@ -306,8 +198,6 @@ std::string AssembleCliUsage() {
       "                      (~100 KB) are floored to keep progress\n"
       "  --spill-dir PATH    parent directory for the run's spill files\n"
       "                      (default: system temp; removed after the run)\n"
-      "  --serial-counting   with --in-memory: single-thread reference "
-      "counter\n"
       "\n"
       "distributed execution:\n"
       "  --shard-workers INT spawn this many local ppa_shard_worker\n"
@@ -322,9 +212,6 @@ std::string AssembleCliUsage() {
       "  --worker-binary PATH\n"
       "                      worker binary to spawn (default:\n"
       "                      ppa_shard_worker next to this binary)\n"
-      "  --net-window-bytes INT\n"
-      "                      per-worker cap on unacknowledged in-flight\n"
-      "                      bytes (default 8 MB)\n"
       "  --net-timeout-ms INT\n"
       "                      connect/read/write timeout; also paces the\n"
       "                      heartbeat that detects dead or hung workers\n"
@@ -341,8 +228,6 @@ std::string AssembleCliUsage() {
       "\n"
       "output options:\n"
       "  --contigs PATH      contig FASTA (default contigs.fasta)\n"
-      "  --dbg-out PATH      run DBG construction only; write the graph as\n"
-      "                      FASTA-with-adjacency and stop\n"
       "  --stats PATH        stats report (default: stdout)\n"
       "  --reference PATH    reference FASTA for QUAST-style metrics\n"
       "  --min-contig INT    assessment cutoff (default 500)\n"
@@ -354,10 +239,6 @@ std::string AssembleCliUsage() {
       "  --trace-out PATH    collect phase/span traces and write Chrome\n"
       "                      trace_event JSON (open in ui.perfetto.dev or\n"
       "                      chrome://tracing)\n"
-      "  --progress          heartbeat line on stderr every ~2 s: reads/s,\n"
-      "                      resident bytes vs budget, per-worker lag\n"
-      "                      (logged at warn level: --log-level error\n"
-      "                      silences it)\n"
       "  --metrics-listen ENDPOINT\n"
       "                      serve a Prometheus text exposition of the\n"
       "                      run's live metrics (plus per-worker lag\n"
@@ -379,40 +260,48 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
     *error = flag + " requires a value";
     return false;
   };
-  auto u64_flag = [&](const std::string& flag, const std::string& value,
-                      uint64_t* out) {
-    if (ParseU64(value, out)) return true;
-    *error = flag + ": expected a non-negative integer, got '" + value + "'";
-    return false;
+  // Every integer flag reads through here: a value its field cannot hold
+  // is a usage error naming the field's range, never a silent narrowing.
+  auto int_flag = [&](int* i, const std::string& flag, auto* field) {
+    using Field = std::remove_pointer_t<decltype(field)>;
+    const uint64_t max = std::numeric_limits<Field>::max();
+    if (!need_value(*i, flag)) return false;
+    const std::string value = argv[++*i];
+    uint64_t v = 0;
+    if (!ParseU64(value, max, &v)) {
+      *error = flag + ": expected an integer in [0, " + std::to_string(max) +
+               "], got '" + value + "'";
+      return false;
+    }
+    *field = static_cast<Field>(v);
+    return true;
   };
 
   for (int i = 0; i < argc; ++i) {
     const std::string arg = argv[i];
-    uint64_t v = 0;
     if (arg == "--help" || arg == "-h") {
       *help = true;
       return true;
     } else if (arg == "-k" || arg == "--k") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.k = static_cast<int>(v);
+      if (!int_flag(&i, arg, &opts->assembler.k)) return false;
     } else if (arg == "--theta") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.coverage_threshold = static_cast<uint32_t>(v);
+      if (!int_flag(&i, arg, &opts->assembler.coverage_threshold)) return false;
     } else if (arg == "--tip-length") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.tip_length_threshold = static_cast<uint32_t>(v);
+      if (!int_flag(&i, arg, &opts->assembler.tip_length_threshold)) {
+        return false;
+      }
     } else if (arg == "--bubble-edit") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.bubble_edit_distance = static_cast<uint32_t>(v);
+      if (!int_flag(&i, arg, &opts->assembler.bubble_edit_distance)) {
+        return false;
+      }
     } else if (arg == "--workers") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.num_workers = static_cast<uint32_t>(v);
+      if (!int_flag(&i, arg, &opts->assembler.num_workers)) return false;
     } else if (arg == "--threads") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.num_threads = static_cast<unsigned>(v);
+      if (!int_flag(&i, arg, &opts->assembler.num_threads)) return false;
     } else if (arg == "--rounds") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.error_correction_rounds = static_cast<int>(v);
+      if (!int_flag(&i, arg, &opts->assembler.error_correction_rounds)) {
+        return false;
+      }
     } else if (arg == "--labeling") {
       if (!need_value(i, arg)) return false;
       const std::string value = argv[++i];
@@ -425,11 +314,9 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
         return false;
       }
     } else if (arg == "--shards") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.kmer_shards = static_cast<uint32_t>(v);
+      if (!int_flag(&i, arg, &opts->assembler.kmer_shards)) return false;
     } else if (arg == "--queue-bytes") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.kmer_queue_bytes = v;
+      if (!int_flag(&i, arg, &opts->assembler.kmer_queue_bytes)) return false;
     } else if (arg == "--spill-mode") {
       if (!need_value(i, arg)) return false;
       const std::string value = argv[++i];
@@ -439,26 +326,22 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
         return false;
       }
     } else if (arg == "--memory-budget-bytes") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.memory_budget_bytes = v;
+      if (!int_flag(&i, arg, &opts->assembler.memory_budget_bytes)) {
+        return false;
+      }
     } else if (arg == "--spill-dir") {
       if (!need_value(i, arg)) return false;
       opts->assembler.spill_dir = argv[++i];
     } else if (arg == "--shard-workers") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.shard_workers = static_cast<uint32_t>(v);
+      if (!int_flag(&i, arg, &opts->assembler.shard_workers)) return false;
     } else if (arg == "--worker-endpoints") {
       if (!need_value(i, arg)) return false;
       opts->assembler.worker_endpoints = argv[++i];
     } else if (arg == "--worker-binary") {
       if (!need_value(i, arg)) return false;
       opts->assembler.worker_binary = argv[++i];
-    } else if (arg == "--net-window-bytes") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.net_window_bytes = v;
     } else if (arg == "--net-timeout-ms") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->assembler.net_timeout_ms = static_cast<int>(v);
+      if (!int_flag(&i, arg, &opts->assembler.net_timeout_ms)) return false;
     } else if (arg == "--fault-plan") {
       if (!need_value(i, arg)) return false;
       const std::string value = argv[++i];
@@ -469,16 +352,9 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
         return false;
       }
       opts->assembler.fault_plan = value;
-    } else if (arg == "--in-memory") {
-      opts->in_memory = true;
-    } else if (arg == "--serial-counting") {
-      opts->assembler.sharded_kmer_counting = false;
     } else if (arg == "--contigs") {
       if (!need_value(i, arg)) return false;
       opts->contigs_out = argv[++i];
-    } else if (arg == "--dbg-out") {
-      if (!need_value(i, arg)) return false;
-      opts->dbg_out = argv[++i];
     } else if (arg == "--stats") {
       if (!need_value(i, arg)) return false;
       opts->stats_out = argv[++i];
@@ -486,16 +362,13 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
       if (!need_value(i, arg)) return false;
       opts->reference = argv[++i];
     } else if (arg == "--min-contig") {
-      if (!need_value(i, arg) || !u64_flag(arg, argv[++i], &v)) return false;
-      opts->min_contig = static_cast<size_t>(v);
+      if (!int_flag(&i, arg, &opts->min_contig)) return false;
     } else if (arg == "--report-json") {
       if (!need_value(i, arg)) return false;
       opts->report_json = argv[++i];
     } else if (arg == "--trace-out") {
       if (!need_value(i, arg)) return false;
       opts->trace_out = argv[++i];
-    } else if (arg == "--progress") {
-      opts->progress = true;
     } else if (arg == "--metrics-listen") {
       if (!need_value(i, arg)) return false;
       const std::string value = argv[++i];
@@ -527,11 +400,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
     *error = "no input files (see --help)";
     return false;
   }
-  if (!opts->in_memory && !opts->assembler.sharded_kmer_counting) {
-    *error = "--serial-counting requires --in-memory (streaming counting is "
-             "always sharded)";
-    return false;
-  }
   // Range-check here so bad values are a usage error (exit 2), not a
   // PPA_CHECK abort deep inside the pipeline.
   const int k = opts->assembler.k;
@@ -541,13 +409,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
   }
   if (opts->assembler.num_workers < 1) {
     *error = "--workers: must be >= 1";
-    return false;
-  }
-  const bool distributed = opts->assembler.shard_workers != 0 ||
-                           !opts->assembler.worker_endpoints.empty();
-  if (distributed && opts->in_memory) {
-    *error = "--shard-workers/--worker-endpoints require the streaming "
-             "pipeline (drop --in-memory)";
     return false;
   }
   return true;
@@ -604,124 +465,51 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
 
   Timer timer;
   std::ostringstream report;
-  obs::RunReportInfo info;
-  info.inputs = opts.inputs;
-  std::vector<obs::TelemetrySnapshot> workers;
-  std::vector<obs::ProcessTrace> worker_traces;
-  bool write_json = !opts.report_json.empty();
   std::ostringstream run_json;
+  std::vector<obs::ProcessTrace> worker_traces;
+  const bool write_json = !opts.report_json.empty();
 
   try {
-    ProgressHeartbeat heartbeat(opts.progress);
-    // ---- DBG-construction-only mode. --------------------------------------
-    if (!opts.dbg_out.empty()) {
-      AssemblerOptions assembler_options = opts.assembler;
-      std::unique_ptr<SpillContext> spill_guard =
-          WireSpillContext(&assembler_options);
-      std::unique_ptr<NetContext> net_guard =
-          WireNetContext(&assembler_options);
-      ReadStream stream(OpenFastxFiles(opts.inputs), opts.stream);
-      PipelineStats pipeline;
-      DbgResult dbg = BuildDbg(stream, assembler_options, &pipeline);
-      WriteDbgFasta(opts.dbg_out, dbg.graph);
-      if (assembler_options.net_context != nullptr) {
-        workers = assembler_options.net_context->CollectMetrics();
-        worker_traces = assembler_options.net_context->CollectTraces();
-      }
+    Assembler assembler(opts.assembler);
+    ReadStream stream(OpenFastxFiles(opts.inputs), opts.stream);
+    AssemblyResult result = assembler.Assemble(stream, opts.labeling);
+    WriteContigsFasta(opts.contigs_out, result.contigs);
+    std::string ref_warning;
+    const QuastReport quast =
+        EvaluateContigs(opts, result.ContigStrings(), &ref_warning);
+    const double wall_seconds = timer.Seconds();
 
-      obs::RunReportData data;
-      data.reads = stream.total_reads();
-      data.bases = stream.total_bases();
-      data.batches = stream.total_batches();
-      data.counting = &dbg.count_stats;
-      data.pipeline = &pipeline;
-      if (spill_guard != nullptr) {
-        data.spill_budget_bytes = spill_guard->budget.budget_bytes();
-        data.spill_peak_resident_bytes =
-            spill_guard->budget.peak_resident_bytes();
-      }
-      data.kmer_vertices = dbg.graph.live_size();
-      data.wall_seconds = timer.Seconds();
-      obs::PublishRunMetrics(data, &registry);
-      const obs::SnapshotView snapshot(registry.Snapshot());
+    obs::RunReportData data;
+    data.reads = stream.total_reads();
+    data.bases = stream.total_bases();
+    data.batches = stream.total_batches();
+    data.counting = &result.count_stats;
+    data.pipeline = &result.stats;
+    data.spill_budget_bytes = result.spill_budget_bytes;
+    data.spill_peak_resident_bytes = result.spill_peak_resident_bytes;
+    data.kmer_vertices = result.kmer_vertices;
+    data.num_contigs = quast.num_contigs;
+    data.contigs_total_length = quast.total_length;
+    data.contigs_n50 = quast.n50;
+    data.largest_contig = quast.largest_contig;
+    data.wall_seconds = wall_seconds;
+    obs::PublishRunMetrics(data, &registry);
+    const obs::SnapshotView snapshot(registry.Snapshot());
 
-      report << "== ppa_assemble report ==\n"
-             << "mode: dbg-only\n";
-      WriteIngestLines(report, "stream", snapshot);
-      WriteSpillLine(report, assembler_options.spill_mode, snapshot);
-      report << "dbg: kmer_vertices=" << snapshot.Get("dbg.kmer_vertices")
-             << " wall_seconds=" << data.wall_seconds << '\n';
-      WriteWorkerLines(report, workers);
+    worker_traces = std::move(result.worker_traces);
+    WriteReport(opts, report, snapshot, ref_warning, quast,
+                result.worker_telemetry, wall_seconds);
 
-      if (write_json) {
-        info.counting_mode = "stream";
-        info.shuffle_strategy =
-            ShuffleStrategyName(assembler_options.shuffle_strategy);
-        info.spill_mode = SpillModeName(assembler_options.spill_mode);
-        info.wall_seconds = data.wall_seconds;
-        info.workers = workers;
-        obs::WriteRunReportJson(run_json, snapshot, info);
-      }
-    } else {
-      // ---- Full pipeline. --------------------------------------------------
-      Assembler assembler(opts.assembler);
-      AssemblyResult result;
-      uint64_t reads = 0, bases = 0, batches = 0;
-      if (opts.in_memory) {
-        std::vector<Read> all;
-        std::unique_ptr<ReadSource> source = OpenFastxFiles(opts.inputs);
-        Read read;
-        while (source->Next(&read)) {
-          bases += read.bases.size();
-          all.push_back(std::move(read));
-        }
-        reads = all.size();
-        batches = 1;
-        result = assembler.Assemble(all, opts.labeling);
-      } else {
-        ReadStream stream(OpenFastxFiles(opts.inputs), opts.stream);
-        result = assembler.Assemble(stream, opts.labeling);
-        reads = stream.total_reads();
-        bases = stream.total_bases();
-        batches = stream.total_batches();
-      }
-      WriteContigsFasta(opts.contigs_out, result.contigs);
-      std::string ref_warning;
-      const QuastReport quast =
-          EvaluateContigs(opts, result.ContigStrings(), &ref_warning);
-      const double wall_seconds = timer.Seconds();
-
-      obs::RunReportData data;
-      data.reads = reads;
-      data.bases = bases;
-      data.batches = batches;
-      data.counting = &result.count_stats;
-      data.pipeline = &result.stats;
-      data.spill_budget_bytes = result.spill_budget_bytes;
-      data.spill_peak_resident_bytes = result.spill_peak_resident_bytes;
-      data.kmer_vertices = result.kmer_vertices;
-      data.has_contigs = true;
-      data.num_contigs = quast.num_contigs;
-      data.contigs_total_length = quast.total_length;
-      data.contigs_n50 = quast.n50;
-      data.largest_contig = quast.largest_contig;
-      data.wall_seconds = wall_seconds;
-      obs::PublishRunMetrics(data, &registry);
-      const obs::SnapshotView snapshot(registry.Snapshot());
-
-      worker_traces = std::move(result.worker_traces);
-      WriteReport(opts, report, snapshot, ref_warning, quast,
-                  result.worker_telemetry, wall_seconds);
-
-      if (write_json) {
-        info.counting_mode = CountingModeName(opts);
-        info.shuffle_strategy =
-            ShuffleStrategyName(opts.assembler.shuffle_strategy);
-        info.spill_mode = SpillModeName(opts.assembler.spill_mode);
-        info.wall_seconds = wall_seconds;
-        info.workers = result.worker_telemetry;
-        obs::WriteRunReportJson(run_json, snapshot, info);
-      }
+    if (write_json) {
+      obs::RunReportInfo info;
+      info.inputs = opts.inputs;
+      info.counting_mode = "stream";
+      info.shuffle_strategy =
+          ShuffleStrategyName(opts.assembler.shuffle_strategy);
+      info.spill_mode = SpillModeName(opts.assembler.spill_mode);
+      info.wall_seconds = wall_seconds;
+      info.workers = result.worker_telemetry;
+      obs::WriteRunReportJson(run_json, snapshot, info);
     }
   } catch (const std::exception& e) {
     // Spill-store failures (unwritable spill dir, disk full, corrupt

@@ -3,8 +3,9 @@
 // Flag parsing and the file-to-file pipeline run live here (not in the
 // ppa_assemble.cpp main) so tests can drive the exact code path the binary
 // ships: parse argv, stream FASTA/FASTQ input through the six-operation
-// pipeline with bounded memory, write contig FASTA + a grep-friendly stats
-// report, optionally assess against a reference.
+// pipeline with bounded memory (one ReadStream, one Assembler::Assemble
+// call — the only way the binary runs), write contig FASTA + a
+// grep-friendly stats report, optionally assess against a reference.
 #ifndef PPA_CLI_ASSEMBLE_CLI_H_
 #define PPA_CLI_ASSEMBLE_CLI_H_
 
@@ -23,20 +24,17 @@ namespace ppa {
 struct AssembleCliOptions {
   std::vector<std::string> inputs;     // FASTA/FASTQ[.gz] files (positional)
   std::string contigs_out = "contigs.fasta";
-  std::string dbg_out;        // non-empty: DBG-construction-only mode
   std::string stats_out;      // empty = stdout
   std::string reference;      // optional reference FASTA for QUAST metrics
   AssemblerOptions assembler;
   ReadStreamConfig stream;
   LabelingMethod labeling = LabelingMethod::kListRanking;
   size_t min_contig = 500;    // QUAST-style assessment cutoff
-  bool in_memory = false;     // load all reads, use the in-memory pipeline
 
   // Observability (obs/).
   std::string report_json;    // non-empty: write the machine-readable report
   std::string trace_out;      // non-empty: collect + write a Chrome trace
   std::string log_level;      // validated at parse time; empty = warn
-  bool progress = false;      // periodic heartbeat line on stderr
   std::string metrics_listen; // non-empty: serve GET /metrics here mid-run
 };
 
@@ -44,7 +42,8 @@ struct AssembleCliOptions {
 std::string AssembleCliUsage();
 
 /// Parses argv (argv[0] skipped). On failure fills `error` and returns
-/// false. `--help` parses successfully and sets *help = true.
+/// false; an integer flag outside its field's range is such a failure.
+/// `--help` parses successfully and sets *help = true.
 bool ParseAssembleCliArgs(int argc, const char* const* argv,
                           AssembleCliOptions* opts, bool* help,
                           std::string* error);

@@ -7,6 +7,7 @@
 #include "core/contig_merging.h"
 #include "core/dbg_construction.h"
 #include "core/tip_removal.h"
+#include "io/fastx.h"
 #include "io/read_stream.h"
 #include "net/coordinator.h"
 #include "obs/trace.h"
@@ -35,6 +36,49 @@ std::vector<ContigRecord> CollectContigs(const AssemblyGraph& graph) {
 
 namespace {
 
+/// Wires the run's spill context into its options copy: when spilling is
+/// requested and the caller has not injected a context already, one
+/// context (temp dir, writer pool, budget) is created for the whole run and
+/// every operation shares it through options->spill_context. The returned
+/// guard owns it; the temp directory dies with the guard on every path.
+std::unique_ptr<SpillContext> WireSpillContext(AssemblerOptions* options) {
+  if (options->spill_mode == SpillMode::kNever ||
+      options->spill_context != nullptr) {
+    return nullptr;
+  }
+  std::unique_ptr<SpillContext> context = MakeSpillContext(
+      options->spill_mode, options->spill_dir, options->memory_budget_bytes);
+  options->spill_context = context.get();
+  return context;
+}
+
+/// Wires the run's worker fleet into its options copy: when distribution
+/// is requested and no fleet was injected, the processes are
+/// spawned/connected once for the whole run and every operation shares
+/// them through options->net_context. The returned guard owns the fleet
+/// (shutdown + reap on destruction). Throws std::runtime_error when the
+/// fleet cannot be reached.
+std::unique_ptr<NetContext> WireNetContext(AssemblerOptions* options) {
+  if (options->net_context != nullptr ||
+      (options->shard_workers == 0 && options->worker_endpoints.empty())) {
+    return nullptr;
+  }
+  NetConfig config;
+  config.spawn_workers = options->shard_workers;
+  config.endpoints = options->worker_endpoints;
+  config.worker_binary = options->worker_binary;
+  config.io_timeout_ms = options->net_timeout_ms;
+  config.connect_timeout_ms = options->net_timeout_ms;
+  config.fault_plan = options->fault_plan;
+  // When this run is tracing (--trace-out started a session before the
+  // fleet is wired), ask the workers to arm their span rings too, so the
+  // end-of-run pull can stitch one cross-process timeline.
+  config.arm_trace = obs::TraceEnabled();
+  std::unique_ptr<NetContext> context = MakeNetContext(config);
+  options->net_context = context.get();
+  return context;
+}
+
 void RecordSpillSummary(const AssemblerOptions& options,
                         AssemblyResult* result) {
   if (options.spill_context == nullptr) return;
@@ -45,33 +89,15 @@ void RecordSpillSummary(const AssemblerOptions& options,
 
 }  // namespace
 
-AssemblyResult Assembler::Assemble(const std::vector<Read>& reads,
-                                   LabelingMethod method) const {
-  return Run(options_.sharded_kmer_counting ? "sharded" : "serial",
-             [&](const AssemblerOptions& options, PipelineStats* stats) {
-               return BuildDbg(reads, options, stats);
-             },
-             method);
-}
-
 AssemblyResult Assembler::Assemble(ReadStream& reads,
                                    LabelingMethod method) const {
-  return Run("streaming sharded",
-             [&](const AssemblerOptions& options, PipelineStats* stats) {
-               return BuildDbg(reads, options, stats);
-             },
-             method);
-}
-
-AssemblyResult Assembler::Run(const char* counting, const DbgStep& build_dbg,
-                              LabelingMethod method) const {
   Timer timer;
   AssemblyResult result;
   AssemblerOptions options = options_;
   std::unique_ptr<SpillContext> spill_guard = WireSpillContext(&options);
   std::unique_ptr<NetContext> net_guard = WireNetContext(&options);
   // ---- (1) DBG construction. ----------------------------------------------
-  PPA_LOG(kInfo) << "k-mer counting: " << counting
+  PPA_LOG(kInfo) << "k-mer counting: streaming sharded"
                  << " (threads=" << options.num_threads
                  << ", shards=" << options.kmer_shards
                  << ", queue_bytes=" << options.kmer_queue_bytes
@@ -84,7 +110,7 @@ AssemblyResult Assembler::Run(const char* counting, const DbgStep& build_dbg,
   }
   DbgResult dbg = [&] {
     PPA_TRACE_SPAN("dbg_construction", "phase");
-    return build_dbg(options, &result.stats);
+    return BuildDbg(reads, options, &result.stats);
   }();
   FinishAssembly(&result, std::move(dbg), options, method);
   RecordSpillSummary(options, &result);
@@ -95,6 +121,12 @@ AssemblyResult Assembler::Run(const char* counting, const DbgStep& build_dbg,
   }
   result.wall_seconds = timer.Seconds();
   return result;
+}
+
+AssemblyResult Assembler::Assemble(const std::vector<Read>& reads,
+                                   LabelingMethod method) const {
+  ReadStream stream(std::make_unique<VectorReadSource>(reads));
+  return Assemble(stream, method);
 }
 
 void Assembler::FinishAssembly(AssemblyResult* result_out, DbgResult dbg,

@@ -11,7 +11,6 @@
 #define PPA_CORE_ASSEMBLER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/contig_labeling.h"
@@ -84,34 +83,24 @@ class Assembler {
  public:
   explicit Assembler(AssemblerOptions options);
 
-  /// Runs the default workflow on `reads`.
-  AssemblyResult Assemble(
-      const std::vector<Read>& reads,
-      LabelingMethod method = LabelingMethod::kListRanking) const;
-
-  /// Runs the default workflow on a streaming input: DBG construction
-  /// consumes the ReadStream with bounded memory (io/read_stream.h +
-  /// CounterSession); every later operation works on the graph, which is
-  /// already the compact representation. Produces the same contigs as the
-  /// in-memory overload on the same reads.
+  /// Runs the default workflow on a streaming input, the one assembly
+  /// body: wires the per-run spill and fleet contexts, then DBG
+  /// construction consumes the ReadStream with bounded memory
+  /// (io/read_stream.h + CounterSession), and every later operation works
+  /// on the graph, which is already the compact representation.
   AssemblyResult Assemble(
       ReadStream& reads,
+      LabelingMethod method = LabelingMethod::kListRanking) const;
+
+  /// Adapter for reads already in memory: streams them through a
+  /// VectorReadSource into the overload above.
+  AssemblyResult Assemble(
+      const std::vector<Read>& reads,
       LabelingMethod method = LabelingMethod::kListRanking) const;
 
   const AssemblerOptions& options() const { return options_; }
 
  private:
-  /// DBG construction from one kind of input: BuildDbg over the reads,
-  /// given the per-run options and the stats to populate.
-  using DbgStep =
-      std::function<DbgResult(const AssemblerOptions&, PipelineStats*)>;
-
-  /// The one assembly body behind both Assemble overloads: wires the
-  /// per-run spill and fleet contexts, runs `build_dbg`, then operations
-  /// (2)..(6). `counting` names the counter in the log.
-  AssemblyResult Run(const char* counting, const DbgStep& build_dbg,
-                     LabelingMethod method) const;
-
   /// Operations (2)..(6); appends to the PipelineStats BuildDbg already
   /// populated in `result`. `options` is the per-run copy carrying the
   /// spill wiring.

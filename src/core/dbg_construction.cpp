@@ -1,10 +1,12 @@
 #include "core/dbg_construction.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "dbg/adjacency.h"
 #include "dbg/kmer_counter.h"
+#include "io/fastx.h"
 #include "io/read_stream.h"
 #include "pregel/mapreduce.h"
 #include "util/hash.h"
@@ -47,8 +49,20 @@ struct AdjPartial {
   }
 };
 
-/// The counting configuration both BuildDbg overloads derive from options.
-KmerCountConfig MakeCountConfig(const AssemblerOptions& options) {
+}  // namespace
+
+DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
+                   PipelineStats* stats) {
+  options.Validate();
+
+  // ---- Phase (i): count while scanning under a bounded queue, then apply
+  // the coverage filter (count >= theta, so theta = 1 keeps every mer).
+  // The ReadStream's reader thread fills batches; scanner workers feed them
+  // to the CounterSession, whose shard counter threads drain concurrently.
+  // The code stream is never resident — the session blocks the scanners
+  // (and, transitively, the reader) when they outrun the counters.
+  // Survivors come out routed by Mix64(code) % W, which phase (ii)'s
+  // shuffle relies on.
   KmerCountConfig count_config;
   count_config.mer_length = options.k + 1;
   count_config.num_workers = options.num_workers;
@@ -57,15 +71,18 @@ KmerCountConfig MakeCountConfig(const AssemblerOptions& options) {
   count_config.coverage_threshold = options.coverage_threshold;
   count_config.spill = options.spill_context;
   count_config.net = options.net_context;
-  return count_config;
-}
+  CounterSession session(count_config, options.kmer_queue_bytes);
+  const unsigned scan_threads = options.num_threads == 0
+                                    ? ThreadPool::DefaultThreads()
+                                    : options.num_threads;
+  reads.ForEachBatch(scan_threads,
+                     [&](ReadBatch& batch) { session.AddBatch(batch.reads); });
+  KmerCountStats count_stats;
+  Partitioned<std::pair<uint64_t, uint32_t>> edge_mers =
+      session.Finish(&count_stats);
 
-/// Phase (ii) shared by the in-memory and streaming entry points: builds
-/// k-mer vertices with compressed adjacency from the surviving edge mers.
-DbgResult BuildDbgFromEdgeMers(
-    Partitioned<std::pair<uint64_t, uint32_t>>&& edge_mers,
-    KmerCountStats&& count_stats, const AssemblerOptions& options,
-    PipelineStats* stats) {
+  // ---- Phase (ii): k-mer vertices with compressed adjacency from the
+  // surviving edge mers.
   const uint32_t W = options.num_workers;
   DbgResult result(W);
   result.distinct_edge_mers = count_stats.distinct_mers;
@@ -155,48 +172,10 @@ DbgResult BuildDbgFromEdgeMers(
   return result;
 }
 
-}  // namespace
-
 DbgResult BuildDbg(const std::vector<Read>& reads,
                    const AssemblerOptions& options, PipelineStats* stats) {
-  options.Validate();
-
-  // ---- Phase (i): (k+1)-mer counting + coverage filter. -------------------
-  // Sharded parallel counting by default; the serial reference counter is
-  // the fallback (and the equivalence oracle in tests). Both apply the
-  // coverage filter as count >= theta, so theta = 1 means "no filtering"
-  // (documented in options.h), and both route survivors by
-  // Mix64(code) % W, which phase (ii)'s shuffle relies on.
-  const KmerCountConfig count_config = MakeCountConfig(options);
-  KmerCountStats count_stats;
-  Partitioned<std::pair<uint64_t, uint32_t>> edge_mers =
-      options.sharded_kmer_counting
-          ? CountCanonicalMers(reads, count_config, &count_stats)
-          : CountCanonicalMersSerial(reads, count_config, &count_stats);
-  return BuildDbgFromEdgeMers(std::move(edge_mers), std::move(count_stats),
-                              options, stats);
-}
-
-DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
-                   PipelineStats* stats) {
-  options.Validate();
-
-  // ---- Phase (i), streaming: count while scanning under a bounded queue.
-  // The ReadStream's reader thread fills batches; scanner workers feed them
-  // to the CounterSession, whose shard counter threads drain concurrently.
-  // The code stream is never resident — the session blocks the scanners
-  // (and, transitively, the reader) when they outrun the counters.
-  CounterSession session(MakeCountConfig(options), options.kmer_queue_bytes);
-  const unsigned scan_threads = options.num_threads == 0
-                                    ? ThreadPool::DefaultThreads()
-                                    : options.num_threads;
-  reads.ForEachBatch(scan_threads,
-                     [&](ReadBatch& batch) { session.AddBatch(batch.reads); });
-  KmerCountStats count_stats;
-  Partitioned<std::pair<uint64_t, uint32_t>> edge_mers =
-      session.Finish(&count_stats);
-  return BuildDbgFromEdgeMers(std::move(edge_mers), std::move(count_stats),
-                              options, stats);
+  ReadStream stream(std::make_unique<VectorReadSource>(reads));
+  return BuildDbg(stream, options, stats);
 }
 
 }  // namespace ppa

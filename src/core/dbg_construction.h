@@ -2,11 +2,10 @@
 //
 // Two mini MapReduce phases:
 //   Phase (i): reads are split at 'N' characters, each fragment is cut into
-//   (k+1)-mers with a sliding window; (k+1)-mers are counted — by default
-//   with the two-pass sharded parallel counter (dbg/kmer_counter.h), or by
-//   its single-thread serial reference when
-//   AssemblerOptions::sharded_kmer_counting is false — and those with
-//   coverage below coverage_threshold are filtered out as likely erroneous.
+//   (k+1)-mers with a sliding window; (k+1)-mers are counted while the
+//   reads stream in, by the two-pass sharded parallel counter
+//   (dbg/kmer_counter.h CounterSession), and those with coverage below
+//   coverage_threshold are filtered out as likely erroneous.
 //   Phase (ii): each surviving (k+1)-mer emits adjacency contributions to
 //   its canonical prefix and suffix k-mer vertices; the reducer assembles
 //   each vertex's 32-bit-bitmap compressed adjacency list (Fig. 8a) with
@@ -43,21 +42,21 @@ struct DbgResult {
   explicit DbgResult(uint32_t workers) : graph(workers) {}
 };
 
-/// Builds the de Bruijn graph from reads. Appends phase statistics to
-/// `stats` if non-null.
-DbgResult BuildDbg(const std::vector<Read>& reads,
-                   const AssemblerOptions& options,
+/// Builds the de Bruijn graph from a bounded-memory ReadStream, counting
+/// (k+1)-mers while scanning so the input is never fully resident; the
+/// queued-byte bound comes from AssemblerOptions::kmer_queue_bytes.
+/// Appends phase statistics to `stats` if non-null. Thread footprint:
+/// num_threads scanner threads PLUS up to num_threads shard counter threads
+/// (the overlap is the point) plus the stream's reader thread; counter
+/// threads sleep whenever their queues are empty, so the steady-state CPU
+/// load tracks whichever side is the bottleneck.
+DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
                    PipelineStats* stats = nullptr);
 
-/// Streaming variant: consumes a bounded-memory ReadStream, counting
-/// (k+1)-mers while scanning (dbg/kmer_counter.h CounterSession) so the
-/// input is never fully resident. Always uses the sharded counter; the
-/// queued-byte bound comes from AssemblerOptions::kmer_queue_bytes.
-/// Thread footprint: num_threads scanner threads PLUS up to num_threads
-/// shard counter threads (the overlap is the point) plus the stream's
-/// reader thread; counter threads sleep whenever their queues are empty,
-/// so the steady-state CPU load tracks whichever side is the bottleneck.
-DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
+/// Adapter for reads already in memory: streams them through a
+/// VectorReadSource into the overload above.
+DbgResult BuildDbg(const std::vector<Read>& reads,
+                   const AssemblerOptions& options,
                    PipelineStats* stats = nullptr);
 
 }  // namespace ppa

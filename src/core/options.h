@@ -3,18 +3,16 @@
 #define PPA_CORE_OPTIONS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 
-#include "dbg/kmer_counter.h"
-#include "net/coordinator.h"
-#include "obs/trace.h"
 #include "pregel/mapreduce.h"
 #include "spill/spill.h"
 #include "util/logging.h"
 
 namespace ppa {
+
+class NetContext;  // net/coordinator.h
 
 /// Configuration of the PPA-assembler pipeline. Defaults follow Sec. V:
 /// k = 31, bubble edit-distance threshold 5, tip length threshold 80.
@@ -28,14 +26,13 @@ struct AssemblerOptions {
   int error_correction_rounds = 1;   // times operations 4,5 run (paper: 1).
 
   // (k+1)-mer counting (DBG construction phase (i), dbg/kmer_counter.h).
-  bool sharded_kmer_counting = true;  // false = single-thread serial counter.
   uint32_t kmer_shards = 0;           // counting shards; 0 = auto (4x threads),
                                       // rounded up to a power of two and
                                       // capped at 1024.
-  uint64_t kmer_queue_bytes = 0;      // streaming ingestion only: bound on
-                                      // chunk bytes buffered between scanners
-                                      // and shard counters (backpressure);
-                                      // 0 = CounterSession default (32 MB).
+  uint64_t kmer_queue_bytes = 0;      // bound on chunk bytes buffered
+                                      // between scanners and shard counters
+                                      // (backpressure); 0 = CounterSession
+                                      // default (32 MB).
 
   // MapReduce shuffle (every grouping operation: DBG construction phase
   // (ii), both contig-merging jobs, bubble filtering). kSort is the
@@ -56,7 +53,7 @@ struct AssemblerOptions {
 
   // Runtime wiring: the per-run SpillContext every operation shares.
   // Assembler::Assemble (or any caller driving operations directly) sets
-  // this from MakeSpillContext; leave null for in-memory runs.
+  // this from MakeSpillContext; leave null when nothing spills.
   SpillContext* spill_context = nullptr;
 
   // Distributed execution (net/): ppa_assemble --shard-workers/
@@ -69,14 +66,13 @@ struct AssemblerOptions {
   uint32_t shard_workers = 0;        // 0 = in-process (no fleet)
   std::string worker_endpoints;      // comma-separated specs, see net/wire.h
   std::string worker_binary;         // spawn override; empty = next to argv0
-  uint64_t net_window_bytes = 8ULL << 20;  // per-worker unacked byte cap
   int net_timeout_ms = 30000;        // connect/read/write timeout
   std::string fault_plan;            // deterministic fault script forwarded
                                      // to spawned workers (net/faultinject.h
                                      // grammar); empty = no faults
 
-  // Runtime wiring: the per-run worker fleet, set from WireNetContext;
-  // leave null for in-process runs.
+  // Runtime wiring: the per-run worker fleet, which Assembler::Assemble
+  // sets up from the fields above; leave null for in-process runs.
   NetContext* net_context = nullptr;
 
   void Validate() const {
@@ -86,54 +82,6 @@ struct AssemblerOptions {
     PPA_CHECK(net_timeout_ms >= 0);
   }
 };
-
-/// The one place a run's spill context is wired into its options copy:
-/// when spilling is requested and the caller has not injected a context
-/// already, one context (temp dir, writer pool, budget) is created for the
-/// whole run and every operation shares it through options->spill_context.
-/// The returned guard owns it; the temp directory dies with the guard on
-/// every path. Used by Assembler::Assemble and the CLI's dbg-only branch —
-/// keep them on this helper so wiring semantics cannot drift.
-inline std::unique_ptr<SpillContext> WireSpillContext(
-    AssemblerOptions* options) {
-  if (options->spill_mode == SpillMode::kNever ||
-      options->spill_context != nullptr) {
-    return nullptr;
-  }
-  std::unique_ptr<SpillContext> context = MakeSpillContext(
-      options->spill_mode, options->spill_dir, options->memory_budget_bytes);
-  options->spill_context = context.get();
-  return context;
-}
-
-/// The one place a run's worker fleet is wired into its options copy: when
-/// distribution is requested and no fleet was injected, the processes are
-/// spawned/connected once for the whole run and every operation shares
-/// them through options->net_context. The returned guard owns the fleet
-/// (shutdown + reap on destruction). Throws std::runtime_error when the
-/// fleet cannot be reached. Mirrors WireSpillContext — keep both call sites
-/// on these helpers.
-inline std::unique_ptr<NetContext> WireNetContext(AssemblerOptions* options) {
-  if (options->net_context != nullptr ||
-      (options->shard_workers == 0 && options->worker_endpoints.empty())) {
-    return nullptr;
-  }
-  NetConfig config;
-  config.spawn_workers = options->shard_workers;
-  config.endpoints = options->worker_endpoints;
-  config.worker_binary = options->worker_binary;
-  config.window_bytes = options->net_window_bytes;
-  config.io_timeout_ms = options->net_timeout_ms;
-  config.connect_timeout_ms = options->net_timeout_ms;
-  config.fault_plan = options->fault_plan;
-  // When this run is tracing (--trace-out started a session before the
-  // fleet is wired), ask the workers to arm their span rings too, so the
-  // end-of-run pull can stitch one cross-process timeline.
-  config.arm_trace = obs::TraceEnabled();
-  std::unique_ptr<NetContext> context = MakeNetContext(config);
-  options->net_context = context.get();
-  return context;
-}
 
 /// The one place the assembly operations derive a MapReduceConfig from the
 /// pipeline options, so num_workers / num_threads / shuffle_strategy cannot

@@ -835,11 +835,6 @@ MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
     stats->distinct_mers = counts.size();
     for (uint32_t d = 0; d < W; ++d) stats->surviving_mers += result[d].size();
     stats->pass2_seconds = timer.Seconds();
-    // Seed shuffle model: one locally pre-aggregated (code, count) pair per
-    // distinct mer.
-    stats->shuffled_messages = counts.size();
-    stats->shuffled_bytes =
-        stats->shuffled_messages * sizeof(std::pair<uint64_t, uint32_t>);
   }
   return result;
 }
@@ -857,9 +852,9 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
   run.readback_chunks = stats.readback_chunks;
   run.readback_bytes = stats.readback_bytes;
 
-  // Even split with the remainder on the low workers, so totals stay exact.
-  // Used where no per-worker measurement exists (the serial fallback, and
-  // the base-scan cost, which hash sharding balances to first order).
+  // The base-scan cost has no per-worker measurement (hash sharding
+  // balances it to first order), so it is split evenly, with the remainder
+  // on the low workers so totals stay exact.
   auto even_share = [num_workers](uint64_t total, uint32_t w) {
     return total / num_workers + (w < total % num_workers ? 1 : 0);
   };
@@ -872,50 +867,33 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
     }
     return folded;
   };
-  const bool measured = !stats.shard_windows.empty();
   const std::vector<uint64_t> worker_windows = fold_shards(stats.shard_windows);
-  const std::vector<uint64_t> worker_bytes = fold_shards(stats.shard_bytes);
-  const std::vector<uint64_t> worker_msgs = fold_shards(stats.shard_messages);
-  // Pass-2 work units: one table probe per window for the sharded paths,
-  // one pair summation per aggregated pair for the serial fallback.
-  const uint64_t reduce_units =
-      measured ? stats.total_windows : stats.shuffled_messages;
 
-  // Map/shuffle superstep: one message per shipped unit (super-k-mer
-  // record for the sharded counter, pre-aggregated pair for the serial
-  // fallback), with the measured chunk payload as the byte volume.
+  // Map/shuffle superstep: one message per super-k-mer record, with the
+  // measured chunk payload as the byte volume.
   SuperstepStats map_ss;
   map_ss.superstep = 0;
   map_ss.active_vertices = stats.distinct_mers;
   map_ss.messages_sent = stats.shuffled_messages;
   map_ss.message_bytes = stats.shuffled_bytes;
-  map_ss.compute_ops = stats.total_bases + reduce_units;
-  map_ss.worker_messages.assign(num_workers, 0);
-  map_ss.worker_bytes.assign(num_workers, 0);
+  map_ss.compute_ops = stats.total_bases + stats.total_windows;
+  map_ss.worker_messages = fold_shards(stats.shard_messages);
+  map_ss.worker_bytes = fold_shards(stats.shard_bytes);
   map_ss.worker_ops.assign(num_workers, 0);
   for (uint32_t w = 0; w < num_workers; ++w) {
-    map_ss.worker_messages[w] =
-        measured ? worker_msgs[w] : even_share(stats.shuffled_messages, w);
-    map_ss.worker_bytes[w] =
-        measured ? worker_bytes[w] : even_share(stats.shuffled_bytes, w);
     map_ss.worker_ops[w] =
-        even_share(stats.total_bases, w) +
-        (measured ? worker_windows[w] : even_share(reduce_units, w));
+        even_share(stats.total_bases, w) + worker_windows[w];
   }
   run.supersteps.push_back(std::move(map_ss));
 
-  // Reduce superstep: one op per pass-2 work unit; survivors come out.
+  // Reduce superstep: one table probe per window; survivors come out.
   SuperstepStats reduce_ss;
   reduce_ss.superstep = 1;
   reduce_ss.active_vertices = stats.surviving_mers;
-  reduce_ss.compute_ops = reduce_units;
+  reduce_ss.compute_ops = stats.total_windows;
   reduce_ss.worker_messages.assign(num_workers, 0);
   reduce_ss.worker_bytes.assign(num_workers, 0);
-  reduce_ss.worker_ops.assign(num_workers, 0);
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    reduce_ss.worker_ops[w] =
-        measured ? worker_windows[w] : even_share(reduce_units, w);
-  }
+  reduce_ss.worker_ops = worker_windows;
   run.supersteps.push_back(std::move(reduce_ss));
   return run;
 }

@@ -112,25 +112,27 @@ struct KmerCountStats {
   double pass1_seconds = 0;     // partition pass
   double pass2_seconds = 0;     // count pass
 
-  // Pass-1 shuffle volume. shuffled_messages counts the shipped units
-  // (super-k-mer records, or — serial fallback — pre-aggregated (code,
-  // count) pairs); shuffled_bytes is the measured chunk payload.
-  int minimizer_len = 0;        // effective m (sharded counters only)
-  uint64_t superkmers = 0;      // super-k-mer records (sharded counters only)
+  // Everything below is measured by the sharded counter only; the serial
+  // oracle fills just the totals above and leaves the rest zero or empty.
+
+  // Pass-1 shuffle volume: shuffled_messages counts the shipped
+  // super-k-mer records, shuffled_bytes is the measured chunk payload.
+  int minimizer_len = 0;        // effective m
+  uint64_t superkmers = 0;      // super-k-mer records
   uint64_t shuffled_messages = 0;
   uint64_t shuffled_bytes = 0;
 
-  // Measured per-shard pass-2 load (sharded counters only; empty for
-  // serial): windows counted, chunk payload bytes, shipped units. Used for
-  // per-worker skew attribution in MerCountRunStats.
+  // Measured per-shard pass-2 load: windows counted, chunk payload bytes,
+  // shipped units. Used for per-worker skew attribution in
+  // MerCountRunStats.
   std::vector<uint64_t> shard_windows;
   std::vector<uint64_t> shard_bytes;
   std::vector<uint64_t> shard_messages;
 
-  // Sharded counters only (zero for serial): high-water mark of admitted
-  // chunk bytes not yet released, and the bound it is guaranteed to stay
-  // under. Admitted bytes include the async spill writer backlog and the
-  // unacked network bytes, so the bound covers every resident chunk byte.
+  // High-water mark of admitted chunk bytes not yet released, and the
+  // bound it is guaranteed to stay under. Admitted bytes include the async
+  // spill writer backlog and the unacked network bytes, so the bound
+  // covers every resident chunk byte.
   uint64_t peak_queued_bytes = 0;
   uint64_t queue_bound_bytes = 0;
 
@@ -176,9 +178,11 @@ MerCounts CountCanonicalMers(const std::vector<Read>& reads,
                              const KmerCountConfig& config,
                              KmerCountStats* stats = nullptr);
 
-/// Single-threaded reference counter. Bit-identical multiset of (code,
-/// count) pairs per output partition as the sharded counter; used as the
-/// `--serial-counting` fallback and as the property-test oracle.
+/// Single-threaded reference counter, the one counting oracle: one hash map
+/// over the reads, yielding the same multiset of (code, count) pairs per
+/// output partition as the sharded counter. Called only from tests and
+/// bench_micro_kmer; no pipeline run counts with it. Of `stats` it fills
+/// the totals, pass2_seconds and shards = threads = 1.
 MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
                                    const KmerCountConfig& config,
                                    KmerCountStats* stats = nullptr);
@@ -233,9 +237,10 @@ class CounterSession {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Renders counting metrics as a two-superstep RunStats (partition pass =
-/// map + shuffle, count pass = reduce) so the pipeline's cluster-model
-/// bookkeeping keeps working across the old and new counting paths.
+/// Renders the sharded counter's metrics as a two-superstep RunStats
+/// (partition pass = map + shuffle, count pass = reduce), with the measured
+/// per-shard loads folded into worker slots, so the pipeline's
+/// cluster-model bookkeeping covers counting like any other job.
 RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
                           const std::string& job_name);
 

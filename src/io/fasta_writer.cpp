@@ -22,19 +22,6 @@ void WriteWrapped(std::ostream& out, const std::string& seq,
   }
 }
 
-char EndChar(NodeEnd end) { return end == NodeEnd::k5 ? '5' : '3'; }
-
-void WriteEdges(std::ostream& out, const std::vector<BiEdge>& edges) {
-  if (edges.empty()) return;
-  out << " edges=";
-  for (size_t i = 0; i < edges.size(); ++i) {
-    const BiEdge& e = edges[i];
-    if (i > 0) out << ',';
-    out << e.to << ':' << EndChar(e.my_end) << EndChar(e.to_end) << ':'
-        << e.coverage;
-  }
-}
-
 }  // namespace
 
 void WriteContigsFasta(std::ostream& out,
@@ -54,32 +41,6 @@ void WriteContigsFasta(const std::string& path,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   PPA_CHECK(out.good());
   WriteContigsFasta(out, contigs, line_width);
-  out.flush();
-  PPA_CHECK(out.good());
-}
-
-void WriteDbgFasta(std::ostream& out, const AssemblyGraph& graph,
-                   size_t line_width) {
-  graph.ForEach([&](const AsmNode& node) {
-    if (node.kind == NodeKind::kKmer) {
-      out << ">kmer_" << node.id << " k=" << static_cast<int>(node.k)
-          << " coverage=" << node.coverage;
-    } else {
-      out << ">contig_" << node.id << " length=" << node.seq.size()
-          << " coverage=" << node.coverage
-          << " circular=" << (node.circular ? 1 : 0);
-    }
-    WriteEdges(out, node.edges);
-    out << '\n';
-    WriteWrapped(out, node.NodeSeq().ToString(), line_width);
-  });
-}
-
-void WriteDbgFasta(const std::string& path, const AssemblyGraph& graph,
-                   size_t line_width) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  PPA_CHECK(out.good());
-  WriteDbgFasta(out, graph, line_width);
   out.flush();
   PPA_CHECK(out.good());
 }

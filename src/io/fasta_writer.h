@@ -1,12 +1,10 @@
-// FASTA writers for assembly outputs.
+// FASTA writer for assembly outputs.
 //
 // Contigs are written as standard 80-column FASTA with a metadata header
 // (`>contig_<id> length=<n> coverage=<c> circular=<0|1>`) so downstream
-// tools (QUAST, aligners) consume them directly, unlike the TextStore
-// part-file format of dbg/graph_io.h, which targets the HDFS stand-in.
-// The DBG writer renders every live graph node as a FASTA record with its
-// adjacency in the header — a human-greppable dump for debugging graph
-// structure at any pipeline stage.
+// tools (QUAST, aligners) consume them directly. The one on-disk copy of a
+// graph is the TextStore part-file dump of dbg/graph_io.h (SaveGraph /
+// LoadGraph), the paper's HDFS stand-in.
 #ifndef PPA_IO_FASTA_WRITER_H_
 #define PPA_IO_FASTA_WRITER_H_
 
@@ -15,7 +13,6 @@
 #include <vector>
 
 #include "core/assembler.h"
-#include "dbg/node.h"
 
 namespace ppa {
 
@@ -26,14 +23,6 @@ void WriteContigsFasta(std::ostream& out,
 void WriteContigsFasta(const std::string& path,
                        const std::vector<ContigRecord>& contigs,
                        size_t line_width = 80);
-
-/// Writes every live node of an assembly graph as a FASTA record:
-///   >kmer_<id> k=<k> coverage=<c> edges=<to>:<my_end><to_end>:<cov>,...
-///   >contig_<id> length=<n> coverage=<c> circular=<0|1> edges=...
-void WriteDbgFasta(std::ostream& out, const AssemblyGraph& graph,
-                   size_t line_width = 80);
-void WriteDbgFasta(const std::string& path, const AssemblyGraph& graph,
-                   size_t line_width = 80);
 
 }  // namespace ppa
 

@@ -10,10 +10,11 @@
 // still work and .gz inputs are rejected with a clear error.
 //
 // ReadSource is the minimal pull interface io/read_stream.h batches behind
-// a reader thread; VectorReadSource adapts in-memory reads (simulated
-// datasets, tests) and MultiFileReadSource concatenates several files, so
-// every pipeline entry point — files, file lists, simulations — feeds the
-// same streaming path.
+// a reader thread; MultiFileReadSource concatenates several files, and
+// VectorReadSource adapts reads already in memory — the std::vector<Read>
+// overloads of Assembler::Assemble and BuildDbg are thin adapters over it.
+// So every pipeline entry point — files, file lists, simulations, tests —
+// runs the one streaming path.
 #ifndef PPA_IO_FASTX_H_
 #define PPA_IO_FASTX_H_
 
@@ -86,7 +87,8 @@ class FastxReader : public ReadSource {
   bool has_pushed_back_ = false;
 };
 
-/// Serves reads from an in-memory vector (simulated datasets, tests).
+/// Serves reads from an in-memory vector (simulated datasets, tests, the
+/// std::vector<Read> overloads of Assemble and BuildDbg).
 class VectorReadSource : public ReadSource {
  public:
   explicit VectorReadSource(std::vector<Read> reads)

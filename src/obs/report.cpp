@@ -41,8 +41,8 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
     Set(r, "counting.shards", c.shards);
     Set(r, "counting.threads", c.threads);
     Set(r, "counting.windows", c.total_windows);
-    // Windows of the fullest shard (0 for the serial counter):
-    // max_shard_windows * shards / windows is the pass-2 load skew.
+    // Windows of the fullest shard: max_shard_windows * shards / windows
+    // is the pass-2 load skew.
     uint64_t max_shard_windows = 0;
     for (uint64_t w : c.shard_windows) {
       max_shard_windows = std::max(max_shard_windows, w);
@@ -92,12 +92,10 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
   Set(r, "spill.budget_bytes", data.spill_budget_bytes);
   Set(r, "spill.peak_resident_bytes", data.spill_peak_resident_bytes);
   Set(r, "dbg.kmer_vertices", data.kmer_vertices);
-  if (data.has_contigs) {
-    Set(r, "contigs.count", data.num_contigs);
-    Set(r, "contigs.total_length", data.contigs_total_length);
-    Set(r, "contigs.n50", data.contigs_n50);
-    Set(r, "contigs.largest", data.largest_contig);
-  }
+  Set(r, "contigs.count", data.num_contigs);
+  Set(r, "contigs.total_length", data.contigs_total_length);
+  Set(r, "contigs.n50", data.contigs_n50);
+  Set(r, "contigs.largest", data.largest_contig);
   Set(r, "run.wall_micros", Micros(data.wall_seconds));
 }
 

@@ -39,7 +39,7 @@ struct PipelineStats;   // pregel/stats.h
 namespace obs {
 
 /// Everything the end-of-run publication needs, gathered by the caller.
-/// Null pointers skip their group (e.g. no contigs in dbg-only mode).
+/// Null pointers skip their group.
 struct RunReportData {
   uint64_t reads = 0;
   uint64_t bases = 0;
@@ -49,7 +49,6 @@ struct RunReportData {
   uint64_t spill_budget_bytes = 0;
   uint64_t spill_peak_resident_bytes = 0;
   uint64_t kmer_vertices = 0;
-  bool has_contigs = false;
   uint64_t num_contigs = 0;
   uint64_t contigs_total_length = 0;
   uint64_t contigs_n50 = 0;
@@ -81,7 +80,7 @@ class SnapshotView {
 /// Non-numeric run facts carried into run.json alongside the snapshot.
 struct RunReportInfo {
   std::vector<std::string> inputs;
-  std::string counting_mode;     // "stream" | "in-memory-sharded" | ...
+  std::string counting_mode;     // "stream": every run streams its reads
   std::string shuffle_strategy;  // "sort" | "hash"
   std::string spill_mode;        // "never" | "auto" | "always"
   double wall_seconds = 0;

@@ -99,17 +99,6 @@ inline void SetLogLevel(LogLevel level) {
   internal::LogLevelFlag().store(static_cast<int>(level));
 }
 
-/// Emits a raw line (no "[LEVEL ...]" prefix) to stderr at `level`,
-/// honoring the global level filter and the log mutex. For user-facing
-/// periodic output — the CLI's --progress heartbeat — that must still be
-/// silenceable with --log-level.
-inline void LogRawLine(LogLevel level, const std::string& line) {
-  if (static_cast<int>(level) < internal::LogLevelFlag().load()) return;
-  std::lock_guard<std::mutex> lock(internal::LogMutex());
-  std::fputs(line.c_str(), stderr);
-  std::fputc('\n', stderr);
-}
-
 /// Parses a --log-level value ("debug", "info", "warn"/"warning", "error",
 /// "silent"). False on anything else.
 inline bool ParseLogLevel(const std::string& text, LogLevel* level) {

@@ -1,7 +1,8 @@
 // Tests for the ppa_assemble CLI driver (cli/assemble_cli.h): flag parsing
-// and the end-to-end acceptance property — assembling an exported simulated
-// FASTQ through the streaming path produces contigs whose QUAST-style
-// metrics equal the in-memory pipeline's on the same dataset.
+// and the end-to-end acceptance properties — assembling an exported
+// simulated FASTQ produces contigs whose QUAST-style metrics equal the
+// library pipeline's on the same reads, and counts exactly what the serial
+// counting oracle counts.
 #include "cli/assemble_cli.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/assembler.h"
+#include "dbg/kmer_counter.h"
 #include "io/fastx.h"
 #include "net/worker.h"
 #include "quality/quast.h"
@@ -95,10 +97,26 @@ TEST(AssembleCliParseTest, RejectsBadInput) {
   opts = {};
   EXPECT_FALSE(Parse({"--workers", "0", "in.fastq"}, &opts, &error));
   opts = {};
+  // Values past the field's range fail naming the range instead of
+  // wrapping: k = 2^32 + 31 would run as k = 31, 2^32 + 1 threads as 1.
+  const std::pair<const char*, const char*> kOutOfRange[] = {
+      {"--net-timeout-ms", "3000000000"},
+      {"-k", "4294967327"},
+      {"--threads", "4294967297"},
+      {"--workers", "4294967296"},
+  };
+  for (const auto& [flag, value] : kOutOfRange) {
+    EXPECT_FALSE(Parse({flag, value, "in.fastq"}, &opts, &error)) << flag;
+    EXPECT_NE(error.find(std::string(flag) + ": expected an integer in [0, "),
+              std::string::npos)
+        << error;
+    opts = {};
+  }
   // Retired flags are refused, never silently accepted.
   for (const char* removed :
        {"--coverage-threshold", "--verbose", "--batch-reads", "--batch-bases",
-        "--queue-depth", "--shuffle"}) {
+        "--queue-depth", "--shuffle", "--in-memory", "--serial-counting",
+        "--dbg-out", "--progress", "--net-window-bytes"}) {
     EXPECT_FALSE(Parse({removed, "1", "in.fastq"}, &opts, &error)) << removed;
     EXPECT_NE(error.find(std::string("unknown flag '") + removed + "'"),
               std::string::npos)
@@ -112,9 +130,6 @@ TEST(AssembleCliParseTest, RejectsBadInput) {
   EXPECT_FALSE(
       Parse({"--memory-budget-bytes", "-5", "in.fastq"}, &opts, &error));
   opts = {};
-  // Serial counting only exists on the in-memory path.
-  EXPECT_FALSE(Parse({"--serial-counting", "in.fastq"}, &opts, &error));
-  opts = {};
   bool help = false;
   std::vector<const char*> help_args = {"--help"};
   EXPECT_TRUE(ParseAssembleCliArgs(1, help_args.data(), &opts, &help,
@@ -126,12 +141,11 @@ TEST(AssembleCliParseTest, ObservabilityFlagsMapOntoOptions) {
   AssembleCliOptions opts;
   std::string error;
   ASSERT_TRUE(Parse({"--report-json", "run.json", "--trace-out", "trace.json",
-                     "--progress", "--log-level", "debug", "in.fastq"},
+                     "--log-level", "debug", "in.fastq"},
                     &opts, &error))
       << error;
   EXPECT_EQ(opts.report_json, "run.json");
   EXPECT_EQ(opts.trace_out, "trace.json");
-  EXPECT_TRUE(opts.progress);
   EXPECT_EQ(opts.log_level, "debug");
 
   // Bad levels are a usage error at parse time, not a silent default.
@@ -157,13 +171,11 @@ TEST(AssembleCliParseTest, DistributedFlagsMapOntoOptions) {
   AssembleCliOptions opts;
   std::string error;
   ASSERT_TRUE(Parse({"--shard-workers", "3", "--worker-binary", "/bin/w",
-                     "--net-window-bytes", "4096", "--net-timeout-ms", "777",
-                     "in.fastq"},
+                     "--net-timeout-ms", "777", "in.fastq"},
                     &opts, &error))
       << error;
   EXPECT_EQ(opts.assembler.shard_workers, 3u);
   EXPECT_EQ(opts.assembler.worker_binary, "/bin/w");
-  EXPECT_EQ(opts.assembler.net_window_bytes, 4096u);
   EXPECT_EQ(opts.assembler.net_timeout_ms, 777);
 
   opts = {};
@@ -171,13 +183,6 @@ TEST(AssembleCliParseTest, DistributedFlagsMapOntoOptions) {
                     &opts, &error))
       << error;
   EXPECT_EQ(opts.assembler.worker_endpoints, "unix:/a.sock,9000");
-
-  // Distribution rides the streaming pipeline only.
-  opts = {};
-  EXPECT_FALSE(
-      Parse({"--shard-workers", "2", "--in-memory", "in.fastq"}, &opts,
-            &error));
-  EXPECT_NE(error.find("--in-memory"), std::string::npos) << error;
 }
 
 TEST(AssembleCliParseTest, FaultPlanValidatedAtParseTime) {
@@ -224,7 +229,10 @@ uint64_t ReportField(const std::string& stats, const std::string& key) {
 }
 
 // The acceptance property: ppa_assemble on an exported simulated FASTQ ==
-// the in-memory pipeline on the same dataset, asserted on QUAST metrics.
+// the library pipeline on the dataset's reads in memory, asserted on QUAST
+// metrics. Both stream (Assemble's vector overload adapts the reads through
+// VectorReadSource), so this pins FASTQ parsing and the CLI's wiring;
+// TwoFileRunCountsMatchSerialOracle is the independent check.
 TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
   Dataset dataset = MakeDataset(DatasetId::kHc2, 0.04);  // ~10 kbp genome
   const std::string prefix = TempPath("hc2_e2e");
@@ -549,52 +557,39 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   }
 }
 
-// The CLI's own in-memory mode must agree with its streaming mode.
-TEST(AssembleCliRunTest, InMemoryModeMatchesStreamingMode) {
+// An oracle independent of the pipeline's counter: ppa_assemble on reads
+// split across two FASTQ files counts exactly what CountCanonicalMersSerial
+// counts over all of them with the same k + 1, workers and theta.
+TEST(AssembleCliRunTest, TwoFileRunCountsMatchSerialOracle) {
   Dataset dataset = MakeDataset(DatasetId::kHc2, 0.02);
-  const std::string prefix = TempPath("hc2_modes");
-  std::vector<std::string> written = ExportDatasetFastq(dataset, prefix);
+  const auto middle = dataset.reads.begin() +
+                      static_cast<std::ptrdiff_t>(dataset.reads.size() / 2);
+  const std::string first = TempPath("hc2_split.1.fastq");
+  const std::string second = TempPath("hc2_split.2.fastq");
+  ExportReadsFastq(std::vector<Read>(dataset.reads.begin(), middle), first);
+  ExportReadsFastq(std::vector<Read>(middle, dataset.reads.end()), second);
 
-  AssembleCliOptions stream_opts;
-  stream_opts.inputs = {written[0]};
-  stream_opts.contigs_out = TempPath("hc2_modes.stream.fasta");
-  stream_opts.stats_out = TempPath("hc2_modes.stream.txt");
-  stream_opts.assembler.num_workers = 4;
-  stream_opts.assembler.num_threads = 2;
+  AssembleCliOptions opts;
+  opts.inputs = {first, second};
+  opts.contigs_out = TempPath("hc2_split.fasta");
+  opts.stats_out = TempPath("hc2_split.txt");
+  opts.assembler.num_workers = 4;
+  opts.assembler.num_threads = 2;
   std::ostringstream out, err;
-  ASSERT_EQ(RunAssembleCli(stream_opts, out, err), 0) << err.str();
+  ASSERT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
 
-  AssembleCliOptions mem_opts = stream_opts;
-  mem_opts.in_memory = true;
-  mem_opts.assembler.sharded_kmer_counting = false;  // serial reference
-  mem_opts.contigs_out = TempPath("hc2_modes.mem.fasta");
-  mem_opts.stats_out = TempPath("hc2_modes.mem.txt");
-  ASSERT_EQ(RunAssembleCli(mem_opts, out, err), 0) << err.str();
-
-  EXPECT_EQ(SortedContigSeqs(stream_opts.contigs_out),
-            SortedContigSeqs(mem_opts.contigs_out));
-  const std::string stream_stats = ReadFile(stream_opts.stats_out);
-  const std::string mem_stats = ReadFile(mem_opts.stats_out);
-  EXPECT_NE(mem_stats.find("mode=in-memory-serial"), std::string::npos);
-  EXPECT_EQ(ReportField(mem_stats, "max_shard_windows"), 0u);  // no shards
-  // The serial oracle counts what the streaming super-k-mer pass 1 counts.
-  for (const char* key : {"windows", "distinct", "surviving", "n50"}) {
-    EXPECT_EQ(ReportField(stream_stats, key), ReportField(mem_stats, key))
-        << key;
-  }
-
-  // The in-memory sharded counter feeds a CounterSession from a thread
-  // pool; it must agree with both.
-  AssembleCliOptions sharded_opts = mem_opts;
-  sharded_opts.assembler.sharded_kmer_counting = true;
-  sharded_opts.contigs_out = TempPath("hc2_modes.sharded.fasta");
-  sharded_opts.stats_out = TempPath("hc2_modes.sharded.txt");
-  ASSERT_EQ(RunAssembleCli(sharded_opts, out, err), 0) << err.str();
-
-  EXPECT_EQ(SortedContigSeqs(stream_opts.contigs_out),
-            SortedContigSeqs(sharded_opts.contigs_out));
-  EXPECT_NE(ReadFile(sharded_opts.stats_out).find("mode=in-memory-sharded"),
-            std::string::npos);
+  KmerCountConfig config;
+  config.mer_length = opts.assembler.k + 1;
+  config.num_workers = opts.assembler.num_workers;
+  config.coverage_threshold = opts.assembler.coverage_threshold;
+  KmerCountStats oracle;
+  CountCanonicalMersSerial(dataset.reads, config, &oracle);
+  ASSERT_GT(oracle.surviving_mers, 0u);
+  const std::string stats = ReadFile(opts.stats_out);
+  EXPECT_EQ(ReportField(stats, "reads"), dataset.reads.size());
+  EXPECT_EQ(ReportField(stats, "windows"), oracle.total_windows);
+  EXPECT_EQ(ReportField(stats, "distinct"), oracle.distinct_mers);
+  EXPECT_EQ(ReportField(stats, "surviving"), oracle.surviving_mers);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dbg_construction.h"
 #include "io/fasta_writer.h"
 #include "io/fastx.h"
 #include "io/read_stream.h"
@@ -331,32 +330,6 @@ TEST(FastaWriterTest, ContigsRoundTripThroughParser) {
   EXPECT_EQ(parsed[1].bases, "ACGTACGT");
   // 80-column wrapping: the 173 bp contig occupies 3 sequence lines.
   EXPECT_EQ(std::count(fasta.begin(), fasta.end(), '\n'), 2 + 3 + 1);
-}
-
-TEST(FastaWriterTest, DbgDumpHasOneRecordPerVertex) {
-  GenomeConfig genome_config;
-  genome_config.length = 1500;
-  genome_config.seed = 9;
-  ReadSimConfig sim_config;
-  sim_config.coverage = 8.0;
-  sim_config.error_rate = 0.0;
-  sim_config.n_rate = 0.0;
-  std::vector<Read> reads =
-      SimulateReads(GenerateGenome(genome_config), sim_config);
-  AssemblerOptions options;
-  options.k = 21;
-  options.coverage_threshold = 1;
-  options.num_workers = 4;
-  options.num_threads = 2;
-  DbgResult dbg = BuildDbg(reads, options);
-  std::ostringstream out;
-  WriteDbgFasta(out, dbg.graph);
-  std::vector<Read> parsed = ParseFasta(out.str());
-  EXPECT_EQ(parsed.size(), dbg.graph.live_size());
-  for (const Read& r : parsed) {
-    EXPECT_EQ(r.name.rfind("kmer_", 0), 0u);
-    EXPECT_EQ(r.bases.size(), 21u);
-  }
 }
 
 TEST(FastqExportTest, SimulatedDatasetRoundTripsExactly) {

@@ -330,28 +330,6 @@ TEST(KmerCounterTest, SuperkmerRunStatsTotalsAreExact) {
   EXPECT_EQ(ops_sum, map_ss.compute_ops);
 }
 
-// The serial fallback keeps the seed's shuffle model (one pre-aggregated
-// pair per distinct mer), so PipelineStats comparisons between the two
-// paths reflect their genuinely different communication costs.
-TEST(KmerCounterTest, SerialRunStatsUseAggregatedPairModel) {
-  std::vector<Read> reads = SimulatedReads(5000, 10.0, 0.01, 23);
-  KmerCountConfig config;
-  config.mer_length = 21;
-  config.num_workers = 4;
-  KmerCountStats stats;
-  CountCanonicalMersSerial(reads, config, &stats);
-  EXPECT_EQ(stats.shuffled_messages, stats.distinct_mers);
-  EXPECT_EQ(stats.shuffled_bytes,
-            stats.distinct_mers * sizeof(std::pair<uint64_t, uint32_t>));
-  EXPECT_TRUE(stats.shard_windows.empty());
-
-  RunStats run = MerCountRunStats(stats, 4, "phase1-serial");
-  EXPECT_EQ(run.total_messages(), stats.distinct_mers);
-  uint64_t worker_sum = 0;
-  for (uint64_t m : run.supersteps[0].worker_messages) worker_sum += m;
-  EXPECT_EQ(worker_sum, stats.distinct_mers);
-}
-
 // ---------------------------------------------------------------------------
 // Edge cases: 'N' runs, too-short reads, empty input — the serial and
 // sharded paths must agree bit-identically on all of them.
