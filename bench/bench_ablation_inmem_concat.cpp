@@ -42,18 +42,29 @@ int main() {
   {
     TextStore store("/tmp/ppa_inmem_ablation");
     store.Clear();
-    // Dump one record per labeled vertex, as job 1's output would be.
+    // Dump one (partition, slot, label) record per labeled vertex, as
+    // job 1's output would be.
     std::vector<std::string> lines;
-    for (const auto& [id, label] : labels.labels) {
-      lines.push_back(std::to_string(id) + "\t" + std::to_string(label));
+    for (const std::vector<LabelEntry>& entries : labels.labels) {
+      for (const LabelEntry& e : entries) {
+        lines.push_back(std::to_string(e.partition) + "\t" +
+                        std::to_string(e.slot) + "\t" +
+                        std::to_string(e.label));
+      }
     }
     store.WritePart(0, lines);
     // Reload and re-parse, as job 2's input phase would.
     LabelingResult reloaded;
+    reloaded.labels.resize(labels.labels.size());
     for (const std::string& line : store.ReadAll()) {
-      size_t tab = line.find('\t');
-      reloaded.labels[std::stoull(line.substr(0, tab))] =
-          std::stoull(line.substr(tab + 1));
+      const size_t tab1 = line.find('\t');
+      const size_t tab2 = line.find('\t', tab1 + 1);
+      LabelEntry e;
+      e.partition = static_cast<uint32_t>(std::stoul(line.substr(0, tab1)));
+      e.slot = static_cast<uint32_t>(
+          std::stoul(line.substr(tab1 + 1, tab2 - tab1 - 1)));
+      e.label = std::stoull(line.substr(tab2 + 1));
+      reloaded.labels[e.partition].push_back(e);
     }
     bytes = store.TotalBytes();
     AssemblyGraph graph = dbg.graph;
@@ -63,7 +74,11 @@ int main() {
   }
   double round_trip_secs = round_trip.Seconds();
 
-  std::printf("Labeled vertices: %zu\n", labels.labels.size());
+  size_t labeled = 0;
+  for (const std::vector<LabelEntry>& entries : labels.labels) {
+    labeled += entries.size();
+  }
+  std::printf("Labeled vertices: %zu\n", labeled);
   std::printf("In-memory handoff + merge:   %8.3f s\n", in_mem_secs);
   std::printf("Text-store round trip + merge: %6.3f s (%llu bytes written)\n",
               round_trip_secs, static_cast<unsigned long long>(bytes));

@@ -25,6 +25,7 @@ struct ClaimVertex {
   bool removed = false;
 
   bool boundary = false;  // ambiguous or baseline-specific stop vertex
+  uint32_t slot = 0;      // the vertex's slot in its assembly-graph partition
   std::vector<uint64_t> broadcast_targets;  // boundary fan-out
   uint64_t nbr[2] = {kNullId, kNullId};
   bool is_end[2] = {false, false};
@@ -90,32 +91,39 @@ LabelingResult SequentialLabel(
     const std::string& job_name, PipelineStats* stats) {
   LabelingResult result;
 
-  PartitionedGraph<ClaimVertex> claim_graph(graph.num_workers());
-  graph.ForEach([&](const AsmNode& node) {
-    ClaimVertex v;
-    v.id = node.id;
-    v.boundary = !node.IsUnambiguousPathNode() ||
-                 (extra_boundary && extra_boundary(node));
-    if (v.boundary) {
-      ++result.num_ambiguous;
-      for (const BiEdge& e : node.edges) {
-        if (e.to != kNullId && e.to != node.id) {
-          v.broadcast_targets.push_back(e.to);
+  const uint32_t W = graph.num_workers();
+  PartitionedGraph<ClaimVertex> claim_graph(W);
+  for (uint32_t p = 0; p < W; ++p) {
+    const std::vector<AsmNode>& nodes = graph.partition(p).vertices;
+    for (uint32_t slot = 0; slot < nodes.size(); ++slot) {
+      const AsmNode& node = nodes[slot];
+      if (node.removed) continue;
+      ClaimVertex v;
+      v.id = node.id;
+      v.slot = slot;
+      v.boundary = !node.IsUnambiguousPathNode() ||
+                   (extra_boundary && extra_boundary(node));
+      if (v.boundary) {
+        ++result.num_ambiguous;
+        for (const BiEdge& e : node.edges) {
+          if (e.to != kNullId && e.to != node.id) {
+            v.broadcast_targets.push_back(e.to);
+          }
         }
+        std::sort(v.broadcast_targets.begin(), v.broadcast_targets.end());
+        v.broadcast_targets.erase(std::unique(v.broadcast_targets.begin(),
+                                              v.broadcast_targets.end()),
+                                  v.broadcast_targets.end());
+      } else {
+        ++result.num_unambiguous;
+        const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
+        const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
+        v.nbr[0] = (e5 != nullptr) ? e5->to : kNullId;
+        v.nbr[1] = (e3 != nullptr) ? e3->to : kNullId;
       }
-      std::sort(v.broadcast_targets.begin(), v.broadcast_targets.end());
-      v.broadcast_targets.erase(std::unique(v.broadcast_targets.begin(),
-                                            v.broadcast_targets.end()),
-                                v.broadcast_targets.end());
-    } else {
-      ++result.num_unambiguous;
-      const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
-      const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
-      v.nbr[0] = (e5 != nullptr) ? e5->to : kNullId;
-      v.nbr[1] = (e3 != nullptr) ? e3->to : kNullId;
+      claim_graph.AddToPartition(p, std::move(v));
     }
-    claim_graph.Add(std::move(v));
-  });
+  }
 
   EngineConfig config;
   config.num_threads = options.num_threads;
@@ -124,10 +132,13 @@ LabelingResult SequentialLabel(
   result.stats = engine.Run(claim_graph);
   if (stats != nullptr) stats->Add(result.stats);
 
-  claim_graph.ForEach([&](const ClaimVertex& v) {
-    if (v.boundary || v.label == UINT64_MAX) return;  // cycles: unlabeled
-    result.labels[v.id] = v.label;
-  });
+  result.labels.resize(W);
+  for (uint32_t p = 0; p < W; ++p) {
+    for (const ClaimVertex& v : claim_graph.partition(p).vertices) {
+      if (v.boundary || v.label == UINT64_MAX) continue;  // cycles: unlabeled
+      result.labels[p].push_back(LabelEntry{v.label, p, v.slot});
+    }
+  }
   return result;
 }
 

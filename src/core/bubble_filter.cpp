@@ -38,6 +38,7 @@ struct PruneNotice {
 BubbleResult FilterBubbles(AssemblyGraph& graph,
                            const AssemblerOptions& options,
                            PipelineStats* stats) {
+  CheckGraphWorkers("FilterBubbles", graph.num_workers(), options);
   const uint32_t W = options.num_workers;
   BubbleResult result;
 

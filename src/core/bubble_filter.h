@@ -31,7 +31,8 @@ struct BubbleResult {
   RunStats stats;
 };
 
-/// Filters bubbles among the contig vertices of `graph`, in place.
+/// Filters bubbles among the contig vertices of `graph`, in place. The
+/// graph must have `options.num_workers` partitions (aborts otherwise).
 BubbleResult FilterBubbles(AssemblyGraph& graph,
                            const AssemblerOptions& options,
                            PipelineStats* stats = nullptr);

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/sv.h"
 #include "pregel/engine.h"
 #include "pregel/graph.h"
+#include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace ppa {
 
@@ -33,6 +37,7 @@ struct LabelVertex {
 
   bool ambiguous = false;
   bool run_lr = true;  // false: stop after end recognition.
+  uint32_t slot = 0;   // The vertex's slot in its assembly-graph partition.
   // Unambiguous vertices: the two port (5'/3') neighbors (kNullId = dead
   // end). Ambiguous vertices: their full broadcast target list.
   uint64_t nbr[2] = {kNullId, kNullId};
@@ -142,94 +147,128 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
                             LabelingMethod method, PipelineStats* stats) {
   LabelingResult result;
   const bool run_lr = (method == LabelingMethod::kListRanking);
+  const uint32_t W = graph.num_workers();
+  ThreadPool pool(options.num_threads == 0 ? ThreadPool::DefaultThreads()
+                                           : options.num_threads);
 
-  PartitionedGraph<LabelVertex> label_graph(graph.num_workers());
-  graph.ForEach([&](const AsmNode& node) {
-    LabelVertex v;
-    v.id = node.id;
-    v.run_lr = run_lr;
-    v.ambiguous = !node.IsUnambiguousPathNode();
-    if (v.ambiguous) {
-      ++result.num_ambiguous;
-      for (const BiEdge& e : node.edges) {
-        if (e.to != kNullId && e.to != node.id) {
-          v.broadcast_targets.push_back(e.to);
+  // Vertices the S-V job labels (LR: the cycle leftovers; S-V: every
+  // unambiguous vertex), per partition in slot order: their S-V inputs and
+  // the indexes of their entries in result.labels[p].
+  std::vector<std::vector<SvInput>> sv_parts(W);
+  std::vector<std::vector<uint32_t>> sv_entries(W);
+  result.labels.resize(W);
+  {
+    // Label-graph partition p holds partition p's live vertices in slot
+    // order (ids route alike under one worker count), so each partition
+    // converts on its own.
+    PartitionedGraph<LabelVertex> label_graph(W);
+    std::vector<uint64_t> ambiguous(W, 0);
+    pool.Run(W, [&](uint32_t p) {
+      const std::vector<AsmNode>& nodes = graph.partition(p).vertices;
+      label_graph.partition(p).vertices.reserve(nodes.size());
+      label_graph.partition(p).index.Reserve(nodes.size());
+      for (uint32_t slot = 0; slot < nodes.size(); ++slot) {
+        const AsmNode& node = nodes[slot];
+        if (node.removed) continue;
+        LabelVertex v;
+        v.id = node.id;
+        v.slot = slot;
+        v.run_lr = run_lr;
+        v.ambiguous = !node.IsUnambiguousPathNode();
+        if (v.ambiguous) {
+          ++ambiguous[p];
+          for (const BiEdge& e : node.edges) {
+            if (e.to != kNullId && e.to != node.id) {
+              v.broadcast_targets.push_back(e.to);
+            }
+          }
+          std::sort(v.broadcast_targets.begin(), v.broadcast_targets.end());
+          v.broadcast_targets.erase(std::unique(v.broadcast_targets.begin(),
+                                                v.broadcast_targets.end()),
+                                    v.broadcast_targets.end());
+        } else {
+          const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
+          const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
+          v.nbr[0] = (e5 != nullptr) ? e5->to : kNullId;
+          v.nbr[1] = (e3 != nullptr) ? e3->to : kNullId;
         }
+        label_graph.AddToPartition(p, std::move(v));
       }
-      std::sort(v.broadcast_targets.begin(), v.broadcast_targets.end());
-      v.broadcast_targets.erase(std::unique(v.broadcast_targets.begin(),
-                                            v.broadcast_targets.end()),
-                                v.broadcast_targets.end());
-    } else {
-      ++result.num_unambiguous;
-      const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
-      const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
-      v.nbr[0] = (e5 != nullptr) ? e5->to : kNullId;
-      v.nbr[1] = (e3 != nullptr) ? e3->to : kNullId;
+    });
+    for (uint32_t p = 0; p < W; ++p) {
+      result.num_ambiguous += ambiguous[p];
+      result.num_unambiguous +=
+          label_graph.partition(p).vertices.size() - ambiguous[p];
     }
-    label_graph.Add(std::move(v));
-  });
 
-  EngineConfig config;
-  config.num_threads = options.num_threads;
-  config.job_name =
-      std::string("contig-labeling-") + (run_lr ? "lr" : "sv-endrec");
-  Engine<LabelVertex> engine(config);
-  result.stats = engine.Run(label_graph);
-  if (stats != nullptr) stats->Add(result.stats);
+    EngineConfig config;
+    config.num_threads = options.num_threads;
+    config.job_name =
+        std::string("contig-labeling-") + (run_lr ? "lr" : "sv-endrec");
+    Engine<LabelVertex> engine(config);
+    result.stats = engine.Run(label_graph);
+    if (stats != nullptr) stats->Add(result.stats);
 
-  if (run_lr) {
-    // Collect labels; leftovers (cycles) go to S-V.
-    std::vector<SvInput> cycle_inputs;
-    label_graph.ForEach([&](const LabelVertex& v) {
-      if (v.ambiguous) return;
-      if (v.in_cycle) {
-        SvInput in;
-        in.id = v.id;
-        for (int s = 0; s < 2; ++s) {
-          if (v.nbr[s] != kNullId) in.neighbors.push_back(v.nbr[s]);
+    // Collect the labels by slot. A vertex left to S-V gets an entry whose
+    // label S-V fills in, and an S-V input: under LR its two port
+    // neighbors, under S-V the non-end predecessor slots recognized in
+    // superstep 1.
+    pool.Run(W, [&](uint32_t p) {
+      std::vector<LabelEntry>& entries = result.labels[p];
+      entries.reserve(label_graph.partition(p).vertices.size() - ambiguous[p]);
+      for (const LabelVertex& v : label_graph.partition(p).vertices) {
+        if (v.ambiguous) continue;
+        LabelEntry entry{0, p, v.slot};
+        if (run_lr && !v.in_cycle) {
+          // "We use the smaller contig-end vertex's ID as the
+          // contig-label."
+          entry.label =
+              std::min(ClearEndMark(v.pred[0]), ClearEndMark(v.pred[1]));
+        } else {
+          SvInput in;
+          in.id = v.id;
+          for (int s = 0; s < 2; ++s) {
+            if (run_lr && v.nbr[s] != kNullId) {
+              in.neighbors.push_back(v.nbr[s]);
+            }
+            if (!run_lr && !HasEndMark(v.pred[s])) {
+              in.neighbors.push_back(v.pred[s]);
+            }
+          }
+          sv_parts[p].push_back(std::move(in));
+          sv_entries[p].push_back(static_cast<uint32_t>(entries.size()));
         }
-        cycle_inputs.push_back(std::move(in));
-        return;
+        entries.push_back(entry);
       }
-      uint64_t a = ClearEndMark(v.pred[0]);
-      uint64_t b = ClearEndMark(v.pred[1]);
-      // "We use the smaller contig-end vertex's ID as the contig-label."
-      result.labels[v.id] = std::min(a, b);
     });
-    result.num_cycle_vertices = cycle_inputs.size();
-    if (!cycle_inputs.empty()) {
-      SvResult sv =
-          RunSimplifiedSv(cycle_inputs, options.num_workers,
-                          options.num_threads, "contig-labeling-cycle-sv");
-      result.cycle_sv_stats = sv.stats;
-      if (stats != nullptr) stats->Add(sv.stats);
-      for (const auto& [id, comp] : sv.component) result.labels[id] = comp;
-    }
-  } else {
-    // S-V over the whole unambiguous subgraph: neighbors are the non-end
-    // predecessor slots recognized in superstep 1.
-    std::vector<SvInput> inputs;
-    label_graph.ForEach([&](const LabelVertex& v) {
-      if (v.ambiguous) return;
-      SvInput in;
-      in.id = v.id;
-      for (int s = 0; s < 2; ++s) {
-        if (!HasEndMark(v.pred[s])) in.neighbors.push_back(v.pred[s]);
-      }
-      inputs.push_back(std::move(in));
-    });
-    SvResult sv = RunSimplifiedSv(inputs, options.num_workers,
-                                  options.num_threads, "contig-labeling-sv");
-    result.cycle_sv_stats = sv.stats;
-    if (stats != nullptr) stats->Add(sv.stats);
-    for (const auto& [id, comp] : sv.component) {
-      result.labels[id] = comp;
-    }
-    // Cycle detection for the S-V method: a component whose every member
-    // has two path neighbors is a cycle; merging handles it via the
-    // "no contig-end found" case, so no marking is needed here.
+  }  // The label graph is freed before S-V builds its own.
+
+  std::vector<SvInput> sv_inputs;
+  for (std::vector<SvInput>& part : sv_parts) {
+    std::move(part.begin(), part.end(), std::back_inserter(sv_inputs));
   }
+  if (run_lr) {
+    result.num_cycle_vertices = sv_inputs.size();
+    if (sv_inputs.empty()) return result;
+  }
+  // LR: cycle leftovers. S-V: the whole unambiguous subgraph (a component
+  // whose every member has two path neighbors is a cycle; merging handles
+  // it via the "no contig-end found" case, so no marking is needed).
+  SvResult sv = RunSimplifiedSv(
+      sv_inputs, options.num_workers, options.num_threads,
+      run_lr ? "contig-labeling-cycle-sv" : "contig-labeling-sv");
+  result.cycle_sv_stats = sv.stats;
+  if (stats != nullptr) stats->Add(sv.stats);
+  // Each S-V-labeled entry takes the component of the vertex in its slot.
+  pool.Run(W, [&](uint32_t p) {
+    const std::vector<AsmNode>& nodes = graph.partition(p).vertices;
+    for (uint32_t i : sv_entries[p]) {
+      LabelEntry& entry = result.labels[p][i];
+      auto it = sv.component.find(nodes[entry.slot].id);
+      PPA_CHECK(it != sv.component.end());
+      entry.label = it->second;
+    }
+  });
   return result;
 }
 

@@ -22,12 +22,11 @@
 #define PPA_CORE_CONTIG_LABELING_H_
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/options.h"
 #include "dbg/node.h"
+#include "pregel/mapreduce.h"
 #include "pregel/stats.h"
-#include "util/hash.h"
 
 namespace ppa {
 
@@ -41,15 +40,29 @@ inline const char* LabelingMethodName(LabelingMethod m) {
   return m == LabelingMethod::kListRanking ? "LR" : "S-V";
 }
 
+/// One labeled vertex: its contig label and the (partition, slot) the
+/// vertex occupies in the assembly graph it was labeled on.
+struct LabelEntry {
+  uint64_t label = 0;
+  uint32_t partition = 0;
+  uint32_t slot = 0;
+};
+
 /// Labeling output.
 struct LabelingResult {
-  // Node id -> contig label, for every unambiguous node.
-  std::unordered_map<uint64_t, uint64_t, IdHash> labels;
+  // One list per assembly-graph partition: labels[p] holds one entry per
+  // labeled vertex of partition p, in slot order (LabelContigs labels
+  // every unambiguous live vertex). The slots stay valid until the graph
+  // is next modified, so contig merging reads the labeled vertices in
+  // place instead of looking up their ids.
+  Partitioned<LabelEntry> labels;
   uint64_t num_unambiguous = 0;
   uint64_t num_ambiguous = 0;
   uint64_t num_cycle_vertices = 0;
-  RunStats stats;          // Main labeling job (incl. end recognition).
-  RunStats cycle_sv_stats;  // S-V fallback over cycles (LR method only).
+  RunStats stats;  // Main labeling job (incl. end recognition).
+  // The S-V job: for the LR method, the fallback over cycle leftovers (empty
+  // when there were none); for the S-V method, its whole labeling job.
+  RunStats cycle_sv_stats;
 
   /// Combined superstep/message totals (what Tables II/III report).
   uint32_t total_supersteps() const {
@@ -63,8 +76,9 @@ struct LabelingResult {
   }
 };
 
-/// Labels every unambiguous node of `graph` with its contig label.
-/// The graph itself is not modified.
+/// Labels every unambiguous node of `graph` with its contig label. The
+/// graph itself is not modified; the result has one label list per graph
+/// partition.
 LabelingResult LabelContigs(const AssemblyGraph& graph,
                             const AssemblerOptions& options,
                             LabelingMethod method,

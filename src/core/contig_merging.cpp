@@ -2,17 +2,44 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
-#include <unordered_set>
+#include <type_traits>
 #include <utility>
 
 #include "pregel/mapreduce.h"
-#include "util/hash.h"
 #include "util/logging.h"
 
 namespace ppa {
 
 namespace {
+
+/// One port of a path vertex: its edge at one end, if any (a path vertex
+/// has at most one per end). Presence is its own flag because kNullId is
+/// also the id of worker 0's first contig (MakeContigId(0, 0)).
+struct PortEdge {
+  uint64_t to = kNullId;
+  uint32_t coverage = 0;
+  NodeEnd to_end = NodeEnd::k5;
+  bool present = false;
+};
+
+/// Shuffle value of the group-by-label job: one labeled path vertex,
+/// flattened to what stitching reads. Trivially copyable, so the shuffle
+/// can spill it.
+struct PathVertex {
+  uint64_t id = 0;
+  // k-mer vertex: its k-mer code. Contig vertex: its slot in partition
+  // PartitionOf(id); the reducer reads the sequence from the graph, which
+  // the job does not modify.
+  uint64_t code_or_slot = 0;
+  PortEdge port[2];  // [0] = 5' end, [1] = 3' end
+  uint32_t coverage = 0;
+  NodeKind kind = NodeKind::kKmer;
+
+  const PortEdge& PortAt(NodeEnd end) const {
+    return port[static_cast<int>(end)];
+  }
+};
+static_assert(std::is_trivially_copyable_v<PathVertex>);
 
 /// One end's connection of a stitched contig to the outside world.
 struct OuterLink {
@@ -49,45 +76,75 @@ struct LinkNotice {
 /// incident edges).
 using LinkNotices = std::vector<LinkNotice>;
 
+/// The link that leaves path vertex `v` at its `end`.
+OuterLink LinkAt(const PathVertex& v, NodeEnd end) {
+  const PortEdge& e = v.PortAt(end);
+  return OuterLink{true, e.to, e.to_end, v.id, end, e.coverage};
+}
+
+/// Appends the bases read by entering `v` at `entry`, from base `from` on:
+/// the stored orientation entering at the 5' end, the reverse complement
+/// entering at 3'.
+void AppendOriented(const PathVertex& v, NodeEnd entry, size_t from, int k,
+                    const AssemblyGraph& graph, PackedSequence* seq) {
+  if (v.kind == NodeKind::kKmer) {
+    const Kmer kmer(v.code_or_slot, k);
+    seq->AppendKmer(entry == NodeEnd::k5 ? kmer : kmer.ReverseComplement(),
+                    static_cast<int>(from));
+    return;
+  }
+  const PackedSequence& contig =
+      graph.partition(PartitionOf(v.id, graph.num_workers()))
+          .vertices[v.code_or_slot]
+          .seq;
+  if (entry == NodeEnd::k5) {
+    seq->Append(contig, from);
+    return;
+  }
+  for (size_t i = contig.size() - from; i > 0; --i) {
+    seq->PushBack(ComplementBase(contig.BaseAt(i - 1)));
+  }
+}
+
 /// Stitches one label group into a contig. Implements the ordering +
 /// polarity-aware concatenation of Sec. IV.B-3 on the bidirected view:
 /// entering a vertex at its 5' end contributes its stored sequence,
 /// entering at its 3' end contributes the reverse complement; consecutive
-/// vertices overlap by (k-1) bases.
-MergedContig StitchGroup(std::span<AsmNode> group, int k,
+/// vertices overlap by (k-1) bases. Sorts `group` by id.
+MergedContig StitchGroup(std::span<PathVertex> group,
+                         const AssemblyGraph& graph, int k,
                          uint32_t tip_threshold) {
-  std::unordered_map<uint64_t, const AsmNode*, IdHash> by_id;
-  by_id.reserve(group.size());
-  for (const AsmNode& n : group) by_id.emplace(n.id, &n);
+  std::sort(group.begin(), group.end(),
+            [](const PathVertex& a, const PathVertex& b) {
+              return a.id < b.id;
+            });
+  const size_t kAbsent = group.size();
+  auto index_of = [&group, kAbsent](uint64_t id) {
+    auto it = std::lower_bound(
+        group.begin(), group.end(), id,
+        [](const PathVertex& v, uint64_t key) { return v.id < key; });
+    return (it != group.end() && it->id == id)
+               ? static_cast<size_t>(it - group.begin())
+               : kAbsent;
+  };
 
   // Find a contig-end vertex: one whose edge at some end is absent or
   // leaves the group. Scan in id order for determinism.
-  std::vector<const AsmNode*> ordered;
-  ordered.reserve(group.size());
-  for (const AsmNode& n : group) ordered.push_back(&n);
-  std::sort(ordered.begin(), ordered.end(),
-            [](const AsmNode* a, const AsmNode* b) { return a->id < b->id; });
-
-  const AsmNode* start = nullptr;
+  size_t start = kAbsent;
   NodeEnd entry = NodeEnd::k5;
-  bool circular = false;
-  for (const AsmNode* n : ordered) {
+  for (size_t i = 0; i < group.size() && start == kAbsent; ++i) {
     for (NodeEnd end : {NodeEnd::k5, NodeEnd::k3}) {
-      const BiEdge* e = n->EdgeAt(end);
-      if (e == nullptr || by_id.find(e->to) == by_id.end()) {
-        start = n;
+      const PortEdge& e = group[i].PortAt(end);
+      if (!e.present || index_of(e.to) == kAbsent) {
+        start = i;
         entry = end;
         break;
       }
     }
-    if (start != nullptr) break;
   }
-  if (start == nullptr) {
-    // No end found: the group is a cycle of <1-1> vertices.
-    circular = true;
-    start = ordered.front();
-    entry = NodeEnd::k5;
-  }
+  // No end found: the group is a cycle of <1-1> vertices.
+  const bool circular = (start == kAbsent);
+  if (circular) start = 0;
 
   MergedContig out;
   out.node.kind = NodeKind::kContig;
@@ -95,54 +152,40 @@ MergedContig StitchGroup(std::span<AsmNode> group, int k,
   out.node.circular = circular;
 
   // Record the 5'-side outer link.
-  if (!circular) {
-    const BiEdge* e = start->EdgeAt(entry);
-    if (e != nullptr) {
-      out.outer[0].present = true;
-      out.outer[0].outer_id = e->to;
-      out.outer[0].outer_end = e->to_end;
-      out.outer[0].old_node = start->id;
-      out.outer[0].old_node_end = entry;
-      out.outer[0].coverage = e->coverage;
-    }
+  if (!circular && group[start].PortAt(entry).present) {
+    out.outer[0] = LinkAt(group[start], entry);
   }
 
   // Walk and stitch.
-  PackedSequence seq = start->OrientedSeq(entry);
-  uint32_t coverage = start->coverage;
-  std::unordered_set<uint64_t> visited;
-  visited.insert(start->id);
-  const AsmNode* cur = start;
+  PackedSequence& seq = out.node.seq;
+  AppendOriented(group[start], entry, 0, k, graph, &seq);
+  uint32_t coverage = group[start].coverage;
+  std::vector<uint8_t> visited(group.size(), 0);
+  visited[start] = 1;
+  size_t cur = start;
   NodeEnd ent = entry;
   for (;;) {
-    NodeEnd exit = OppositeEnd(ent);
-    const BiEdge* e = cur->EdgeAt(exit);
-    if (e == nullptr) break;  // Dead end: 3' side has no outer link.
-    auto it = by_id.find(e->to);
-    if (it == by_id.end()) {
-      // 3'-side outer link.
-      out.outer[1].present = true;
-      out.outer[1].outer_id = e->to;
-      out.outer[1].outer_end = e->to_end;
-      out.outer[1].old_node = cur->id;
-      out.outer[1].old_node_end = exit;
-      out.outer[1].coverage = e->coverage;
+    const NodeEnd exit = OppositeEnd(ent);
+    const PortEdge& e = group[cur].PortAt(exit);
+    if (!e.present) break;  // Dead end: 3' side has no outer link.
+    const size_t next = index_of(e.to);
+    if (next == kAbsent) {
+      out.outer[1] = LinkAt(group[cur], exit);  // 3'-side outer link.
       break;
     }
-    if (circular && e->to == start->id) {
-      coverage = std::min(coverage, e->coverage);
+    if (circular && next == start) {
+      coverage = std::min(coverage, e.coverage);
       break;  // Cycle closed.
     }
-    const AsmNode* next = it->second;
-    if (visited.count(next->id) != 0) break;  // Defensive (bad labels).
-    visited.insert(next->id);
-    coverage = std::min({coverage, e->coverage, next->coverage});
-    seq.Append(next->OrientedSeq(e->to_end), static_cast<size_t>(k - 1));
+    if (visited[next] != 0) break;  // Defensive (bad labels).
+    visited[next] = 1;
+    coverage = std::min({coverage, e.coverage, group[next].coverage});
+    AppendOriented(group[next], e.to_end, static_cast<size_t>(k - 1), k,
+                   graph, &seq);
     cur = next;
-    ent = e->to_end;
+    ent = e.to_end;
   }
 
-  out.node.seq = std::move(seq);
   out.node.coverage = coverage;
   if (out.outer[0].present) {
     out.node.edges.push_back(BiEdge{out.outer[0].outer_id, NodeEnd::k5,
@@ -170,25 +213,31 @@ MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
                          const AssemblerOptions& options,
                          std::vector<uint32_t>* next_contig_ordinal,
                          PipelineStats* stats) {
+  CheckGraphWorkers("MergeContigs", graph.num_workers(), options);
   const uint32_t W = options.num_workers;
   PPA_CHECK(next_contig_ordinal != nullptr &&
             next_contig_ordinal->size() == W);
   MergeResult result;
 
-  // ---- Build MR input: labeled nodes, keyed by label. ---------------------
-  Partitioned<AsmNode> input(W);
-  for (uint32_t p = 0; p < W; ++p) {
-    for (const AsmNode& node : graph.partition(p).vertices) {
-      if (node.removed) continue;
-      if (labels.labels.find(node.id) != labels.labels.end()) {
-        input[p].push_back(node);
+  // ---- Group-by-label MR over the label lists: each entry names its
+  // vertex's (partition, slot), so the map reads the vertex in place. -----
+  const AssemblyGraph& in_graph = graph;
+  auto map_fn = [&in_graph](const LabelEntry& entry, auto& emitter) {
+    const AsmNode& node =
+        in_graph.partition(entry.partition).vertices[entry.slot];
+    PathVertex v;
+    v.id = node.id;
+    v.kind = node.kind;
+    v.code_or_slot =
+        node.kind == NodeKind::kKmer ? node.kmer_code : entry.slot;
+    for (NodeEnd end : {NodeEnd::k5, NodeEnd::k3}) {
+      if (const BiEdge* e = node.EdgeAt(end)) {
+        v.port[static_cast<int>(end)] =
+            PortEdge{e->to, e->coverage, e->to_end, true};
       }
     }
-  }
-
-  const auto& label_map = labels.labels;
-  auto map_fn = [&label_map](const AsmNode& node, auto& emitter) {
-    emitter.Emit(label_map.at(node.id), node);
+    v.coverage = node.coverage;
+    emitter.Emit(entry.label, v);
   };
 
   const int k = options.k;
@@ -196,10 +245,11 @@ MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
   std::atomic<uint64_t> tips_dropped{0};
   std::atomic<uint64_t> circular_count{0};
   std::atomic<uint64_t> nodes_merged{0};
-  auto reduce_fn = [&](const uint64_t& /*label*/, std::span<AsmNode> group,
+  auto reduce_fn = [&](const uint64_t& /*label*/,
+                       std::span<PathVertex> group,
                        std::vector<MergedContig>& out) {
     nodes_merged.fetch_add(group.size(), std::memory_order_relaxed);
-    MergedContig merged = StitchGroup(group, k, tip_threshold);
+    MergedContig merged = StitchGroup(group, in_graph, k, tip_threshold);
     if (merged.dropped) {
       tips_dropped.fetch_add(1, std::memory_order_relaxed);
     }
@@ -211,9 +261,9 @@ MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
 
   // No combiner: stitching needs every path vertex individually.
   Partitioned<MergedContig> merged =
-      RunMapReduce<AsmNode, uint64_t, AsmNode, MergedContig>(
-          input, map_fn, reduce_fn, MakeMrConfig(options, "contig-merging"),
-          &result.merge_stats);
+      RunMapReduce<LabelEntry, uint64_t, PathVertex, MergedContig>(
+          labels.labels, map_fn, reduce_fn,
+          MakeMrConfig(options, "contig-merging"), &result.merge_stats);
   if (stats != nullptr) stats->Add(result.merge_stats);
   result.tips_dropped = tips_dropped.load();
   result.circular_contigs = circular_count.load();
@@ -224,16 +274,15 @@ MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
     for (MergedContig& m : merged[d]) {
       if (m.dropped) continue;
       m.node.id = MakeContigId(d, (*next_contig_ordinal)[d]++);
-      // Rewrite notice source ids now that the id exists.
       ++result.contigs_created;
     }
   }
 
   // ---- Remove merged path nodes from the graph. ----------------------------
-  for (const auto& [node_id, label] : labels.labels) {
-    (void)label;
-    AsmNode* node = graph.Find(node_id);
-    if (node != nullptr) node->removed = true;
+  for (const std::vector<LabelEntry>& entries : labels.labels) {
+    for (const LabelEntry& entry : entries) {
+      graph.partition(entry.partition).vertices[entry.slot].removed = true;
+    }
   }
 
   // ---- Link-notice MR: tell ambiguous endpoints to relink. ----------------

@@ -1,12 +1,17 @@
 // Operation 3: contig merging (Sec. IV.B-3).
 //
 // Groups labeled unambiguous vertices by contig label with a mini MapReduce
-// job; each reducer builds a hash table over its group, locates a contig-end
-// vertex (or, for cycles, starts anywhere), orders the vertices along the
-// path and stitches their sequences with (k-1)-base overlap elision,
-// reverse-complementing each vertex whose edge polarity requires it. The
-// contig's coverage is the minimum coverage seen during concatenation; its
-// two neighbors are the ambiguous vertices (or dead ends) at the path ends.
+// job. The map reads each labeled vertex in place through its (partition,
+// slot) label entry and ships one flat, trivially copyable record per path
+// vertex: id, k-mer code (or, for a contig vertex, its slot, whose sequence
+// the reducer reads from the graph), the two port edges and coverage. Each
+// reducer sorts its group by id, locates a contig-end vertex (or, for
+// cycles, starts at the smallest id), orders the vertices along the path by
+// binary search and stitches their sequences with (k-1)-base overlap
+// elision, reverse-complementing each vertex whose edge polarity requires
+// it. The contig's coverage is the minimum coverage seen during
+// concatenation; its two neighbors are the ambiguous vertices (or dead ends)
+// at the path ends.
 //
 // Dangling contigs not longer than the tip-length threshold are dropped at
 // merge time ("we exit reduce() if the aggregated contig length is not
@@ -41,8 +46,11 @@ struct MergeResult {
 
 /// Merges labeled vertices of `graph` into contig vertices, in place:
 /// merged path nodes are removed, contig nodes are added, and ambiguous
-/// endpoint vertices are re-linked. `next_contig_ordinal` (one counter per
-/// logical worker) persists across merge rounds so contig IDs stay unique.
+/// endpoint vertices are re-linked. `labels` must come from labeling this
+/// graph since its last modification, and the graph must have
+/// `options.num_workers` partitions (aborts otherwise).
+/// `next_contig_ordinal` (one counter per logical worker) persists across
+/// merge rounds so contig IDs stay unique.
 MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
                          const AssemblerOptions& options,
                          std::vector<uint32_t>* next_contig_ordinal,

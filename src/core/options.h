@@ -3,6 +3,8 @@
 #define PPA_CORE_OPTIONS_H_
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -95,6 +97,19 @@ inline MapReduceConfig MakeMrConfig(const AssemblerOptions& options,
   config.job_name = std::move(job_name);
   config.spill = options.spill_context;
   return config;
+}
+
+/// Aborts, naming both counts, unless the graph handed to `operation` has
+/// `options.num_workers` partitions. Operations that walk the partitions
+/// and size their jobs by `options.num_workers` would otherwise skip
+/// partitions or read past the last one.
+inline void CheckGraphWorkers(const char* operation, uint32_t graph_workers,
+                              const AssemblerOptions& options) {
+  if (graph_workers == options.num_workers) return;
+  std::fprintf(stderr,
+               "%s: the graph has %u workers but options.num_workers is %u\n",
+               operation, graph_workers, options.num_workers);
+  std::abort();
 }
 
 }  // namespace ppa

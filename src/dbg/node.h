@@ -73,19 +73,6 @@ struct AsmNode {
     return kind == NodeKind::kKmer ? k : seq.size();
   }
 
-  /// The node's stored-orientation sequence.
-  PackedSequence NodeSeq() const {
-    if (kind == NodeKind::kContig) return seq;
-    return PackedSequence::FromKmer(Kmer(kmer_code, k));
-  }
-
-  /// The sequence read by entering at `entry`: stored orientation when
-  /// entering at the 5' end, reverse complement when entering at 3'.
-  PackedSequence OrientedSeq(NodeEnd entry) const {
-    PackedSequence s = NodeSeq();
-    return entry == NodeEnd::k5 ? s : s.ReverseComplement();
-  }
-
   /// Number of edges attached at `end`.
   int DegreeAt(NodeEnd end) const {
     int d = 0;

@@ -133,8 +133,9 @@ struct MapReduceConfig {
   // kAlways, the over-budget ones under kAuto. Readback reassembles the
   // exact (source, emit) chunk order, so output stays bit-identical to the
   // in-memory path. Only jobs whose key and value types are trivially
-  // copyable spill; jobs shipping heap-indirect values (node payloads,
-  // notice batches) ignore the context and stay resident.
+  // copyable spill; the two jobs shipping heap-indirect values (contig
+  // merging's link-notice batches, bubble filtering's candidates) ignore
+  // the context and stay resident.
   SpillContext* spill = nullptr;
 };
 
@@ -632,10 +633,12 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
     map_ss.worker_ops.resize(W);
     for (uint32_t src = 0; src < W; ++src) {
       map_ss.worker_messages[src] = shuffled[src];
-      // Byte volume is modeled as the inline pair footprint; values with
-      // heap payloads (node sequences, notice batches) are counted at
-      // their header size only. Pair counts are exact — use those when
-      // comparing jobs whose value types differ in indirection.
+      // Byte volume is modeled as the inline pair footprint. That is exact
+      // for trivially copyable values (the contig-merging group-by
+      // included); values with heap payloads (link-notice batches, bubble
+      // candidates' sequences) are counted at their header size only. Pair
+      // counts are always exact — use those when comparing jobs whose value
+      // types differ in indirection.
       map_ss.worker_bytes[src] = shuffled[src] * sizeof(std::pair<K, V>);
       // Combining work (one table probe per emission) counts as map ops.
       map_ss.worker_ops[src] = input[src].size() + emitted[src];

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -35,9 +36,22 @@ AssemblyGraph GraphFrom(const std::vector<std::string>& read_strs,
   return std::move(dbg.graph);
 }
 
-size_t DistinctLabels(const LabelingResult& result) {
+/// The labels of `result` keyed by vertex id, read off its (partition,
+/// slot) lists over the graph it labeled.
+std::unordered_map<uint64_t, uint64_t> LabelsById(
+    const AssemblyGraph& graph, const LabelingResult& result) {
+  std::unordered_map<uint64_t, uint64_t> by_id;
+  for (const std::vector<LabelEntry>& entries : result.labels) {
+    for (const LabelEntry& e : entries) {
+      by_id[graph.partition(e.partition).vertices[e.slot].id] = e.label;
+    }
+  }
+  return by_id;
+}
+
+size_t DistinctLabels(const std::unordered_map<uint64_t, uint64_t>& by_id) {
   std::unordered_set<uint64_t> labels;
-  for (const auto& [id, label] : result.labels) labels.insert(label);
+  for (const auto& [id, label] : by_id) labels.insert(label);
   return labels.size();
 }
 
@@ -50,9 +64,10 @@ TEST(LabelingTest, SinglePathGetsOneLabel) {
   for (LabelingMethod method :
        {LabelingMethod::kListRanking, LabelingMethod::kSimplifiedSv}) {
     LabelingResult result = LabelContigs(graph, options, method);
+    const auto labels = LabelsById(graph, result);
     EXPECT_EQ(result.num_ambiguous, 0u) << LabelingMethodName(method);
-    EXPECT_EQ(result.labels.size(), graph.live_size());
-    EXPECT_EQ(DistinctLabels(result), 1u);
+    EXPECT_EQ(labels.size(), graph.live_size());
+    EXPECT_EQ(DistinctLabels(labels), 1u);
   }
 }
 
@@ -64,12 +79,13 @@ TEST(LabelingTest, ForkSplitsPaths) {
 
   LabelingResult result =
       LabelContigs(graph, options, LabelingMethod::kListRanking);
+  const auto labels = LabelsById(graph, result);
   EXPECT_GT(result.num_ambiguous, 0u);
-  EXPECT_GT(DistinctLabels(result), 1u);
+  EXPECT_GT(DistinctLabels(labels), 1u);
   // Ambiguous vertices carry no label.
   graph.ForEach([&](const AsmNode& node) {
     if (!node.IsUnambiguousPathNode()) {
-      EXPECT_EQ(result.labels.count(node.id), 0u);
+      EXPECT_EQ(labels.count(node.id), 0u);
     }
   });
 }
@@ -81,22 +97,22 @@ TEST(LabelingTest, LrAndSvAgreeOnGrouping) {
        "TTGACGGGATCCTAGGGCAT"},
       options);
 
-  LabelingResult lr =
-      LabelContigs(graph, options, LabelingMethod::kListRanking);
-  LabelingResult sv =
-      LabelContigs(graph, options, LabelingMethod::kSimplifiedSv);
+  const auto lr = LabelsById(
+      graph, LabelContigs(graph, options, LabelingMethod::kListRanking));
+  const auto sv = LabelsById(
+      graph, LabelContigs(graph, options, LabelingMethod::kSimplifiedSv));
 
-  ASSERT_EQ(lr.labels.size(), sv.labels.size());
+  ASSERT_EQ(lr.size(), sv.size());
   // The label *values* differ (LR: min end id; SV: min id) but the induced
   // partitions must be identical.
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> lr_groups;
   std::unordered_map<uint64_t, std::unordered_set<uint64_t>> sv_groups;
-  for (const auto& [id, label] : lr.labels) lr_groups[label].insert(id);
-  for (const auto& [id, label] : sv.labels) sv_groups[label].insert(id);
+  for (const auto& [id, label] : lr) lr_groups[label].insert(id);
+  for (const auto& [id, label] : sv) sv_groups[label].insert(id);
   ASSERT_EQ(lr_groups.size(), sv_groups.size());
   for (const auto& [label, members] : lr_groups) {
     // Find the SV group of any member; must be identical.
-    uint64_t sv_label = sv.labels.at(*members.begin());
+    uint64_t sv_label = sv.at(*members.begin());
     EXPECT_EQ(sv_groups.at(sv_label), members);
   }
 }
@@ -109,11 +125,12 @@ TEST(LabelingTest, PureCycleFallsBackToSv) {
   AssemblyGraph graph = GraphFrom({"ACGGTAACGGTAAC"}, options);
   LabelingResult result =
       LabelContigs(graph, options, LabelingMethod::kListRanking);
+  const auto labels = LabelsById(graph, result);
   // Either the graph has ambiguity (depending on k) or a cycle was found
   // and labeled via the fallback. All unambiguous vertices must be labeled.
   graph.ForEach([&](const AsmNode& node) {
     if (node.IsUnambiguousPathNode()) {
-      EXPECT_EQ(result.labels.count(node.id), 1u);
+      EXPECT_EQ(labels.count(node.id), 1u);
     }
   });
   if (result.num_cycle_vertices > 0) {
@@ -149,7 +166,7 @@ TEST(LabelingTest, LabelIsSmallerEndMarkedId) {
   // The LR label of a path is one of its member ids (the smaller end).
   std::unordered_set<uint64_t> ids;
   graph.ForEach([&](const AsmNode& node) { ids.insert(node.id); });
-  for (const auto& [id, label] : result.labels) {
+  for (const auto& [id, label] : LabelsById(graph, result)) {
     EXPECT_TRUE(ids.count(label) == 1) << label;
   }
 }

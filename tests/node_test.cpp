@@ -83,16 +83,12 @@ TEST(AsmNodeTest, SelfLoopIsAmbiguous) {
   EXPECT_EQ(node.Type(), VertexType::kManyMany);
 }
 
-TEST(AsmNodeTest, OrientedSeq) {
-  AsmNode node = KmerNode("ACGTT");
-  EXPECT_EQ(node.OrientedSeq(NodeEnd::k5).ToString(), "ACGTT");
-  EXPECT_EQ(node.OrientedSeq(NodeEnd::k3).ToString(), "AACGT");
+TEST(AsmNodeTest, SeqLength) {
+  EXPECT_EQ(KmerNode("ACGTT").SeqLength(), 5u);
 
   AsmNode contig;
   contig.kind = NodeKind::kContig;
   contig.seq = PackedSequence::FromString("ACGTTGCA");
-  EXPECT_EQ(contig.OrientedSeq(NodeEnd::k5).ToString(), "ACGTTGCA");
-  EXPECT_EQ(contig.OrientedSeq(NodeEnd::k3).ToString(), "TGCAACGT");
   EXPECT_EQ(contig.SeqLength(), 8u);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/assembler.h"
@@ -129,6 +130,162 @@ TEST(MergingTest, ShortDanglingContigDroppedAtMergeTime) {
     if (dangling) {
       EXPECT_GT(c.seq.size(), options.tip_length_threshold);
     }
+  }
+}
+
+/// A vertex of a hand-built path: `forward` when the path reads it in its
+/// stored orientation, i.e. enters it at its 5' end.
+struct PathPiece {
+  AsmNode node;
+  bool forward = true;
+};
+
+/// The k-mer vertex of `s`, stored as its canonical k-mer.
+PathPiece KmerPiece(const std::string& s) {
+  const Kmer kmer = Kmer::FromString(s);
+  PathPiece piece;
+  piece.node.id = kmer.Canonical().code();
+  piece.node.kind = NodeKind::kKmer;
+  piece.node.k = static_cast<uint8_t>(s.size());
+  piece.node.kmer_code = piece.node.id;
+  piece.forward = kmer.IsCanonical();
+  return piece;
+}
+
+/// A contig vertex holding `s`, or its reverse complement unless `forward`.
+PathPiece ContigPiece(uint64_t id, const std::string& s, bool forward,
+                      uint32_t coverage) {
+  PathPiece piece;
+  piece.node.id = id;
+  piece.node.kind = NodeKind::kContig;
+  piece.node.k = 5;
+  const PackedSequence seq = PackedSequence::FromString(s);
+  piece.node.seq = forward ? seq : seq.ReverseComplement();
+  piece.node.coverage = coverage;
+  piece.forward = forward;
+  return piece;
+}
+
+/// Joins the path-right end of `left` to the path-left end of `right`.
+void Join(PathPiece& left, PathPiece& right, uint32_t coverage) {
+  const NodeEnd l = left.forward ? NodeEnd::k3 : NodeEnd::k5;
+  const NodeEnd r = right.forward ? NodeEnd::k5 : NodeEnd::k3;
+  left.node.edges.push_back(BiEdge{right.node.id, l, r, coverage});
+  right.node.edges.push_back(BiEdge{left.node.id, r, l, coverage});
+}
+
+/// The edges of `node` that lead to `to`.
+std::vector<BiEdge> EdgesTo(const AsmNode& node, uint64_t to) {
+  std::vector<BiEdge> out;
+  for (const BiEdge& e : node.edges) {
+    if (e.to == to) out.push_back(e);
+  }
+  return out;
+}
+
+TEST(MergingTest, StitchesThroughContigVerticesOnBothStrands) {
+  // Read left to right at k = 5, TATACCACTGGGTAGGATACGGC holds the
+  // ambiguous k-mer o1, the path k1 c1 k2 c2 k3 and the ambiguous k-mer o2.
+  // c1 is stored reverse-complemented, so the walk from k1 (the path end
+  // with the smaller id) enters it at its 3' end; c2 is stored forward and
+  // entered at its 5' end. o1 and k3 are stored reverse-complemented too.
+  const std::string g = "TATACCACTGGGTAGGATACGGC";
+  PathPiece o1 = KmerPiece(g.substr(0, 5));
+  PathPiece k1 = KmerPiece(g.substr(1, 5));
+  PathPiece c1 = ContigPiece(MakeContigId(1, 0), g.substr(2, 11), false, 4);
+  PathPiece k2 = KmerPiece(g.substr(9, 5));
+  PathPiece c2 = ContigPiece(MakeContigId(2, 0), g.substr(10, 11), true, 10);
+  PathPiece k3 = KmerPiece(g.substr(17, 5));
+  PathPiece o2 = KmerPiece(g.substr(18, 5));
+  ASSERT_TRUE(k1.forward && !k3.forward && !o1.forward);
+  ASSERT_LT(k1.node.id, k3.node.id);
+  Join(o1, k1, 9);
+  Join(k1, c1, 7);
+  Join(c1, k2, 6);
+  Join(k2, c2, 8);
+  Join(c2, k3, 5);
+  Join(k3, o2, 11);
+  k1.node.coverage = 7;
+  k2.node.coverage = 6;
+  k3.node.coverage = 5;
+  // A self-loop makes each outer k-mer ambiguous.
+  for (PathPiece* outer : {&o1, &o2}) {
+    outer->node.edges.push_back(
+        BiEdge{outer->node.id, NodeEnd::k5, NodeEnd::k5, 3});
+  }
+
+  AssemblerOptions options = TestOptions();
+  options.tip_length_threshold = 4;
+  AssemblyGraph graph(options.num_workers);
+  for (PathPiece* piece : {&o1, &k1, &c1, &k2, &c2, &k3, &o2}) {
+    graph.Add(piece->node);
+  }
+  std::vector<uint32_t> ordinals(options.num_workers, 10);
+  LabelAndMerge(graph, options, &ordinals);
+
+  std::vector<ContigRecord> contigs = CollectContigs(graph);
+  ASSERT_EQ(contigs.size(), 1u);
+  EXPECT_EQ(contigs[0].seq.ToString(), "ATACCACTGGGTAGGATACGG");
+  EXPECT_EQ(contigs[0].coverage, 4u);  // c1's own coverage is the minimum.
+  EXPECT_FALSE(contigs[0].circular);
+  const uint64_t id = contigs[0].id;
+  const AsmNode* contig = graph.Find(id);
+  ASSERT_NE(contig, nullptr);
+  // 5' side: o1's path-right end (its 5' end, o1 being reversed); 3' side:
+  // o2's path-left end (its 5' end).
+  const BiEdge to_o1{o1.node.id, NodeEnd::k5, NodeEnd::k5, 9};
+  const BiEdge to_o2{o2.node.id, NodeEnd::k3, NodeEnd::k5, 11};
+  EXPECT_EQ(EdgesTo(*contig, o1.node.id), std::vector<BiEdge>{to_o1});
+  EXPECT_EQ(EdgesTo(*contig, o2.node.id), std::vector<BiEdge>{to_o2});
+  EXPECT_EQ(contig->edges.size(), 2u);
+  const AsmNode* outer1 = graph.Find(o1.node.id);
+  const AsmNode* outer2 = graph.Find(o2.node.id);
+  ASSERT_NE(outer1, nullptr);
+  ASSERT_NE(outer2, nullptr);
+  const BiEdge from_o1{id, NodeEnd::k5, NodeEnd::k5, 9};
+  const BiEdge from_o2{id, NodeEnd::k5, NodeEnd::k3, 11};
+  EXPECT_EQ(EdgesTo(*outer1, id), std::vector<BiEdge>{from_o1});
+  EXPECT_EQ(EdgesTo(*outer2, id), std::vector<BiEdge>{from_o2});
+  EXPECT_TRUE(EdgesTo(*outer1, k1.node.id).empty());
+  EXPECT_TRUE(EdgesTo(*outer2, k3.node.id).empty());
+}
+
+// MergeContigs and FilterBubbles walk the graph's partitions by
+// options.num_workers, so both must refuse a graph built with another count.
+constexpr char kFortyBaseRead[] = "ACGTTGCATGGATCCTAGCATCAATGGCTAGGTTCACGAT";
+constexpr std::pair<uint32_t, uint32_t> kMismatchedWorkers[] = {{16, 4},
+                                                                {4, 16}};
+
+TEST(MergingDeathTest, RejectsGraphWithOtherWorkerCount) {
+  for (const auto& [graph_workers, option_workers] : kMismatchedWorkers) {
+    AssemblerOptions options = TestOptions();
+    options.num_workers = graph_workers;
+    AssemblyGraph graph = GraphFrom({kFortyBaseRead}, options);
+    const LabelingResult labels =
+        LabelContigs(graph, options, LabelingMethod::kListRanking);
+    options.num_workers = option_workers;
+    std::vector<uint32_t> ordinals(options.num_workers, 0);
+    EXPECT_DEATH(MergeContigs(graph, labels, options, &ordinals),
+                 "MergeContigs: the graph has " +
+                     std::to_string(graph_workers) +
+                     " workers but options.num_workers is " +
+                     std::to_string(option_workers));
+  }
+}
+
+TEST(BubbleDeathTest, RejectsGraphWithOtherWorkerCount) {
+  for (const auto& [graph_workers, option_workers] : kMismatchedWorkers) {
+    AssemblerOptions options = TestOptions();
+    options.num_workers = graph_workers;
+    AssemblyGraph graph = GraphFrom({kFortyBaseRead}, options);
+    std::vector<uint32_t> ordinals(options.num_workers, 0);
+    LabelAndMerge(graph, options, &ordinals);
+    options.num_workers = option_workers;
+    EXPECT_DEATH(FilterBubbles(graph, options),
+                 "FilterBubbles: the graph has " +
+                     std::to_string(graph_workers) +
+                     " workers but options.num_workers is " +
+                     std::to_string(option_workers));
   }
 }
 

@@ -662,6 +662,17 @@ TEST(PipelineSpillTest, ContigsBitIdenticalAcrossGrid) {
         // The acceptance bound: resident chunk bytes stayed under budget.
         EXPECT_LE(always.spill_peak_resident_bytes, kBudget) << label;
         EXPECT_EQ(never.spill_peak_resident_bytes, 0u) << label;
+        // The group-by-label merge shuffles flat path-vertex records, so
+        // it spills and replays like every other trivially copyable job.
+        uint64_t merge_spilled = 0;
+        uint64_t merge_readback = 0;
+        for (const RunStats& job : always.stats.jobs) {
+          if (job.job_name != "contig-merging") continue;
+          merge_spilled += job.spilled_chunks;
+          merge_readback += job.readback_chunks;
+        }
+        EXPECT_GT(merge_spilled, 0u) << label;
+        EXPECT_EQ(merge_readback, merge_spilled) << label;
       }
     }
   }
