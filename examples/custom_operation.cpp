@@ -17,6 +17,7 @@
 #include "core/contig_merging.h"
 #include "core/dbg_construction.h"
 #include "core/tip_removal.h"
+#include "pregel/convert.h"
 #include "pregel/engine.h"
 #include "quality/quast.h"
 #include "sim/genome.h"
@@ -80,16 +81,16 @@ struct CoveragePruneVertex {
 
 uint64_t PruneLowCoverageContigs(AssemblyGraph& graph, uint32_t floor,
                                  const AssemblerOptions& options) {
-  PartitionedGraph<CoveragePruneVertex> job(graph.num_workers());
-  graph.ForEach([&](const AsmNode& node) {
-    CoveragePruneVertex v;
-    v.id = node.id;
-    v.is_contig = (node.kind == NodeKind::kContig);
-    v.coverage = node.coverage;
-    v.floor = floor;
-    v.edges = node.edges;
-    job.Add(std::move(v));
-  });
+  // The job graph mirrors the assembly graph slot for slot, so results
+  // are written back by slot.
+  auto job = MirrorGraph<CoveragePruneVertex>(
+      graph, options.num_threads,
+      [floor](const AsmNode& node, CoveragePruneVertex* v) {
+        v->is_contig = (node.kind == NodeKind::kContig);
+        v->coverage = node.coverage;
+        v->floor = floor;
+        v->edges = node.edges;
+      });
   EngineConfig config;
   config.num_threads = options.num_threads;
   config.job_name = "custom-coverage-pruning";
@@ -97,19 +98,18 @@ uint64_t PruneLowCoverageContigs(AssemblyGraph& graph, uint32_t floor,
   engine.Run(job);
 
   uint64_t pruned = 0;
-  // Iterate raw partitions: ForEach skips removed vertices, which are
-  // exactly the pruned ones we must mirror back.
-  for (uint32_t p = 0; p < job.num_workers(); ++p) {
-    for (const CoveragePruneVertex& v : job.partition(p).vertices) {
-      AsmNode* node = graph.Find(v.id);
-      if (node == nullptr) continue;
-      if (v.removed) {
-        node->removed = true;
+  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+    std::vector<AsmNode>& nodes = graph.partition(p).vertices;
+    const std::vector<CoveragePruneVertex>& done = job.partition(p).vertices;
+    for (size_t slot = 0; slot < nodes.size(); ++slot) {
+      if (nodes[slot].removed) continue;
+      if (done[slot].removed) {
+        nodes[slot].removed = true;
         ++pruned;
         continue;
       }
-      for (const BiEdge& e : v.dropped) {
-        node->RemoveEdge(e.to, e.my_end, e.to_end);
+      for (const BiEdge& e : done[slot].dropped) {
+        nodes[slot].RemoveEdge(e.to, e.my_end, e.to_end);
       }
     }
   }

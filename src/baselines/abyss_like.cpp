@@ -6,13 +6,14 @@
 #include "baselines/baseline.h"
 #include "baselines/propagation.h"
 #include "core/assembler.h"
+#include "core/bubble_filter.h"
 #include "core/contig_merging.h"
 #include "core/tip_removal.h"
 #include "dbg/adjacency.h"
 #include "dbg/node.h"
+#include "pregel/convert.h"
 #include "pregel/engine.h"
 #include "pregel/mapreduce.h"
-#include "util/hash.h"
 #include "util/timer.h"
 
 namespace ppa {
@@ -155,21 +156,10 @@ void PopBubblesArbitrarily(AssemblyGraph& graph,
                            const AssemblerOptions& options,
                            PipelineStats* stats) {
   using Key = std::pair<uint64_t, uint64_t>;
-  Partitioned<AsmNode> input(options.num_workers);
-  for (uint32_t p = 0; p < options.num_workers; ++p) {
-    for (const AsmNode& node : graph.partition(p).vertices) {
-      if (node.removed || node.kind != NodeKind::kContig) continue;
-      if (node.EdgeAt(NodeEnd::k5) == nullptr ||
-          node.EdgeAt(NodeEnd::k3) == nullptr) {
-        continue;
-      }
-      input[p].push_back(node);
-    }
-  }
-  auto map_fn = [](const AsmNode& node, auto& emitter) {
-    uint64_t nb1 = node.EdgeAt(NodeEnd::k5)->to;
-    uint64_t nb2 = node.EdgeAt(NodeEnd::k3)->to;
-    emitter.Emit(Key{std::min(nb1, nb2), std::max(nb1, nb2)}, node.id);
+  auto map_fn = [](const AsmNode* node, auto& emitter) {
+    uint64_t nb1 = node->EdgeAt(NodeEnd::k5)->to;
+    uint64_t nb2 = node->EdgeAt(NodeEnd::k3)->to;
+    emitter.Emit(Key{std::min(nb1, nb2), std::max(nb1, nb2)}, node->id);
   };
   auto reduce_fn = [](const Key&, std::span<uint64_t> group,
                       std::vector<uint64_t>& pruned) {
@@ -181,25 +171,11 @@ void PopBubblesArbitrarily(AssemblyGraph& graph,
   };
   RunStats mr_stats;
   Partitioned<uint64_t> pruned =
-      RunMapReduce<AsmNode, Key, uint64_t, uint64_t>(
-          input, map_fn, reduce_fn,
+      RunMapReduce<const AsmNode*, Key, uint64_t, uint64_t>(
+          BubbleCandidates(graph), map_fn, reduce_fn,
           MakeMrConfig(options, "abyss-bubble-popping"), &mr_stats);
   if (stats != nullptr) stats->Add(mr_stats);
-
-  for (const auto& part : pruned) {
-    for (uint64_t contig_id : part) {
-      AsmNode* contig = graph.Find(contig_id);
-      if (contig == nullptr) continue;
-      for (const BiEdge& e : contig->edges) {
-        AsmNode* endpoint = graph.Find(e.to);
-        if (endpoint != nullptr) {
-          endpoint->RemoveEdge(contig_id, e.to_end, e.my_end);
-        }
-      }
-      contig->removed = true;
-    }
-  }
-  graph.Compact();
+  RemoveContigs(graph, pruned);
 }
 
 }  // namespace
@@ -229,17 +205,15 @@ AssemblerRun RunAbyssLike(const std::vector<Read>& reads,
   Engine<ProbeVertex> probe_engine(probe_config);
   run.stats.Add(probe_engine.Run(probe_graph));
 
-  AssemblyGraph graph(options.num_workers);
-  probe_graph.ForEach([&](const ProbeVertex& v) {
-    AsmNode node;
-    node.id = v.id;
-    node.kind = NodeKind::kKmer;
-    node.k = v.k;
-    node.kmer_code = v.id;
-    node.coverage = v.coverage;
-    node.edges = v.edges;
-    graph.Add(std::move(node));
-  });
+  // The assembly graph takes over the probe job's vertices slot for slot.
+  AssemblyGraph graph = MirrorGraph<AsmNode>(
+      probe_graph, options.num_threads,
+      [](const ProbeVertex& v, AsmNode* node) {
+        node->k = v.k;
+        node->kmer_code = v.id;
+        node->coverage = v.coverage;
+        node->edges = v.edges;
+      });
 
   // ---- Unitig extension by sequential propagation + merge. ----------------
   std::vector<uint32_t> ordinals(options.num_workers, 0);

@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "pregel/convert.h"
 #include "pregel/engine.h"
 #include "pregel/graph.h"
 
@@ -25,7 +26,6 @@ struct ClaimVertex {
   bool removed = false;
 
   bool boundary = false;  // ambiguous or baseline-specific stop vertex
-  uint32_t slot = 0;      // the vertex's slot in its assembly-graph partition
   std::vector<uint64_t> broadcast_targets;  // boundary fan-out
   uint64_t nbr[2] = {kNullId, kNullId};
   bool is_end[2] = {false, false};
@@ -92,38 +92,18 @@ LabelingResult SequentialLabel(
   LabelingResult result;
 
   const uint32_t W = graph.num_workers();
-  PartitionedGraph<ClaimVertex> claim_graph(W);
-  for (uint32_t p = 0; p < W; ++p) {
-    const std::vector<AsmNode>& nodes = graph.partition(p).vertices;
-    for (uint32_t slot = 0; slot < nodes.size(); ++slot) {
-      const AsmNode& node = nodes[slot];
-      if (node.removed) continue;
-      ClaimVertex v;
-      v.id = node.id;
-      v.slot = slot;
-      v.boundary = !node.IsUnambiguousPathNode() ||
-                   (extra_boundary && extra_boundary(node));
-      if (v.boundary) {
-        ++result.num_ambiguous;
-        for (const BiEdge& e : node.edges) {
-          if (e.to != kNullId && e.to != node.id) {
-            v.broadcast_targets.push_back(e.to);
-          }
+  PartitionedGraph<ClaimVertex> claim_graph = MirrorGraph<ClaimVertex>(
+      graph, options.num_threads,
+      [&extra_boundary](const AsmNode& node, ClaimVertex* v) {
+        v->boundary = !node.IsUnambiguousPathNode() ||
+                      (extra_boundary && extra_boundary(node));
+        if (v->boundary) {
+          v->broadcast_targets = node.DistinctNeighbors();
+        } else {
+          v->nbr[0] = node.NeighborAt(NodeEnd::k5);
+          v->nbr[1] = node.NeighborAt(NodeEnd::k3);
         }
-        std::sort(v.broadcast_targets.begin(), v.broadcast_targets.end());
-        v.broadcast_targets.erase(std::unique(v.broadcast_targets.begin(),
-                                              v.broadcast_targets.end()),
-                                  v.broadcast_targets.end());
-      } else {
-        ++result.num_unambiguous;
-        const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
-        const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
-        v.nbr[0] = (e5 != nullptr) ? e5->to : kNullId;
-        v.nbr[1] = (e3 != nullptr) ? e3->to : kNullId;
-      }
-      claim_graph.AddToPartition(p, std::move(v));
-    }
-  }
+      });
 
   EngineConfig config;
   config.num_threads = options.num_threads;
@@ -134,9 +114,18 @@ LabelingResult SequentialLabel(
 
   result.labels.resize(W);
   for (uint32_t p = 0; p < W; ++p) {
-    for (const ClaimVertex& v : claim_graph.partition(p).vertices) {
-      if (v.boundary || v.label == UINT64_MAX) continue;  // cycles: unlabeled
-      result.labels[p].push_back(LabelEntry{v.label, p, v.slot});
+    const std::vector<ClaimVertex>& vertices =
+        claim_graph.partition(p).vertices;
+    for (uint32_t slot = 0; slot < vertices.size(); ++slot) {
+      const ClaimVertex& v = vertices[slot];
+      if (v.removed) continue;
+      if (v.boundary) {
+        ++result.num_ambiguous;
+        continue;
+      }
+      ++result.num_unambiguous;
+      if (v.label == UINT64_MAX) continue;  // cycles: unlabeled
+      result.labels[p].push_back(LabelEntry{v.label, p, slot});
     }
   }
   return result;

@@ -1,5 +1,6 @@
 // SWAP-like baseline (see baselines/baseline.h).
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "baselines/baseline.h"
@@ -8,6 +9,7 @@
 #include "core/contig_merging.h"
 #include "core/dbg_construction.h"
 #include "core/tip_removal.h"
+#include "pregel/convert.h"
 #include "pregel/engine.h"
 #include "util/timer.h"
 
@@ -84,23 +86,23 @@ struct PruneVertex {
 void PruneMinorityEdges(AssemblyGraph& graph,
                         const AssemblerOptions& options,
                         PipelineStats* stats) {
-  PartitionedGraph<PruneVertex> prune_graph(graph.num_workers());
-  graph.ForEach([&](const AsmNode& node) {
-    PruneVertex v;
-    v.id = node.id;
-    v.edges = node.edges;
-    prune_graph.Add(std::move(v));
-  });
+  PartitionedGraph<PruneVertex> prune_graph = MirrorGraph<PruneVertex>(
+      graph, options.num_threads,
+      [](const AsmNode& node, PruneVertex* v) { v->edges = node.edges; });
   EngineConfig config;
   config.num_threads = options.num_threads;
   config.job_name = "swap-branch-resolution";
   Engine<PruneVertex> engine(config);
   RunStats run_stats = engine.Run(prune_graph);
   if (stats != nullptr) stats->Add(run_stats);
-  prune_graph.ForEach([&](const PruneVertex& v) {
-    AsmNode* node = graph.Find(v.id);
-    if (node != nullptr) node->edges = v.edges;
-  });
+  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+    std::vector<AsmNode>& nodes = graph.partition(p).vertices;
+    std::vector<PruneVertex>& pruned = prune_graph.partition(p).vertices;
+    for (size_t slot = 0; slot < nodes.size(); ++slot) {
+      if (nodes[slot].removed) continue;
+      nodes[slot].edges = std::move(pruned[slot].edges);
+    }
+  }
 }
 
 }  // namespace

@@ -2,13 +2,11 @@
 
 #include <atomic>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "pregel/mapreduce.h"
 #include "util/edit_distance.h"
-#include "util/hash.h"
 
 namespace ppa {
 
@@ -26,51 +24,66 @@ struct BubbleCandidate {
   std::string seq;  // normalized orientation
 };
 
-/// Pruning instruction: endpoint vertex -> drop its edge to a contig.
-struct PruneNotice {
-  uint64_t contig_id = 0;
-  NodeEnd my_end = NodeEnd::k5;      // endpoint vertex's end
-  NodeEnd contig_end = NodeEnd::k5;  // contig's end
-};
-
 }  // namespace
+
+Partitioned<const AsmNode*> BubbleCandidates(const AssemblyGraph& graph) {
+  Partitioned<const AsmNode*> candidates(graph.num_workers());
+  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+    for (const AsmNode& node : graph.partition(p).vertices) {
+      if (node.removed || node.kind != NodeKind::kContig) continue;
+      if (node.EdgeAt(NodeEnd::k5) == nullptr ||
+          node.EdgeAt(NodeEnd::k3) == nullptr) {
+        continue;
+      }
+      candidates[p].push_back(&node);
+    }
+  }
+  return candidates;
+}
+
+void RemoveContigs(AssemblyGraph& graph,
+                   const Partitioned<uint64_t>& contig_ids) {
+  for (const std::vector<uint64_t>& part : contig_ids) {
+    for (uint64_t contig_id : part) {
+      AsmNode* contig = graph.Find(contig_id);
+      if (contig == nullptr) continue;
+      for (const BiEdge& e : contig->edges) {
+        AsmNode* endpoint = graph.Find(e.to);
+        if (endpoint != nullptr) {
+          endpoint->RemoveEdge(contig_id, e.to_end, e.my_end);
+        }
+      }
+      contig->removed = true;
+    }
+  }
+  graph.Compact();
+}
 
 BubbleResult FilterBubbles(AssemblyGraph& graph,
                            const AssemblerOptions& options,
                            PipelineStats* stats) {
   CheckGraphWorkers("FilterBubbles", graph.num_workers(), options);
-  const uint32_t W = options.num_workers;
   BubbleResult result;
 
-  // ---- Collect candidates: contigs with two ambiguous neighbors. ---------
-  Partitioned<AsmNode> input(W);
-  for (uint32_t p = 0; p < W; ++p) {
-    for (const AsmNode& node : graph.partition(p).vertices) {
-      if (node.removed || node.kind != NodeKind::kContig) continue;
-      const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
-      const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
-      if (e5 == nullptr || e3 == nullptr) continue;
-      input[p].push_back(node);
-    }
-  }
-
+  // ---- Map over the candidates in place: contigs with an edge at each
+  // end. The graph is not modified until the job ends. ----------------------
   using Key = std::pair<uint64_t, uint64_t>;
-  auto map_fn = [](const AsmNode& node, auto& emitter) {
-    const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
-    const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
+  auto map_fn = [](const AsmNode* node, auto& emitter) {
+    const BiEdge* e5 = node->EdgeAt(NodeEnd::k5);
+    const BiEdge* e3 = node->EdgeAt(NodeEnd::k3);
     BubbleCandidate c;
-    c.contig_id = node.id;
-    c.coverage = node.coverage;
+    c.contig_id = node->id;
+    c.coverage = node->coverage;
     uint64_t nb1 = e5->to;
     uint64_t nb2 = e3->to;
     if (nb1 <= nb2) {
-      c.seq = node.seq.ToString();
+      c.seq = node->seq.ToString();
       c.nb1_end = e5->to_end;
       c.nb2_end = e3->to_end;
     } else {
       // Orient from the smaller neighbor: reverse complement.
       std::swap(nb1, nb2);
-      c.seq = node.seq.ReverseComplement().ToString();
+      c.seq = node->seq.ReverseComplement().ToString();
       c.nb1_end = e3->to_end;
       c.nb2_end = e5->to_end;
     }
@@ -112,31 +125,19 @@ BubbleResult FilterBubbles(AssemblyGraph& graph,
 
   // No combiner: the pairwise edit-distance check needs every candidate's
   // full sequence in one group.
-  Partitioned<uint64_t> pruned_parts =
-      RunMapReduce<AsmNode, Key, BubbleCandidate, uint64_t>(
-          input, map_fn, reduce_fn, MakeMrConfig(options, "bubble-filtering"),
-          &result.stats);
+  Partitioned<uint64_t> pruned =
+      RunMapReduce<const AsmNode*, Key, BubbleCandidate, uint64_t>(
+          BubbleCandidates(graph), map_fn, reduce_fn,
+          MakeMrConfig(options, "bubble-filtering"), &result.stats);
   if (stats != nullptr) stats->Add(result.stats);
   result.candidate_groups = groups.load();
 
-  // ---- Apply pruning: remove contig nodes and endpoint edges. -------------
-  std::unordered_set<uint64_t> pruned_ids;
-  for (const auto& part : pruned_parts) {
-    pruned_ids.insert(part.begin(), part.end());
+  // Each candidate sits in one (nb1, nb2) group and is pruned at most once
+  // there, so no id repeats.
+  for (const std::vector<uint64_t>& part : pruned) {
+    result.contigs_pruned += part.size();
   }
-  result.contigs_pruned = pruned_ids.size();
-  for (uint64_t contig_id : pruned_ids) {
-    AsmNode* contig = graph.Find(contig_id);
-    if (contig == nullptr) continue;
-    for (const BiEdge& e : contig->edges) {
-      AsmNode* endpoint = graph.Find(e.to);
-      if (endpoint != nullptr) {
-        endpoint->RemoveEdge(contig_id, e.to_end, e.my_end);
-      }
-    }
-    contig->removed = true;
-  }
-  graph.Compact();
+  RemoveContigs(graph, pruned);
   return result;
 }
 

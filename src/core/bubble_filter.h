@@ -9,6 +9,11 @@
 // graph and their endpoint vertices drop the corresponding edges — which
 // may turn <m-n> vertices into <1-1> or <1>, enabling further merging.
 //
+// The map reads each candidate contig in place through a pointer into the
+// graph, which stays unmodified until the job ends; RemoveContigs then
+// applies the pruning. ABySS-like arbitrary bubble popping
+// (baselines/abyss_like.cpp) shares both steps.
+//
 // Beyond the paper's key: endpoints must also attach at the same vertex
 // *ends* for two contigs to be parallel paths; the reducer checks this,
 // since contigs touching the same vertices at opposite ends are not
@@ -20,6 +25,7 @@
 
 #include "core/options.h"
 #include "dbg/node.h"
+#include "pregel/mapreduce.h"
 #include "pregel/stats.h"
 
 namespace ppa {
@@ -30,6 +36,17 @@ struct BubbleResult {
   uint64_t contigs_pruned = 0;
   RunStats stats;
 };
+
+/// The bubble candidates of `graph`, per partition in slot order: its live
+/// contig vertices with one edge at each end. The pointers stay valid until
+/// the graph is next modified.
+Partitioned<const AsmNode*> BubbleCandidates(const AssemblyGraph& graph);
+
+/// Removes the contig vertices named in `contig_ids`, and their endpoints'
+/// edges into them, then compacts the graph. Ids of absent or removed
+/// vertices are skipped.
+void RemoveContigs(AssemblyGraph& graph,
+                   const Partitioned<uint64_t>& contig_ids);
 
 /// Filters bubbles among the contig vertices of `graph`, in place. The
 /// graph must have `options.num_workers` partitions (aborts otherwise).

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "core/sv.h"
+#include "pregel/convert.h"
 #include "pregel/engine.h"
 #include "pregel/graph.h"
-#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace ppa {
@@ -37,7 +37,6 @@ struct LabelVertex {
 
   bool ambiguous = false;
   bool run_lr = true;  // false: stop after end recognition.
-  uint32_t slot = 0;   // The vertex's slot in its assembly-graph partition.
   // Unambiguous vertices: the two port (5'/3') neighbors (kNullId = dead
   // end). Ambiguous vertices: their full broadcast target list.
   uint64_t nbr[2] = {kNullId, kNullId};
@@ -158,48 +157,18 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
   std::vector<std::vector<uint32_t>> sv_entries(W);
   result.labels.resize(W);
   {
-    // Label-graph partition p holds partition p's live vertices in slot
-    // order (ids route alike under one worker count), so each partition
-    // converts on its own.
-    PartitionedGraph<LabelVertex> label_graph(W);
-    std::vector<uint64_t> ambiguous(W, 0);
-    pool.Run(W, [&](uint32_t p) {
-      const std::vector<AsmNode>& nodes = graph.partition(p).vertices;
-      label_graph.partition(p).vertices.reserve(nodes.size());
-      label_graph.partition(p).index.Reserve(nodes.size());
-      for (uint32_t slot = 0; slot < nodes.size(); ++slot) {
-        const AsmNode& node = nodes[slot];
-        if (node.removed) continue;
-        LabelVertex v;
-        v.id = node.id;
-        v.slot = slot;
-        v.run_lr = run_lr;
-        v.ambiguous = !node.IsUnambiguousPathNode();
-        if (v.ambiguous) {
-          ++ambiguous[p];
-          for (const BiEdge& e : node.edges) {
-            if (e.to != kNullId && e.to != node.id) {
-              v.broadcast_targets.push_back(e.to);
-            }
+    PartitionedGraph<LabelVertex> label_graph = MirrorGraph<LabelVertex>(
+        graph, options.num_threads,
+        [run_lr](const AsmNode& node, LabelVertex* v) {
+          v->run_lr = run_lr;
+          v->ambiguous = !node.IsUnambiguousPathNode();
+          if (v->ambiguous) {
+            v->broadcast_targets = node.DistinctNeighbors();
+          } else {
+            v->nbr[0] = node.NeighborAt(NodeEnd::k5);
+            v->nbr[1] = node.NeighborAt(NodeEnd::k3);
           }
-          std::sort(v.broadcast_targets.begin(), v.broadcast_targets.end());
-          v.broadcast_targets.erase(std::unique(v.broadcast_targets.begin(),
-                                                v.broadcast_targets.end()),
-                                    v.broadcast_targets.end());
-        } else {
-          const BiEdge* e5 = node.EdgeAt(NodeEnd::k5);
-          const BiEdge* e3 = node.EdgeAt(NodeEnd::k3);
-          v.nbr[0] = (e5 != nullptr) ? e5->to : kNullId;
-          v.nbr[1] = (e3 != nullptr) ? e3->to : kNullId;
-        }
-        label_graph.AddToPartition(p, std::move(v));
-      }
-    });
-    for (uint32_t p = 0; p < W; ++p) {
-      result.num_ambiguous += ambiguous[p];
-      result.num_unambiguous +=
-          label_graph.partition(p).vertices.size() - ambiguous[p];
-    }
+        });
 
     EngineConfig config;
     config.num_threads = options.num_threads;
@@ -213,12 +182,20 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
     // label S-V fills in, and an S-V input: under LR its two port
     // neighbors, under S-V the non-end predecessor slots recognized in
     // superstep 1.
+    std::vector<uint64_t> ambiguous(W, 0);
     pool.Run(W, [&](uint32_t p) {
+      const std::vector<LabelVertex>& vertices =
+          label_graph.partition(p).vertices;
       std::vector<LabelEntry>& entries = result.labels[p];
-      entries.reserve(label_graph.partition(p).vertices.size() - ambiguous[p]);
-      for (const LabelVertex& v : label_graph.partition(p).vertices) {
-        if (v.ambiguous) continue;
-        LabelEntry entry{0, p, v.slot};
+      entries.reserve(vertices.size());
+      for (uint32_t slot = 0; slot < vertices.size(); ++slot) {
+        const LabelVertex& v = vertices[slot];
+        if (v.removed) continue;
+        if (v.ambiguous) {
+          ++ambiguous[p];
+          continue;
+        }
+        LabelEntry entry{0, p, slot};
         if (run_lr && !v.in_cycle) {
           // "We use the smaller contig-end vertex's ID as the
           // contig-label."
@@ -241,6 +218,10 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
         entries.push_back(entry);
       }
     });
+    for (uint32_t p = 0; p < W; ++p) {
+      result.num_ambiguous += ambiguous[p];
+      result.num_unambiguous += result.labels[p].size();
+    }
   }  // The label graph is freed before S-V builds its own.
 
   std::vector<SvInput> sv_inputs;
@@ -259,16 +240,14 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
       run_lr ? "contig-labeling-cycle-sv" : "contig-labeling-sv");
   result.cycle_sv_stats = sv.stats;
   if (stats != nullptr) stats->Add(sv.stats);
-  // Each S-V-labeled entry takes the component of the vertex in its slot.
-  pool.Run(W, [&](uint32_t p) {
-    const std::vector<AsmNode>& nodes = graph.partition(p).vertices;
+  // The S-V inputs are the S-V-labeled entries in partition, then entry
+  // order, and S-V answers in input order.
+  size_t next = 0;
+  for (uint32_t p = 0; p < W; ++p) {
     for (uint32_t i : sv_entries[p]) {
-      LabelEntry& entry = result.labels[p][i];
-      auto it = sv.component.find(nodes[entry.slot].id);
-      PPA_CHECK(it != sv.component.end());
-      entry.label = it->second;
+      result.labels[p][i].label = sv.component[next++];
     }
-  });
+  }
   return result;
 }
 

@@ -52,9 +52,11 @@ struct LabelEntry {
 struct LabelingResult {
   // One list per assembly-graph partition: labels[p] holds one entry per
   // labeled vertex of partition p, in slot order (LabelContigs labels
-  // every unambiguous live vertex). The slots stay valid until the graph
-  // is next modified, so contig merging reads the labeled vertices in
-  // place instead of looking up their ids.
+  // every unambiguous live vertex). The labeling job mirrors the graph
+  // slot for slot (pregel/convert.h), so an entry's slot is both its job
+  // slot and its graph slot. The slots stay valid until the graph is next
+  // modified, so contig merging reads the labeled vertices in place
+  // instead of looking up their ids.
   Partitioned<LabelEntry> labels;
   uint64_t num_unambiguous = 0;
   uint64_t num_ambiguous = 0;
@@ -76,9 +78,9 @@ struct LabelingResult {
   }
 };
 
-/// Labels every unambiguous node of `graph` with its contig label. The
-/// graph itself is not modified; the result has one label list per graph
-/// partition.
+/// Labels every unambiguous live node of `graph` with its contig label;
+/// removed nodes take no part. The graph itself is not modified; the result
+/// has one label list per graph partition.
 LabelingResult LabelContigs(const AssemblyGraph& graph,
                             const AssemblerOptions& options,
                             LabelingMethod method,

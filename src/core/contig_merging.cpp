@@ -13,13 +13,11 @@ namespace ppa {
 namespace {
 
 /// One port of a path vertex: its edge at one end, if any (a path vertex
-/// has at most one per end). Presence is its own flag because kNullId is
-/// also the id of worker 0's first contig (MakeContigId(0, 0)).
+/// has at most one per end); `to` is kNullId if there is none.
 struct PortEdge {
   uint64_t to = kNullId;
   uint32_t coverage = 0;
   NodeEnd to_end = NodeEnd::k5;
-  bool present = false;
 };
 
 /// Shuffle value of the group-by-label job: one labeled path vertex,
@@ -135,7 +133,7 @@ MergedContig StitchGroup(std::span<PathVertex> group,
   for (size_t i = 0; i < group.size() && start == kAbsent; ++i) {
     for (NodeEnd end : {NodeEnd::k5, NodeEnd::k3}) {
       const PortEdge& e = group[i].PortAt(end);
-      if (!e.present || index_of(e.to) == kAbsent) {
+      if (e.to == kNullId || index_of(e.to) == kAbsent) {
         start = i;
         entry = end;
         break;
@@ -152,7 +150,7 @@ MergedContig StitchGroup(std::span<PathVertex> group,
   out.node.circular = circular;
 
   // Record the 5'-side outer link.
-  if (!circular && group[start].PortAt(entry).present) {
+  if (!circular && group[start].PortAt(entry).to != kNullId) {
     out.outer[0] = LinkAt(group[start], entry);
   }
 
@@ -167,7 +165,7 @@ MergedContig StitchGroup(std::span<PathVertex> group,
   for (;;) {
     const NodeEnd exit = OppositeEnd(ent);
     const PortEdge& e = group[cur].PortAt(exit);
-    if (!e.present) break;  // Dead end: 3' side has no outer link.
+    if (e.to == kNullId) break;  // Dead end: 3' side has no outer link.
     const size_t next = index_of(e.to);
     if (next == kAbsent) {
       out.outer[1] = LinkAt(group[cur], exit);  // 3'-side outer link.
@@ -232,8 +230,7 @@ MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
         node.kind == NodeKind::kKmer ? node.kmer_code : entry.slot;
     for (NodeEnd end : {NodeEnd::k5, NodeEnd::k3}) {
       if (const BiEdge* e = node.EdgeAt(end)) {
-        v.port[static_cast<int>(end)] =
-            PortEdge{e->to, e->coverage, e->to_end, true};
+        v.port[static_cast<int>(end)] = PortEdge{e->to, e->coverage, e->to_end};
       }
     }
     v.coverage = node.coverage;

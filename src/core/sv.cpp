@@ -124,8 +124,14 @@ SvResult RunSimplifiedSv(const std::vector<SvInput>& vertices,
   SvResult result;
   result.stats = engine.Run(graph);
   result.rounds = result.stats.num_supersteps() / 4;
+  // Each partition holds its inputs in input order, so walking the inputs
+  // with one cursor per partition meets every vertex at its slot.
+  std::vector<uint32_t> cursor(num_workers, 0);
   result.component.reserve(vertices.size());
-  graph.ForEach([&](const SvVertex& v) { result.component[v.id] = v.d; });
+  for (const SvInput& in : vertices) {
+    const uint32_t p = PartitionOf(in.id, num_workers);
+    result.component.push_back(graph.partition(p).vertices[cursor[p]++].d);
+  }
   return result;
 }
 

@@ -21,11 +21,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pregel/stats.h"
-#include "util/hash.h"
 
 namespace ppa {
 
@@ -37,12 +35,15 @@ struct SvInput {
 
 /// Result: component label (smallest vertex ID in the component) per vertex.
 struct SvResult {
-  std::unordered_map<uint64_t, uint64_t, IdHash> component;
+  // component[i] labels the i-th input vertex: the result is in input
+  // order, so a caller maps it back by position, not by id.
+  std::vector<uint64_t> component;
   RunStats stats;
   uint32_t rounds = 0;
 };
 
-/// Runs the simplified S-V algorithm on the given graph.
+/// Runs the simplified S-V algorithm on the given graph. Input ids must be
+/// distinct.
 SvResult RunSimplifiedSv(const std::vector<SvInput>& vertices,
                          uint32_t num_workers, unsigned num_threads = 0,
                          const std::string& job_name = "simplified-sv");

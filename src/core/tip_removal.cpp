@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "pregel/convert.h"
 #include "pregel/engine.h"
 #include "pregel/graph.h"
 
@@ -65,7 +66,7 @@ struct TipVertex {
   template <typename Ctx>
   void Compute(Ctx& ctx, std::span<const TipMessage> msgs) {
     const uint32_t tip_threshold = threshold_;
-    VertexType type = TypeOf();
+    VertexType type = ClassifyVertex(id, edges);
     if (ctx.superstep() == 0) {
       if (type == VertexType::kIsolated) {
         if (seq_len <= tip_threshold) {
@@ -90,7 +91,8 @@ struct TipVertex {
         HandleDelete(ctx, m);
       }
     }
-    if (!removed && TypeOf() == VertexType::kOne && just_became_one_) {
+    if (!removed && just_became_one_ &&
+        ClassifyVertex(id, edges) == VertexType::kOne) {
       just_became_one_ = false;
       Initiate(ctx);
     }
@@ -98,29 +100,13 @@ struct TipVertex {
   }
 
  private:
-  VertexType TypeOf() const {
-    int d5 = 0;
-    int d3 = 0;
-    bool self_loop = false;
-    for (const BiEdge& e : edges) {
-      if (e.to == id) self_loop = true;
-      if (e.my_end == NodeEnd::k5) ++d5;
-      if (e.my_end == NodeEnd::k3) ++d3;
-    }
-    if (self_loop) return VertexType::kManyMany;
-    if (d5 == 0 && d3 == 0) return VertexType::kIsolated;
-    if (d5 + d3 == 1) return VertexType::kOne;
-    if (d5 == 1 && d3 == 1) return VertexType::kOneOne;
-    return VertexType::kManyMany;
-  }
-
   template <typename Ctx>
   void HandleRequest(Ctx& ctx, const TipMessage& m, uint32_t tip_threshold) {
-    VertexType type = TypeOf();
+    VertexType type = ClassifyVertex(id, edges);
     if (type == VertexType::kOneOne) {
       // Relay out of the other end, adding our own contribution.
       NodeEnd entry = static_cast<NodeEnd>(m.entry_end);
-      const BiEdge* out = EdgeAtEnd(OppositeEnd(entry));
+      const BiEdge* out = UniqueEdgeAt(edges, OppositeEnd(entry));
       if (out == nullptr) {
         // Degenerate (both edges at one end would be <m-n>); treat as
         // terminal below.
@@ -151,9 +137,11 @@ struct TipVertex {
     ctx.SendTo(m.from, del);
     // "An <m-n>-typed vertex also deletes its edge to the neighbor that it
     //  sends a DELETE message" — <1> terminals die via the twin DELETE.
-    if (TypeOf() == VertexType::kManyMany) {
+    if (ClassifyVertex(id, edges) == VertexType::kManyMany) {
       CutEdgesTo(m.from);
-      if (TypeOf() == VertexType::kOne) just_became_one_ = true;
+      if (ClassifyVertex(id, edges) == VertexType::kOne) {
+        just_became_one_ = true;
+      }
     }
   }
 
@@ -177,16 +165,6 @@ struct TipVertex {
     // after removal): drop.
   }
 
-  const BiEdge* EdgeAtEnd(NodeEnd end) const {
-    const BiEdge* found = nullptr;
-    for (const BiEdge& e : edges) {
-      if (e.my_end != end) continue;
-      if (found != nullptr) return nullptr;
-      found = &e;
-    }
-    return found;
-  }
-
   void CutEdgesTo(uint64_t nbr) {
     for (size_t i = edges.size(); i > 0; --i) {
       if (edges[i - 1].to == nbr) {
@@ -207,17 +185,16 @@ TipResult RemoveTips(AssemblyGraph& graph, const AssemblerOptions& options,
                      PipelineStats* stats) {
   TipResult result;
 
-  PartitionedGraph<TipVertex> tip_graph(graph.num_workers());
-  graph.ForEach([&](const AsmNode& node) {
-    TipVertex v;
-    v.id = node.id;
-    v.kind = node.kind;
-    v.k = node.k;
-    v.seq_len = static_cast<uint32_t>(node.SeqLength());
-    v.edges = node.edges;
-    v.threshold_ = options.tip_length_threshold;
-    tip_graph.Add(std::move(v));
-  });
+  const uint32_t threshold = options.tip_length_threshold;
+  PartitionedGraph<TipVertex> tip_graph = MirrorGraph<TipVertex>(
+      graph, options.num_threads,
+      [threshold](const AsmNode& node, TipVertex* v) {
+        v->kind = node.kind;
+        v->k = node.k;
+        v->seq_len = static_cast<uint32_t>(node.SeqLength());
+        v->edges = node.edges;
+        v->threshold_ = threshold;
+      });
 
   EngineConfig config;
   config.num_threads = options.num_threads;
@@ -226,21 +203,22 @@ TipResult RemoveTips(AssemblyGraph& graph, const AssemblerOptions& options,
   result.stats = engine.Run(tip_graph);
   if (stats != nullptr) stats->Add(result.stats);
 
-  // ---- Apply diffs back to the assembly graph. ----------------------------
-  tip_graph.ForEach([&](const TipVertex& v) {
-    if (v.initiated) ++result.requests_sent;
-  });
-  for (uint32_t p = 0; p < tip_graph.num_workers(); ++p) {
-    for (const TipVertex& v : tip_graph.partition(p).vertices) {
-      AsmNode* node = graph.Find(v.id);
-      if (node == nullptr) continue;
+  // ---- Apply diffs back to the assembly graph, slot by slot. --------------
+  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+    std::vector<AsmNode>& nodes = graph.partition(p).vertices;
+    const std::vector<TipVertex>& tips = tip_graph.partition(p).vertices;
+    for (size_t slot = 0; slot < nodes.size(); ++slot) {
+      AsmNode& node = nodes[slot];
+      const TipVertex& v = tips[slot];
+      if (node.removed) continue;
       if (v.removed) {
-        node->removed = true;
+        node.removed = true;
         ++result.vertices_removed;
         continue;
       }
+      if (v.initiated) ++result.requests_sent;
       for (const BiEdge& cut : v.cut_edges) {
-        node->RemoveEdge(cut.to, cut.my_end, cut.to_end);
+        node.RemoveEdge(cut.to, cut.my_end, cut.to_end);
         ++result.edges_cut;
       }
     }
@@ -248,18 +226,14 @@ TipResult RemoveTips(AssemblyGraph& graph, const AssemblerOptions& options,
   // Edges *into* removed vertices may linger at surviving neighbors whose
   // side never saw a DELETE (e.g. a vertex removed while its neighbor kept
   // no pending relay). Sweep them out.
-  std::vector<std::pair<uint64_t, BiEdge>> dangling;
-  graph.ForEach([&](const AsmNode& node) {
-    for (const BiEdge& e : node.edges) {
-      if (e.to == kNullId) continue;
-      if (graph.Find(e.to) == nullptr && e.to != node.id) {
-        dangling.emplace_back(node.id, e);
-      }
+  for (uint32_t p = 0; p < graph.num_workers(); ++p) {
+    for (AsmNode& node : graph.partition(p).vertices) {
+      if (node.removed) continue;
+      std::erase_if(node.edges, [&](const BiEdge& e) {
+        return e.to != kNullId && e.to != node.id &&
+               graph.Find(e.to) == nullptr;
+      });
     }
-  });
-  for (const auto& [node_id, edge] : dangling) {
-    AsmNode* node = graph.Find(node_id);
-    if (node != nullptr) node->RemoveEdge(edge.to, edge.my_end, edge.to_end);
   }
   graph.Compact();
   return result;

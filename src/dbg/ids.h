@@ -7,6 +7,8 @@
 //     marking a dead end.
 //   * contig IDs: MSB = 1, then the worker index and the worker-local
 //     ordinal ("the i-th worker machine assigns its j-th contig", Fig. 7c).
+//     The low 32 bits hold the ordinal plus one, so worker 0's first
+//     contig is not the NULL ID and kNullId always means "no neighbor".
 //
 // Contig labeling additionally "flips the second most significant bit" of a
 // vertex's own ID to mark a contig-end predecessor slot (Sec. IV.B-2); that
@@ -36,10 +38,13 @@ inline bool IsContigId(uint64_t id) {
   return (id >> 63) == 1 && id != kNullId;
 }
 
-/// Builds the ID of worker `worker`'s `ordinal`-th contig.
+/// Builds the ID of worker `worker`'s `ordinal`-th contig (ordinals count
+/// from 0).
 inline uint64_t MakeContigId(uint32_t worker, uint32_t ordinal) {
   PPA_CHECK(worker < (1u << 30));
-  return (1ULL << 63) | (static_cast<uint64_t>(worker) << 32) | ordinal;
+  PPA_CHECK(ordinal < UINT32_MAX);
+  return (1ULL << 63) | (static_cast<uint64_t>(worker) << 32) |
+         (static_cast<uint64_t>(ordinal) + 1);
 }
 
 /// Worker index encoded in a contig ID.
@@ -49,7 +54,7 @@ inline uint32_t ContigIdWorker(uint64_t id) {
 
 /// Worker-local ordinal encoded in a contig ID.
 inline uint32_t ContigIdOrdinal(uint64_t id) {
-  return static_cast<uint32_t>(id & 0xFFFFFFFFu);
+  return static_cast<uint32_t>(id & 0xFFFFFFFFu) - 1;
 }
 
 /// Toggles the contig-end mark on an ID (labeling-internal).

@@ -7,9 +7,14 @@
 // which both kinds share: an edge endpoint attaches to a node *end* (5'/3'
 // of the node's stored orientation). All polarity bookkeeping of the paper
 // maps 1:1 onto ends; translation helpers and tests live in adjacency.h.
+//
+// The vertex-type rules are free functions over an edge list
+// (ClassifyVertex, UniqueEdgeAt), so AsmNode and the job vertices that copy
+// its edges (tip removal) classify by one definition.
 #ifndef PPA_DBG_NODE_H_
 #define PPA_DBG_NODE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -48,10 +53,46 @@ struct BiEdge {
   }
 };
 
-/// Unified assembly-graph node; PartitionedGraph-compatible.
+/// Classifies a node with id `id` and edge list `edges` per Sec. IV.A. A
+/// node is unambiguous (<1-1>) iff it has exactly one edge at each end and
+/// no self-loop — the bidirected formulation of "both edges agree on the
+/// polarity label for v ... one neighbor is an in-neighbor and the other is
+/// an out-neighbor". A self-loop (repeat structure) is always ambiguous.
+inline VertexType ClassifyVertex(uint64_t id, std::span<const BiEdge> edges) {
+  int d5 = 0;
+  int d3 = 0;
+  for (const BiEdge& e : edges) {
+    if (e.to == id) return VertexType::kManyMany;
+    if (e.my_end == NodeEnd::k5) {
+      ++d5;
+    } else {
+      ++d3;
+    }
+  }
+  if (d5 == 0 && d3 == 0) return VertexType::kIsolated;
+  if (d5 + d3 == 1) return VertexType::kOne;
+  if (d5 == 1 && d3 == 1) return VertexType::kOneOne;
+  return VertexType::kManyMany;
+}
+
+/// The single edge of `edges` attached at `end`; null if absent or not
+/// unique.
+inline const BiEdge* UniqueEdgeAt(std::span<const BiEdge> edges,
+                                  NodeEnd end) {
+  const BiEdge* found = nullptr;
+  for (const BiEdge& e : edges) {
+    if (e.my_end != end) continue;
+    if (found != nullptr) return nullptr;
+    found = &e;
+  }
+  return found;
+}
+
+/// Unified assembly-graph node: storage only. Operations run as Pregel
+/// jobs over job-specific vertex types that mirror the graph slot for slot
+/// (pregel/convert.h), and write their results back by slot.
 struct AsmNode {
   uint64_t id = 0;
-  bool halted = false;
   bool removed = false;
 
   NodeKind kind = NodeKind::kKmer;
@@ -62,47 +103,13 @@ struct AsmNode {
   bool circular = false;    // contig built from a cycle of <1-1> vertices
   std::vector<BiEdge> edges;
 
-  // Pregel plumbing: AsmNode itself is only stored, never Compute()d; the
-  // operations convert it into job-specific vertex types.
-  struct Message {};
-  template <typename Ctx>
-  void Compute(Ctx&, std::span<const Message>) {}
-
   /// Sequence length in bases (k for k-mer nodes).
   size_t SeqLength() const {
     return kind == NodeKind::kKmer ? k : seq.size();
   }
 
-  /// Number of edges attached at `end`.
-  int DegreeAt(NodeEnd end) const {
-    int d = 0;
-    for (const BiEdge& e : edges) {
-      if (e.my_end == end) ++d;
-    }
-    return d;
-  }
-
-  /// True if any edge is a self-loop (repeat structure; always ambiguous).
-  bool HasSelfLoop() const {
-    for (const BiEdge& e : edges) {
-      if (e.to == id) return true;
-    }
-    return false;
-  }
-
-  /// Classifies the node per Sec. IV.A. A node is unambiguous (<1-1>) iff
-  /// it has exactly one edge at each end and no self-loop — the bidirected
-  /// formulation of "both edges agree on the polarity label for v ... one
-  /// neighbor is an in-neighbor and the other is an out-neighbor".
-  VertexType Type() const {
-    if (HasSelfLoop()) return VertexType::kManyMany;
-    int d5 = DegreeAt(NodeEnd::k5);
-    int d3 = DegreeAt(NodeEnd::k3);
-    if (d5 == 0 && d3 == 0) return VertexType::kIsolated;
-    if (d5 + d3 == 1) return VertexType::kOne;
-    if (d5 == 1 && d3 == 1) return VertexType::kOneOne;
-    return VertexType::kManyMany;
-  }
+  /// Vertex type per Sec. IV.A (see ClassifyVertex).
+  VertexType Type() const { return ClassifyVertex(id, edges); }
 
   bool IsUnambiguousPathNode() const {
     VertexType t = Type();
@@ -111,14 +118,26 @@ struct AsmNode {
   }
 
   /// The single edge attached at `end`; null if absent or not unique.
-  const BiEdge* EdgeAt(NodeEnd end) const {
-    const BiEdge* found = nullptr;
+  const BiEdge* EdgeAt(NodeEnd end) const { return UniqueEdgeAt(edges, end); }
+
+  /// Id of the single neighbor at `end`; kNullId (the paper's dead-end
+  /// marker) if there is none or more than one.
+  uint64_t NeighborAt(NodeEnd end) const {
+    const BiEdge* e = EdgeAt(end);
+    return e != nullptr ? e->to : kNullId;
+  }
+
+  /// Ids of all neighbors, sorted and distinct, without the node itself
+  /// (or kNullId).
+  std::vector<uint64_t> DistinctNeighbors() const {
+    std::vector<uint64_t> out;
+    out.reserve(edges.size());
     for (const BiEdge& e : edges) {
-      if (e.my_end != end) continue;
-      if (found != nullptr) return nullptr;
-      found = &e;
+      if (e.to != kNullId && e.to != id) out.push_back(e.to);
     }
-    return found;
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
   }
 
   /// Removes all edges to `nbr` attached at our `end` matching the

@@ -6,67 +6,55 @@
 //  input objects of class Vj' ... the generated objects are then shuffled
 //  according to their vertex ID" (Sec. II).
 //
-// ConvertGraph consumes the source graph (vertices of the finished job are
-// "then garbage collected") and produces the re-hashed vertex set of the
-// next job without touching the filesystem. The ablation bench contrasts
-// this with a TextStore round trip.
+// Every job over the assembly graph keeps the graph's vertex ids, so here
+// the shuffle is the identity: MirrorGraph builds a job graph that is the
+// source graph slot for slot. Job partition p holds one vertex per slot of
+// source partition p, in slot order, plus a copy of that partition's id
+// index. A job vertex's slot is therefore its source vertex's slot, and a
+// job writes its results back by slot, with no id lookup. The ablation
+// bench contrasts in-memory handoff with a TextStore round trip.
 #ifndef PPA_PREGEL_CONVERT_H_
 #define PPA_PREGEL_CONVERT_H_
 
-#include <utility>
-#include <vector>
+#include <cstdint>
 
 #include "pregel/graph.h"
-#include "pregel/mapreduce.h"
 #include "util/thread_pool.h"
 
 namespace ppa {
 
-/// Transforms each vertex of `src` into zero or more vertices of the next
-/// job's type and re-partitions them by hash of their new IDs.
+/// Builds the job graph of a job over `src`, one vertex per source slot.
 ///
-///   convert_fn: void(SrcVertexT&&, std::vector<DstVertexT>&)
+///   make_fn: void(const SrcVertexT&, DstVertexT*)
 ///
-/// `src` is consumed (moved-from) partition by partition.
-template <typename DstVertexT, typename SrcVertexT, typename ConvertFn>
-PartitionedGraph<DstVertexT> ConvertGraph(PartitionedGraph<SrcVertexT>&& src,
-                                          ConvertFn convert_fn,
-                                          unsigned num_threads = 0) {
+/// make_fn runs once per live source vertex, on one pool task per
+/// partition, and fills the job vertex, which arrives default-constructed
+/// with the source id already set. A removed source vertex becomes a
+/// removed job vertex, which the engine never computes. `src` is not
+/// modified.
+template <typename DstVertexT, typename SrcVertexT, typename MakeFn>
+PartitionedGraph<DstVertexT> MirrorGraph(
+    const PartitionedGraph<SrcVertexT>& src, unsigned num_threads,
+    MakeFn make_fn) {
   const uint32_t W = src.num_workers();
+  PartitionedGraph<DstVertexT> dst(W);
   ThreadPool pool(num_threads == 0 ? ThreadPool::DefaultThreads()
                                    : num_threads);
-
-  // Per source partition, emit routed destination vertices.
-  std::vector<std::vector<std::vector<DstVertexT>>> routed(W);
   pool.Run(W, [&](uint32_t p) {
-    routed[p].resize(W);
-    std::vector<DstVertexT> produced;
-    auto& part = src.partition(p);
-    for (SrcVertexT& v : part.vertices) {
-      if (v.removed) continue;
-      produced.clear();
-      convert_fn(std::move(v), produced);
-      for (DstVertexT& out : produced) {
-        routed[p][PartitionOf(out.id, W)].push_back(std::move(out));
+    const auto& from = src.partition(p);
+    auto& to = dst.partition(p);
+    to.vertices.resize(from.vertices.size());
+    to.index = from.index;
+    for (size_t slot = 0; slot < from.vertices.size(); ++slot) {
+      DstVertexT& v = to.vertices[slot];
+      v.id = from.vertices[slot].id;
+      if (from.vertices[slot].removed) {
+        v.removed = true;
+        continue;
       }
+      make_fn(from.vertices[slot], &v);
     }
-    part.vertices.clear();
-    part.vertices.shrink_to_fit();
-    part.index = {};
   });
-
-  PartitionedGraph<DstVertexT> dst(W);
-  for (uint32_t d = 0; d < W; ++d) {
-    size_t n = 0;
-    for (uint32_t s = 0; s < W; ++s) n += routed[s][d].size();
-    dst.partition(d).vertices.reserve(n);
-    dst.partition(d).index.Reserve(n);
-    for (uint32_t s = 0; s < W; ++s) {
-      for (DstVertexT& v : routed[s][d]) {
-        dst.AddToPartition(d, std::move(v));
-      }
-    }
-  }
   return dst;
 }
 

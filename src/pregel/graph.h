@@ -110,8 +110,10 @@ class IdSlotIndex {
 
 /// Partitioned vertex store. VertexT must expose:
 ///   uint64_t id;        -- unique vertex ID
-///   bool halted;        -- vote-to-halt flag
 ///   bool removed;       -- lazy deletion flag
+/// (Engine<VertexT> adds `halted`, `Message` and `Compute`; see engine.h.)
+/// Adding appends and removing only marks, so (partition, slot) names the
+/// same vertex until the next Compact.
 template <typename VertexT>
 class PartitionedGraph {
  public:
@@ -195,7 +197,9 @@ class PartitionedGraph {
     }
   }
 
-  /// Physically erases removed vertices and rebuilds indexes.
+  /// Physically erases removed vertices and rebuilds indexes. Each index
+  /// is sized afresh for its kept vertices (a cleared index would keep its
+  /// old capacity), so jobs that copy it pay for the graph as it is now.
   void Compact() {
     for (auto& p : partitions_) {
       std::vector<VertexT> kept;
@@ -204,7 +208,7 @@ class PartitionedGraph {
         if (!v.removed) kept.push_back(std::move(v));
       }
       p.vertices = std::move(kept);
-      p.index.Clear();
+      p.index = IdSlotIndex();
       p.index.Reserve(p.vertices.size());
       for (uint32_t i = 0; i < p.vertices.size(); ++i) {
         p.index.Insert(p.vertices[i].id, i);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <span>
 #include <tuple>
 #include <unordered_map>
@@ -585,34 +586,59 @@ TEST(EngineEquivalenceTest, MatchesReferenceEngineWhenCut) {
   ExpectEngineMatchesReference<TraceVertex>(4, 5);
 }
 
-TEST(ConvertTest, ReshufflesByNewIds) {
+TEST(MirrorGraphTest, KeepsEverySlotAndSkipsRemovedVertices) {
   PartitionedGraph<MaxVertex> src(4);
-  for (uint64_t id = 0; id < 20; ++id) {
+  for (uint64_t id = 1; id <= 40; ++id) {
     MaxVertex v;
     v.id = id;
     v.value = id * 10;
+    v.removed = (id % 3 == 0);  // Marked, not compacted.
     src.Add(std::move(v));
   }
-  // Each vertex becomes two vertices with remapped ids.
-  auto dst = ConvertGraph<AggVertex>(
-      std::move(src),
-      [](MaxVertex&& v, std::vector<AggVertex>& out) {
-        AggVertex a;
-        a.id = v.id + 1000;
-        out.push_back(a);
-        a.id = v.id + 2000;
-        out.push_back(a);
-      },
-      /*num_threads=*/2);
-  EXPECT_EQ(dst.size(), 40u);
-  for (uint64_t id = 0; id < 20; ++id) {
-    EXPECT_NE(dst.Find(id + 1000), nullptr);
-    EXPECT_NE(dst.Find(id + 2000), nullptr);
+  std::atomic<uint64_t> calls{0};
+  auto dst = MirrorGraph<AggVertex>(
+      src, /*num_threads=*/2, [&calls](const MaxVertex& v, AggVertex* a) {
+        EXPECT_FALSE(v.removed);
+        EXPECT_EQ(a->id, v.id);  // Set before make_fn runs.
+        a->seen_at_step1 = v.value;
+        calls.fetch_add(1);
+      });
+  EXPECT_EQ(calls.load(), src.live_size());
+
+  uint64_t live = 0;
+  uint64_t live_id_sum = 0;
+  ASSERT_EQ(dst.num_workers(), src.num_workers());
+  for (uint32_t p = 0; p < src.num_workers(); ++p) {
+    const auto& from = src.partition(p).vertices;
+    const auto& to = dst.partition(p).vertices;
+    ASSERT_EQ(to.size(), from.size()) << "partition " << p;
+    for (size_t slot = 0; slot < from.size(); ++slot) {
+      EXPECT_EQ(to[slot].id, from[slot].id) << "slot " << slot;
+      EXPECT_EQ(to[slot].removed, from[slot].removed) << "slot " << slot;
+      // make_fn ran for live vertices only.
+      const uint64_t made = from[slot].removed ? 0 : from[slot].value;
+      EXPECT_EQ(to[slot].seen_at_step1, made);
+      if (!from[slot].removed) {
+        ++live;
+        live_id_sum += from[slot].id;
+      }
+    }
   }
-  // Vertices landed on their hash partitions.
+  // The index copy resolves every id, removed or not, to its own slot.
+  for (uint64_t id = 1; id <= 40; ++id) {
+    const uint32_t p = PartitionOf(id, dst.num_workers());
+    const uint32_t slot = dst.partition(p).index.Find(id);
+    ASSERT_NE(slot, IdSlotIndex::kAbsent) << id;
+    EXPECT_EQ(slot, src.partition(p).index.Find(id));
+    EXPECT_EQ(dst.partition(p).vertices[slot].id, id);
+  }
+  // The engine never computes a removed job vertex: the step-0 aggregate
+  // counts the live vertices only.
+  Engine<AggVertex> engine({.num_threads = 2, .job_name = "mirror"});
+  engine.Run(dst);
   for (uint32_t p = 0; p < dst.num_workers(); ++p) {
     for (const AggVertex& v : dst.partition(p).vertices) {
-      EXPECT_EQ(PartitionOf(v.id, dst.num_workers()), p);
+      EXPECT_EQ(v.seen_at_step1, v.removed ? 0 : live * 1000 + live_id_sum);
     }
   }
 }

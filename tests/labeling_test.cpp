@@ -171,5 +171,38 @@ TEST(LabelingTest, LabelIsSmallerEndMarkedId) {
   }
 }
 
+TEST(LabelingTest, PathThroughWorkerZerosFirstContigGetsOneLabel) {
+  // A - C - B, all unambiguous, where C is the first contig worker 0 names.
+  // Its id must not read as the dead-end marker kNullId, or A and B each
+  // take their side toward C for a contig end.
+  AssemblerOptions options = TestOptions();
+  AsmNode a;
+  a.id = Kmer::FromString("ACGTA").code();
+  a.k = 5;
+  a.kmer_code = a.id;
+  AsmNode b = a;
+  b.id = b.kmer_code = Kmer::FromString("CCGTA").code();
+  AsmNode c;
+  c.id = MakeContigId(0, 0);
+  c.kind = NodeKind::kContig;
+  c.k = 5;
+  c.seq = PackedSequence::FromString("TACCTTGAGGC");
+  c.edges = {BiEdge{a.id, NodeEnd::k5, NodeEnd::k3, 3},
+             BiEdge{b.id, NodeEnd::k3, NodeEnd::k5, 3}};
+  a.edges = {BiEdge{c.id, NodeEnd::k3, NodeEnd::k5, 3}};
+  b.edges = {BiEdge{c.id, NodeEnd::k5, NodeEnd::k3, 3}};
+  AssemblyGraph graph(options.num_workers);
+  for (const AsmNode& node : {a, b, c}) graph.Add(node);
+
+  for (LabelingMethod method :
+       {LabelingMethod::kListRanking, LabelingMethod::kSimplifiedSv}) {
+    LabelingResult result = LabelContigs(graph, options, method);
+    const auto labels = LabelsById(graph, result);
+    EXPECT_EQ(result.num_ambiguous, 0u) << LabelingMethodName(method);
+    EXPECT_EQ(labels.size(), 3u) << LabelingMethodName(method);
+    EXPECT_EQ(DistinctLabels(labels), 1u) << LabelingMethodName(method);
+  }
+}
+
 }  // namespace
 }  // namespace ppa

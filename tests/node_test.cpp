@@ -29,6 +29,20 @@ TEST(IdsTest, ContigIdFields) {
   EXPECT_NE(MakeContigId(1, 2), MakeContigId(2, 1));
 }
 
+TEST(IdsTest, FirstContigOfWorkerZeroIsNotNullId) {
+  // kNullId marks "no neighbor", so no contig may carry it.
+  const uint64_t first = MakeContigId(0, 0);
+  EXPECT_NE(first, kNullId);
+  EXPECT_TRUE(IsContigId(first));
+  EXPECT_EQ(ContigIdWorker(first), 0u);
+  EXPECT_EQ(ContigIdOrdinal(first), 0u);
+  const uint64_t last = MakeContigId((1u << 30) - 1, UINT32_MAX - 1);
+  EXPECT_TRUE(IsContigId(last));
+  EXPECT_EQ(ContigIdWorker(last), (1u << 30) - 1);
+  EXPECT_EQ(ContigIdOrdinal(last), UINT32_MAX - 1);
+  EXPECT_FALSE(HasEndMark(last));
+}
+
 TEST(IdsTest, EndMarkRoundTrip) {
   uint64_t kmer_id = Kmer::FromString("TTTACGTACGTACGTACGTACGTACGTACGT").code();
   uint64_t marked = WithEndMark(kmer_id);

@@ -2,10 +2,12 @@
 // bubble filtering and tip removing on constructed scenarios.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baselines/propagation.h"
 #include "core/assembler.h"
 #include "core/bubble_filter.h"
 #include "core/contig_labeling.h"
@@ -440,6 +442,127 @@ TEST(TipTest, CascadingTipsTriggerMultiplePhases) {
   std::string got = contigs[0].seq.ToString();
   std::string rc = contigs[0].seq.ReverseComplement().ToString();
   EXPECT_TRUE(got == trunk || rc == trunk) << got;
+}
+
+// ---- Jobs over a graph that still holds removed vertices. -----------------
+// Every operation compacts the graph at its end, so no pipeline run starts a
+// job on a graph with removed vertices; the jobs must still treat such a
+// graph as its compacted copy.
+
+/// A copy of `graph` in which a removed vertex precedes each vertex of every
+/// partition, as a job would meet a graph whose last operation marked
+/// vertices but had not yet compacted. A removed copy keeps its original's
+/// edges, but no vertex has an edge into it.
+AssemblyGraph WithRemovedVertices(const AssemblyGraph& graph) {
+  const uint32_t W = graph.num_workers();
+  AssemblyGraph out(W);
+  uint32_t ordinal = 0;
+  for (uint32_t p = 0; p < W; ++p) {
+    for (const AsmNode& node : graph.partition(p).vertices) {
+      AsmNode removed = node;
+      do {
+        removed.id = MakeContigId(1000, ordinal++);
+      } while (PartitionOf(removed.id, W) != p);
+      removed.removed = true;
+      out.AddToPartition(p, std::move(removed));
+      out.AddToPartition(p, node);
+    }
+  }
+  return out;
+}
+
+/// The labels of `result` keyed by vertex id.
+std::map<uint64_t, uint64_t> LabelsById(const AssemblyGraph& graph,
+                                        const LabelingResult& result) {
+  std::map<uint64_t, uint64_t> by_id;
+  for (const std::vector<LabelEntry>& entries : result.labels) {
+    for (const LabelEntry& e : entries) {
+      EXPECT_FALSE(graph.partition(e.partition).vertices[e.slot].removed);
+      by_id[graph.partition(e.partition).vertices[e.slot].id] = e.label;
+    }
+  }
+  return by_id;
+}
+
+void ExpectSameLabels(const AssemblyGraph& marked,
+                      const LabelingResult& on_marked,
+                      const AssemblyGraph& compacted,
+                      const LabelingResult& on_compacted) {
+  EXPECT_EQ(LabelsById(marked, on_marked),
+            LabelsById(compacted, on_compacted));
+  EXPECT_EQ(on_marked.num_unambiguous, on_compacted.num_unambiguous);
+  EXPECT_EQ(on_marked.num_ambiguous, on_compacted.num_ambiguous);
+  EXPECT_EQ(on_marked.num_cycle_vertices, on_compacted.num_cycle_vertices);
+}
+
+TEST(UncompactedGraphTest, LabelingMatchesCompactedCopy) {
+  AssemblerOptions options = TestOptions();
+  // Two forks, a bubble and a circle of 5-mers (the last read wraps
+  // around), so both LR and its S-V fallback have work.
+  AssemblyGraph graph = GraphFrom(
+      {"ACGTTGCATGGATCCTAGGG", "ACGTTGCATACCATTTGACG",
+       "TTGACGGGATCCTAGGGCAT", "GATTCAGCCTACGATTCA"},
+      options);
+  std::vector<uint32_t> ordinals(options.num_workers, 0);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    const AssemblyGraph marked = WithRemovedVertices(graph);
+    AssemblyGraph compacted = marked;
+    compacted.Compact();
+    ASSERT_GT(marked.size(), compacted.size());
+
+    for (LabelingMethod method :
+         {LabelingMethod::kListRanking, LabelingMethod::kSimplifiedSv}) {
+      SCOPED_TRACE(LabelingMethodName(method));
+      const LabelingResult on_marked = LabelContigs(marked, options, method);
+      ExpectSameLabels(marked, on_marked, compacted,
+                       LabelContigs(compacted, options, method));
+      if (round == 0 && method == LabelingMethod::kListRanking) {
+        EXPECT_GT(on_marked.num_cycle_vertices, 0u);
+      }
+    }
+    const auto stop = [](const AsmNode& node) { return node.coverage == 1; };
+    ExpectSameLabels(
+        marked, SequentialLabel(marked, options, stop, "sequential"),
+        compacted, SequentialLabel(compacted, options, stop, "sequential"));
+
+    // Round 1 runs over the merged graph: contig vertices on the paths.
+    LabelAndMerge(graph, options, &ordinals);
+  }
+}
+
+TEST(UncompactedGraphTest, TipRemovalMatchesCompactedCopy) {
+  // The two-level tip of CascadingTipsTriggerMultiplePhases: cut edges,
+  // removed vertices and a second REQUEST phase.
+  AssemblerOptions options = TestOptions();
+  options.tip_length_threshold = 14;
+  std::vector<std::string> reads(
+      4, "GCAAGGTGCAAAACGCCAGTGGCTAGGGAGAGATCG");
+  reads.insert(reads.end(), {"ACGCCAGTTAC", "GTTACTA", "GTTACCC"});
+  AssemblyGraph graph = GraphFrom(reads, options);
+  std::vector<uint32_t> ordinals(options.num_workers, 0);
+  LabelAndMerge(graph, options, &ordinals);
+
+  AssemblyGraph marked = WithRemovedVertices(graph);
+  AssemblyGraph compacted = marked;
+  compacted.Compact();
+  const TipResult on_marked = RemoveTips(marked, options);
+  const TipResult on_compacted = RemoveTips(compacted, options);
+  EXPECT_GT(on_marked.vertices_removed, 0u);
+  EXPECT_EQ(on_marked.vertices_removed, on_compacted.vertices_removed);
+  EXPECT_EQ(on_marked.edges_cut, on_compacted.edges_cut);
+  EXPECT_EQ(on_marked.requests_sent, on_compacted.requests_sent);
+  // Both come back compacted, slot for slot alike.
+  for (uint32_t p = 0; p < options.num_workers; ++p) {
+    const std::vector<AsmNode>& a = marked.partition(p).vertices;
+    const std::vector<AsmNode>& b = compacted.partition(p).vertices;
+    ASSERT_EQ(a.size(), b.size()) << "partition " << p;
+    for (size_t slot = 0; slot < a.size(); ++slot) {
+      EXPECT_EQ(a[slot].id, b[slot].id);
+      EXPECT_EQ(a[slot].edges, b[slot].edges);
+      EXPECT_EQ(a[slot].seq.ToString(), b[slot].seq.ToString());
+    }
+  }
 }
 
 }  // namespace
