@@ -1,18 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the mini-MapReduce shuffle
-// engine: sort group-by vs hash group-by vs hash + map-side combiner, on
-// the two workload shapes the pipeline actually runs through it —
+// engine: sort group-by vs hash group-by, on the two workload shapes the
+// pipeline actually runs through it —
 //
-//   * DBG construction phase (ii): small keys (vertex codes), small
-//     combinable values (adjacency partials), ~2 pairs per group, measured
-//     on real edge mers counted from the simulated HC-2 dataset;
+//   * DBG construction phase (ii): small keys (vertex codes), 8-byte
+//     adjacency entries (one per edge endpoint), ~2 pairs per group,
+//     measured on real edge mers counted from the simulated HC-2 dataset;
 //   * contig merging: few keys (labels), fat values (node payloads), long
 //     groups — the shape where moving values through a sort hurts most.
 //
 // Both strategies produce bit-identical output (shuffle_equivalence_test);
 // this file prices them.
 //
-// The custom main() additionally measures sort vs hash (vs hash+combine)
-// once per process on both workloads — plus the external-spill overhead
+// The custom main() additionally measures sort vs hash once per process on
+// both workloads — plus the external-spill overhead
 // (spill/spill.h, --spill-mode always vs never) on the adjacency workload —
 // and writes BENCH_shuffle.json (override the path with PPA_BENCH_JSON),
 // mirroring bench_micro_kmer's BENCH_kmer.json so the shuffle engine's perf
@@ -22,7 +22,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -50,14 +49,6 @@ constexpr uint32_t kWorkers = 16;
 // Phase (ii) adjacency workload: edge mers -> per-vertex adjacency groups.
 // ---------------------------------------------------------------------------
 
-/// The combinable adjacency value of dbg_construction.cpp, reproduced in
-/// benchmark-local form (entries appended, merged only at reduce).
-struct AdjPartial {
-  uint8_t count = 0;
-  uint8_t bits[16] = {};  // zero-filled: the spill case serializes all slots
-  uint32_t covs[16] = {};
-};
-
 /// Edge-mer survivors of HC-2-sim counting (k = 31, theta = 2), the real
 /// input of DBG construction phase (ii).
 const Partitioned<std::pair<uint64_t, uint32_t>>& Hc2EdgeMers() {
@@ -71,42 +62,30 @@ const Partitioned<std::pair<uint64_t, uint32_t>>& Hc2EdgeMers() {
   return mers;
 }
 
-/// One adjacency-workload job run; shared by the registered benchmarks and
-/// the BENCH_shuffle.json measurement.
-size_t RunAdjacencyJob(ShuffleStrategy strategy, bool combine,
-                       SpillContext* spill, RunStats* stats) {
+/// One adjacency-workload job run in phase (ii)'s shape: one AdjEntry per
+/// edge endpoint, no combiner; the reducer folds a vertex's entries into
+/// its Fig. 8a bitmap. Shared by the registered benchmarks and the
+/// BENCH_shuffle.json measurement.
+size_t RunAdjacencyJob(ShuffleStrategy strategy, SpillContext* spill,
+                       RunStats* stats) {
   const auto& edge_mers = Hc2EdgeMers();
   const int k = 31;
   auto map_fn = [k](const std::pair<uint64_t, uint32_t>& edge_mer,
                     auto& emitter) {
     Kmer mer(edge_mer.first, k + 1);
     EdgeEndpoints e = MakeEdge(mer);
-    AdjPartial p;
-    p.count = 1;
-    p.bits[0] = static_cast<uint8_t>(BitmapBit(e.prefix_item));
-    p.covs[0] = edge_mer.second;
-    emitter.Emit(e.prefix_vertex.code(), p);
-    p.bits[0] = static_cast<uint8_t>(BitmapBit(e.suffix_item));
-    emitter.Emit(e.suffix_vertex.code(), p);
+    emitter.Emit(e.prefix_vertex.code(),
+                 AdjEntry{static_cast<uint32_t>(BitmapBit(e.prefix_item)),
+                          edge_mer.second});
+    emitter.Emit(e.suffix_vertex.code(),
+                 AdjEntry{static_cast<uint32_t>(BitmapBit(e.suffix_item)),
+                          edge_mer.second});
   };
-  auto combine_fn = [](AdjPartial& acc, AdjPartial&& in) {
-    PPA_CHECK(acc.count + in.count <= 16);  // as the production combiner
-    std::memcpy(acc.bits + acc.count, in.bits, in.count);
-    std::memcpy(acc.covs + acc.count, in.covs,
-                in.count * sizeof(uint32_t));
-    acc.count = static_cast<uint8_t>(acc.count + in.count);
-  };
-  auto reduce_fn = [](const uint64_t& vertex_code,
-                      std::span<AdjPartial> group,
+  auto reduce_fn = [](const uint64_t& vertex_code, std::span<AdjEntry> group,
                       std::vector<std::pair<uint64_t, uint32_t>>& out) {
-    std::vector<std::pair<int, uint32_t>> entries;
-    for (const AdjPartial& p : group) {
-      for (uint8_t i = 0; i < p.count; ++i) {
-        entries.emplace_back(p.bits[i], p.covs[i]);
-      }
-    }
-    PackedAdjacency packed = PackedAdjacency::Build(std::move(entries));
-    out.emplace_back(vertex_code, packed.bitmap());
+    uint32_t bitmap = 0;
+    for (const AdjEntry& entry : group) bitmap |= 1u << entry.bit;
+    out.emplace_back(vertex_code, bitmap);
   };
 
   MapReduceConfig config;
@@ -115,26 +94,19 @@ size_t RunAdjacencyJob(ShuffleStrategy strategy, bool combine,
   config.shuffle_strategy = strategy;
   config.job_name = "bench-adjacency";
   config.spill = spill;
-  auto result =
-      combine
-          ? RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t,
-                         AdjPartial, std::pair<uint64_t, uint32_t>>(
-                edge_mers, map_fn, combine_fn, reduce_fn, config, stats)
-          : RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t,
-                         AdjPartial, std::pair<uint64_t, uint32_t>>(
-                edge_mers, map_fn, reduce_fn, config, stats);
+  auto result = RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t,
+                             AdjEntry, std::pair<uint64_t, uint32_t>>(
+      edge_mers, map_fn, reduce_fn, config, stats);
   size_t outputs = 0;
   for (const auto& part : result) outputs += part.size();
   return outputs;
 }
 
-void RunAdjacencyShuffle(benchmark::State& state, ShuffleStrategy strategy,
-                         bool combine) {
+void RunAdjacencyShuffle(benchmark::State& state, ShuffleStrategy strategy) {
   uint64_t pairs = 0;
   for (auto _ : state) {
     RunStats stats;
-    benchmark::DoNotOptimize(
-        RunAdjacencyJob(strategy, combine, nullptr, &stats));
+    benchmark::DoNotOptimize(RunAdjacencyJob(strategy, nullptr, &stats));
     pairs = stats.pairs_emitted;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -142,19 +114,14 @@ void RunAdjacencyShuffle(benchmark::State& state, ShuffleStrategy strategy,
 }
 
 void BM_AdjacencyShuffleSort(benchmark::State& state) {
-  RunAdjacencyShuffle(state, ShuffleStrategy::kSort, /*combine=*/false);
+  RunAdjacencyShuffle(state, ShuffleStrategy::kSort);
 }
 BENCHMARK(BM_AdjacencyShuffleSort)->Unit(benchmark::kMillisecond);
 
 void BM_AdjacencyShuffleHash(benchmark::State& state) {
-  RunAdjacencyShuffle(state, ShuffleStrategy::kHash, /*combine=*/false);
+  RunAdjacencyShuffle(state, ShuffleStrategy::kHash);
 }
 BENCHMARK(BM_AdjacencyShuffleHash)->Unit(benchmark::kMillisecond);
-
-void BM_AdjacencyShuffleHashCombine(benchmark::State& state) {
-  RunAdjacencyShuffle(state, ShuffleStrategy::kHash, /*combine=*/true);
-}
-BENCHMARK(BM_AdjacencyShuffleHashCombine)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Merge workload: label -> fat node payloads, long groups.
@@ -231,7 +198,7 @@ BENCHMARK(BM_MergeShuffleHash)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Once-per-process comparison emitted as BENCH_shuffle.json (mirrors
-// BENCH_kmer.json): sort vs hash vs hash+combine on both workloads, plus
+// BENCH_kmer.json): sort vs hash on both workloads, plus
 // the external-spill overhead (always vs never) on the adjacency workload.
 // ---------------------------------------------------------------------------
 
@@ -256,13 +223,10 @@ void RunShuffleComparison() {
       "HC-2-sim adjacency + fat-value merge workloads");
 
   const JobMeasurement adj_sort = Measure([](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kSort, false, nullptr, s);
+    return RunAdjacencyJob(ShuffleStrategy::kSort, nullptr, s);
   });
   const JobMeasurement adj_hash = Measure([](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kHash, false, nullptr, s);
-  });
-  const JobMeasurement adj_combine = Measure([](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kHash, true, nullptr, s);
+    return RunAdjacencyJob(ShuffleStrategy::kHash, nullptr, s);
   });
   const JobMeasurement merge_sort = Measure([](RunStats* s) {
     return RunMergeJob(ShuffleStrategy::kSort, nullptr, s);
@@ -275,7 +239,7 @@ void RunShuffleComparison() {
   std::unique_ptr<SpillContext> spill =
       MakeSpillContext(SpillMode::kAlways, "", 4ULL << 20);
   const JobMeasurement adj_spill = Measure([&](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kHash, false, spill.get(), s);
+    return RunAdjacencyJob(ShuffleStrategy::kHash, spill.get(), s);
   });
 
   std::printf("%-24s %10s %12s %12s %12s\n", "case", "seconds", "pairs",
@@ -288,7 +252,6 @@ void RunShuffleComparison() {
   };
   row("adjacency/sort", adj_sort);
   row("adjacency/hash", adj_hash);
-  row("adjacency/hash+combine", adj_combine);
   row("adjacency/hash+spill", adj_spill);
   row("merge/sort", merge_sort);
   row("merge/hash", merge_hash);
@@ -316,7 +279,6 @@ void RunShuffleComparison() {
       << "  \"adjacency\": {\n";
   obj(out, "sort", adj_sort);
   obj(out, "hash", adj_hash);
-  obj(out, "hash_combine", adj_combine);
   obj(out, "hash_spill_always", adj_spill, /*last=*/true);
   out << "  },\n"
       << "  \"merge\": {\n";

@@ -155,13 +155,12 @@ struct ProbeVertex {
 void PopBubblesArbitrarily(AssemblyGraph& graph,
                            const AssemblerOptions& options,
                            PipelineStats* stats) {
-  using Key = std::pair<uint64_t, uint64_t>;
   auto map_fn = [](const AsmNode* node, auto& emitter) {
     uint64_t nb1 = node->EdgeAt(NodeEnd::k5)->to;
     uint64_t nb2 = node->EdgeAt(NodeEnd::k3)->to;
-    emitter.Emit(Key{std::min(nb1, nb2), std::max(nb1, nb2)}, node->id);
+    emitter.Emit(PairKey{std::min(nb1, nb2), std::max(nb1, nb2)}, node->id);
   };
-  auto reduce_fn = [](const Key&, std::span<uint64_t> group,
+  auto reduce_fn = [](const PairKey&, std::span<uint64_t> group,
                       std::vector<uint64_t>& pruned) {
     if (group.size() < 2) return;
     uint64_t keep = *std::min_element(group.begin(), group.end());
@@ -171,7 +170,7 @@ void PopBubblesArbitrarily(AssemblyGraph& graph,
   };
   RunStats mr_stats;
   Partitioned<uint64_t> pruned =
-      RunMapReduce<const AsmNode*, Key, uint64_t, uint64_t>(
+      RunMapReduce<const AsmNode*, PairKey, uint64_t, uint64_t>(
           BubbleCandidates(graph), map_fn, reduce_fn,
           MakeMrConfig(options, "abyss-bubble-popping"), &mr_stats);
   if (stats != nullptr) stats->Add(mr_stats);

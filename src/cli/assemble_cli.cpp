@@ -98,14 +98,10 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << " messages=" << s.Get("pipeline.messages")
       << " message_bytes=" << s.Get("pipeline.message_bytes")
       << " wall_seconds=" << wall_seconds << '\n';
-  // Combiner effectiveness across the MapReduce jobs: pairs the map UDFs
-  // emitted vs pairs that actually crossed the shuffle after map-side
-  // combining (equal when no job combined anything).
+  // Pairs that crossed the shuffle, summed over the MapReduce jobs.
   out << "shuffle: strategy="
       << ShuffleStrategyName(opts.assembler.shuffle_strategy)
-      << " pairs_emitted=" << s.Get("shuffle.pairs_emitted")
-      << " pairs_shuffled=" << s.Get("shuffle.pairs_shuffled")
-      << " combined_away=" << s.Get("shuffle.combined_away") << '\n';
+      << " pairs_shuffled=" << s.Get("shuffle.pairs_shuffled") << '\n';
   // Pipeline-wide spill: policy, budget, the measured high-water mark of
   // resident chunk bytes, and the volume that moved through the external
   // store across counting + every shuffle job.

@@ -1,5 +1,6 @@
 #include "core/bubble_filter.h"
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <utility>
@@ -12,16 +13,19 @@ namespace ppa {
 
 namespace {
 
-/// Bubble candidate: a contig with two ambiguous endpoints, normalized so
-/// its sequence reads from the smaller endpoint to the larger one.
+/// Bubble candidate: a contig with two ambiguous endpoints, keyed by its
+/// endpoint pair (nb1, nb2) with nb1 <= nb2. Its sequence stays in the
+/// graph: the reducer reads it from (PartitionOf(contig_id), slot) and
+/// reverse-complements it if `reversed`, so it reads from nb1 to nb2.
 struct BubbleCandidate {
   uint64_t contig_id = 0;
+  uint32_t slot = 0;
   uint32_t coverage = 0;
   // Attachment ends at (nb1, nb2) after normalization — two contigs are
   // parallel only if these match.
   NodeEnd nb1_end = NodeEnd::k5;
   NodeEnd nb2_end = NodeEnd::k5;
-  std::string seq;  // normalized orientation
+  bool reversed = false;
 };
 
 }  // namespace
@@ -66,36 +70,41 @@ BubbleResult FilterBubbles(AssemblyGraph& graph,
   BubbleResult result;
 
   // ---- Map over the candidates in place: contigs with an edge at each
-  // end. The graph is not modified until the job ends. ----------------------
-  using Key = std::pair<uint64_t, uint64_t>;
-  auto map_fn = [](const AsmNode* node, auto& emitter) {
+  // end. The graph is not modified until the job ends, so the reducer
+  // reads candidate sequences from it. ----------------------------------------
+  const AssemblyGraph& in_graph = graph;
+  const uint32_t W = graph.num_workers();
+  auto map_fn = [&in_graph, W](const AsmNode* node, auto& emitter) {
     const BiEdge* e5 = node->EdgeAt(NodeEnd::k5);
     const BiEdge* e3 = node->EdgeAt(NodeEnd::k3);
     BubbleCandidate c;
     c.contig_id = node->id;
+    c.slot = static_cast<uint32_t>(
+        node - in_graph.partition(PartitionOf(node->id, W)).vertices.data());
     c.coverage = node->coverage;
-    uint64_t nb1 = e5->to;
-    uint64_t nb2 = e3->to;
-    if (nb1 <= nb2) {
-      c.seq = node->seq.ToString();
-      c.nb1_end = e5->to_end;
-      c.nb2_end = e3->to_end;
-    } else {
-      // Orient from the smaller neighbor: reverse complement.
-      std::swap(nb1, nb2);
-      c.seq = node->seq.ReverseComplement().ToString();
-      c.nb1_end = e3->to_end;
-      c.nb2_end = e5->to_end;
-    }
-    emitter.Emit(Key{nb1, nb2}, std::move(c));
+    // Orient from the smaller neighbor: reverse complement if it is at 3'.
+    c.reversed = e3->to < e5->to;
+    c.nb1_end = c.reversed ? e3->to_end : e5->to_end;
+    c.nb2_end = c.reversed ? e5->to_end : e3->to_end;
+    emitter.Emit(PairKey{std::min(e5->to, e3->to), std::max(e5->to, e3->to)},
+                 c);
   };
 
   const uint32_t edit_threshold = options.bubble_edit_distance;
   std::atomic<uint64_t> groups{0};
-  auto reduce_fn = [&](const Key& /*key*/, std::span<BubbleCandidate> group,
+  auto reduce_fn = [&](const PairKey& /*key*/,
+                       std::span<BubbleCandidate> group,
                        std::vector<uint64_t>& pruned_out) {
     if (group.size() < 2) return;
     groups.fetch_add(1, std::memory_order_relaxed);
+    std::vector<std::string> seqs;
+    seqs.reserve(group.size());
+    for (const BubbleCandidate& c : group) {
+      const PackedSequence& seq =
+          in_graph.partition(PartitionOf(c.contig_id, W)).vertices[c.slot].seq;
+      seqs.push_back(c.reversed ? seq.ReverseComplement().ToString()
+                                : seq.ToString());
+    }
     std::vector<bool> pruned(group.size(), false);
     // "We then process each contig ci as follows: if ci is not already
     //  pruned, we check whether any contig cj (j > i) can prune ci."
@@ -106,7 +115,7 @@ BubbleResult FilterBubbles(AssemblyGraph& graph,
         const BubbleCandidate& a = group[i];
         const BubbleCandidate& b = group[j];
         if (a.nb1_end != b.nb1_end || a.nb2_end != b.nb2_end) continue;
-        if (!WithinEditDistance(a.seq, b.seq, edit_threshold)) continue;
+        if (!WithinEditDistance(seqs[i], seqs[j], edit_threshold)) continue;
         // Prune the lower-coverage side (ties: the larger id, so the
         // outcome is deterministic).
         bool prune_a = (a.coverage < b.coverage) ||
@@ -123,10 +132,8 @@ BubbleResult FilterBubbles(AssemblyGraph& graph,
     }
   };
 
-  // No combiner: the pairwise edit-distance check needs every candidate's
-  // full sequence in one group.
   Partitioned<uint64_t> pruned =
-      RunMapReduce<const AsmNode*, Key, BubbleCandidate, uint64_t>(
+      RunMapReduce<const AsmNode*, PairKey, BubbleCandidate, uint64_t>(
           BubbleCandidates(graph), map_fn, reduce_fn,
           MakeMrConfig(options, "bubble-filtering"), &result.stats);
   if (stats != nullptr) stats->Add(result.stats);

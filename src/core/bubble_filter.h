@@ -10,9 +10,12 @@
 // may turn <m-n> vertices into <1-1> or <1>, enabling further merging.
 //
 // The map reads each candidate contig in place through a pointer into the
-// graph, which stays unmodified until the job ends; RemoveContigs then
-// applies the pruning. ABySS-like arbitrary bubble popping
-// (baselines/abyss_like.cpp) shares both steps.
+// graph and ships a flat record: id, slot, coverage, the endpoints'
+// attachment ends and whether the contig reads from nb2 to nb1. The graph
+// stays unmodified until the job ends, so the reducer reads and orients
+// the sequences of the groups with two or more members from it;
+// RemoveContigs then applies the pruning. ABySS-like arbitrary bubble
+// popping (baselines/abyss_like.cpp) shares both steps.
 //
 // Beyond the paper's key: endpoints must also attach at the same vertex
 // *ends* for two contigs to be parallel paths; the reducer checks this,

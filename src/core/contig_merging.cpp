@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <type_traits>
 #include <utility>
 
 #include "pregel/mapreduce.h"
@@ -21,8 +20,7 @@ struct PortEdge {
 };
 
 /// Shuffle value of the group-by-label job: one labeled path vertex,
-/// flattened to what stitching reads. Trivially copyable, so the shuffle
-/// can spill it.
+/// flattened to what stitching reads.
 struct PathVertex {
   uint64_t id = 0;
   // k-mer vertex: its k-mer code. Contig vertex: its slot in partition
@@ -37,7 +35,6 @@ struct PathVertex {
     return port[static_cast<int>(end)];
   }
 };
-static_assert(std::is_trivially_copyable_v<PathVertex>);
 
 /// One end's connection of a stitched contig to the outside world.
 struct OuterLink {
@@ -59,20 +56,16 @@ struct MergedContig {
 
 /// Notice delivered to an ambiguous vertex: drop the stale edge into the
 /// merged path and (unless the contig was dropped as a tip) link to the
-/// new contig vertex instead.
+/// new contig vertex instead. Fields are ordered so the record is 24 bytes,
+/// one of them padding.
 struct LinkNotice {
-  uint64_t contig_id = 0;       // 0 for dropped tips
+  uint64_t contig_id = 0;  // 0 for dropped tips
+  uint64_t old_node = 0;
+  uint32_t coverage = 0;
   NodeEnd contig_end = NodeEnd::k5;
   NodeEnd my_end = NodeEnd::k5;  // the ambiguous vertex's own end
-  uint64_t old_node = 0;
   NodeEnd old_node_end = NodeEnd::k5;
-  uint32_t coverage = 0;
 };
-
-/// Combinable batch of notices owed to one ambiguous vertex by the contigs
-/// of one source partition (usually 1-2 notices; a vertex has at most 8
-/// incident edges).
-using LinkNotices = std::vector<LinkNotice>;
 
 /// The link that leaves path vertex `v` at its `end`.
 OuterLink LinkAt(const PathVertex& v, NodeEnd end) {
@@ -256,7 +249,6 @@ MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
     out.push_back(std::move(merged));
   };
 
-  // No combiner: stitching needs every path vertex individually.
   Partitioned<MergedContig> merged =
       RunMapReduce<LabelEntry, uint64_t, PathVertex, MergedContig>(
           labels.labels, map_fn, reduce_fn,
@@ -294,29 +286,22 @@ MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
       notice.old_node = o.old_node;
       notice.old_node_end = o.old_node_end;
       notice.coverage = o.coverage;
-      emitter.Emit(o.outer_id, LinkNotices{notice});
+      emitter.Emit(o.outer_id, notice);
     }
   };
-  // Map-side combiner: one batched pair per (source, ambiguous vertex)
-  // instead of one pair per notice. Notices are structurally distinct (one
-  // per (contig, side); old_node is unique per contig), so appending alone
-  // is a complete union.
-  auto notice_combine_fn = [](LinkNotices& acc, LinkNotices&& incoming) {
-    acc.insert(acc.end(), incoming.begin(), incoming.end());
-  };
+  // A group's notices arrive in (source, emit) order, the order they are
+  // applied in below.
   auto notice_reduce_fn = [](const uint64_t& outer_id,
-                             std::span<LinkNotices> group,
+                             std::span<LinkNotice> group,
                              std::vector<std::pair<uint64_t, LinkNotice>>&
                                  out) {
-    for (const LinkNotices& batch : group) {
-      for (const LinkNotice& n : batch) out.emplace_back(outer_id, n);
-    }
+    for (const LinkNotice& n : group) out.emplace_back(outer_id, n);
   };
 
   Partitioned<std::pair<uint64_t, LinkNotice>> notices =
-      RunMapReduce<MergedContig, uint64_t, LinkNotices,
+      RunMapReduce<MergedContig, uint64_t, LinkNotice,
                    std::pair<uint64_t, LinkNotice>>(
-          merged, notice_map_fn, notice_combine_fn, notice_reduce_fn,
+          merged, notice_map_fn, notice_reduce_fn,
           MakeMrConfig(options, "contig-merging-link-update"),
           &result.link_stats);
   if (stats != nullptr) stats->Add(result.link_stats);

@@ -20,7 +20,9 @@
 // A second mini MapReduce job then delivers link notices to the ambiguous
 // endpoint vertices — the in-memory analogue of the paper's two-superstep
 // contig-information broadcast — replacing their stale edges into merged
-// path vertices with edges to the new contig vertices.
+// path vertices with edges to the new contig vertices. It ships one flat
+// notice per linked contig end, with no combiner, and an endpoint applies
+// its notices in (source, emit) order.
 #ifndef PPA_CORE_CONTIG_MERGING_H_
 #define PPA_CORE_CONTIG_MERGING_H_
 

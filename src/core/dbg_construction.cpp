@@ -10,46 +10,9 @@
 #include "io/read_stream.h"
 #include "pregel/mapreduce.h"
 #include "util/hash.h"
-#include "util/logging.h"
+#include "util/varint.h"
 
 namespace ppa {
-
-namespace {
-
-/// Combinable partial adjacency of one vertex: (bitmap bit, coverage)
-/// entries from the (k+1)-mers one source partition holds. A vertex has at
-/// most 8 incident canonical edge mers, each contributing at most 2 items
-/// (both endpoints, for self-loop mers), so 16 inline slots always suffice
-/// and the value ships without heap indirection. Entries are appended, not
-/// pre-summed: PackedAdjacency::Build is the one place duplicate bits are
-/// merged, so the combined path stays bit-identical to per-item shuffling.
-// Arrays are zero-initialized (not just count-delimited) because the spill
-// path serializes the full value representation: uninitialized slots would
-// leak indeterminate bytes into spill files and make them nondeterministic.
-struct AdjPartial {
-  uint8_t count = 0;
-  uint8_t bits[16] = {};
-  uint32_t covs[16] = {};
-
-  static AdjPartial Of(int bit, uint32_t coverage) {
-    AdjPartial p;
-    p.count = 1;
-    p.bits[0] = static_cast<uint8_t>(bit);
-    p.covs[0] = coverage;
-    return p;
-  }
-
-  void Append(const AdjPartial& other) {
-    PPA_CHECK(count + other.count <= 16);
-    for (uint8_t i = 0; i < other.count; ++i) {
-      bits[count] = other.bits[i];
-      covs[count] = other.covs[i];
-      ++count;
-    }
-  }
-};
-
-}  // namespace
 
 DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
                    PipelineStats* stats) {
@@ -95,64 +58,56 @@ DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
   const MapReduceConfig mr_config =
       MakeMrConfig(options, "dbg-construction-phase2");
 
+  // Each surviving edge mer gives its canonical prefix vertex an out-item
+  // and its canonical suffix vertex an in-item. No two edge mers give one
+  // vertex the same bitmap bit, so every entry is its own edge and nothing
+  // is combined or merged.
   const int k = options.k;
   auto map_fn = [k](const std::pair<uint64_t, uint32_t>& edge_mer,
                     auto& emitter) {
     Kmer mer(edge_mer.first, k + 1);
     EdgeEndpoints e = MakeEdge(mer);
+    const uint32_t coverage = edge_mer.second;
     emitter.Emit(e.prefix_vertex.code(),
-                 AdjPartial::Of(BitmapBit(e.prefix_item), edge_mer.second));
+                 AdjEntry{static_cast<uint32_t>(BitmapBit(e.prefix_item)),
+                          coverage});
     emitter.Emit(e.suffix_vertex.code(),
-                 AdjPartial::Of(BitmapBit(e.suffix_item), edge_mer.second));
+                 AdjEntry{static_cast<uint32_t>(BitmapBit(e.suffix_item)),
+                          coverage});
   };
 
-  // Map-side combiner: union of the adjacency contributions a source holds
-  // for one vertex, so the shuffle ships one pair per (source, vertex)
-  // instead of one per incident edge mer.
-  auto combine_fn = [](AdjPartial& acc, AdjPartial&& incoming) {
-    acc.Append(incoming);
-  };
-
-  auto reduce_fn = [k](const uint64_t& vertex_code,
-                       std::span<AdjPartial> group,
+  auto reduce_fn = [k](const uint64_t& vertex_code, std::span<AdjEntry> group,
                        std::vector<AsmNode>& out) {
-    std::vector<std::pair<int, uint32_t>> entries;
-    for (const AdjPartial& p : group) {
-      for (uint8_t i = 0; i < p.count; ++i) {
-        entries.emplace_back(p.bits[i], p.covs[i]);
-      }
-    }
-    PackedAdjacency packed = PackedAdjacency::Build(std::move(entries));
-
+    // Fig. 8a's bit order is the vertex's edge order.
+    std::sort(group.begin(), group.end(),
+              [](const AdjEntry& a, const AdjEntry& b) {
+                return a.bit < b.bit;
+              });
     AsmNode node;
     node.id = vertex_code;
     node.kind = NodeKind::kKmer;
     node.k = static_cast<uint8_t>(k);
     node.kmer_code = vertex_code;
-    // Unpack Fig. 8a bitmap into the bidirected edge view. A k-mer node's
+    // Unpack each bitmap bit into the bidirected edge view. A k-mer node's
     // own coverage is the minimum incident edge coverage (used when a
     // single-vertex contig is formed).
     Kmer vertex(vertex_code, k);
     uint32_t min_cov = UINT32_MAX;
-    packed.ForEach([&](const AdjItem& item, uint32_t cov) {
-      BiEdge edge;
-      edge.to = NeighborKmer(vertex, item).code();
-      edge.my_end = item.SelfEnd();
-      edge.to_end = item.OtherEnd();
-      edge.coverage = cov;
-      min_cov = std::min(min_cov, cov);
-      node.edges.push_back(edge);
-    });
+    node.edges.reserve(group.size());
+    for (const AdjEntry& entry : group) {
+      const AdjItem item = ItemFromBitmapBit(static_cast<int>(entry.bit));
+      node.edges.push_back(BiEdge{NeighborKmer(vertex, item).code(),
+                                  item.SelfEnd(), item.OtherEnd(),
+                                  entry.coverage});
+      min_cov = std::min(min_cov, entry.coverage);
+    }
     node.coverage = (min_cov == UINT32_MAX) ? 1 : min_cov;
-    // Memory accounting for the compact-format ablation is tallied by the
-    // caller from degree; store nothing extra here.
     out.push_back(std::move(node));
   };
 
   Partitioned<AsmNode> nodes =
-      RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t, AdjPartial,
-                   AsmNode>(edge_mers, map_fn, combine_fn, reduce_fn,
-                            mr_config, &phase2);
+      RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t, AdjEntry,
+                   AsmNode>(edge_mers, map_fn, reduce_fn, mr_config, &phase2);
   if (stats != nullptr) stats->Add(phase2);
 
   // MrKeyHash routes by Mix64(key) % W, which equals PartitionOf(id, W), so

@@ -6,10 +6,12 @@
 //   reads stream in, by the two-pass sharded parallel counter
 //   (dbg/kmer_counter.h CounterSession), and those with coverage below
 //   coverage_threshold are filtered out as likely erroneous.
-//   Phase (ii): each surviving (k+1)-mer emits adjacency contributions to
-//   its canonical prefix and suffix k-mer vertices; the reducer assembles
-//   each vertex's 32-bit-bitmap compressed adjacency list (Fig. 8a) with
-//   varint coverage counts.
+//   Phase (ii): each surviving (k+1)-mer emits one 8-byte (Fig. 8a bitmap
+//   bit, coverage) entry to its canonical prefix k-mer vertex and one to
+//   its canonical suffix k-mer vertex, with no combiner; the reducer sorts
+//   a vertex's entries by bit and unpacks each into one bidirected edge.
+//   Every (vertex, bit) comes from exactly one edge mer, so nothing is
+//   merged and a graph holds 2 x surviving-mers edge records.
 //
 // (k+1)-mers are canonicalized before counting so that reads from the two
 // strands contribute to the same edge (Sec. III "Directionality").

@@ -6,13 +6,13 @@
 // complement (label H). Property 1 of the paper: edge (u,v) with (X : Y) is
 // equivalent to edge (v,u) with (Y̅ : X̅).
 //
-// Two representations are provided, both bit-exact to Fig. 8:
+// Both encodings of Fig. 8 are provided, bit-exact:
 //   * AdjItem: the uncompressed 8-bit item `000XXYZZ` (+ NULL = 10000000),
 //     where XX = prepended/appended nucleotide, Y = in/out, ZZ = polarity.
-//   * PackedAdjacency: the 32-bit bitmap (4 polarities x {in,out} x ACGT)
-//     with a varint-coded coverage per set bit — the memory-efficient
-//     format used right after DBG construction, when overlapping k-mers
-//     make the graph largest.
+//   * BitmapBit / ItemFromBitmapBit: an item's position in the 32-bit
+//     bitmap of Fig. 8a (4 polarities x {in,out} x ACGT). DBG phase (ii)
+//     ships one AdjEntry (bit, coverage) per edge endpoint and builds each
+//     vertex's edges from its entries in bit order.
 //
 // The rest of the pipeline works on the equivalent *bidirected* view: an
 // edge endpoint attaches to a node end (5' or 3' of the node's stored
@@ -23,14 +23,9 @@
 #ifndef PPA_DBG_ADJACENCY_H_
 #define PPA_DBG_ADJACENCY_H_
 
-#include <algorithm>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "dna/kmer.h"
-#include "util/logging.h"
-#include "util/varint.h"
 
 namespace ppa {
 
@@ -162,66 +157,11 @@ inline AdjItem ItemFromBitmapBit(int bit) {
   return item;
 }
 
-/// The compressed k-mer adjacency list of Fig. 8a: a 32-bit existence
-/// bitmap plus one varint-coded coverage count per set bit, stored in
-/// ascending bit order.
-class PackedAdjacency {
- public:
-  PackedAdjacency() = default;
-
-  /// Builds from (bit, coverage) pairs; duplicate bits are summed.
-  static PackedAdjacency Build(
-      std::vector<std::pair<int, uint32_t>> entries) {
-    std::sort(entries.begin(), entries.end());
-    PackedAdjacency adj;
-    std::vector<std::pair<int, uint64_t>> merged;
-    for (const auto& [bit, cov] : entries) {
-      if (!merged.empty() && merged.back().first == bit) {
-        merged.back().second += cov;
-      } else {
-        merged.emplace_back(bit, cov);
-      }
-    }
-    for (const auto& [bit, cov] : merged) {
-      adj.bitmap_ |= (1u << bit);
-      PutVarint64(&adj.coverage_, cov);
-    }
-    return adj;
-  }
-
-  uint32_t bitmap() const { return bitmap_; }
-
-  int degree() const { return __builtin_popcount(bitmap_); }
-
-  /// Invokes fn(AdjItem, coverage) for each neighbor, in bit order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    size_t pos = 0;
-    for (int bit = 0; bit < 32; ++bit) {
-      if ((bitmap_ & (1u << bit)) == 0) continue;
-      uint64_t cov = 0;
-      bool ok = GetVarint64(coverage_.data(), coverage_.size(), &pos, &cov);
-      PPA_CHECK(ok);
-      fn(ItemFromBitmapBit(bit), static_cast<uint32_t>(cov));
-    }
-  }
-
-  /// Coverage of the neighbor at `bit`; 0 if the bit is unset.
-  uint32_t CoverageOf(int bit) const {
-    uint32_t cov = 0;
-    ForEach([&](const AdjItem& item, uint32_t c) {
-      if (BitmapBit(item) == bit) cov = c;
-    });
-    return cov;
-  }
-
-  /// Bytes used by this structure (for the memory ablation): the bitmap
-  /// plus the varint payload.
-  size_t MemoryBytes() const { return sizeof(bitmap_) + coverage_.size(); }
-
- private:
-  uint32_t bitmap_ = 0;
-  std::vector<uint8_t> coverage_;
+/// One set bit of a vertex's Fig. 8a bitmap with the coverage of its edge:
+/// the 8-byte record DBG phase (ii) shuffles per edge endpoint.
+struct AdjEntry {
+  uint32_t bit = 0;
+  uint32_t coverage = 0;
 };
 
 }  // namespace ppa

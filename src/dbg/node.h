@@ -2,8 +2,8 @@
 //
 // Sec. IV.A defines two vertex kinds — k-mer vertices and contig vertices —
 // and three vertex types: <1> (dead end), <1-1> (unambiguous) and <m-n>
-// (ambiguous). After DBG construction the compact PackedAdjacency format is
-// unpacked into the equivalent bidirected-edge view (see dbg/adjacency.h),
+// (ambiguous). DBG construction unpacks each vertex's Fig. 8a bitmap
+// entries into the equivalent bidirected-edge view (see dbg/adjacency.h),
 // which both kinds share: an edge endpoint attaches to a node *end* (5'/3'
 // of the node's stored orientation). All polarity bookkeeping of the paper
 // maps 1:1 onto ends; translation helpers and tests live in adjacency.h.

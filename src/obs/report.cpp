@@ -78,11 +78,7 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
     Set(r, "pipeline.messages", p.total_messages());
     Set(r, "pipeline.message_bytes", p.total_bytes());
     Set(r, "pipeline.wall_micros", Micros(p.total_wall_seconds()));
-    const uint64_t emitted = p.total_pairs_emitted();
-    const uint64_t shuffled = p.total_pairs_shuffled();
-    Set(r, "shuffle.pairs_emitted", emitted);
-    Set(r, "shuffle.pairs_shuffled", shuffled);
-    Set(r, "shuffle.combined_away", emitted - shuffled);
+    Set(r, "shuffle.pairs_shuffled", p.total_pairs_shuffled());
     Set(r, "spill.spilled_chunks", p.total_spilled_chunks());
     Set(r, "spill.spilled_bytes", p.total_spilled_bytes());
     Set(r, "spill.spill_files", p.total_spill_files());

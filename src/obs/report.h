@@ -11,7 +11,7 @@
 //   ingest.*    reads/bases/batches of the run's input
 //   counting.*  phase (i) — KmerCountStats
 //   pipeline.*  MapReduce totals — PipelineStats
-//   shuffle.*   pairs emitted/shuffled/combined away
+//   shuffle.*   pairs shuffled
 //   spill.*     budget, peak resident, spill volume
 //   net.*       distributed counters (coordinator side)
 //   dbg.*       graph size

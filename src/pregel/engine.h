@@ -3,8 +3,8 @@
 // Executes a vertex program in supersteps over a PartitionedGraph:
 //   * each active vertex v gets Compute(ctx, msgs) called with the messages
 //     sent to it in the previous superstep;
-//   * Compute may send messages, vote to halt, aggregate values, remove the
-//     vertex, or add vertices (mutations apply at the superstep barrier);
+//   * Compute may send messages, vote to halt, aggregate values or remove
+//     the vertex;
 //   * a halted vertex is reactivated by an incoming message;
 //   * the job terminates when every vertex is halted and no message is in
 //     flight (or max_supersteps is hit).
@@ -12,26 +12,25 @@
 // The `num_workers` logical workers of the graph are the distribution unit
 // the paper scales (16..64); they are multiplexed onto up to `num_threads`
 // OS threads. A superstep is a compute phase (one thread per partition at a
-// time), a serial barrier (stats, aggregators, vertex additions) and a
-// delivery phase (one thread per destination partition at a time). Neither
-// phase takes a lock: each partition's mutable state (context and
-// outboxes, compute list, next list and next-list positions, inbox) sits in
-// one cache-line-aligned PartitionState that only the partition's thread of
-// the current phase writes, and counters are kept in locals and published
-// once per partition per phase.
+// time), a serial barrier (stats, aggregators) and a delivery phase (one
+// thread per destination partition at a time). Neither phase takes a lock:
+// each partition's mutable state (context and outboxes, compute list, next
+// list and next-list positions, inbox) sits in one cache-line-aligned
+// PartitionState that only the partition's thread of the current phase
+// writes, and counters are kept in locals and published once per partition
+// per phase.
 //
 // Delivery contract:
 //   * Order. A vertex receives its messages ordered by source worker, then
 //     by send order within that worker. Each partition computes, in order,
 //     the vertices that did not vote to halt (in the previous superstep's
-//     compute order), the vertices added at the barrier (by adding worker,
-//     then call order), then the halted vertices a message woke (in
+//     compute order), then the halted vertices a message woke (in
 //     first-arrival order).
 //   * Drops. A message to an id that its partition does not hold is
 //     dropped at delivery; one to a removed vertex is dropped at compute,
 //     where the removed vertex is skipped. Neither reaches Compute or
 //     counts in compute_ops. messages_sent counts every message staged by
-//     a sender (after combining), dropped or not.
+//     a sender, dropped or not.
 //   * Cost. Delivery into partition d resolves each message's slot once in
 //     the partition's IdSlotIndex, appends receivers not yet scheduled to
 //     the next compute list (in first-arrival order), counts each
@@ -42,9 +41,9 @@
 //     vertices + delivered messages) and never walks all slots of a
 //     partition, so jobs with tiny frontiers (tip removal, the propagation
 //     baseline) stay cheap.
-//   * Reuse. Outboxes, the combiner's id -> outbox-position map, the CSR
-//     inbox arrays and the compute lists are cleared in place each
-//     superstep and keep their capacity until Run returns.
+//   * Reuse. Outboxes, the CSR inbox arrays and the compute lists are
+//     cleared in place each superstep and keep their capacity until Run
+//     returns.
 //
 // VertexT contract:
 //   struct V {
@@ -54,10 +53,8 @@
 //     bool removed = false;                 // lazy deletion flag
 //     void Compute(Context& ctx, std::span<const Message> msgs);
 //   };
-// Optionally VertexT may define a combiner:
-//   struct Combiner { static void Combine(Message& into, const Message&); };
-// in which case messages to the same destination vertex are combined on the
-// sender side (Pregel's combiner optimization).
+// Each SendTo stages exactly one message, and the vertex set is fixed for
+// the run (num_vertices() is read once, when Run starts).
 #ifndef PPA_PREGEL_ENGINE_H_
 #define PPA_PREGEL_ENGINE_H_
 
@@ -83,15 +80,6 @@ namespace ppa {
 /// readable in superstep S+1 via Context::PrevAggregate.
 inline constexpr int kNumAggregatorSlots = 4;
 
-namespace pregel_internal {
-
-template <typename T, typename = void>
-struct HasCombiner : std::false_type {};
-template <typename T>
-struct HasCombiner<T, std::void_t<typename T::Combiner>> : std::true_type {};
-
-}  // namespace pregel_internal
-
 /// Engine configuration.
 struct EngineConfig {
   unsigned num_threads = 0;  // 0 = hardware concurrency.
@@ -115,16 +103,8 @@ class Engine {
     /// Sends `msg` to the vertex with id `dst` (delivered next superstep).
     void SendTo(uint64_t dst, Message msg) {
       ++ops_;
-      auto& box = outbox_[PartitionOf(dst, num_workers_)];
-      if constexpr (pregel_internal::HasCombiner<VertexT>::value) {
-        const uint32_t pos = static_cast<uint32_t>(box.size());
-        const uint32_t at = combine_slots_.Insert(dst, pos);
-        if (at != pos) {
-          VertexT::Combiner::Combine(box[at].second, msg);
-          return;
-        }
-      }
-      box.emplace_back(dst, std::move(msg));
+      outbox_[PartitionOf(dst, num_workers_)].emplace_back(dst,
+                                                            std::move(msg));
     }
 
     /// Current vertex votes to halt; it is reactivated by any message.
@@ -136,9 +116,6 @@ class Engine {
       current_->removed = true;
       current_->halted = true;
     }
-
-    /// Adds a vertex at the barrier; it becomes active next superstep.
-    void AddVertex(VertexT v) { additions_.push_back(std::move(v)); }
 
     /// Adds `delta` to aggregator `slot` (summed across all vertices this
     /// superstep; visible next superstep through PrevAggregate).
@@ -159,8 +136,6 @@ class Engine {
     std::array<uint64_t, kNumAggregatorSlots> prev_agg_{};
     // Staged (dst id, message) pairs, by destination partition.
     std::vector<std::vector<std::pair<uint64_t, Message>>> outbox_;
-    IdSlotIndex combine_slots_;  // Combiner: dst id -> position in its box.
-    std::vector<VertexT> additions_;
   };
 
   explicit Engine(EngineConfig config = {}) : config_(std::move(config)) {}
@@ -176,12 +151,14 @@ class Engine {
     RunStats stats;
     stats.job_name = config_.job_name;
 
+    const uint64_t n_vertices = graph.size();
     std::vector<PartitionState> parts(W);
     for (uint32_t p = 0; p < W; ++p) {
       PartitionState& st = parts[p];
       const size_t n = graph.partition(p).vertices.size();
       st.ctx.num_workers_ = W;
       st.ctx.worker_id_ = p;
+      st.ctx.num_vertices_ = n_vertices;
       st.ctx.outbox_.resize(W);
       st.compute.resize(n);
       std::iota(st.compute.begin(), st.compute.end(), 0u);
@@ -192,18 +169,14 @@ class Engine {
 
     for (uint32_t step = 0; step < config_.max_supersteps; ++step) {
       // --- Compute phase -------------------------------------------------
-      const uint64_t n_vertices = graph.size();
       pool.Run(W, [&](uint32_t p) {
         PartitionState& st = parts[p];
         Context& ctx = st.ctx;
         ctx.superstep_ = step;
-        ctx.num_vertices_ = n_vertices;
         ctx.ops_ = 0;
         ctx.agg_.fill(0);
         ctx.prev_agg_ = prev_agg;
         for (auto& box : ctx.outbox_) box.clear();
-        ctx.combine_slots_.Clear();
-        ctx.additions_.clear();
 
         std::vector<VertexT>& vertices = graph.partition(p).vertices;
         const Message* inbox = st.inbox.data();
@@ -231,7 +204,7 @@ class Engine {
         st.active = active;
       });
 
-      // --- Barrier: stats, aggregators, mutations ------------------------
+      // --- Barrier: stats, aggregators ------------------------------------
       SuperstepStats ss;
       ss.superstep = step;
       ss.worker_messages.resize(W);
@@ -255,19 +228,6 @@ class Engine {
       }
       const uint64_t staged_messages = ss.messages_sent;
       stats.supersteps.push_back(std::move(ss));
-
-      // Vertex additions (routed by id); new vertices start active.
-      for (uint32_t p = 0; p < W; ++p) {
-        for (VertexT& v : parts[p].ctx.additions_) {
-          const uint32_t d = PartitionOf(v.id, W);
-          const auto slot =
-              static_cast<uint32_t>(graph.partition(d).vertices.size());
-          graph.AddToPartition(d, std::move(v));
-          PartitionState& st = parts[d];
-          st.next_pos.push_back(static_cast<uint32_t>(st.next.size()));
-          st.next.push_back(slot);
-        }
-      }
 
       // --- Delivery phase: staged messages -> CSR inboxes ----------------
       pool.Run(W, [&](uint32_t d) {

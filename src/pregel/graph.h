@@ -18,18 +18,16 @@
 
 namespace ppa {
 
-/// Open-addressing id -> slot table: the per-partition vertex index, and the
-/// engine's sender-side combiner map (id -> outbox position).
+/// Open-addressing id -> slot table: the per-partition vertex index.
 ///
-/// Linear probing over a power-of-two array of 16-byte {id, slot, epoch}
+/// Linear probing over a power-of-two array of 16-byte {id, slot, live}
 /// entries; no per-key heap node. An id's home entry is the top
 /// log2(capacity) bits of Mix64(id), because PartitionOf already fixed
 /// Mix64(id) mod num_workers for every id of one partition and the low bits
 /// would collide. The table doubles before an insert would push the load
 /// past 7/10, so the load stays at most 0.7 (and above 0.35 once grown); by
 /// Knuth's linear-probing estimates a hit then probes at most ~2.2 entries
-/// on average and a miss at most ~6. An entry is live only if it carries the
-/// current epoch: Clear() is O(1) and keeps the allocation.
+/// on average and a miss at most ~6.
 class IdSlotIndex {
  public:
   static constexpr uint32_t kAbsent = UINT32_MAX;
@@ -39,7 +37,7 @@ class IdSlotIndex {
     if (size_ == 0) return kAbsent;
     for (size_t i = Home(id);; i = (i + 1) & mask_) {
       const Entry& e = entries_[i];
-      if (e.epoch != epoch_) return kAbsent;
+      if (e.live == 0) return kAbsent;
       if (e.id == id) return e.slot;
     }
   }
@@ -50,8 +48,8 @@ class IdSlotIndex {
     if ((size_ + 1) * 10 > entries_.size() * 7) Rehash(CapacityFor(size_ + 1));
     for (size_t i = Home(id);; i = (i + 1) & mask_) {
       Entry& e = entries_[i];
-      if (e.epoch != epoch_) {
-        e = Entry{id, slot, epoch_};
+      if (e.live == 0) {
+        e = Entry{id, slot, 1};
         ++size_;
         return slot;
       }
@@ -64,22 +62,13 @@ class IdSlotIndex {
     if (n * 10 > entries_.size() * 7) Rehash(CapacityFor(n));
   }
 
-  /// Forgets every id in O(1), keeping the allocation.
-  void Clear() {
-    size_ = 0;
-    if (++epoch_ == 0) {  // Wrapped: stale entries would look live.
-      std::fill(entries_.begin(), entries_.end(), Entry{});
-      epoch_ = 1;
-    }
-  }
-
   size_t size() const { return size_; }
 
  private:
   struct Entry {
     uint64_t id = 0;
     uint32_t slot = 0;
-    uint32_t epoch = 0;  // Live iff equal to the table's epoch_ (never 0).
+    uint32_t live = 0;  // 1 once the entry holds an id.
   };
 
   static size_t CapacityFor(size_t n) {
@@ -91,13 +80,11 @@ class IdSlotIndex {
   void Rehash(size_t capacity) {
     std::vector<Entry> old(capacity);
     old.swap(entries_);
-    const uint32_t live = epoch_;
-    epoch_ = 1;
     size_ = 0;
     mask_ = capacity - 1;
     shift_ = 64 - std::countr_zero(capacity);
     for (const Entry& e : old) {
-      if (e.epoch == live) Insert(e.id, e.slot);
+      if (e.live != 0) Insert(e.id, e.slot);
     }
   }
 
@@ -105,7 +92,6 @@ class IdSlotIndex {
   size_t size_ = 0;
   size_t mask_ = 0;
   int shift_ = 64;
-  uint32_t epoch_ = 1;
 };
 
 /// Partitioned vertex store. VertexT must expose:

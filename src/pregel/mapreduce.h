@@ -12,6 +12,10 @@
 // are partitioned vectors so jobs chain without serialization, and the
 // shuffle volume is recorded into RunStats for the cluster model.
 //
+// Every key and value is a flat, trivially copyable record (RunMapReduce
+// static-asserts it), so a pair's bytes are the pair: every job can spill,
+// and its recorded byte volume is exact.
+//
 // Engine shape:
 //
 //   Map side — each source partition emits routed (K, V) pairs into
@@ -41,13 +45,15 @@
 // same-key emissions on the map side (per source), so associative reducers
 // ship one combined value per (source, key) instead of one pair per
 // emission. RunStats then records both the emitted and the actually
-// shuffled pair counts, so the saving is visible in reports.
+// shuffled pair counts, so the saving is visible. Only the ABySS-like
+// baseline's k-mer count combines; no assembly-pipeline job does.
 #ifndef PPA_PREGEL_MAPREDUCE_H_
 #define PPA_PREGEL_MAPREDUCE_H_
 
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <compare>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
@@ -103,9 +109,19 @@ struct MrKeyHash {
   uint64_t operator()(const K& k) const { return Mix64(static_cast<uint64_t>(k)); }
 };
 
+/// A two-word shuffle key (bubble filtering's endpoint pair). Ordered
+/// lexicographically and hashed exactly like the std::pair it stands for,
+/// but trivially copyable, so jobs keyed by it spill like any other.
+struct PairKey {
+  uint64_t first = 0;
+  uint64_t second = 0;
+
+  friend auto operator<=>(const PairKey&, const PairKey&) = default;
+};
+
 template <>
-struct MrKeyHash<std::pair<uint64_t, uint64_t>> {
-  uint64_t operator()(const std::pair<uint64_t, uint64_t>& k) const {
+struct MrKeyHash<PairKey> {
+  uint64_t operator()(const PairKey& k) const {
     return HashCombine(Mix64(k.first), k.second);
   }
 };
@@ -132,10 +148,7 @@ struct MapReduceConfig {
   // of staying resident between map and reduce — every chunk under
   // kAlways, the over-budget ones under kAuto. Readback reassembles the
   // exact (source, emit) chunk order, so output stays bit-identical to the
-  // in-memory path. Only jobs whose key and value types are trivially
-  // copyable spill; the two jobs shipping heap-indirect values (contig
-  // merging's link-notice batches, bubble filtering's candidates) ignore
-  // the context and stay resident.
+  // in-memory path.
   SpillContext* spill = nullptr;
 };
 
@@ -204,11 +217,6 @@ using ChunkLists = std::vector<std::vector<std::vector<std::pair<K, V>>>>;
 
 struct NoCombine {};
 
-/// Only pair types whose bytes round-trip through disk may spill.
-template <typename K, typename V>
-inline constexpr bool kSpillablePair =
-    std::is_trivially_copyable_v<K> && std::is_trivially_copyable_v<V>;
-
 /// Per-job spill state of the shuffle: one spill file per destination,
 /// records tagged (source, seq) so readback reassembles the exact chunk
 /// order the in-memory path would have seen.
@@ -228,7 +236,6 @@ class ShuffleSpill {
   ShuffleSpill(SpillContext* context, const std::string& job_name,
                uint32_t num_workers)
       : context_(context) {
-    if constexpr (!kSpillablePair<K, V>) return;
     if (context_ == nullptr || context_->mode == SpillMode::kNever) return;
     files_.reserve(num_workers);
     for (uint32_t d = 0; d < num_workers; ++d) {
@@ -255,45 +262,37 @@ class ShuffleSpill {
   /// resident. Thread-safe across map tasks.
   bool OfferSealed(uint32_t src, uint32_t dst, uint64_t seq,
                    const std::vector<std::pair<K, V>>& chunk) {
-    if constexpr (kSpillablePair<K, V>) {
-      const uint64_t footprint = chunk.size() * sizeof(std::pair<K, V>);
-      // Check-and-charge must be one atomic step: concurrent map tasks
-      // probing the budget separately would all pass and collectively
-      // exceed it. A kept chunk stays resident until the reduce consumes
-      // it: pinned, so spill backpressure never waits on it.
-      if (context_->mode != SpillMode::kAlways &&
-          context_->budget.TryChargePinned(footprint)) {
-        charged_.fetch_add(footprint, std::memory_order_relaxed);
-        return false;
-      }
-      std::vector<uint8_t> payload;
-      payload.reserve(footprint + 3 * 10);
-      PutVarint64(&payload, src);
-      PutVarint64(&payload, seq);
-      PutVarint64(&payload, chunk.size());
-      for (const auto& [key, value] : chunk) {
-        AppendRaw(&payload, &key, sizeof(K));
-        AppendRaw(&payload, &value, sizeof(V));
-      }
-      spilled_chunks_.fetch_add(1, std::memory_order_relaxed);
-      spilled_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
-      dst_spilled_[dst].fetch_add(1, std::memory_order_relaxed);
-      // The serialized bytes are resident on the writer until written;
-      // blocking here is the map side's backpressure on disk bandwidth,
-      // which is what holds peak residency under the budget.
-      context_->budget.ChargeBlocking(payload.size());
-      MemoryBudget* budget = &context_->budget;
-      const uint64_t written = payload.size();
-      context_->manager.Append(files_[dst], std::move(payload),
-                               [budget, written] { budget->Release(written); });
-      return true;
-    } else {
-      (void)src;
-      (void)dst;
-      (void)seq;
-      (void)chunk;
+    const uint64_t footprint = chunk.size() * sizeof(std::pair<K, V>);
+    // Check-and-charge must be one atomic step: concurrent map tasks
+    // probing the budget separately would all pass and collectively
+    // exceed it. A kept chunk stays resident until the reduce consumes
+    // it: pinned, so spill backpressure never waits on it.
+    if (context_->mode != SpillMode::kAlways &&
+        context_->budget.TryChargePinned(footprint)) {
+      charged_.fetch_add(footprint, std::memory_order_relaxed);
       return false;
     }
+    std::vector<uint8_t> payload;
+    payload.reserve(footprint + 3 * 10);
+    PutVarint64(&payload, src);
+    PutVarint64(&payload, seq);
+    PutVarint64(&payload, chunk.size());
+    for (const auto& [key, value] : chunk) {
+      AppendRaw(&payload, &key, sizeof(K));
+      AppendRaw(&payload, &value, sizeof(V));
+    }
+    spilled_chunks_.fetch_add(1, std::memory_order_relaxed);
+    spilled_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
+    dst_spilled_[dst].fetch_add(1, std::memory_order_relaxed);
+    // The serialized bytes are resident on the writer until written;
+    // blocking here is the map side's backpressure on disk bandwidth,
+    // which is what holds peak residency under the budget.
+    context_->budget.ChargeBlocking(payload.size());
+    MemoryBudget* budget = &context_->budget;
+    const uint64_t written = payload.size();
+    context_->manager.Append(files_[dst], std::move(payload),
+                             [budget, written] { budget->Release(written); });
+    return true;
   }
 
   /// One read-back chunk of a destination, in its lane position.
@@ -311,57 +310,53 @@ class ShuffleSpill {
         dst_spilled_[dst].load(std::memory_order_relaxed) == 0) {
       return out;
     }
-    if constexpr (kSpillablePair<K, V>) {
-      SpillReader reader = context_->manager.OpenReader(files_[dst]);
-      std::vector<uint8_t> payload;
-      while (reader.Next(&payload)) {
-        ReadChunk chunk;
-        size_t pos = 0;
-        uint64_t n = 0;
-        // Overflow-safe pair-count check: n is an untrusted varint, so the
-        // product form `n * pair_bytes == remaining` could wrap.
-        constexpr uint64_t kPairBytes = sizeof(K) + sizeof(V);
-        const bool header_ok =
-            GetVarint64(payload.data(), payload.size(), &pos, &chunk.src) &&
-            GetVarint64(payload.data(), payload.size(), &pos, &chunk.seq) &&
-            GetVarint64(payload.data(), payload.size(), &pos, &n) &&
-            n == (payload.size() - pos) / kPairBytes &&
-            (payload.size() - pos) % kPairBytes == 0;
-        if (!header_ok) {
-          *error = "spill readback failed: malformed shuffle record in " +
-                   context_->manager.FilePath(files_[dst]);
-          return out;
-        }
-        chunk.pairs.resize(n);
-        for (uint64_t i = 0; i < n; ++i) {
-          std::memcpy(&chunk.pairs[i].first, payload.data() + pos, sizeof(K));
-          pos += sizeof(K);
-          std::memcpy(&chunk.pairs[i].second, payload.data() + pos,
-                      sizeof(V));
-          pos += sizeof(V);
-        }
-        readback_chunks_.fetch_add(1, std::memory_order_relaxed);
-        readback_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
-        out.push_back(std::move(chunk));
-      }
-      if (!reader.ok()) {
-        *error = reader.error();
+    SpillReader reader = context_->manager.OpenReader(files_[dst]);
+    std::vector<uint8_t> payload;
+    while (reader.Next(&payload)) {
+      ReadChunk chunk;
+      size_t pos = 0;
+      uint64_t n = 0;
+      // Overflow-safe pair-count check: n is an untrusted varint, so the
+      // product form `n * pair_bytes == remaining` could wrap.
+      constexpr uint64_t kPairBytes = sizeof(K) + sizeof(V);
+      const bool header_ok =
+          GetVarint64(payload.data(), payload.size(), &pos, &chunk.src) &&
+          GetVarint64(payload.data(), payload.size(), &pos, &chunk.seq) &&
+          GetVarint64(payload.data(), payload.size(), &pos, &n) &&
+          n == (payload.size() - pos) / kPairBytes &&
+          (payload.size() - pos) % kPairBytes == 0;
+      if (!header_ok) {
+        *error = "spill readback failed: malformed shuffle record in " +
+                 context_->manager.FilePath(files_[dst]);
         return out;
       }
-      const uint64_t expected =
-          dst_spilled_[dst].load(std::memory_order_relaxed);
-      if (out.size() != expected) {
-        *error = "spill readback failed: " +
-                 context_->manager.FilePath(files_[dst]) + " holds " +
-                 std::to_string(out.size()) + " records, expected " +
-                 std::to_string(expected);
-        return out;
+      chunk.pairs.resize(n);
+      for (uint64_t i = 0; i < n; ++i) {
+        std::memcpy(&chunk.pairs[i].first, payload.data() + pos, sizeof(K));
+        pos += sizeof(K);
+        std::memcpy(&chunk.pairs[i].second, payload.data() + pos, sizeof(V));
+        pos += sizeof(V);
       }
-      std::sort(out.begin(), out.end(),
-                [](const ReadChunk& a, const ReadChunk& b) {
-                  return a.src != b.src ? a.src < b.src : a.seq < b.seq;
-                });
+      readback_chunks_.fetch_add(1, std::memory_order_relaxed);
+      readback_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
+      out.push_back(std::move(chunk));
     }
+    if (!reader.ok()) {
+      *error = reader.error();
+      return out;
+    }
+    const uint64_t expected = dst_spilled_[dst].load(std::memory_order_relaxed);
+    if (out.size() != expected) {
+      *error = "spill readback failed: " +
+               context_->manager.FilePath(files_[dst]) + " holds " +
+               std::to_string(out.size()) + " records, expected " +
+               std::to_string(expected);
+      return out;
+    }
+    std::sort(out.begin(), out.end(),
+              [](const ReadChunk& a, const ReadChunk& b) {
+                return a.src != b.src ? a.src < b.src : a.seq < b.seq;
+              });
     return out;
   }
 
@@ -591,6 +586,10 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
                                   CombineFn combine_fn, ReduceFn reduce_fn,
                                   const MapReduceConfig& config,
                                   RunStats* stats) {
+  static_assert(std::is_trivially_copyable_v<K> &&
+                    std::is_trivially_copyable_v<V>,
+                "shuffle keys and values must be flat records: their bytes "
+                "are spilled and counted as they are");
   Timer timer;
   const uint32_t W = config.num_workers;
   PPA_CHECK(input.size() == W);
@@ -633,12 +632,8 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
     map_ss.worker_ops.resize(W);
     for (uint32_t src = 0; src < W; ++src) {
       map_ss.worker_messages[src] = shuffled[src];
-      // Byte volume is modeled as the inline pair footprint. That is exact
-      // for trivially copyable values (the contig-merging group-by
-      // included); values with heap payloads (link-notice batches, bubble
-      // candidates' sequences) are counted at their header size only. Pair
-      // counts are always exact — use those when comparing jobs whose value
-      // types differ in indirection.
+      // Byte volume is the pairs' inline footprint, exact because keys
+      // and values are flat records.
       map_ss.worker_bytes[src] = shuffled[src] * sizeof(std::pair<K, V>);
       // Combining work (one table probe per emission) counts as map ops.
       map_ss.worker_ops[src] = input[src].size() + emitted[src];

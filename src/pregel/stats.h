@@ -41,8 +41,7 @@ struct RunStats {
 
   // External spill volume (spill/spill.h): sealed chunks written to the
   // job's per-shard/per-destination spill files and read back by the
-  // consuming pass. All zero when spilling is off (SpillMode::kNever) or
-  // the job's pair type cannot be serialized.
+  // consuming pass. All zero when spilling is off (SpillMode::kNever).
   uint64_t spilled_chunks = 0;
   uint64_t spilled_bytes = 0;
   uint64_t spill_files = 0;
@@ -95,12 +94,6 @@ struct PipelineStats {
   uint32_t total_supersteps() const {
     uint32_t n = 0;
     for (const auto& j : jobs) n += j.num_supersteps();
-    return n;
-  }
-
-  uint64_t total_pairs_emitted() const {
-    uint64_t n = 0;
-    for (const auto& j : jobs) n += j.pairs_emitted;
     return n;
   }
 

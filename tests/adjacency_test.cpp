@@ -1,4 +1,4 @@
-// Tests for edge polarity algebra and the compact adjacency formats
+// Tests for edge polarity algebra and the Fig. 8 adjacency encodings
 // (dbg/adjacency.h) — including the paper's Property 1 and the Fig. 8b
 // worked example.
 #include "dbg/adjacency.h"
@@ -83,34 +83,6 @@ TEST(MakeEdgeTest, PaperFig6Example) {
   EXPECT_EQ(e.suffix_vertex.ToString(), "AC");
   EXPECT_EQ(e.prefix_item.self, Side::kL);
   EXPECT_EQ(e.prefix_item.other, Side::kH);
-}
-
-TEST(PackedAdjacencyTest, BuildAndIterate) {
-  PackedAdjacency adj = PackedAdjacency::Build(
-      {{5, 100}, {0, 3}, {31, 1}, {5, 20}});  // Duplicate bit 5 sums.
-  EXPECT_EQ(adj.degree(), 3);
-  EXPECT_EQ(adj.CoverageOf(0), 3u);
-  EXPECT_EQ(adj.CoverageOf(5), 120u);
-  EXPECT_EQ(adj.CoverageOf(31), 1u);
-  EXPECT_EQ(adj.CoverageOf(7), 0u);
-
-  int count = 0;
-  adj.ForEach([&](const AdjItem& item, uint32_t cov) {
-    ++count;
-    EXPECT_EQ(adj.CoverageOf(BitmapBit(item)), cov);
-  });
-  EXPECT_EQ(count, 3);
-}
-
-TEST(PackedAdjacencyTest, VarintCompressionSavesSpace) {
-  // 8 neighbors with small coverages: 4-byte bitmap + 8 one-byte varints.
-  std::vector<std::pair<int, uint32_t>> entries;
-  for (int b = 0; b < 8; ++b) entries.emplace_back(b, 10u + b);
-  PackedAdjacency adj = PackedAdjacency::Build(entries);
-  EXPECT_EQ(adj.MemoryBytes(), 4u + 8u);
-  // Large coverages take more varint bytes.
-  PackedAdjacency big = PackedAdjacency::Build({{0, 1u << 20}});
-  EXPECT_EQ(big.MemoryBytes(), 4u + 3u);
 }
 
 TEST(EndsTest, SelfEndMatchesPolaritySemantics) {

@@ -282,13 +282,12 @@ TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
   EXPECT_EQ(SortedContigSeqs(opts.contigs_out), expected_seqs);
 
   // The stats report carries the streaming bound evidence and the shuffle
-  // engine's combiner effectiveness (combining must have removed pairs).
+  // volume.
   const std::string stats = ReadFile(opts.stats_out);
   EXPECT_NE(stats.find("mode=stream"), std::string::npos);
-  EXPECT_NE(stats.find("shuffle: strategy=hash pairs_emitted="),
+  EXPECT_NE(stats.find("shuffle: strategy=hash pairs_shuffled="),
             std::string::npos)
       << stats;
-  EXPECT_EQ(stats.find("combined_away=0\n"), std::string::npos) << stats;
   EXPECT_NE(stats.find("peak_queued_bytes="), std::string::npos);
   EXPECT_NE(stats.find("n50="), std::string::npos);
   EXPECT_NE(stats.find("queue_bound_bytes=65536"), std::string::npos)

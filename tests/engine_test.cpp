@@ -1,6 +1,6 @@
 // Tests for the Pregel engine: supersteps, vote-to-halt/reactivation,
-// aggregators, combiners, graph mutation and statistics, plus an
-// equivalence grid against a serial reference engine.
+// aggregators, vertex removal and statistics, plus an equivalence grid
+// against a serial reference engine.
 #include "pregel/engine.h"
 
 #include <gtest/gtest.h>
@@ -99,51 +99,9 @@ TEST(EngineTest, AggregatorSumsAcrossWorkers) {
   }
 }
 
-// Message combiner: sums messages to the same destination at the sender.
-struct CombVertex {
-  using Message = uint64_t;
-  struct Combiner {
-    static void Combine(uint64_t& into, const uint64_t& msg) { into += msg; }
-  };
-  uint64_t id = 0;
-  bool halted = false;
-  bool removed = false;
-  uint64_t received = 0;
-
-  template <typename Ctx>
-  void Compute(Ctx& ctx, std::span<const uint64_t> msgs) {
-    if (ctx.superstep() == 0) {
-      if (id != 0) {
-        // Everyone sends 3 messages to vertex 0.
-        for (int i = 0; i < 3; ++i) ctx.SendTo(0, id);
-      }
-      ctx.VoteToHalt();
-      return;
-    }
-    for (uint64_t m : msgs) received += m;
-    ctx.VoteToHalt();
-  }
-};
-
-TEST(EngineTest, CombinerReducesMessageCount) {
-  PartitionedGraph<CombVertex> graph(2);
-  for (uint64_t id : {0, 1, 2, 3, 4}) {
-    CombVertex v;
-    v.id = id;
-    graph.Add(std::move(v));
-  }
-  Engine<CombVertex> engine({.num_threads = 1, .job_name = "combine"});
-  RunStats stats = engine.Run(graph);
-  // Sum preserved: 3*(1+2+3+4) = 30.
-  EXPECT_EQ(graph.Find(0)->received, 30u);
-  // Without combining: 12 messages; with sender-side combining, at most one
-  // per (source partition, destination vertex): <= 2.
-  EXPECT_LE(stats.supersteps[0].messages_sent, 2u);
-}
-
-// Mutation: vertex 1 spawns vertex 100 and removes itself; messages to the
-// removed vertex are dropped.
-struct MutVertex {
+// RemoveSelf: vertex 1 removes itself in superstep 0, so a message sent to
+// it afterwards is dropped, while one sent to a live vertex is delivered.
+struct RemovingVertex {
   using Message = uint64_t;
   uint64_t id = 0;
   bool halted = false;
@@ -154,9 +112,6 @@ struct MutVertex {
   void Compute(Ctx& ctx, std::span<const uint64_t> msgs) {
     for (uint64_t m : msgs) got += m;
     if (ctx.superstep() == 0 && id == 1) {
-      MutVertex spawned;
-      spawned.id = 100;
-      ctx.AddVertex(spawned);
       ctx.RemoveSelf();
       return;
     }
@@ -164,25 +119,30 @@ struct MutVertex {
       return;  // Stay active to send in superstep 1.
     }
     if (ctx.superstep() == 1 && id == 2) {
-      ctx.SendTo(1, 7);    // Dropped: vertex 1 is removed.
-      ctx.SendTo(100, 9);  // Delivered to the new vertex.
+      ctx.SendTo(1, 7);  // Dropped: vertex 1 is removed.
+      ctx.SendTo(3, 9);  // Delivered.
     }
     ctx.VoteToHalt();
   }
 };
 
-TEST(EngineTest, MutationAndDroppedMessages) {
-  PartitionedGraph<MutVertex> graph(2);
-  for (uint64_t id : {1, 2}) {
-    MutVertex v;
+TEST(EngineTest, RemovedVertexDropsItsMessages) {
+  PartitionedGraph<RemovingVertex> graph(2);
+  for (uint64_t id : {1, 2, 3}) {
+    RemovingVertex v;
     v.id = id;
     graph.Add(std::move(v));
   }
-  Engine<MutVertex> engine({.num_threads = 1, .job_name = "mutate"});
-  engine.Run(graph);
+  Engine<RemovingVertex> engine({.num_threads = 1, .job_name = "remove"});
+  const RunStats stats = engine.Run(graph);
   EXPECT_EQ(graph.Find(1), nullptr);
-  ASSERT_NE(graph.Find(100), nullptr);
-  EXPECT_EQ(graph.Find(100)->got, 9u);
+  const auto& part = graph.partition(PartitionOf(1, 2));
+  EXPECT_EQ(part.vertices[part.index.Find(1)].got, 0u);
+  ASSERT_NE(graph.Find(3), nullptr);
+  EXPECT_EQ(graph.Find(3)->got, 9u);
+  // Both messages count as sent; only one reached a Compute.
+  ASSERT_GE(stats.supersteps.size(), 2u);
+  EXPECT_EQ(stats.supersteps[1].messages_sent, 2u);
 }
 
 TEST(EngineTest, StatsTrackPerWorkerLoads) {
@@ -230,32 +190,12 @@ TEST(EngineTest, AggregatorDeterministicUnderConcurrency) {
   }
 }
 
-// Combiner correctness with num_threads > 1: message sums are preserved
-// exactly, and sender-side combining still bounds the shuffle volume at one
-// message per (source partition, destination).
-TEST(EngineTest, CombinerCorrectUnderConcurrency) {
-  constexpr uint64_t kSenders = 96;
-  constexpr uint32_t kWorkers = 8;
-  PartitionedGraph<CombVertex> graph(kWorkers);
-  for (uint64_t id = 0; id <= kSenders; ++id) {
-    CombVertex v;
-    v.id = id;
-    graph.Add(std::move(v));
-  }
-  Engine<CombVertex> engine({.num_threads = 4, .job_name = "combine-mt"});
-  RunStats stats = engine.Run(graph);
-  // Sum preserved exactly: every sender id in [1, kSenders] sends id thrice.
-  EXPECT_EQ(graph.Find(0)->received, 3 * kSenders * (kSenders + 1) / 2);
-  // At most one combined message per source partition reaches vertex 0.
-  EXPECT_LE(stats.supersteps[0].messages_sent, kWorkers);
-}
-
 // ---- Reference engine -------------------------------------------------
 //
 // The straightforward form of the delivery contract in pregel/engine.h, run
 // serially: per-vertex inbox vectors, an unordered_map index per partition,
 // messages dropped at delivery when the receiver is unknown or removed. The
-// engine must match it in compute order, message order, vertex mutations
+// engine must match it in compute order, message order, vertex removals
 // and every SuperstepStats field.
 
 template <typename VertexT>
@@ -268,19 +208,10 @@ struct RefContext {
   uint64_t num_vertices() const { return n_vertices; }
   void SendTo(uint64_t dst, Message msg) {
     ++ops;
-    const uint32_t part = PartitionOf(dst, workers);
-    if constexpr (pregel_internal::HasCombiner<VertexT>::value) {
-      auto [it, inserted] = combine[part].try_emplace(dst, outbox[part].size());
-      if (!inserted) {
-        VertexT::Combiner::Combine(outbox[part][it->second].second, msg);
-        return;
-      }
-    }
-    outbox[part].emplace_back(dst, msg);
+    outbox[PartitionOf(dst, workers)].emplace_back(dst, msg);
   }
   void VoteToHalt() { current->halted = true; }
   void RemoveSelf() { current->removed = current->halted = true; }
-  void AddVertex(VertexT v) { additions.push_back(std::move(v)); }
   void Aggregate(int slot, uint64_t delta) { agg[slot] += delta; }
   uint64_t PrevAggregate(int slot) const { return prev_agg[slot]; }
 
@@ -289,8 +220,6 @@ struct RefContext {
   VertexT* current = nullptr;
   std::array<uint64_t, kNumAggregatorSlots> agg{}, prev_agg{};
   std::vector<std::vector<std::pair<uint64_t, Message>>> outbox;
-  std::vector<std::unordered_map<uint64_t, size_t>> combine;
-  std::vector<VertexT> additions;
 };
 
 template <typename VertexT>
@@ -327,7 +256,6 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
       ctx.n_vertices = n_vertices;
       ctx.prev_agg = prev_agg;
       ctx.outbox.resize(W);
-      ctx.combine.resize(W);
       for (uint32_t i : compute_list[p]) {
         scheduled[p][i] = 0;
         VertexT& v = graph.partition(p).vertices[i];
@@ -362,17 +290,6 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
     }
     const uint64_t staged = ss.messages_sent;
     stats.supersteps.push_back(ss);
-    for (uint32_t p = 0; p < W; ++p) {
-      for (VertexT& v : ctxs[p].additions) {
-        const uint32_t d = PartitionOf(v.id, W);
-        const auto n = static_cast<uint32_t>(inbox[d].size());
-        index[d].emplace(v.id, n);
-        graph.AddToPartition(d, std::move(v));
-        inbox[d].emplace_back();
-        scheduled[d].push_back(1);
-        next_list[d].push_back(n);
-      }
-    }
     for (uint32_t d = 0; d < W; ++d) {
       for (uint32_t src = 0; src < W; ++src) {
         for (auto& [dst_id, msg] : ctxs[src].outbox[d]) {
@@ -406,14 +323,12 @@ struct TraceMessage {
 };
 
 constexpr uint64_t kUnknownIdBase = 1ull << 62;  // Never a vertex id.
-constexpr uint64_t kFreshIdBit = 1ull << 63;     // Ids of added vertices.
 constexpr uint32_t kTraceActiveSteps = 10;       // Then everyone winds down.
 
 // A vertex program that exercises every Context call from a seeded RNG
 // keyed on (seed, vertex state, superstep), so the same run reproduces on
 // any engine, worker count and thread count. It logs every Compute call.
-template <typename Self>
-struct TraceVertexBase {
+struct TraceVertex {
   using Message = TraceMessage;
   uint64_t id = 0;
   bool halted = false;
@@ -458,17 +373,6 @@ struct TraceVertexBase {
     }
     if (rng.Bernoulli(p / 3)) send(kUnknownIdBase + rng.Below(8));
     if (rng.Bernoulli(p / 3)) send(id);
-    if (rng.Bernoulli(0.06)) {
-      // The child is added at this barrier, so it receives this message.
-      Self child;
-      child.id = kFreshIdBit | (Mix64(HashCombine(id, step)) >> 2);
-      child.nbrs = {id};
-      if (!nbrs.empty()) child.nbrs.push_back(nbrs[rng.Below(nbrs.size())]);
-      child.log = log;
-      nbrs.push_back(child.id);
-      send(child.id);
-      ctx.AddVertex(std::move(child));
-    }
     if (rng.Bernoulli(0.04)) {
       ctx.RemoveSelf();
     } else if (rng.Bernoulli(0.6)) {
@@ -477,32 +381,17 @@ struct TraceVertexBase {
   }
 };
 
-struct TraceVertex : TraceVertexBase<TraceVertex> {};
-
-// Same program with an order-sensitive combiner: a combined message keeps
-// the position of the first send to its destination and folds later sends
-// in send order.
-struct CombiningTraceVertex : TraceVertexBase<CombiningTraceVertex> {
-  struct Combiner {
-    static void Combine(TraceMessage& into, const TraceMessage& m) {
-      into.seq = into.seq * 31 + m.seq;
-      into.tag = into.tag * 1000003u + m.tag;
-    }
-  };
-};
-
 // A seeded random graph: some vertices start halted (they compute only
 // when messaged), some start removed (messages to them are dropped).
-template <typename V>
-PartitionedGraph<V> TraceGraph(uint64_t seed, uint32_t workers,
-                               TraceLog* log) {
+PartitionedGraph<TraceVertex> TraceGraph(uint64_t seed, uint32_t workers,
+                                         TraceLog* log) {
   constexpr uint64_t kVertices = 240;
   Rng rng(seed);
   std::vector<uint64_t> ids;
   for (uint64_t i = 0; i < kVertices; ++i) ids.push_back(i * 7919 + seed);
-  PartitionedGraph<V> graph(workers);
+  PartitionedGraph<TraceVertex> graph(workers);
   for (uint64_t id : ids) {
-    V v;
+    TraceVertex v;
     v.id = id;
     v.log = log;
     const uint64_t degree = rng.Below(5);
@@ -534,11 +423,10 @@ void ExpectSameStats(const RunStats& want, const RunStats& got) {
   }
 }
 
-template <typename V>
 void ExpectEngineMatchesReference(uint64_t seed, uint32_t max_supersteps) {
   for (uint32_t workers : {1u, 3u, 16u}) {
     TraceLog want_log;
-    PartitionedGraph<V> want = TraceGraph<V>(seed, workers, &want_log);
+    PartitionedGraph<TraceVertex> want = TraceGraph(seed, workers, &want_log);
     const RunStats want_stats = ReferenceRun(want, max_supersteps);
     ASSERT_GT(want_stats.total_messages(), 0u);
     for (unsigned threads : {1u, 2u, 4u}) {
@@ -546,10 +434,10 @@ void ExpectEngineMatchesReference(uint64_t seed, uint32_t max_supersteps) {
                    " workers=" + std::to_string(workers) +
                    " threads=" + std::to_string(threads));
       TraceLog got_log;
-      PartitionedGraph<V> got = TraceGraph<V>(seed, workers, &got_log);
-      Engine<V> engine({.num_threads = threads,
-                        .max_supersteps = max_supersteps,
-                        .job_name = "trace"});
+      PartitionedGraph<TraceVertex> got = TraceGraph(seed, workers, &got_log);
+      Engine<TraceVertex> engine({.num_threads = threads,
+                                  .max_supersteps = max_supersteps,
+                                  .job_name = "trace"});
       ExpectSameStats(want_stats, engine.Run(got));
       for (uint32_t p = 0; p < workers; ++p) {
         const auto& a = want_log[p];
@@ -571,19 +459,13 @@ void ExpectEngineMatchesReference(uint64_t seed, uint32_t max_supersteps) {
 
 TEST(EngineEquivalenceTest, MatchesReferenceEngine) {
   for (uint64_t seed : {1, 2, 3}) {
-    ExpectEngineMatchesReference<TraceVertex>(seed, 1u << 20);
-  }
-}
-
-TEST(EngineEquivalenceTest, MatchesReferenceEngineWithCombiner) {
-  for (uint64_t seed : {1, 2, 3}) {
-    ExpectEngineMatchesReference<CombiningTraceVertex>(seed, 1u << 20);
+    ExpectEngineMatchesReference(seed, 1u << 20);
   }
 }
 
 // A job cut by max_supersteps while messages are still in flight.
 TEST(EngineEquivalenceTest, MatchesReferenceEngineWhenCut) {
-  ExpectEngineMatchesReference<TraceVertex>(4, 5);
+  ExpectEngineMatchesReference(4, 5);
 }
 
 TEST(MirrorGraphTest, KeepsEverySlotAndSkipsRemovedVertices) {
@@ -643,7 +525,7 @@ TEST(MirrorGraphTest, KeepsEverySlotAndSkipsRemovedVertices) {
   }
 }
 
-TEST(IdSlotIndexTest, FirstMappingWinsAndClearKeepsWorking) {
+TEST(IdSlotIndexTest, FirstMappingWins) {
   IdSlotIndex index;
   EXPECT_EQ(index.Find(7), IdSlotIndex::kAbsent);
   for (uint32_t i = 0; i < 1000; ++i) {
@@ -655,12 +537,6 @@ TEST(IdSlotIndexTest, FirstMappingWinsAndClearKeepsWorking) {
     ASSERT_EQ(index.Find(uint64_t{i} * 16), i);
   }
   EXPECT_EQ(index.Find(1), IdSlotIndex::kAbsent);
-  index.Clear();
-  EXPECT_EQ(index.size(), 0u);
-  EXPECT_EQ(index.Find(32), IdSlotIndex::kAbsent);
-  EXPECT_EQ(index.Insert(32, 5), 5u);
-  EXPECT_EQ(index.Find(32), 5u);
-  EXPECT_EQ(index.Find(48), IdSlotIndex::kAbsent);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 
 #include <map>
 #include <string>
+#include <utility>
+
+#include "util/hash.h"
 
 namespace ppa {
 namespace {
@@ -91,7 +94,7 @@ TEST(MapReduceTest, GroupsAreSortedAndComplete) {
 }
 
 TEST(MapReduceTest, PairKeysWork) {
-  using Key = std::pair<uint64_t, uint64_t>;
+  using Key = PairKey;
   std::vector<uint64_t> data = {1, 2, 3, 4, 5, 6, 7, 8};
   auto input = Scatter(data, 3);
   auto map_fn = [](const uint64_t& x, auto& emitter) {
@@ -112,6 +115,26 @@ TEST(MapReduceTest, PairKeysWork) {
   for (const auto& [key, sum] : flat) total += sum;
   EXPECT_EQ(total, 36u);
   EXPECT_EQ(flat.size(), 6u);  // (0|1) x (0|1|2)
+}
+
+// PairKey stands in for std::pair<uint64_t, uint64_t> keys: the same order
+// (reduce order) and the same hash (routing), so swapping it in moves no
+// pair to another destination or group position.
+TEST(MapReduceTest, PairKeyOrdersAndHashesLikeStdPair) {
+  const uint64_t words[] = {0, 1, 2, 7, uint64_t{1} << 40, UINT64_MAX};
+  for (uint64_t a1 : words) {
+    for (uint64_t a2 : words) {
+      const PairKey a{a1, a2};
+      EXPECT_EQ(MrKeyHash<PairKey>{}(a), HashCombine(Mix64(a1), a2));
+      for (uint64_t b1 : words) {
+        for (uint64_t b2 : words) {
+          const PairKey b{b1, b2};
+          EXPECT_EQ(a < b, std::pair(a1, a2) < std::pair(b1, b2));
+          EXPECT_EQ(a == b, std::pair(a1, a2) == std::pair(b1, b2));
+        }
+      }
+    }
+  }
 }
 
 TEST(MapReduceTest, EmptyInput) {
@@ -273,7 +296,7 @@ TEST(MapReduceTest, NoCombinerShufflesEveryEmission) {
 // More pairs than one chunk holds, forcing sealed-chunk handoff, under
 // composite (pair) keys and both strategies.
 TEST(MapReduceTest, MultiChunkPairKeysAgreeAcrossStrategies) {
-  using Key = std::pair<uint64_t, uint64_t>;
+  using Key = PairKey;
   std::vector<uint64_t> data;
   for (uint64_t i = 0; i < 20000; ++i) data.push_back(i);
   auto input = Scatter(data, 3);

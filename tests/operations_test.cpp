@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -291,25 +293,35 @@ TEST(BubbleDeathTest, RejectsGraphWithOtherWorkerCount) {
   }
 }
 
-TEST(BubbleTest, LowCoverageBranchPruned) {
+/// Options and merged graph of a bubble: two parallel paths between common
+/// flanks, one base apart; the high-coverage path appears 5x, the
+/// erroneous one (G -> T in "GCACTAAAC") once.
+AssemblerOptions BubbleOptions() {
   AssemblerOptions options = TestOptions();
   options.tip_length_threshold = 4;  // Keep tips out of the way.
-  // Two parallel paths between common flanks, one base apart; the high
-  // coverage path appears 5x, the erroneous one once.
+  return options;
+}
+
+AssemblyGraph MergedBubbleGraph(const AssemblerOptions& options,
+                                std::vector<uint32_t>* ordinals) {
   const std::string flank_a = "TACACGTCA";
   const std::string mid_good = "GCACGAAAC";
-  const std::string mid_bad = "GCACTAAAC";  // G -> T error
+  const std::string mid_bad = "GCACTAAAC";
   const std::string flank_b = "TTGTTGGCC";
   std::vector<Read> reads;
   for (int i = 0; i < 5; ++i) {
     reads.push_back(Read{"good", flank_a + mid_good + flank_b, ""});
   }
   reads.push_back(Read{"bad", flank_a + mid_bad + flank_b, ""});
+  AssemblyGraph graph = std::move(BuildDbg(reads, options).graph);
+  LabelAndMerge(graph, options, ordinals);
+  return graph;
+}
 
-  DbgResult dbg = BuildDbg(reads, options);
-  AssemblyGraph graph = std::move(dbg.graph);
+TEST(BubbleTest, LowCoverageBranchPruned) {
+  const AssemblerOptions options = BubbleOptions();
   std::vector<uint32_t> ordinals(options.num_workers, 0);
-  LabelAndMerge(graph, options, &ordinals);
+  AssemblyGraph graph = MergedBubbleGraph(options, &ordinals);
 
   size_t contigs_before = CollectContigs(graph).size();
   BubbleResult bubble = FilterBubbles(graph, options);
@@ -327,6 +339,55 @@ TEST(BubbleTest, LowCoverageBranchPruned) {
     std::string rc = c.seq.ReverseComplement().ToString();
     EXPECT_EQ(s.find("GCACTAAAC"), std::string::npos);
     EXPECT_EQ(rc.find("GCACTAAAC"), std::string::npos);
+  }
+}
+
+/// A copy of `graph` in which the contig vertices named in `flipped` are
+/// stored on the other strand: sequence reverse-complemented, the ends of
+/// their own edges swapped, and their neighbors' edges into them entering
+/// at the other end. Slots are kept.
+AssemblyGraph WithContigsFlipped(const AssemblyGraph& graph,
+                                 const std::set<uint64_t>& flipped) {
+  AssemblyGraph out(graph.num_workers());
+  graph.ForEach([&](const AsmNode& node) {
+    AsmNode copy = node;
+    const bool flip = flipped.count(node.id) != 0;
+    if (flip) copy.seq = node.seq.ReverseComplement();
+    for (BiEdge& e : copy.edges) {
+      if (flip) e.my_end = OppositeEnd(e.my_end);
+      if (flipped.count(e.to) != 0) e.to_end = OppositeEnd(e.to_end);
+    }
+    out.Add(std::move(copy));
+  });
+  return out;
+}
+
+// Which strand a contig is stored on must not change what bubble filtering
+// prunes. Flipping every contig turns each candidate's orientation around;
+// flipping one contig alone makes a group compare candidates read in
+// opposite orientations.
+TEST(BubbleTest, PruningIsStrandInvariant) {
+  const AssemblerOptions options = BubbleOptions();
+  std::vector<uint32_t> ordinals(options.num_workers, 0);
+  const AssemblyGraph graph = MergedBubbleGraph(options, &ordinals);
+  std::set<uint64_t> contig_ids;
+  for (const ContigRecord& c : CollectContigs(graph)) contig_ids.insert(c.id);
+
+  auto filter = [&options](AssemblyGraph g) {
+    const BubbleResult result = FilterBubbles(g, options);
+    std::set<uint64_t> survivors;
+    for (const ContigRecord& c : CollectContigs(g)) survivors.insert(c.id);
+    return std::make_tuple(result.candidate_groups, result.contigs_pruned,
+                           survivors);
+  };
+  const auto want = filter(WithContigsFlipped(graph, {}));
+  ASSERT_GE(std::get<1>(want), 1u);
+
+  std::vector<std::set<uint64_t>> flips = {contig_ids};
+  for (uint64_t id : contig_ids) flips.push_back({id});
+  for (const std::set<uint64_t>& flipped : flips) {
+    EXPECT_EQ(filter(WithContigsFlipped(graph, flipped)), want)
+        << flipped.size() << " contigs flipped, first " << *flipped.begin();
   }
 }
 

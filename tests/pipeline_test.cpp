@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <tuple>
 #include <unordered_set>
+#include <vector>
 
 #include "core/assembler.h"
 #include "core/dbg_construction.h"
+#include "dbg/kmer_counter.h"
+#include "dna/kmer.h"
 #include "dna/read.h"
 #include "sim/genome.h"
 #include "sim/read_simulator.h"
@@ -239,6 +244,93 @@ TEST(DbgConstructionTest, ReadsWithNsAreSplit) {
   dbg.graph.ForEach([&](const AsmNode& node) {
     EXPECT_EQ(node.kind, NodeKind::kKmer);
   });
+}
+
+std::string ReverseComplement(const std::string& s) {
+  std::string rc(s.rbegin(), s.rend());
+  for (char& c : rc) {
+    c = c == 'A' ? 'T' : c == 'C' ? 'G' : c == 'G' ? 'C' : 'A';
+  }
+  return rc;
+}
+
+/// One edge as a vertex stores it: (neighbor, own end, neighbor's end,
+/// coverage), the k-mers spelled out.
+using EdgeView = std::tuple<std::string, NodeEnd, NodeEnd, uint32_t>;
+
+// Phase (ii) oracle: every vertex's edges, derived from the surviving edge
+// mers of the serial counter with string operations only. An edge mer
+// reads its prefix k-mer then its suffix k-mer, so it leaves the prefix at
+// the prefix's 3' end and enters the suffix at the suffix's 5' end; a
+// vertex stores the smaller of a k-mer and its reverse complement, and one
+// stored reverse-complemented sees that edge at its other end.
+TEST(DbgConstructionTest, VertexEdgesMatchStringOracle) {
+  GenomeConfig gconfig;
+  gconfig.length = 3000;
+  gconfig.repeat_families = 1;
+  gconfig.repeat_length = 100;
+  gconfig.repeat_copies = 3;
+  gconfig.seed = 29;
+  PackedSequence genome = GenerateGenome(gconfig);
+  ReadSimConfig rconfig;
+  rconfig.read_length = 60;
+  rconfig.coverage = 15;
+  rconfig.error_rate = 0.01;
+  rconfig.seed = 12;
+  const std::vector<Read> reads = SimulateReads(genome, rconfig);
+
+  for (int k : {3, 5, 11, 31}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    AssemblerOptions options = SmallOptions(k);
+    options.coverage_threshold = 2;
+    KmerCountConfig count_config;
+    count_config.mer_length = k + 1;
+    count_config.num_workers = options.num_workers;
+    count_config.coverage_threshold = options.coverage_threshold;
+    std::map<std::string, std::vector<EdgeView>> want;
+    uint64_t surviving = 0;
+    for (const auto& part : CountCanonicalMersSerial(reads, count_config)) {
+      for (const auto& [code, coverage] : part) {
+        ++surviving;
+        const std::string mer = Kmer(code, k + 1).ToString();
+        const std::string prefix = mer.substr(0, k);
+        const std::string suffix = mer.substr(1);
+        const std::string u = std::min(prefix, ReverseComplement(prefix));
+        const std::string v = std::min(suffix, ReverseComplement(suffix));
+        const NodeEnd u_end = prefix == u ? NodeEnd::k3 : NodeEnd::k5;
+        const NodeEnd v_end = suffix == v ? NodeEnd::k5 : NodeEnd::k3;
+        want[u].emplace_back(v, u_end, v_end, coverage);
+        want[v].emplace_back(u, v_end, u_end, coverage);
+      }
+    }
+    ASSERT_GT(surviving, 0u);
+    for (auto& [vertex, edges] : want) std::sort(edges.begin(), edges.end());
+
+    const DbgResult dbg = BuildDbg(reads, options);
+    EXPECT_EQ(dbg.surviving_edge_mers, surviving);
+    uint64_t vertices = 0;
+    uint64_t total_edges = 0;
+    dbg.graph.ForEach([&](const AsmNode& node) {
+      ++vertices;
+      total_edges += node.edges.size();
+      EXPECT_EQ(node.id, node.kmer_code);
+      const std::string vertex = Kmer(node.kmer_code, k).ToString();
+      std::vector<EdgeView> got;
+      uint32_t min_coverage = UINT32_MAX;
+      for (const BiEdge& e : node.edges) {
+        got.emplace_back(Kmer(e.to, k).ToString(), e.my_end, e.to_end,
+                         e.coverage);
+        min_coverage = std::min(min_coverage, e.coverage);
+      }
+      std::sort(got.begin(), got.end());
+      const auto it = want.find(vertex);
+      ASSERT_NE(it, want.end()) << vertex;
+      EXPECT_EQ(got, it->second) << vertex;
+      EXPECT_EQ(node.coverage, min_coverage) << vertex;
+    });
+    EXPECT_EQ(vertices, want.size());
+    EXPECT_EQ(total_edges, 2 * surviving);
+  }
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // contig records, same QUAST metrics — under
 //   * ShuffleStrategy::kSort vs ShuffleStrategy::kHash, and
 //   * num_threads 1 vs 4 (hash group-by output is thread-count invariant),
-// exercising every MapReduce call site (DBG construction phase (ii), both
-// contig-merging jobs, bubble filtering) plus their combiners.
+// exercising every MapReduce call site of the pipeline (DBG construction
+// phase (ii), both contig-merging jobs, bubble filtering).
 #include <gtest/gtest.h>
 
 #include <algorithm>
