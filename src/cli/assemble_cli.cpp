@@ -97,6 +97,8 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << " supersteps=" << s.Get("pipeline.supersteps")
       << " messages=" << s.Get("pipeline.messages")
       << " message_bytes=" << s.Get("pipeline.message_bytes")
+      << " compute_micros=" << s.Get("pipeline.compute_micros")
+      << " delivery_micros=" << s.Get("pipeline.delivery_micros")
       << " wall_seconds=" << wall_seconds << '\n';
   // Pairs that crossed the shuffle, summed over the MapReduce jobs.
   out << "shuffle: strategy="

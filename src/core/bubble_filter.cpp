@@ -14,9 +14,10 @@ namespace ppa {
 namespace {
 
 /// Bubble candidate: a contig with two ambiguous endpoints, keyed by its
-/// endpoint pair (nb1, nb2) with nb1 <= nb2. Its sequence stays in the
-/// graph: the reducer reads it from (PartitionOf(contig_id), slot) and
-/// reverse-complements it if `reversed`, so it reads from nb1 to nb2.
+/// endpoint pair (nb1, nb2) with nb1 <= nb2, and for a loop (nb1 == nb2)
+/// with nb1_end <= nb2_end. Its sequence stays in the graph: the reducer
+/// reads it from (PartitionOf(contig_id), slot) and reverse-complements it
+/// if `reversed`, so it reads from nb1 to nb2.
 struct BubbleCandidate {
   uint64_t contig_id = 0;
   uint32_t slot = 0;
@@ -83,7 +84,10 @@ BubbleResult FilterBubbles(AssemblyGraph& graph,
         node - in_graph.partition(PartitionOf(node->id, W)).vertices.data());
     c.coverage = node->coverage;
     // Orient from the smaller neighbor: reverse complement if it is at 3'.
-    c.reversed = e3->to < e5->to;
+    // A loop is oriented from the smaller attachment end, so that which
+    // strand it is stored on does not decide its ends.
+    c.reversed = e3->to < e5->to ||
+                 (e3->to == e5->to && e3->to_end < e5->to_end);
     c.nb1_end = c.reversed ? e3->to_end : e5->to_end;
     c.nb2_end = c.reversed ? e5->to_end : e3->to_end;
     emitter.Emit(PairKey{std::min(e5->to, e3->to), std::max(e5->to, e3->to)},
@@ -92,8 +96,7 @@ BubbleResult FilterBubbles(AssemblyGraph& graph,
 
   const uint32_t edit_threshold = options.bubble_edit_distance;
   std::atomic<uint64_t> groups{0};
-  auto reduce_fn = [&](const PairKey& /*key*/,
-                       std::span<BubbleCandidate> group,
+  auto reduce_fn = [&](const PairKey& key, std::span<BubbleCandidate> group,
                        std::vector<uint64_t>& pruned_out) {
     if (group.size() < 2) return;
     groups.fetch_add(1, std::memory_order_relaxed);
@@ -102,8 +105,16 @@ BubbleResult FilterBubbles(AssemblyGraph& graph,
     for (const BubbleCandidate& c : group) {
       const PackedSequence& seq =
           in_graph.partition(PartitionOf(c.contig_id, W)).vertices[c.slot].seq;
-      seqs.push_back(c.reversed ? seq.ReverseComplement().ToString()
-                                : seq.ToString());
+      std::string read = seq.ToString();
+      if (c.reversed) {
+        read = seq.ReverseComplement().ToString();
+      } else if (key.first == key.second && c.nb1_end == c.nb2_end) {
+        // A loop that leaves and re-enters one end of its vertex has no
+        // direction of its own: read it on its lexicographically smaller
+        // strand.
+        read = std::min(read, seq.ReverseComplement().ToString());
+      }
+      seqs.push_back(std::move(read));
     }
     std::vector<bool> pruned(group.size(), false);
     // "We then process each contig ci as follows: if ci is not already

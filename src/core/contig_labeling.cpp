@@ -17,12 +17,18 @@ namespace ppa {
 
 namespace {
 
+// LR requests and responses are addressed: a request carries the
+// requester's slot, and a response carries the slot of the predecessor it
+// names, so every LR send after superstep 0 passes the receiver's slot.
 struct LabelMessage {
   enum Type : uint8_t { kAmbiguousId = 0, kRequest = 1, kResponse = 2 };
   uint8_t type = 0;
-  uint8_t slot = 0;    // Requester's predecessor slot (echoed in responses).
+  uint8_t side = 0;    // Requester's predecessor side (echoed in responses).
+  uint32_t slot = 0;   // kRequest: requester's slot; kResponse: value's slot.
   uint64_t value = 0;  // kAmbiguousId/kRequest: sender id; kResponse: value.
 };
+// Tables II/III count message bytes, so a new field must fit the padding.
+static_assert(sizeof(LabelMessage) == 16);
 
 /// Vertex of the labeling job. Supersteps 0-1 are end recognition; from
 /// superstep 2 on, the LR protocol runs (method == kListRanking); for the
@@ -32,33 +38,36 @@ struct LabelVertex {
   using Message = LabelMessage;
 
   uint64_t id = 0;
+  // Unambiguous vertices: the predecessor-ID pair, one per port (5'/3'),
+  // seeded with the port neighbors (kNullId = dead end), and the slot of
+  // each predecessor in its partition.
+  uint64_t pred[2] = {kNullId, kNullId};
+  uint32_t pred_slot[2] = {IdSlotIndex::kAbsent, IdSlotIndex::kAbsent};
+  // Ambiguous vertices only: the graph node, whose neighbors superstep 0
+  // broadcasts to.
+  const AsmNode* node = nullptr;
+  uint32_t round_budget = 0;
   bool halted = false;
   bool removed = false;
-
-  bool ambiguous = false;
   bool run_lr = true;  // false: stop after end recognition.
-  // Unambiguous vertices: the two port (5'/3') neighbors (kNullId = dead
-  // end). Ambiguous vertices: their full broadcast target list.
-  uint64_t nbr[2] = {kNullId, kNullId};
-  std::vector<uint64_t> broadcast_targets;
-  uint64_t pred[2] = {kNullId, kNullId};  // Predecessor-ID pair.
-  uint32_t round_budget = 0;
   bool in_cycle = false;
   bool finished = false;
 
+  bool ambiguous() const { return node != nullptr; }
   bool SlotDone(int s) const { return HasEndMark(pred[s]); }
 
   template <typename Ctx>
   void Compute(Ctx& ctx, std::span<const LabelMessage> msgs) {
     const uint32_t step = ctx.superstep();
-    if (ambiguous) {
+    if (ambiguous()) {
       // Superstep 1 of the paper: broadcast own ID to all neighbors, then
       // vote to halt and "never be reactivated again" (stray wake-ups from
-      // fellow ambiguous vertices are drained silently).
+      // fellow ambiguous vertices are drained silently). The one send by
+      // id: the engine resolves each neighbor's slot.
       if (step == 0) {
-        for (uint64_t target : broadcast_targets) {
+        for (uint64_t target : node->DistinctNeighbors()) {
           ctx.SendTo(target,
-                     LabelMessage{LabelMessage::kAmbiguousId, 0, id});
+                     LabelMessage{LabelMessage::kAmbiguousId, 0, 0, id});
         }
       }
       ctx.VoteToHalt();
@@ -70,13 +79,16 @@ struct LabelVertex {
       // End recognition: a side whose neighbor is absent or ambiguous
       // becomes a self-loop carrying this vertex's end-marked ID.
       for (int s = 0; s < 2; ++s) {
-        bool end = (nbr[s] == kNullId);
+        bool end = (pred[s] == kNullId);
         for (const LabelMessage& m : msgs) {
-          if (m.type == LabelMessage::kAmbiguousId && m.value == nbr[s]) {
+          if (m.type == LabelMessage::kAmbiguousId && m.value == pred[s]) {
             end = true;
           }
         }
-        pred[s] = end ? WithEndMark(id) : nbr[s];
+        if (end) {
+          pred[s] = WithEndMark(id);
+          pred_slot[s] = ctx.slot();
+        }
       }
       round_budget = static_cast<uint32_t>(
                          std::ceil(std::log2(static_cast<double>(
@@ -94,16 +106,19 @@ struct LabelVertex {
     // odd steps: answer requests (reactivation keeps finished vertices
     // responsive).
     for (const LabelMessage& m : msgs) {
-      if (m.type == LabelMessage::kResponse) pred[m.slot] = m.value;
+      if (m.type == LabelMessage::kResponse) {
+        pred[m.side] = m.value;
+        pred_slot[m.side] = m.slot;
+      }
     }
     for (const LabelMessage& m : msgs) {
       if (m.type == LabelMessage::kRequest) {
         // "Finds the predecessor that is not the received ID" — end marks
         // are ignored for the comparison.
-        uint64_t reply =
-            (ClearEndMark(pred[0]) == m.value) ? pred[1] : pred[0];
-        ctx.SendTo(m.value,
-                   LabelMessage{LabelMessage::kResponse, m.slot, reply});
+        const int s = (ClearEndMark(pred[0]) == m.value) ? 1 : 0;
+        ctx.SendTo(m.value, m.slot,
+                   LabelMessage{LabelMessage::kResponse, m.side,
+                                pred_slot[s], pred[s]});
       }
     }
     if (finished) {
@@ -127,9 +142,9 @@ struct LabelVertex {
       }
       for (int s = 0; s < 2; ++s) {
         if (!SlotDone(s)) {
-          ctx.SendTo(ClearEndMark(pred[s]),
+          ctx.SendTo(pred[s], pred_slot[s],
                      LabelMessage{LabelMessage::kRequest,
-                                  static_cast<uint8_t>(s), id});
+                                  static_cast<uint8_t>(s), ctx.slot(), id});
         }
       }
     } else {
@@ -138,6 +153,9 @@ struct LabelVertex {
     }
   }
 };
+// One per graph slot, alive while labeling shares the run's memory peak with
+// DBG construction.
+static_assert(sizeof(LabelVertex) <= 56);
 
 }  // namespace
 
@@ -157,16 +175,23 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
   std::vector<std::vector<uint32_t>> sv_entries(W);
   result.labels.resize(W);
   {
+    // A job slot is the graph slot, so the graph's index gives each port
+    // neighbor's slot.
     PartitionedGraph<LabelVertex> label_graph = MirrorGraph<LabelVertex>(
         graph, options.num_threads,
-        [run_lr](const AsmNode& node, LabelVertex* v) {
+        [&graph, run_lr, W](const AsmNode& node, LabelVertex* v) {
           v->run_lr = run_lr;
-          v->ambiguous = !node.IsUnambiguousPathNode();
-          if (v->ambiguous) {
-            v->broadcast_targets = node.DistinctNeighbors();
-          } else {
-            v->nbr[0] = node.NeighborAt(NodeEnd::k5);
-            v->nbr[1] = node.NeighborAt(NodeEnd::k3);
+          if (!node.IsUnambiguousPathNode()) {
+            v->node = &node;
+            return;
+          }
+          for (int s = 0; s < 2; ++s) {
+            const uint64_t nbr =
+                node.NeighborAt(s == 0 ? NodeEnd::k5 : NodeEnd::k3);
+            if (nbr == kNullId) continue;
+            v->pred[s] = nbr;
+            v->pred_slot[s] =
+                graph.partition(PartitionOf(nbr, W)).index.Find(nbr);
           }
         });
 
@@ -180,8 +205,8 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
 
     // Collect the labels by slot. A vertex left to S-V gets an entry whose
     // label S-V fills in, and an S-V input: under LR its two port
-    // neighbors, under S-V the non-end predecessor slots recognized in
-    // superstep 1.
+    // neighbors, read from the graph, under S-V the non-end predecessors
+    // recognized in superstep 1.
     std::vector<uint64_t> ambiguous(W, 0);
     pool.Run(W, [&](uint32_t p) {
       const std::vector<LabelVertex>& vertices =
@@ -191,7 +216,7 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
       for (uint32_t slot = 0; slot < vertices.size(); ++slot) {
         const LabelVertex& v = vertices[slot];
         if (v.removed) continue;
-        if (v.ambiguous) {
+        if (v.ambiguous()) {
           ++ambiguous[p];
           continue;
         }
@@ -204,12 +229,13 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
         } else {
           SvInput in;
           in.id = v.id;
+          const AsmNode& node = graph.partition(p).vertices[slot];
           for (int s = 0; s < 2; ++s) {
-            if (run_lr && v.nbr[s] != kNullId) {
-              in.neighbors.push_back(v.nbr[s]);
-            }
-            if (!run_lr && !HasEndMark(v.pred[s])) {
-              in.neighbors.push_back(v.pred[s]);
+            const uint64_t nbr =
+                run_lr ? node.NeighborAt(s == 0 ? NodeEnd::k5 : NodeEnd::k3)
+                       : v.pred[s];
+            if (nbr != kNullId && !HasEndMark(nbr)) {
+              in.neighbors.push_back(nbr);
             }
           }
           sv_parts[p].push_back(std::move(in));

@@ -18,6 +18,14 @@
 //
 //   * Simplified S-V over the whole unambiguous subgraph (baseline in
 //     Tables II/III): label = smallest vertex ID in the component.
+//
+// The labeling job mirrors the assembly graph (pregel/convert.h), so when
+// it is built each unambiguous vertex seeds its predecessor pair with its
+// port neighbors' ids and reads their slots from the graph's index. From
+// then on every LR send is addressed (pregel/engine.h): a request carries
+// the requester's slot, a response the slot of the predecessor it names,
+// both in the padding of the 16-byte message, so Tables II/III's byte
+// counts are unchanged. Only superstep 0's ambiguous broadcast sends by id.
 #ifndef PPA_CORE_CONTIG_LABELING_H_
 #define PPA_CORE_CONTIG_LABELING_H_
 

@@ -16,6 +16,12 @@
 //   p3: if own parent is a root, send a min-hook to it.
 // Termination: a round in which no D[v] changed; every vertex observes the
 // zero aggregate and votes to halt at the next p0.
+//
+// Every send is addressed (pregel/engine.h): a vertex keeps the slot of
+// its D[v] and grandparent beside their ids, and each 16-byte message
+// names one vertex by id and slot (a query its sender, the others the D[]
+// value they carry). RunSimplifiedSv resolves each neighbor's slot once,
+// when it builds the job graph, into one {id, slot} array per partition.
 #ifndef PPA_CORE_SV_H_
 #define PPA_CORE_SV_H_
 

@@ -78,6 +78,8 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
     Set(r, "pipeline.messages", p.total_messages());
     Set(r, "pipeline.message_bytes", p.total_bytes());
     Set(r, "pipeline.wall_micros", Micros(p.total_wall_seconds()));
+    Set(r, "pipeline.compute_micros", Micros(p.total_compute_seconds()));
+    Set(r, "pipeline.delivery_micros", Micros(p.total_delivery_seconds()));
     Set(r, "shuffle.pairs_shuffled", p.total_pairs_shuffled());
     Set(r, "spill.spilled_chunks", p.total_spilled_chunks());
     Set(r, "spill.spilled_bytes", p.total_spilled_bytes());

@@ -10,7 +10,7 @@
 // Canonical name groups (full names are "<group>.<field>"):
 //   ingest.*    reads/bases/batches of the run's input
 //   counting.*  phase (i) — KmerCountStats
-//   pipeline.*  MapReduce totals — PipelineStats
+//   pipeline.*  job totals (Pregel and MapReduce) — PipelineStats
 //   shuffle.*   pairs shuffled
 //   spill.*     budget, peak resident, spill volume
 //   net.*       distributed counters (coordinator side)

@@ -3,7 +3,8 @@
 // Pregel+ "distributes vertices to machines by hashing vertex ID" (Sec. II).
 // A PartitionedGraph owns `num_workers` partitions; vertex v lives in
 // partition PartitionOf(v.id). Each partition keeps a dense vertex vector
-// plus an IdSlotIndex (id -> slot) for message delivery and Find.
+// plus an IdSlotIndex (id -> slot) for Find and for the engine's sends by
+// id.
 #ifndef PPA_PREGEL_GRAPH_H_
 #define PPA_PREGEL_GRAPH_H_
 

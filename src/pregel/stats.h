@@ -33,6 +33,10 @@ struct RunStats {
   std::string job_name;
   std::vector<SuperstepStats> supersteps;
   double wall_seconds = 0;
+  // Pregel jobs only: wall time of the supersteps' compute and delivery
+  // phases (steady clock); the rest of wall_seconds is set-up and barriers.
+  double compute_seconds = 0;
+  double delivery_seconds = 0;
 
   // MapReduce jobs only: map-side emissions before and after combining.
   // Equal when the job has no combiner; the gap is the combiner's saving.
@@ -74,6 +78,18 @@ struct PipelineStats {
   double total_wall_seconds() const {
     double t = 0;
     for (const auto& j : jobs) t += j.wall_seconds;
+    return t;
+  }
+
+  double total_compute_seconds() const {
+    double t = 0;
+    for (const auto& j : jobs) t += j.compute_seconds;
+    return t;
+  }
+
+  double total_delivery_seconds() const {
+    double t = 0;
+    for (const auto& j : jobs) t += j.delivery_seconds;
     return t;
   }
 
@@ -136,6 +152,8 @@ struct PipelineStats {
     for (const auto& j : jobs) {
       if (j.job_name.find(substr) == std::string::npos) continue;
       out.wall_seconds += j.wall_seconds;
+      out.compute_seconds += j.compute_seconds;
+      out.delivery_seconds += j.delivery_seconds;
       out.pairs_emitted += j.pairs_emitted;
       out.pairs_shuffled += j.pairs_shuffled;
       out.spilled_chunks += j.spilled_chunks;

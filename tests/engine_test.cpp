@@ -194,7 +194,9 @@ TEST(EngineTest, AggregatorDeterministicUnderConcurrency) {
 //
 // The straightforward form of the delivery contract in pregel/engine.h, run
 // serially: per-vertex inbox vectors, an unordered_map index per partition,
-// messages dropped at delivery when the receiver is unknown or removed. The
+// messages dropped at delivery when the receiver is unknown or removed. It
+// delivers every message by id, ignoring the slot of an addressed send, so
+// the engine matching it shows that addressed sends reach their ids. The
 // engine must match it in compute order, message order, vertex removals
 // and every SuperstepStats field.
 
@@ -206,16 +208,20 @@ struct RefContext {
   uint32_t num_workers() const { return workers; }
   uint32_t worker_id() const { return worker; }
   uint64_t num_vertices() const { return n_vertices; }
+  uint32_t slot() const { return current_slot; }
   void SendTo(uint64_t dst, Message msg) {
     ++ops;
     outbox[PartitionOf(dst, workers)].emplace_back(dst, msg);
+  }
+  void SendTo(uint64_t dst, uint32_t /*slot*/, Message msg) {
+    SendTo(dst, msg);
   }
   void VoteToHalt() { current->halted = true; }
   void RemoveSelf() { current->removed = current->halted = true; }
   void Aggregate(int slot, uint64_t delta) { agg[slot] += delta; }
   uint64_t PrevAggregate(int slot) const { return prev_agg[slot]; }
 
-  uint32_t step = 0, workers = 0, worker = 0;
+  uint32_t step = 0, workers = 0, worker = 0, current_slot = 0;
   uint64_t n_vertices = 0, ops = 0;
   VertexT* current = nullptr;
   std::array<uint64_t, kNumAggregatorSlots> agg{}, prev_agg{};
@@ -265,6 +271,7 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
         v.halted = false;
         ++ss.active_vertices;
         ctx.current = &v;
+        ctx.current_slot = i;
         ctx.ops += 1 + msgs.size();
         v.Compute(ctx, std::span<const Message>(msgs));
         msgs.clear();
@@ -312,8 +319,8 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
   return stats;
 }
 
-// Per logical worker, one entry per Compute call: (superstep, id, graph
-// size, previous aggregates, then (from, seq, tag) of every message).
+// Per logical worker, one entry per Compute call: (superstep, id, slot,
+// graph size, previous aggregates, then (from, seq, tag) of every message).
 using TraceLog = std::vector<std::vector<std::vector<uint64_t>>>;
 
 struct TraceMessage {
@@ -328,12 +335,15 @@ constexpr uint32_t kTraceActiveSteps = 10;       // Then everyone winds down.
 // A vertex program that exercises every Context call from a seeded RNG
 // keyed on (seed, vertex state, superstep), so the same run reproduces on
 // any engine, worker count and thread count. It logs every Compute call.
+// About half its sends to neighbours (some of them removed), to itself and
+// to unknown ids are addressed.
 struct TraceVertex {
   using Message = TraceMessage;
   uint64_t id = 0;
   bool halted = false;
   bool removed = false;
   std::vector<uint64_t> nbrs;
+  std::vector<uint32_t> nbr_slots;  // Slot of nbrs[i] in its partition.
   uint64_t acc = 0;  // Folds in everything the vertex received.
   uint32_t computes = 0;
   uint32_t sent = 0;
@@ -346,7 +356,7 @@ struct TraceVertex {
   template <typename Ctx>
   void Compute(Ctx& ctx, std::span<const TraceMessage> msgs) {
     const uint32_t step = ctx.superstep();
-    std::vector<uint64_t> entry = {step, id, ctx.num_vertices(),
+    std::vector<uint64_t> entry = {step, id, ctx.slot(), ctx.num_vertices(),
                                    ctx.PrevAggregate(0), ctx.PrevAggregate(1)};
     for (const TraceMessage& m : msgs) {
       entry.insert(entry.end(), {m.from, m.seq, m.tag});
@@ -363,16 +373,24 @@ struct TraceVertex {
       return;
     }
     const double p = 0.7 * (kTraceActiveSteps - step) / kTraceActiveSteps;
-    auto send = [&](uint64_t dst) {
-      ctx.SendTo(dst, TraceMessage{id, sent++,
-                                   static_cast<uint32_t>(rng.Next())});
+    // By id, or with the receiver's slot, at random.
+    auto send = [&](uint64_t dst, uint32_t slot) {
+      const TraceMessage m{id, sent++, static_cast<uint32_t>(rng.Next())};
+      if (rng.Bernoulli(0.5)) {
+        ctx.SendTo(dst, slot, m);
+      } else {
+        ctx.SendTo(dst, m);
+      }
     };
-    for (uint64_t nbr : nbrs) {
-      if (rng.Bernoulli(p)) send(nbr);
-      if (rng.Bernoulli(p / 4)) send(nbr);  // Repeats keep send order.
+    for (size_t n = 0; n < nbrs.size(); ++n) {
+      if (rng.Bernoulli(p)) send(nbrs[n], nbr_slots[n]);
+      // Repeats keep send order.
+      if (rng.Bernoulli(p / 4)) send(nbrs[n], nbr_slots[n]);
     }
-    if (rng.Bernoulli(p / 3)) send(kUnknownIdBase + rng.Below(8));
-    if (rng.Bernoulli(p / 3)) send(id);
+    if (rng.Bernoulli(p / 3)) {
+      send(kUnknownIdBase + rng.Below(8), IdSlotIndex::kAbsent);
+    }
+    if (rng.Bernoulli(p / 3)) send(id, ctx.slot());
     if (rng.Bernoulli(0.04)) {
       ctx.RemoveSelf();
     } else if (rng.Bernoulli(0.6)) {
@@ -401,6 +419,14 @@ PartitionedGraph<TraceVertex> TraceGraph(uint64_t seed, uint32_t workers,
     v.halted = rng.Bernoulli(0.2);
     v.removed = rng.Bernoulli(0.05);
     graph.Add(std::move(v));
+  }
+  for (uint32_t p = 0; p < workers; ++p) {
+    for (TraceVertex& v : graph.partition(p).vertices) {
+      for (uint64_t nbr : v.nbrs) {
+        v.nbr_slots.push_back(
+            graph.partition(PartitionOf(nbr, workers)).index.Find(nbr));
+      }
+    }
   }
   log->assign(workers, {});
   return graph;
@@ -466,6 +492,28 @@ TEST(EngineEquivalenceTest, MatchesReferenceEngine) {
 // A job cut by max_supersteps while messages are still in flight.
 TEST(EngineEquivalenceTest, MatchesReferenceEngineWhenCut) {
   ExpectEngineMatchesReference(4, 5);
+}
+
+// A slot past the end of the receiver's partition is a caller bug, which
+// delivery must not turn into an out-of-bounds write.
+struct BadSlotVertex {
+  using Message = uint8_t;
+  uint64_t id = 0;
+  bool halted = false;
+  bool removed = false;
+
+  template <typename Ctx>
+  void Compute(Ctx& ctx, std::span<const uint8_t>) {
+    ctx.SendTo(id, 1000, 0);
+    ctx.VoteToHalt();
+  }
+};
+
+TEST(EngineDeathTest, SlotOutsideThePartitionAborts) {
+  PartitionedGraph<BadSlotVertex> graph(1);
+  graph.Add(BadSlotVertex{.id = 5});
+  Engine<BadSlotVertex> engine({.num_threads = 1, .job_name = "bad-slot"});
+  EXPECT_DEATH(engine.Run(graph), "PPA_CHECK failed");
 }
 
 TEST(MirrorGraphTest, KeepsEverySlotAndSkipsRemovedVertices) {

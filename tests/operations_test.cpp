@@ -362,16 +362,48 @@ AssemblyGraph WithContigsFlipped(const AssemblyGraph& graph,
   return out;
 }
 
+/// A hand-built loop bubble: one ambiguous k-mer X and two 14 bp loop
+/// contigs, one mismatch apart (coverage 10 and 2), each leaving X at its
+/// 3' end. A contig re-enters X at its 5' end, or with `same_end` at its
+/// 3' end again.
+AssemblyGraph LoopBubbleGraph(const AssemblerOptions& options, bool same_end) {
+  const NodeEnd back_end = same_end ? NodeEnd::k3 : NodeEnd::k5;
+  AsmNode x;
+  x.id = 77;  // A k-mer id.
+  x.k = static_cast<uint8_t>(options.k);
+  x.kmer_code = x.id;
+  AssemblyGraph graph(options.num_workers);
+  const std::pair<const char*, uint32_t> contigs[] = {
+      {"AACGTTGCATGGAT", 10}, {"AACGTTGAATGGAT", 2}};
+  for (uint32_t i = 0; i < 2; ++i) {
+    AsmNode c;
+    c.id = MakeContigId(i, 0);
+    c.kind = NodeKind::kContig;
+    c.k = x.k;
+    c.seq = PackedSequence::FromString(contigs[i].first);
+    c.coverage = contigs[i].second;
+    c.edges = {BiEdge{x.id, NodeEnd::k5, NodeEnd::k3, c.coverage},
+               BiEdge{x.id, NodeEnd::k3, back_end, c.coverage}};
+    x.edges.push_back(BiEdge{c.id, NodeEnd::k3, NodeEnd::k5, c.coverage});
+    x.edges.push_back(BiEdge{c.id, back_end, NodeEnd::k3, c.coverage});
+    graph.Add(std::move(c));
+  }
+  graph.Add(std::move(x));
+  return graph;
+}
+
 // Which strand a contig is stored on must not change what bubble filtering
 // prunes. Flipping every contig turns each candidate's orientation around;
 // flipping one contig alone makes a group compare candidates read in
-// opposite orientations.
+// opposite orientations. Besides the bubble between two flanks, two loop
+// bubbles on one vertex: a loop's two ends differ, or are the same end.
 TEST(BubbleTest, PruningIsStrandInvariant) {
   const AssemblerOptions options = BubbleOptions();
   std::vector<uint32_t> ordinals(options.num_workers, 0);
-  const AssemblyGraph graph = MergedBubbleGraph(options, &ordinals);
-  std::set<uint64_t> contig_ids;
-  for (const ContigRecord& c : CollectContigs(graph)) contig_ids.insert(c.id);
+  const std::pair<const char*, AssemblyGraph> graphs[] = {
+      {"flanked", MergedBubbleGraph(options, &ordinals)},
+      {"loop, ends differ", LoopBubbleGraph(options, false)},
+      {"loop, ends equal", LoopBubbleGraph(options, true)}};
 
   auto filter = [&options](AssemblyGraph g) {
     const BubbleResult result = FilterBubbles(g, options);
@@ -380,14 +412,21 @@ TEST(BubbleTest, PruningIsStrandInvariant) {
     return std::make_tuple(result.candidate_groups, result.contigs_pruned,
                            survivors);
   };
-  const auto want = filter(WithContigsFlipped(graph, {}));
-  ASSERT_GE(std::get<1>(want), 1u);
+  for (const auto& [name, graph] : graphs) {
+    SCOPED_TRACE(name);
+    std::set<uint64_t> contig_ids;
+    for (const ContigRecord& c : CollectContigs(graph)) {
+      contig_ids.insert(c.id);
+    }
+    const auto want = filter(WithContigsFlipped(graph, {}));
+    ASSERT_GE(std::get<1>(want), 1u);
 
-  std::vector<std::set<uint64_t>> flips = {contig_ids};
-  for (uint64_t id : contig_ids) flips.push_back({id});
-  for (const std::set<uint64_t>& flipped : flips) {
-    EXPECT_EQ(filter(WithContigsFlipped(graph, flipped)), want)
-        << flipped.size() << " contigs flipped, first " << *flipped.begin();
+    std::vector<std::set<uint64_t>> flips = {contig_ids};
+    for (uint64_t id : contig_ids) flips.push_back({id});
+    for (const std::set<uint64_t>& flipped : flips) {
+      EXPECT_EQ(filter(WithContigsFlipped(graph, flipped)), want)
+          << flipped.size() << " contigs flipped, first " << *flipped.begin();
+    }
   }
 }
 
