@@ -189,13 +189,13 @@ AssemblerRun RunAbyssLike(const std::vector<Read>& reads,
   // ---- Vertices from k-mer counting; edges from neighbor probing. --------
   auto kmer_counts = CountKmers(reads, options, &run.stats);
   PartitionedGraph<ProbeVertex> probe_graph(options.num_workers);
-  for (uint32_t p = 0; p < options.num_workers; ++p) {
-    for (const auto& [code, count] : kmer_counts[p]) {
+  for (const auto& part : kmer_counts) {
+    for (const auto& [code, count] : part) {
       ProbeVertex v;
       v.id = code;
       v.k = static_cast<uint8_t>(options.k);
       v.coverage = count;
-      probe_graph.AddToPartition(p, std::move(v));
+      probe_graph.Add(std::move(v));
     }
   }
   EngineConfig probe_config;

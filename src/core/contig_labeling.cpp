@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -168,11 +167,12 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
   ThreadPool pool(options.num_threads == 0 ? ThreadPool::DefaultThreads()
                                            : options.num_threads);
 
-  // Vertices the S-V job labels (LR: the cycle leftovers; S-V: every
-  // unambiguous vertex), per partition in slot order: their S-V inputs and
-  // the indexes of their entries in result.labels[p].
-  std::vector<std::vector<SvInput>> sv_parts(W);
-  std::vector<std::vector<uint32_t>> sv_entries(W);
+  // The S-V job's graph (LR: the cycle leftovers; S-V: every unambiguous
+  // vertex): its partition p holds the S-V-labeled vertices of graph
+  // partition p in slot order, and sv_slot[p] maps each graph slot of p to
+  // its S-V slot (kAbsent: not labeled by S-V; empty: p has no S-V vertex).
+  PartitionedGraph<SvVertex> sv_graph(W);
+  std::vector<std::vector<uint32_t>> sv_slot(W);
   result.labels.resize(W);
   {
     // A job slot is the graph slot, so the graph's index gives each port
@@ -204,15 +204,18 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
     if (stats != nullptr) stats->Add(result.stats);
 
     // Collect the labels by slot. A vertex left to S-V gets an entry whose
-    // label S-V fills in, and an S-V input: under LR its two port
-    // neighbors, read from the graph, under S-V the non-end predecessors
-    // recognized in superstep 1.
+    // label S-V fills in, and an S-V vertex whose neighbors are, under LR,
+    // its two port neighbors, read from the graph, and under S-V the non-end
+    // predecessors recognized in superstep 1; each neighbor's slot is its
+    // graph slot until the next pass maps it.
     std::vector<uint64_t> ambiguous(W, 0);
     pool.Run(W, [&](uint32_t p) {
       const std::vector<LabelVertex>& vertices =
           label_graph.partition(p).vertices;
       std::vector<LabelEntry>& entries = result.labels[p];
+      std::vector<SvVertex>& sv_vertices = sv_graph.partition(p).vertices;
       entries.reserve(vertices.size());
+      if (!run_lr) sv_vertices.reserve(vertices.size());
       for (uint32_t slot = 0; slot < vertices.size(); ++slot) {
         const LabelVertex& v = vertices[slot];
         if (v.removed) continue;
@@ -227,19 +230,25 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
           entry.label =
               std::min(ClearEndMark(v.pred[0]), ClearEndMark(v.pred[1]));
         } else {
-          SvInput in;
-          in.id = v.id;
+          if (sv_slot[p].empty()) {
+            sv_slot[p].assign(vertices.size(), IdSlotIndex::kAbsent);
+          }
+          sv_slot[p][slot] = static_cast<uint32_t>(sv_vertices.size());
+          SvVertex& sv = sv_vertices.emplace_back();
+          sv.id = v.id;
           const AsmNode& node = graph.partition(p).vertices[slot];
           for (int s = 0; s < 2; ++s) {
-            const uint64_t nbr =
-                run_lr ? node.NeighborAt(s == 0 ? NodeEnd::k5 : NodeEnd::k3)
-                       : v.pred[s];
-            if (nbr != kNullId && !HasEndMark(nbr)) {
-              in.neighbors.push_back(nbr);
+            if (run_lr) {
+              const uint64_t nbr =
+                  node.NeighborAt(s == 0 ? NodeEnd::k5 : NodeEnd::k3);
+              if (nbr == kNullId) continue;
+              sv.AddNeighbor(
+                  nbr, graph.partition(PartitionOf(nbr, W)).index.Find(nbr));
+            } else if (!HasEndMark(v.pred[s])) {
+              // Superstep 1 end-marked every dead-end (kNullId) side.
+              sv.AddNeighbor(v.pred[s], v.pred_slot[s]);
             }
           }
-          sv_parts[p].push_back(std::move(in));
-          sv_entries[p].push_back(static_cast<uint32_t>(entries.size()));
         }
         entries.push_back(entry);
       }
@@ -248,32 +257,40 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
       result.num_ambiguous += ambiguous[p];
       result.num_unambiguous += result.labels[p].size();
     }
-  }  // The label graph is freed before S-V builds its own.
+  }  // The label graph is freed before S-V runs.
 
-  std::vector<SvInput> sv_inputs;
-  for (std::vector<SvInput>& part : sv_parts) {
-    std::move(part.begin(), part.end(), std::back_inserter(sv_inputs));
-  }
   if (run_lr) {
-    result.num_cycle_vertices = sv_inputs.size();
-    if (sv_inputs.empty()) return result;
+    result.num_cycle_vertices = sv_graph.size();
+    if (result.num_cycle_vertices == 0) return result;
   }
+  // Map each neighbor's graph slot to its S-V slot. Every map is complete,
+  // so a task reads any partition's map and writes only its own vertices.
+  pool.Run(W, [&](uint32_t p) {
+    for (SvVertex& v : sv_graph.partition(p).vertices) {
+      for (uint8_t i = 0; i < v.num_neighbors; ++i) {
+        const std::vector<uint32_t>& to =
+            sv_slot[PartitionOf(v.neighbor[i], W)];
+        uint32_t& slot = v.neighbor_slot[i];
+        slot = slot < to.size() ? to[slot] : IdSlotIndex::kAbsent;
+      }
+    }
+  });
   // LR: cycle leftovers. S-V: the whole unambiguous subgraph (a component
   // whose every member has two path neighbors is a cycle; merging handles
   // it via the "no contig-end found" case, so no marking is needed).
-  SvResult sv = RunSimplifiedSv(
-      sv_inputs, options.num_workers, options.num_threads,
+  result.cycle_sv_stats = RunSimplifiedSv(
+      sv_graph, options.num_threads,
       run_lr ? "contig-labeling-cycle-sv" : "contig-labeling-sv");
-  result.cycle_sv_stats = sv.stats;
-  if (stats != nullptr) stats->Add(sv.stats);
-  // The S-V inputs are the S-V-labeled entries in partition, then entry
-  // order, and S-V answers in input order.
-  size_t next = 0;
-  for (uint32_t p = 0; p < W; ++p) {
-    for (uint32_t i : sv_entries[p]) {
-      result.labels[p][i].label = sv.component[next++];
+  if (stats != nullptr) stats->Add(result.cycle_sv_stats);
+  // Each S-V vertex's D[v] is its entry's label.
+  pool.Run(W, [&](uint32_t p) {
+    if (sv_slot[p].empty()) return;
+    const std::vector<SvVertex>& sv_vertices = sv_graph.partition(p).vertices;
+    for (LabelEntry& entry : result.labels[p]) {
+      const uint32_t s = sv_slot[p][entry.slot];
+      if (s != IdSlotIndex::kAbsent) entry.label = sv_vertices[s].d;
     }
-  }
+  });
   return result;
 }
 

@@ -26,6 +26,14 @@
 // the requester's slot, a response the slot of the predecessor it names,
 // both in the padding of the 16-byte message, so Tables II/III's byte
 // counts are unchanged. Only superstep 0's ambiguous broadcast sends by id.
+//
+// The S-V job's graph comes out of the pass that collects the labels: its
+// partition p holds the vertices S-V labels (LR's cycle leftovers, or every
+// unambiguous vertex) of graph partition p in slot order, each with its at
+// most two neighbors as {id, graph slot}. A second pass turns each graph
+// slot into an S-V slot through one graph-slot -> S-V-slot array per
+// partition (allocated only for a partition with an S-V vertex), which also
+// reads the labels back by slot, so the S-V job needs no id index.
 #ifndef PPA_CORE_CONTIG_LABELING_H_
 #define PPA_CORE_CONTIG_LABELING_H_
 

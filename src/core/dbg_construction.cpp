@@ -111,18 +111,19 @@ DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
   if (stats != nullptr) stats->Add(phase2);
 
   // MrKeyHash routes by Mix64(key) % W, which equals PartitionOf(id, W), so
-  // partition d already holds exactly the vertices that hash there.
+  // reduce partition d is graph partition d as it stands.
   for (uint32_t d = 0; d < W; ++d) {
-    for (AsmNode& node : nodes[d]) {
+    auto& part = result.graph.partition(d);
+    part.vertices = std::move(nodes[d]);
+    part.Reindex();
+    for (const AsmNode& node : part.vertices) {
       // Memory ablation bookkeeping: what the two formats would occupy.
       result.packed_adjacency_bytes += sizeof(uint32_t);
       for (const BiEdge& e : node.edges) {
         result.packed_adjacency_bytes += VarintLength(e.coverage);
         result.unpacked_adjacency_bytes += sizeof(BiEdge);
       }
-      result.graph.AddToPartition(d, std::move(node));
     }
-    nodes[d].clear();
   }
   return result;
 }

@@ -4,7 +4,9 @@
 // A PartitionedGraph owns `num_workers` partitions; vertex v lives in
 // partition PartitionOf(v.id). Each partition keeps a dense vertex vector
 // plus an IdSlotIndex (id -> slot) for Find and for the engine's sends by
-// id.
+// id. Add routes one vertex; a job whose output is already routed (DBG
+// phase (ii)'s reduce) moves each partition's vertices in whole and calls
+// Reindex. A job that sends only by slot may leave the index empty.
 #ifndef PPA_PREGEL_GRAPH_H_
 #define PPA_PREGEL_GRAPH_H_
 
@@ -107,6 +109,16 @@ class PartitionedGraph {
   struct Partition {
     std::vector<VertexT> vertices;
     IdSlotIndex index;
+
+    /// Rebuilds the index from `vertices`, sized afresh for them (a
+    /// cleared index would keep its old capacity, and jobs copy it).
+    void Reindex() {
+      index = IdSlotIndex();
+      index.Reserve(vertices.size());
+      for (uint32_t i = 0; i < vertices.size(); ++i) {
+        index.Insert(vertices[i].id, i);
+      }
+    }
   };
 
   explicit PartitionedGraph(uint32_t num_workers)
@@ -120,13 +132,7 @@ class PartitionedGraph {
 
   /// Adds a vertex (routed by hash of its id). Not thread-safe.
   void Add(VertexT v) {
-    AddToPartition(PartitionOf(v.id, num_workers()), std::move(v));
-  }
-
-  /// Adds a vertex into a specific partition without routing. The caller
-  /// must have routed it correctly (used by shuffle-producing jobs).
-  void AddToPartition(uint32_t part, VertexT v) {
-    Partition& p = partitions_[part];
+    Partition& p = partitions_[PartitionOf(v.id, num_workers())];
     p.index.Insert(v.id, static_cast<uint32_t>(p.vertices.size()));
     p.vertices.push_back(std::move(v));
   }
@@ -184,9 +190,8 @@ class PartitionedGraph {
     }
   }
 
-  /// Physically erases removed vertices and rebuilds indexes. Each index
-  /// is sized afresh for its kept vertices (a cleared index would keep its
-  /// old capacity), so jobs that copy it pay for the graph as it is now.
+  /// Physically erases removed vertices and rebuilds indexes, so jobs that
+  /// copy an index pay for the graph as it is now.
   void Compact() {
     for (auto& p : partitions_) {
       std::vector<VertexT> kept;
@@ -195,11 +200,7 @@ class PartitionedGraph {
         if (!v.removed) kept.push_back(std::move(v));
       }
       p.vertices = std::move(kept);
-      p.index = IdSlotIndex();
-      p.index.Reserve(p.vertices.size());
-      for (uint32_t i = 0; i < p.vertices.size(); ++i) {
-        p.index.Insert(p.vertices[i].id, i);
-      }
+      p.Reindex();
     }
   }
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -55,6 +56,22 @@ size_t DistinctLabels(const std::unordered_map<uint64_t, uint64_t>& by_id) {
   return labels.size();
 }
 
+/// Expects LR's and S-V's labels to induce the same partition of the
+/// vertices. The label *values* differ (LR: min end id; S-V: min id).
+void ExpectSameGrouping(const std::unordered_map<uint64_t, uint64_t>& lr,
+                        const std::unordered_map<uint64_t, uint64_t>& sv) {
+  ASSERT_EQ(lr.size(), sv.size());
+  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> lr_groups;
+  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> sv_groups;
+  for (const auto& [id, label] : lr) lr_groups[label].insert(id);
+  for (const auto& [id, label] : sv) sv_groups[label].insert(id);
+  ASSERT_EQ(lr_groups.size(), sv_groups.size());
+  for (const auto& [label, members] : lr_groups) {
+    // Find the S-V group of any member; must be identical.
+    EXPECT_EQ(sv_groups.at(sv.at(*members.begin())), members);
+  }
+}
+
 TEST(LabelingTest, SinglePathGetsOneLabel) {
   AssemblerOptions options = TestOptions();
   // One linear read: all k-mers unambiguous, one path.
@@ -102,40 +119,139 @@ TEST(LabelingTest, LrAndSvAgreeOnGrouping) {
   const auto sv = LabelsById(
       graph, LabelContigs(graph, options, LabelingMethod::kSimplifiedSv));
 
-  ASSERT_EQ(lr.size(), sv.size());
-  // The label *values* differ (LR: min end id; SV: min id) but the induced
-  // partitions must be identical.
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> lr_groups;
-  std::unordered_map<uint64_t, std::unordered_set<uint64_t>> sv_groups;
-  for (const auto& [id, label] : lr) lr_groups[label].insert(id);
-  for (const auto& [id, label] : sv) sv_groups[label].insert(id);
-  ASSERT_EQ(lr_groups.size(), sv_groups.size());
-  for (const auto& [label, members] : lr_groups) {
-    // Find the SV group of any member; must be identical.
-    uint64_t sv_label = sv.at(*members.begin());
-    EXPECT_EQ(sv_groups.at(sv_label), members);
-  }
+  ExpectSameGrouping(lr, sv);
 }
 
 TEST(LabelingTest, PureCycleFallsBackToSv) {
   AssemblerOptions options = TestOptions(3);
-  // A circular sequence: take a string whose DBG is one cycle. Repeating
-  // the circle twice makes every 4-mer of the circle appear.
-  // Circle: "ACGGTA" (len 6); reads cover it cyclically.
+  // Circle "ACGGTA" (len 6); repeating it covers every 4-mer of the circle,
+  // so the DBG is one cycle of 6 <1-1> vertices, which LR cannot finish.
   AssemblyGraph graph = GraphFrom({"ACGGTAACGGTAAC"}, options);
   LabelingResult result =
       LabelContigs(graph, options, LabelingMethod::kListRanking);
   const auto labels = LabelsById(graph, result);
-  // Either the graph has ambiguity (depending on k) or a cycle was found
-  // and labeled via the fallback. All unambiguous vertices must be labeled.
+  EXPECT_EQ(result.num_ambiguous, 0u);
+  EXPECT_EQ(result.num_cycle_vertices, 6u);
+  EXPECT_GT(result.cycle_sv_stats.num_supersteps(), 0u);
+  uint64_t smallest = UINT64_MAX;
   graph.ForEach([&](const AsmNode& node) {
-    if (node.IsUnambiguousPathNode()) {
-      EXPECT_EQ(labels.count(node.id), 1u);
-    }
+    smallest = std::min(smallest, node.id);
   });
-  if (result.num_cycle_vertices > 0) {
-    EXPECT_GT(result.cycle_sv_stats.num_supersteps(), 0u);
+  ASSERT_EQ(labels.size(), 6u);
+  for (const auto& [id, label] : labels) EXPECT_EQ(label, smallest) << id;
+}
+
+/// Reads for a graph with both kinds of contig: a fork (a shared prefix P
+/// then two branch suffixes, so the last k-mer of P is an ambiguous <1-2>
+/// vertex between three linear paths) and two disjoint circles, each read
+/// once around plus k bases so that every edge mer of the circle occurs.
+struct PathsAndCycles {
+  static constexpr int kK = 15;
+  std::string prefix, branch[2], circle[2];
+
+  PathsAndCycles() {
+    Rng rng(2024);
+    auto random_bases = [&rng](size_t n) {
+      std::string s;
+      for (size_t i = 0; i < n; ++i) s += CharFromBase(rng.Next() & 3);
+      return s;
+    };
+    // The branches differ in their first base, so the fork is at P's end.
+    prefix = random_bases(40);
+    branch[0] = "A" + random_bases(29);
+    branch[1] = "C" + random_bases(34);
+    circle[0] = random_bases(45);
+    circle[1] = random_bases(60);
   }
+
+  std::vector<std::string> Reads() const {
+    return {prefix + branch[0], prefix + branch[1],
+            circle[0] + circle[0].substr(0, kK),
+            circle[1] + circle[1].substr(0, kK)};
+  }
+
+  /// Vertex id of the k-mer of `s` at `pos`.
+  static uint64_t IdAt(const std::string& s, size_t pos) {
+    return Kmer::FromString(s.substr(pos, kK)).Canonical().code();
+  }
+};
+
+TEST(LabelingTest, CycleLeftoversBesidePathsGoToSvAlone) {
+  AssemblerOptions options = TestOptions(PathsAndCycles::kK);
+  const PathsAndCycles input;
+  AssemblyGraph graph = GraphFrom(input.Reads(), options);
+
+  const LabelingResult lr_result =
+      LabelContigs(graph, options, LabelingMethod::kListRanking);
+  const auto lr = LabelsById(graph, lr_result);
+  // Only the circles' k-mers are left to S-V.
+  const size_t cycle_vertices =
+      input.circle[0].size() + input.circle[1].size();
+  EXPECT_EQ(lr_result.num_ambiguous, 1u);
+  EXPECT_EQ(lr_result.num_cycle_vertices, cycle_vertices);
+  EXPECT_GT(lr_result.cycle_sv_stats.num_supersteps(), 0u);
+
+  // Expected labels, from the construction. A circle: its smallest id. A
+  // path: its smaller end id (LR's label), where the prefix path runs from
+  // P's first k-mer to the one before the junction and each branch path
+  // from the k-mer after the junction to its read's last k-mer.
+  std::unordered_map<uint64_t, uint64_t> expected;
+  for (const std::string& circle : input.circle) {
+    const std::string read = circle + circle.substr(0, PathsAndCycles::kK);
+    uint64_t smallest = UINT64_MAX;
+    for (size_t i = 0; i < circle.size(); ++i) {
+      smallest = std::min(smallest, PathsAndCycles::IdAt(read, i));
+    }
+    for (size_t i = 0; i < circle.size(); ++i) {
+      expected[PathsAndCycles::IdAt(read, i)] = smallest;
+    }
+  }
+  auto expect_path = [&](const std::string& read, size_t first,
+                         size_t last) {
+    const uint64_t label = std::min(PathsAndCycles::IdAt(read, first),
+                                    PathsAndCycles::IdAt(read, last));
+    for (size_t i = first; i <= last; ++i) {
+      expected[PathsAndCycles::IdAt(read, i)] = label;
+    }
+  };
+  const size_t junction = input.prefix.size() - PathsAndCycles::kK;
+  expect_path(input.prefix, 0, junction - 1);
+  for (const std::string& branch : input.branch) {
+    const std::string read = input.prefix + branch;
+    expect_path(read, junction + 1, read.size() - PathsAndCycles::kK);
+  }
+  EXPECT_EQ(lr.size(), expected.size());
+  for (const auto& [id, label] : expected) {
+    ASSERT_EQ(lr.count(id), 1u) << id;
+    EXPECT_EQ(lr.at(id), label) << id;
+  }
+
+  EXPECT_EQ(DistinctLabels(lr), 5u);
+  ExpectSameGrouping(
+      lr, LabelsById(graph, LabelContigs(graph, options,
+                                         LabelingMethod::kSimplifiedSv)));
+}
+
+TEST(LabelingTest, TableCountsArePinned) {
+  // Supersteps, messages and message bytes are the Table II/III numbers,
+  // so a change to how either job is built must leave them exact.
+  AssemblerOptions options = TestOptions(PathsAndCycles::kK);
+  AssemblyGraph graph = GraphFrom(PathsAndCycles().Reads(), options);
+  auto expect_counts = [](const RunStats& stats, uint32_t supersteps,
+                          uint64_t messages, uint64_t bytes) {
+    SCOPED_TRACE(stats.job_name);
+    EXPECT_EQ(stats.num_supersteps(), supersteps);
+    EXPECT_EQ(stats.total_messages(), messages);
+    EXPECT_EQ(stats.total_bytes(), bytes);
+  };
+  const LabelingResult lr =
+      LabelContigs(graph, options, LabelingMethod::kListRanking);
+  expect_counts(lr.stats, 23, 5643, 90288);  // End recognition, then LR.
+  expect_counts(lr.cycle_sv_stats, 41, 4312, 68992);  // The two circles.
+  const LabelingResult sv =
+      LabelContigs(graph, options, LabelingMethod::kSimplifiedSv);
+  expect_counts(sv.stats, 2, 3, 48);  // End recognition.
+  expect_counts(sv.cycle_sv_stats, 41, 7942, 127072);
 }
 
 TEST(LabelingTest, LrBeatsSvOnSuperstepsAndMessages) {

@@ -564,8 +564,8 @@ AssemblyGraph WithRemovedVertices(const AssemblyGraph& graph) {
         removed.id = MakeContigId(1000, ordinal++);
       } while (PartitionOf(removed.id, W) != p);
       removed.removed = true;
-      out.AddToPartition(p, std::move(removed));
-      out.AddToPartition(p, node);
+      out.Add(std::move(removed));
+      out.Add(node);
     }
   }
   return out;

@@ -333,5 +333,40 @@ TEST(DbgConstructionTest, VertexEdgesMatchStringOracle) {
   }
 }
 
+// Phase (ii)'s reduce partitions become the graph's partitions as they
+// stand, which holds only because the shuffle routes each vertex to
+// PartitionOf(id): every vertex must sit in its hash partition, at the
+// slot its index names, and each index must hold exactly its partition.
+TEST(DbgConstructionTest, VerticesSitInTheirHashPartition) {
+  GenomeConfig gconfig;
+  gconfig.length = 4000;
+  gconfig.seed = 17;
+  ReadSimConfig rconfig;
+  rconfig.read_length = 80;
+  rconfig.coverage = 10;
+  rconfig.error_rate = 0.01;
+  rconfig.seed = 5;
+  const std::vector<Read> reads =
+      SimulateReads(GenerateGenome(gconfig), rconfig);
+
+  for (uint32_t workers : {1u, 3u, 8u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    AssemblerOptions options = SmallOptions();
+    options.num_workers = workers;
+    const DbgResult dbg = BuildDbg(reads, options);
+    ASSERT_EQ(dbg.graph.num_workers(), workers);
+    ASSERT_GT(dbg.graph.size(), 0u);
+    for (uint32_t p = 0; p < workers; ++p) {
+      const auto& part = dbg.graph.partition(p);
+      EXPECT_EQ(part.index.size(), part.vertices.size());
+      for (uint32_t slot = 0; slot < part.vertices.size(); ++slot) {
+        const uint64_t id = part.vertices[slot].id;
+        EXPECT_EQ(PartitionOf(id, workers), p) << id;
+        EXPECT_EQ(part.index.Find(id), slot) << id;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ppa
