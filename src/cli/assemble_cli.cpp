@@ -130,6 +130,9 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << " retries=" << s.Get("net.retries")
       << " degraded_local=" << s.Get("net.degraded") << '\n';
   out << "dbg: kmer_vertices=" << s.Get("dbg.kmer_vertices") << '\n';
+  // List ranking's cycle leftovers, labeled by the S-V fallback.
+  out << "labeling: cycle_vertices=" << s.Get("labeling.cycle_vertices")
+      << '\n';
   out << ref_warning;
   out << "contigs: count=" << s.Get("contigs.count")
       << " total_length=" << s.Get("contigs.total_length")
@@ -486,6 +489,7 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
     data.spill_budget_bytes = result.spill_budget_bytes;
     data.spill_peak_resident_bytes = result.spill_peak_resident_bytes;
     data.kmer_vertices = result.kmer_vertices;
+    data.labeling_cycle_vertices = result.labeling_cycle_vertices;
     data.num_contigs = quast.num_contigs;
     data.contigs_total_length = quast.total_length;
     data.contigs_n50 = quast.n50;

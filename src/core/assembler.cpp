@@ -149,6 +149,7 @@ void Assembler::FinishAssembly(AssemblyResult* result_out, DbgResult dbg,
     PPA_TRACE_SPAN("contig_labeling", "phase");
     return LabelContigs(graph, options, method, &result.stats);
   }();
+  result.labeling_cycle_vertices += labels1.num_cycle_vertices;
   {
     PPA_TRACE_SPAN("contig_merging", "phase");
     MergeContigs(graph, labels1, options, &contig_ordinals, &result.stats);
@@ -176,6 +177,7 @@ void Assembler::FinishAssembly(AssemblyResult* result_out, DbgResult dbg,
       PPA_TRACE_SPAN("contig_labeling", "phase");
       return LabelContigs(graph, options, method, &result.stats);
     }();
+    result.labeling_cycle_vertices += labels2.num_cycle_vertices;
     PPA_TRACE_SPAN("contig_merging", "phase");
     MergeContigs(graph, labels2, options, &contig_ordinals, &result.stats);
   }

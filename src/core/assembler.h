@@ -48,6 +48,9 @@ struct AssemblyResult {
   std::vector<size_t> round1_contig_lengths;
   uint64_t tips_removed = 0;
   uint64_t bubbles_pruned = 0;
+  // Vertices list ranking left on cycles and labeled with the S-V fallback,
+  // summed over both labeling rounds (0 under S-V labeling).
+  uint64_t labeling_cycle_vertices = 0;
   uint64_t packed_adjacency_bytes = 0;
   uint64_t unpacked_adjacency_bytes = 0;
   double wall_seconds = 0;

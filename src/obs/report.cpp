@@ -90,6 +90,7 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
   Set(r, "spill.budget_bytes", data.spill_budget_bytes);
   Set(r, "spill.peak_resident_bytes", data.spill_peak_resident_bytes);
   Set(r, "dbg.kmer_vertices", data.kmer_vertices);
+  Set(r, "labeling.cycle_vertices", data.labeling_cycle_vertices);
   Set(r, "contigs.count", data.num_contigs);
   Set(r, "contigs.total_length", data.contigs_total_length);
   Set(r, "contigs.n50", data.contigs_n50);

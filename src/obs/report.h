@@ -15,6 +15,7 @@
 //   spill.*     budget, peak resident, spill volume
 //   net.*       distributed counters (coordinator side)
 //   dbg.*       graph size
+//   labeling.*  list ranking's S-V fallback
 //   contigs.*   QUAST-style assembly totals
 //   run.*       whole-run wall clock
 // Live metrics the pipeline increments while running (io.*, mem.*,
@@ -49,6 +50,7 @@ struct RunReportData {
   uint64_t spill_budget_bytes = 0;
   uint64_t spill_peak_resident_bytes = 0;
   uint64_t kmer_vertices = 0;
+  uint64_t labeling_cycle_vertices = 0;
   uint64_t num_contigs = 0;
   uint64_t contigs_total_length = 0;
   uint64_t contigs_n50 = 0;

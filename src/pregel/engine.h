@@ -14,11 +14,11 @@
 // OS threads. A superstep is a compute phase (one thread per partition at a
 // time), a serial barrier (stats, aggregators) and a delivery phase (one
 // thread per destination partition at a time). Neither phase takes a lock:
-// each partition's mutable state (context and outboxes, compute list, next
-// list and next-list positions, inbox) sits in one cache-line-aligned
-// PartitionState that only the partition's thread of the current phase
-// writes, and counters are kept in locals and published once per partition
-// per phase.
+// each partition's mutable state (context and outboxes, compute list,
+// scheduling bitmap, per-slot inbox ends, inbox) sits in one
+// cache-line-aligned PartitionState that only the partition's thread of the
+// current phase writes, and counters are kept in locals and published once
+// per partition per phase.
 //
 // Delivery contract:
 //   * Addressing. Every message is staged with its receiver's slot in the
@@ -29,29 +29,29 @@
 //     IdSlotIndex of the receiver's partition, which no one writes during
 //     Run. So delivery never looks up an id.
 //   * Order. A vertex receives its messages ordered by source worker, then
-//     by send order within that worker. Each partition computes, in order,
-//     the vertices that did not vote to halt (in the previous superstep's
-//     compute order), then the halted vertices a message woke (in
-//     first-arrival order).
+//     by send order within that worker. Each partition computes its
+//     scheduled vertices (those that did not vote to halt, and the halted
+//     vertices a message woke) in ascending slot order.
 //   * Drops. A message to an id that its partition does not hold is still
 //     staged, with slot IdSlotIndex::kAbsent, and is dropped at delivery;
 //     one to a removed vertex is dropped at compute, where the removed
 //     vertex is skipped. Neither reaches Compute or counts in compute_ops.
 //     messages_sent counts every message staged by a sender, dropped or
 //     not.
-//   * Cost. Delivery into partition d reads each staged slot once, appends
-//     receivers not yet scheduled to the next compute list (in
-//     first-arrival order), counts each receiver's messages at its position
-//     in that list, prefix-sums the counts and scatters the messages stably
-//     into one flat array. This CSR inbox is in compute order: Compute gets
-//     a span of it, and the compute loop reads it front to back. A
-//     superstep costs O(computed vertices + delivered messages) and never
-//     walks all slots of a partition, so jobs with tiny frontiers (tip
-//     removal, the propagation baseline) stay cheap. RunStats splits each
-//     job's wall time into compute_seconds and delivery_seconds.
-//   * Reuse. Outboxes, the CSR inbox arrays and the compute lists are
-//     cleared in place each superstep and keep their capacity until Run
-//     returns.
+//   * Cost. A vertex that stays active sets its bit in its partition's
+//     scheduling bitmap. Delivery into partition d reads each staged slot
+//     once, setting the receiver's bit and counting its messages in a
+//     per-slot array; walks the set bits upward, which yields the next
+//     compute list and turns each count into an inbox offset; and scatters
+//     the messages stably into one flat CSR inbox in slot order. The
+//     compute loop sweeps the partition's vertices upward and reads the
+//     inbox front to back. A superstep costs O(computed vertices +
+//     delivered messages + slots/64): the bitmap scan, one word per 64
+//     slots, is the only walk over all slots, so jobs with tiny frontiers
+//     (tip removal, the propagation baseline) stay cheap. RunStats splits
+//     each job's wall time into compute_seconds and delivery_seconds.
+//   * Reuse. Outboxes, the CSR inbox and the compute lists are cleared in
+//     place each superstep and keep their capacity until Run returns.
 //
 // VertexT contract:
 //   struct V {
@@ -71,6 +71,7 @@
 #define PPA_PREGEL_ENGINE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <numeric>
 #include <span>
@@ -198,8 +199,8 @@ class Engine {
       st.ctx.outbox_.resize(W);
       st.compute.resize(n);
       std::iota(st.compute.begin(), st.compute.end(), 0u);
-      st.ends.assign(n, 0);
-      st.next_pos.assign(n, kNotNext);
+      st.scheduled.assign((n + 63) / 64, 0);
+      st.inbox_end.assign(n, 0);
     }
     std::array<uint64_t, kNumAggregatorSlots> prev_agg{};
 
@@ -220,18 +221,12 @@ class Engine {
 
         std::vector<VertexT>& vertices = graph.partition(p).vertices;
         const Message* inbox = st.inbox.data();
-        const size_t n_compute = st.compute.size();
         uint32_t begin = 0;
         uint64_t active = 0;
-        for (size_t k = 0; k < n_compute; ++k) {
-          if (k + kPrefetchDistance < n_compute) {
-            __builtin_prefetch(&vertices[st.compute[k + kPrefetchDistance]]);
-          }
-          const uint32_t i = st.compute[k];
-          const std::span<const Message> msgs(inbox + begin,
-                                              inbox + st.ends[k]);
-          begin = st.ends[k];
-          st.next_pos[i] = kNotNext;  // Delivery may schedule it again.
+        for (const uint32_t i : st.compute) {
+          const uint32_t end = std::exchange(st.inbox_end[i], 0);
+          const std::span<const Message> msgs(inbox + begin, inbox + end);
+          begin = end;
           VertexT& v = vertices[i];
           if (v.removed) continue;  // Drops the messages sent to it.
           if (v.halted && msgs.empty()) continue;
@@ -241,10 +236,7 @@ class Engine {
           ctx.slot_ = i;
           ctx.ops_ += 1 + msgs.size();
           v.Compute(ctx, msgs);
-          if (!v.halted && !v.removed) {
-            st.next_pos[i] = static_cast<uint32_t>(st.next.size());
-            st.next.push_back(i);
-          }
+          if (!v.halted && !v.removed) st.Schedule(i);
         }
         st.active = active;
       });
@@ -279,50 +271,52 @@ class Engine {
       phase.Reset();
       pool.Run(W, [&](uint32_t d) {
         PartitionState& st = parts[d];
-        const uint32_t n_slots = static_cast<uint32_t>(st.next_pos.size());
+        const uint32_t n_slots = static_cast<uint32_t>(st.inbox_end.size());
 
-        // Schedule receivers not yet in the next list (appending them in
-        // first-arrival order), count each receiver's messages at its
-        // next-list position and overwrite each staged slot with that
-        // position (kNotNext: dropped).
-        st.ends.assign(st.next.size(), 0);
-        for (PartitionState& src : parts) {
-          for (uint32_t& slot : src.ctx.outbox_[d].slots) {
-            uint32_t k = kNotNext;
+        // Schedule each receiver and count its messages.
+        for (const PartitionState& src : parts) {
+          for (const uint32_t slot : src.ctx.outbox_[d].slots) {
             if (slot < n_slots) {
-              k = st.next_pos[slot];
-              if (k == kNotNext) {
-                k = st.next_pos[slot] = static_cast<uint32_t>(st.next.size());
-                st.next.push_back(slot);
-                st.ends.push_back(0);
-              }
-              ++st.ends[k];
+              st.Schedule(slot);
+              ++st.inbox_end[slot];
             } else {
               PPA_CHECK(slot == IdSlotIndex::kAbsent);
             }
-            slot = k;
           }
         }
 
-        // Exclusive prefix sum, then a stable scatter that leaves ends[k]
-        // at the end of the run of next[k].
+        // The set bits, in ascending order, are the next compute list; an
+        // exclusive prefix sum over them turns each count into an offset.
+        // The scan leaves the bitmap clear.
+        st.compute.clear();
         uint32_t total = 0;
-        for (uint32_t& e : st.ends) total += std::exchange(e, total);
+        for (size_t w = 0; w < st.scheduled.size(); ++w) {
+          for (uint64_t bits = std::exchange(st.scheduled[w], 0); bits != 0;
+               bits &= bits - 1) {
+            const uint32_t slot =
+                static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
+            st.compute.push_back(slot);
+            total += std::exchange(st.inbox_end[slot], total);
+          }
+        }
+
+        // A stable scatter that leaves inbox_end[slot] at the end of the
+        // slot's run (kAbsent: dropped).
         if (st.inbox.size() < total) st.inbox.resize(total);
         for (PartitionState& src : parts) {
           auto& box = src.ctx.outbox_[d];
           for (size_t j = 0; j < box.slots.size(); ++j) {
-            const uint32_t k = box.slots[j];
-            if (k != kNotNext) st.inbox[st.ends[k]++] = std::move(box.msgs[j]);
+            const uint32_t slot = box.slots[j];
+            if (slot < n_slots) {
+              st.inbox[st.inbox_end[slot]++] = std::move(box.msgs[j]);
+            }
           }
         }
       });
       stats.delivery_seconds += phase.Seconds();
 
       bool any_scheduled = false;
-      for (PartitionState& st : parts) {
-        std::swap(st.compute, st.next);
-        st.next.clear();
+      for (const PartitionState& st : parts) {
         any_scheduled = any_scheduled || !st.compute.empty();
       }
       // Termination: nothing in flight and nothing scheduled.
@@ -334,26 +328,31 @@ class Engine {
   }
 
  private:
-  static constexpr uint32_t kNotNext = UINT32_MAX;
-  // How many compute-list entries ahead the compute loop prefetches.
-  static constexpr size_t kPrefetchDistance = 8;
-
   // Everything partition p mutates in a superstep, on cache lines of its
-  // own. In the compute phase only p's thread writes it (ctx, next,
-  // next_pos, `active`); in the delivery phase only the thread delivering
-  // into p (next, next_pos and the inbox), which also moves messages out
-  // of every source's outbox_[p] and overwrites its staged slots.
+  // own. In the compute phase only p's thread writes it (ctx, the bits of
+  // vertices that stay active, the inbox ends it zeroes, `active`); in the
+  // delivery phase only the thread delivering into p (scheduled,
+  // inbox_end, compute and the inbox), which also moves messages out of
+  // every source's outbox_[p].
   struct alignas(64) PartitionState {
     Context ctx;
-    // This superstep's compute list and its CSR inbox: the messages of
-    // compute[k] are inbox[k == 0 ? 0 : ends[k - 1], ends[k]).
+    // This superstep's compute list (ascending slots) and its CSR inbox:
+    // the messages of compute[k] end at inbox_end[compute[k]] and start
+    // where those of compute[k - 1] end (compute[0]: at 0).
     std::vector<uint32_t> compute;
-    std::vector<uint32_t> ends;
     std::vector<Message> inbox;  // High-water size.
-    // The next superstep's compute list, and each slot's position in it.
-    std::vector<uint32_t> next;
-    std::vector<uint32_t> next_pos;  // Per slot: index in next or kNotNext.
-    uint64_t active = 0;             // Vertices computed this superstep.
+    // One bit per slot, set for each vertex the next superstep computes;
+    // the delivery scan clears it.
+    std::vector<uint64_t> scheduled;
+    // Per slot, zero unless scheduled: delivery fills in the slot's message
+    // count, turns it into its inbox offset, then advances it to its inbox
+    // end, which the compute loop reads and zeroes.
+    std::vector<uint32_t> inbox_end;
+    uint64_t active = 0;  // Vertices computed this superstep.
+
+    void Schedule(uint32_t slot) {
+      scheduled[slot / 64] |= uint64_t{1} << (slot % 64);
+    }
   };
 
   EngineConfig config_;

@@ -521,12 +521,15 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
       {"counting.pass1_bytes", "pass1_bytes"},
       {"shuffle.pairs_shuffled", "pairs_shuffled"},
       {"dbg.kmer_vertices", "kmer_vertices"},
+      {"labeling.cycle_vertices", "cycle_vertices"},
       {"contigs.n50", "n50"},
       {"contigs.total_length", "total_length"},
   };
   for (const auto& [metric, key] : kPairs) {
     EXPECT_EQ(metrics->GetU64(metric), ReportField(stats, key)) << metric;
   }
+  // Published even when list ranking leaves no cycle.
+  EXPECT_NE(metrics->Find("labeling.cycle_vertices"), nullptr);
   // The fullest shard holds at least the mean share and at most every window.
   const uint64_t max_shard_windows =
       metrics->GetU64("counting.max_shard_windows");

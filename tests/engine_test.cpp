@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <span>
 #include <tuple>
 #include <unordered_map>
@@ -194,7 +196,9 @@ TEST(EngineTest, AggregatorDeterministicUnderConcurrency) {
 //
 // The straightforward form of the delivery contract in pregel/engine.h, run
 // serially: per-vertex inbox vectors, an unordered_map index per partition,
-// messages dropped at delivery when the receiver is unknown or removed. It
+// one scheduled flag per slot, messages dropped at delivery when the
+// receiver is unknown or removed. Each superstep walks every slot of a
+// partition in ascending order and computes the scheduled ones. It
 // delivers every message by id, ignoring the slot of an addressed send, so
 // the engine matching it shows that addressed sends reach their ids. The
 // engine must match it in compute order, message order, vertex removals
@@ -236,12 +240,10 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
   std::vector<std::unordered_map<uint64_t, uint32_t>> index(W);
   std::vector<std::vector<std::vector<Message>>> inbox(W);
   std::vector<std::vector<uint8_t>> scheduled(W);
-  std::vector<std::vector<uint32_t>> compute_list(W);
   for (uint32_t p = 0; p < W; ++p) {
     const auto& vertices = graph.partition(p).vertices;
     for (uint32_t i = 0; i < vertices.size(); ++i) {
       index[p].emplace(vertices[i].id, i);
-      compute_list[p].push_back(i);
     }
     inbox[p].resize(vertices.size());
     scheduled[p].assign(vertices.size(), 1);
@@ -250,7 +252,6 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
   std::array<uint64_t, kNumAggregatorSlots> prev_agg{};
   for (uint32_t step = 0; step < max_supersteps; ++step) {
     std::vector<RefContext<VertexT>> ctxs(W);
-    std::vector<std::vector<uint32_t>> next_list(W);
     SuperstepStats ss;
     ss.superstep = step;
     const uint64_t n_vertices = graph.size();
@@ -262,7 +263,8 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
       ctx.n_vertices = n_vertices;
       ctx.prev_agg = prev_agg;
       ctx.outbox.resize(W);
-      for (uint32_t i : compute_list[p]) {
+      for (uint32_t i = 0; i < scheduled[p].size(); ++i) {
+        if (scheduled[p][i] == 0) continue;
         scheduled[p][i] = 0;
         VertexT& v = graph.partition(p).vertices[i];
         if (v.removed) continue;
@@ -275,10 +277,7 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
         ctx.ops += 1 + msgs.size();
         v.Compute(ctx, std::span<const Message>(msgs));
         msgs.clear();
-        if (!v.halted && !v.removed && scheduled[p][i] == 0) {
-          scheduled[p][i] = 1;
-          next_list[p].push_back(i);
-        }
+        if (!v.halted && !v.removed) scheduled[p][i] = 1;
       }
     }
     prev_agg.fill(0);
@@ -304,16 +303,14 @@ RunStats ReferenceRun(PartitionedGraph<VertexT>& graph,
           if (it == index[d].end()) continue;
           if (graph.partition(d).vertices[it->second].removed) continue;
           inbox[d][it->second].push_back(msg);
-          if (scheduled[d][it->second] == 0) {
-            scheduled[d][it->second] = 1;
-            next_list[d].push_back(it->second);
-          }
+          scheduled[d][it->second] = 1;
         }
       }
     }
-    compute_list = std::move(next_list);
     bool any_scheduled = false;
-    for (const auto& list : compute_list) any_scheduled |= !list.empty();
+    for (const auto& flags : scheduled) {
+      for (uint8_t f : flags) any_scheduled |= f != 0;
+    }
     if (staged == 0 && !any_scheduled) break;
   }
   return stats;
@@ -492,6 +489,107 @@ TEST(EngineEquivalenceTest, MatchesReferenceEngine) {
 // A job cut by max_supersteps while messages are still in flight.
 TEST(EngineEquivalenceTest, MatchesReferenceEngineWhenCut) {
   ExpectEngineMatchesReference(4, 5);
+}
+
+// What a one-worker WakeVertex job did and should have done, per superstep
+// and per slot.
+struct WakeLog {
+  uint64_t seed = 0;
+  std::vector<std::vector<uint32_t>> computed;  // Slots, in call order.
+  std::vector<std::vector<uint8_t>> expected;   // 1: must be computed.
+  std::vector<uint64_t> sent;                   // Messages sent to a slot.
+  std::vector<uint64_t> received;               // Messages it received.
+
+  void Expect(uint32_t step, uint32_t slot) {
+    if (expected.size() <= step) expected.resize(step + 1);
+    expected[step].resize(sent.size());
+    expected[step][slot] = 1;
+  }
+};
+
+constexpr uint32_t kWakeSteps = 12;  // Then every vertex halts.
+
+// Stays active or halts, and wakes other vertices of its partition (often
+// the first and the last slot), at random from (seed, id, superstep).
+struct WakeVertex {
+  using Message = uint32_t;  // The superstep it was sent in.
+  uint64_t id = 0;
+  bool halted = false;
+  bool removed = false;
+  WakeLog* log = nullptr;
+
+  template <typename Ctx>
+  void Compute(Ctx& ctx, std::span<const uint32_t> msgs) {
+    const uint32_t step = ctx.superstep();
+    if (log->computed.size() <= step) log->computed.resize(step + 1);
+    log->computed[step].push_back(ctx.slot());
+    for (uint32_t sent_in : msgs) {
+      EXPECT_EQ(sent_in + 1, step) << "slot " << ctx.slot();
+      ++log->received[ctx.slot()];
+    }
+    if (step >= kWakeSteps) {
+      ctx.VoteToHalt();
+      return;
+    }
+    Rng rng(HashCombine(log->seed, HashCombine(id, step)));
+    const uint32_t n = static_cast<uint32_t>(log->sent.size());
+    auto wake = [&](uint32_t slot) {
+      ctx.SendTo(slot, slot, step);  // One worker: id == slot.
+      ++log->sent[slot];
+      log->Expect(step + 1, slot);
+    };
+    if (rng.Bernoulli(0.1)) wake(0);
+    if (rng.Bernoulli(0.1)) wake(n - 1);
+    if (rng.Bernoulli(0.4)) wake(static_cast<uint32_t>(rng.Below(n)));
+    if (rng.Bernoulli(0.3)) {
+      log->Expect(step + 1, ctx.slot());  // Stays active.
+    } else {
+      ctx.VoteToHalt();
+    }
+  }
+};
+
+// The scheduling bitmap's word boundaries: partitions of one vertex, of a
+// word less one, of one and two words and of a word more.
+TEST(EngineTest, ComputesScheduledSlotsInAscendingOrder) {
+  for (uint32_t n : {1u, 63u, 64u, 65u, 129u}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      WakeLog log;
+      log.seed = seed;
+      log.sent.assign(n, 0);
+      log.received.assign(n, 0);
+      PartitionedGraph<WakeVertex> graph(1);
+      Rng rng(seed);
+      for (uint32_t slot = 0; slot < n; ++slot) {
+        // Some start halted, to be woken by a message; slot 0 starts active.
+        const bool halted = slot != 0 && rng.Bernoulli(0.5);
+        graph.Add(WakeVertex{.id = slot, .halted = halted, .log = &log});
+        if (!halted) log.Expect(0, slot);
+      }
+      Engine<WakeVertex> engine({.num_threads = 1, .job_name = "wake"});
+      const RunStats stats = engine.Run(graph);
+
+      ASSERT_EQ(log.computed.size(), log.expected.size());
+      for (uint32_t step = 0; step < log.computed.size(); ++step) {
+        const std::vector<uint32_t>& got = log.computed[step];
+        EXPECT_EQ(std::adjacent_find(got.begin(), got.end(),
+                                     std::greater_equal<uint32_t>()),
+                  got.end())
+            << "superstep " << step << " is not in ascending slot order";
+        std::vector<uint32_t> want;
+        for (uint32_t slot = 0; slot < n; ++slot) {
+          if (log.expected[step][slot] != 0) want.push_back(slot);
+        }
+        EXPECT_EQ(got, want) << "superstep " << step;
+        EXPECT_EQ(stats.supersteps[step].active_vertices, want.size());
+      }
+      EXPECT_EQ(log.received, log.sent);
+      uint64_t total_sent = 0;
+      for (uint64_t s : log.sent) total_sent += s;
+      EXPECT_EQ(stats.total_messages(), total_sent);
+    }
+  }
 }
 
 // A slot past the end of the receiver's partition is a caller bug, which

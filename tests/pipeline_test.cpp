@@ -126,6 +126,41 @@ TEST(PipelineTest, BothLabelingMethodsProduceIdenticalContigSets) {
   EXPECT_EQ(canonical_set(lr), canonical_set(sv));
 }
 
+// List ranking cannot label a cycle: its vertices go to the S-V fallback,
+// and the run counts them.
+TEST(PipelineTest, CountsTheCycleVerticesListRankingLeaves) {
+  GenomeConfig config;
+  config.repeat_families = 0;
+  config.length = 3000;
+  config.seed = 41;
+  const PackedSequence linear = GenerateGenome(config);
+  config.length = 1000;
+  config.seed = 43;
+  const std::string circle = GenerateGenome(config).ToString();
+  constexpr int kReadLen = 60;
+  // Reads tiled around the circle, wrapping past its end.
+  const PackedSequence wrapped = PackedSequence::FromString(
+      circle + circle.substr(0, kReadLen - 1));
+
+  const AssemblerOptions options = SmallOptions();
+  const AssemblyResult linear_only =
+      Assembler(options).Assemble(PerfectReads(linear, kReadLen));
+  EXPECT_EQ(linear_only.labeling_cycle_vertices, 0u);
+
+  std::vector<Read> reads = PerfectReads(linear, kReadLen);
+  for (Read& r : PerfectReads(wrapped, kReadLen)) reads.push_back(std::move(r));
+  const AssemblyResult with_circle = Assembler(options).Assemble(reads);
+  // Round 1 hands S-V one k-mer vertex per position of the circle; round 2
+  // none, since merging has made the circle one circular contig.
+  EXPECT_EQ(with_circle.labeling_cycle_vertices, circle.size());
+  EXPECT_EQ(with_circle.contigs.size(), 2u);
+
+  // S-V labels every vertex itself, so it has no fallback to count.
+  const AssemblyResult sv =
+      Assembler(options).Assemble(reads, LabelingMethod::kSimplifiedSv);
+  EXPECT_EQ(sv.labeling_cycle_vertices, 0u);
+}
+
 TEST(PipelineTest, ErroneousReadsStillYieldGenomeConsistentContigs) {
   GenomeConfig gconfig;
   gconfig.length = 10000;
