@@ -412,10 +412,10 @@ void WriteSpillJson(std::ofstream& out, const char* key,
   out << "  \"" << key << "\": {\n"
       << "    \"wall_seconds\": " << m.wall_seconds << ",\n"
       << "    \"surviving_mers\": " << m.stats.surviving_mers << ",\n"
-      << "    \"spilled_chunks\": " << m.stats.spilled_chunks << ",\n"
-      << "    \"spilled_bytes\": " << m.stats.spilled_bytes << ",\n"
-      << "    \"spill_files\": " << m.stats.spill_files << ",\n"
-      << "    \"readback_bytes\": " << m.stats.readback_bytes << ",\n"
+      << "    \"spilled_chunks\": " << m.stats.spill.spilled_chunks << ",\n"
+      << "    \"spilled_bytes\": " << m.stats.spill.spilled_bytes << ",\n"
+      << "    \"spill_files\": " << m.stats.spill.spill_files << ",\n"
+      << "    \"readback_bytes\": " << m.stats.spill.readback_bytes << ",\n"
       << "    \"peak_queued_bytes\": " << m.stats.peak_queued_bytes << ",\n"
       << "    \"queue_bound_bytes\": " << m.stats.queue_bound_bytes << "\n"
       << "  }";
@@ -672,7 +672,7 @@ void RunCounterComparison() {
       "spill always/never = %.3fs/%.3fs = %.2fx overhead, %llu bytes "
       "spilled+replayed, surviving_mers %s\n",
       spill_always.wall_seconds, spill_never.wall_seconds, spill_overhead,
-      static_cast<unsigned long long>(spill_always.stats.spilled_bytes),
+      static_cast<unsigned long long>(spill_always.stats.spill.spilled_bytes),
       spill_identical ? "identical" : "MISMATCH");
 
   // Recovery overhead: a 2-worker distributed run, clean vs with worker 0

@@ -247,8 +247,8 @@ void RunShuffleComparison() {
   const auto row = [](const char* name, const JobMeasurement& m) {
     std::printf("%-24s %10.3f %12llu %12llu %12llu\n", name, m.seconds,
                 static_cast<unsigned long long>(m.stats.pairs_shuffled),
-                static_cast<unsigned long long>(m.stats.spilled_bytes),
-                static_cast<unsigned long long>(m.stats.readback_bytes));
+                static_cast<unsigned long long>(m.stats.spill.spilled_bytes),
+                static_cast<unsigned long long>(m.stats.spill.readback_bytes));
   };
   row("adjacency/sort", adj_sort);
   row("adjacency/hash", adj_hash);
@@ -266,8 +266,8 @@ void RunShuffleComparison() {
         << ", \"outputs\": " << m.outputs
         << ", \"pairs_emitted\": " << m.stats.pairs_emitted
         << ", \"pairs_shuffled\": " << m.stats.pairs_shuffled
-        << ", \"spilled_bytes\": " << m.stats.spilled_bytes
-        << ", \"readback_bytes\": " << m.stats.readback_bytes << "}"
+        << ", \"spilled_bytes\": " << m.stats.spill.spilled_bytes
+        << ", \"readback_bytes\": " << m.stats.spill.readback_bytes << "}"
         << (last ? "\n" : ",\n");
   };
   std::ofstream out(json_path);

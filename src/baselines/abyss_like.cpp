@@ -209,7 +209,6 @@ AssemblerRun RunAbyssLike(const std::vector<Read>& reads,
       probe_graph, options.num_threads,
       [](const ProbeVertex& v, AsmNode* node) {
         node->k = v.k;
-        node->kmer_code = v.id;
         node->coverage = v.coverage;
         node->edges = v.edges;
       });

@@ -136,8 +136,6 @@ void Assembler::FinishAssembly(AssemblyResult* result_out, DbgResult dbg,
   std::vector<uint32_t> contig_ordinals(options.num_workers, 0);
 
   result.kmer_vertices = dbg.graph.live_size();
-  result.packed_adjacency_bytes = dbg.packed_adjacency_bytes;
-  result.unpacked_adjacency_bytes = dbg.unpacked_adjacency_bytes;
   result.count_stats = dbg.count_stats;
   AssemblyGraph& graph = dbg.graph;
   PPA_LOG(kInfo) << "DBG: " << result.kmer_vertices << " k-mer vertices, "

@@ -51,8 +51,6 @@ struct AssemblyResult {
   // Vertices list ranking left on cycles and labeled with the S-V fallback,
   // summed over both labeling rounds (0 under S-V labeling).
   uint64_t labeling_cycle_vertices = 0;
-  uint64_t packed_adjacency_bytes = 0;
-  uint64_t unpacked_adjacency_bytes = 0;
   double wall_seconds = 0;
 
   // External spill (spill/spill.h): the run's budget and the pipeline-wide

@@ -164,8 +164,7 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
   LabelingResult result;
   const bool run_lr = (method == LabelingMethod::kListRanking);
   const uint32_t W = graph.num_workers();
-  ThreadPool pool(options.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                           : options.num_threads);
+  ThreadPool pool(options.num_threads);
 
   // The S-V job's graph (LR: the cycle leftovers; S-V: every unambiguous
   // vertex): its partition p holds the S-V-labeled vertices of graph

@@ -219,8 +219,7 @@ MergeResult MergeContigs(AssemblyGraph& graph, const LabelingResult& labels,
     PathVertex v;
     v.id = node.id;
     v.kind = node.kind;
-    v.code_or_slot =
-        node.kind == NodeKind::kKmer ? node.kmer_code : entry.slot;
+    v.code_or_slot = node.kind == NodeKind::kKmer ? node.id : entry.slot;
     for (NodeEnd end : {NodeEnd::k5, NodeEnd::k3}) {
       if (const BiEdge* e = node.EdgeAt(end)) {
         v.port[static_cast<int>(end)] = PortEdge{e->to, e->coverage, e->to_end};

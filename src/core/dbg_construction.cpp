@@ -10,7 +10,6 @@
 #include "io/read_stream.h"
 #include "pregel/mapreduce.h"
 #include "util/hash.h"
-#include "util/varint.h"
 
 namespace ppa {
 
@@ -35,10 +34,7 @@ DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
   count_config.spill = options.spill_context;
   count_config.net = options.net_context;
   CounterSession session(count_config, options.kmer_queue_bytes);
-  const unsigned scan_threads = options.num_threads == 0
-                                    ? ThreadPool::DefaultThreads()
-                                    : options.num_threads;
-  reads.ForEachBatch(scan_threads,
+  reads.ForEachBatch(ThreadPool::Resolve(options.num_threads),
                      [&](ReadBatch& batch) { session.AddBatch(batch.reads); });
   KmerCountStats count_stats;
   Partitioned<std::pair<uint64_t, uint32_t>> edge_mers =
@@ -87,7 +83,6 @@ DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
     node.id = vertex_code;
     node.kind = NodeKind::kKmer;
     node.k = static_cast<uint8_t>(k);
-    node.kmer_code = vertex_code;
     // Unpack each bitmap bit into the bidirected edge view. A k-mer node's
     // own coverage is the minimum incident edge coverage (used when a
     // single-vertex contig is formed).
@@ -116,14 +111,6 @@ DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
     auto& part = result.graph.partition(d);
     part.vertices = std::move(nodes[d]);
     part.Reindex();
-    for (const AsmNode& node : part.vertices) {
-      // Memory ablation bookkeeping: what the two formats would occupy.
-      result.packed_adjacency_bytes += sizeof(uint32_t);
-      for (const BiEdge& e : node.edges) {
-        result.packed_adjacency_bytes += VarintLength(e.coverage);
-        result.unpacked_adjacency_bytes += sizeof(BiEdge);
-      }
-    }
   }
   return result;
 }

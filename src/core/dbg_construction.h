@@ -36,8 +36,6 @@ struct DbgResult {
   AssemblyGraph graph;            // k-mer nodes with unpacked bidirected edges
   uint64_t distinct_edge_mers = 0;   // distinct canonical (k+1)-mers seen
   uint64_t surviving_edge_mers = 0;  // after the coverage-threshold filter
-  uint64_t packed_adjacency_bytes = 0;  // memory of the Fig. 8a format
-  uint64_t unpacked_adjacency_bytes = 0;  // memory of the BiEdge format
   KmerCountStats count_stats;     // phase (i) execution metrics
 
   DbgResult() : graph(1) {}

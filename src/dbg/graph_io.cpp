@@ -87,7 +87,6 @@ AsmNode DecodeNode(const std::string& line) {
     node.kind = NodeKind::kKmer;
     node.id = std::stoull(fields[1]);
     node.k = static_cast<uint8_t>(std::stoi(fields[2]));
-    node.kmer_code = node.id;
     node.coverage = static_cast<uint32_t>(std::stoul(fields[3]));
     edge_start = 4;
   } else {

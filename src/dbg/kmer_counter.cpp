@@ -174,8 +174,7 @@ struct Plan {
 
 Plan MakePlan(const KmerCountConfig& config) {
   Plan plan;
-  plan.threads = config.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                         : config.num_threads;
+  plan.threads = ThreadPool::Resolve(config.num_threads);
   uint64_t shards = config.num_shards == 0
                         ? NextPow2(static_cast<uint64_t>(plan.threads) * 4)
                         : NextPow2(config.num_shards);
@@ -301,15 +300,9 @@ struct CounterSession::Impl {
   // sessions (their chunks leave the process instead).
   SpillContext* spill;
   SpillMode spill_mode = SpillMode::kNever;
-  std::vector<uint32_t> spill_file;  // shard -> spill file id
-  // Chunks handed to the writer per shard; readback must find exactly this
-  // many records. Atomic because scanners spill concurrently.
-  std::unique_ptr<std::atomic<uint64_t>[]> shard_spilled;
-  // Serialized record bytes written (encoding runs on the scanners) and
-  // read back (by Finish's pool tasks).
-  std::atomic<uint64_t> spilled_payload_bytes{0};
-  std::atomic<uint64_t> readback_chunks{0};
-  std::atomic<uint64_t> readback_bytes{0};
+  // Shard -> spill file id. The spill manager's ledger counts each file's
+  // records and bytes and checks them at readback.
+  std::vector<uint32_t> spill_file;
   // kAuto only: chunk bytes resident in the shard rings. A chunk joins its
   // ring while this stays within bound / 2; past that it is spilled, so the
   // scanners stall on disk bandwidth rather than on counter throughput.
@@ -403,7 +396,6 @@ struct CounterSession::Impl {
         spill_file.push_back(
             spill->manager.NewFile("kmer-shard-" + std::to_string(s)));
       }
-      shard_spilled = std::make_unique<std::atomic<uint64_t>[]>(plan.shards);
     }
     counters.reserve(num_counters);
     for (unsigned c = 0; c < num_counters; ++c) {
@@ -538,15 +530,11 @@ struct CounterSession::Impl {
   // Serializes `chunk` and hands it to the async writer. The chunk's bytes
   // stay admitted (writer backlog) until the write completes, so the bound
   // keeps covering every resident chunk byte. Counting is commutative, so
-  // cross-thread interleaving of a shard's records is fine; per-shard
-  // record counts still reconcile at readback.
+  // cross-thread interleaving of a shard's records is fine; the ledger's
+  // per-file record count still reconciles at readback.
   void Spill(uint32_t s, const Pass1Chunk& chunk) {
     const uint64_t n = chunk.SizeBytes();
-    std::vector<uint8_t> payload = EncodePass1Chunk(chunk);
-    spilled_payload_bytes.fetch_add(payload.size(),
-                                    std::memory_order_relaxed);
-    shard_spilled[s].fetch_add(1, std::memory_order_relaxed);
-    spill->manager.Append(spill_file[s], std::move(payload),
+    spill->manager.Append(spill_file[s], EncodePass1Chunk(chunk),
                           [this, n] { Release(n); });
   }
 
@@ -617,47 +605,23 @@ struct CounterSession::Impl {
     });
   }
 
-  // Counts shard s's spilled chunks into the bank. Returns the diagnostic
-  // of a failed, malformed or short readback, empty on success.
-  std::string ReadBack(uint32_t s) {
-    PPA_TRACE_SPAN("spill.readback", "spill");
-    SpillReader reader = spill->manager.OpenReader(spill_file[s]);
-    std::vector<uint8_t> payload;
-    std::string error;
-    while (reader.Next(&payload)) {
-      PPA_TRACE_SPAN_V("count_chunk", "count", payload.size());
-      if (!bank->AddChunkPayload(s, payload.data(), payload.size(), &error)) {
-        return "spill readback failed: " + error + " in " +
-               spill->manager.FilePath(spill_file[s]);
-      }
-      readback_chunks.fetch_add(1, std::memory_order_relaxed);
-      readback_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
-    }
-    if (!reader.ok()) return reader.error();
-    const uint64_t expected = shard_spilled[s].load();
-    if (reader.records() != expected) {
-      // A spill file that parses cleanly but holds fewer records than
-      // were written would silently drop counts; refuse it.
-      return "spill readback failed: " +
-             spill->manager.FilePath(spill_file[s]) + " holds " +
-             std::to_string(reader.records()) + " records, expected " +
-             std::to_string(expected);
-    }
-    return "";
-  }
-
-  // Local pass 2: reads each shard's spilled chunks back into the bank,
-  // then filters and routes the shard. Readback errors are collected (not
-  // thrown) inside the pool — an exception on a pool worker thread would
-  // terminate the process.
+  // Local pass 2: replays each shard's spill file into the bank, then
+  // filters and routes the shard. Replay refuses a failed, malformed, short
+  // or long readback; its errors are collected (not thrown) inside the
+  // pool — an exception on a pool worker thread would terminate the
+  // process.
   std::vector<MerCounts> CountLocal(ThreadPool& pool,
                                     std::vector<uint64_t>* distinct) {
     std::vector<std::string> errors(plan.shards);
     std::vector<MerCounts> shard_out(plan.shards);
     pool.Run(plan.shards, [&](uint32_t s) {
-      if (spill_mode != SpillMode::kNever && shard_spilled[s].load() != 0) {
-        errors[s] = ReadBack(s);
-        if (!errors[s].empty()) return;
+      auto count = [&](const std::vector<uint8_t>& payload, std::string* why) {
+        PPA_TRACE_SPAN_V("count_chunk", "count", payload.size());
+        return bank->AddChunkPayload(s, payload.data(), payload.size(), why);
+      };
+      if (spill_mode != SpillMode::kNever &&
+          !spill->manager.Replay(spill_file[s], count, &errors[s])) {
+        return;
       }
       (*distinct)[s] = bank->distinct(s);
       shard_out[s] = bank->Finalize(s, config.coverage_threshold,
@@ -717,14 +681,9 @@ struct CounterSession::Impl {
       stats->peak_queued_bytes = peak_queued_bytes.load();
       stats->queue_bound_bytes = bound;
       stats->queue_spin_parks = queue_spin_parks.load();
-      for (uint32_t s = 0; s < S && spill_mode != SpillMode::kNever; ++s) {
-        const uint64_t spilled = shard_spilled[s].load();
-        stats->spilled_chunks += spilled;
-        if (spilled != 0) ++stats->spill_files;
+      if (spill_mode != SpillMode::kNever) {
+        stats->spill = spill->manager.Stats(spill_file);
       }
-      stats->spilled_bytes = spilled_payload_bytes.load();
-      stats->readback_chunks = readback_chunks.load();
-      stats->readback_bytes = readback_bytes.load();
       if (fleet != nullptr) fleet->FillStats(stats);
     }
     // The journal's pinned budget charge ends with counting, so phase
@@ -846,11 +805,7 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
   run.wall_seconds = stats.pass1_seconds + stats.pass2_seconds;
   // Carry the pass-1 spill volume so PipelineStats' spill totals cover
   // counting alongside the MapReduce jobs.
-  run.spilled_chunks = stats.spilled_chunks;
-  run.spilled_bytes = stats.spilled_bytes;
-  run.spill_files = stats.spill_files;
-  run.readback_chunks = stats.readback_chunks;
-  run.readback_bytes = stats.readback_bytes;
+  run.spill = stats.spill;
 
   // The base-scan cost has no per-worker measurement (hash sharding
   // balances it to first order), so it is split evenly, with the remainder

@@ -82,7 +82,10 @@ struct KmerCountConfig {
   // and hands the rest to the spill writer, so scanners stall on disk
   // bandwidth rather than on counter throughput; kAlways routes every
   // sealed chunk through disk. A nonzero budget also caps the session's
-  // queued-byte bound, in every mode (a fleet session's too).
+  // queued-byte bound, in every mode (a fleet session's too). Spilled
+  // chunks go to one spill file per shard; the spill manager's ledger
+  // counts their records and bytes, and Finish replays each shard file
+  // through SpillManager::Replay, which checks the count.
   SpillContext* spill = nullptr;
 
   // Distributed execution over this fleet (net/coordinator.h). Non-null,
@@ -142,14 +145,9 @@ struct KmerCountStats {
   // dependent — equivalence tests mask it.
   uint64_t queue_spin_parks = 0;
 
-  // External spill volume (spill/spill.h); all zero when spilling is off.
-  // spilled/readback bytes are serialized record payloads, so equal totals
-  // mean every spilled chunk was replayed.
-  uint64_t spilled_chunks = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_files = 0;
-  uint64_t readback_chunks = 0;
-  uint64_t readback_bytes = 0;
+  // Pass-1 spill volume, from the spill manager's ledger of the shard
+  // files (spill/spill.h); all zero when spilling is off.
+  SpillStats spill;
 
   // Distributed execution (net/); all zero for in-process runs. Byte
   // totals depend on chunk boundaries (thread scheduling), so equivalence
@@ -228,8 +226,10 @@ class CounterSession {
   /// Drains the counters and returns the partitioned survivor counts. Must
   /// be called exactly once, after all AddBatch callers have finished.
   /// With spilling enabled this is where spilled chunks are read back
-  /// shard-locally; a failed spill write or a corrupt readback throws
-  /// std::runtime_error with the spill manager's diagnostic.
+  /// shard-locally; a failed spill write, a corrupt or malformed record, or
+  /// a shard file holding more or fewer records than were spilled throws
+  /// std::runtime_error with the spill manager's diagnostic, which names
+  /// the file.
   MerCounts Finish(KmerCountStats* stats = nullptr);
 
  private:

@@ -97,7 +97,6 @@ struct AsmNode {
 
   NodeKind kind = NodeKind::kKmer;
   uint8_t k = 0;            // k for k-mer nodes (and overlap width globally)
-  uint64_t kmer_code = 0;   // payload for k-mer nodes (canonical)
   PackedSequence seq;       // payload for contig nodes (strand-1 orientation)
   uint32_t coverage = 0;    // contig: min merged edge coverage; k-mer: unused
   bool circular = false;    // contig built from a cycle of <1-1> vertices
@@ -166,6 +165,10 @@ struct AsmNode {
     return removed_n;
   }
 };
+
+// A k-mer node's id is its canonical code (dbg/ids.h), so the node stores
+// no separate k-mer payload.
+static_assert(sizeof(AsmNode) <= 80, "AsmNode grew past 80 bytes");
 
 /// The partitioned assembly graph all operations read and write.
 using AssemblyGraph = PartitionedGraph<AsmNode>;

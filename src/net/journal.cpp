@@ -45,8 +45,6 @@ void ChunkJournal::Append(uint32_t shard,
     s.spill_file = spill->NewFile("journal-shard-" + std::to_string(shard));
     s.has_spill_file = true;
   }
-  ++s.spilled_chunks;
-  spilled_bytes_ += payload.size();
   spill->Append(s.spill_file, payload);
 }
 
@@ -56,24 +54,21 @@ bool ChunkJournal::Replay(
     std::string* error) {
   std::lock_guard<std::mutex> lock(mu_);
   Shard& s = shards_[shard];
-  if (s.spilled_chunks != 0) {
+  if (s.has_spill_file) {
     SpillManager* spill = SpillLocked();
     if (!spill->Sync()) {
       *error = "journal sync failed: " + spill->error();
       return false;
     }
-    SpillReader reader = spill->OpenReader(s.spill_file);
-    std::vector<uint8_t> payload;
-    while (reader.Next(&payload)) fn(payload);
-    if (!reader.ok()) {
-      *error = "journal replay failed: " + reader.error();
-      return false;
-    }
-    if (reader.records() != s.spilled_chunks) {
+    if (!spill->Replay(
+            s.spill_file,
+            [&fn](const std::vector<uint8_t>& payload, std::string*) {
+              fn(payload);
+              return true;
+            },
+            error)) {
       *error = "journal replay of shard " + std::to_string(shard) +
-               " read " + std::to_string(reader.records()) +
-               " spilled chunks, expected " +
-               std::to_string(s.spilled_chunks);
+               " failed: " + *error;
       return false;
     }
   }
@@ -98,7 +93,14 @@ uint64_t ChunkJournal::total_bytes() const {
 
 uint64_t ChunkJournal::spilled_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return spilled_bytes_;
+  std::vector<uint32_t> files;
+  for (const Shard& s : shards_) {
+    if (s.has_spill_file) files.push_back(s.spill_file);
+  }
+  if (files.empty()) return 0;
+  const SpillManager* spill =
+      options_.spill != nullptr ? options_.spill : owned_spill_.get();
+  return spill->Stats(files).spilled_bytes;
 }
 
 }  // namespace net

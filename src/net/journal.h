@@ -13,7 +13,9 @@
 // overflow to a CRC-framed spill file per shard (spill/spill.h format) via
 // the run's SpillManager, or a journal-owned one when the run has no spill
 // context. Without a shared budget a fallback resident cap applies so the
-// journal cannot silently eat the heap.
+// journal cannot silently eat the heap. The spill manager's ledger counts
+// the overflow records and bytes of each shard file, and its Replay
+// refuses a file whose record count differs from the appended one.
 //
 // Thread-safe. net::FleetCounter (net/fleet_counter.h) appends and replays
 // to the fleet under its routing lock, which is what makes journal-append +
@@ -64,8 +66,8 @@ class ChunkJournal {
   /// Streams every chunk recorded for `shard` to `fn`, spilled chunks
   /// first (after barriering pending journal writes), then resident ones.
   /// Order across chunks is not the append order, which is fine: counting
-  /// is commutative. False with a diagnostic on spill-file corruption or
-  /// write failure.
+  /// is commutative. False with a diagnostic naming the spill file on its
+  /// corruption or a short or long record stream, or on write failure.
   bool Replay(uint32_t shard,
               const std::function<void(const std::vector<uint8_t>&)>& fn,
               std::string* error);
@@ -73,14 +75,13 @@ class ChunkJournal {
   uint64_t chunks(uint32_t shard) const;
   uint64_t total_chunks() const;
   uint64_t total_bytes() const;
-  uint64_t spilled_bytes() const;
+  uint64_t spilled_bytes() const;  // overflow bytes, from the ledger
 
  private:
   struct Shard {
     std::vector<std::vector<uint8_t>> resident;
     uint32_t spill_file = 0;
     bool has_spill_file = false;
-    uint64_t spilled_chunks = 0;
     uint64_t chunks = 0;
   };
 
@@ -94,7 +95,6 @@ class ChunkJournal {
   uint64_t resident_bytes_ = 0;
   uint64_t total_bytes_ = 0;
   uint64_t total_chunks_ = 0;
-  uint64_t spilled_bytes_ = 0;
 };
 
 }  // namespace net

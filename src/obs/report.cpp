@@ -55,8 +55,8 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
     Set(r, "counting.surviving", c.surviving_mers);
     Set(r, "counting.peak_queued_bytes", c.peak_queued_bytes);
     Set(r, "counting.queue_bound_bytes", c.queue_bound_bytes);
-    Set(r, "counting.spilled_bytes", c.spilled_bytes);
-    Set(r, "counting.readback_bytes", c.readback_bytes);
+    Set(r, "counting.spilled_bytes", c.spill.spilled_bytes);
+    Set(r, "counting.readback_bytes", c.spill.readback_bytes);
     Set(r, "counting.pass1_micros", Micros(c.pass1_seconds));
     Set(r, "counting.pass2_micros", Micros(c.pass2_seconds));
     Set(r, "net.workers", c.distributed_workers);
@@ -81,10 +81,11 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
     Set(r, "pipeline.compute_micros", Micros(p.total_compute_seconds()));
     Set(r, "pipeline.delivery_micros", Micros(p.total_delivery_seconds()));
     Set(r, "shuffle.pairs_shuffled", p.total_pairs_shuffled());
-    Set(r, "spill.spilled_chunks", p.total_spilled_chunks());
-    Set(r, "spill.spilled_bytes", p.total_spilled_bytes());
-    Set(r, "spill.spill_files", p.total_spill_files());
-    Set(r, "spill.readback_bytes", p.total_readback_bytes());
+    const SpillStats spill = p.total_spill();
+    Set(r, "spill.spilled_chunks", spill.spilled_chunks);
+    Set(r, "spill.spilled_bytes", spill.spilled_bytes);
+    Set(r, "spill.spill_files", spill.spill_files);
+    Set(r, "spill.readback_bytes", spill.readback_bytes);
   }
 
   Set(r, "spill.budget_bytes", data.spill_budget_bytes);

@@ -38,8 +38,7 @@ PartitionedGraph<DstVertexT> MirrorGraph(
     MakeFn make_fn) {
   const uint32_t W = src.num_workers();
   PartitionedGraph<DstVertexT> dst(W);
-  ThreadPool pool(num_threads == 0 ? ThreadPool::DefaultThreads()
-                                   : num_threads);
+  ThreadPool pool(num_threads);
   pool.Run(W, [&](uint32_t p) {
     const auto& from = src.partition(p);
     auto& to = dst.partition(p);

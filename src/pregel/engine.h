@@ -181,8 +181,7 @@ class Engine {
   RunStats Run(PartitionedGraph<VertexT>& graph) {
     Timer timer;
     const uint32_t W = graph.num_workers();
-    ThreadPool pool(config_.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                             : config_.num_threads);
+    ThreadPool pool(config_.num_threads);
 
     RunStats stats;
     stats.job_name = config_.job_name;

@@ -228,8 +228,10 @@ struct NoCombine {};
 /// where seq is the chunk's index in the (src, dst) sealed-chunk lane. The
 /// map side pushes an empty placeholder chunk at that index, so lanes keep
 /// their numbering; the reduce side substitutes the read-back pairs and
-/// refuses to proceed when a placeholder has no matching record (a short
-/// or duplicated record stream can never silently drop pairs).
+/// refuses to proceed when a placeholder has no matching record. The spill
+/// manager's ledger counts every record and byte appended and refuses a
+/// destination file whose record count differs at replay, so a short or
+/// duplicated record stream can never silently drop pairs.
 template <typename K, typename V>
 class ShuffleSpill {
  public:
@@ -242,7 +244,6 @@ class ShuffleSpill {
       files_.push_back(context_->manager.NewFile(job_name + "-dst-" +
                                                  std::to_string(d)));
     }
-    dst_spilled_ = std::vector<std::atomic<uint64_t>>(num_workers);
   }
 
   ~ShuffleSpill() {
@@ -281,9 +282,6 @@ class ShuffleSpill {
       AppendRaw(&payload, &key, sizeof(K));
       AppendRaw(&payload, &value, sizeof(V));
     }
-    spilled_chunks_.fetch_add(1, std::memory_order_relaxed);
-    spilled_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
-    dst_spilled_[dst].fetch_add(1, std::memory_order_relaxed);
     // The serialized bytes are resident on the writer until written;
     // blocking here is the map side's backpressure on disk bandwidth,
     // which is what holds peak residency under the budget.
@@ -306,13 +304,9 @@ class ShuffleSpill {
   /// corruption fills `error` (the partial result must not be used).
   std::vector<ReadChunk> ReadBack(uint32_t dst, std::string* error) {
     std::vector<ReadChunk> out;
-    if (!enabled() ||
-        dst_spilled_[dst].load(std::memory_order_relaxed) == 0) {
-      return out;
-    }
-    SpillReader reader = context_->manager.OpenReader(files_[dst]);
-    std::vector<uint8_t> payload;
-    while (reader.Next(&payload)) {
+    if (!enabled()) return out;
+    auto decode = [&out](const std::vector<uint8_t>& payload,
+                         std::string* why) {
       ReadChunk chunk;
       size_t pos = 0;
       uint64_t n = 0;
@@ -326,9 +320,8 @@ class ShuffleSpill {
           n == (payload.size() - pos) / kPairBytes &&
           (payload.size() - pos) % kPairBytes == 0;
       if (!header_ok) {
-        *error = "spill readback failed: malformed shuffle record in " +
-                 context_->manager.FilePath(files_[dst]);
-        return out;
+        *why = "malformed shuffle record";
+        return false;
       }
       chunk.pairs.resize(n);
       for (uint64_t i = 0; i < n; ++i) {
@@ -337,22 +330,10 @@ class ShuffleSpill {
         std::memcpy(&chunk.pairs[i].second, payload.data() + pos, sizeof(V));
         pos += sizeof(V);
       }
-      readback_chunks_.fetch_add(1, std::memory_order_relaxed);
-      readback_bytes_.fetch_add(payload.size(), std::memory_order_relaxed);
       out.push_back(std::move(chunk));
-    }
-    if (!reader.ok()) {
-      *error = reader.error();
-      return out;
-    }
-    const uint64_t expected = dst_spilled_[dst].load(std::memory_order_relaxed);
-    if (out.size() != expected) {
-      *error = "spill readback failed: " +
-               context_->manager.FilePath(files_[dst]) + " holds " +
-               std::to_string(out.size()) + " records, expected " +
-               std::to_string(expected);
-      return out;
-    }
+      return true;
+    };
+    if (!context_->manager.Replay(files_[dst], decode, error)) return out;
     std::sort(out.begin(), out.end(),
               [](const ReadChunk& a, const ReadChunk& b) {
                 return a.src != b.src ? a.src < b.src : a.seq < b.seq;
@@ -362,30 +343,14 @@ class ShuffleSpill {
 
   /// Barriers the writers between map and reduce. Throws on write failure.
   void SyncOrThrow() {
-    if (enabled() && spilled_chunks_.load(std::memory_order_relaxed) != 0 &&
-        !context_->manager.Sync()) {
+    if (enabled() && !context_->manager.Sync()) {
       throw std::runtime_error(context_->manager.error());
     }
   }
 
-  uint64_t spilled_chunks() const {
-    return spilled_chunks_.load(std::memory_order_relaxed);
-  }
-  uint64_t spilled_bytes() const {
-    return spilled_bytes_.load(std::memory_order_relaxed);
-  }
-  uint64_t spill_files() const {
-    uint64_t n = 0;
-    for (const auto& c : dst_spilled_) {
-      if (c.load(std::memory_order_relaxed) != 0) ++n;
-    }
-    return n;
-  }
-  uint64_t readback_chunks() const {
-    return readback_chunks_.load(std::memory_order_relaxed);
-  }
-  uint64_t readback_bytes() const {
-    return readback_bytes_.load(std::memory_order_relaxed);
+  /// This job's spill volume, from the spill manager's ledger.
+  SpillStats Stats() const {
+    return enabled() ? context_->manager.Stats(files_) : SpillStats{};
   }
 
  private:
@@ -397,11 +362,6 @@ class ShuffleSpill {
 
   SpillContext* context_;
   std::vector<uint32_t> files_;  // one per destination; empty = disabled
-  std::vector<std::atomic<uint64_t>> dst_spilled_;
-  std::atomic<uint64_t> spilled_chunks_{0};
-  std::atomic<uint64_t> spilled_bytes_{0};
-  std::atomic<uint64_t> readback_chunks_{0};
-  std::atomic<uint64_t> readback_bytes_{0};
   std::atomic<uint64_t> charged_{0};
 };
 
@@ -593,8 +553,7 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
   Timer timer;
   const uint32_t W = config.num_workers;
   PPA_CHECK(input.size() == W);
-  ThreadPool pool(config.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                          : config.num_threads);
+  ThreadPool pool(config.num_threads);
 
   // --- Map phase: each source emits routed pairs into sealed chunks; the
   // spill policy may divert sealed chunks to per-destination files. -------
@@ -698,11 +657,7 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
   }
 
   if (stats != nullptr) {
-    stats->spilled_chunks += spill.spilled_chunks();
-    stats->spilled_bytes += spill.spilled_bytes();
-    stats->spill_files += spill.spill_files();
-    stats->readback_chunks += spill.readback_chunks();
-    stats->readback_bytes += spill.readback_bytes();
+    stats->spill += spill.Stats();
     stats->job_name = config.job_name;
     stats->pairs_emitted += pairs_emitted;
     stats->pairs_shuffled += pairs_shuffled;

@@ -5,6 +5,12 @@
 // from per-worker communication and computation volumes. The engine records
 // everything needed for both here: per superstep and per logical worker,
 // the number of compute invocations, messages and message bytes.
+//
+// Spill volume travels as one SpillStats record. It is counted and checked
+// in one place, the SpillManager ledger (spill/spill.h): Append counts each
+// file's records and bytes, and Replay refuses a file whose record count
+// differs from the appended one. RunStats and KmerCountStats each hold one
+// SpillStats, filled from SpillManager::Stats over the job's own files.
 #ifndef PPA_PREGEL_STATS_H_
 #define PPA_PREGEL_STATS_H_
 
@@ -13,6 +19,28 @@
 #include <vector>
 
 namespace ppa {
+
+/// External spill volume of one job (or the counter's pass 1): sealed
+/// chunks written to its spill files and read back by the consuming pass.
+/// Bytes are serialized record payloads, so readback equal to spilled
+/// means every spilled chunk was replayed. All zero when spilling is off
+/// (SpillMode::kNever).
+struct SpillStats {
+  uint64_t spilled_chunks = 0;
+  uint64_t spilled_bytes = 0;
+  uint64_t spill_files = 0;  // files holding at least one record
+  uint64_t readback_chunks = 0;
+  uint64_t readback_bytes = 0;
+
+  SpillStats& operator+=(const SpillStats& o) {
+    spilled_chunks += o.spilled_chunks;
+    spilled_bytes += o.spilled_bytes;
+    spill_files += o.spill_files;
+    readback_chunks += o.readback_chunks;
+    readback_bytes += o.readback_bytes;
+    return *this;
+  }
+};
 
 /// Statistics of one superstep, with per-logical-worker breakdowns.
 struct SuperstepStats {
@@ -43,14 +71,8 @@ struct RunStats {
   uint64_t pairs_emitted = 0;
   uint64_t pairs_shuffled = 0;
 
-  // External spill volume (spill/spill.h): sealed chunks written to the
-  // job's per-shard/per-destination spill files and read back by the
-  // consuming pass. All zero when spilling is off (SpillMode::kNever).
-  uint64_t spilled_chunks = 0;
-  uint64_t spilled_bytes = 0;
-  uint64_t spill_files = 0;
-  uint64_t readback_chunks = 0;
-  uint64_t readback_bytes = 0;
+  // Spill volume of the job's per-shard/per-destination spill files.
+  SpillStats spill;
 
   uint32_t num_supersteps() const {
     return static_cast<uint32_t>(supersteps.size());
@@ -121,28 +143,10 @@ struct PipelineStats {
 
   // Spill volume across all jobs (counting reports its pass-1 spill here
   // too, via MerCountRunStats), so the CLI report can show one line.
-  uint64_t total_spilled_chunks() const {
-    uint64_t n = 0;
-    for (const auto& j : jobs) n += j.spilled_chunks;
-    return n;
-  }
-
-  uint64_t total_spilled_bytes() const {
-    uint64_t n = 0;
-    for (const auto& j : jobs) n += j.spilled_bytes;
-    return n;
-  }
-
-  uint64_t total_spill_files() const {
-    uint64_t n = 0;
-    for (const auto& j : jobs) n += j.spill_files;
-    return n;
-  }
-
-  uint64_t total_readback_bytes() const {
-    uint64_t n = 0;
-    for (const auto& j : jobs) n += j.readback_bytes;
-    return n;
+  SpillStats total_spill() const {
+    SpillStats total;
+    for (const auto& j : jobs) total += j.spill;
+    return total;
   }
 
   /// Finds accumulated stats of all jobs whose name contains `substr`.
@@ -156,11 +160,7 @@ struct PipelineStats {
       out.delivery_seconds += j.delivery_seconds;
       out.pairs_emitted += j.pairs_emitted;
       out.pairs_shuffled += j.pairs_shuffled;
-      out.spilled_chunks += j.spilled_chunks;
-      out.spilled_bytes += j.spilled_bytes;
-      out.spill_files += j.spill_files;
-      out.readback_chunks += j.readback_chunks;
-      out.readback_bytes += j.readback_bytes;
+      out.spill += j.spill;
       out.supersteps.insert(out.supersteps.end(), j.supersteps.begin(),
                             j.supersteps.end());
     }

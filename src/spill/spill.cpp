@@ -74,17 +74,6 @@ SpillReader::~SpillReader() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-SpillReader::SpillReader(SpillReader&& other) noexcept
-    : path_(std::move(other.path_)),
-      file_(other.file_),
-      file_size_(other.file_size_),
-      offset_(other.offset_),
-      records_(other.records_),
-      bytes_read_(other.bytes_read_),
-      error_(std::move(other.error_)) {
-  other.file_ = nullptr;
-}
-
 bool SpillReader::Fail(const std::string& what) {
   error_ = "spill readback failed: " + path_ + ": " + what + " (record #" +
            std::to_string(records_) + ", offset " + std::to_string(offset_) +
@@ -232,8 +221,16 @@ uint32_t SpillManager::NewFile(const std::string& name) {
   return id;
 }
 
+SpillManager::File& SpillManager::FileAt(uint32_t file) {
+  std::lock_guard<std::mutex> lock(files_mu_);
+  return files_[file];  // deque: stable across NewFile appends
+}
+
 void SpillManager::Append(uint32_t file, std::vector<uint8_t> payload,
                           std::function<void()> done) {
+  File& ledger = FileAt(file);
+  ledger.records.fetch_add(1, std::memory_order_relaxed);
+  ledger.bytes.fetch_add(payload.size(), std::memory_order_relaxed);
   Writer& writer = *writers_[file % writers_.size()];
   std::lock_guard<std::mutex> lock(writer.mu);
   writer.queue.push_back(WriteJob{file, std::move(payload), std::move(done)});
@@ -257,8 +254,57 @@ bool SpillManager::Sync() {
   return !failed_.load(std::memory_order_acquire);
 }
 
-SpillReader SpillManager::OpenReader(uint32_t file) const {
-  return SpillReader(FilePath(file));
+bool SpillManager::Replay(uint32_t file, const RecordFn& fn,
+                          std::string* error) {
+  File& ledger = FileAt(file);
+  const uint64_t expected = ledger.records.load(std::memory_order_relaxed);
+  if (expected == 0) return true;
+  PPA_TRACE_SPAN("spill.readback", "spill");
+  SpillReader reader(ledger.path);
+  std::vector<uint8_t> payload;
+  std::string why;
+  while (reader.Next(&payload)) {
+    if (reader.records() > expected) continue;  // counted below, never fed
+    if (!fn(payload, &why)) {
+      *error = "spill readback failed: " + ledger.path + ": record #" +
+               std::to_string(reader.records() - 1) + " refused: " + why;
+      return false;
+    }
+  }
+  if (!reader.ok()) {
+    *error = reader.error();
+    return false;
+  }
+  if (reader.records() != expected) {
+    // A file that parses cleanly but holds a different number of records
+    // than were appended would silently drop or repeat data; refuse it.
+    *error = "spill readback failed: " + ledger.path + " holds " +
+             std::to_string(reader.records()) + " records, expected " +
+             std::to_string(expected);
+    return false;
+  }
+  ledger.replayed_records.fetch_add(reader.records(),
+                                    std::memory_order_relaxed);
+  ledger.replayed_bytes.fetch_add(reader.bytes_read(),
+                                  std::memory_order_relaxed);
+  return true;
+}
+
+SpillStats SpillManager::Stats(const std::vector<uint32_t>& files) const {
+  std::lock_guard<std::mutex> lock(files_mu_);
+  SpillStats stats;
+  for (uint32_t id : files) {
+    const File& file = files_[id];
+    const uint64_t records = file.records.load(std::memory_order_relaxed);
+    stats.spilled_chunks += records;
+    stats.spilled_bytes += file.bytes.load(std::memory_order_relaxed);
+    stats.spill_files += records != 0 ? 1 : 0;
+    stats.readback_chunks +=
+        file.replayed_records.load(std::memory_order_relaxed);
+    stats.readback_bytes +=
+        file.replayed_bytes.load(std::memory_order_relaxed);
+  }
+  return stats;
 }
 
 std::string SpillManager::FilePath(uint32_t file) const {
@@ -269,15 +315,6 @@ std::string SpillManager::FilePath(uint32_t file) const {
 std::string SpillManager::error() const {
   std::lock_guard<std::mutex> lock(error_mu_);
   return error_;
-}
-
-uint64_t SpillManager::files_written() const {
-  std::lock_guard<std::mutex> lock(files_mu_);
-  uint64_t n = 0;
-  for (const File& file : files_) {
-    if (file.records.load(std::memory_order_relaxed) != 0) ++n;
-  }
-  return n;
 }
 
 void SpillManager::RecordError(const std::string& what) {
@@ -300,12 +337,7 @@ void SpillManager::WriterLoop(unsigned w) {
       // in_flight is released only after the bytes are written, so Sync
       // cannot observe "drained" with a write still in progress.
     }
-    File* file;
-    {
-      std::lock_guard<std::mutex> lock(files_mu_);
-      file = &files_[job.file];  // deque: stable across NewFile appends
-    }
-    WriteRecord(file, job);
+    WriteRecord(&FileAt(job.file), job);
     if (job.done) job.done();
     {
       std::lock_guard<std::mutex> lock(writer.mu);
@@ -344,11 +376,7 @@ void SpillManager::WriteRecord(File* file, const WriteJob& job) {
        std::fwrite(job.payload.data(), 1, job.payload.size(), file->stream) !=
            job.payload.size())) {
     RecordError("short write to " + file->path);
-    return;
   }
-  file->records.fetch_add(1, std::memory_order_relaxed);
-  spilled_chunks_.fetch_add(1, std::memory_order_relaxed);
-  spilled_bytes_.fetch_add(job.payload.size(), std::memory_order_relaxed);
 }
 
 std::unique_ptr<SpillContext> MakeSpillContext(SpillMode mode,

@@ -3,8 +3,8 @@
 // The pass-1 shard queues of the k-mer counter (dbg/kmer_counter.h) and the
 // sealed emit chunks of the MapReduce shuffle (pregel/mapreduce.h) are the
 // two places the pipeline buffers a data volume proportional to the input
-// between a producer pass and a consumer pass. Both were fully memory-
-// resident, capping shuffle volume at RAM. This subsystem gives them a
+// between a producer pass and a consumer pass; the fleet's chunk journal
+// (net/journal.h) also sends its overflow here. This subsystem gives them a
 // shared external store, shaped like the per-shard run files of disk-based
 // k-mer counters (yak, KMC):
 //
@@ -15,11 +15,20 @@
 //     submission order. The directory is removed on destruction — success,
 //     early Finish, and exception unwinds all converge there.
 //
+//   * SpillManager is also the one spill ledger. Append counts each file's
+//     records and payload bytes; Replay reads a file back in write order
+//     and refuses a corrupt record, a record its consumer rejects, or a
+//     record count other than the number appended, with one diagnostic
+//     that names the file. Stats sums a consumer's files into the
+//     SpillStats record (pregel/stats.h) the reports carry. Consumers keep
+//     only their file ids and their own budget policy.
+//
 //   * Spill files are framed: an 8-byte magic, then per record a
 //     varint payload length, a CRC-32 of the payload, and the payload.
-//     SpillReader replays records in write order and fails with a
-//     diagnostic (never a short record stream) on truncation, bad magic,
-//     CRC mismatch, or a record length past EOF.
+//     SpillReader decodes one file and fails with a diagnostic on a
+//     truncated record, bad magic, CRC mismatch, or a record length past
+//     EOF; a file cut at a record boundary reads short, which Replay's
+//     record count catches.
 //
 //   * MemoryBudget tracks resident chunk bytes pipeline-wide. Producers
 //     charge bytes when a chunk is sealed into memory and release them
@@ -48,6 +57,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "pregel/stats.h"
 
 namespace ppa {
 
@@ -108,21 +118,14 @@ class MemoryBudget {
     ChargeLocked(n);
   }
 
-  /// Charges bytes that will stay resident for a whole job (the shuffle's
-  /// kept-in-memory chunks, consumed only by the reduce). Pinned bytes are
-  /// excluded from ChargeBlocking's wait condition — they cannot drain
-  /// while the charger's own phase is still running, so waiting on them
-  /// would deadlock.
-  void ChargePinned(uint64_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pinned_ += n;
-    ChargeLocked(n);
-  }
-
-  /// ChargePinned iff `n` more bytes fit under the budget, atomically —
-  /// check and charge under one lock acquisition, so concurrent producers
-  /// cannot all pass a WouldExceed() probe and then collectively blow the
-  /// budget. Returns false (charging nothing) when it does not fit.
+  /// Charges `n` bytes that will stay resident for a whole job (the
+  /// shuffle's kept-in-memory chunks, consumed only by the reduce) iff they
+  /// fit under the budget — check and charge under one lock acquisition, so
+  /// concurrent producers cannot each see room and then collectively blow
+  /// the budget. Returns false (charging nothing) when they do not fit.
+  /// Pinned bytes are excluded from ChargeBlocking's wait condition — they
+  /// cannot drain while the charger's own phase is still running, so
+  /// waiting on them would deadlock.
   bool TryChargePinned(uint64_t n) {
     std::lock_guard<std::mutex> lock(mu_);
     if (budget_ != 0 && resident_ + n > budget_) return false;
@@ -170,12 +173,6 @@ class MemoryBudget {
     return peak_;
   }
 
-  /// Would charging `extra` more bytes put the accounting over budget?
-  bool WouldExceed(uint64_t extra) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return budget_ != 0 && resident_ + extra > budget_;
-  }
-
  private:
   void ChargeLocked(uint64_t n) {
     resident_ += n;
@@ -194,25 +191,25 @@ class MemoryBudget {
   uint64_t peak_ = 0;
 };
 
-/// Replays one spill file's records in write order.
+/// Decodes one spill file's records in write order. SpillManager::Replay
+/// reads through it; tests and fuzzers drive it directly.
 ///
 ///   SpillReader reader(path);
 ///   std::vector<uint8_t> payload;
 ///   while (reader.Next(&payload)) { ...consume payload... }
 ///   if (!reader.ok()) { ...reader.error() says what is corrupt... }
 ///
-/// A missing file reads as zero records with ok() == true (a shard that
-/// never spilled has no file). Every corruption mode — truncated file, bad
-/// magic, CRC mismatch, record length past EOF — turns Next() false with
-/// ok() == false and a path/record/offset diagnostic in error(), so a
-/// consumer can never mistake a damaged file for a short one.
+/// A missing file reads as zero records with ok() == true. Every
+/// corruption mode — truncated file, bad magic, CRC mismatch, record
+/// length past EOF — turns Next() false with ok() == false and a
+/// path/record/offset diagnostic in error(), so a consumer can never
+/// mistake a damaged file for a short one. A file cut at a record boundary
+/// does read as a short stream; Replay's record count catches that.
 class SpillReader {
  public:
   explicit SpillReader(std::string path);
   ~SpillReader();
 
-  SpillReader(SpillReader&&) noexcept;
-  SpillReader& operator=(SpillReader&&) = delete;
   SpillReader(const SpillReader&) = delete;
   SpillReader& operator=(const SpillReader&) = delete;
 
@@ -240,14 +237,15 @@ class SpillReader {
   std::string error_;
 };
 
-/// Owns a unique temp directory of framed spill files and the async writer
-/// pool that fills them.
+/// Owns a unique temp directory of framed spill files, the async writer
+/// pool that fills them, and the ledger of what each file holds.
 ///
 /// Threading contract: Append never blocks on I/O (jobs queue to a writer
 /// thread chosen by file id, so per-file order is submission order across
 /// any number of producers). The producer's own byte accounting bounds the
 /// backlog: a chunk's bytes stay "resident" until its `done` callback runs
 /// on the writer thread. Sync() barriers all pending writes and flushes.
+/// Append, Replay and Stats may run concurrently on distinct files.
 ///
 /// Lifecycle contract: the directory (and everything in it) is removed by
 /// the destructor on every path — normal completion, early destruction
@@ -260,6 +258,11 @@ class SpillManager {
     unsigned writer_threads = 1; // clamped to >= 1
   };
 
+  /// A Replay consumer: takes one record's payload, or returns false with
+  /// the reason in *why to refuse it.
+  using RecordFn = std::function<bool(const std::vector<uint8_t>& payload,
+                                      std::string* why)>;
+
   SpillManager();  // defaults: system temp parent, one writer thread
   explicit SpillManager(const Config& config);
   ~SpillManager();
@@ -271,9 +274,10 @@ class SpillManager {
   /// The file is created on its first Append.
   uint32_t NewFile(const std::string& name);
 
-  /// Queues one framed record append. `done`, if given, runs on the writer
-  /// thread after the record's bytes have been handed to the OS (use it to
-  /// release byte accounting). Payloads are moved, never copied.
+  /// Counts one record and its payload bytes against `file` and queues its
+  /// framed append. `done`, if given, runs on the writer thread after the
+  /// record's bytes have been handed to the OS (use it to release byte
+  /// accounting). Payloads are moved, never copied.
   void Append(uint32_t file, std::vector<uint8_t> payload,
               std::function<void()> done = {});
 
@@ -282,24 +286,25 @@ class SpillManager {
   /// throws, so it is destructor-safe.
   bool Sync();
 
-  /// Opens a reader over `file`'s records in write order. Call Sync()
-  /// first; reading a file with queued writes sees a prefix.
-  SpillReader OpenReader(uint32_t file) const;
+  /// Feeds `file`'s records to `fn` in write order. Call after Sync(), with
+  /// no Append to `file` in flight. Returns false, with one diagnostic
+  /// naming the file in *error, on a corrupt record, a record `fn` refuses,
+  /// or a record count other than the number appended; records fed before
+  /// the failure are not taken back, so the caller discards its partial
+  /// result. A surplus record is counted but never fed. A file never
+  /// appended to replays as zero records without touching the disk.
+  bool Replay(uint32_t file, const RecordFn& fn, std::string* error);
+
+  /// The ledger of `files`: records and payload bytes appended, files
+  /// holding at least one record, and what Replay read back and verified.
+  SpillStats Stats(const std::vector<uint32_t>& files) const;
 
   /// Filesystem path of `file`, for diagnostics (tests also use it to
-  /// corrupt records).
+  /// damage files).
   std::string FilePath(uint32_t file) const;
 
   const std::string& dir() const { return dir_; }
   std::string error() const;
-
-  uint64_t files_written() const;  // files holding >= 1 record
-  uint64_t spilled_chunks() const {
-    return spilled_chunks_.load(std::memory_order_relaxed);
-  }
-  uint64_t spilled_bytes() const {
-    return spilled_bytes_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct WriteJob {
@@ -319,9 +324,15 @@ class SpillManager {
   struct File {
     std::string path;
     std::FILE* stream = nullptr;  // opened by the writer on first append
+    // The ledger. Producers on any thread append; Replay records what it
+    // read back.
     std::atomic<uint64_t> records{0};
+    std::atomic<uint64_t> bytes{0};
+    std::atomic<uint64_t> replayed_records{0};
+    std::atomic<uint64_t> replayed_bytes{0};
   };
 
+  File& FileAt(uint32_t file);
   void WriterLoop(unsigned w);
   void WriteRecord(File* file, const WriteJob& job);
   void RecordError(const std::string& what);
@@ -336,9 +347,6 @@ class SpillManager {
   mutable std::mutex error_mu_;
   std::string error_;
   std::atomic<bool> failed_{false};
-
-  std::atomic<uint64_t> spilled_chunks_{0};
-  std::atomic<uint64_t> spilled_bytes_{0};
 };
 
 /// The spill wiring one pipeline run shares across the counter and every

@@ -20,12 +20,13 @@ namespace ppa {
 
 /// A fork/join pool: Run(n, fn) invokes fn(i) for i in [0, n), distributing
 /// indices over the pool's threads, and returns when all calls finished.
-/// With num_threads == 1 everything runs on the caller's thread, which keeps
-/// single-core environments (and deterministic unit tests) cheap.
+/// num_threads == 0 means hardware concurrency (see Resolve). With one
+/// thread everything runs on the caller's thread, which keeps single-core
+/// environments (and deterministic unit tests) cheap.
 class ThreadPool {
  public:
   explicit ThreadPool(unsigned num_threads)
-      : num_threads_(num_threads == 0 ? 1 : num_threads) {}
+      : num_threads_(Resolve(num_threads)) {}
 
   unsigned num_threads() const { return num_threads_; }
 
@@ -53,9 +54,11 @@ class ThreadPool {
     for (auto& t : threads) t.join();
   }
 
-  /// Default pool size: hardware concurrency, at least 1.
-  static unsigned DefaultThreads() {
-    unsigned hw = std::thread::hardware_concurrency();
+  /// The thread count a pool of `num_threads` runs: itself, or for 0 the
+  /// hardware concurrency (at least 1).
+  static unsigned Resolve(unsigned num_threads) {
+    if (num_threads != 0) return num_threads;
+    const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
   }
 

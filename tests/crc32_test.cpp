@@ -129,7 +129,7 @@ TEST(Crc32DispatchTest, SpillFileCrossDispatchRoundTrip) {
     {
       std::unique_ptr<ScopedForceScalar> forced;
       if (scalar_reader) forced = std::make_unique<ScopedForceScalar>();
-      SpillReader reader = manager.OpenReader(file_id);
+      SpillReader reader(manager.FilePath(file_id));
       std::vector<uint8_t> payload;
       ASSERT_TRUE(reader.Next(&payload)) << reader.error();
       EXPECT_EQ(payload, big);

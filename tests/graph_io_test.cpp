@@ -46,7 +46,7 @@ bool NodesEqual(const AsmNode& a, const AsmNode& b) {
       a.circular != b.circular || a.edges.size() != b.edges.size()) {
     return false;
   }
-  if (a.kind == NodeKind::kKmer && (a.k != b.k || a.kmer_code != b.kmer_code))
+  if (a.kind == NodeKind::kKmer && a.k != b.k)
     return false;
   if (a.kind == NodeKind::kContig && a.seq != b.seq) return false;
   for (size_t i = 0; i < a.edges.size(); ++i) {
@@ -59,7 +59,6 @@ TEST(GraphIoTest, NodeEncodeDecodeRoundTrip) {
   AsmNode kmer;
   kmer.kind = NodeKind::kKmer;
   kmer.id = Kmer::FromString("ACGTTGCATGGATCC").code();
-  kmer.kmer_code = kmer.id;
   kmer.k = 15;
   kmer.coverage = 42;
   kmer.edges.push_back(BiEdge{123456, NodeEnd::k3, NodeEnd::k5, 7});

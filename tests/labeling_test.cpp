@@ -295,9 +295,8 @@ TEST(LabelingTest, PathThroughWorkerZerosFirstContigGetsOneLabel) {
   AsmNode a;
   a.id = Kmer::FromString("ACGTA").code();
   a.k = 5;
-  a.kmer_code = a.id;
   AsmNode b = a;
-  b.id = b.kmer_code = Kmer::FromString("CCGTA").code();
+  b.id = Kmer::FromString("CCGTA").code();
   AsmNode c;
   c.id = MakeContigId(0, 0);
   c.kind = NodeKind::kContig;

@@ -225,8 +225,8 @@ TEST(MpscRingTest, SpillSessionsShareTheRingAdmission) {
     EXPECT_EQ(actual, expected) << SpillModeName(mode);
     EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
         << SpillModeName(mode);
-    EXPECT_GT(stats.spilled_chunks, 0u) << SpillModeName(mode);
-    EXPECT_EQ(stats.readback_chunks, stats.spilled_chunks)
+    EXPECT_GT(stats.spill.spilled_chunks, 0u) << SpillModeName(mode);
+    EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks)
         << SpillModeName(mode);
   }
 }

@@ -58,7 +58,6 @@ AsmNode KmerNode(const char* seq) {
   node.kind = NodeKind::kKmer;
   Kmer kmer = Kmer::FromString(seq);
   node.k = static_cast<uint8_t>(kmer.k());
-  node.kmer_code = kmer.code();
   node.id = kmer.code();
   return node;
 }
@@ -89,7 +88,6 @@ TEST(AsmNodeTest, TwoEdgesSameEndIsAmbiguous) {
 
 TEST(AsmNodeTest, SelfLoopIsAmbiguous) {
   AsmNode node = KmerNode("AAAAA");
-  node.id = node.kmer_code;
   node.edges.push_back(
       BiEdge{node.id, NodeEnd::k3, NodeEnd::k5, 1});
   node.edges.push_back(

@@ -151,7 +151,6 @@ PathPiece KmerPiece(const std::string& s) {
   piece.node.id = kmer.Canonical().code();
   piece.node.kind = NodeKind::kKmer;
   piece.node.k = static_cast<uint8_t>(s.size());
-  piece.node.kmer_code = piece.node.id;
   piece.forward = kmer.IsCanonical();
   return piece;
 }
@@ -371,7 +370,6 @@ AssemblyGraph LoopBubbleGraph(const AssemblerOptions& options, bool same_end) {
   AsmNode x;
   x.id = 77;  // A k-mer id.
   x.k = static_cast<uint8_t>(options.k);
-  x.kmer_code = x.id;
   AssemblyGraph graph(options.num_workers);
   const std::pair<const char*, uint32_t> contigs[] = {
       {"AACGTTGCATGGAT", 10}, {"AACGTTGAATGGAT", 2}};

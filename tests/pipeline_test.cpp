@@ -348,8 +348,8 @@ TEST(DbgConstructionTest, VertexEdgesMatchStringOracle) {
     dbg.graph.ForEach([&](const AsmNode& node) {
       ++vertices;
       total_edges += node.edges.size();
-      EXPECT_EQ(node.id, node.kmer_code);
-      const std::string vertex = Kmer(node.kmer_code, k).ToString();
+      ASSERT_TRUE(IsKmerId(node.id));
+      const std::string vertex = Kmer(node.id, k).ToString();
       std::vector<EdgeView> got;
       uint32_t min_coverage = UINT32_MAX;
       for (const BiEdge& e : node.edges) {

@@ -26,6 +26,7 @@
 #include "dna/superkmer.h"
 #include "io/fastx.h"
 #include "io/read_stream.h"
+#include "net/journal.h"
 #include "pregel/mapreduce.h"
 #include "sim/genome.h"
 #include "sim/read_simulator.h"
@@ -54,17 +55,16 @@ TEST(MemoryBudgetTest, TracksResidentAndPeak) {
   MemoryBudget budget(1000);
   EXPECT_EQ(budget.budget_bytes(), 1000u);
   budget.Charge(400);
-  EXPECT_FALSE(budget.WouldExceed(600));
-  EXPECT_TRUE(budget.WouldExceed(601));
   budget.Charge(500);
   EXPECT_EQ(budget.resident_bytes(), 900u);
   budget.Release(600);
   EXPECT_EQ(budget.resident_bytes(), 300u);
   EXPECT_EQ(budget.peak_resident_bytes(), 900u);
-  budget.ChargePinned(100);
+  ASSERT_TRUE(budget.TryChargePinned(100));
   EXPECT_EQ(budget.resident_bytes(), 400u);
   // Atomic check-and-charge: admits only what fits, charges nothing on
   // refusal.
+  EXPECT_FALSE(budget.TryChargePinned(601));
   EXPECT_TRUE(budget.TryChargePinned(600));
   EXPECT_FALSE(budget.TryChargePinned(1));
   EXPECT_EQ(budget.resident_bytes(), 1000u);
@@ -78,9 +78,9 @@ TEST(MemoryBudgetTest, TracksResidentAndPeak) {
 TEST(MemoryBudgetTest, UnlimitedNeverExceeds) {
   MemoryBudget budget(0);
   budget.Charge(1 << 30);
-  EXPECT_FALSE(budget.WouldExceed(1 << 30));
+  EXPECT_TRUE(budget.TryChargePinned(1 << 30));
   budget.ChargeBlocking(1 << 30);  // must not wait with no budget
-  EXPECT_EQ(budget.peak_resident_bytes(), 2u << 30);
+  EXPECT_EQ(budget.peak_resident_bytes(), 3u << 30);
 }
 
 // ---------------------------------------------------------------------------
@@ -106,24 +106,30 @@ TEST(SpillManagerTest, RoundTripsRecordsInWriteOrder) {
     manager.Append(a, Bytes({}));  // empty payloads are legal records
     manager.Append(a, Bytes({4, 5}));
     ASSERT_TRUE(manager.Sync()) << manager.error();
-    EXPECT_EQ(manager.spilled_chunks(), 4u);
-    EXPECT_EQ(manager.spilled_bytes(), 6u);
-    EXPECT_EQ(manager.files_written(), 2u);
+    // The ledger counts appends per file.
+    SpillStats stats = manager.Stats({a, b});
+    EXPECT_EQ(stats.spilled_chunks, 4u);
+    EXPECT_EQ(stats.spilled_bytes, 6u);
+    EXPECT_EQ(stats.spill_files, 2u);
+    EXPECT_EQ(stats.readback_chunks, 0u);
     // The sanitized path stays inside the spill directory.
     EXPECT_EQ(fs::path(manager.FilePath(b)).parent_path(), fs::path(dir));
 
-    SpillReader reader = manager.OpenReader(a);
-    std::vector<uint8_t> payload;
-    ASSERT_TRUE(reader.Next(&payload));
-    EXPECT_EQ(payload, Bytes({1, 2, 3}));
-    ASSERT_TRUE(reader.Next(&payload));
-    EXPECT_TRUE(payload.empty());
-    ASSERT_TRUE(reader.Next(&payload));
-    EXPECT_EQ(payload, Bytes({4, 5}));
-    EXPECT_FALSE(reader.Next(&payload));
-    EXPECT_TRUE(reader.ok()) << reader.error();
-    EXPECT_EQ(reader.records(), 3u);
-    EXPECT_EQ(reader.bytes_read(), 5u);
+    std::vector<std::vector<uint8_t>> got;
+    std::string error;
+    ASSERT_TRUE(manager.Replay(
+        a,
+        [&got](const std::vector<uint8_t>& payload, std::string*) {
+          got.push_back(payload);
+          return true;
+        },
+        &error))
+        << error;
+    EXPECT_EQ(got, (std::vector<std::vector<uint8_t>>{
+                       Bytes({1, 2, 3}), Bytes({}), Bytes({4, 5})}));
+    stats = manager.Stats({a});
+    EXPECT_EQ(stats.readback_chunks, 3u);
+    EXPECT_EQ(stats.readback_bytes, 5u);
   }
   // Success path: the directory is gone with the manager.
   EXPECT_FALSE(fs::exists(dir));
@@ -145,15 +151,69 @@ TEST(SpillManagerTest, PerFileOrderHoldsAcrossWriterPool) {
   }
   ASSERT_TRUE(manager.Sync()) << manager.error();
   for (uint32_t file : files) {
-    SpillReader reader = manager.OpenReader(file);
-    std::vector<uint8_t> payload;
-    for (int i = 0; i < kRecords; ++i) {
-      ASSERT_TRUE(reader.Next(&payload)) << reader.error();
-      EXPECT_EQ(payload, Bytes({i & 0xFF, (i >> 8) & 0xFF}));
-    }
-    EXPECT_FALSE(reader.Next(&payload));
-    EXPECT_TRUE(reader.ok()) << reader.error();
+    int i = 0;
+    std::string error;
+    ASSERT_TRUE(manager.Replay(
+        file,
+        [&i](const std::vector<uint8_t>& payload, std::string*) {
+          EXPECT_EQ(payload, Bytes({i & 0xFF, (i >> 8) & 0xFF}));
+          ++i;
+          return true;
+        },
+        &error))
+        << error;
+    EXPECT_EQ(i, kRecords);
   }
+}
+
+TEST(SpillManagerTest, NeverAppendedFileReplaysAsZeroRecords) {
+  SpillManager manager;
+  const uint32_t file = manager.NewFile("empty");
+  ASSERT_TRUE(manager.Sync()) << manager.error();
+  int fed = 0;
+  std::string error;
+  EXPECT_TRUE(manager.Replay(
+      file,
+      [&fed](const std::vector<uint8_t>&, std::string*) {
+        ++fed;
+        return true;
+      },
+      &error))
+      << error;
+  EXPECT_EQ(fed, 0);
+  EXPECT_FALSE(fs::exists(manager.FilePath(file)));
+  const SpillStats stats = manager.Stats({file});
+  EXPECT_EQ(stats.spilled_chunks, 0u);
+  EXPECT_EQ(stats.spill_files, 0u);
+  EXPECT_EQ(stats.readback_chunks, 0u);
+}
+
+TEST(SpillManagerTest, ReplayRefusesARecordTheConsumerRejects) {
+  SpillManager manager;
+  const uint32_t file = manager.NewFile("rejected");
+  manager.Append(file, Bytes({1}));
+  manager.Append(file, Bytes({2}));
+  manager.Append(file, Bytes({3}));
+  ASSERT_TRUE(manager.Sync()) << manager.error();
+  std::vector<uint8_t> fed;
+  std::string error;
+  EXPECT_FALSE(manager.Replay(
+      file,
+      [&fed](const std::vector<uint8_t>& payload, std::string* why) {
+        if (payload == Bytes({2})) {
+          *why = "payload two is not welcome";
+          return false;
+        }
+        fed.push_back(payload[0]);
+        return true;
+      },
+      &error));
+  EXPECT_EQ(fed, Bytes({1}));  // nothing after the refused record
+  EXPECT_NE(error.find(manager.FilePath(file)), std::string::npos) << error;
+  EXPECT_NE(error.find("record #1"), std::string::npos) << error;
+  EXPECT_NE(error.find("payload two is not welcome"), std::string::npos)
+      << error;
+  EXPECT_EQ(manager.Stats({file}).readback_chunks, 0u);
 }
 
 TEST(SpillManagerTest, DirRemovedOnEarlyDestructionWithQueuedWrites) {
@@ -408,8 +468,8 @@ TEST(CounterSessionSpillTest, AlwaysAndAutoMatchNeverAcrossGrid) {
         KmerCountStats never_stats;
         const auto expected = SortedPartitions(
             RunSession(reads, config, nullptr, &never_stats));
-        EXPECT_EQ(never_stats.spilled_chunks, 0u);
-        EXPECT_EQ(never_stats.spill_files, 0u);
+        EXPECT_EQ(never_stats.spill.spilled_chunks, 0u);
+        EXPECT_EQ(never_stats.spill.spill_files, 0u);
 
         for (SpillMode mode : {SpillMode::kAlways, SpillMode::kAuto}) {
           std::unique_ptr<SpillContext> context =
@@ -425,17 +485,19 @@ TEST(CounterSessionSpillTest, AlwaysAndAutoMatchNeverAcrossGrid) {
           EXPECT_EQ(stats.total_windows, never_stats.total_windows) << label;
           EXPECT_EQ(stats.distinct_mers, never_stats.distinct_mers) << label;
           // Readback replayed exactly what was spilled.
-          EXPECT_EQ(stats.readback_chunks, stats.spilled_chunks) << label;
-          EXPECT_EQ(stats.readback_bytes, stats.spilled_bytes) << label;
+          EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks)
+              << label;
+          EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes)
+              << label;
           // The budget caps the session's queued-byte bound, and the bound
           // held (so resident chunk bytes never exceeded the budget).
           EXPECT_LE(stats.queue_bound_bytes, kBudget) << label;
           EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
               << label;
           if (mode == SpillMode::kAlways) {
-            EXPECT_GT(stats.spilled_chunks, 0u) << label;
-            EXPECT_GT(stats.spill_files, 0u) << label;
-            EXPECT_LE(stats.spill_files, stats.shards) << label;
+            EXPECT_GT(stats.spill.spilled_chunks, 0u) << label;
+            EXPECT_GT(stats.spill.spill_files, 0u) << label;
+            EXPECT_LE(stats.spill.spill_files, stats.shards) << label;
             EXPECT_LE(context->budget.peak_resident_bytes(), kBudget)
                 << label;
           }
@@ -555,7 +617,7 @@ TEST(ShuffleSpillTest, AlwaysAndAutoMatchNever) {
   RunStats never_stats;
   const auto expected =
       RunSumJob(nullptr, ShuffleStrategy::kHash, &never_stats);
-  EXPECT_EQ(never_stats.spilled_chunks, 0u);
+  EXPECT_EQ(never_stats.spill.spilled_chunks, 0u);
   for (SpillMode mode : {SpillMode::kAlways, SpillMode::kAuto}) {
     for (ShuffleStrategy strategy :
          {ShuffleStrategy::kHash, ShuffleStrategy::kSort}) {
@@ -565,14 +627,175 @@ TEST(ShuffleSpillTest, AlwaysAndAutoMatchNever) {
       const auto actual = RunSumJob(context.get(), strategy, &stats);
       EXPECT_EQ(actual, expected)
           << SpillModeName(mode) << "/" << ShuffleStrategyName(strategy);
-      EXPECT_EQ(stats.readback_chunks, stats.spilled_chunks);
-      EXPECT_EQ(stats.readback_bytes, stats.spilled_bytes);
+      EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks);
+      EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes);
       if (mode == SpillMode::kAlways) {
-        EXPECT_GT(stats.spilled_chunks, 0u);
-        EXPECT_GT(stats.spill_files, 0u);
+        EXPECT_GT(stats.spill.spilled_chunks, 0u);
+        EXPECT_GT(stats.spill.spill_files, 0u);
         EXPECT_LE(context->budget.peak_resident_bytes(), 64u << 10);
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Damaged spill files: a lane that lost its last record, or gained a
+// duplicate of it, stops its consumer with a diagnostic naming the file.
+// Both damages leave a cleanly framed file, so only the record count
+// catches them.
+// ---------------------------------------------------------------------------
+
+enum class Damage { kDropLastRecord, kDuplicateLastRecord };
+
+const char* DamageName(Damage damage) {
+  return damage == Damage::kDropLastRecord ? "drop-last" : "duplicate-last";
+}
+
+/// Cuts a spill file's last record off, or appends a copy of it, walking
+/// the record framing (varint length, 4-byte CRC, payload) after the magic.
+void DamageSpillFile(const std::string& path, Damage damage) {
+  std::vector<uint8_t> bytes = ReadAll(path);
+  size_t pos = sizeof(SpillReader::kMagic);
+  size_t last = bytes.size();
+  while (pos < bytes.size()) {
+    last = pos;
+    uint64_t length = 0;
+    ASSERT_TRUE(GetVarint64(bytes.data(), bytes.size(), &pos, &length));
+    pos += sizeof(uint32_t) + length;
+  }
+  ASSERT_EQ(pos, bytes.size()) << path;
+  ASSERT_LT(last, bytes.size()) << path << " holds no record";
+  if (damage == Damage::kDropLastRecord) {
+    bytes.resize(last);
+  } else {
+    const std::vector<uint8_t> record(bytes.begin() + last, bytes.end());
+    bytes.insert(bytes.end(), record.begin(), record.end());
+  }
+  WriteAll(path, bytes);
+}
+
+TEST(SpillDamageTest, ReplayRefusesAShortOrLongFile) {
+  for (Damage damage :
+       {Damage::kDropLastRecord, Damage::kDuplicateLastRecord}) {
+    SpillManager manager;
+    const uint32_t file = manager.NewFile("counted");
+    manager.Append(file, Bytes({1, 1}));
+    manager.Append(file, Bytes({2, 2}));
+    manager.Append(file, Bytes({3, 3}));
+    ASSERT_TRUE(manager.Sync()) << manager.error();
+    const std::string path = manager.FilePath(file);
+    DamageSpillFile(path, damage);
+    std::vector<std::vector<uint8_t>> fed;
+    std::string error;
+    EXPECT_FALSE(manager.Replay(
+        file,
+        [&fed](const std::vector<uint8_t>& payload, std::string*) {
+          fed.push_back(payload);
+          return true;
+        },
+        &error))
+        << DamageName(damage);
+    const bool short_file = damage == Damage::kDropLastRecord;
+    EXPECT_NE(error.find(path + (short_file ? " holds 2 records, expected 3"
+                                            : " holds 4 records, expected 3")),
+              std::string::npos)
+        << error;
+    // A surplus record is counted but never fed.
+    EXPECT_EQ(fed.size(), short_file ? 2u : 3u) << DamageName(damage);
+    EXPECT_EQ(manager.Stats({file}).readback_chunks, 0u);
+  }
+}
+
+TEST(SpillDamageTest, CounterRefusesAShardFileThatLostOrGainedARecord) {
+  const std::vector<Read> reads = SimulatedReads(8000, 8.0, 17);
+  for (Damage damage :
+       {Damage::kDropLastRecord, Damage::kDuplicateLastRecord}) {
+    std::unique_ptr<SpillContext> context =
+        MakeSpillContext(SpillMode::kAlways, "", 64 << 10);
+    KmerCountConfig config;
+    config.mer_length = 21;
+    config.num_workers = 4;
+    config.num_threads = 2;
+    config.num_shards = 1;  // every chunk spills to shard 0's file
+    config.spill = context.get();
+    CounterSession session(config);
+    constexpr size_t kBatch = 64;  // each batch seals its own chunks
+    for (size_t begin = 0; begin < reads.size(); begin += kBatch) {
+      session.AddBatch(reads.data() + begin,
+                       std::min(kBatch, reads.size() - begin));
+    }
+    ASSERT_TRUE(context->manager.Sync()) << context->manager.error();
+    // The session registered its shard files on a fresh manager, so shard
+    // 0's is file 0.
+    const std::string path = context->manager.FilePath(0);
+    ASSERT_NE(path.find("kmer-shard-0"), std::string::npos) << path;
+    DamageSpillFile(path, damage);
+    try {
+      session.Finish();
+      ADD_FAILURE() << DamageName(damage) << ": Finish did not throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos)
+          << DamageName(damage) << ": " << what;
+      EXPECT_NE(what.find("records"), std::string::npos)
+          << DamageName(damage) << ": " << what;
+    }
+  }
+}
+
+TEST(SpillDamageTest, ShuffleRefusesADestinationFileThatLostOrGainedARecord) {
+  for (Damage damage :
+       {Damage::kDropLastRecord, Damage::kDuplicateLastRecord}) {
+    std::unique_ptr<SpillContext> context =
+        MakeSpillContext(SpillMode::kAlways, "", 64 << 10);
+    mr_internal::ShuffleSpill<uint64_t, uint64_t> spill(context.get(),
+                                                        "damage-test", 2);
+    ASSERT_TRUE(spill.enabled());
+    const std::vector<std::pair<uint64_t, uint64_t>> chunk = {{1, 10},
+                                                              {2, 20}};
+    for (uint32_t src = 0; src < 2; ++src) {
+      for (uint64_t seq = 0; seq < 3; ++seq) {
+        ASSERT_TRUE(spill.OfferSealed(src, /*dst=*/0, seq, chunk));
+      }
+    }
+    spill.SyncOrThrow();
+    // Destination 0's file is the first one registered on the manager.
+    const std::string path = context->manager.FilePath(0);
+    ASSERT_NE(path.find("damage-test-dst-0"), std::string::npos) << path;
+    DamageSpillFile(path, damage);
+    std::string error;
+    spill.ReadBack(0, &error);
+    EXPECT_NE(error.find(path), std::string::npos)
+        << DamageName(damage) << ": " << error;
+    EXPECT_NE(error.find("records"), std::string::npos)
+        << DamageName(damage) << ": " << error;
+  }
+}
+
+TEST(SpillDamageTest, JournalRefusesAShardFileThatLostOrGainedARecord) {
+  for (Damage damage :
+       {Damage::kDropLastRecord, Damage::kDuplicateLastRecord}) {
+    SpillManager manager;
+    net::ChunkJournal::Options options;
+    options.num_shards = 1;
+    options.spill = &manager;
+    options.fallback_budget_bytes = 64;  // two chunks stay, the rest spill
+    net::ChunkJournal journal(options);
+    for (uint8_t i = 0; i < 10; ++i) {
+      journal.Append(0, std::vector<uint8_t>(32, i));
+    }
+    ASSERT_GT(journal.spilled_bytes(), 0u);
+    ASSERT_TRUE(manager.Sync()) << manager.error();
+    // Shard 0's overflow file is the first one registered on the manager.
+    const std::string path = manager.FilePath(0);
+    ASSERT_NE(path.find("journal-shard-0"), std::string::npos) << path;
+    DamageSpillFile(path, damage);
+    std::string error;
+    EXPECT_FALSE(journal.Replay(
+        0, [](const std::vector<uint8_t>&) {}, &error))
+        << DamageName(damage);
+    EXPECT_NE(error.find(path), std::string::npos)
+        << DamageName(damage) << ": " << error;
   }
 }
 
@@ -615,10 +838,10 @@ TEST(PipelineSpillTest, ContigsBitIdenticalAcrossGrid) {
                   never.count_stats.surviving_mers)
             << label;
         EXPECT_EQ(always.kmer_vertices, never.kmer_vertices) << label;
-        EXPECT_GT(always.count_stats.spilled_chunks, 0u) << label;
-        EXPECT_GT(always.stats.total_spilled_bytes(), 0u) << label;
-        EXPECT_EQ(always.stats.total_readback_bytes(),
-                  always.stats.total_spilled_bytes())
+        EXPECT_GT(always.count_stats.spill.spilled_chunks, 0u) << label;
+        EXPECT_GT(always.stats.total_spill().spilled_bytes, 0u) << label;
+        EXPECT_EQ(always.stats.total_spill().readback_bytes,
+                  always.stats.total_spill().spilled_bytes)
             << label;
         EXPECT_EQ(always.spill_budget_bytes, kBudget) << label;
         // The acceptance bound: resident chunk bytes stayed under budget.
@@ -628,8 +851,9 @@ TEST(PipelineSpillTest, ContigsBitIdenticalAcrossGrid) {
         // anything spilled under kAlways and replayed all it spilled.
         for (const RunStats& job : always.stats.jobs) {
           if (job.pairs_shuffled == 0) continue;
-          EXPECT_GT(job.spilled_chunks, 0u) << label << " " << job.job_name;
-          EXPECT_EQ(job.readback_chunks, job.spilled_chunks)
+          EXPECT_GT(job.spill.spilled_chunks, 0u)
+              << label << " " << job.job_name;
+          EXPECT_EQ(job.spill.readback_chunks, job.spill.spilled_chunks)
               << label << " " << job.job_name;
         }
       }
@@ -649,7 +873,7 @@ TEST(PipelineSpillTest, AutoModeMatchesNeverOnInMemoryPipeline) {
   options.memory_budget_bytes = 64 << 10;  // tiny: most shuffles spill
   const AssemblyResult auto_spill = Assembler(options).Assemble(reads);
   EXPECT_EQ(SortedContigs(auto_spill), SortedContigs(never));
-  EXPECT_GT(auto_spill.stats.total_spilled_bytes(), 0u);
+  EXPECT_GT(auto_spill.stats.total_spill().spilled_bytes, 0u);
 }
 
 }  // namespace

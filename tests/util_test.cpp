@@ -243,8 +243,10 @@ TEST(TextStoreTest, WriteReadParts) {
 }
 
 TEST(ThreadPoolTest, RunsAllIndicesOnce) {
-  for (unsigned threads : {1u, 2u, 4u}) {
+  for (unsigned threads : {0u, 1u, 2u, 4u}) {  // 0 = hardware concurrency
     ThreadPool pool(threads);
+    EXPECT_EQ(pool.num_threads(), ThreadPool::Resolve(threads));
+    EXPECT_GE(pool.num_threads(), 1u);
     std::vector<std::atomic<int>> hits(100);
     pool.Run(100, [&](uint32_t i) { hits[i].fetch_add(1); });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
