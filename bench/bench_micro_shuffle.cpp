@@ -1,23 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the mini-MapReduce shuffle
-// engine: sort group-by vs hash group-by, on the two workload shapes the
-// pipeline actually runs through it —
+// engine's hash group-by, on the two workload shapes the pipeline actually
+// runs through it —
 //
 //   * DBG construction phase (ii): small keys (vertex codes), 8-byte
 //     adjacency entries (one per edge endpoint), ~2 pairs per group,
 //     measured on real edge mers counted from the simulated HC-2 dataset;
 //   * contig merging: few keys (labels), fat values (node payloads), long
-//     groups — the shape where moving values through a sort hurts most.
+//     groups — the shape where every extra move of a value shows.
 //
-// Both strategies produce bit-identical output (shuffle_equivalence_test);
-// this file prices them.
-//
-// The custom main() additionally measures sort vs hash once per process on
-// both workloads — plus the external-spill overhead
-// (spill/spill.h, --spill-mode always vs never) on the adjacency workload —
-// and writes BENCH_shuffle.json (override the path with PPA_BENCH_JSON),
-// mirroring bench_micro_kmer's BENCH_kmer.json so the shuffle engine's perf
-// trajectory accumulates in machine-readable form. CI runs just that part
-// with --benchmark_filter='^NONE$'.
+// The custom main() additionally measures both workloads once per process
+// — plus the external-spill overhead (spill/spill.h, --spill-mode always
+// vs never) on the adjacency workload — and writes BENCH_shuffle.json
+// (override the path with PPA_BENCH_JSON), mirroring bench_micro_kmer's
+// BENCH_kmer.json so the shuffle engine's perf trajectory accumulates in
+// machine-readable form. CI runs just that part with
+// --benchmark_filter='^NONE$'.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -63,11 +60,10 @@ const Partitioned<std::pair<uint64_t, uint32_t>>& Hc2EdgeMers() {
 }
 
 /// One adjacency-workload job run in phase (ii)'s shape: one AdjEntry per
-/// edge endpoint, no combiner; the reducer folds a vertex's entries into
-/// its Fig. 8a bitmap. Shared by the registered benchmarks and the
+/// edge endpoint; the reducer folds a vertex's entries into its Fig. 8a
+/// bitmap. Shared by the registered benchmarks and the
 /// BENCH_shuffle.json measurement.
-size_t RunAdjacencyJob(ShuffleStrategy strategy, SpillContext* spill,
-                       RunStats* stats) {
+size_t RunAdjacencyJob(SpillContext* spill, RunStats* stats) {
   const auto& edge_mers = Hc2EdgeMers();
   const int k = 31;
   auto map_fn = [k](const std::pair<uint64_t, uint32_t>& edge_mer,
@@ -91,7 +87,6 @@ size_t RunAdjacencyJob(ShuffleStrategy strategy, SpillContext* spill,
   MapReduceConfig config;
   config.num_workers = kWorkers;
   config.num_threads = 1;  // isolate group-by cost from parallelism
-  config.shuffle_strategy = strategy;
   config.job_name = "bench-adjacency";
   config.spill = spill;
   auto result = RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t,
@@ -102,24 +97,15 @@ size_t RunAdjacencyJob(ShuffleStrategy strategy, SpillContext* spill,
   return outputs;
 }
 
-void RunAdjacencyShuffle(benchmark::State& state, ShuffleStrategy strategy) {
+void BM_AdjacencyShuffleHash(benchmark::State& state) {
   uint64_t pairs = 0;
   for (auto _ : state) {
     RunStats stats;
-    benchmark::DoNotOptimize(RunAdjacencyJob(strategy, nullptr, &stats));
-    pairs = stats.pairs_emitted;
+    benchmark::DoNotOptimize(RunAdjacencyJob(nullptr, &stats));
+    pairs = stats.pairs_shuffled;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pairs));
-}
-
-void BM_AdjacencyShuffleSort(benchmark::State& state) {
-  RunAdjacencyShuffle(state, ShuffleStrategy::kSort);
-}
-BENCHMARK(BM_AdjacencyShuffleSort)->Unit(benchmark::kMillisecond);
-
-void BM_AdjacencyShuffleHash(benchmark::State& state) {
-  RunAdjacencyShuffle(state, ShuffleStrategy::kHash);
 }
 BENCHMARK(BM_AdjacencyShuffleHash)->Unit(benchmark::kMillisecond);
 
@@ -149,8 +135,7 @@ const Partitioned<FatNode>& MergeInput() {
   return input;
 }
 
-size_t RunMergeJob(ShuffleStrategy strategy, SpillContext* spill,
-                   RunStats* stats) {
+size_t RunMergeJob(SpillContext* spill, RunStats* stats) {
   constexpr uint64_t kLabels = 10000;
   auto map_fn = [](const FatNode& node, auto& emitter) {
     emitter.Emit(node.id % kLabels, node);
@@ -165,7 +150,6 @@ size_t RunMergeJob(ShuffleStrategy strategy, SpillContext* spill,
   MapReduceConfig config;
   config.num_workers = kWorkers;
   config.num_threads = 1;
-  config.shuffle_strategy = strategy;
   config.job_name = "bench-merge";
   config.spill = spill;
   auto result =
@@ -177,29 +161,20 @@ size_t RunMergeJob(ShuffleStrategy strategy, SpillContext* spill,
   return outputs;
 }
 
-void RunMergeShuffle(benchmark::State& state, ShuffleStrategy strategy) {
+void BM_MergeShuffleHash(benchmark::State& state) {
   for (auto _ : state) {
     RunStats stats;
-    benchmark::DoNotOptimize(RunMergeJob(strategy, nullptr, &stats));
+    benchmark::DoNotOptimize(RunMergeJob(nullptr, &stats));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kMergeNodes));
 }
-
-void BM_MergeShuffleSort(benchmark::State& state) {
-  RunMergeShuffle(state, ShuffleStrategy::kSort);
-}
-BENCHMARK(BM_MergeShuffleSort)->Unit(benchmark::kMillisecond);
-
-void BM_MergeShuffleHash(benchmark::State& state) {
-  RunMergeShuffle(state, ShuffleStrategy::kHash);
-}
 BENCHMARK(BM_MergeShuffleHash)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Once-per-process comparison emitted as BENCH_shuffle.json (mirrors
-// BENCH_kmer.json): sort vs hash on both workloads, plus
-// the external-spill overhead (always vs never) on the adjacency workload.
+// Once-per-process measurement emitted as BENCH_shuffle.json (mirrors
+// BENCH_kmer.json): both workloads, plus the external-spill overhead
+// (always vs never) on the adjacency workload.
 // ---------------------------------------------------------------------------
 
 struct JobMeasurement {
@@ -219,28 +194,22 @@ JobMeasurement Measure(JobFn&& job) {
 
 void RunShuffleComparison() {
   bench::PrintHeader(
-      "bench_micro_shuffle: sort vs hash group-by (+ spill overhead), "
+      "bench_micro_shuffle: hash group-by (+ spill overhead), "
       "HC-2-sim adjacency + fat-value merge workloads");
 
-  const JobMeasurement adj_sort = Measure([](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kSort, nullptr, s);
-  });
-  const JobMeasurement adj_hash = Measure([](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kHash, nullptr, s);
-  });
-  const JobMeasurement merge_sort = Measure([](RunStats* s) {
-    return RunMergeJob(ShuffleStrategy::kSort, nullptr, s);
-  });
-  const JobMeasurement merge_hash = Measure([](RunStats* s) {
-    return RunMergeJob(ShuffleStrategy::kHash, nullptr, s);
-  });
-  // Spill overhead on the adjacency workload: same hash job, every sealed
+  // Build both inputs first, so no measurement pays for them.
+  Hc2EdgeMers();
+  MergeInput();
+  const JobMeasurement adj_hash =
+      Measure([](RunStats* s) { return RunAdjacencyJob(nullptr, s); });
+  const JobMeasurement merge_hash =
+      Measure([](RunStats* s) { return RunMergeJob(nullptr, s); });
+  // Spill overhead on the adjacency workload: same job, every sealed
   // chunk through disk under a 4 MB budget.
   std::unique_ptr<SpillContext> spill =
       MakeSpillContext(SpillMode::kAlways, "", 4ULL << 20);
-  const JobMeasurement adj_spill = Measure([&](RunStats* s) {
-    return RunAdjacencyJob(ShuffleStrategy::kHash, spill.get(), s);
-  });
+  const JobMeasurement adj_spill =
+      Measure([&](RunStats* s) { return RunAdjacencyJob(spill.get(), s); });
 
   std::printf("%-24s %10s %12s %12s %12s\n", "case", "seconds", "pairs",
               "spilled_B", "readback_B");
@@ -250,10 +219,8 @@ void RunShuffleComparison() {
                 static_cast<unsigned long long>(m.stats.spill.spilled_bytes),
                 static_cast<unsigned long long>(m.stats.spill.readback_bytes));
   };
-  row("adjacency/sort", adj_sort);
   row("adjacency/hash", adj_hash);
   row("adjacency/hash+spill", adj_spill);
-  row("merge/sort", merge_sort);
   row("merge/hash", merge_hash);
 
   const char* json_env = std::getenv("PPA_BENCH_JSON");
@@ -264,7 +231,6 @@ void RunShuffleComparison() {
                       const JobMeasurement& m, bool last = false) {
     out << "    \"" << key << "\": {\"seconds\": " << m.seconds
         << ", \"outputs\": " << m.outputs
-        << ", \"pairs_emitted\": " << m.stats.pairs_emitted
         << ", \"pairs_shuffled\": " << m.stats.pairs_shuffled
         << ", \"spilled_bytes\": " << m.stats.spill.spilled_bytes
         << ", \"readback_bytes\": " << m.stats.spill.readback_bytes << "}"
@@ -277,29 +243,17 @@ void RunShuffleComparison() {
       << "  \"dataset_scale\": " << DatasetScaleFromEnv() << ",\n"
       << bench::JsonProvenanceFields()
       << "  \"adjacency\": {\n";
-  obj(out, "sort", adj_sort);
   obj(out, "hash", adj_hash);
   obj(out, "hash_spill_always", adj_spill, /*last=*/true);
   out << "  },\n"
       << "  \"merge\": {\n";
-  obj(out, "sort", merge_sort);
   obj(out, "hash", merge_hash, /*last=*/true);
   out << "  },\n"
-      << "  \"sort_over_hash_adjacency\": "
-      << (adj_hash.seconds == 0 ? 0 : adj_sort.seconds / adj_hash.seconds)
-      << ",\n"
-      << "  \"sort_over_hash_merge\": "
-      << (merge_hash.seconds == 0 ? 0 : merge_sort.seconds / merge_hash.seconds)
-      << ",\n"
       << "  \"spill_always_over_never_adjacency\": "
       << (adj_hash.seconds == 0 ? 0 : adj_spill.seconds / adj_hash.seconds)
       << ",\n"
       << "  \"outputs_identical\": "
-      << ((adj_sort.outputs == adj_hash.outputs &&
-           adj_hash.outputs == adj_spill.outputs &&
-           merge_sort.outputs == merge_hash.outputs)
-              ? "true"
-              : "false")
+      << (adj_hash.outputs == adj_spill.outputs ? "true" : "false")
       << "\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
 }

@@ -21,7 +21,8 @@ namespace ppa {
 namespace {
 
 /// Counts canonical k-mers (not (k+1)-mers: ABySS builds vertices first and
-/// discovers edges by probing). Returns (code, count) partitions.
+/// discovers edges by probing). Each occurrence ships one (code, 1) pair.
+/// Returns (code, count) partitions.
 Partitioned<std::pair<uint64_t, uint32_t>> CountKmers(
     const std::vector<Read>& reads, const AssemblerOptions& options,
     PipelineStats* stats) {
@@ -41,12 +42,6 @@ Partitioned<std::pair<uint64_t, uint32_t>> CountKmers(
       }
     }
   };
-  // Map-side combiner (the classic word-count one): each source ships one
-  // (k-mer, partial count) pair instead of one pair per occurrence, cutting
-  // the shuffle by roughly the per-worker coverage.
-  auto combine_fn = [](uint32_t& acc, uint32_t&& incoming) {
-    acc += incoming;
-  };
   const uint32_t threshold = options.coverage_threshold;
   auto reduce_fn = [threshold](const uint64_t& code,
                                std::span<uint32_t> counts,
@@ -61,7 +56,7 @@ Partitioned<std::pair<uint64_t, uint32_t>> CountKmers(
   auto counted =
       RunMapReduce<Read, uint64_t, uint32_t,
                    std::pair<uint64_t, uint32_t>>(
-          read_parts, map_fn, combine_fn, reduce_fn,
+          read_parts, map_fn, reduce_fn,
           MakeMrConfig(options, "abyss-kmer-counting"), &mr_stats);
   if (stats != nullptr) stats->Add(mr_stats);
   return counted;

@@ -101,9 +101,8 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << " delivery_micros=" << s.Get("pipeline.delivery_micros")
       << " wall_seconds=" << wall_seconds << '\n';
   // Pairs that crossed the shuffle, summed over the MapReduce jobs.
-  out << "shuffle: strategy="
-      << ShuffleStrategyName(opts.assembler.shuffle_strategy)
-      << " pairs_shuffled=" << s.Get("shuffle.pairs_shuffled") << '\n';
+  out << "shuffle: pairs_shuffled=" << s.Get("shuffle.pairs_shuffled")
+      << '\n';
   // Pipeline-wide spill: policy, budget, the measured high-water mark of
   // resident chunk bytes, and the volume that moved through the external
   // store across counting + every shuffle job.
@@ -132,6 +131,11 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
   out << "dbg: kmer_vertices=" << s.Get("dbg.kmer_vertices") << '\n';
   // List ranking's cycle leftovers, labeled by the S-V fallback.
   out << "labeling: cycle_vertices=" << s.Get("labeling.cycle_vertices")
+      << '\n';
+  // Error correction (operations 4 and 5), summed over the rounds.
+  out << "error_correction: bubble_contigs_pruned="
+      << s.Get("bubble_filtering.contigs_pruned")
+      << " tip_vertices_removed=" << s.Get("tip_removal.vertices_removed")
       << '\n';
   out << ref_warning;
   out << "contigs: count=" << s.Get("contigs.count")
@@ -490,6 +494,8 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
     data.spill_peak_resident_bytes = result.spill_peak_resident_bytes;
     data.kmer_vertices = result.kmer_vertices;
     data.labeling_cycle_vertices = result.labeling_cycle_vertices;
+    data.bubbles_pruned = result.bubbles_pruned;
+    data.tips_removed = result.tips_removed;
     data.num_contigs = quast.num_contigs;
     data.contigs_total_length = quast.total_length;
     data.contigs_n50 = quast.n50;
@@ -506,8 +512,6 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
       obs::RunReportInfo info;
       info.inputs = opts.inputs;
       info.counting_mode = "stream";
-      info.shuffle_strategy =
-          ShuffleStrategyName(opts.assembler.shuffle_strategy);
       info.spill_mode = SpillModeName(opts.assembler.spill_mode);
       info.wall_seconds = wall_seconds;
       info.workers = result.worker_telemetry;

@@ -102,8 +102,6 @@ AssemblyResult Assembler::Assemble(ReadStream& reads,
                  << ", shards=" << options.kmer_shards
                  << ", queue_bytes=" << options.kmer_queue_bytes
                  << "; 0 = auto)"
-                 << ", shuffle="
-                 << ShuffleStrategyName(options.shuffle_strategy)
                  << ", spill=" << SpillModeName(options.spill_mode);
   if (options.net_context != nullptr) {
     PPA_LOG(kInfo) << "distributed: " << options.net_context->description();

@@ -36,12 +36,6 @@ struct AssemblerOptions {
                                       // (backpressure); 0 = CounterSession
                                       // default (32 MB).
 
-  // MapReduce shuffle (every grouping operation: DBG construction phase
-  // (ii), both contig-merging jobs, bubble filtering). kSort is the
-  // reference path, set only by tests (shuffle_equivalence_test); both
-  // produce bit-identical pipeline output.
-  ShuffleStrategy shuffle_strategy = ShuffleStrategy::kHash;
-
   // External spill (spill/spill.h): ppa_assemble --spill-mode/--spill-dir/
   // --memory-budget-bytes. kNever keeps every chunk queue memory-resident
   // (the oracle path). kAuto: the counter keeps a chunk in its shard ring
@@ -86,14 +80,13 @@ struct AssemblerOptions {
 };
 
 /// The one place the assembly operations derive a MapReduceConfig from the
-/// pipeline options, so num_workers / num_threads / shuffle_strategy cannot
-/// drift between call sites.
+/// pipeline options, so num_workers / num_threads / the spill context
+/// cannot drift between call sites.
 inline MapReduceConfig MakeMrConfig(const AssemblerOptions& options,
                                     std::string job_name) {
   MapReduceConfig config;
   config.num_workers = options.num_workers;
   config.num_threads = options.num_threads;
-  config.shuffle_strategy = options.shuffle_strategy;
   config.job_name = std::move(job_name);
   config.spill = options.spill_context;
   return config;

@@ -605,11 +605,11 @@ struct CounterSession::Impl {
     });
   }
 
-  // Local pass 2: replays each shard's spill file into the bank, then
-  // filters and routes the shard. Replay refuses a failed, malformed, short
-  // or long readback; its errors are collected (not thrown) inside the
-  // pool — an exception on a pool worker thread would terminate the
-  // process.
+  // Local pass 2: replays each shard's spill file into the bank, deletes
+  // the file, then filters and routes the shard. Replay refuses a failed,
+  // malformed, short or long readback; its errors are collected (not
+  // thrown) inside the pool — an exception on a pool worker thread would
+  // terminate the process.
   std::vector<MerCounts> CountLocal(ThreadPool& pool,
                                     std::vector<uint64_t>* distinct) {
     std::vector<std::string> errors(plan.shards);
@@ -619,9 +619,9 @@ struct CounterSession::Impl {
         PPA_TRACE_SPAN_V("count_chunk", "count", payload.size());
         return bank->AddChunkPayload(s, payload.data(), payload.size(), why);
       };
-      if (spill_mode != SpillMode::kNever &&
-          !spill->manager.Replay(spill_file[s], count, &errors[s])) {
-        return;
+      if (spill_mode != SpillMode::kNever) {
+        if (!spill->manager.Replay(spill_file[s], count, &errors[s])) return;
+        spill->manager.Discard(spill_file[s]);
       }
       (*distinct)[s] = bank->distinct(s);
       shard_out[s] = bank->Finalize(s, config.coverage_threshold,

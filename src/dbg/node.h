@@ -152,18 +152,6 @@ struct AsmNode {
     }
     return removed_n;
   }
-
-  /// Removes every edge to `nbr` regardless of ends.
-  int RemoveEdgesTo(uint64_t nbr) {
-    int removed_n = 0;
-    for (size_t i = edges.size(); i > 0; --i) {
-      if (edges[i - 1].to == nbr) {
-        edges.erase(edges.begin() + static_cast<long>(i - 1));
-        ++removed_n;
-      }
-    }
-    return removed_n;
-  }
 };
 
 // A k-mer node's id is its canonical code (dbg/ids.h), so the node stores

@@ -2,9 +2,7 @@
 //
 // Contigs are written as standard 80-column FASTA with a metadata header
 // (`>contig_<id> length=<n> coverage=<c> circular=<0|1>`) so downstream
-// tools (QUAST, aligners) consume them directly. The one on-disk copy of a
-// graph is the TextStore part-file dump of dbg/graph_io.h (SaveGraph /
-// LoadGraph), the paper's HDFS stand-in.
+// tools (QUAST, aligners) consume them directly.
 #ifndef PPA_IO_FASTA_WRITER_H_
 #define PPA_IO_FASTA_WRITER_H_
 

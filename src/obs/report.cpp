@@ -92,6 +92,8 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
   Set(r, "spill.peak_resident_bytes", data.spill_peak_resident_bytes);
   Set(r, "dbg.kmer_vertices", data.kmer_vertices);
   Set(r, "labeling.cycle_vertices", data.labeling_cycle_vertices);
+  Set(r, "bubble_filtering.contigs_pruned", data.bubbles_pruned);
+  Set(r, "tip_removal.vertices_removed", data.tips_removed);
   Set(r, "contigs.count", data.num_contigs);
   Set(r, "contigs.total_length", data.contigs_total_length);
   Set(r, "contigs.n50", data.contigs_n50);
@@ -121,8 +123,6 @@ void WriteRunReportJson(std::ostream& out, const SnapshotView& snapshot,
   w.EndArray();
   w.Key("counting_mode");
   w.Value(info.counting_mode);
-  w.Key("shuffle_strategy");
-  w.Value(info.shuffle_strategy);
   w.Key("spill_mode");
   w.Value(info.spill_mode);
   w.Key("wall_seconds");

@@ -16,6 +16,7 @@
 //   net.*       distributed counters (coordinator side)
 //   dbg.*       graph size
 //   labeling.*  list ranking's S-V fallback
+//   bubble_filtering.*, tip_removal.*  error-correction counts
 //   contigs.*   QUAST-style assembly totals
 //   run.*       whole-run wall clock
 // Live metrics the pipeline increments while running (io.*, mem.*,
@@ -51,6 +52,8 @@ struct RunReportData {
   uint64_t spill_peak_resident_bytes = 0;
   uint64_t kmer_vertices = 0;
   uint64_t labeling_cycle_vertices = 0;
+  uint64_t bubbles_pruned = 0;
+  uint64_t tips_removed = 0;
   uint64_t num_contigs = 0;
   uint64_t contigs_total_length = 0;
   uint64_t contigs_n50 = 0;
@@ -82,9 +85,8 @@ class SnapshotView {
 /// Non-numeric run facts carried into run.json alongside the snapshot.
 struct RunReportInfo {
   std::vector<std::string> inputs;
-  std::string counting_mode;     // "stream": every run streams its reads
-  std::string shuffle_strategy;  // "sort" | "hash"
-  std::string spill_mode;        // "never" | "auto" | "always"
+  std::string counting_mode;  // "stream": every run streams its reads
+  std::string spill_mode;     // "never" | "auto" | "always"
   double wall_seconds = 0;
   std::vector<TelemetrySnapshot> workers;  // per-worker wire telemetry
 };

@@ -23,30 +23,20 @@
 //   per-(src, dst) chunk list when full. Pairs are written exactly once and
 //   never moved again until the reduce side consumes them — unlike the old
 //   outbox[src][dst] vector-of-vectors, whose W^2 buffers re-copied every
-//   pair O(log n) times while doubling. With a combiner (see below) the
-//   pairs pass through a per-source open-addressing table first.
+//   pair O(log n) times while doubling.
 //
-//   Reduce side — per destination, pairs are grouped either by
-//   ShuffleStrategy::kSort (stable sort by key + linear scan; the original
-//   engine and the equivalence oracle in tests) or by ShuffleStrategy::kHash
-//   (the kmer_counter idiom: an open-addressing key index assigns each pair
-//   a dense group id in one pass, then a counting-scatter lays the values
-//   out contiguously per group — O(n) instead of O(n log n), and only the
-//   distinct keys are ever sorted).
+//   Reduce side — per destination, HashGroupBy groups the pairs (the
+//   kmer_counter idiom: an open-addressing key index assigns each pair a
+//   dense group id in one pass, then a counting-scatter lays the values
+//   out contiguously per group — O(n), and only the distinct keys are ever
+//   sorted).
 //
-// Determinism contract (both strategies, any thread count):
+// Determinism contract (any thread count, any spill mode):
 //   * reduce_fn is invoked in ascending key order within each destination;
 //   * each group's values arrive in (source, emit) order.
-// This makes kSort and kHash produce bit-identical outputs — property
-// tests assert the whole pipeline agrees between them — and makes output
-// independent of num_threads.
-//
-// Combiners: the overload taking combine_fn(V&, V&&) pre-aggregates
-// same-key emissions on the map side (per source), so associative reducers
-// ship one combined value per (source, key) instead of one pair per
-// emission. RunStats then records both the emitted and the actually
-// shuffled pair counts, so the saving is visible. Only the ABySS-like
-// baseline's k-mer count combines; no assembly-pipeline job does.
+// So output is independent of num_threads. mapreduce_test checks both
+// points against a serial reference MapReduce that shares no code with
+// this engine.
 #ifndef PPA_PREGEL_MAPREDUCE_H_
 #define PPA_PREGEL_MAPREDUCE_H_
 
@@ -126,21 +116,10 @@ struct MrKeyHash<PairKey> {
   }
 };
 
-/// How the reduce side groups pairs by key.
-enum class ShuffleStrategy : uint8_t {
-  kSort = 0,  // stable sort + linear scan (the reference/oracle path)
-  kHash = 1,  // open-addressing group-by (default; O(n) grouping)
-};
-
-inline const char* ShuffleStrategyName(ShuffleStrategy s) {
-  return s == ShuffleStrategy::kSort ? "sort" : "hash";
-}
-
 /// Mini MapReduce job configuration.
 struct MapReduceConfig {
   uint32_t num_workers = 16;
   unsigned num_threads = 0;  // 0 = hardware concurrency.
-  ShuffleStrategy shuffle_strategy = ShuffleStrategy::kHash;
   std::string job_name = "mini-mr";
 
   // External spill (spill/spill.h): with a context whose mode is not
@@ -214,8 +193,6 @@ class KeyIndex {
 /// writes here, so the map phase takes no locks.
 template <typename K, typename V>
 using ChunkLists = std::vector<std::vector<std::vector<std::pair<K, V>>>>;
-
-struct NoCombine {};
 
 /// Per-job spill state of the shuffle: one spill file per destination,
 /// records tagged (source, seq) so readback reassembles the exact chunk
@@ -300,8 +277,9 @@ class ShuffleSpill {
     std::vector<std::pair<K, V>> pairs;
   };
 
-  /// Replays destination `dst`'s spill file, sorted by (src, seq). On
-  /// corruption fills `error` (the partial result must not be used).
+  /// Replays destination `dst`'s spill file, sorted by (src, seq), and
+  /// deletes the file: the reduce reads it exactly once. On corruption
+  /// fills `error` (the partial result must not be used).
   std::vector<ReadChunk> ReadBack(uint32_t dst, std::string* error) {
     std::vector<ReadChunk> out;
     if (!enabled()) return out;
@@ -334,6 +312,7 @@ class ShuffleSpill {
       return true;
     };
     if (!context_->manager.Replay(files_[dst], decode, error)) return out;
+    context_->manager.Discard(files_[dst]);
     std::sort(out.begin(), out.end(),
               [](const ReadChunk& a, const ReadChunk& b) {
                 return a.src != b.src ? a.src < b.src : a.seq < b.seq;
@@ -365,52 +344,17 @@ class ShuffleSpill {
   std::atomic<uint64_t> charged_{0};
 };
 
-/// Routed, chunked emit buffer of one map task. With a combiner, emissions
-/// pass through a per-source KeyIndex first and only the combined pairs are
-/// routed into chunks (at Flush time).
-template <typename K, typename V, typename CombineFn>
+/// Routed, chunked emit buffer of one map task.
+template <typename K, typename V>
 class Emitter {
  public:
-  Emitter(ChunkLists<K, V>* sealed, uint32_t num_workers,
-          CombineFn* combine_fn, uint32_t src = 0,
+  Emitter(ChunkLists<K, V>* sealed, uint32_t num_workers, uint32_t src = 0,
           ShuffleSpill<K, V>* spill = nullptr)
       : sealed_(sealed), active_(num_workers), num_workers_(num_workers),
-        combine_fn_(combine_fn), src_(src), spill_(spill) {}
+        src_(src), spill_(spill) {}
 
   void Emit(K key, V value) {
     ++emitted_;
-    if constexpr (!std::is_same_v<CombineFn, NoCombine>) {
-      const uint32_t idx = combined_.FindOrAdd(key);
-      if (idx == combined_values_.size()) {
-        combined_values_.push_back(std::move(value));
-      } else {
-        (*combine_fn_)(combined_values_[idx], std::move(value));
-      }
-    } else {
-      Route(std::move(key), std::move(value));
-    }
-  }
-
-  /// Seals all pending pairs into the chunk lists. Call once, after the
-  /// last Emit.
-  void Flush() {
-    if constexpr (!std::is_same_v<CombineFn, NoCombine>) {
-      const std::vector<K>& keys = combined_.keys();
-      for (size_t i = 0; i < keys.size(); ++i) {
-        Route(keys[i], std::move(combined_values_[i]));
-      }
-    }
-    for (uint32_t d = 0; d < num_workers_; ++d) {
-      if (!active_[d].empty()) Seal(d);
-    }
-  }
-
-  uint64_t emitted() const { return emitted_; }
-  uint64_t shuffled() const { return shuffled_; }
-
- private:
-  void Route(K key, V value) {
-    ++shuffled_;
     const uint32_t d =
         static_cast<uint32_t>(MrKeyHash<K>{}(key) % num_workers_);
     auto& chunk = active_[d];
@@ -419,6 +363,17 @@ class Emitter {
     if (chunk.size() >= kChunkPairs) Seal(d);
   }
 
+  /// Seals all pending pairs into the chunk lists. Call once, after the
+  /// last Emit.
+  void Flush() {
+    for (uint32_t d = 0; d < num_workers_; ++d) {
+      if (!active_[d].empty()) Seal(d);
+    }
+  }
+
+  uint64_t emitted() const { return emitted_; }
+
+ private:
   // Seals the active chunk of destination d into its lane — to disk (an
   // empty placeholder keeps the lane's seq numbering) when the spill
   // policy takes it, into memory otherwise. Sealed chunks are never empty,
@@ -438,49 +393,10 @@ class Emitter {
   ChunkLists<K, V>* sealed_;
   std::vector<std::vector<std::pair<K, V>>> active_;  // one per destination
   uint32_t num_workers_;
-  CombineFn* combine_fn_;
   uint32_t src_;
   ShuffleSpill<K, V>* spill_;
-  KeyIndex<K> combined_;
-  std::vector<V> combined_values_;
   uint64_t emitted_ = 0;
-  uint64_t shuffled_ = 0;
 };
-
-/// Groups one destination's chunks with a stable sort and reduces each run
-/// of equal keys. Consumes (and frees) the chunks.
-template <typename K, typename V, typename Out, typename ReduceFn>
-uint64_t SortGroupBy(std::vector<std::vector<std::pair<K, V>>*>& chunks,
-                     size_t total, ReduceFn& reduce_fn,
-                     std::vector<Out>& out) {
-  std::vector<std::pair<K, V>> pairs;
-  pairs.reserve(total);
-  for (auto* chunk : chunks) {
-    std::move(chunk->begin(), chunk->end(), std::back_inserter(pairs));
-    *chunk = {};
-  }
-  // Stable: equal-key pairs keep (source, emit) order, matching the hash
-  // strategy's arrival-order scatter so the two are bit-identical.
-  std::stable_sort(pairs.begin(), pairs.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  uint64_t reduce_ops = 0;
-  size_t i = 0;
-  std::vector<V> group;
-  while (i < pairs.size()) {
-    size_t j = i;
-    group.clear();
-    while (j < pairs.size() && pairs[j].first == pairs[i].first) {
-      group.push_back(std::move(pairs[j].second));
-      ++j;
-    }
-    reduce_fn(pairs[i].first, std::span<V>(group), out);
-    reduce_ops += group.size();
-    i = j;
-  }
-  return reduce_ops;
-}
 
 /// Groups one destination's chunks with an open-addressing key index and a
 /// counting scatter, then reduces groups in ascending key order. Consumes
@@ -539,13 +455,25 @@ uint64_t HashGroupBy(std::vector<std::vector<std::pair<K, V>>*>& chunks,
   return reduce_ops;
 }
 
-/// Shared implementation behind both RunMapReduce overloads.
+}  // namespace mr_internal
+
+/// Runs a mini MapReduce job.
+///
+///   map_fn:    void(const In&, Emitter&)  with Emitter::Emit(K, V)
+///   reduce_fn: void(const K&, std::span<V>, std::vector<Out>&)
+///
+/// Returns the reduce outputs, partitioned by the shuffle hash of the key
+/// that produced them (so k-mer-keyed outputs land on the k-mer's worker).
+/// reduce_fn is invoked in ascending key order per destination, and each
+/// group's values arrive in (source, emit) order — under any thread count
+/// and spill mode, so outputs are deterministic. If `stats` is non-null,
+/// shuffle volumes are appended as two supersteps (map+shuffle, reduce).
 template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
-                                  CombineFn combine_fn, ReduceFn reduce_fn,
-                                  const MapReduceConfig& config,
-                                  RunStats* stats) {
+          typename ReduceFn>
+Partitioned<Out> RunMapReduce(const Partitioned<In>& input, MapFn map_fn,
+                              ReduceFn reduce_fn,
+                              const MapReduceConfig& config,
+                              RunStats* stats = nullptr) {
   static_assert(std::is_trivially_copyable_v<K> &&
                     std::is_trivially_copyable_v<V>,
                 "shuffle keys and values must be flat records: their bytes "
@@ -557,21 +485,18 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
 
   // --- Map phase: each source emits routed pairs into sealed chunks; the
   // spill policy may divert sealed chunks to per-destination files. -------
-  ShuffleSpill<K, V> spill(config.spill, config.job_name, W);
-  std::vector<ChunkLists<K, V>> sealed(W);
+  mr_internal::ShuffleSpill<K, V> spill(config.spill, config.job_name, W);
+  std::vector<mr_internal::ChunkLists<K, V>> sealed(W);
   std::vector<uint64_t> emitted(W, 0);
-  std::vector<uint64_t> shuffled(W, 0);
   pool.Run(W, [&](uint32_t src) {
     PPA_TRACE_SPAN("map_phase", "mapreduce");
     sealed[src].resize(W);
-    Emitter<K, V, CombineFn> emitter(&sealed[src], W, &combine_fn, src,
-                                     &spill);
+    mr_internal::Emitter<K, V> emitter(&sealed[src], W, src, &spill);
     for (const In& record : input[src]) {
       map_fn(record, emitter);
     }
     emitter.Flush();
     emitted[src] = emitter.emitted();
-    shuffled[src] = emitter.shuffled();
   });
   // Spilled chunks must be durable (and their byte accounting settled)
   // before any destination starts reading them back.
@@ -579,28 +504,23 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
 
   SuperstepStats map_ss;
   map_ss.superstep = 0;
-  uint64_t pairs_emitted = 0;
   uint64_t pairs_shuffled = 0;
-  for (uint32_t src = 0; src < W; ++src) {
-    pairs_emitted += emitted[src];
-    pairs_shuffled += shuffled[src];
-  }
+  for (uint32_t src = 0; src < W; ++src) pairs_shuffled += emitted[src];
   if (stats != nullptr) {
     map_ss.worker_messages.resize(W);
     map_ss.worker_bytes.resize(W);
     map_ss.worker_ops.resize(W);
     for (uint32_t src = 0; src < W; ++src) {
-      map_ss.worker_messages[src] = shuffled[src];
+      map_ss.worker_messages[src] = emitted[src];
       // Byte volume is the pairs' inline footprint, exact because keys
       // and values are flat records.
-      map_ss.worker_bytes[src] = shuffled[src] * sizeof(std::pair<K, V>);
-      // Combining work (one table probe per emission) counts as map ops.
+      map_ss.worker_bytes[src] = emitted[src] * sizeof(std::pair<K, V>);
       map_ss.worker_ops[src] = input[src].size() + emitted[src];
       map_ss.active_vertices += input[src].size();
     }
     map_ss.messages_sent = pairs_shuffled;
     map_ss.message_bytes = pairs_shuffled * sizeof(std::pair<K, V>);
-    map_ss.compute_ops = pairs_emitted;
+    map_ss.compute_ops = pairs_shuffled;
   }
 
   // --- Shuffle + group-by + reduce phase. ----------------------------------
@@ -610,7 +530,7 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
   pool.Run(W, [&](uint32_t dst) {
     PPA_TRACE_SPAN("reduce_phase", "mapreduce");
     // Collect this destination's chunks in (source, emit) order — the
-    // deterministic arrival order both strategies preserve within groups.
+    // deterministic arrival order HashGroupBy preserves within groups.
     // Spilled chunks are read back here, shard-locally, and slotted into
     // the lane positions their placeholders hold, so the order is the one
     // the in-memory path would have produced. Errors are collected, not
@@ -647,10 +567,8 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
           " spilled chunks have no placeholder in " + config.job_name;
       return;
     }
-    reduce_ops[dst] =
-        config.shuffle_strategy == ShuffleStrategy::kSort
-            ? SortGroupBy<K, V, Out>(chunks, total, reduce_fn, output[dst])
-            : HashGroupBy<K, V, Out>(chunks, total, reduce_fn, output[dst]);
+    reduce_ops[dst] = mr_internal::HashGroupBy<K, V, Out>(
+        chunks, total, reduce_fn, output[dst]);
   });
   for (const std::string& error : readback_errors) {
     if (!error.empty()) throw std::runtime_error(error);
@@ -659,7 +577,6 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
   if (stats != nullptr) {
     stats->spill += spill.Stats();
     stats->job_name = config.job_name;
-    stats->pairs_emitted += pairs_emitted;
     stats->pairs_shuffled += pairs_shuffled;
     stats->supersteps.push_back(std::move(map_ss));
     SuperstepStats reduce_ss;
@@ -676,49 +593,6 @@ Partitioned<Out> RunMapReduceImpl(const Partitioned<In>& input, MapFn map_fn,
     stats->wall_seconds += timer.Seconds();
   }
   return output;
-}
-
-}  // namespace mr_internal
-
-/// Runs a mini MapReduce job.
-///
-///   map_fn:    void(const In&, Emitter&)  with Emitter::Emit(K, V)
-///   reduce_fn: void(const K&, std::span<V>, std::vector<Out>&)
-///
-/// Returns the reduce outputs, partitioned by the shuffle hash of the key
-/// that produced them (so k-mer-keyed outputs land on the k-mer's worker).
-/// reduce_fn is invoked in ascending key order per destination, and each
-/// group's values arrive in (source, emit) order — under either
-/// shuffle strategy and any thread count, so outputs are deterministic.
-/// If `stats` is non-null, shuffle volumes are appended as two supersteps
-/// (map+shuffle, reduce).
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename ReduceFn>
-Partitioned<Out> RunMapReduce(const Partitioned<In>& input, MapFn map_fn,
-                              ReduceFn reduce_fn,
-                              const MapReduceConfig& config,
-                              RunStats* stats = nullptr) {
-  return mr_internal::RunMapReduceImpl<In, K, V, Out>(
-      input, map_fn, mr_internal::NoCombine{}, reduce_fn, config, stats);
-}
-
-/// Runs a mini MapReduce job with a map-side combiner.
-///
-///   combine_fn: void(V& accumulated, V&& incoming)
-///
-/// combine_fn must be associative and order-insensitive with respect to the
-/// reduce: same-key emissions of one source are pre-aggregated into a
-/// single shuffled pair, so reduce_fn sees at most num_workers values per
-/// group (still in source order). RunStats records pairs_emitted (before
-/// combining) vs pairs_shuffled (after) so reports can show the saving.
-template <typename In, typename K, typename V, typename Out, typename MapFn,
-          typename CombineFn, typename ReduceFn>
-Partitioned<Out> RunMapReduce(const Partitioned<In>& input, MapFn map_fn,
-                              CombineFn combine_fn, ReduceFn reduce_fn,
-                              const MapReduceConfig& config,
-                              RunStats* stats = nullptr) {
-  return mr_internal::RunMapReduceImpl<In, K, V, Out>(
-      input, map_fn, combine_fn, reduce_fn, config, stats);
 }
 
 }  // namespace ppa

@@ -66,9 +66,8 @@ struct RunStats {
   double compute_seconds = 0;
   double delivery_seconds = 0;
 
-  // MapReduce jobs only: map-side emissions before and after combining.
-  // Equal when the job has no combiner; the gap is the combiner's saving.
-  uint64_t pairs_emitted = 0;
+  // MapReduce jobs only: pairs the map side emitted, every one of which
+  // crosses the shuffle (equals the map superstep's messages_sent).
   uint64_t pairs_shuffled = 0;
 
   // Spill volume of the job's per-shard/per-destination spill files.
@@ -158,7 +157,6 @@ struct PipelineStats {
       out.wall_seconds += j.wall_seconds;
       out.compute_seconds += j.compute_seconds;
       out.delivery_seconds += j.delivery_seconds;
-      out.pairs_emitted += j.pairs_emitted;
       out.pairs_shuffled += j.pairs_shuffled;
       out.spill += j.spill;
       out.supersteps.insert(out.supersteps.end(), j.supersteps.begin(),

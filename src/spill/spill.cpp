@@ -10,6 +10,7 @@
 
 #include "obs/trace.h"
 #include "util/crc32.h"
+#include "util/logging.h"
 #include "util/varint.h"
 
 namespace ppa {
@@ -229,6 +230,7 @@ SpillManager::File& SpillManager::FileAt(uint32_t file) {
 void SpillManager::Append(uint32_t file, std::vector<uint8_t> payload,
                           std::function<void()> done) {
   File& ledger = FileAt(file);
+  PPA_CHECK(!ledger.discarded.load(std::memory_order_relaxed));
   ledger.records.fetch_add(1, std::memory_order_relaxed);
   ledger.bytes.fetch_add(payload.size(), std::memory_order_relaxed);
   Writer& writer = *writers_[file % writers_.size()];
@@ -288,6 +290,18 @@ bool SpillManager::Replay(uint32_t file, const RecordFn& fn,
   ledger.replayed_bytes.fetch_add(reader.bytes_read(),
                                   std::memory_order_relaxed);
   return true;
+}
+
+void SpillManager::Discard(uint32_t file) {
+  std::lock_guard<std::mutex> lock(files_mu_);
+  File& f = files_[file];
+  f.discarded.store(true, std::memory_order_relaxed);
+  if (f.stream != nullptr) {
+    std::fclose(f.stream);
+    f.stream = nullptr;
+  }
+  std::error_code ec;
+  fs::remove(f.path, ec);  // never created when nothing was appended
 }
 
 SpillStats SpillManager::Stats(const std::vector<uint32_t>& files) const {

@@ -12,8 +12,10 @@
 //     async writer threads. Producers register named files and append
 //     records; appends are non-blocking (the backlog is accounted by the
 //     producer's own byte bound) and per-file write order equals
-//     submission order. The directory is removed on destruction — success,
-//     early Finish, and exception unwinds all converge there.
+//     submission order. A consumer that reads a file once discards it
+//     right after its replay; the directory, with whatever is left in it,
+//     is removed on destruction — success, early Finish, and exception
+//     unwinds all converge there.
 //
 //   * SpillManager is also the one spill ledger. Append counts each file's
 //     records and payload bytes; Replay reads a file back in write order
@@ -247,10 +249,13 @@ class SpillReader {
 /// on the writer thread. Sync() barriers all pending writes and flushes.
 /// Append, Replay and Stats may run concurrently on distinct files.
 ///
-/// Lifecycle contract: the directory (and everything in it) is removed by
-/// the destructor on every path — normal completion, early destruction
-/// with writes still queued (they are drained first so `done` callbacks
-/// always run), and stack unwinding.
+/// Lifecycle contract: a consumer that replays a file once calls Discard
+/// after its successful Replay, which closes and deletes the file at once,
+/// so the directory holds only the files still waiting to be read. The
+/// directory (and everything left in it) is removed by the destructor on
+/// every path — normal completion, early destruction with writes still
+/// queued (they are drained first so `done` callbacks always run), and
+/// stack unwinding.
 class SpillManager {
  public:
   struct Config {
@@ -295,6 +300,11 @@ class SpillManager {
   /// appended to replays as zero records without touching the disk.
   bool Replay(uint32_t file, const RecordFn& fn, std::string* error);
 
+  /// Closes and deletes `file` once its consumer is done with it. The
+  /// ledger stays, so Stats reports the file as before; a later Append to
+  /// it aborts. Call after Sync(), with no Append to `file` in flight.
+  void Discard(uint32_t file);
+
   /// The ledger of `files`: records and payload bytes appended, files
   /// holding at least one record, and what Replay read back and verified.
   SpillStats Stats(const std::vector<uint32_t>& files) const;
@@ -330,6 +340,7 @@ class SpillManager {
     std::atomic<uint64_t> bytes{0};
     std::atomic<uint64_t> replayed_records{0};
     std::atomic<uint64_t> replayed_bytes{0};
+    std::atomic<bool> discarded{false};
   };
 
   File& FileAt(uint32_t file);

@@ -285,8 +285,7 @@ TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
   // volume.
   const std::string stats = ReadFile(opts.stats_out);
   EXPECT_NE(stats.find("mode=stream"), std::string::npos);
-  EXPECT_NE(stats.find("shuffle: strategy=hash pairs_shuffled="),
-            std::string::npos)
+  EXPECT_NE(stats.find("shuffle: pairs_shuffled="), std::string::npos)
       << stats;
   EXPECT_NE(stats.find("peak_queued_bytes="), std::string::npos);
   EXPECT_NE(stats.find("n50="), std::string::npos);
@@ -502,7 +501,6 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   ASSERT_NE(run.Find("schema"), nullptr);
   EXPECT_EQ(run.Find("schema")->str, "ppa.run_report.v1");
   EXPECT_EQ(run.Find("counting_mode")->str, "stream");
-  EXPECT_EQ(run.Find("shuffle_strategy")->str, "hash");
   ASSERT_EQ(run.Find("inputs")->array.size(), 1u);
   EXPECT_EQ(run.Find("inputs")->array[0].str, written[0]);
   ASSERT_NE(run.Find("workers"), nullptr);  // present (empty: in-process)
@@ -522,14 +520,21 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
       {"shuffle.pairs_shuffled", "pairs_shuffled"},
       {"dbg.kmer_vertices", "kmer_vertices"},
       {"labeling.cycle_vertices", "cycle_vertices"},
+      {"bubble_filtering.contigs_pruned", "bubble_contigs_pruned"},
+      {"tip_removal.vertices_removed", "tip_vertices_removed"},
       {"contigs.n50", "n50"},
       {"contigs.total_length", "total_length"},
   };
   for (const auto& [metric, key] : kPairs) {
     EXPECT_EQ(metrics->GetU64(metric), ReportField(stats, key)) << metric;
   }
-  // Published even when list ranking leaves no cycle.
-  EXPECT_NE(metrics->Find("labeling.cycle_vertices"), nullptr);
+  // Published even when list ranking leaves no cycle, or error correction
+  // removes nothing.
+  for (const char* metric :
+       {"labeling.cycle_vertices", "bubble_filtering.contigs_pruned",
+        "tip_removal.vertices_removed"}) {
+    EXPECT_NE(metrics->Find(metric), nullptr) << metric;
+  }
   // The fullest shard holds at least the mean share and at most every window.
   const uint64_t max_shard_windows =
       metrics->GetU64("counting.max_shard_windows");

@@ -3,14 +3,57 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 
+#include "spill/spill.h"
 #include "util/hash.h"
 
 namespace ppa {
 namespace {
+
+/// Serial reference MapReduce, the oracle for RunMapReduce: map every
+/// record in source order, route each pair by MrKeyHash, stable-sort each
+/// destination by key, reduce each run of equal keys. It shares no code
+/// with the engine's emitter, chunk lanes, spill readback or HashGroupBy.
+template <typename K, typename V, typename Out, typename In, typename MapFn,
+          typename ReduceFn>
+Partitioned<Out> ReferenceMapReduce(const Partitioned<In>& input,
+                                    MapFn map_fn, ReduceFn reduce_fn,
+                                    uint32_t num_workers) {
+  struct Collector {
+    std::vector<std::pair<K, V>> pairs;
+    void Emit(K key, V value) { pairs.emplace_back(key, value); }
+  } collector;
+  for (const std::vector<In>& source : input) {
+    for (const In& record : source) map_fn(record, collector);
+  }
+  std::vector<std::vector<std::pair<K, V>>> routed(num_workers);
+  for (const auto& pair : collector.pairs) {
+    routed[MrKeyHash<K>{}(pair.first) % num_workers].push_back(pair);
+  }
+  Partitioned<Out> output(num_workers);
+  for (uint32_t d = 0; d < num_workers; ++d) {
+    std::vector<std::pair<K, V>>& pairs = routed[d];
+    std::stable_sort(pairs.begin(), pairs.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (size_t i = 0; i < pairs.size();) {
+      std::vector<V> group;
+      size_t j = i;
+      for (; j < pairs.size() && pairs[j].first == pairs[i].first; ++j) {
+        group.push_back(pairs[j].second);
+      }
+      reduce_fn(pairs[i].first, std::span<V>(group), output[d]);
+      i = j;
+    }
+  }
+  return output;
+}
 
 TEST(MapReduceTest, WordCountStyle) {
   std::vector<uint64_t> data;
@@ -149,45 +192,70 @@ TEST(MapReduceTest, EmptyInput) {
   EXPECT_TRUE(Flatten(result).empty());
 }
 
-// Word count under both strategies and several thread counts: outputs must
-// be bit-identical partition by partition (the engine's determinism and
-// ordering contract), not merely equal as multisets.
-TEST(MapReduceTest, StrategiesAndThreadCountsAgreeExactly) {
-  std::vector<uint64_t> data;
-  for (uint64_t i = 0; i < 5000; ++i) data.push_back((i * 2654435761u) % 911);
-  auto input = Scatter(data, 8);
-  auto map_fn = [](const uint64_t& x, auto& emitter) {
-    emitter.Emit(x, uint32_t{1});
+// RunMapReduce equals the serial reference partition for partition —
+// every output in the same partition and in the same position — under
+// 1, 2 and 8 threads and every spill mode, for flat and PairKey keys. Each
+// (source, destination) lane holds about three chunks (well over
+// kChunkPairs pairs), and the reduce is order-sensitive, so a misordered
+// chunk, value or group changes the output.
+template <typename K>
+void ExpectMatchesReference(K (*make_key)(uint64_t)) {
+  constexpr uint32_t kWorkers = 4;
+  std::vector<uint64_t> data(24000);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = i;
+  const Partitioned<uint64_t> input = Scatter(data, kWorkers);
+  auto map_fn = [make_key](const uint64_t& x, auto& emitter) {
+    emitter.Emit(make_key(x % 1031), x);          // many small groups
+    emitter.Emit(make_key((x * 7) % 97), x * 3);  // fewer, long groups
   };
-  auto reduce_fn = [](const uint64_t& key, std::span<uint32_t> values,
-                      std::vector<std::pair<uint64_t, uint32_t>>& out) {
-    uint32_t sum = 0;
-    for (uint32_t v : values) sum += v;
-    out.emplace_back(key, sum);
+  auto reduce_fn = [](const K& key, std::span<uint64_t> values,
+                      std::vector<std::pair<K, uint64_t>>& out) {
+    uint64_t acc = values.size();
+    for (uint64_t v : values) acc = acc * 1000003 + v;
+    out.emplace_back(key, acc);
   };
+  const auto expected =
+      ReferenceMapReduce<K, uint64_t, std::pair<K, uint64_t>>(
+          input, map_fn, reduce_fn, kWorkers);
+  // 48,000 pairs over 16 lanes: several sealed chunks per lane.
+  ASSERT_GT(data.size() * 2 / (kWorkers * kWorkers),
+            2 * mr_internal::kChunkPairs);
 
-  auto run = [&](ShuffleStrategy strategy, unsigned threads) {
-    MapReduceConfig config;
-    config.num_workers = 8;
-    config.num_threads = threads;
-    config.shuffle_strategy = strategy;
-    return RunMapReduce<uint64_t, uint64_t, uint32_t,
-                        std::pair<uint64_t, uint32_t>>(input, map_fn,
-                                                       reduce_fn, config);
-  };
-
-  const auto reference = run(ShuffleStrategy::kSort, 1);
-  for (ShuffleStrategy strategy :
-       {ShuffleStrategy::kSort, ShuffleStrategy::kHash}) {
+  for (SpillMode mode :
+       {SpillMode::kNever, SpillMode::kAuto, SpillMode::kAlways}) {
     for (unsigned threads : {1u, 2u, 8u}) {
-      EXPECT_EQ(run(strategy, threads), reference)
-          << ShuffleStrategyName(strategy) << " threads=" << threads;
+      std::unique_ptr<SpillContext> spill =
+          MakeSpillContext(mode, "", 64 << 10);
+      MapReduceConfig config;
+      config.num_workers = kWorkers;
+      config.num_threads = threads;
+      config.job_name = "reference-test";
+      config.spill = spill.get();
+      RunStats stats;
+      const auto actual = RunMapReduce<uint64_t, K, uint64_t,
+                                       std::pair<K, uint64_t>>(
+          input, map_fn, reduce_fn, config, &stats);
+      EXPECT_EQ(actual, expected)
+          << SpillModeName(mode) << " threads=" << threads;
+      EXPECT_EQ(stats.pairs_shuffled, 2 * data.size());
+      if (mode != SpillMode::kNever) {
+        EXPECT_GT(stats.spill.spilled_chunks, 0u) << SpillModeName(mode);
+      }
     }
   }
 }
 
-// Both strategies must deliver each group's values in (source, emit) order
-// and invoke reduce in ascending key order.
+TEST(MapReduceTest, MatchesSerialReferenceWithFlatKeys) {
+  ExpectMatchesReference<uint64_t>([](uint64_t x) { return x; });
+}
+
+TEST(MapReduceTest, MatchesSerialReferenceWithPairKeys) {
+  ExpectMatchesReference<PairKey>(
+      [](uint64_t x) { return PairKey{x % 17, x % 13}; });
+}
+
+// Each group's values arrive in (source, emit) order, and reduce runs in
+// ascending key order.
 TEST(MapReduceTest, GroupValuesArriveInSourceEmitOrder) {
   // Source s emits (key, s * 100 + j) for its j-th emission of each key.
   Partitioned<uint64_t> input(4);
@@ -205,81 +273,33 @@ TEST(MapReduceTest, GroupValuesArriveInSourceEmitOrder) {
     groups_seen.emplace_back(values.begin(), values.end());
     out.push_back(key);
   };
-  for (ShuffleStrategy strategy :
-       {ShuffleStrategy::kSort, ShuffleStrategy::kHash}) {
-    groups_seen.clear();
-    MapReduceConfig config;
-    config.num_workers = 4;
-    config.num_threads = 1;  // shared groups_seen
-    config.shuffle_strategy = strategy;
-    auto result = RunMapReduce<uint64_t, uint64_t, uint64_t, uint64_t>(
-        input, map_fn, reduce_fn, config);
-    const std::vector<uint64_t> expected = {0,   1,   2,   100, 101, 102,
-                                            200, 201, 202, 300, 301, 302};
-    // Both keys hash to some destination; each group saw source-major,
-    // emit-ordered values.
-    ASSERT_EQ(groups_seen.size(), 2u) << ShuffleStrategyName(strategy);
-    EXPECT_EQ(groups_seen[0], expected) << ShuffleStrategyName(strategy);
-    EXPECT_EQ(groups_seen[1], expected) << ShuffleStrategyName(strategy);
-    // Ascending key order within each destination.
-    auto flat = Flatten(result);
-    std::sort(flat.begin(), flat.end());
-    EXPECT_EQ(flat, (std::vector<uint64_t>{3, 7}));
-  }
+  MapReduceConfig config;
+  config.num_workers = 4;
+  config.num_threads = 1;  // shared groups_seen
+  auto result = RunMapReduce<uint64_t, uint64_t, uint64_t, uint64_t>(
+      input, map_fn, reduce_fn, config);
+  const std::vector<uint64_t> expected = {0,   1,   2,   100, 101, 102,
+                                          200, 201, 202, 300, 301, 302};
+  // Both keys hash to some destination; each group saw source-major,
+  // emit-ordered values.
+  ASSERT_EQ(groups_seen.size(), 2u);
+  EXPECT_EQ(groups_seen[0], expected);
+  EXPECT_EQ(groups_seen[1], expected);
+  // Ascending key order within each destination.
+  auto flat = Flatten(result);
+  std::sort(flat.begin(), flat.end());
+  EXPECT_EQ(flat, (std::vector<uint64_t>{3, 7}));
 }
 
-// The map-side combiner pre-aggregates per source: results are unchanged,
-// and the recorded shuffle volume drops to one pair per (source, key).
-TEST(MapReduceTest, CombinerReducesShuffleVolume) {
-  std::vector<uint64_t> data;
-  for (uint64_t i = 0; i < 1000; ++i) data.push_back(i % 37);
-  auto input = Scatter(data, 8);
-  auto map_fn = [](const uint64_t& x, auto& emitter) {
-    emitter.Emit(x, uint32_t{1});
-  };
-  auto combine_fn = [](uint32_t& acc, uint32_t&& v) { acc += v; };
-  auto reduce_fn = [](const uint64_t& key, std::span<uint32_t> values,
-                      std::vector<std::pair<uint64_t, uint32_t>>& out) {
-    uint32_t sum = 0;
-    for (uint32_t v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-
-  for (ShuffleStrategy strategy :
-       {ShuffleStrategy::kSort, ShuffleStrategy::kHash}) {
-    MapReduceConfig config;
-    config.num_workers = 8;
-    config.num_threads = 2;
-    config.shuffle_strategy = strategy;
-    RunStats stats;
-    auto result = RunMapReduce<uint64_t, uint64_t, uint32_t,
-                               std::pair<uint64_t, uint32_t>>(
-        input, map_fn, combine_fn, reduce_fn, config, &stats);
-
-    std::map<uint64_t, uint32_t> merged;
-    for (const auto& part : result) {
-      for (const auto& [k, v] : part) merged[k] = v;
-    }
-    ASSERT_EQ(merged.size(), 37u);
-    for (uint64_t k = 0; k < 37; ++k) {
-      EXPECT_EQ(merged[k], 1000 / 37 + (k < 1000 % 37 ? 1 : 0)) << k;
-    }
-    // 1000 emissions collapse to at most 8 sources x 37 keys pairs.
-    EXPECT_EQ(stats.pairs_emitted, 1000u);
-    EXPECT_LE(stats.pairs_shuffled, 8u * 37u);
-    EXPECT_GT(stats.pairs_shuffled, 0u);
-    // The recorded message volume is the post-combine one.
-    EXPECT_EQ(stats.supersteps[0].messages_sent, stats.pairs_shuffled);
-  }
-}
-
-// Without a combiner the two volumes are equal (nothing combined away).
-TEST(MapReduceTest, NoCombinerShufflesEveryEmission) {
+// Every emission crosses the shuffle once: pairs_shuffled counts them, and
+// the map superstep records the same number of messages.
+TEST(MapReduceTest, PairsShuffledCountsEveryEmission) {
   std::vector<uint64_t> data;
   for (uint64_t i = 0; i < 300; ++i) data.push_back(i % 5);
   auto input = Scatter(data, 4);
   auto map_fn = [](const uint64_t& x, auto& emitter) {
     emitter.Emit(x, x);
+    if (x == 0) emitter.Emit(x, x + 1);  // 60 records emit twice
   };
   auto reduce_fn = [](const uint64_t& key, std::span<uint64_t>,
                       std::vector<uint64_t>& out) { out.push_back(key); };
@@ -289,38 +309,11 @@ TEST(MapReduceTest, NoCombinerShufflesEveryEmission) {
   RunMapReduce<uint64_t, uint64_t, uint64_t, uint64_t>(input, map_fn,
                                                        reduce_fn, config,
                                                        &stats);
-  EXPECT_EQ(stats.pairs_emitted, 300u);
-  EXPECT_EQ(stats.pairs_shuffled, 300u);
-}
-
-// More pairs than one chunk holds, forcing sealed-chunk handoff, under
-// composite (pair) keys and both strategies.
-TEST(MapReduceTest, MultiChunkPairKeysAgreeAcrossStrategies) {
-  using Key = PairKey;
-  std::vector<uint64_t> data;
-  for (uint64_t i = 0; i < 20000; ++i) data.push_back(i);
-  auto input = Scatter(data, 3);
-  auto map_fn = [](const uint64_t& x, auto& emitter) {
-    emitter.Emit(Key{x % 17, x % 13}, x);
-  };
-  auto reduce_fn = [](const Key& key, std::span<uint64_t> values,
-                      std::vector<std::pair<Key, uint64_t>>& out) {
-    uint64_t sum = 0;
-    for (uint64_t v : values) sum += v;
-    out.emplace_back(key, sum);
-  };
-  auto run = [&](ShuffleStrategy strategy) {
-    MapReduceConfig config;
-    config.num_workers = 3;
-    config.num_threads = 2;
-    config.shuffle_strategy = strategy;
-    return RunMapReduce<uint64_t, Key, uint64_t, std::pair<Key, uint64_t>>(
-        input, map_fn, reduce_fn, config);
-  };
-  const auto sorted = run(ShuffleStrategy::kSort);
-  const auto hashed = run(ShuffleStrategy::kHash);
-  EXPECT_EQ(sorted, hashed);
-  EXPECT_EQ(Flatten(sorted).size(), 17u * 13u);
+  EXPECT_EQ(stats.pairs_shuffled, 360u);
+  ASSERT_EQ(stats.num_supersteps(), 2u);
+  EXPECT_EQ(stats.supersteps[0].messages_sent, stats.pairs_shuffled);
+  EXPECT_EQ(stats.supersteps[0].message_bytes,
+            360u * sizeof(std::pair<uint64_t, uint64_t>));
 }
 
 TEST(ScatterTest, RoundRobinPreservesAll) {

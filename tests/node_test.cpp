@@ -114,7 +114,7 @@ TEST(AsmNodeTest, EdgeAtAndRemoveEdge) {
   EXPECT_EQ(node.RemoveEdge(1, NodeEnd::k3, NodeEnd::k5), 1);
   EXPECT_EQ(node.EdgeAt(NodeEnd::k3), nullptr);
   EXPECT_EQ(node.RemoveEdge(1, NodeEnd::k3, NodeEnd::k5), 0);
-  EXPECT_EQ(node.RemoveEdgesTo(2), 1);
+  EXPECT_EQ(node.RemoveEdge(2, NodeEnd::k5, NodeEnd::k3), 1);
   EXPECT_EQ(node.Type(), VertexType::kIsolated);
 }
 

@@ -410,7 +410,6 @@ TEST(RunReportTest, JsonCarriesSnapshotAndWorkers) {
   obs::RunReportInfo info;
   info.inputs = {"a.fastq", "b.fastq"};
   info.counting_mode = "stream";
-  info.shuffle_strategy = "hash";
   info.spill_mode = "never";
   info.wall_seconds = 1.5;
   obs::TelemetrySnapshot worker;

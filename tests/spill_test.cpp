@@ -216,6 +216,51 @@ TEST(SpillManagerTest, ReplayRefusesARecordTheConsumerRejects) {
   EXPECT_EQ(manager.Stats({file}).readback_chunks, 0u);
 }
 
+/// Number of spill files left in `dir`.
+size_t SpillFilesIn(const std::string& dir) {
+  size_t n = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    n += entry.path().extension() == ".spill" ? 1 : 0;
+  }
+  return n;
+}
+
+// Discard deletes a replayed file at once but keeps its ledger; appending
+// to a discarded file is a program error.
+TEST(SpillManagerTest, DiscardDeletesTheFileAndKeepsItsLedger) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The death test's child dies with its spill directory in place; a
+  // parent directory of the test's own lets the test remove it.
+  SpillManager::Config config;
+  config.parent_dir = ::testing::TempDir() + "/ppa_discard_test";
+  {
+    SpillManager manager(config);
+    const uint32_t kept = manager.NewFile("kept");
+    const uint32_t gone = manager.NewFile("gone");
+    manager.Append(kept, Bytes({1}));
+    manager.Append(gone, Bytes({2, 3}));
+    manager.Append(gone, Bytes({4}));
+    ASSERT_TRUE(manager.Sync()) << manager.error();
+    std::string error;
+    ASSERT_TRUE(manager.Replay(
+        gone, [](const std::vector<uint8_t>&, std::string*) { return true; },
+        &error))
+        << error;
+    manager.Discard(gone);
+    EXPECT_FALSE(fs::exists(manager.FilePath(gone)));
+    EXPECT_TRUE(fs::exists(manager.FilePath(kept)));
+    EXPECT_EQ(SpillFilesIn(manager.dir()), 1u);
+    const SpillStats stats = manager.Stats({gone});
+    EXPECT_EQ(stats.spilled_chunks, 2u);
+    EXPECT_EQ(stats.spilled_bytes, 3u);
+    EXPECT_EQ(stats.spill_files, 1u);
+    EXPECT_EQ(stats.readback_chunks, 2u);
+    EXPECT_EQ(stats.readback_bytes, 3u);
+    EXPECT_DEATH(manager.Append(gone, Bytes({5})), "discarded");
+  }
+  fs::remove_all(config.parent_dir);
+}
+
 TEST(SpillManagerTest, DirRemovedOnEarlyDestructionWithQueuedWrites) {
   std::string dir;
   int done_calls = 0;
@@ -489,6 +534,8 @@ TEST(CounterSessionSpillTest, AlwaysAndAutoMatchNeverAcrossGrid) {
               << label;
           EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes)
               << label;
+          // Each shard file was deleted right after its replay.
+          EXPECT_EQ(SpillFilesIn(context->manager.dir()), 0u) << label;
           // The budget caps the session's queued-byte bound, and the bound
           // held (so resident chunk bytes never exceeded the budget).
           EXPECT_LE(stats.queue_bound_bytes, kBudget) << label;
@@ -584,7 +631,6 @@ TEST(CounterSessionSpillTest, MalformedSpilledChunkFailsFinishNotProcess) {
 /// bucket, reduce = ordered concatenation marker (order-sensitive, so any
 /// readback misordering changes the output).
 Partitioned<std::pair<uint64_t, uint64_t>> RunSumJob(SpillContext* spill,
-                                                     ShuffleStrategy strategy,
                                                      RunStats* stats) {
   constexpr uint32_t kWorkers = 8;
   std::vector<uint64_t> data(40000);
@@ -605,7 +651,6 @@ Partitioned<std::pair<uint64_t, uint64_t>> RunSumJob(SpillContext* spill,
   MapReduceConfig config;
   config.num_workers = kWorkers;
   config.num_threads = 4;
-  config.shuffle_strategy = strategy;
   config.job_name = "spill-sum-test";
   config.spill = spill;
   return RunMapReduce<uint64_t, uint64_t, uint64_t,
@@ -615,25 +660,23 @@ Partitioned<std::pair<uint64_t, uint64_t>> RunSumJob(SpillContext* spill,
 
 TEST(ShuffleSpillTest, AlwaysAndAutoMatchNever) {
   RunStats never_stats;
-  const auto expected =
-      RunSumJob(nullptr, ShuffleStrategy::kHash, &never_stats);
+  const auto expected = RunSumJob(nullptr, &never_stats);
   EXPECT_EQ(never_stats.spill.spilled_chunks, 0u);
   for (SpillMode mode : {SpillMode::kAlways, SpillMode::kAuto}) {
-    for (ShuffleStrategy strategy :
-         {ShuffleStrategy::kHash, ShuffleStrategy::kSort}) {
-      std::unique_ptr<SpillContext> context =
-          MakeSpillContext(mode, "", 64 << 10);
-      RunStats stats;
-      const auto actual = RunSumJob(context.get(), strategy, &stats);
-      EXPECT_EQ(actual, expected)
-          << SpillModeName(mode) << "/" << ShuffleStrategyName(strategy);
-      EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks);
-      EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes);
-      if (mode == SpillMode::kAlways) {
-        EXPECT_GT(stats.spill.spilled_chunks, 0u);
-        EXPECT_GT(stats.spill.spill_files, 0u);
-        EXPECT_LE(context->budget.peak_resident_bytes(), 64u << 10);
-      }
+    std::unique_ptr<SpillContext> context =
+        MakeSpillContext(mode, "", 64 << 10);
+    RunStats stats;
+    const auto actual = RunSumJob(context.get(), &stats);
+    EXPECT_EQ(actual, expected) << SpillModeName(mode);
+    EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks);
+    EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes);
+    // Each destination file was deleted right after its replay.
+    EXPECT_EQ(SpillFilesIn(context->manager.dir()), 0u)
+        << SpillModeName(mode);
+    if (mode == SpillMode::kAlways) {
+      EXPECT_GT(stats.spill.spilled_chunks, 0u);
+      EXPECT_GT(stats.spill.spill_files, 0u);
+      EXPECT_LE(context->budget.peak_resident_bytes(), 64u << 10);
     }
   }
 }
