@@ -5,8 +5,8 @@
 // counting throughput on the simulated HC-2 dataset (the dominant cost of
 // DBG construction).
 //
-// The custom main() additionally runs the counter's SIMD, spill and
-// distributed comparisons on the HC-2-sim workload before the registered
+// The custom main() additionally runs the counter's SIMD and distributed
+// comparisons on the HC-2-sim workload before the registered
 // benchmarks and writes their measurements to BENCH_kmer.json (override the path with
 // PPA_BENCH_JSON), so the perf trajectory of the counter accumulates in
 // machine-readable form. CI runs just that part with
@@ -29,7 +29,6 @@
 #include "net/coordinator.h"
 #include "net/worker.h"
 #include "obs/trace.h"
-#include "spill/spill.h"
 #include "util/timer.h"
 #include "dbg/adjacency.h"
 #include "dbg/kmer_counter.h"
@@ -379,48 +378,6 @@ BENCHMARK(BM_CountEdgeMersDistributed)
 // BENCH_kmer.json.
 // ---------------------------------------------------------------------------
 
-/// Streaming-session throughput under a spill mode (satellite of the spill
-/// subsystem): --spill-mode always routes every pass-1 chunk through disk,
-/// so always/never prices the external store's overhead per run.
-struct SpillMeasurement {
-  double wall_seconds = 0;
-  KmerCountStats stats;
-};
-
-SpillMeasurement MeasureCounterSpill(SpillMode mode, unsigned threads) {
-  const std::vector<Read>& reads = Hc2Reads();
-  KmerCountConfig config = Hc2CountConfig();
-  config.num_threads = threads;
-  std::unique_ptr<SpillContext> context =
-      MakeSpillContext(mode, "", /*budget_bytes=*/8ULL << 20);
-  config.spill = context.get();
-  SpillMeasurement m;
-  Timer timer;
-  CounterSession session(config);
-  constexpr size_t kBatch = 1024;
-  for (size_t begin = 0; begin < reads.size(); begin += kBatch) {
-    session.AddBatch(reads.data() + begin,
-                     std::min(kBatch, reads.size() - begin));
-  }
-  session.Finish(&m.stats);
-  m.wall_seconds = timer.Seconds();
-  return m;
-}
-
-void WriteSpillJson(std::ofstream& out, const char* key,
-                    const SpillMeasurement& m) {
-  out << "  \"" << key << "\": {\n"
-      << "    \"wall_seconds\": " << m.wall_seconds << ",\n"
-      << "    \"surviving_mers\": " << m.stats.surviving_mers << ",\n"
-      << "    \"spilled_chunks\": " << m.stats.spill.spilled_chunks << ",\n"
-      << "    \"spilled_bytes\": " << m.stats.spill.spilled_bytes << ",\n"
-      << "    \"spill_files\": " << m.stats.spill.spill_files << ",\n"
-      << "    \"readback_bytes\": " << m.stats.spill.readback_bytes << ",\n"
-      << "    \"peak_queued_bytes\": " << m.stats.peak_queued_bytes << ",\n"
-      << "    \"queue_bound_bytes\": " << m.stats.queue_bound_bytes << "\n"
-      << "  }";
-}
-
 /// One distributed run against an in-process 2-worker fleet, optionally
 /// with worker 0 scripted to drop its connection mid-stream. The
 /// onefail/nofail wall-clock ratio is the measured cost of a recovery
@@ -646,34 +603,14 @@ std::string RunSimdComparison() {
   return json;
 }
 
-/// The counter's spill and distributed comparisons (after the SIMD one):
-/// prints a line per comparison and writes BENCH_kmer.json.
+/// The counter's distributed comparisons (after the SIMD one): prints a
+/// line per comparison and writes BENCH_kmer.json.
 void RunCounterComparison() {
   unsigned threads = bench::BenchThreads();
   if (threads == 0) threads = std::thread::hardware_concurrency();
   const std::string simd_json = RunSimdComparison();
   bench::PrintHeader(
-      "bench_micro_kmer: counter spill + distributed, HC-2-sim, "
-      "k=31 edge mers");
-
-  // Spill overhead: the streaming session with every chunk through disk
-  // (--spill-mode always) vs fully memory-resident (never).
-  const SpillMeasurement spill_never =
-      MeasureCounterSpill(SpillMode::kNever, threads);
-  const SpillMeasurement spill_always =
-      MeasureCounterSpill(SpillMode::kAlways, threads);
-  const double spill_overhead =
-      spill_never.wall_seconds == 0
-          ? 0
-          : spill_always.wall_seconds / spill_never.wall_seconds;
-  const bool spill_identical =
-      spill_never.stats.surviving_mers == spill_always.stats.surviving_mers;
-  std::printf(
-      "spill always/never = %.3fs/%.3fs = %.2fx overhead, %llu bytes "
-      "spilled+replayed, surviving_mers %s\n",
-      spill_always.wall_seconds, spill_never.wall_seconds, spill_overhead,
-      static_cast<unsigned long long>(spill_always.stats.spill.spilled_bytes),
-      spill_identical ? "identical" : "MISMATCH");
+      "bench_micro_kmer: counter distributed, HC-2-sim, k=31 edge mers");
 
   // Recovery overhead: a 2-worker distributed run, clean vs with worker 0
   // scripted to drop its connection mid-stream (its shards fail over to
@@ -738,14 +675,10 @@ void RunCounterComparison() {
       << "  \"dataset\": \"HC-2-sim\",\n"
       << "  \"dataset_scale\": " << DatasetScaleFromEnv() << ",\n"
       << "  \"mer_length\": 32,\n"
-      << "  \"minimizer_len\": " << spill_never.stats.minimizer_len << ",\n"
+      << "  \"minimizer_len\": " << dist_nofail.stats.minimizer_len << ",\n"
       << bench::JsonProvenanceFields()
       << "  \"threads\": " << threads << ",\n"
-      << simd_json;
-  WriteSpillJson(out, "spill_never", spill_never);
-  out << ",\n";
-  WriteSpillJson(out, "spill_always", spill_always);
-  out << ",\n"
+      << simd_json
       << "  \"distributed\": {\n"
       << "    \"workers\": 2,\n"
       << "    \"nofail_seconds\": " << dist_nofail.wall_seconds << ",\n"
@@ -763,10 +696,7 @@ void RunCounterComparison() {
       << "    \"trace_armed_seconds\": " << trace_armed_seconds << ",\n"
       << "    \"trace_overhead\": " << trace_overhead << ",\n"
       << "    \"trace_processes\": " << trace_processes << "\n"
-      << "  },\n"
-      << "  \"spill_always_over_never_seconds\": " << spill_overhead << ",\n"
-      << "  \"spill_surviving_mers_identical\": "
-      << (spill_identical ? "true" : "false") << "\n}\n";
+      << "  }\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
 }
 

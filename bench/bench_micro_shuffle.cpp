@@ -61,9 +61,10 @@ const Partitioned<std::pair<uint64_t, uint32_t>>& Hc2EdgeMers() {
 
 /// One adjacency-workload job run in phase (ii)'s shape: one AdjEntry per
 /// edge endpoint; the reducer folds a vertex's entries into its Fig. 8a
-/// bitmap. Shared by the registered benchmarks and the
-/// BENCH_shuffle.json measurement.
-size_t RunAdjacencyJob(SpillContext* spill, RunStats* stats) {
+/// bitmap. Returns each partition's (vertex code, bitmap) outputs. Shared
+/// by the registered benchmarks and the BENCH_shuffle.json measurement.
+Partitioned<std::pair<uint64_t, uint32_t>> RunAdjacencyJob(SpillContext* spill,
+                                                           RunStats* stats) {
   const auto& edge_mers = Hc2EdgeMers();
   const int k = 31;
   auto map_fn = [k](const std::pair<uint64_t, uint32_t>& edge_mer,
@@ -89,12 +90,9 @@ size_t RunAdjacencyJob(SpillContext* spill, RunStats* stats) {
   config.num_threads = 1;  // isolate group-by cost from parallelism
   config.job_name = "bench-adjacency";
   config.spill = spill;
-  auto result = RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t,
-                             AdjEntry, std::pair<uint64_t, uint32_t>>(
-      edge_mers, map_fn, reduce_fn, config, stats);
-  size_t outputs = 0;
-  for (const auto& part : result) outputs += part.size();
-  return outputs;
+  return RunMapReduce<std::pair<uint64_t, uint32_t>, uint64_t, AdjEntry,
+                      std::pair<uint64_t, uint32_t>>(edge_mers, map_fn,
+                                                     reduce_fn, config, stats);
 }
 
 void BM_AdjacencyShuffleHash(benchmark::State& state) {
@@ -135,7 +133,8 @@ const Partitioned<FatNode>& MergeInput() {
   return input;
 }
 
-size_t RunMergeJob(SpillContext* spill, RunStats* stats) {
+Partitioned<std::pair<uint64_t, uint64_t>> RunMergeJob(SpillContext* spill,
+                                                        RunStats* stats) {
   constexpr uint64_t kLabels = 10000;
   auto map_fn = [](const FatNode& node, auto& emitter) {
     emitter.Emit(node.id % kLabels, node);
@@ -152,13 +151,9 @@ size_t RunMergeJob(SpillContext* spill, RunStats* stats) {
   config.num_threads = 1;
   config.job_name = "bench-merge";
   config.spill = spill;
-  auto result =
-      RunMapReduce<FatNode, uint64_t, FatNode,
-                   std::pair<uint64_t, uint64_t>>(MergeInput(), map_fn,
-                                                  reduce_fn, config, stats);
-  size_t outputs = 0;
-  for (const auto& part : result) outputs += part.size();
-  return outputs;
+  return RunMapReduce<FatNode, uint64_t, FatNode,
+                      std::pair<uint64_t, uint64_t>>(MergeInput(), map_fn,
+                                                     reduce_fn, config, stats);
 }
 
 void BM_MergeShuffleHash(benchmark::State& state) {
@@ -177,17 +172,24 @@ BENCHMARK(BM_MergeShuffleHash)->Unit(benchmark::kMillisecond);
 // (always vs never) on the adjacency workload.
 // ---------------------------------------------------------------------------
 
+template <typename Result>
 struct JobMeasurement {
   double seconds = 0;
-  size_t outputs = 0;
+  Result result;  // the job's partitioned reduce outputs
   RunStats stats;
+
+  size_t outputs() const {
+    size_t n = 0;
+    for (const auto& part : result) n += part.size();
+    return n;
+  }
 };
 
 template <typename JobFn>
-JobMeasurement Measure(JobFn&& job) {
-  JobMeasurement m;
+auto Measure(JobFn&& job) {
+  JobMeasurement<decltype(job(nullptr))> m;
   Timer timer;
-  m.outputs = job(&m.stats);
+  m.result = job(&m.stats);
   m.seconds = timer.Seconds();
   return m;
 }
@@ -200,20 +202,23 @@ void RunShuffleComparison() {
   // Build both inputs first, so no measurement pays for them.
   Hc2EdgeMers();
   MergeInput();
-  const JobMeasurement adj_hash =
+  const auto adj_hash =
       Measure([](RunStats* s) { return RunAdjacencyJob(nullptr, s); });
-  const JobMeasurement merge_hash =
+  const auto merge_hash =
       Measure([](RunStats* s) { return RunMergeJob(nullptr, s); });
   // Spill overhead on the adjacency workload: same job, every sealed
   // chunk through disk under a 4 MB budget.
   std::unique_ptr<SpillContext> spill =
       MakeSpillContext(SpillMode::kAlways, "", 4ULL << 20);
-  const JobMeasurement adj_spill =
+  const auto adj_spill =
       Measure([&](RunStats* s) { return RunAdjacencyJob(spill.get(), s); });
+  // Partition for partition, in reduce order: a readback that drops,
+  // repeats, misorders or corrupts a value shows here.
+  const bool outputs_identical = adj_hash.result == adj_spill.result;
 
   std::printf("%-24s %10s %12s %12s %12s\n", "case", "seconds", "pairs",
               "spilled_B", "readback_B");
-  const auto row = [](const char* name, const JobMeasurement& m) {
+  const auto row = [](const char* name, const auto& m) {
     std::printf("%-24s %10.3f %12llu %12llu %12llu\n", name, m.seconds,
                 static_cast<unsigned long long>(m.stats.pairs_shuffled),
                 static_cast<unsigned long long>(m.stats.spill.spilled_bytes),
@@ -227,10 +232,10 @@ void RunShuffleComparison() {
   const std::string json_path =
       (json_env != nullptr && *json_env != '\0') ? json_env
                                                  : "BENCH_shuffle.json";
-  const auto obj = [](std::ofstream& out, const char* key,
-                      const JobMeasurement& m, bool last = false) {
+  const auto obj = [](std::ofstream& out, const char* key, const auto& m,
+                      bool last = false) {
     out << "    \"" << key << "\": {\"seconds\": " << m.seconds
-        << ", \"outputs\": " << m.outputs
+        << ", \"outputs\": " << m.outputs()
         << ", \"pairs_shuffled\": " << m.stats.pairs_shuffled
         << ", \"spilled_bytes\": " << m.stats.spill.spilled_bytes
         << ", \"readback_bytes\": " << m.stats.spill.readback_bytes << "}"
@@ -252,8 +257,7 @@ void RunShuffleComparison() {
       << "  \"spill_always_over_never_adjacency\": "
       << (adj_hash.seconds == 0 ? 0 : adj_spill.seconds / adj_hash.seconds)
       << ",\n"
-      << "  \"outputs_identical\": "
-      << (adj_hash.outputs == adj_spill.outputs ? "true" : "false")
+      << "  \"outputs_identical\": " << (outputs_identical ? "true" : "false")
       << "\n}\n";
   std::printf("wrote %s\n", json_path.c_str());
 }

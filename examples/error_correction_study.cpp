@@ -58,22 +58,17 @@ int main() {
     options.coverage_threshold = 2;
     options.num_workers = 16;
 
-    // Full workflow: (1)(2)(3)(4)(5)(6)(2)(3).
+    // Full workflow: (1)(2)(3)(4)(5)(6)(2)(3). The contigs after the first
+    // merge, before operations (4) and (5), are the "no correction" column.
     AssemblyResult with_corr = Assembler(options).Assemble(reads);
-
-    // Error correction disabled: workflow stops after the first merge.
-    AssemblerOptions no_corr_options = options;
-    no_corr_options.error_correction_rounds = 0;
-    AssemblyResult no_corr = Assembler(no_corr_options).Assemble(reads);
 
     std::vector<uint64_t> with_lengths;
     for (const ContigRecord& c : with_corr.contigs) {
       with_lengths.push_back(c.seq.size());
     }
-    std::vector<uint64_t> without_lengths;
-    for (const ContigRecord& c : no_corr.contigs) {
-      without_lengths.push_back(c.seq.size());
-    }
+    const std::vector<uint64_t> without_lengths(
+        with_corr.round1_contig_lengths.begin(),
+        with_corr.round1_contig_lengths.end());
 
     std::printf("%10.3f | %12llu | %6llu | %8llu | %10llu | %12llu\n",
                 error_rate,

@@ -90,9 +90,7 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << " surviving=" << s.Get("counting.surviving")
       << " peak_queued_bytes=" << s.Get("counting.peak_queued_bytes")
       << " queue_bound_bytes=" << s.Get("counting.queue_bound_bytes")
-      << " queue_spin_parks=" << s.Get("counting.queue_spin_parks")
-      << " spilled_bytes=" << s.Get("counting.spilled_bytes")
-      << " readback_bytes=" << s.Get("counting.readback_bytes") << '\n';
+      << " queue_spin_parks=" << s.Get("counting.queue_spin_parks") << '\n';
   out << "pipeline: jobs=" << s.Get("pipeline.jobs")
       << " supersteps=" << s.Get("pipeline.supersteps")
       << " messages=" << s.Get("pipeline.messages")
@@ -105,7 +103,7 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << '\n';
   // Pipeline-wide spill: policy, budget, the measured high-water mark of
   // resident chunk bytes, and the volume that moved through the external
-  // store across counting + every shuffle job.
+  // store across every shuffle job.
   out << "spill: mode=" << SpillModeName(opts.assembler.spill_mode)
       << " budget_bytes=" << s.Get("spill.budget_bytes")
       << " peak_resident_bytes=" << s.Get("spill.peak_resident_bytes")
@@ -132,7 +130,7 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
   // List ranking's cycle leftovers, labeled by the S-V fallback.
   out << "labeling: cycle_vertices=" << s.Get("labeling.cycle_vertices")
       << '\n';
-  // Error correction (operations 4 and 5), summed over the rounds.
+  // Error correction (operations 4 and 5).
   out << "error_correction: bubble_contigs_pruned="
       << s.Get("bubble_filtering.contigs_pruned")
       << " tip_vertices_removed=" << s.Get("tip_removal.vertices_removed")
@@ -177,7 +175,6 @@ std::string AssembleCliUsage() {
       "                      Counting overlaps scanning, so up to 2x this\n"
       "                      many threads exist (counters sleep unless\n"
       "                      scanners outrun them)\n"
-      "  --rounds INT        error-correction rounds (default 1)\n"
       "  --labeling lr|sv    contig labeling method (default lr)\n"
       "\n"
       "counting options:\n"
@@ -187,20 +184,20 @@ std::string AssembleCliUsage() {
       "\n"
       "memory budget & spilling:\n"
       "  --spill-mode never|auto|always\n"
-      "                      never (default): chunk queues stay in memory;\n"
-      "                      auto: the counter keeps a chunk in its ring\n"
-      "                      while ring bytes stay <= half the queue\n"
-      "                      bound and spills the rest to per-shard files;\n"
-      "                      the shuffle spills chunks over the budget;\n"
-      "                      always: every sealed chunk goes through disk.\n"
-      "                      All modes produce identical contigs\n"
+      "                      never (default): shuffle chunks stay in\n"
+      "                      memory; auto: the shuffle spills chunks over\n"
+      "                      the budget; always: every sealed shuffle\n"
+      "                      chunk goes through disk. auto and always also\n"
+      "                      give the fleet's chunk journal the budget and\n"
+      "                      spill dir. All modes produce identical contigs\n"
       "  --memory-budget-bytes INT\n"
       "                      pipeline-wide bound on resident chunk bytes\n"
-      "                      (counting queues + shuffle chunks); 0 = no\n"
-      "                      budget. Also caps the counting queue bound.\n"
-      "                      Held under always, overshot by ~one sealed\n"
-      "                      chunk under auto; budgets below one chunk\n"
-      "                      (~100 KB) are floored to keep progress\n"
+      "                      (shuffle chunks + the fleet's chunk journal);\n"
+      "                      0 = no budget. Also caps the counting queue\n"
+      "                      bound (--queue-bytes). Held under always,\n"
+      "                      overshot by ~one sealed chunk under auto;\n"
+      "                      budgets below one chunk (~33 KB for the\n"
+      "                      counting queue) are floored to keep progress\n"
       "  --spill-dir PATH    parent directory for the run's spill files\n"
       "                      (default: system temp; removed after the run)\n"
       "\n"
@@ -303,10 +300,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
       if (!int_flag(&i, arg, &opts->assembler.num_workers)) return false;
     } else if (arg == "--threads") {
       if (!int_flag(&i, arg, &opts->assembler.num_threads)) return false;
-    } else if (arg == "--rounds") {
-      if (!int_flag(&i, arg, &opts->assembler.error_correction_rounds)) {
-        return false;
-      }
     } else if (arg == "--labeling") {
       if (!need_value(i, arg)) return false;
       const std::string value = argv[++i];

@@ -101,8 +101,7 @@ AssemblyResult Assembler::Assemble(ReadStream& reads,
                  << " (threads=" << options.num_threads
                  << ", shards=" << options.kmer_shards
                  << ", queue_bytes=" << options.kmer_queue_bytes
-                 << "; 0 = auto)"
-                 << ", spill=" << SpillModeName(options.spill_mode);
+                 << "; 0 = auto)";
   if (options.net_context != nullptr) {
     PPA_LOG(kInfo) << "distributed: " << options.net_context->description();
   }
@@ -158,22 +157,22 @@ void Assembler::FinishAssembly(AssemblyResult* result_out, DbgResult dbg,
                  << " vertices after merging";
 
   // ---- (4)(5)(6)(2)(3): error correction + one more merge round. ----------
-  for (int round = 0; round < options.error_correction_rounds; ++round) {
-    {
-      PPA_TRACE_SPAN("bubble_filtering", "phase");
-      BubbleResult bubbles = FilterBubbles(graph, options, &result.stats);
-      result.bubbles_pruned += bubbles.contigs_pruned;
-    }
-    {
-      PPA_TRACE_SPAN("tip_removal", "phase");
-      TipResult tips = RemoveTips(graph, options, &result.stats);
-      result.tips_removed += tips.vertices_removed;
-    }
-    LabelingResult labels2 = [&] {
-      PPA_TRACE_SPAN("contig_labeling", "phase");
-      return LabelContigs(graph, options, method, &result.stats);
-    }();
-    result.labeling_cycle_vertices += labels2.num_cycle_vertices;
+  {
+    PPA_TRACE_SPAN("bubble_filtering", "phase");
+    result.bubbles_pruned =
+        FilterBubbles(graph, options, &result.stats).contigs_pruned;
+  }
+  {
+    PPA_TRACE_SPAN("tip_removal", "phase");
+    result.tips_removed =
+        RemoveTips(graph, options, &result.stats).vertices_removed;
+  }
+  LabelingResult labels2 = [&] {
+    PPA_TRACE_SPAN("contig_labeling", "phase");
+    return LabelContigs(graph, options, method, &result.stats);
+  }();
+  result.labeling_cycle_vertices += labels2.num_cycle_vertices;
+  {
     PPA_TRACE_SPAN("contig_merging", "phase");
     MergeContigs(graph, labels2, options, &contig_ordinals, &result.stats);
   }

@@ -25,7 +25,6 @@ struct AssemblerOptions {
   uint32_t bubble_edit_distance = 5;
   uint32_t num_workers = 16;         // logical Pregel workers.
   unsigned num_threads = 0;          // OS threads; 0 = hardware concurrency.
-  int error_correction_rounds = 1;   // times operations 4,5 run (paper: 1).
 
   // (k+1)-mer counting (DBG construction phase (i), dbg/kmer_counter.h).
   uint32_t kmer_shards = 0;           // counting shards; 0 = auto (4x threads),
@@ -37,12 +36,13 @@ struct AssemblerOptions {
                                       // default (32 MB).
 
   // External spill (spill/spill.h): ppa_assemble --spill-mode/--spill-dir/
-  // --memory-budget-bytes. kNever keeps every chunk queue memory-resident
-  // (the oracle path). kAuto: the counter keeps a chunk in its shard ring
-  // while ring-resident bytes stay within half its queued-byte bound and
-  // spills the rest to per-shard files; the shuffle spills its chunks
-  // that exceed memory_budget_bytes. kAlways routes every sealed chunk
-  // through disk. All modes produce bit-identical contigs.
+  // --memory-budget-bytes. The modes steer the shuffle: kNever keeps every
+  // sealed chunk memory-resident (the oracle path), kAuto spills the
+  // chunks that exceed memory_budget_bytes, kAlways routes every sealed
+  // chunk through disk. kAuto and kAlways also give the fleet's chunk
+  // journal the budget and the spill directory for its overflow. The
+  // counter never spills; a nonzero budget caps its queued-byte bound. All
+  // modes produce bit-identical contigs.
   SpillMode spill_mode = SpillMode::kNever;
   std::string spill_dir;             // parent directory; empty = system temp
   uint64_t memory_budget_bytes = 0;  // 0 = no budget (queue bounds only)

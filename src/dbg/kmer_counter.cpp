@@ -6,7 +6,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
@@ -83,7 +82,7 @@ struct Pass1Chunk {
   size_t SizeBytes() const { return packed.size(); }
 };
 
-/// Serialized spill/journal/wire payload of one Pass1Chunk:
+/// Serialized journal/wire payload of one Pass1Chunk:
 ///
 ///   varint(windows) varint(records) packed super-k-mer records
 ///
@@ -294,23 +293,10 @@ struct CounterSession::Impl {
   KmerCountConfig config;
   Plan plan;
   uint64_t bound;
-  unsigned num_counters;
+  unsigned num_counters = 0;
 
-  // External spill wiring. kNever without a spill context, and for fleet
-  // sessions (their chunks leave the process instead).
-  SpillContext* spill;
-  SpillMode spill_mode = SpillMode::kNever;
-  // Shard -> spill file id. The spill manager's ledger counts each file's
-  // records and bytes and checks them at readback.
-  std::vector<uint32_t> spill_file;
-  // kAuto only: chunk bytes resident in the shard rings. A chunk joins its
-  // ring while this stays within bound / 2; past that it is spilled, so the
-  // scanners stall on disk bandwidth rather than on counter throughput.
-  std::atomic<uint64_t> ring_bytes{0};
-
-  // Local sessions count every chunk into this bank: shard s's ring chunks
-  // on its counter thread (s % num_counters), its spilled chunks in
-  // Finish's pool task for s. Null for fleet sessions.
+  // Local sessions count every chunk into this bank, shard s's on its
+  // counter thread (s % num_counters). Null for fleet sessions.
   std::unique_ptr<ShardCounterBank> bank;
 
   // Distributed execution (net/fleet_counter.h). Non-null ships every
@@ -321,13 +307,13 @@ struct CounterSession::Impl {
   std::unique_ptr<net::FleetCounter> fleet;
 
   // One lock-free MPSC ring per shard, drained by the counter threads;
-  // empty when none run (kAlways and fleet sessions).
+  // empty for fleet sessions, which run no counter thread.
   std::vector<std::unique_ptr<MpscRing<Pass1Chunk>>> rings;
 
-  // Byte admission, one gate for every mode: chunk bytes admitted and not
-  // yet released, whether ring-resident, on the spill writer, or unacked
-  // on the wire. mu and the condvars only park threads whose spin budget
-  // ran out; no chunk ever moves under mu.
+  // Byte admission, one gate for both routes: chunk bytes admitted and not
+  // yet released, whether ring-resident or unacked on the wire. mu and the
+  // condvars only park threads whose spin budget ran out; no chunk ever
+  // moves under mu.
   std::atomic<uint64_t> queued_bytes{0};
   std::atomic<uint64_t> peak_queued_bytes{0};
   std::atomic<uint32_t> not_full_waiters{0};
@@ -355,48 +341,35 @@ struct CounterSession::Impl {
   bool finished = false;
 
   explicit Impl(const KmerCountConfig& cfg, uint64_t max_queued_bytes)
-      : config(cfg), plan(MakePlan(cfg)), spill(cfg.spill) {
+      : config(cfg), plan(MakePlan(cfg)) {
     fleet = net::FleetCounter::Open(config, plan.shards, [this] {
       std::lock_guard<std::mutex> lock(mu);
       not_full.notify_all();
     });
-    if (fleet == nullptr && spill != nullptr) spill_mode = spill->mode;
     bound = max_queued_bytes == 0 ? CounterSession::kDefaultMaxQueuedBytes
                                   : max_queued_bytes;
-    // A nonzero pipeline memory budget also caps this session's resident
-    // chunk bytes, in every mode (the budget is the reason to spill at all).
-    if (spill != nullptr && spill->budget.budget_bytes() != 0) {
-      bound = std::min(bound, spill->budget.budget_bytes());
+    // A nonzero pipeline memory budget also caps this session's queued
+    // chunk bytes, local or fleet.
+    if (config.spill != nullptr && config.spill->budget.budget_bytes() != 0) {
+      bound = std::min(bound, config.spill->budget.budget_bytes());
     }
     // A single flushed chunk (<= flush threshold + one maximal super-k-mer
     // record) must always be admissible when the queue is empty, or
     // enqueue would deadlock.
     bound = std::max<uint64_t>(bound,
                                kFlushChunkBytes + kMaxSuperkmerRecordBytes);
-    // Under kAlways every chunk goes through disk and is counted at
-    // readback — and fleet chunks are counted by the workers — so
-    // in-memory counter threads would only ever sleep.
-    num_counters = fleet != nullptr || spill_mode == SpillMode::kAlways
-                       ? 0
-                       : std::min<unsigned>(plan.threads, plan.shards);
-    if (num_counters > 0) {
+    // Fleet chunks are counted by the workers, so a fleet session keeps
+    // no rings, bank or counter threads.
+    if (fleet == nullptr) {
+      num_counters = std::min<unsigned>(plan.threads, plan.shards);
       rings.reserve(plan.shards);
       for (uint32_t s = 0; s < plan.shards; ++s) {
         rings.push_back(std::make_unique<MpscRing<Pass1Chunk>>(kRingCapacity));
       }
-    }
-    if (fleet == nullptr) {
       bank = std::make_unique<ShardCounterBank>(config.mer_length,
                                                 plan.shards);
     }
     ledger = std::make_unique<ShardLedger[]>(plan.shards);
-    if (spill_mode != SpillMode::kNever) {
-      spill_file.reserve(plan.shards);
-      for (uint32_t s = 0; s < plan.shards; ++s) {
-        spill_file.push_back(
-            spill->manager.NewFile("kmer-shard-" + std::to_string(s)));
-      }
-    }
     counters.reserve(num_counters);
     for (unsigned c = 0; c < num_counters; ++c) {
       counters.emplace_back([this, c] { RunCounter(c); });
@@ -458,15 +431,12 @@ struct CounterSession::Impl {
            !peak_queued_bytes.compare_exchange_weak(
                peak, cur + n, std::memory_order_relaxed)) {
     }
-    if (spill_mode != SpillMode::kNever) spill->budget.Charge(n);
     return true;
   }
 
-  // Returns n admitted bytes: a counter drained them or the spill writer
-  // wrote them.
+  // Returns n admitted bytes once a counter drained them.
   void Release(uint64_t n) {
     queued_bytes.fetch_sub(n, std::memory_order_relaxed);
-    if (spill_mode != SpillMode::kNever) spill->budget.Release(n);
     if (not_full_waiters.load(std::memory_order_relaxed) != 0) {
       // Taking mu pairs the notify with the waiter's locked predicate
       // check; the waiter's wait_for bounds anything that still slips.
@@ -485,8 +455,8 @@ struct CounterSession::Impl {
     not_full.notify_all();
   }
 
-  // Every sealed chunk enters here: ledger, admission, then the mode's
-  // route.
+  // Every sealed chunk enters here: ledger, admission, then its shard's
+  // route — the worker fleet, or the shard's ring.
   void Enqueue(uint32_t s, Pass1Chunk&& chunk) {
     const uint64_t n = chunk.SizeBytes();
     ledger[s].windows.fetch_add(chunk.windows, std::memory_order_relaxed);
@@ -501,11 +471,6 @@ struct CounterSession::Impl {
       return;
     }
     Admit(n);
-    if (spill_mode == SpillMode::kAlways ||
-        (spill_mode == SpillMode::kAuto && !TakeRingRoom(n))) {
-      Spill(s, chunk);
-      return;
-    }
     while (!rings[s]->TryPush(std::move(chunk))) {
       Wait(not_full, not_full_waiters, [&] { return !rings[s]->Full(); });
     }
@@ -513,29 +478,6 @@ struct CounterSession::Impl {
       std::lock_guard<std::mutex> lock(mu);
       not_empty.notify_all();
     }
-  }
-
-  // kAuto: reserves n bytes of the rings' half of the bound, or refuses.
-  bool TakeRingRoom(uint64_t n) {
-    uint64_t cur = ring_bytes.load(std::memory_order_relaxed);
-    while (cur + n <= bound / 2) {
-      if (ring_bytes.compare_exchange_weak(cur, cur + n,
-                                           std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  // Serializes `chunk` and hands it to the async writer. The chunk's bytes
-  // stay admitted (writer backlog) until the write completes, so the bound
-  // keeps covering every resident chunk byte. Counting is commutative, so
-  // cross-thread interleaving of a shard's records is fine; the ledger's
-  // per-file record count still reconciles at readback.
-  void Spill(uint32_t s, const Pass1Chunk& chunk) {
-    const uint64_t n = chunk.SizeBytes();
-    spill->manager.Append(spill_file[s], EncodePass1Chunk(chunk),
-                          [this, n] { Release(n); });
   }
 
   // Drains every ring owned by counter c into the bank. Returns whether
@@ -553,9 +495,6 @@ struct CounterSession::Impl {
           // broken invariant, not an input error.
           PPA_CHECK(bank->AddChunk(s, chunk.packed.data(), n, chunk.windows,
                                    &error));
-        }
-        if (spill_mode == SpillMode::kAuto) {
-          ring_bytes.fetch_sub(n, std::memory_order_relaxed);
         }
         Release(n);
         worked = true;
@@ -605,46 +544,25 @@ struct CounterSession::Impl {
     });
   }
 
-  // Local pass 2: replays each shard's spill file into the bank, deletes
-  // the file, then filters and routes the shard. Replay refuses a failed,
-  // malformed, short or long readback; its errors are collected (not
-  // thrown) inside the pool — an exception on a pool worker thread would
-  // terminate the process.
+  // Local pass 2: every chunk was counted on its shard's counter thread,
+  // so each shard is only filtered and routed.
   std::vector<MerCounts> CountLocal(ThreadPool& pool,
                                     std::vector<uint64_t>* distinct) {
-    std::vector<std::string> errors(plan.shards);
     std::vector<MerCounts> shard_out(plan.shards);
     pool.Run(plan.shards, [&](uint32_t s) {
-      auto count = [&](const std::vector<uint8_t>& payload, std::string* why) {
-        PPA_TRACE_SPAN_V("count_chunk", "count", payload.size());
-        return bank->AddChunkPayload(s, payload.data(), payload.size(), why);
-      };
-      if (spill_mode != SpillMode::kNever) {
-        if (!spill->manager.Replay(spill_file[s], count, &errors[s])) return;
-        spill->manager.Discard(spill_file[s]);
-      }
       (*distinct)[s] = bank->distinct(s);
       shard_out[s] = bank->Finalize(s, config.coverage_threshold,
                                     config.num_workers);
     });
-    for (const std::string& error : errors) {
-      if (!error.empty()) throw std::runtime_error(error);
-    }
     return shard_out;
   }
 
-  // The pass-2 tail of every mode: barrier what is in flight, count the
+  // The pass-2 tail of both routes: barrier what is in flight, count the
   // shards (locally, or by collecting them from the fleet), concatenate,
   // and fill the stats in one place.
   MerCounts Finish(KmerCountStats* stats) {
-    // Every routed chunk must be acked before collection, and every
-    // spilled chunk on disk (its byte-accounting callback run) before
-    // readback.
-    if (fleet != nullptr) {
-      DrainNetAcks();
-    } else if (spill_mode != SpillMode::kNever && !spill->manager.Sync()) {
-      throw std::runtime_error(spill->manager.error());
-    }
+    // Every routed chunk must be acked before collection.
+    if (fleet != nullptr) DrainNetAcks();
     const double pass1_seconds = wall.Seconds();
     Timer pass2_timer;
     const uint32_t S = plan.shards;
@@ -681,9 +599,6 @@ struct CounterSession::Impl {
       stats->peak_queued_bytes = peak_queued_bytes.load();
       stats->queue_bound_bytes = bound;
       stats->queue_spin_parks = queue_spin_parks.load();
-      if (spill_mode != SpillMode::kNever) {
-        stats->spill = spill->manager.Stats(spill_file);
-      }
       if (fleet != nullptr) fleet->FillStats(stats);
     }
     // The journal's pinned budget charge ends with counting, so phase
@@ -704,10 +619,9 @@ CounterSession::CounterSession(const KmerCountConfig& config,
 CounterSession::~CounterSession() {
   if (impl_ == nullptr || impl_->finished) return;
   impl_->StopCounters();
-  // Abandoned-without-Finish path: queued spill writes and unacknowledged
-  // network chunks hold callbacks that lock this session's state, so they
-  // must settle before impl_ dies.
-  if (impl_->spill_mode != SpillMode::kNever) impl_->spill->manager.Sync();
+  // Abandoned-without-Finish path: unacknowledged network chunks hold
+  // callbacks that lock this session's state, so they must settle before
+  // impl_ dies.
   if (impl_->fleet != nullptr) impl_->DrainNetAcks();
 }
 
@@ -803,9 +717,6 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
   RunStats run;
   run.job_name = job_name;
   run.wall_seconds = stats.pass1_seconds + stats.pass2_seconds;
-  // Carry the pass-1 spill volume so PipelineStats' spill totals cover
-  // counting alongside the MapReduce jobs.
-  run.spill = stats.spill;
 
   // The base-scan cost has no per-worker measurement (hash sharding
   // balances it to first order), so it is split evenly, with the remainder

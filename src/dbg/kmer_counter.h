@@ -25,10 +25,9 @@
 //   (linear-probe) table per shard. ShardCounterBank is the one place a
 //   chunk becomes table counts: counter threads drain the shards' lock-free
 //   rings into a local session's bank *while* the scanners are still
-//   producing, spill readback feeds it the spilled chunks, and shard
-//   workers (net/worker.h) and a degraded fleet (net/fleet_counter.h) count
-//   serialized chunks through the same decoder. No atomics, no merging of
-//   tables.
+//   producing, and shard workers (net/worker.h) and a degraded fleet
+//   (net/fleet_counter.h) count serialized chunks through the same
+//   decoder. No atomics, no merging of tables.
 //
 // Survivors of the coverage filter are routed into `num_workers` output
 // partitions by Mix64(code) % num_workers — the same routing the seed path
@@ -37,9 +36,9 @@
 //
 // CounterSession is the one sharded counter; the batch CountCanonicalMers
 // feeds one from a thread pool. The queued *bytes* are bounded: a scanner
-// flushing past the bound blocks until the counters (or the spill writer,
-// or the remote workers' acks) catch up — backpressure that propagates
-// through ReadStream to the input file. Peak transient memory is the
+// flushing past the bound blocks until the counters (or the remote
+// workers' acks) catch up — backpressure that propagates through
+// ReadStream to the input file. Peak transient memory is the
 // configured byte bound plus the tables: a table slot is an 8-byte key
 // plus a 4-byte count, and a table doubles when an insert would reach 70%
 // load, so after its first doubling the load stays in [0.35, 0.7) — 17 to
@@ -76,16 +75,11 @@ struct KmerCountConfig {
   // min(minimizer_len, mer_length, 31).
   int minimizer_len = 11;
 
-  // External spill (spill/spill.h). nullptr (or SpillMode::kNever) keeps
-  // every chunk memory-resident; kAuto keeps a chunk in its shard ring
-  // while the ring-resident bytes stay within half the queued-byte bound
-  // and hands the rest to the spill writer, so scanners stall on disk
-  // bandwidth rather than on counter throughput; kAlways routes every
-  // sealed chunk through disk. A nonzero budget also caps the session's
-  // queued-byte bound, in every mode (a fleet session's too). Spilled
-  // chunks go to one spill file per shard; the spill manager's ledger
-  // counts their records and bytes, and Finish replays each shard file
-  // through SpillManager::Replay, which checks the count.
+  // The run's spill context (spill/spill.h), or nullptr. Of it a local
+  // session uses only the budget: a nonzero budget caps the session's
+  // queued-byte bound (a fleet session's too). A fleet session's journal
+  // also charges the budget and sends its overflow to the context's spill
+  // manager.
   SpillContext* spill = nullptr;
 
   // Distributed execution over this fleet (net/coordinator.h). Non-null,
@@ -94,12 +88,10 @@ struct KmerCountConfig {
   // to the shard's current owner (the lease starts at worker s % N and
   // moves to a survivor if the owner dies); the session then keeps no
   // count table. The queued-byte bound covers the unacked in-flight
-  // network bytes, and the spill mode above is ignored for the counter (the
-  // chunks leave the process instead — though the journal shares the
-  // budget and spills its overflow to the spill manager). Output is
-  // bit-identical to the in-process path, including across worker
-  // failures: orphaned shards are replayed from the journal to their new
-  // owner, and when the whole fleet dies the journal is counted locally.
+  // network bytes. Output is bit-identical to the in-process path,
+  // including across worker failures: orphaned shards are replayed from
+  // the journal to their new owner, and when the whole fleet dies the
+  // journal is counted locally.
   // The journal is released when Finish returns.
   NetContext* net = nullptr;
 };
@@ -133,9 +125,8 @@ struct KmerCountStats {
   std::vector<uint64_t> shard_messages;
 
   // High-water mark of admitted chunk bytes not yet released, and the
-  // bound it is guaranteed to stay under. Admitted bytes include the async
-  // spill writer backlog and the unacked network bytes, so the bound
-  // covers every resident chunk byte.
+  // bound it is guaranteed to stay under. Admitted bytes include the
+  // unacked network bytes, so the bound covers every resident chunk byte.
   uint64_t peak_queued_bytes = 0;
   uint64_t queue_bound_bytes = 0;
 
@@ -144,10 +135,6 @@ struct KmerCountStats {
   // counting.queue_spin metric). Like peak_queued_bytes, scheduling-
   // dependent — equivalence tests mask it.
   uint64_t queue_spin_parks = 0;
-
-  // Pass-1 spill volume, from the spill manager's ledger of the shard
-  // files (spill/spill.h); all zero when spilling is off.
-  SpillStats spill;
 
   // Distributed execution (net/); all zero for in-process runs. Byte
   // totals depend on chunk boundaries (thread scheduling), so equivalence
@@ -224,12 +211,10 @@ class CounterSession {
   }
 
   /// Drains the counters and returns the partitioned survivor counts. Must
-  /// be called exactly once, after all AddBatch callers have finished.
-  /// With spilling enabled this is where spilled chunks are read back
-  /// shard-locally; a failed spill write, a corrupt or malformed record, or
-  /// a shard file holding more or fewer records than were spilled throws
-  /// std::runtime_error with the spill manager's diagnostic, which names
-  /// the file.
+  /// be called exactly once, after all AddBatch callers have finished. A
+  /// fleet session collects its shards from the workers here and throws
+  /// std::runtime_error on a failure recovery cannot mend
+  /// (net/fleet_counter.h).
   MerCounts Finish(KmerCountStats* stats = nullptr);
 
  private:
@@ -247,12 +232,12 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
 /// Pass-2 counting state: one open-addressing table per shard plus the
 /// survivor filter and routing, fed one pass-1 chunk at a time. It is the
 /// one place a chunk becomes table counts — a local CounterSession's ring
-/// drain and spill readback, a shard worker endpoint (net/worker.h, one
-/// bank per coordinator connection), and a degraded fleet's journal replay
-/// (net/fleet_counter.h) all count through it. Counting is commutative, so
-/// a bank fed any interleaving of a shard's chunks finalizes to the same
-/// (code, count) multiset per partition. Calls on distinct shards may run
-/// concurrently; calls on one shard must not.
+/// drain, a shard worker endpoint (net/worker.h, one bank per coordinator
+/// connection), and a degraded fleet's journal replay (net/fleet_counter.h)
+/// all count through it. Counting is commutative, so a bank fed any
+/// interleaving of a shard's chunks finalizes to the same (code, count)
+/// multiset per partition. Calls on distinct shards may run concurrently;
+/// calls on one shard must not.
 class ShardCounterBank {
  public:
   ShardCounterBank(int mer_length, uint32_t num_shards);
@@ -270,9 +255,10 @@ class ShardCounterBank {
   bool AddChunk(uint32_t shard, const uint8_t* records, size_t size,
                 uint64_t windows, std::string* error);
 
-  /// AddChunk over one serialized chunk payload — the spill, journal and
-  /// wire record: varint(windows) varint(records) records. Bytes read back
-  /// from disk or a socket are never trusted to be well-formed.
+  /// AddChunk over one serialized chunk payload — the journal and wire
+  /// record: varint(windows) varint(records) records. Bytes read back from
+  /// the journal's overflow file or a socket are never trusted to be
+  /// well-formed.
   bool AddChunkPayload(uint32_t shard, const uint8_t* data, size_t size,
                        std::string* error);
 

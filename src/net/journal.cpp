@@ -7,6 +7,18 @@ ChunkJournal::ChunkJournal(const Options& options)
     : options_(options), shards_(options.num_shards) {}
 
 ChunkJournal::~ChunkJournal() {
+  // The overflow files die with the journal: in the run's shared spill
+  // manager they would otherwise outlive counting and sit on disk through
+  // every later shuffle job. Discard wants the files' writes finished.
+  std::vector<uint32_t> files;
+  for (const Shard& s : shards_) {
+    if (s.has_spill_file) files.push_back(s.spill_file);
+  }
+  if (!files.empty()) {
+    SpillManager* spill = SpillLocked();
+    spill->Sync();
+    for (uint32_t file : files) spill->Discard(file);
+  }
   if (options_.budget != nullptr && charged_bytes_ != 0) {
     options_.budget->ReleasePinned(charged_bytes_);
   }

@@ -15,13 +15,15 @@
 // context. Without a shared budget a fallback resident cap applies so the
 // journal cannot silently eat the heap. The spill manager's ledger counts
 // the overflow records and bytes of each shard file, and its Replay
-// refuses a file whose record count differs from the appended one.
+// refuses a file whose record count differs from the appended one. The
+// journal deletes its overflow files when it dies (the ledger stays).
 //
 // Thread-safe. net::FleetCounter (net/fleet_counter.h) appends and replays
 // to the fleet under its routing lock, which is what makes journal-append +
 // send atomic with respect to recovery replay; its end-of-run reads and the
 // degraded-local replay rely on the journal's own lock. The fleet, and with
-// it the journal and its pinned budget charge, ends when counting finishes.
+// it the journal, its overflow files and its pinned budget charge, ends
+// when counting finishes.
 #ifndef PPA_NET_JOURNAL_H_
 #define PPA_NET_JOURNAL_H_
 

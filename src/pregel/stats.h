@@ -9,8 +9,8 @@
 // Spill volume travels as one SpillStats record. It is counted and checked
 // in one place, the SpillManager ledger (spill/spill.h): Append counts each
 // file's records and bytes, and Replay refuses a file whose record count
-// differs from the appended one. RunStats and KmerCountStats each hold one
-// SpillStats, filled from SpillManager::Stats over the job's own files.
+// differs from the appended one. RunStats holds one SpillStats, filled from
+// SpillManager::Stats over the job's own files.
 #ifndef PPA_PREGEL_STATS_H_
 #define PPA_PREGEL_STATS_H_
 
@@ -20,8 +20,8 @@
 
 namespace ppa {
 
-/// External spill volume of one job (or the counter's pass 1): sealed
-/// chunks written to its spill files and read back by the consuming pass.
+/// External spill volume of one shuffle job: sealed chunks written to its
+/// spill files and read back by the consuming pass.
 /// Bytes are serialized record payloads, so readback equal to spilled
 /// means every spilled chunk was replayed. All zero when spilling is off
 /// (SpillMode::kNever).
@@ -70,7 +70,7 @@ struct RunStats {
   // crosses the shuffle (equals the map superstep's messages_sent).
   uint64_t pairs_shuffled = 0;
 
-  // Spill volume of the job's per-shard/per-destination spill files.
+  // Spill volume of the job's per-destination spill files.
   SpillStats spill;
 
   uint32_t num_supersteps() const {
@@ -140,8 +140,8 @@ struct PipelineStats {
     return n;
   }
 
-  // Spill volume across all jobs (counting reports its pass-1 spill here
-  // too, via MerCountRunStats), so the CLI report can show one line.
+  // Spill volume across all shuffle jobs, so the CLI report can show one
+  // line.
   SpillStats total_spill() const {
     SpillStats total;
     for (const auto& j : jobs) total += j.spill;

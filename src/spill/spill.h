@@ -1,10 +1,11 @@
 // External spill subsystem: disk-backed overflow for pipeline chunk queues.
 //
-// The pass-1 shard queues of the k-mer counter (dbg/kmer_counter.h) and the
-// sealed emit chunks of the MapReduce shuffle (pregel/mapreduce.h) are the
-// two places the pipeline buffers a data volume proportional to the input
-// between a producer pass and a consumer pass; the fleet's chunk journal
-// (net/journal.h) also sends its overflow here. This subsystem gives them a
+// Two producers spill: the MapReduce shuffle (pregel/mapreduce.h), whose
+// sealed emit chunks hold a data volume proportional to the input between
+// the map and the reduce, and the fleet's chunk journal (net/journal.h),
+// which sends its overflow here. The k-mer counter's pass-1 queues
+// (dbg/kmer_counter.h) never spill: their byte admission bounds them, and
+// a nonzero budget caps that bound. This subsystem gives the producers a
 // shared external store, shaped like the per-shard run files of disk-based
 // k-mer counters (yak, KMC):
 //
@@ -32,16 +33,16 @@
 //     EOF; a file cut at a record boundary reads short, which Replay's
 //     record count catches.
 //
-//   * MemoryBudget tracks resident chunk bytes pipeline-wide. Producers
-//     charge bytes when a chunk is sealed into memory and release them
-//     when the chunk is consumed or its spill write completes; when the
-//     budget would be exceeded, they seal-and-spill their largest queues
-//     instead of growing. Readback working memory (one shard / one
-//     destination at a time) is intentionally outside the budget, like the
-//     count tables themselves.
+//   * MemoryBudget tracks resident chunk bytes pipeline-wide. The shuffle
+//     and the journal pin each chunk they keep in memory (TryChargePinned)
+//     and spill a chunk that does not fit instead of growing; the shuffle
+//     also charges each queued spill write until it completes
+//     (ChargeBlocking). Readback working memory (one destination or one
+//     journal shard at a time) is intentionally outside the budget, like
+//     the count tables.
 //
-// Consumers read a shard's records back shard-locally (counter pass 2, the
-// reduce side), so counts, partitions and contigs are bit-identical to the
+// The reduce side reads each destination's records back in their
+// in-memory order, so partitions and contigs are bit-identical to the
 // in-memory path, which SpillMode::kNever keeps as the oracle.
 #ifndef PPA_SPILL_SPILL_H_
 #define PPA_SPILL_SPILL_H_
@@ -63,11 +64,11 @@
 
 namespace ppa {
 
-/// When producers move sealed chunks to disk.
+/// When the shuffle moves sealed chunks to disk. Any mode but kNever also
+/// gives the fleet's chunk journal the shared budget and spill manager.
 enum class SpillMode : uint8_t {
   kNever = 0,   // fully memory-resident (the oracle path)
-  kAuto = 1,    // counter: ring while ring bytes <= bound / 2, else disk;
-                // shuffle: spill the chunks over the memory budget
+  kAuto = 1,    // spill the chunks over the memory budget
   kAlways = 2,  // every sealed chunk goes to disk (max-pressure testing)
 };
 
@@ -98,10 +99,10 @@ inline bool ParseSpillMode(const std::string& name, SpillMode* out) {
   return false;
 }
 
-/// Pipeline-wide accounting of resident (sealed but unconsumed) chunk
-/// bytes. Thread-safe; budget_bytes == 0 means "no budget" (never exceeded,
-/// ChargeBlocking never waits). Charge/Release run once per sealed chunk
-/// (tens of kilobytes), so a mutex is plenty.
+/// Pipeline-wide accounting of resident (sealed but unconsumed) shuffle and
+/// journal chunk bytes. Thread-safe; budget_bytes == 0 means "no budget"
+/// (never exceeded, ChargeBlocking never waits). Each charge and release
+/// covers one sealed chunk (tens of kilobytes), so a mutex is plenty.
 class MemoryBudget {
  public:
   explicit MemoryBudget(uint64_t budget_bytes = 0) : budget_(budget_bytes) {
@@ -114,11 +115,6 @@ class MemoryBudget {
   }
 
   uint64_t budget_bytes() const { return budget_; }
-
-  void Charge(uint64_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ChargeLocked(n);
-  }
 
   /// Charges `n` bytes that will stay resident for a whole job (the
   /// shuffle's kept-in-memory chunks, consumed only by the reduce) iff they
@@ -360,9 +356,10 @@ class SpillManager {
   std::atomic<bool> failed_{false};
 };
 
-/// The spill wiring one pipeline run shares across the counter and every
-/// MapReduce job: the policy knob, the pipeline-wide budget, and the local
-/// spill directory every sealed chunk that leaves memory goes to.
+/// The spill wiring one pipeline run shares across every MapReduce job and
+/// the fleet's chunk journal: the policy knob, the pipeline-wide budget
+/// (which also caps the counter's queued-byte bound), and the local spill
+/// directory every sealed chunk that leaves memory goes to.
 struct SpillContext {
   SpillMode mode;
   MemoryBudget budget;

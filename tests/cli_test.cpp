@@ -44,7 +44,7 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   std::string error;
   ASSERT_TRUE(Parse({"-k", "21", "--theta", "3", "--tip-length", "60",
                      "--bubble-edit", "4", "--workers", "8", "--threads", "2",
-                     "--rounds", "2", "--labeling", "sv", "--shards", "16",
+                     "--labeling", "sv", "--shards", "16",
                      "--queue-bytes", "5000", "--spill-mode", "auto",
                      "--memory-budget-bytes", "123456", "--spill-dir",
                      "/tmp/spill-parent", "--contigs", "c.fasta", "--stats",
@@ -58,7 +58,6 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   EXPECT_EQ(opts.assembler.bubble_edit_distance, 4u);
   EXPECT_EQ(opts.assembler.num_workers, 8u);
   EXPECT_EQ(opts.assembler.num_threads, 2u);
-  EXPECT_EQ(opts.assembler.error_correction_rounds, 2);
   EXPECT_EQ(opts.labeling, LabelingMethod::kSimplifiedSv);
   EXPECT_EQ(opts.assembler.kmer_shards, 16u);
   EXPECT_EQ(opts.assembler.kmer_queue_bytes, 5000u);
@@ -228,6 +227,16 @@ uint64_t ReportField(const std::string& stats, const std::string& key) {
   return static_cast<uint64_t>(std::stoull(stats.substr(at + key.size() + 2)));
 }
 
+/// The line of a text stats report that starts with `prefix` ("spill:"),
+/// for keys that more than one line carries.
+std::string ReportLine(const std::string& stats, const std::string& prefix) {
+  size_t at = stats.find("\n" + prefix);
+  EXPECT_NE(at, std::string::npos) << prefix << " missing in:\n" << stats;
+  if (at == std::string::npos) return "";
+  ++at;
+  return stats.substr(at, stats.find('\n', at) - at);
+}
+
 // The acceptance property: ppa_assemble on an exported simulated FASTQ ==
 // the library pipeline on the dataset's reads in memory, asserted on QUAST
 // metrics. Both stream (Assemble's vector overload adapts the reads through
@@ -339,16 +348,18 @@ TEST(AssembleCliRunTest, SpillAlwaysMatchesNeverUnderTinyBudget) {
   }
   // The always run really spilled, replayed everything it spilled, and the
   // pipeline-wide peak of resident chunk bytes stayed under the budget.
-  EXPECT_GT(ReportField(always_stats, "spilled_chunks"), 0u);
-  EXPECT_GT(ReportField(always_stats, "spill_files"), 0u);
-  EXPECT_EQ(ReportField(always_stats, "readback_bytes"),
-            ReportField(always_stats, "spilled_bytes"));
+  const std::string always_spill = ReportLine(always_stats, "spill:");
+  EXPECT_GT(ReportField(always_spill, "spilled_chunks"), 0u);
+  EXPECT_GT(ReportField(always_spill, "spill_files"), 0u);
+  EXPECT_EQ(ReportField(always_spill, "readback_bytes"),
+            ReportField(always_spill, "spilled_bytes"));
   EXPECT_EQ(ReportField(always_stats, "budget_bytes"), kBudget);
   EXPECT_LE(ReportField(always_stats, "peak_resident_bytes"), kBudget);
   EXPECT_LE(ReportField(always_stats, "peak_queued_bytes"),
             ReportField(always_stats, "queue_bound_bytes"));
   EXPECT_LE(ReportField(always_stats, "queue_bound_bytes"), kBudget);
-  EXPECT_EQ(ReportField(never_stats, "spilled_bytes"), 0u);
+  EXPECT_EQ(ReportField(ReportLine(never_stats, "spill:"), "spilled_bytes"),
+            0u);
 }
 
 // The distributed acceptance property: ppa_assemble against a worker fleet
@@ -425,9 +436,10 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
       << dist_spill_stats;
   EXPECT_NE(dist_spill_stats.find("spill: mode=always"), std::string::npos)
       << dist_spill_stats;
-  EXPECT_GT(ReportField(dist_spill_stats, "spilled_chunks"), 0u);
-  EXPECT_EQ(ReportField(dist_spill_stats, "readback_bytes"),
-            ReportField(dist_spill_stats, "spilled_bytes"));
+  const std::string dist_spill_line = ReportLine(dist_spill_stats, "spill:");
+  EXPECT_GT(ReportField(dist_spill_line, "spilled_chunks"), 0u);
+  EXPECT_EQ(ReportField(dist_spill_line, "readback_bytes"),
+            ReportField(dist_spill_line, "spilled_bytes"));
   // The fleet run held the budget too: it caps the counting queue bound,
   // and the chunk journal's budget charge ends with counting instead of
   // lasting through phase (ii)'s shuffle.

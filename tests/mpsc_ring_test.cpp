@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "dbg/kmer_counter.h"
+#include "dna/superkmer.h"
 #include "sim/genome.h"
 #include "sim/read_simulator.h"
 #include "spill/spill.h"
@@ -201,12 +203,13 @@ TEST(MpscRingTest, SessionWithRingsMatchesSerialUnderBackpressure) {
   EXPECT_EQ(windows, stats.total_windows);
 }
 
-// Spilling sessions share the rings' byte admission: under kAuto (rings
-// up to half the bound, the rest spilled) and kAlways (everything
-// spilled), with the tightest bound and concurrent AddBatch callers, the
-// counts match the serial reference, the bound holds, and readback
-// replays exactly what was spilled. TSan covers the admission handoff
-// between scanners, counters and the spill writer here.
+// Sessions under a spill context share the rings' byte admission: under
+// kAuto and kAlways, with a budget below one chunk and concurrent AddBatch
+// callers, the counts match the serial reference, the budget caps the
+// bound (floored at one chunk), the bound holds, and no chunk reaches the
+// spill directory. A session abandoned without Finish joins its counter
+// threads. TSan covers the admission handoff between scanners and counters
+// here.
 TEST(MpscRingTest, SpillSessionsShareTheRingAdmission) {
   std::vector<Read> reads = SimulatedReads(8000, 6.0, 23);
   KmerCountConfig config;
@@ -215,18 +218,29 @@ TEST(MpscRingTest, SpillSessionsShareTheRingAdmission) {
   config.num_threads = 2;
   const auto expected =
       SortedPartitions(CountCanonicalMersSerial(reads, config));
+  // The counter's smallest bound: its 32 KiB flush threshold plus one
+  // maximal super-k-mer record (dbg/kmer_counter.cpp).
+  constexpr uint64_t kOneChunk = (32 << 10) + kMaxSuperkmerRecordBytes;
+  constexpr uint64_t kBudget = 1024;
   for (SpillMode mode : {SpillMode::kAuto, SpillMode::kAlways}) {
-    auto spill = MakeSpillContext(mode, "", 1 << 20);
+    auto spill = MakeSpillContext(mode, "", kBudget);
     config.spill = spill.get();
     KmerCountStats stats;
     const auto actual = SortedPartitions(
-        RunSession(reads, config, /*max_queued_bytes=*/1, /*add_threads=*/3,
+        RunSession(reads, config, /*max_queued_bytes=*/0, /*add_threads=*/3,
                    &stats));
     EXPECT_EQ(actual, expected) << SpillModeName(mode);
     EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
         << SpillModeName(mode);
-    EXPECT_GT(stats.spill.spilled_chunks, 0u) << SpillModeName(mode);
-    EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks)
+    EXPECT_LE(stats.queue_bound_bytes, std::max(kBudget, kOneChunk))
+        << SpillModeName(mode);
+    EXPECT_TRUE(std::filesystem::is_empty(spill->manager.dir()))
+        << SpillModeName(mode);
+    {
+      CounterSession abandoned(config);
+      abandoned.AddBatch(reads);
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(spill->manager.dir()))
         << SpillModeName(mode);
   }
 }

@@ -953,6 +953,49 @@ TEST(ChunkJournalTest, OverflowSpillsToDiskAndReplaysEverything) {
   EXPECT_EQ(byte_sum, kChunks * (kChunks - 1) / 2);  // every payload, once
 }
 
+// A journal on the run's shared spill manager deletes its overflow files
+// when it dies, so they do not sit on disk through the run's later jobs;
+// the manager's ledger still reports the overflow, and the journal's
+// pinned budget charge goes with it.
+TEST(ChunkJournalTest, DiscardsItsOverflowFilesFromASharedManager) {
+  SpillManager manager;
+  MemoryBudget budget(256);  // four 64-byte chunks fit; the rest overflow
+  const std::vector<uint32_t> files = {0, 1};  // one per shard, in order
+  uint64_t spilled = 0;
+  {
+    net::ChunkJournal::Options options;
+    options.num_shards = 2;
+    options.budget = &budget;
+    options.spill = &manager;
+    net::ChunkJournal journal(options);
+    for (size_t i = 0; i < 40; ++i) {
+      journal.Append(static_cast<uint32_t>(i % 2),
+                     std::vector<uint8_t>(64, static_cast<uint8_t>(i)));
+    }
+    spilled = journal.spilled_bytes();
+    ASSERT_EQ(spilled, 36u * 64u);
+    ASSERT_TRUE(manager.Sync()) << manager.error();
+    // The journal registered one overflow file per shard on this fresh
+    // manager, so they are files 0 and 1.
+    for (uint32_t file : files) {
+      ASSERT_NE(manager.FilePath(file).find("journal-shard-"),
+                std::string::npos);
+      ASSERT_TRUE(std::filesystem::exists(manager.FilePath(file)));
+    }
+  }
+  size_t left = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(manager.dir())) {
+    left += entry.path().extension() == ".spill" ? 1 : 0;
+  }
+  EXPECT_EQ(left, 0u);
+  const SpillStats stats = manager.Stats(files);
+  EXPECT_EQ(stats.spilled_chunks, 36u);
+  EXPECT_EQ(stats.spilled_bytes, spilled);
+  EXPECT_EQ(stats.spill_files, 2u);
+  EXPECT_EQ(budget.resident_bytes(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Worker process lifecycle: graceful SIGTERM drain, SIGPIPE immunity.
 // ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
-// Tests for the external spill subsystem (spill/spill.h) and its two
-// consumers. The headline properties:
+// Tests for the external spill subsystem (spill/spill.h), its consumers
+// (the shuffle and the fleet's chunk journal), and the counter's budgeted
+// queue bound. The headline properties:
 //
 //   * readback corruption — truncated file, bad magic, CRC mismatch, a
 //     record length past EOF — fails with a diagnostic, never a silently
 //     short record stream;
 //   * the temp directory is removed on success AND on early-destruction
 //     paths;
-//   * always-spill and auto-spill runs are bit-identical to never-spill
-//     across a k x shards x threads grid, for counts and for whole-pipeline
-//     contigs, with peak resident chunk bytes held under the budget.
+//   * always-spill and auto-spill runs are bit-identical to never-spill,
+//     for shuffle outputs and for whole-pipeline contigs across a
+//     k x shards x threads grid, with peak resident chunk bytes held under
+//     the budget; budgeted counter sessions match the serial counter, hold
+//     their queue bound and write no spill file.
 #include "spill/spill.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -54,8 +58,8 @@ TEST(Crc32Test, KnownAnswers) {
 TEST(MemoryBudgetTest, TracksResidentAndPeak) {
   MemoryBudget budget(1000);
   EXPECT_EQ(budget.budget_bytes(), 1000u);
-  budget.Charge(400);
-  budget.Charge(500);
+  budget.ChargeBlocking(400);
+  budget.ChargeBlocking(500);
   EXPECT_EQ(budget.resident_bytes(), 900u);
   budget.Release(600);
   EXPECT_EQ(budget.resident_bytes(), 300u);
@@ -77,7 +81,7 @@ TEST(MemoryBudgetTest, TracksResidentAndPeak) {
 
 TEST(MemoryBudgetTest, UnlimitedNeverExceeds) {
   MemoryBudget budget(0);
-  budget.Charge(1 << 30);
+  budget.ChargeBlocking(1 << 30);
   EXPECT_TRUE(budget.TryChargePinned(1 << 30));
   budget.ChargeBlocking(1 << 30);  // must not wait with no budget
   EXPECT_EQ(budget.peak_resident_bytes(), 3u << 30);
@@ -457,7 +461,7 @@ TEST(SpillReaderTest, TruncatedLengthVarintFails) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterSession equivalence: always/auto spill vs the in-memory oracle.
+// CounterSession under a spill context: the budget caps the queue bound.
 // ---------------------------------------------------------------------------
 
 using Pair = std::pair<uint64_t, uint32_t>;
@@ -486,21 +490,37 @@ std::vector<Read> SimulatedReads(uint64_t genome_length, double coverage,
   return SimulateReads(reference, read_config);
 }
 
+/// Feeds `reads` to one session from two AddBatch callers at once, in
+/// interleaved 64-read batches.
 MerCounts RunSession(const std::vector<Read>& reads, KmerCountConfig config,
                      SpillContext* spill, KmerCountStats* stats) {
   config.spill = spill;
   CounterSession session(config);
   constexpr size_t kBatch = 64;
-  for (size_t begin = 0; begin < reads.size(); begin += kBatch) {
-    session.AddBatch(reads.data() + begin,
-                     std::min(kBatch, reads.size() - begin));
+  constexpr size_t kCallers = 2;
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t begin = c * kBatch; begin < reads.size();
+           begin += kCallers * kBatch) {
+        session.AddBatch(reads.data() + begin,
+                         std::min(kBatch, reads.size() - begin));
+      }
+    });
   }
+  for (auto& t : callers) t.join();
   return session.Finish(stats);
 }
 
+// Budgeted local sessions keep every chunk in the shard rings: under kAuto
+// and kAlways, with a budget below one chunk and one above it, the counts
+// match the serial counter, the budget caps the queue bound (floored at
+// one chunk), the bound holds, and the spill directory stays empty.
 TEST(CounterSessionSpillTest, AlwaysAndAutoMatchNeverAcrossGrid) {
   const std::vector<Read> reads = SimulatedReads(15000, 10.0, 7);
-  constexpr uint64_t kBudget = 128 << 10;
+  // The counter's smallest bound: its 32 KiB flush threshold plus one
+  // maximal super-k-mer record (dbg/kmer_counter.cpp).
+  constexpr uint64_t kOneChunk = (32 << 10) + kMaxSuperkmerRecordBytes;
   for (int k : {15, 31}) {
     for (uint32_t shards : {1u, 8u}) {
       for (unsigned threads : {1u, 4u}) {
@@ -510,115 +530,37 @@ TEST(CounterSessionSpillTest, AlwaysAndAutoMatchNeverAcrossGrid) {
         config.coverage_threshold = 2;
         config.num_shards = shards;
         config.num_threads = threads;
-        KmerCountStats never_stats;
+        KmerCountStats serial_stats;
         const auto expected = SortedPartitions(
-            RunSession(reads, config, nullptr, &never_stats));
-        EXPECT_EQ(never_stats.spill.spilled_chunks, 0u);
-        EXPECT_EQ(never_stats.spill.spill_files, 0u);
+            CountCanonicalMersSerial(reads, config, &serial_stats));
 
         for (SpillMode mode : {SpillMode::kAlways, SpillMode::kAuto}) {
-          std::unique_ptr<SpillContext> context =
-              MakeSpillContext(mode, "", kBudget);
-          KmerCountStats stats;
-          const auto actual = SortedPartitions(
-              RunSession(reads, config, context.get(), &stats));
-          const std::string label =
-              std::string(SpillModeName(mode)) + " k=" + std::to_string(k) +
-              " shards=" + std::to_string(shards) +
-              " threads=" + std::to_string(threads);
-          EXPECT_EQ(actual, expected) << label;
-          EXPECT_EQ(stats.total_windows, never_stats.total_windows) << label;
-          EXPECT_EQ(stats.distinct_mers, never_stats.distinct_mers) << label;
-          // Readback replayed exactly what was spilled.
-          EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks)
-              << label;
-          EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes)
-              << label;
-          // Each shard file was deleted right after its replay.
-          EXPECT_EQ(SpillFilesIn(context->manager.dir()), 0u) << label;
-          // The budget caps the session's queued-byte bound, and the bound
-          // held (so resident chunk bytes never exceeded the budget).
-          EXPECT_LE(stats.queue_bound_bytes, kBudget) << label;
-          EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
-              << label;
-          if (mode == SpillMode::kAlways) {
-            EXPECT_GT(stats.spill.spilled_chunks, 0u) << label;
-            EXPECT_GT(stats.spill.spill_files, 0u) << label;
-            EXPECT_LE(stats.spill.spill_files, stats.shards) << label;
-            EXPECT_LE(context->budget.peak_resident_bytes(), kBudget)
+          for (uint64_t budget : {uint64_t{4} << 10, uint64_t{128} << 10}) {
+            std::unique_ptr<SpillContext> context =
+                MakeSpillContext(mode, "", budget);
+            KmerCountStats stats;
+            const auto actual = SortedPartitions(
+                RunSession(reads, config, context.get(), &stats));
+            const std::string label =
+                std::string(SpillModeName(mode)) + " k=" + std::to_string(k) +
+                " shards=" + std::to_string(shards) +
+                " threads=" + std::to_string(threads) +
+                " budget=" + std::to_string(budget);
+            EXPECT_EQ(actual, expected) << label;
+            EXPECT_EQ(stats.total_windows, serial_stats.total_windows)
                 << label;
+            EXPECT_EQ(stats.distinct_mers, serial_stats.distinct_mers)
+                << label;
+            EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
+                << label;
+            EXPECT_LE(stats.queue_bound_bytes, std::max(budget, kOneChunk))
+                << label;
+            // The counter neither spills nor charges the budget.
+            EXPECT_TRUE(fs::is_empty(context->manager.dir())) << label;
+            EXPECT_EQ(context->budget.peak_resident_bytes(), 0u) << label;
           }
         }
       }
-    }
-  }
-}
-
-// Abandoning a session without Finish must not leak writer callbacks or
-// the temp directory (the early-Finish lifecycle satellite).
-TEST(CounterSessionSpillTest, AbandonedSessionCleansUp) {
-  const std::vector<Read> reads = SimulatedReads(8000, 8.0, 11);
-  std::string dir;
-  {
-    std::unique_ptr<SpillContext> context =
-        MakeSpillContext(SpillMode::kAlways, "", 64 << 10);
-    dir = context->manager.dir();
-    KmerCountConfig config;
-    config.mer_length = 31;
-    config.num_workers = 4;
-    config.num_threads = 2;
-    config.spill = context.get();
-    CounterSession session(config);
-    session.AddBatch(reads);
-    // No Finish: the session joins its threads and settles the writer
-    // callbacks; the context removes the directory.
-  }
-  EXPECT_FALSE(fs::exists(dir));
-}
-
-// A malformed record in a spill file is reported as a readback failure
-// naming the file, never an abort: readback counts through the same
-// ShardCounterBank that checks chunks arriving from a socket.
-TEST(CounterSessionSpillTest, MalformedSpilledChunkFailsFinishNotProcess) {
-  const std::vector<Read> reads = SimulatedReads(4000, 4.0, 13);
-  constexpr int L = 21;
-  // The chunk payload by hand: varint(windows) varint(records) records.
-  auto payload = [](uint64_t windows, const std::string& bases) {
-    std::vector<uint8_t> out;
-    PutVarint64(&out, windows);
-    PutVarint64(&out, 1);
-    AppendSuperkmer(bases, &out);
-    return out;
-  };
-  const std::string run30 = "ACGTTGCAACGTTGCAACGTTGCAACGTTG";  // 10 windows
-  const std::vector<std::pair<std::string, std::vector<uint8_t>>> records = {
-      {"base length below the mer length", payload(0, "ACGTA")},
-      {"declared windows disagree", payload(11, run30)},
-  };
-  for (const auto& [label, record] : records) {
-    std::unique_ptr<SpillContext> context =
-        MakeSpillContext(SpillMode::kAlways, "", 64 << 10);
-    KmerCountConfig config;
-    config.mer_length = L;
-    config.num_workers = 4;
-    config.num_threads = 2;
-    config.num_shards = 1;  // every chunk spills to shard 0's file
-    config.spill = context.get();
-    CounterSession session(config);
-    session.AddBatch(reads);
-    // The session registered its shard files on a fresh manager, so shard
-    // 0's is file 0.
-    const std::string path = context->manager.FilePath(0);
-    ASSERT_NE(path.find("kmer-shard-0"), std::string::npos) << path;
-    context->manager.Append(0, record);
-    try {
-      session.Finish();
-      ADD_FAILURE() << label << ": Finish did not throw";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("spill readback failed"), std::string::npos)
-          << label << ": " << what;
-      EXPECT_NE(what.find(path), std::string::npos) << label << ": " << what;
     }
   }
 }
@@ -749,43 +691,6 @@ TEST(SpillDamageTest, ReplayRefusesAShortOrLongFile) {
   }
 }
 
-TEST(SpillDamageTest, CounterRefusesAShardFileThatLostOrGainedARecord) {
-  const std::vector<Read> reads = SimulatedReads(8000, 8.0, 17);
-  for (Damage damage :
-       {Damage::kDropLastRecord, Damage::kDuplicateLastRecord}) {
-    std::unique_ptr<SpillContext> context =
-        MakeSpillContext(SpillMode::kAlways, "", 64 << 10);
-    KmerCountConfig config;
-    config.mer_length = 21;
-    config.num_workers = 4;
-    config.num_threads = 2;
-    config.num_shards = 1;  // every chunk spills to shard 0's file
-    config.spill = context.get();
-    CounterSession session(config);
-    constexpr size_t kBatch = 64;  // each batch seals its own chunks
-    for (size_t begin = 0; begin < reads.size(); begin += kBatch) {
-      session.AddBatch(reads.data() + begin,
-                       std::min(kBatch, reads.size() - begin));
-    }
-    ASSERT_TRUE(context->manager.Sync()) << context->manager.error();
-    // The session registered its shard files on a fresh manager, so shard
-    // 0's is file 0.
-    const std::string path = context->manager.FilePath(0);
-    ASSERT_NE(path.find("kmer-shard-0"), std::string::npos) << path;
-    DamageSpillFile(path, damage);
-    try {
-      session.Finish();
-      ADD_FAILURE() << DamageName(damage) << ": Finish did not throw";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find(path), std::string::npos)
-          << DamageName(damage) << ": " << what;
-      EXPECT_NE(what.find("records"), std::string::npos)
-          << DamageName(damage) << ": " << what;
-    }
-  }
-}
-
 TEST(SpillDamageTest, ShuffleRefusesADestinationFileThatLostOrGainedARecord) {
   for (Damage damage :
        {Damage::kDropLastRecord, Damage::kDuplicateLastRecord}) {
@@ -881,7 +786,7 @@ TEST(PipelineSpillTest, ContigsBitIdenticalAcrossGrid) {
                   never.count_stats.surviving_mers)
             << label;
         EXPECT_EQ(always.kmer_vertices, never.kmer_vertices) << label;
-        EXPECT_GT(always.count_stats.spill.spilled_chunks, 0u) << label;
+        EXPECT_LE(always.count_stats.queue_bound_bytes, kBudget) << label;
         EXPECT_GT(always.stats.total_spill().spilled_bytes, 0u) << label;
         EXPECT_EQ(always.stats.total_spill().readback_bytes,
                   always.stats.total_spill().spilled_bytes)
