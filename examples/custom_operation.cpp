@@ -91,6 +91,8 @@ uint64_t PruneLowCoverageContigs(AssemblyGraph& graph, uint32_t floor,
         v->floor = floor;
         v->edges = node.edges;
       });
+  // Prune notices are sent by id, so the job takes the graph's index.
+  CopyIndex(graph, &job);
   EngineConfig config;
   config.num_threads = options.num_threads;
   config.job_name = "custom-coverage-pruning";

@@ -207,6 +207,8 @@ AssemblerRun RunAbyssLike(const std::vector<Read>& reads,
         node->coverage = v.coverage;
         node->edges = v.edges;
       });
+  // Every later operation looks vertices up by id in the assembly graph.
+  CopyIndex(probe_graph, &graph);
 
   // ---- Unitig extension by sequential propagation + merge. ----------------
   std::vector<uint32_t> ordinals(options.num_workers, 0);

@@ -104,6 +104,8 @@ LabelingResult SequentialLabel(
           v->nbr[1] = node.NeighborAt(NodeEnd::k3);
         }
       });
+  // Broadcasts and claims are sent by id.
+  CopyIndex(graph, &claim_graph);
 
   EngineConfig config;
   config.num_threads = options.num_threads;

@@ -89,6 +89,7 @@ void PruneMinorityEdges(AssemblyGraph& graph,
   PartitionedGraph<PruneVertex> prune_graph = MirrorGraph<PruneVertex>(
       graph, options.num_threads,
       [](const AsmNode& node, PruneVertex* v) { v->edges = node.edges; });
+  CopyIndex(graph, &prune_graph);  // Prune notices are sent by id.
   EngineConfig config;
   config.num_threads = options.num_threads;
   config.job_name = "swap-branch-resolution";

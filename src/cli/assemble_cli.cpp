@@ -135,6 +135,11 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << s.Get("bubble_filtering.contigs_pruned")
       << " tip_vertices_removed=" << s.Get("tip_removal.vertices_removed")
       << '\n';
+  // Peak RSS when DBG construction returned and when the run ended. Its own
+  // line, because equivalence diffs over counting/dbg/contigs lines must not
+  // see it.
+  out << "memory: dbg_peak_rss_kb=" << s.Get("dbg.peak_rss_kb")
+      << " peak_rss_kb=" << s.Get("run.peak_rss_kb") << '\n';
   out << ref_warning;
   out << "contigs: count=" << s.Get("contigs.count")
       << " total_length=" << s.Get("contigs.total_length")
@@ -494,6 +499,8 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
     data.contigs_n50 = quast.n50;
     data.largest_contig = quast.largest_contig;
     data.wall_seconds = wall_seconds;
+    data.dbg_peak_rss_kb = result.dbg_peak_rss_kb;
+    data.peak_rss_kb = obs::PeakRssKb();
     obs::PublishRunMetrics(data, &registry);
     const obs::SnapshotView snapshot(registry.Snapshot());
 

@@ -10,6 +10,7 @@
 #include "io/fastx.h"
 #include "io/read_stream.h"
 #include "net/coordinator.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -109,6 +110,7 @@ AssemblyResult Assembler::Assemble(ReadStream& reads,
     PPA_TRACE_SPAN("dbg_construction", "phase");
     return BuildDbg(reads, options, &result.stats);
   }();
+  result.dbg_peak_rss_kb = obs::PeakRssKb();
   FinishAssembly(&result, std::move(dbg), options, method);
   RecordSpillSummary(options, &result);
   // Last, after all data-plane traffic, so the workers' numbers are final.

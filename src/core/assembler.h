@@ -51,6 +51,8 @@ struct AssemblyResult {
   // Vertices list ranking left on cycles and labeled with the S-V fallback,
   // summed over both labeling rounds (0 under S-V labeling).
   uint64_t labeling_cycle_vertices = 0;
+  // The process's peak RSS (obs::PeakRssKb) when DBG construction returned.
+  uint64_t dbg_peak_rss_kb = 0;
   double wall_seconds = 0;
 
   // External spill (spill/spill.h): the run's budget and the pipeline-wide

@@ -1,7 +1,8 @@
 #include "core/contig_labeling.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,6 +30,21 @@ struct LabelMessage {
 // Tables II/III count message bytes, so a new field must fit the padding.
 static_assert(sizeof(LabelMessage) == 16);
 
+// An ambiguous vertex's superstep-0 broadcast target: a distinct neighbor
+// and its slot in its own partition, read from the assembly graph's index
+// when the job is built (a job slot is the graph slot).
+struct LabelTarget {
+  uint64_t id = 0;
+  uint32_t slot = 0;
+};
+
+// ceil(log2 n) + 2, the LR round budget for a graph of n vertices:
+// bit_width(n - 1) == ceil(log2 n) for every n >= 2.
+uint32_t RoundBudget(uint64_t n) {
+  return static_cast<uint32_t>(std::bit_width(std::max<uint64_t>(2, n) - 1)) +
+         2;
+}
+
 /// Vertex of the labeling job. Supersteps 0-1 are end recognition; from
 /// superstep 2 on, the LR protocol runs (method == kListRanking); for the
 /// S-V method the job stops after end recognition and S-V runs as a
@@ -39,33 +55,48 @@ struct LabelVertex {
   uint64_t id = 0;
   // Unambiguous vertices: the predecessor-ID pair, one per port (5'/3'),
   // seeded with the port neighbors (kNullId = dead end), and the slot of
-  // each predecessor in its partition.
+  // each predecessor in its partition. Ambiguous vertices use neither, and
+  // keep the span of their broadcast targets there instead (SetTargets).
   uint64_t pred[2] = {kNullId, kNullId};
   uint32_t pred_slot[2] = {IdSlotIndex::kAbsent, IdSlotIndex::kAbsent};
-  // Ambiguous vertices only: the graph node, whose neighbors superstep 0
-  // broadcasts to.
-  const AsmNode* node = nullptr;
-  uint32_t round_budget = 0;
   bool halted = false;
   bool removed = false;
+  bool ambiguous = false;
   bool run_lr = true;  // false: stop after end recognition.
   bool in_cycle = false;
   bool finished = false;
 
-  bool ambiguous() const { return node != nullptr; }
   bool SlotDone(int s) const { return HasEndMark(pred[s]); }
+
+  /// Marks the vertex ambiguous, with broadcast targets [begin, end) of
+  /// `array`, its partition's target array, which outlives the job and
+  /// may still grow: pred[0] holds the array's address, pred_slot the
+  /// bounds.
+  void SetTargets(const std::vector<LabelTarget>* array, uint32_t begin,
+                  uint32_t end) {
+    ambiguous = true;
+    pred[0] = reinterpret_cast<uintptr_t>(array);
+    pred_slot[0] = begin;
+    pred_slot[1] = end;
+  }
+
+  std::span<const LabelTarget> targets() const {
+    const auto* array =
+        reinterpret_cast<const std::vector<LabelTarget>*>(pred[0]);
+    return std::span<const LabelTarget>(*array).subspan(
+        pred_slot[0], pred_slot[1] - pred_slot[0]);
+  }
 
   template <typename Ctx>
   void Compute(Ctx& ctx, std::span<const LabelMessage> msgs) {
     const uint32_t step = ctx.superstep();
-    if (ambiguous()) {
+    if (ambiguous) {
       // Superstep 1 of the paper: broadcast own ID to all neighbors, then
       // vote to halt and "never be reactivated again" (stray wake-ups from
-      // fellow ambiguous vertices are drained silently). The one send by
-      // id: the engine resolves each neighbor's slot.
+      // fellow ambiguous vertices are drained silently).
       if (step == 0) {
-        for (uint64_t target : node->DistinctNeighbors()) {
-          ctx.SendTo(target,
+        for (const LabelTarget& t : targets()) {
+          ctx.SendTo(t.id, t.slot,
                      LabelMessage{LabelMessage::kAmbiguousId, 0, 0, id});
         }
       }
@@ -89,10 +120,6 @@ struct LabelVertex {
           pred_slot[s] = ctx.slot();
         }
       }
-      round_budget = static_cast<uint32_t>(
-                         std::ceil(std::log2(static_cast<double>(
-                             std::max<uint64_t>(2, ctx.num_vertices()))))) +
-                     2;
       if (!run_lr || (SlotDone(0) && SlotDone(1))) {
         finished = true;
         ctx.VoteToHalt();
@@ -130,8 +157,8 @@ struct LabelVertex {
         ctx.VoteToHalt();
         return;
       }
-      uint32_t round = (step - 2) / 2;
-      if (round >= round_budget) {
+      const uint32_t round = (step - 2) / 2;
+      if (round >= RoundBudget(ctx.num_vertices())) {
         // Every non-cycle vertex finishes within ceil(log2 n) + 2 rounds;
         // leftovers lie on cycles and go to the S-V fallback.
         in_cycle = true;
@@ -152,9 +179,10 @@ struct LabelVertex {
     }
   }
 };
-// One per graph slot, alive while labeling shares the run's memory peak with
-// DBG construction.
-static_assert(sizeof(LabelVertex) <= 56);
+// One per graph slot; the round-1 label job sets the run's memory peak on
+// inputs where counting does not.
+static_assert(sizeof(LabelVertex) <= 40);
+static_assert(sizeof(uintptr_t) <= sizeof(uint64_t));
 
 }  // namespace
 
@@ -175,13 +203,24 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
   result.labels.resize(W);
   {
     // A job slot is the graph slot, so the graph's index gives each port
-    // neighbor's slot.
+    // neighbor's and each broadcast target's slot, and the job graph needs
+    // no index. targets[p] holds the broadcast targets of partition p's
+    // ambiguous vertices, appended by p's MirrorGraph task in slot order.
+    auto slot_of = [&graph, W](uint64_t id) {
+      return graph.partition(PartitionOf(id, W)).index.Find(id);
+    };
+    std::vector<std::vector<LabelTarget>> targets(W);
     PartitionedGraph<LabelVertex> label_graph = MirrorGraph<LabelVertex>(
         graph, options.num_threads,
-        [&graph, run_lr, W](const AsmNode& node, LabelVertex* v) {
+        [&slot_of, &targets, run_lr, W](const AsmNode& node, LabelVertex* v) {
           v->run_lr = run_lr;
           if (!node.IsUnambiguousPathNode()) {
-            v->node = &node;
+            std::vector<LabelTarget>& array = targets[PartitionOf(node.id, W)];
+            const auto begin = static_cast<uint32_t>(array.size());
+            for (uint64_t nbr : node.DistinctNeighbors()) {
+              array.push_back(LabelTarget{nbr, slot_of(nbr)});
+            }
+            v->SetTargets(&array, begin, static_cast<uint32_t>(array.size()));
             return;
           }
           for (int s = 0; s < 2; ++s) {
@@ -189,8 +228,7 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
                 node.NeighborAt(s == 0 ? NodeEnd::k5 : NodeEnd::k3);
             if (nbr == kNullId) continue;
             v->pred[s] = nbr;
-            v->pred_slot[s] =
-                graph.partition(PartitionOf(nbr, W)).index.Find(nbr);
+            v->pred_slot[s] = slot_of(nbr);
           }
         });
 
@@ -218,7 +256,7 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
       for (uint32_t slot = 0; slot < vertices.size(); ++slot) {
         const LabelVertex& v = vertices[slot];
         if (v.removed) continue;
-        if (v.ambiguous()) {
+        if (v.ambiguous) {
           ++ambiguous[p];
           continue;
         }
@@ -241,8 +279,7 @@ LabelingResult LabelContigs(const AssemblyGraph& graph,
               const uint64_t nbr =
                   node.NeighborAt(s == 0 ? NodeEnd::k5 : NodeEnd::k3);
               if (nbr == kNullId) continue;
-              sv.AddNeighbor(
-                  nbr, graph.partition(PartitionOf(nbr, W)).index.Find(nbr));
+              sv.AddNeighbor(nbr, slot_of(nbr));
             } else if (!HasEndMark(v.pred[s])) {
               // Superstep 1 end-marked every dead-end (kNullId) side.
               sv.AddNeighbor(v.pred[s], v.pred_slot[s]);

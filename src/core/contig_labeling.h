@@ -19,13 +19,18 @@
 //   * Simplified S-V over the whole unambiguous subgraph (baseline in
 //     Tables II/III): label = smallest vertex ID in the component.
 //
-// The labeling job mirrors the assembly graph (pregel/convert.h), so when
-// it is built each unambiguous vertex seeds its predecessor pair with its
-// port neighbors' ids and reads their slots from the graph's index. From
-// then on every LR send is addressed (pregel/engine.h): a request carries
-// the requester's slot, a response the slot of the predecessor it names,
-// both in the padding of the 16-byte message, so Tables II/III's byte
-// counts are unchanged. Only superstep 0's ambiguous broadcast sends by id.
+// The labeling job mirrors the assembly graph (pregel/convert.h), so a job
+// slot is the graph slot and every send is addressed (pregel/engine.h).
+// When the job is built, each unambiguous vertex seeds its predecessor pair
+// with its port neighbors' ids and reads their slots from the graph's
+// index, and each ambiguous vertex's distinct neighbors are resolved the
+// same way to {id, slot} targets in one array per partition, which the
+// vertex spans through the predecessor fields it does not use. So the job
+// graph holds no id index, and a LabelVertex is 40 B. In LR, a request
+// carries the requester's slot and a response the slot of the predecessor
+// it names, both in the padding of the 16-byte message, so Tables II/III's
+// byte counts are unchanged. The round budget ceil(log2 n) + 2 is a job
+// constant, computed from the engine's vertex count.
 //
 // The S-V job's graph comes out of the pass that collects the labels: its
 // partition p holds the vertices S-V labels (LR's cycle leftovers, or every

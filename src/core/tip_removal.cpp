@@ -195,6 +195,8 @@ TipResult RemoveTips(AssemblyGraph& graph, const AssemblerOptions& options,
         v->edges = node.edges;
         v->threshold_ = threshold;
       });
+  // REQUESTs and DELETEs are sent by id.
+  CopyIndex(graph, &tip_graph);
 
   EngineConfig config;
   config.num_threads = options.num_threads;

@@ -1,5 +1,7 @@
 #include "obs/report.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 
 #include "dbg/kmer_counter.h"
@@ -89,6 +91,7 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
   Set(r, "spill.budget_bytes", data.spill_budget_bytes);
   Set(r, "spill.peak_resident_bytes", data.spill_peak_resident_bytes);
   Set(r, "dbg.kmer_vertices", data.kmer_vertices);
+  Set(r, "dbg.peak_rss_kb", data.dbg_peak_rss_kb);
   Set(r, "labeling.cycle_vertices", data.labeling_cycle_vertices);
   Set(r, "bubble_filtering.contigs_pruned", data.bubbles_pruned);
   Set(r, "tip_removal.vertices_removed", data.tips_removed);
@@ -97,6 +100,13 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
   Set(r, "contigs.n50", data.contigs_n50);
   Set(r, "contigs.largest", data.largest_contig);
   Set(r, "run.wall_micros", Micros(data.wall_seconds));
+  Set(r, "run.peak_rss_kb", data.peak_rss_kb);
+}
+
+uint64_t PeakRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_maxrss);
 }
 
 SnapshotView::SnapshotView(std::vector<MetricValue> samples)

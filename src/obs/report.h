@@ -14,11 +14,11 @@
 //   shuffle.*   pairs shuffled
 //   spill.*     budget, peak resident, spill volume
 //   net.*       distributed counters (coordinator side)
-//   dbg.*       graph size
+//   dbg.*       graph size, and the peak RSS when DBG construction returns
 //   labeling.*  list ranking's S-V fallback
 //   bubble_filtering.*, tip_removal.*  error-correction counts
 //   contigs.*   QUAST-style assembly totals
-//   run.*       whole-run wall clock
+//   run.*       whole-run wall clock and peak RSS
 // Live metrics the pipeline increments while running (io.*, mem.*,
 // netio.*, count.*, spillio.*, net.worker.*) share the registry and appear
 // in the same snapshot/JSON.
@@ -59,7 +59,15 @@ struct RunReportData {
   uint64_t contigs_n50 = 0;
   uint64_t largest_contig = 0;
   double wall_seconds = 0;
+  // PeakRssKb when DBG construction returned, and when the run ended.
+  uint64_t dbg_peak_rss_kb = 0;
+  uint64_t peak_rss_kb = 0;
 };
+
+/// This process's resident-set high-water mark so far, in kB
+/// (getrusage(RUSAGE_SELF).ru_maxrss). Read at two points of a run, it
+/// shows whether counting or a later phase set the run's peak.
+uint64_t PeakRssKb();
 
 /// Publishes every derived total into `registry` (gauges, overwritten per
 /// run). Call once at the end of a run, before taking the snapshot the

@@ -9,21 +9,31 @@
 // Every job over the assembly graph keeps the graph's vertex ids, so here
 // the shuffle is the identity: MirrorGraph builds a job graph that is the
 // source graph slot for slot. Job partition p holds one vertex per slot of
-// source partition p, in slot order, plus a copy of that partition's id
-// index. A job vertex's slot is therefore its source vertex's slot, and a
-// job writes its results back by slot, with no id lookup. The ablation
-// bench contrasts in-memory handoff with a TextStore round trip.
+// source partition p, in slot order, and no id index. A job vertex's slot
+// is therefore its source vertex's slot, and a job writes its results back
+// by slot, with no id lookup.
+//
+// A job that sends only by slot needs no index of its own: contig labeling
+// reads each neighbor's slot from the source graph's index when its job
+// graph is built. A job that sends by id or calls Find on its job graph
+// (tip removal, the propagation, SWAP-like and ABySS-like baselines,
+// examples/custom_operation.cpp) takes the source's index with CopyIndex;
+// the engine aborts a send by id into a partition that holds vertices but
+// no index. The ablation bench contrasts in-memory handoff with a
+// TextStore round trip.
 #ifndef PPA_PREGEL_CONVERT_H_
 #define PPA_PREGEL_CONVERT_H_
 
 #include <cstdint>
 
 #include "pregel/graph.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace ppa {
 
-/// Builds the job graph of a job over `src`, one vertex per source slot.
+/// Builds the job graph of a job over `src`, one vertex per source slot,
+/// with empty id indexes (CopyIndex fills them for a job that needs one).
 ///
 ///   make_fn: void(const SrcVertexT&, DstVertexT*)
 ///
@@ -43,7 +53,6 @@ PartitionedGraph<DstVertexT> MirrorGraph(
     const auto& from = src.partition(p);
     auto& to = dst.partition(p);
     to.vertices.resize(from.vertices.size());
-    to.index = from.index;
     for (size_t slot = 0; slot < from.vertices.size(); ++slot) {
       DstVertexT& v = to.vertices[slot];
       v.id = from.vertices[slot].id;
@@ -55,6 +64,17 @@ PartitionedGraph<DstVertexT> MirrorGraph(
     }
   });
   return dst;
+}
+
+/// Gives `dst`, a job graph MirrorGraph built from `src`, a copy of each
+/// source partition's id index, for a job that sends by id or calls Find.
+template <typename DstVertexT, typename SrcVertexT>
+void CopyIndex(const PartitionedGraph<SrcVertexT>& src,
+               PartitionedGraph<DstVertexT>* dst) {
+  PPA_CHECK(dst->num_workers() == src.num_workers());
+  for (uint32_t p = 0; p < src.num_workers(); ++p) {
+    dst->partition(p).index = src.partition(p).index;
+  }
 }
 
 }  // namespace ppa

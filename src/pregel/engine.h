@@ -27,7 +27,11 @@
 //     its neighbours' slots from the graph's index when it is built).
 //     SendTo(id, msg) resolves the slot on the sender's thread, in the
 //     IdSlotIndex of the receiver's partition, which no one writes during
-//     Run. So delivery never looks up an id.
+//     Run. So delivery never looks up an id. A job graph from MirrorGraph
+//     has empty indexes until CopyIndex fills them (pregel/convert.h), so
+//     SendTo(id, msg) into a partition that holds vertices but no index
+//     aborts with a PPA_CHECK naming the job, instead of staging every
+//     message as absent.
 //   * Order. A vertex receives its messages ordered by source worker, then
 //     by send order within that worker. Each partition computes its
 //     scheduled vertices (those that did not vote to halt, and the halted
@@ -116,10 +120,15 @@ class Engine {
     uint32_t slot() const { return slot_; }
 
     /// Sends `msg` to the vertex with id `dst` (delivered next superstep),
-    /// resolving its slot in the index of dst's partition.
+    /// resolving its slot in the index of dst's partition, which must have
+    /// one if it holds vertices.
     void SendTo(uint64_t dst, Message msg) {
       const uint32_t d = PartitionOf(dst, num_workers_);
-      Stage(d, graph_->partition(d).index.Find(dst), std::move(msg));
+      const auto& part = graph_->partition(d);
+      PPA_CHECK_MSG(part.index.size() != 0 || part.vertices.empty(),
+                    "job '" + *job_name_ +
+                        "' sends by id into a partition with no id index");
+      Stage(d, part.index.Find(dst), std::move(msg));
     }
 
     /// Sends `msg` to the vertex with id `dst` at `slot` of its partition
@@ -166,6 +175,7 @@ class Engine {
     uint32_t worker_id_ = 0;
     uint32_t slot_ = 0;
     uint64_t num_vertices_ = 0;
+    const std::string* job_name_ = nullptr;
     const PartitionedGraph<VertexT>* graph_ = nullptr;
     VertexT* current_ = nullptr;
     uint64_t ops_ = 0;
@@ -194,6 +204,7 @@ class Engine {
       st.ctx.num_workers_ = W;
       st.ctx.worker_id_ = p;
       st.ctx.num_vertices_ = n_vertices;
+      st.ctx.job_name_ = &config_.job_name;
       st.ctx.graph_ = &graph;
       st.ctx.outbox_.resize(W);
       st.compute.resize(n);

@@ -6,7 +6,10 @@
 // plus an IdSlotIndex (id -> slot) for Find and for the engine's sends by
 // id. Add routes one vertex; a job whose output is already routed (DBG
 // phase (ii)'s reduce) moves each partition's vertices in whole and calls
-// Reindex. A job that sends only by slot may leave the index empty.
+// Reindex. A job graph that MirrorGraph builds (pregel/convert.h) starts
+// with empty indexes: a job that sends only by slot (contig labeling, S-V)
+// leaves them empty, and one that sends by id copies the source graph's
+// with CopyIndex.
 #ifndef PPA_PREGEL_GRAPH_H_
 #define PPA_PREGEL_GRAPH_H_
 
@@ -111,7 +114,8 @@ class PartitionedGraph {
     IdSlotIndex index;
 
     /// Rebuilds the index from `vertices`, sized afresh for them (a
-    /// cleared index would keep its old capacity, and jobs copy it).
+    /// cleared index would keep its old capacity, and CopyIndex copies
+    /// it).
     void Reindex() {
       index = IdSlotIndex();
       index.Reserve(vertices.size());
@@ -191,7 +195,7 @@ class PartitionedGraph {
   }
 
   /// Physically erases removed vertices and rebuilds indexes, so jobs that
-  /// copy an index pay for the graph as it is now.
+  /// copy an index (CopyIndex) pay for the graph as it is now.
   void Compact() {
     for (auto& p : partitions_) {
       std::vector<VertexT> kept;

@@ -132,6 +132,17 @@ inline bool ParseLogLevel(const std::string& text, LogLevel* level) {
     }                                                                        \
   } while (0)
 
+// PPA_CHECK that also prints `context`, a std::string expression built only
+// on failure (for example, the name of the job that broke a contract).
+#define PPA_CHECK_MSG(cond, context)                                         \
+  do {                                                                       \
+    if (!(cond)) {                                                           \
+      std::fprintf(stderr, "PPA_CHECK failed at %s:%d: %s: %s\n", __FILE__,  \
+                   __LINE__, #cond, std::string(context).c_str());           \
+      std::abort();                                                          \
+    }                                                                        \
+  } while (0)
+
 }  // namespace ppa
 
 #endif  // PPA_UTIL_LOGGING_H_

@@ -536,6 +536,8 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
       {"tip_removal.vertices_removed", "tip_vertices_removed"},
       {"contigs.n50", "n50"},
       {"contigs.total_length", "total_length"},
+      {"dbg.peak_rss_kb", "dbg_peak_rss_kb"},
+      {"run.peak_rss_kb", "peak_rss_kb"},
   };
   for (const auto& [metric, key] : kPairs) {
     EXPECT_EQ(metrics->GetU64(metric), ReportField(stats, key)) << metric;
@@ -547,6 +549,11 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
         "tip_removal.vertices_removed"}) {
     EXPECT_NE(metrics->Find(metric), nullptr) << metric;
   }
+  // The process's high-water mark when DBG construction returned is
+  // positive and at most the one the run ended with.
+  EXPECT_GT(metrics->GetU64("dbg.peak_rss_kb"), 0u);
+  EXPECT_LE(metrics->GetU64("dbg.peak_rss_kb"),
+            metrics->GetU64("run.peak_rss_kb"));
   // The fullest shard holds at least the mean share and at most every window.
   const uint64_t max_shard_windows =
       metrics->GetU64("counting.max_shard_windows");

@@ -614,6 +614,45 @@ TEST(EngineDeathTest, SlotOutsideThePartitionAborts) {
   EXPECT_DEATH(engine.Run(graph), "PPA_CHECK failed");
 }
 
+// Sends by id to the vertex with the next id, which the engine resolves in
+// the receiver partition's index.
+struct NextIdVertex {
+  using Message = uint8_t;
+  uint64_t id = 0;
+  bool halted = false;
+  bool removed = false;
+  uint32_t got = 0;
+
+  template <typename Ctx>
+  void Compute(Ctx& ctx, std::span<const uint8_t> msgs) {
+    got += static_cast<uint32_t>(msgs.size());
+    if (ctx.superstep() == 0) ctx.SendTo(id + 1, 1);
+    ctx.VoteToHalt();
+  }
+};
+
+// A MirrorGraph job graph has no index until CopyIndex gives it one, so a
+// send by id into it must abort, naming the job, instead of staging every
+// message as absent; with the copy the same job delivers.
+TEST(EngineDeathTest, SendByIdIntoAPartitionWithNoIndexAborts) {
+  PartitionedGraph<NextIdVertex> src(3);
+  for (uint64_t id = 1; id <= 12; ++id) src.Add(NextIdVertex{.id = id});
+  auto mirror = [&src] {
+    return MirrorGraph<NextIdVertex>(src, /*num_threads=*/1,
+                                     [](const NextIdVertex&, NextIdVertex*) {});
+  };
+  Engine<NextIdVertex> engine({.num_threads = 1, .job_name = "unindexed"});
+  auto job = mirror();
+  EXPECT_DEATH(engine.Run(job), "PPA_CHECK failed.*job 'unindexed'");
+
+  auto indexed = mirror();
+  CopyIndex(src, &indexed);
+  const RunStats stats = engine.Run(indexed);
+  EXPECT_EQ(stats.total_messages(), 12u);
+  for (uint64_t id = 2; id <= 12; ++id) EXPECT_EQ(indexed.Find(id)->got, 1u);
+  EXPECT_EQ(indexed.Find(1)->got, 0u);
+}
+
 TEST(MirrorGraphTest, KeepsEverySlotAndSkipsRemovedVertices) {
   PartitionedGraph<MaxVertex> src(4);
   for (uint64_t id = 1; id <= 40; ++id) {
@@ -652,7 +691,12 @@ TEST(MirrorGraphTest, KeepsEverySlotAndSkipsRemovedVertices) {
       }
     }
   }
-  // The index copy resolves every id, removed or not, to its own slot.
+  // The job graph has no index of its own; after CopyIndex every id,
+  // removed or not, resolves to its own slot.
+  for (uint32_t p = 0; p < dst.num_workers(); ++p) {
+    EXPECT_EQ(dst.partition(p).index.size(), 0u) << "partition " << p;
+  }
+  CopyIndex(src, &dst);
   for (uint64_t id = 1; id <= 40; ++id) {
     const uint32_t p = PartitionOf(id, dst.num_workers());
     const uint32_t slot = dst.partition(p).index.Find(id);

@@ -240,6 +240,74 @@ TEST(PipelineTest, TipsAndBubblesAreRemoved) {
   EXPECT_GE(n50(round2), n50(round1));
 }
 
+// The logical worker count only partitions the graph: the contigs, as a
+// canonical multiset, and every job's supersteps, messages and message
+// bytes must not depend on it. Superstep 0 of labeling addresses each
+// ambiguous vertex's neighbors by their slots in their own partitions, so
+// a slot resolved in the wrong partition shows up here. The reads are
+// noisy enough that tip removal fires, so the grid covers error correction
+// as well.
+TEST(PipelineTest, ContigsAndCountsIndependentOfWorkerCount) {
+  GenomeConfig gconfig;
+  gconfig.length = 30000;
+  gconfig.repeat_families = 2;
+  gconfig.seed = 53;
+  ReadSimConfig rconfig;
+  rconfig.read_length = 100;
+  rconfig.coverage = 10;
+  rconfig.error_rate = 0.02;
+  rconfig.seed = 8;
+  const std::vector<Read> reads =
+      SimulateReads(GenerateGenome(gconfig), rconfig);
+
+  struct JobCounts {
+    std::string name;
+    uint32_t supersteps = 0;
+    uint64_t messages = 0;
+    uint64_t message_bytes = 0;
+    bool operator==(const JobCounts&) const = default;
+  };
+  std::vector<std::string> want_contigs;
+  std::vector<JobCounts> want_jobs;
+  for (uint32_t workers : {1u, 5u, 16u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    AssemblerOptions options = SmallOptions(31);
+    options.coverage_threshold = 2;
+    options.tip_length_threshold = 80;
+    options.num_workers = workers;
+    const AssemblyResult result = Assembler(options).Assemble(reads);
+    EXPECT_GT(result.tips_removed, 0u);
+
+    std::vector<std::string> contigs;
+    for (const ContigRecord& c : result.contigs) {
+      contigs.push_back(std::min(c.seq.ToString(),
+                                 c.seq.ReverseComplement().ToString()));
+    }
+    std::sort(contigs.begin(), contigs.end());
+    std::vector<JobCounts> jobs;
+    for (const RunStats& job : result.stats.jobs) {
+      jobs.push_back(JobCounts{job.job_name, job.num_supersteps(),
+                               job.total_messages(), job.total_bytes()});
+    }
+    if (workers == 1) {
+      ASSERT_FALSE(contigs.empty());
+      want_contigs = std::move(contigs);
+      want_jobs = std::move(jobs);
+      continue;
+    }
+    EXPECT_TRUE(contigs == want_contigs)
+        << contigs.size() << " contigs against " << want_contigs.size();
+    ASSERT_EQ(jobs.size(), want_jobs.size());
+    for (size_t j = 0; j < jobs.size(); ++j) {
+      EXPECT_TRUE(jobs[j] == want_jobs[j])
+          << jobs[j].name << ": " << jobs[j].supersteps << " supersteps, "
+          << jobs[j].messages << " messages, " << jobs[j].message_bytes
+          << " bytes against " << want_jobs[j].supersteps << ", "
+          << want_jobs[j].messages << ", " << want_jobs[j].message_bytes;
+    }
+  }
+}
+
 TEST(DbgConstructionTest, CoverageThresholdFiltersErrorMers) {
   GenomeConfig gconfig;
   gconfig.length = 5000;
