@@ -20,7 +20,6 @@
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "quality/quast.h"
-#include "spill/spill.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -78,8 +77,7 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
   out << '\n';
   out << "reads=" << s.Get("ingest.reads") << " bases=" << s.Get("ingest.bases")
       << " batches=" << s.Get("ingest.batches") << '\n';
-  out << "counting: mode=stream"
-      << " minimizer_len=" << s.Get("counting.minimizer_len")
+  out << "counting: minimizer_len=" << s.Get("counting.minimizer_len")
       << " shards=" << s.Get("counting.shards")
       << " threads=" << s.Get("counting.threads")
       << " windows=" << s.Get("counting.windows")
@@ -101,11 +99,10 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
   // Pairs that crossed the shuffle, summed over the MapReduce jobs.
   out << "shuffle: pairs_shuffled=" << s.Get("shuffle.pairs_shuffled")
       << '\n';
-  // Pipeline-wide spill: policy, budget, the measured high-water mark of
+  // Pipeline-wide spill: the budget, the measured high-water mark of
   // resident chunk bytes, and the volume that moved through the external
   // store across every shuffle job.
-  out << "spill: mode=" << SpillModeName(opts.assembler.spill_mode)
-      << " budget_bytes=" << s.Get("spill.budget_bytes")
+  out << "spill: budget_bytes=" << s.Get("spill.budget_bytes")
       << " peak_resident_bytes=" << s.Get("spill.peak_resident_bytes")
       << " spilled_chunks=" << s.Get("spill.spilled_chunks")
       << " spilled_bytes=" << s.Get("spill.spilled_bytes")
@@ -184,27 +181,24 @@ std::string AssembleCliUsage() {
       "\n"
       "counting options:\n"
       "  --shards INT        counting shards; 0 = auto\n"
-      "  --queue-bytes INT   bound on buffered pass-1 chunk bytes\n"
-      "                      (0 = default 32 MB)\n"
       "\n"
       "memory budget & spilling:\n"
-      "  --spill-mode never|auto|always\n"
-      "                      never (default): shuffle chunks stay in\n"
-      "                      memory; auto: the shuffle spills chunks over\n"
-      "                      the budget; always: every sealed shuffle\n"
-      "                      chunk goes through disk. auto and always also\n"
-      "                      give the fleet's chunk journal the budget and\n"
-      "                      spill dir. All modes produce identical contigs\n"
       "  --memory-budget-bytes INT\n"
       "                      pipeline-wide bound on resident chunk bytes\n"
       "                      (shuffle chunks + the fleet's chunk journal);\n"
-      "                      0 = no budget. Also caps the counting queue\n"
-      "                      bound (--queue-bytes). Held under always,\n"
-      "                      overshot by ~one sealed chunk under auto;\n"
-      "                      budgets below one chunk (~33 KB for the\n"
-      "                      counting queue) are floored to keep progress\n"
+      "                      0 = no budget, nothing spills (default). A\n"
+      "                      nonzero budget turns spilling on: shuffle\n"
+      "                      chunks stay in memory while they fit and go\n"
+      "                      to disk otherwise, and the buffered pass-1\n"
+      "                      chunk bytes are capped at min(32 MB, budget).\n"
+      "                      A budget below one chunk (one shuffle chunk\n"
+      "                      payload; ~33 KB for the counting queue) acts\n"
+      "                      as one chunk, and then every shuffle chunk\n"
+      "                      goes to disk. Identical contigs at every\n"
+      "                      budget\n"
       "  --spill-dir PATH    parent directory for the run's spill files\n"
-      "                      (default: system temp; removed after the run)\n"
+      "                      (default: system temp; removed after the run);\n"
+      "                      used only with a budget\n"
       "\n"
       "distributed execution:\n"
       "  --shard-workers INT spawn this many local ppa_shard_worker\n"
@@ -254,7 +248,8 @@ std::string AssembleCliUsage() {
       "                      flight: curl http://host:port/metrics.\n"
       "                      Workers answer GET /metrics on their own\n"
       "                      listen sockets\n"
-      "  --log-level LEVEL   debug|info|warn|error|silent (default warn)\n"
+      "  --log-level LEVEL   debug|info|warn|error|silent (default warn);\n"
+      "                      spawned workers log at the same level\n"
       "  --help              this text\n";
 }
 
@@ -318,16 +313,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
       }
     } else if (arg == "--shards") {
       if (!int_flag(&i, arg, &opts->assembler.kmer_shards)) return false;
-    } else if (arg == "--queue-bytes") {
-      if (!int_flag(&i, arg, &opts->assembler.kmer_queue_bytes)) return false;
-    } else if (arg == "--spill-mode") {
-      if (!need_value(i, arg)) return false;
-      const std::string value = argv[++i];
-      if (!ParseSpillMode(value, &opts->assembler.spill_mode)) {
-        *error = "--spill-mode: expected 'never', 'auto' or 'always', got '" +
-                 value + "'";
-        return false;
-      }
     } else if (arg == "--memory-budget-bytes") {
       if (!int_flag(&i, arg, &opts->assembler.memory_budget_bytes)) {
         return false;
@@ -511,8 +496,6 @@ int RunAssembleCli(const AssembleCliOptions& opts, std::ostream& out,
     if (write_json) {
       obs::RunReportInfo info;
       info.inputs = opts.inputs;
-      info.counting_mode = "stream";
-      info.spill_mode = SpillModeName(opts.assembler.spill_mode);
       info.wall_seconds = wall_seconds;
       info.workers = result.worker_telemetry;
       obs::WriteRunReportJson(run_json, snapshot, info);

@@ -31,7 +31,8 @@ const char kUsage[] =
     "--fault-plan runs a deterministic fault script per connection\n"
     "(grammar in src/net/faultinject.h; kill-worker exits 137).\n"
     "--log-level: debug|info|warn|error|silent (default info: a server\n"
-    "should say where it is listening).\n"
+    "should say where it is listening). A coordinator that spawns the\n"
+    "worker passes its own level.\n"
     "SIGTERM/SIGINT drain gracefully and exit 0.\n"
     "\n"
     "The listen socket also answers Prometheus scrapes: a connection whose\n"

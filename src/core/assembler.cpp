@@ -37,18 +37,15 @@ std::vector<ContigRecord> CollectContigs(const AssemblyGraph& graph) {
 
 namespace {
 
-/// Wires the run's spill context into its options copy: when spilling is
-/// requested and the caller has not injected a context already, one
+/// Wires the run's spill context into its options copy: under a nonzero
+/// memory budget, unless the caller has injected a context already, one
 /// context (temp dir, writer pool, budget) is created for the whole run and
 /// every operation shares it through options->spill_context. The returned
 /// guard owns it; the temp directory dies with the guard on every path.
 std::unique_ptr<SpillContext> WireSpillContext(AssemblerOptions* options) {
-  if (options->spill_mode == SpillMode::kNever ||
-      options->spill_context != nullptr) {
-    return nullptr;
-  }
-  std::unique_ptr<SpillContext> context = MakeSpillContext(
-      options->spill_mode, options->spill_dir, options->memory_budget_bytes);
+  if (options->spill_context != nullptr) return nullptr;
+  std::unique_ptr<SpillContext> context =
+      MakeSpillContext(options->spill_dir, options->memory_budget_bytes);
   options->spill_context = context.get();
   return context;
 }
@@ -100,9 +97,7 @@ AssemblyResult Assembler::Assemble(ReadStream& reads,
   // ---- (1) DBG construction. ----------------------------------------------
   PPA_LOG(kInfo) << "k-mer counting: streaming sharded"
                  << " (threads=" << options.num_threads
-                 << ", shards=" << options.kmer_shards
-                 << ", queue_bytes=" << options.kmer_queue_bytes
-                 << "; 0 = auto)";
+                 << ", shards=" << options.kmer_shards << "; 0 = auto)";
   if (options.net_context != nullptr) {
     PPA_LOG(kInfo) << "distributed: " << options.net_context->description();
   }

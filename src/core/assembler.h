@@ -57,7 +57,7 @@ struct AssemblyResult {
 
   // External spill (spill/spill.h): the run's budget and the pipeline-wide
   // high-water mark of resident chunk bytes tracked against it. Zero when
-  // spill_mode is kNever. Per-job spill volumes live in `stats`.
+  // the run has no budget. Per-job spill volumes live in `stats`.
   uint64_t spill_budget_bytes = 0;
   uint64_t spill_peak_resident_bytes = 0;
 

@@ -33,7 +33,7 @@ DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
   count_config.coverage_threshold = options.coverage_threshold;
   count_config.spill = options.spill_context;
   count_config.net = options.net_context;
-  CounterSession session(count_config, options.kmer_queue_bytes);
+  CounterSession session(count_config);
   reads.ForEachBatch(ThreadPool::Resolve(options.num_threads),
                      [&](ReadBatch& batch) { session.AddBatch(batch.reads); });
   KmerCountStats count_stats;

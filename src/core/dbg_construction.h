@@ -44,7 +44,8 @@ struct DbgResult {
 
 /// Builds the de Bruijn graph from a bounded-memory ReadStream, counting
 /// (k+1)-mers while scanning so the input is never fully resident; the
-/// queued-byte bound comes from AssemblerOptions::kmer_queue_bytes.
+/// queued-byte bound is CounterSession's 32 MB, capped by the run's memory
+/// budget when it has one.
 /// Appends phase statistics to `stats` if non-null. Thread footprint:
 /// num_threads scanner threads PLUS up to num_threads shard counter threads
 /// (the overlap is the point) plus the stream's reader thread; counter

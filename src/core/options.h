@@ -30,22 +30,18 @@ struct AssemblerOptions {
   uint32_t kmer_shards = 0;           // counting shards; 0 = auto (4x threads),
                                       // rounded up to a power of two and
                                       // capped at 1024.
-  uint64_t kmer_queue_bytes = 0;      // bound on chunk bytes buffered
-                                      // between scanners and shard counters
-                                      // (backpressure); 0 = CounterSession
-                                      // default (32 MB).
 
-  // External spill (spill/spill.h): ppa_assemble --spill-mode/--spill-dir/
-  // --memory-budget-bytes. The modes steer the shuffle: kNever keeps every
-  // sealed chunk memory-resident (the oracle path), kAuto spills the
-  // chunks that exceed memory_budget_bytes, kAlways routes every sealed
-  // chunk through disk. kAuto and kAlways also give the fleet's chunk
-  // journal the budget and the spill directory for its overflow. The
-  // counter never spills; a nonzero budget caps its queued-byte bound. All
-  // modes produce bit-identical contigs.
-  SpillMode spill_mode = SpillMode::kNever;
+  // Memory budget and external spill (spill/spill.h): ppa_assemble
+  // --memory-budget-bytes/--spill-dir. A nonzero budget is the one memory
+  // setting: it creates the run's spill context, under which the shuffle
+  // keeps a sealed chunk in memory while it fits the budget and spills
+  // the rest, the fleet's chunk journal charges the budget and sends its
+  // overflow to the spill directory, and the counter's queued-byte bound
+  // drops from 32 MB to min(32 MB, budget), floored at one chunk. The
+  // counter never spills. spill_dir takes effect only with a budget. Every
+  // budget produces bit-identical contigs.
   std::string spill_dir;             // parent directory; empty = system temp
-  uint64_t memory_budget_bytes = 0;  // 0 = no budget (queue bounds only)
+  uint64_t memory_budget_bytes = 0;  // 0 = no budget: nothing spills
 
   // Runtime wiring: the per-run SpillContext every operation shares.
   // Assembler::Assemble (or any caller driving operations directly) sets

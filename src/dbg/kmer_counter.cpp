@@ -194,8 +194,6 @@ class Pass1Scanner {
         local_(plan.shards) {}
 
   uint64_t bases() const { return bases_; }
-  uint64_t windows() const { return windows_; }
-  uint64_t superkmers() const { return superkmers_; }
 
   /// Sink signature: void(uint32_t shard, Pass1Chunk&&).
   template <typename Sink>
@@ -214,8 +212,6 @@ class Pass1Scanner {
                            &chunk.packed);
       chunk.windows += sk.windows;
       chunk.records += 1;
-      windows_ += sk.windows;
-      ++superkmers_;
       if (chunk.packed.size() >= kFlushChunkBytes) {
         Flush(s, /*refill=*/true, sink);
       }
@@ -261,8 +257,6 @@ class Pass1Scanner {
   std::vector<uint8_t> codes_;  // per-read classify buffer, reused
   std::vector<Pass1Chunk> local_;
   uint64_t bases_ = 0;
-  uint64_t windows_ = 0;
-  uint64_t superkmers_ = 0;
 };
 
 /// Concatenates the per-shard slices of each output partition in ascending
@@ -325,7 +319,9 @@ struct CounterSession::Impl {
   std::condition_variable not_empty;  // counters wait here
 
   // Per-shard ledger of every sealed chunk, tallied as it enters Enqueue
-  // (scanners seal chunks of one shard concurrently, hence atomic).
+  // (scanners seal chunks of one shard concurrently, hence atomic). Every
+  // super-k-mer lands in exactly one sealed chunk, so the ledger also
+  // gives the session's window and super-k-mer totals.
   struct ShardLedger {
     std::atomic<uint64_t> windows{0};
     std::atomic<uint64_t> bytes{0};     // chunk payload bytes
@@ -333,9 +329,7 @@ struct CounterSession::Impl {
   };
   std::unique_ptr<ShardLedger[]> ledger;
 
-  std::atomic<uint64_t> total_bases{0};
-  std::atomic<uint64_t> total_windows{0};
-  std::atomic<uint64_t> total_superkmers{0};
+  std::atomic<uint64_t> total_bases{0};  // no ledger holds bases
   std::vector<std::thread> counters;
   Timer wall;
   bool finished = false;
@@ -348,9 +342,9 @@ struct CounterSession::Impl {
     });
     bound = max_queued_bytes == 0 ? CounterSession::kDefaultMaxQueuedBytes
                                   : max_queued_bytes;
-    // A nonzero pipeline memory budget also caps this session's queued
-    // chunk bytes, local or fleet.
-    if (config.spill != nullptr && config.spill->budget.budget_bytes() != 0) {
+    // The run's memory budget (a spill context exists only under one)
+    // also caps this session's queued chunk bytes, local or fleet.
+    if (config.spill != nullptr) {
       bound = std::min(bound, config.spill->budget.budget_bytes());
     }
     // A single flushed chunk (<= flush threshold + one maximal super-k-mer
@@ -586,12 +580,12 @@ struct CounterSession::Impl {
       stats->pass1_seconds = pass1_seconds;
       stats->pass2_seconds = pass2_timer.Seconds();
       stats->total_bases = total_bases.load();
-      stats->total_windows = total_windows.load();
+      for (uint64_t w : windows) stats->total_windows += w;
       for (uint64_t d : distinct) stats->distinct_mers += d;
       for (const auto& part : result) stats->surviving_mers += part.size();
       for (uint64_t b : bytes) stats->shuffled_bytes += b;
       stats->minimizer_len = EffectiveMinimizerLen(config);
-      stats->superkmers = total_superkmers.load();
+      for (uint64_t m : messages) stats->superkmers += m;
       stats->shuffled_messages = stats->superkmers;
       stats->shard_windows = std::move(windows);
       stats->shard_bytes = std::move(bytes);
@@ -640,9 +634,6 @@ void CounterSession::AddBatch(const Read* reads, size_t n) {
       obs::MetricsRegistry::Global().GetHistogram("count.batch_bases");
   batch_bases->Observe(scanner.bases());
   impl.total_bases.fetch_add(scanner.bases(), std::memory_order_relaxed);
-  impl.total_windows.fetch_add(scanner.windows(), std::memory_order_relaxed);
-  impl.total_superkmers.fetch_add(scanner.superkmers(),
-                                  std::memory_order_relaxed);
 }
 
 MerCounts CounterSession::Finish(KmerCountStats* stats) {

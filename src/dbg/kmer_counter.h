@@ -75,11 +75,12 @@ struct KmerCountConfig {
   // min(minimizer_len, mer_length, 31).
   int minimizer_len = 11;
 
-  // The run's spill context (spill/spill.h), or nullptr. Of it a local
-  // session uses only the budget: a nonzero budget caps the session's
-  // queued-byte bound (a fleet session's too). A fleet session's journal
-  // also charges the budget and sends its overflow to the context's spill
-  // manager.
+  // The run's spill context (spill/spill.h), which exists only under a
+  // nonzero memory budget, or nullptr. Of it a local session uses only the
+  // budget, which caps the session's queued-byte bound at min(bound,
+  // budget), floored at one chunk (a fleet session's too). A fleet
+  // session's journal also charges the budget and sends its overflow to
+  // the context's spill manager.
   SpillContext* spill = nullptr;
 
   // Distributed execution over this fleet (net/coordinator.h). Non-null,
@@ -191,9 +192,11 @@ MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
 class CounterSession {
  public:
   /// `max_queued_bytes` bounds the chunk bytes buffered between scanners
-  /// and counters; 0 picks kDefaultMaxQueuedBytes. Values below the
-  /// internal flush granularity (plus one maximal super-k-mer record) are
-  /// rounded up to it so a single flushed chunk always fits.
+  /// and counters; 0 picks kDefaultMaxQueuedBytes, which is what the
+  /// pipeline uses (tests pass smaller bounds to force backpressure).
+  /// config.spill's budget caps it. Values below the internal flush
+  /// granularity (plus one maximal super-k-mer record) are rounded up to
+  /// it so a single flushed chunk always fits.
   explicit CounterSession(const KmerCountConfig& config,
                           uint64_t max_queued_bytes = 0);
   ~CounterSession();

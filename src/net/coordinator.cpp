@@ -356,20 +356,23 @@ std::string MakeSocketDir() {
 
 pid_t SpawnWorker(const std::string& binary, const std::string& endpoint,
                   const std::string& fault_plan, std::string* error) {
+  // A spawned worker logs at this process's level, so --log-level reaches
+  // the whole fleet. The argv is built before fork: the child only execs.
+  std::vector<const char*> argv = {"ppa_shard_worker", "--listen",
+                                   endpoint.c_str(), "--once", "--log-level",
+                                   LogLevelFlagValue(GetLogLevel())};
+  if (!fault_plan.empty()) {
+    argv.push_back("--fault-plan");
+    argv.push_back(fault_plan.c_str());
+  }
+  argv.push_back(nullptr);
   const pid_t pid = fork();
   if (pid < 0) {
     *error = std::string("fork failed: ") + std::strerror(errno);
     return -1;
   }
   if (pid == 0) {
-    if (fault_plan.empty()) {
-      execl(binary.c_str(), "ppa_shard_worker", "--listen", endpoint.c_str(),
-            "--once", static_cast<char*>(nullptr));
-    } else {
-      execl(binary.c_str(), "ppa_shard_worker", "--listen", endpoint.c_str(),
-            "--once", "--fault-plan", fault_plan.c_str(),
-            static_cast<char*>(nullptr));
-    }
+    execv(binary.c_str(), const_cast<char* const*>(argv.data()));
     // Exec failed; the parent surfaces it as a connect failure naming the
     // endpoint after its bounded retry.
     _exit(127);

@@ -16,8 +16,9 @@ namespace net {
 
 namespace {
 
-// The journal shares the run's memory budget and spill manager when a
-// spill context exists; otherwise it caps itself and owns its overflow.
+// The journal shares the run's memory budget and spill manager when the
+// run has a budget (and so a spill context); otherwise it caps itself and
+// owns its overflow.
 ChunkJournal::Options JournalOptions(SpillContext* spill,
                                      uint32_t num_shards) {
   ChunkJournal::Options options;

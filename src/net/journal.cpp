@@ -40,7 +40,8 @@ void ChunkJournal::Append(uint32_t shard,
 
   bool resident = false;
   if (options_.budget != nullptr) {
-    resident = options_.budget->TryChargePinned(payload.size());
+    resident =
+        options_.budget->TryChargePinned(payload.size(), /*reserve=*/0);
     if (resident) charged_bytes_ += payload.size();
   } else {
     resident =

@@ -129,10 +129,6 @@ void WriteRunReportJson(std::ostream& out, const SnapshotView& snapshot,
   w.BeginArray();
   for (const std::string& path : info.inputs) w.Value(path);
   w.EndArray();
-  w.Key("counting_mode");
-  w.Value(info.counting_mode);
-  w.Key("spill_mode");
-  w.Value(info.spill_mode);
   w.Key("wall_seconds");
   w.Value(info.wall_seconds);
 

@@ -91,10 +91,11 @@ class SnapshotView {
 };
 
 /// Non-numeric run facts carried into run.json alongside the snapshot.
+/// Every run streams its reads, and a run spills exactly when the
+/// snapshot's spill.budget_bytes is nonzero, so neither is a fact of its
+/// own.
 struct RunReportInfo {
   std::vector<std::string> inputs;
-  std::string counting_mode;  // "stream": every run streams its reads
-  std::string spill_mode;     // "never" | "auto" | "always"
   double wall_seconds = 0;
   std::vector<TelemetrySnapshot> workers;  // per-worker wire telemetry
 };

@@ -31,7 +31,7 @@
 //   out contiguously per group — O(n), and only the distinct keys are ever
 //   sorted).
 //
-// Determinism contract (any thread count, any spill mode):
+// Determinism contract (any thread count, any memory budget):
 //   * reduce_fn is invoked in ascending key order within each destination;
 //   * each group's values arrive in (source, emit) order.
 // So output is independent of num_threads. mapreduce_test checks both
@@ -122,12 +122,12 @@ struct MapReduceConfig {
   unsigned num_threads = 0;  // 0 = hardware concurrency.
   std::string job_name = "mini-mr";
 
-  // External spill (spill/spill.h): with a context whose mode is not
-  // kNever, sealed emit chunks move to per-destination spill files instead
-  // of staying resident between map and reduce — every chunk under
-  // kAlways, the over-budget ones under kAuto. Readback reassembles the
-  // exact (source, emit) chunk order, so output stays bit-identical to the
-  // in-memory path.
+  // External spill (spill/spill.h): with the run's context (it exists only
+  // under a nonzero memory budget), a sealed emit chunk stays resident
+  // between map and reduce only while it fits the budget with one maximal
+  // spill payload still free beside it; every other chunk moves to its
+  // destination's spill file. Readback reassembles the exact (source, emit)
+  // chunk order, so output stays bit-identical to the in-memory path.
   SpillContext* spill = nullptr;
 };
 
@@ -215,7 +215,7 @@ class ShuffleSpill {
   ShuffleSpill(SpillContext* context, const std::string& job_name,
                uint32_t num_workers)
       : context_(context) {
-    if (context_ == nullptr || context_->mode == SpillMode::kNever) return;
+    if (context_ == nullptr) return;
     files_.reserve(num_workers);
     for (uint32_t d = 0; d < num_workers; ++d) {
       files_.push_back(context_->manager.NewFile(job_name + "-dst-" +
@@ -234,6 +234,11 @@ class ShuffleSpill {
 
   bool enabled() const { return !files_.empty(); }
 
+  /// The largest record payload OfferSealed queues: three varints and one
+  /// full chunk of flat pairs.
+  static constexpr uint64_t kMaxPayloadBytes =
+      3 * 10 + kChunkPairs * (sizeof(K) + sizeof(V));
+
   /// Seal-time policy. Returns true after serializing and queuing `chunk`
   /// for its destination's file (the caller pushes the placeholder);
   /// returns false — charging the chunk to the budget — when it stays
@@ -244,9 +249,11 @@ class ShuffleSpill {
     // Check-and-charge must be one atomic step: concurrent map tasks
     // probing the budget separately would all pass and collectively
     // exceed it. A kept chunk stays resident until the reduce consumes
-    // it: pinned, so spill backpressure never waits on it.
-    if (context_->mode != SpillMode::kAlways &&
-        context_->budget.TryChargePinned(footprint)) {
+    // it: pinned, so spill backpressure never waits on it. Keeping room
+    // for one maximal payload beside the pins is what holds the peak
+    // within max(budget, kMaxPayloadBytes); a budget below that pins
+    // nothing, so every chunk goes to disk.
+    if (context_->budget.TryChargePinned(footprint, kMaxPayloadBytes)) {
       charged_.fetch_add(footprint, std::memory_order_relaxed);
       return false;
     }

@@ -23,8 +23,8 @@ namespace ppa {
 /// External spill volume of one shuffle job: sealed chunks written to its
 /// spill files and read back by the consuming pass.
 /// Bytes are serialized record payloads, so readback equal to spilled
-/// means every spilled chunk was replayed. All zero when spilling is off
-/// (SpillMode::kNever).
+/// means every spilled chunk was replayed. All zero when the run has no
+/// memory budget, which is when nothing spills.
 struct SpillStats {
   uint64_t spilled_chunks = 0;
   uint64_t spilled_bytes = 0;

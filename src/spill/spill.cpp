@@ -393,16 +393,15 @@ void SpillManager::WriteRecord(File* file, const WriteJob& job) {
   }
 }
 
-std::unique_ptr<SpillContext> MakeSpillContext(SpillMode mode,
-                                               const std::string& parent_dir,
+std::unique_ptr<SpillContext> MakeSpillContext(const std::string& parent_dir,
                                                uint64_t budget_bytes) {
-  if (mode == SpillMode::kNever) return nullptr;
+  if (budget_bytes == 0) return nullptr;
   SpillManager::Config config;
   config.parent_dir = parent_dir;
   // Two writers so file appends overlap (files hash across writers by id);
   // producers under backpressure stall on the drain rate of these threads.
   config.writer_threads = 2;
-  return std::make_unique<SpillContext>(mode, budget_bytes, config);
+  return std::make_unique<SpillContext>(budget_bytes, config);
 }
 
 }  // namespace ppa

@@ -1,11 +1,17 @@
 // External spill subsystem: disk-backed overflow for pipeline chunk queues.
 //
+// One setting turns it on: a nonzero memory budget (AssemblerOptions::
+// memory_budget_bytes, ppa_assemble --memory-budget-bytes). With it the run
+// gets one SpillContext, shared by every MapReduce job, the fleet's chunk
+// journal and the k-mer counter; without it nothing spills and no context,
+// directory or writer thread exists.
+//
 // Two producers spill: the MapReduce shuffle (pregel/mapreduce.h), whose
 // sealed emit chunks hold a data volume proportional to the input between
 // the map and the reduce, and the fleet's chunk journal (net/journal.h),
 // which sends its overflow here. The k-mer counter's pass-1 queues
 // (dbg/kmer_counter.h) never spill: their byte admission bounds them, and
-// a nonzero budget caps that bound. This subsystem gives the producers a
+// the budget caps that bound. This subsystem gives the producers a
 // shared external store, shaped like the per-shard run files of disk-based
 // k-mer counters (yak, KMC):
 //
@@ -37,13 +43,15 @@
 //     and the journal pin each chunk they keep in memory (TryChargePinned)
 //     and spill a chunk that does not fit instead of growing; the shuffle
 //     also charges each queued spill write until it completes
-//     (ChargeBlocking). Readback working memory (one destination or one
-//     journal shard at a time) is intentionally outside the budget, like
-//     the count tables.
+//     (ChargeBlocking), and pins a chunk only while one maximal spill
+//     payload still fits beside it, so the peak stays within
+//     max(budget, one chunk payload). Readback working memory (one
+//     destination or one journal shard at a time) is intentionally outside
+//     the budget, like the count tables.
 //
 // The reduce side reads each destination's records back in their
-// in-memory order, so partitions and contigs are bit-identical to the
-// in-memory path, which SpillMode::kNever keeps as the oracle.
+// in-memory order, so partitions and contigs are bit-identical to a run
+// without a budget, which stays the oracle.
 #ifndef PPA_SPILL_SPILL_H_
 #define PPA_SPILL_SPILL_H_
 
@@ -61,51 +69,18 @@
 
 #include "obs/metrics.h"
 #include "pregel/stats.h"
+#include "util/logging.h"
 
 namespace ppa {
 
-/// When the shuffle moves sealed chunks to disk. Any mode but kNever also
-/// gives the fleet's chunk journal the shared budget and spill manager.
-enum class SpillMode : uint8_t {
-  kNever = 0,   // fully memory-resident (the oracle path)
-  kAuto = 1,    // spill the chunks over the memory budget
-  kAlways = 2,  // every sealed chunk goes to disk (max-pressure testing)
-};
-
-inline const char* SpillModeName(SpillMode mode) {
-  switch (mode) {
-    case SpillMode::kNever:
-      return "never";
-    case SpillMode::kAuto:
-      return "auto";
-    default:
-      return "always";
-  }
-}
-
-inline bool ParseSpillMode(const std::string& name, SpillMode* out) {
-  if (name == "never") {
-    *out = SpillMode::kNever;
-    return true;
-  }
-  if (name == "auto") {
-    *out = SpillMode::kAuto;
-    return true;
-  }
-  if (name == "always") {
-    *out = SpillMode::kAlways;
-    return true;
-  }
-  return false;
-}
-
 /// Pipeline-wide accounting of resident (sealed but unconsumed) shuffle and
-/// journal chunk bytes. Thread-safe; budget_bytes == 0 means "no budget"
-/// (never exceeded, ChargeBlocking never waits). Each charge and release
-/// covers one sealed chunk (tens of kilobytes), so a mutex is plenty.
+/// journal chunk bytes. Thread-safe. The budget is nonzero: a run without
+/// one has no MemoryBudget at all. Each charge and release covers one
+/// sealed chunk (tens of kilobytes), so a mutex is plenty.
 class MemoryBudget {
  public:
-  explicit MemoryBudget(uint64_t budget_bytes = 0) : budget_(budget_bytes) {
+  explicit MemoryBudget(uint64_t budget_bytes) : budget_(budget_bytes) {
+    PPA_CHECK(budget_ != 0);
     // Live gauges for the heartbeat / trace. Last-writer-wins across
     // budgets, but a pipeline run owns exactly one.
     obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
@@ -118,15 +93,19 @@ class MemoryBudget {
 
   /// Charges `n` bytes that will stay resident for a whole job (the
   /// shuffle's kept-in-memory chunks, consumed only by the reduce) iff they
-  /// fit under the budget — check and charge under one lock acquisition, so
-  /// concurrent producers cannot each see room and then collectively blow
-  /// the budget. Returns false (charging nothing) when they do not fit.
-  /// Pinned bytes are excluded from ChargeBlocking's wait condition — they
-  /// cannot drain while the charger's own phase is still running, so
-  /// waiting on them would deadlock.
-  bool TryChargePinned(uint64_t n) {
+  /// fit under the budget with `reserve` bytes still free beside them —
+  /// check and charge under one lock acquisition, so concurrent producers
+  /// cannot each see room and then collectively blow the budget. Returns
+  /// false (charging nothing) when they do not fit. Pinned bytes are
+  /// excluded from ChargeBlocking's wait condition — they cannot drain
+  /// while the charger's own phase is still running, so waiting on them
+  /// would deadlock. A producer whose refused chunks go through
+  /// ChargeBlocking passes its largest such charge as `reserve`: pins then
+  /// never exceed budget - reserve, so the unconditional charge
+  /// ChargeBlocking grants once only pinned bytes remain still fits.
+  bool TryChargePinned(uint64_t n, uint64_t reserve) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (budget_ != 0 && resident_ + n > budget_) return false;
+    if (resident_ + n + reserve > budget_) return false;
     pinned_ += n;
     ChargeLocked(n);
     return true;
@@ -140,8 +119,7 @@ class MemoryBudget {
   void ChargeBlocking(uint64_t n) {
     std::unique_lock<std::mutex> lock(mu_);
     released_.wait(lock, [&] {
-      return budget_ == 0 || resident_ == pinned_ ||
-             resident_ + n <= budget_;
+      return resident_ == pinned_ || resident_ + n <= budget_;
     });
     ChargeLocked(n);
   }
@@ -357,23 +335,21 @@ class SpillManager {
 };
 
 /// The spill wiring one pipeline run shares across every MapReduce job and
-/// the fleet's chunk journal: the policy knob, the pipeline-wide budget
-/// (which also caps the counter's queued-byte bound), and the local spill
-/// directory every sealed chunk that leaves memory goes to.
+/// the fleet's chunk journal: the pipeline-wide budget (which also caps the
+/// counter's queued-byte bound), and the local spill directory every
+/// sealed chunk that leaves memory goes to.
 struct SpillContext {
-  SpillMode mode;
   MemoryBudget budget;
   SpillManager manager;
 
-  SpillContext(SpillMode mode_in, uint64_t budget_bytes,
-               const SpillManager::Config& config)
-      : mode(mode_in), budget(budget_bytes), manager(config) {}
+  SpillContext(uint64_t budget_bytes, const SpillManager::Config& config)
+      : budget(budget_bytes), manager(config) {}
 };
 
-/// Builds the context for one run, or nullptr when mode == kNever (the
-/// in-memory oracle path allocates nothing, not even the temp directory).
-std::unique_ptr<SpillContext> MakeSpillContext(SpillMode mode,
-                                               const std::string& parent_dir,
+/// Builds the context for one run under a nonzero budget, or nullptr for
+/// budget 0 (a run without a budget allocates nothing, not even the temp
+/// directory).
+std::unique_ptr<SpillContext> MakeSpillContext(const std::string& parent_dir,
                                                uint64_t budget_bytes);
 
 }  // namespace ppa

@@ -99,6 +99,18 @@ inline void SetLogLevel(LogLevel level) {
   internal::LogLevelFlag().store(static_cast<int>(level));
 }
 
+/// The global log level.
+inline LogLevel GetLogLevel() {
+  return static_cast<LogLevel>(internal::LogLevelFlag().load());
+}
+
+/// The --log-level value that ParseLogLevel reads back as `level`.
+inline const char* LogLevelFlagValue(LogLevel level) {
+  static const char* const kValues[] = {"debug", "info", "warn", "error",
+                                        "silent"};
+  return kValues[static_cast<int>(level)];
+}
+
 /// Parses a --log-level value ("debug", "info", "warn"/"warning", "error",
 /// "silent"). False on anything else.
 inline bool ParseLogLevel(const std::string& text, LogLevel* level) {

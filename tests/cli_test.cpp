@@ -45,7 +45,6 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   ASSERT_TRUE(Parse({"-k", "21", "--theta", "3", "--tip-length", "60",
                      "--bubble-edit", "4", "--workers", "8", "--threads", "2",
                      "--labeling", "sv", "--shards", "16",
-                     "--queue-bytes", "5000", "--spill-mode", "auto",
                      "--memory-budget-bytes", "123456", "--spill-dir",
                      "/tmp/spill-parent", "--contigs", "c.fasta", "--stats",
                      "s.txt", "--reference", "r.fasta", "--min-contig", "100",
@@ -60,8 +59,6 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   EXPECT_EQ(opts.assembler.num_threads, 2u);
   EXPECT_EQ(opts.labeling, LabelingMethod::kSimplifiedSv);
   EXPECT_EQ(opts.assembler.kmer_shards, 16u);
-  EXPECT_EQ(opts.assembler.kmer_queue_bytes, 5000u);
-  EXPECT_EQ(opts.assembler.spill_mode, SpillMode::kAuto);
   EXPECT_EQ(opts.assembler.memory_budget_bytes, 123456u);
   EXPECT_EQ(opts.assembler.spill_dir, "/tmp/spill-parent");
   EXPECT_EQ(opts.contigs_out, "c.fasta");
@@ -71,6 +68,16 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   ASSERT_EQ(opts.inputs.size(), 2u);
   EXPECT_EQ(opts.inputs[0], "in.fastq");
   EXPECT_EQ(opts.inputs[1], "in2.fasta");
+  // The budget is the one memory setting: the spill policy and the
+  // counting queue bound follow from it and have no flags of their own.
+  for (const char* removed : {"--spill-mode", "--queue-bytes"}) {
+    AssembleCliOptions rejected;
+    EXPECT_FALSE(Parse({removed, "1", "in.fastq"}, &rejected, &error))
+        << removed;
+    EXPECT_NE(error.find(std::string("unknown flag '") + removed + "'"),
+              std::string::npos)
+        << error;
+  }
 }
 
 TEST(AssembleCliParseTest, RejectsBadInput) {
@@ -124,7 +131,8 @@ TEST(AssembleCliParseTest, RejectsBadInput) {
   }
   EXPECT_FALSE(Parse({"--spill-mode", "sometimes", "in.fastq"}, &opts,
                      &error));
-  EXPECT_NE(error.find("--spill-mode"), std::string::npos);
+  EXPECT_NE(error.find("unknown flag '--spill-mode'"), std::string::npos)
+      << error;
   opts = {};
   EXPECT_FALSE(
       Parse({"--memory-budget-bytes", "-5", "in.fastq"}, &opts, &error));
@@ -255,7 +263,10 @@ TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
   opts.stats_out = TempPath("hc2_e2e.stats.txt");
   opts.assembler.num_workers = 8;
   opts.assembler.num_threads = 2;
-  opts.assembler.kmer_queue_bytes = 65536;  // small bound: force backpressure
+  // A small budget caps the counting queue bound (forcing backpressure) and
+  // spills the shuffle.
+  opts.assembler.memory_budget_bytes = 65536;
+  opts.assembler.spill_dir = ::testing::TempDir();
   opts.stream.batch_reads = 100;
   std::ostringstream out, err;
   ASSERT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
@@ -293,7 +304,8 @@ TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
   // The stats report carries the streaming bound evidence and the shuffle
   // volume.
   const std::string stats = ReadFile(opts.stats_out);
-  EXPECT_NE(stats.find("mode=stream"), std::string::npos);
+  EXPECT_NE(stats.find("\ncounting: minimizer_len="), std::string::npos)
+      << stats;
   EXPECT_NE(stats.find("shuffle: pairs_shuffled="), std::string::npos)
       << stats;
   EXPECT_NE(stats.find("peak_queued_bytes="), std::string::npos);
@@ -302,64 +314,77 @@ TEST(AssembleCliRunTest, StreamedFileRunMatchesInMemoryPipeline) {
       << stats;
 }
 
-// The spill acceptance property: `ppa_assemble --spill-mode always
-// --memory-budget-bytes <tiny>` on the HC-2-sim dataset produces
-// bit-identical contigs and counts to `--spill-mode never`, with peak
-// resident chunk bytes held under the budget (asserted from the report).
-TEST(AssembleCliRunTest, SpillAlwaysMatchesNeverUnderTinyBudget) {
+// The spill acceptance property: `ppa_assemble --memory-budget-bytes B` on
+// the HC-2-sim dataset produces bit-identical contigs and counts to the run
+// without a budget, at B = 1 (every shuffle chunk through disk) and at
+// B = 256 KiB (chunks that fit stay in memory), with peak resident chunk
+// bytes and the counting queue bound held under a budget of several chunks
+// (asserted from the report). The budget flag is the only memory setting
+// each run passes: it alone turns spilling on.
+TEST(AssembleCliRunTest, SpillBudgetsMatchTheRunWithoutABudget) {
   Dataset dataset = MakeDataset(DatasetId::kHc2, 0.04);
   const std::string prefix = TempPath("hc2_spill");
   std::vector<std::string> written = ExportDatasetFastq(dataset, prefix);
-  constexpr uint64_t kBudget = 262144;
+  const std::string spill_dir = ::testing::TempDir();
 
-  auto run = [&](const char* mode) {
+  auto run = [&](uint64_t budget) {
+    const std::string tag = "hc2_spill.budget" + std::to_string(budget);
+    const std::string budget_flag = std::to_string(budget);
+    const std::string contigs = TempPath(tag + ".fasta");
+    const std::string stats = TempPath(tag + ".txt");
     AssembleCliOptions opts;
-    opts.inputs = {written[0]};
-    opts.reference = written[1];
-    opts.contigs_out = TempPath(std::string("hc2_spill.") + mode + ".fasta");
-    opts.stats_out = TempPath(std::string("hc2_spill.") + mode + ".txt");
-    opts.assembler.num_workers = 8;
-    opts.assembler.num_threads = 2;
-    EXPECT_TRUE(ParseSpillMode(mode, &opts.assembler.spill_mode));
-    if (opts.assembler.spill_mode != SpillMode::kNever) {
-      opts.assembler.memory_budget_bytes = kBudget;
-      opts.assembler.spill_dir = ::testing::TempDir();
-    }
+    std::string error;
+    EXPECT_TRUE(Parse({"--threads", "2", "--workers", "8",
+                       "--memory-budget-bytes", budget_flag.c_str(),
+                       "--spill-dir", spill_dir.c_str(), "--contigs",
+                       contigs.c_str(), "--stats", stats.c_str(),
+                       "--reference", written[1].c_str(), written[0].c_str()},
+                      &opts, &error))
+        << error;
     std::ostringstream out, err;
     EXPECT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
     return opts;
   };
-  const AssembleCliOptions never = run("never");
-  const AssembleCliOptions always = run("always");
+  const AssembleCliOptions unbudgeted = run(0);
+  const std::string unbudgeted_stats = ReadFile(unbudgeted.stats_out);
+  EXPECT_NE(unbudgeted_stats.find("spill: budget_bytes=0 "), std::string::npos)
+      << unbudgeted_stats;
+  EXPECT_EQ(
+      ReportField(ReportLine(unbudgeted_stats, "spill:"), "spilled_bytes"), 0u);
 
-  // Bit-identical contigs.
-  EXPECT_EQ(SortedContigSeqs(always.contigs_out),
-            SortedContigSeqs(never.contigs_out));
-
-  const std::string never_stats = ReadFile(never.stats_out);
-  const std::string always_stats = ReadFile(always.stats_out);
-  EXPECT_NE(always_stats.find("spill: mode=always"), std::string::npos);
-  EXPECT_NE(never_stats.find("spill: mode=never"), std::string::npos);
-  // Identical counting + assembly metrics.
-  for (const char* key : {"windows", "max_shard_windows", "distinct",
-                          "surviving", "n50", "total_length",
-                          "pairs_shuffled"}) {
-    EXPECT_EQ(ReportField(always_stats, key), ReportField(never_stats, key)) << key;
+  for (uint64_t budget : {uint64_t{1}, uint64_t{262144}}) {
+    const AssembleCliOptions budgeted = run(budget);
+    const std::string label = "budget=" + std::to_string(budget);
+    // Bit-identical contigs.
+    EXPECT_EQ(SortedContigSeqs(budgeted.contigs_out),
+              SortedContigSeqs(unbudgeted.contigs_out))
+        << label;
+    const std::string stats = ReadFile(budgeted.stats_out);
+    // Identical counting + assembly metrics.
+    for (const char* key : {"windows", "max_shard_windows", "distinct",
+                            "surviving", "n50", "total_length",
+                            "pairs_shuffled"}) {
+      EXPECT_EQ(ReportField(stats, key), ReportField(unbudgeted_stats, key))
+          << label << " " << key;
+    }
+    // The run carries the budget, really spilled and replayed everything
+    // it spilled.
+    const std::string spill = ReportLine(stats, "spill:");
+    EXPECT_EQ(ReportField(spill, "budget_bytes"), budget) << stats;
+    EXPECT_GT(ReportField(spill, "spilled_chunks"), 0u) << label;
+    EXPECT_GT(ReportField(spill, "spill_files"), 0u) << label;
+    EXPECT_EQ(ReportField(spill, "readback_bytes"),
+              ReportField(spill, "spilled_bytes"))
+        << label;
+    EXPECT_LE(ReportField(stats, "peak_queued_bytes"),
+              ReportField(stats, "queue_bound_bytes"))
+        << label;
+    if (budget == 1) continue;
+    // The pipeline-wide peak of resident chunk bytes and the counting
+    // queue bound stayed under a budget of several chunks.
+    EXPECT_LE(ReportField(spill, "peak_resident_bytes"), budget) << label;
+    EXPECT_LE(ReportField(stats, "queue_bound_bytes"), budget) << label;
   }
-  // The always run really spilled, replayed everything it spilled, and the
-  // pipeline-wide peak of resident chunk bytes stayed under the budget.
-  const std::string always_spill = ReportLine(always_stats, "spill:");
-  EXPECT_GT(ReportField(always_spill, "spilled_chunks"), 0u);
-  EXPECT_GT(ReportField(always_spill, "spill_files"), 0u);
-  EXPECT_EQ(ReportField(always_spill, "readback_bytes"),
-            ReportField(always_spill, "spilled_bytes"));
-  EXPECT_EQ(ReportField(always_stats, "budget_bytes"), kBudget);
-  EXPECT_LE(ReportField(always_stats, "peak_resident_bytes"), kBudget);
-  EXPECT_LE(ReportField(always_stats, "peak_queued_bytes"),
-            ReportField(always_stats, "queue_bound_bytes"));
-  EXPECT_LE(ReportField(always_stats, "queue_bound_bytes"), kBudget);
-  EXPECT_EQ(ReportField(ReportLine(never_stats, "spill:"), "spilled_bytes"),
-            0u);
 }
 
 // The distributed acceptance property: ppa_assemble against a worker fleet
@@ -386,7 +411,7 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
   }
 
   auto run = [&](const std::string& worker_endpoints, const char* tag,
-                 SpillMode spill_mode = SpillMode::kNever) {
+                 uint64_t budget = 0) {
     AssembleCliOptions opts;
     opts.inputs = {written[0]};
     opts.contigs_out = TempPath(std::string("hc2_net.") + tag + ".fasta");
@@ -394,21 +419,17 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
     opts.assembler.num_workers = 8;
     opts.assembler.num_threads = 2;
     opts.assembler.worker_endpoints = worker_endpoints;
-    if (spill_mode != SpillMode::kNever) {
-      opts.assembler.spill_mode = spill_mode;
-      opts.assembler.memory_budget_bytes = 262144;
-      opts.assembler.spill_dir = ::testing::TempDir();
-    }
+    opts.assembler.memory_budget_bytes = budget;
+    opts.assembler.spill_dir = ::testing::TempDir();
     std::ostringstream out, err;
     EXPECT_EQ(RunAssembleCli(opts, out, err), 0) << err.str();
     return opts;
   };
   const AssembleCliOptions local = run("", "local");
   const AssembleCliOptions distributed = run(endpoints, "dist");
-  // A fleet with spilling on: counting goes to the workers, the shuffle
+  // A fleet under a budget: counting goes to the workers, the shuffle
   // spills to the local spill directory.
-  const AssembleCliOptions dist_spill =
-      run(endpoints, "dist_spill", SpillMode::kAlways);
+  const AssembleCliOptions dist_spill = run(endpoints, "dist_spill", 262144);
   for (auto& server : servers) server->Stop();
 
   EXPECT_EQ(SortedContigSeqs(distributed.contigs_out),
@@ -434,7 +455,8 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
   EXPECT_GT(ReportField(dist_stats, "sent_bytes"), 0u);
   EXPECT_NE(dist_spill_stats.find("net: workers=2"), std::string::npos)
       << dist_spill_stats;
-  EXPECT_NE(dist_spill_stats.find("spill: mode=always"), std::string::npos)
+  EXPECT_NE(dist_spill_stats.find("spill: budget_bytes=262144 "),
+            std::string::npos)
       << dist_spill_stats;
   const std::string dist_spill_line = ReportLine(dist_spill_stats, "spill:");
   EXPECT_GT(ReportField(dist_spill_line, "spilled_chunks"), 0u);
@@ -512,7 +534,12 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   ASSERT_TRUE(ParseJson(ReadFile(opts.report_json), &run, &error)) << error;
   ASSERT_NE(run.Find("schema"), nullptr);
   EXPECT_EQ(run.Find("schema")->str, "ppa.run_report.v1");
-  EXPECT_EQ(run.Find("counting_mode")->str, "stream");
+  // The top level carries no run fact for a choice that does not exist:
+  // every run streams, and a budget alone turns spilling on.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : run.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"inputs", "metrics", "schema",
+                                            "wall_seconds", "workers"}));
   ASSERT_EQ(run.Find("inputs")->array.size(), 1u);
   EXPECT_EQ(run.Find("inputs")->array[0].str, written[0]);
   ASSERT_NE(run.Find("workers"), nullptr);  // present (empty: in-process)

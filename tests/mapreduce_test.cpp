@@ -194,10 +194,10 @@ TEST(MapReduceTest, EmptyInput) {
 
 // RunMapReduce equals the serial reference partition for partition —
 // every output in the same partition and in the same position — under
-// 1, 2 and 8 threads and every spill mode, for flat and PairKey keys. Each
-// (source, destination) lane holds about three chunks (well over
-// kChunkPairs pairs), and the reduce is order-sensitive, so a misordered
-// chunk, value or group changes the output.
+// 1, 2 and 8 threads, with and without a memory budget, for flat and
+// PairKey keys. Each (source, destination) lane holds about three chunks
+// (well over kChunkPairs pairs), and the reduce is order-sensitive, so a
+// misordered chunk, value or group changes the output.
 template <typename K>
 void ExpectMatchesReference(K (*make_key)(uint64_t)) {
   constexpr uint32_t kWorkers = 4;
@@ -221,11 +221,13 @@ void ExpectMatchesReference(K (*make_key)(uint64_t)) {
   ASSERT_GT(data.size() * 2 / (kWorkers * kWorkers),
             2 * mr_internal::kChunkPairs);
 
-  for (SpillMode mode :
-       {SpillMode::kNever, SpillMode::kAuto, SpillMode::kAlways}) {
+  // No budget (the in-memory path), a 1-byte budget (nothing pinned, every
+  // chunk through disk) and a budget of several chunks (the chunks that
+  // fit stay in memory).
+  constexpr uint64_t kPairBytes = sizeof(K) + sizeof(uint64_t);
+  for (uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{64} << 10}) {
     for (unsigned threads : {1u, 2u, 8u}) {
-      std::unique_ptr<SpillContext> spill =
-          MakeSpillContext(mode, "", 64 << 10);
+      std::unique_ptr<SpillContext> spill = MakeSpillContext("", budget);
       MapReduceConfig config;
       config.num_workers = kWorkers;
       config.num_threads = threads;
@@ -235,11 +237,20 @@ void ExpectMatchesReference(K (*make_key)(uint64_t)) {
       const auto actual = RunMapReduce<uint64_t, K, uint64_t,
                                        std::pair<K, uint64_t>>(
           input, map_fn, reduce_fn, config, &stats);
-      EXPECT_EQ(actual, expected)
-          << SpillModeName(mode) << " threads=" << threads;
+      const std::string label = "budget=" + std::to_string(budget) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(actual, expected) << label;
       EXPECT_EQ(stats.pairs_shuffled, 2 * data.size());
-      if (mode != SpillMode::kNever) {
-        EXPECT_GT(stats.spill.spilled_chunks, 0u) << SpillModeName(mode);
+      EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes)
+          << label;
+      if (budget == 0) {
+        EXPECT_EQ(stats.spill.spilled_chunks, 0u) << label;
+      } else if (budget == 1) {
+        EXPECT_GE(stats.spill.spilled_bytes, stats.pairs_shuffled * kPairBytes)
+            << label;
+      } else {
+        EXPECT_GT(stats.spill.spilled_chunks, 0u) << label;
+        EXPECT_LE(spill->budget.peak_resident_bytes(), budget) << label;
       }
     }
   }

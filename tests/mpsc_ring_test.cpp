@@ -203,13 +203,13 @@ TEST(MpscRingTest, SessionWithRingsMatchesSerialUnderBackpressure) {
   EXPECT_EQ(windows, stats.total_windows);
 }
 
-// Sessions under a spill context share the rings' byte admission: under
-// kAuto and kAlways, with a budget below one chunk and concurrent AddBatch
-// callers, the counts match the serial reference, the budget caps the
-// bound (floored at one chunk), the bound holds, and no chunk reaches the
-// spill directory. A session abandoned without Finish joins its counter
-// threads. TSan covers the admission handoff between scanners and counters
-// here.
+// Sessions under a spill context share the rings' byte admission: without
+// a budget, under a 1-byte budget and under one of several chunks, with
+// concurrent AddBatch callers, the counts match the serial reference, the
+// budget caps the bound (floored at one chunk), the bound holds, and no
+// chunk reaches the spill directory. A session abandoned without Finish
+// joins its counter threads. TSan covers the admission handoff between
+// scanners and counters here.
 TEST(MpscRingTest, SpillSessionsShareTheRingAdmission) {
   std::vector<Read> reads = SimulatedReads(8000, 6.0, 23);
   KmerCountConfig config;
@@ -221,27 +221,26 @@ TEST(MpscRingTest, SpillSessionsShareTheRingAdmission) {
   // The counter's smallest bound: its 32 KiB flush threshold plus one
   // maximal super-k-mer record (dbg/kmer_counter.cpp).
   constexpr uint64_t kOneChunk = (32 << 10) + kMaxSuperkmerRecordBytes;
-  constexpr uint64_t kBudget = 1024;
-  for (SpillMode mode : {SpillMode::kAuto, SpillMode::kAlways}) {
-    auto spill = MakeSpillContext(mode, "", kBudget);
+  for (uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{128} << 10}) {
+    auto spill = MakeSpillContext("", budget);
     config.spill = spill.get();
+    const std::string label = "budget=" + std::to_string(budget);
     KmerCountStats stats;
     const auto actual = SortedPartitions(
         RunSession(reads, config, /*max_queued_bytes=*/0, /*add_threads=*/3,
                    &stats));
-    EXPECT_EQ(actual, expected) << SpillModeName(mode);
-    EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
-        << SpillModeName(mode);
-    EXPECT_LE(stats.queue_bound_bytes, std::max(kBudget, kOneChunk))
-        << SpillModeName(mode);
-    EXPECT_TRUE(std::filesystem::is_empty(spill->manager.dir()))
-        << SpillModeName(mode);
+    EXPECT_EQ(actual, expected) << label;
+    EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes) << label;
+    const uint64_t cap = budget == 0 ? CounterSession::kDefaultMaxQueuedBytes
+                                     : std::max(budget, kOneChunk);
+    EXPECT_LE(stats.queue_bound_bytes, cap) << label;
     {
       CounterSession abandoned(config);
       abandoned.AddBatch(reads);
     }
-    EXPECT_TRUE(std::filesystem::is_empty(spill->manager.dir()))
-        << SpillModeName(mode);
+    if (spill != nullptr) {
+      EXPECT_TRUE(std::filesystem::is_empty(spill->manager.dir())) << label;
+    }
   }
 }
 

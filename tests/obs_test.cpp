@@ -409,8 +409,6 @@ TEST(RunReportTest, JsonCarriesSnapshotAndWorkers) {
 
   obs::RunReportInfo info;
   info.inputs = {"a.fastq", "b.fastq"};
-  info.counting_mode = "stream";
-  info.spill_mode = "never";
   info.wall_seconds = 1.5;
   obs::TelemetrySnapshot worker;
   worker.source = "unix:/tmp/w0.sock";
@@ -426,7 +424,13 @@ TEST(RunReportTest, JsonCarriesSnapshotAndWorkers) {
   ASSERT_TRUE(ParseJson(out.str(), &doc, &error)) << error;
   EXPECT_EQ(doc.Find("schema")->str, "ppa.run_report.v1");
   EXPECT_EQ(doc.Find("inputs")->array.size(), 2u);
-  EXPECT_EQ(doc.Find("counting_mode")->str, "stream");
+  EXPECT_DOUBLE_EQ(doc.Find("wall_seconds")->number, 1.5);
+  // The whole top level: the run facts of RunReportInfo, the snapshot and
+  // the workers, and nothing else.
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : doc.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"inputs", "metrics", "schema",
+                                            "wall_seconds", "workers"}));
   const JsonValue* metrics = doc.Find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_EQ(metrics->GetU64("dbg.kmer_vertices"), 123u);

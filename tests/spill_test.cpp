@@ -7,11 +7,13 @@
 //     short record stream;
 //   * the temp directory is removed on success AND on early-destruction
 //     paths;
-//   * always-spill and auto-spill runs are bit-identical to never-spill,
-//     for shuffle outputs and for whole-pipeline contigs across a
-//     k x shards x threads grid, with peak resident chunk bytes held under
-//     the budget; budgeted counter sessions match the serial counter, hold
-//     their queue bound and write no spill file.
+//   * runs under a 1-byte budget (every shuffle chunk spills) and under a
+//     budget of several chunks (chunks that fit stay in memory) are
+//     bit-identical to runs without a budget, for shuffle outputs and for
+//     whole-pipeline contigs across a k x shards x threads grid, with peak
+//     resident chunk bytes held within max(budget, one chunk payload);
+//     budgeted counter sessions match the serial counter, hold their queue
+//     bound and write no spill file.
 #include "spill/spill.h"
 
 #include <gtest/gtest.h>
@@ -64,13 +66,13 @@ TEST(MemoryBudgetTest, TracksResidentAndPeak) {
   budget.Release(600);
   EXPECT_EQ(budget.resident_bytes(), 300u);
   EXPECT_EQ(budget.peak_resident_bytes(), 900u);
-  ASSERT_TRUE(budget.TryChargePinned(100));
+  ASSERT_TRUE(budget.TryChargePinned(100, /*reserve=*/0));
   EXPECT_EQ(budget.resident_bytes(), 400u);
   // Atomic check-and-charge: admits only what fits, charges nothing on
   // refusal.
-  EXPECT_FALSE(budget.TryChargePinned(601));
-  EXPECT_TRUE(budget.TryChargePinned(600));
-  EXPECT_FALSE(budget.TryChargePinned(1));
+  EXPECT_FALSE(budget.TryChargePinned(601, /*reserve=*/0));
+  EXPECT_TRUE(budget.TryChargePinned(600, /*reserve=*/0));
+  EXPECT_FALSE(budget.TryChargePinned(1, /*reserve=*/0));
   EXPECT_EQ(budget.resident_bytes(), 1000u);
   budget.ReleasePinned(600);
   budget.ReleasePinned(100);
@@ -79,12 +81,24 @@ TEST(MemoryBudgetTest, TracksResidentAndPeak) {
   EXPECT_EQ(budget.peak_resident_bytes(), 1000u);
 }
 
-TEST(MemoryBudgetTest, UnlimitedNeverExceeds) {
-  MemoryBudget budget(0);
-  budget.ChargeBlocking(1 << 30);
-  EXPECT_TRUE(budget.TryChargePinned(1 << 30));
-  budget.ChargeBlocking(1 << 30);  // must not wait with no budget
-  EXPECT_EQ(budget.peak_resident_bytes(), 3u << 30);
+// The shuffle's pin rule: a pin leaves `reserve` bytes free, so the
+// unconditional charge ChargeBlocking grants once only pinned bytes remain
+// (one spill payload of at most `reserve` bytes) still fits the budget.
+TEST(MemoryBudgetTest, PinsLeaveTheReserveFree) {
+  MemoryBudget budget(1000);
+  EXPECT_TRUE(budget.TryChargePinned(600, /*reserve=*/400));
+  EXPECT_FALSE(budget.TryChargePinned(1, /*reserve=*/400));
+  EXPECT_EQ(budget.resident_bytes(), 600u);
+  budget.ChargeBlocking(400);  // one payload still fits beside the pins
+  EXPECT_EQ(budget.peak_resident_bytes(), 1000u);
+  budget.Release(400);
+  budget.ReleasePinned(600);
+  // A budget below the reserve pins nothing, so the peak is one charge.
+  MemoryBudget tiny(1);
+  EXPECT_FALSE(tiny.TryChargePinned(1, /*reserve=*/400));
+  tiny.ChargeBlocking(400);
+  EXPECT_EQ(tiny.peak_resident_bytes(), 400u);
+  tiny.Release(400);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,12 +297,12 @@ TEST(SpillManagerTest, DirRemovedOnEarlyDestructionWithQueuedWrites) {
   EXPECT_FALSE(fs::exists(dir));
 }
 
-TEST(SpillManagerTest, MakeSpillContextHonorsMode) {
-  EXPECT_EQ(MakeSpillContext(SpillMode::kNever, "", 123), nullptr);
-  std::unique_ptr<SpillContext> context =
-      MakeSpillContext(SpillMode::kAuto, "", 123);
+// A nonzero budget alone creates the run's context; without one nothing is
+// allocated, not even the temp directory.
+TEST(SpillManagerTest, MakeSpillContextNeedsABudget) {
+  EXPECT_EQ(MakeSpillContext("", 0), nullptr);
+  std::unique_ptr<SpillContext> context = MakeSpillContext("", 123);
   ASSERT_NE(context, nullptr);
-  EXPECT_EQ(context->mode, SpillMode::kAuto);
   EXPECT_EQ(context->budget.budget_bytes(), 123u);
   EXPECT_TRUE(fs::is_directory(context->manager.dir()));
 }
@@ -512,11 +526,11 @@ MerCounts RunSession(const std::vector<Read>& reads, KmerCountConfig config,
   return session.Finish(stats);
 }
 
-// Budgeted local sessions keep every chunk in the shard rings: under kAuto
-// and kAlways, with a budget below one chunk and one above it, the counts
+// Budgeted local sessions keep every chunk in the shard rings: without a
+// budget, with a 1-byte budget and with one of several chunks, the counts
 // match the serial counter, the budget caps the queue bound (floored at
 // one chunk), the bound holds, and the spill directory stays empty.
-TEST(CounterSessionSpillTest, AlwaysAndAutoMatchNeverAcrossGrid) {
+TEST(CounterSessionSpillTest, BudgetsMatchSerialAcrossGrid) {
   const std::vector<Read> reads = SimulatedReads(15000, 10.0, 7);
   // The counter's smallest bound: its 32 KiB flush threshold plus one
   // maximal super-k-mer record (dbg/kmer_counter.cpp).
@@ -534,31 +548,32 @@ TEST(CounterSessionSpillTest, AlwaysAndAutoMatchNeverAcrossGrid) {
         const auto expected = SortedPartitions(
             CountCanonicalMersSerial(reads, config, &serial_stats));
 
-        for (SpillMode mode : {SpillMode::kAlways, SpillMode::kAuto}) {
-          for (uint64_t budget : {uint64_t{4} << 10, uint64_t{128} << 10}) {
-            std::unique_ptr<SpillContext> context =
-                MakeSpillContext(mode, "", budget);
-            KmerCountStats stats;
-            const auto actual = SortedPartitions(
-                RunSession(reads, config, context.get(), &stats));
-            const std::string label =
-                std::string(SpillModeName(mode)) + " k=" + std::to_string(k) +
-                " shards=" + std::to_string(shards) +
-                " threads=" + std::to_string(threads) +
-                " budget=" + std::to_string(budget);
-            EXPECT_EQ(actual, expected) << label;
-            EXPECT_EQ(stats.total_windows, serial_stats.total_windows)
+        for (uint64_t budget : {uint64_t{0}, uint64_t{1},
+                                uint64_t{128} << 10}) {
+          std::unique_ptr<SpillContext> context = MakeSpillContext("", budget);
+          KmerCountStats stats;
+          const auto actual = SortedPartitions(
+              RunSession(reads, config, context.get(), &stats));
+          const std::string label =
+              "k=" + std::to_string(k) + " shards=" + std::to_string(shards) +
+              " threads=" + std::to_string(threads) +
+              " budget=" + std::to_string(budget);
+          EXPECT_EQ(actual, expected) << label;
+          EXPECT_EQ(stats.total_windows, serial_stats.total_windows) << label;
+          EXPECT_EQ(stats.distinct_mers, serial_stats.distinct_mers) << label;
+          EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
+              << label;
+          if (context == nullptr) {
+            EXPECT_EQ(stats.queue_bound_bytes,
+                      CounterSession::kDefaultMaxQueuedBytes)
                 << label;
-            EXPECT_EQ(stats.distinct_mers, serial_stats.distinct_mers)
-                << label;
-            EXPECT_LE(stats.peak_queued_bytes, stats.queue_bound_bytes)
-                << label;
-            EXPECT_LE(stats.queue_bound_bytes, std::max(budget, kOneChunk))
-                << label;
-            // The counter neither spills nor charges the budget.
-            EXPECT_TRUE(fs::is_empty(context->manager.dir())) << label;
-            EXPECT_EQ(context->budget.peak_resident_bytes(), 0u) << label;
+            continue;
           }
+          EXPECT_LE(stats.queue_bound_bytes, std::max(budget, kOneChunk))
+              << label;
+          // The counter neither spills nor charges the budget.
+          EXPECT_TRUE(fs::is_empty(context->manager.dir())) << label;
+          EXPECT_EQ(context->budget.peak_resident_bytes(), 0u) << label;
         }
       }
     }
@@ -600,25 +615,36 @@ Partitioned<std::pair<uint64_t, uint64_t>> RunSumJob(SpillContext* spill,
                                                      config, stats);
 }
 
-TEST(ShuffleSpillTest, AlwaysAndAutoMatchNever) {
-  RunStats never_stats;
-  const auto expected = RunSumJob(nullptr, &never_stats);
-  EXPECT_EQ(never_stats.spill.spilled_chunks, 0u);
-  for (SpillMode mode : {SpillMode::kAlways, SpillMode::kAuto}) {
-    std::unique_ptr<SpillContext> context =
-        MakeSpillContext(mode, "", 64 << 10);
+// A 1-byte budget pins nothing, so every sealed chunk goes through disk; a
+// budget of several chunks keeps the chunks that fit with room for one
+// more spill payload and spills the rest, holding its peak under the
+// budget. Both match the run without a budget.
+TEST(ShuffleSpillTest, BudgetsMatchTheRunWithoutABudget) {
+  RunStats unbudgeted_stats;
+  const auto expected = RunSumJob(nullptr, &unbudgeted_stats);
+  EXPECT_EQ(unbudgeted_stats.spill.spilled_chunks, 0u);
+  constexpr uint64_t kPairBytes = 2 * sizeof(uint64_t);
+  for (uint64_t budget : {uint64_t{1}, uint64_t{64} << 10}) {
+    std::unique_ptr<SpillContext> context = MakeSpillContext("", budget);
     RunStats stats;
     const auto actual = RunSumJob(context.get(), &stats);
-    EXPECT_EQ(actual, expected) << SpillModeName(mode);
-    EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks);
-    EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes);
+    const std::string label = "budget=" + std::to_string(budget);
+    EXPECT_EQ(actual, expected) << label;
+    EXPECT_GT(stats.spill.spilled_chunks, 0u) << label;
+    EXPECT_GT(stats.spill.spill_files, 0u) << label;
+    EXPECT_EQ(stats.spill.readback_chunks, stats.spill.spilled_chunks)
+        << label;
+    EXPECT_EQ(stats.spill.readback_bytes, stats.spill.spilled_bytes)
+        << label;
     // Each destination file was deleted right after its replay.
-    EXPECT_EQ(SpillFilesIn(context->manager.dir()), 0u)
-        << SpillModeName(mode);
-    if (mode == SpillMode::kAlways) {
-      EXPECT_GT(stats.spill.spilled_chunks, 0u);
-      EXPECT_GT(stats.spill.spill_files, 0u);
-      EXPECT_LE(context->budget.peak_resident_bytes(), 64u << 10);
+    EXPECT_EQ(SpillFilesIn(context->manager.dir()), 0u) << label;
+    if (budget == 1) {
+      // Nothing pinned: every pair went to disk.
+      EXPECT_GE(stats.spill.spilled_bytes, stats.pairs_shuffled * kPairBytes);
+    } else {
+      // Chunks that fit stayed in memory, and the peak held the budget.
+      EXPECT_LT(stats.spill.spilled_bytes, stats.pairs_shuffled * kPairBytes);
+      EXPECT_LE(context->budget.peak_resident_bytes(), budget);
     }
   }
 }
@@ -694,8 +720,8 @@ TEST(SpillDamageTest, ReplayRefusesAShortOrLongFile) {
 TEST(SpillDamageTest, ShuffleRefusesADestinationFileThatLostOrGainedARecord) {
   for (Damage damage :
        {Damage::kDropLastRecord, Damage::kDuplicateLastRecord}) {
-    std::unique_ptr<SpillContext> context =
-        MakeSpillContext(SpillMode::kAlways, "", 64 << 10);
+    // A 1-byte budget pins nothing, so every offered chunk reaches disk.
+    std::unique_ptr<SpillContext> context = MakeSpillContext("", 1);
     mr_internal::ShuffleSpill<uint64_t, uint64_t> spill(context.get(),
                                                         "damage-test", 2);
     ASSERT_TRUE(spill.enabled());
@@ -757,9 +783,16 @@ std::vector<std::string> SortedContigs(const AssemblyResult& result) {
   return contigs;
 }
 
+// Whole runs without a budget, under a 1-byte budget and under a budget of
+// several chunks give the same contigs and counts. The 1-byte run spills
+// every chunk of every job that shuffled; the several-chunk run keeps the
+// chunks that fit, so it spills less, and holds its peak under the budget.
 TEST(PipelineSpillTest, ContigsBitIdenticalAcrossGrid) {
   const std::vector<Read> reads = SimulatedReads(15000, 10.0, 23);
-  constexpr uint64_t kBudget = 256 << 10;
+  // The counter's smallest bound: its 32 KiB flush threshold plus one
+  // maximal super-k-mer record (dbg/kmer_counter.cpp).
+  constexpr uint64_t kOneChunk = (32 << 10) + kMaxSuperkmerRecordBytes;
+  constexpr uint64_t kSeveralChunks = 256 << 10;
   for (int k : {15, 31}) {
     for (uint32_t shards : {1u, 8u}) {
       for (unsigned threads : {1u, 4u}) {
@@ -768,60 +801,78 @@ TEST(PipelineSpillTest, ContigsBitIdenticalAcrossGrid) {
         options.num_workers = 4;
         options.num_threads = threads;
         options.kmer_shards = shards;
-        ReadStream never_stream(std::make_unique<VectorReadSource>(reads));
-        const AssemblyResult never =
-            Assembler(options).Assemble(never_stream);
+        ReadStream stream(std::make_unique<VectorReadSource>(reads));
+        const AssemblyResult unbudgeted = Assembler(options).Assemble(stream);
+        EXPECT_EQ(unbudgeted.spill_peak_resident_bytes, 0u);
+        EXPECT_EQ(unbudgeted.stats.total_spill().spilled_bytes, 0u);
 
-        options.spill_mode = SpillMode::kAlways;
-        options.memory_budget_bytes = kBudget;
-        ReadStream always_stream(std::make_unique<VectorReadSource>(reads));
-        const AssemblyResult always =
-            Assembler(options).Assemble(always_stream);
-
-        const std::string label = "k=" + std::to_string(k) + " shards=" +
-                                  std::to_string(shards) + " threads=" +
-                                  std::to_string(threads);
-        EXPECT_EQ(SortedContigs(always), SortedContigs(never)) << label;
-        EXPECT_EQ(always.count_stats.surviving_mers,
-                  never.count_stats.surviving_mers)
-            << label;
-        EXPECT_EQ(always.kmer_vertices, never.kmer_vertices) << label;
-        EXPECT_LE(always.count_stats.queue_bound_bytes, kBudget) << label;
-        EXPECT_GT(always.stats.total_spill().spilled_bytes, 0u) << label;
-        EXPECT_EQ(always.stats.total_spill().readback_bytes,
-                  always.stats.total_spill().spilled_bytes)
-            << label;
-        EXPECT_EQ(always.spill_budget_bytes, kBudget) << label;
-        // The acceptance bound: resident chunk bytes stayed under budget.
-        EXPECT_LE(always.spill_peak_resident_bytes, kBudget) << label;
-        EXPECT_EQ(never.spill_peak_resident_bytes, 0u) << label;
-        // Every shuffle ships flat records, so every job that shuffled
-        // anything spilled under kAlways and replayed all it spilled.
-        for (const RunStats& job : always.stats.jobs) {
-          if (job.pairs_shuffled == 0) continue;
-          EXPECT_GT(job.spill.spilled_chunks, 0u)
-              << label << " " << job.job_name;
-          EXPECT_EQ(job.spill.readback_chunks, job.spill.spilled_chunks)
-              << label << " " << job.job_name;
+        uint64_t one_byte_spilled = 0;
+        for (uint64_t budget : {uint64_t{1}, kSeveralChunks}) {
+          options.memory_budget_bytes = budget;
+          ReadStream budget_stream(std::make_unique<VectorReadSource>(reads));
+          const AssemblyResult run =
+              Assembler(options).Assemble(budget_stream);
+          const std::string label =
+              "k=" + std::to_string(k) + " shards=" + std::to_string(shards) +
+              " threads=" + std::to_string(threads) +
+              " budget=" + std::to_string(budget);
+          EXPECT_EQ(SortedContigs(run), SortedContigs(unbudgeted)) << label;
+          EXPECT_EQ(run.count_stats.surviving_mers,
+                    unbudgeted.count_stats.surviving_mers)
+              << label;
+          EXPECT_EQ(run.kmer_vertices, unbudgeted.kmer_vertices) << label;
+          EXPECT_EQ(run.spill_budget_bytes, budget) << label;
+          EXPECT_LE(run.count_stats.queue_bound_bytes,
+                    std::max(budget, kOneChunk))
+              << label;
+          const SpillStats spill = run.stats.total_spill();
+          EXPECT_GT(spill.spilled_bytes, 0u) << label;
+          EXPECT_EQ(spill.readback_bytes, spill.spilled_bytes) << label;
+          for (const RunStats& job : run.stats.jobs) {
+            EXPECT_EQ(job.spill.readback_chunks, job.spill.spilled_chunks)
+                << label << " " << job.job_name;
+            // Every shuffle ships flat records, so under a 1-byte budget
+            // every job that shuffled anything spilled.
+            if (budget == 1 && job.pairs_shuffled != 0) {
+              EXPECT_GT(job.spill.spilled_chunks, 0u)
+                  << label << " " << job.job_name;
+            }
+          }
+          if (budget == 1) {
+            one_byte_spilled = spill.spilled_bytes;
+          } else {
+            // The acceptance bound: resident chunk bytes stayed under the
+            // budget, and the chunks that fit stayed in memory.
+            EXPECT_LE(run.spill_peak_resident_bytes, budget) << label;
+            EXPECT_LT(spill.spilled_bytes, one_byte_spilled) << label;
+          }
         }
       }
     }
   }
 }
 
-TEST(PipelineSpillTest, AutoModeMatchesNeverOnInMemoryPipeline) {
+// The std::vector<Read> adapter wires the budget like the stream path.
+TEST(PipelineSpillTest, BudgetsMatchNoBudgetOnInMemoryPipeline) {
   const std::vector<Read> reads = SimulatedReads(15000, 10.0, 31);
   AssemblerOptions options;
   options.k = 21;
   options.num_workers = 4;
   options.num_threads = 2;
-  const AssemblyResult never = Assembler(options).Assemble(reads);
+  const AssemblyResult unbudgeted = Assembler(options).Assemble(reads);
 
-  options.spill_mode = SpillMode::kAuto;
-  options.memory_budget_bytes = 64 << 10;  // tiny: most shuffles spill
-  const AssemblyResult auto_spill = Assembler(options).Assemble(reads);
-  EXPECT_EQ(SortedContigs(auto_spill), SortedContigs(never));
-  EXPECT_GT(auto_spill.stats.total_spill().spilled_bytes, 0u);
+  for (uint64_t budget : {uint64_t{1}, uint64_t{64} << 10}) {
+    options.memory_budget_bytes = budget;
+    const AssemblyResult run = Assembler(options).Assemble(reads);
+    const std::string label = "budget=" + std::to_string(budget);
+    EXPECT_EQ(SortedContigs(run), SortedContigs(unbudgeted)) << label;
+    const SpillStats spill = run.stats.total_spill();
+    EXPECT_GT(spill.spilled_bytes, 0u) << label;
+    EXPECT_EQ(spill.readback_bytes, spill.spilled_bytes) << label;
+    if (budget != 1) {
+      EXPECT_LE(run.spill_peak_resident_bytes, budget) << label;
+    }
+  }
 }
 
 }  // namespace
