@@ -132,11 +132,14 @@ void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
       << s.Get("bubble_filtering.contigs_pruned")
       << " tip_vertices_removed=" << s.Get("tip_removal.vertices_removed")
       << '\n';
-  // Peak RSS when DBG construction returned and when the run ended. Its own
-  // line, because equivalence diffs over counting/dbg/contigs lines must not
-  // see it.
+  // Peak RSS when DBG construction returned and when the run ended, and
+  // the count tables' slot bytes. Its own line, because equivalence diffs
+  // over counting/dbg/contigs lines must not see it: the table bytes
+  // follow the shard count, which follows --threads, and read 0 on a clean
+  // fleet run.
   out << "memory: dbg_peak_rss_kb=" << s.Get("dbg.peak_rss_kb")
-      << " peak_rss_kb=" << s.Get("run.peak_rss_kb") << '\n';
+      << " peak_rss_kb=" << s.Get("run.peak_rss_kb")
+      << " count_table_bytes=" << s.Get("counting.table_bytes") << '\n';
   out << ref_warning;
   out << "contigs: count=" << s.Get("contigs.count")
       << " total_length=" << s.Get("contigs.total_length")

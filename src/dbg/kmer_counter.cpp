@@ -98,7 +98,8 @@ std::vector<uint8_t> EncodePass1Chunk(const Pass1Chunk& chunk) {
 }
 
 /// One shard's open-addressing (linear probing) count table. Keys are
-/// canonical mer codes; the table grows by doubling at ~70% load.
+/// canonical mer codes; the table doubles when an insert would pass 85%
+/// load.
 class CountTable {
  public:
   explicit CountTable(uint64_t expected_distinct) {
@@ -115,7 +116,7 @@ class CountTable {
       if (keys_[i] == kEmptySlot) {
         // Grow only on actual inserts, so increment-only traffic never
         // pays for (or triggers) a rehash.
-        if ((size_ + 1) * 10 >= capacity_ * 7) {
+        if ((size_ + 1) * 20 > capacity_ * 17) {
           Rehash(capacity_ * 2);
           i = Mix64(code) & mask_;
           while (keys_[i] != kEmptySlot) i = (i + 1) & mask_;
@@ -130,6 +131,11 @@ class CountTable {
   }
 
   uint64_t size() const { return size_; }
+
+  /// Allocated slot bytes: an 8-byte key and a 4-byte count per slot.
+  uint64_t bytes() const {
+    return capacity_ * (sizeof(uint64_t) + sizeof(uint32_t));
+  }
 
   /// Visits every (code, count) entry.
   template <typename Fn>
@@ -541,10 +547,12 @@ struct CounterSession::Impl {
   // Local pass 2: every chunk was counted on its shard's counter thread,
   // so each shard is only filtered and routed.
   std::vector<MerCounts> CountLocal(ThreadPool& pool,
-                                    std::vector<uint64_t>* distinct) {
+                                    std::vector<uint64_t>* distinct,
+                                    std::vector<uint64_t>* table_bytes) {
     std::vector<MerCounts> shard_out(plan.shards);
     pool.Run(plan.shards, [&](uint32_t s) {
       (*distinct)[s] = bank->distinct(s);
+      (*table_bytes)[s] = bank->table_bytes(s);
       shard_out[s] = bank->Finalize(s, config.coverage_threshold,
                                     config.num_workers);
     });
@@ -567,10 +575,11 @@ struct CounterSession::Impl {
       messages[s] = ledger[s].messages.load();
     }
     ThreadPool pool(plan.threads);
-    std::vector<uint64_t> distinct(S, 0);
+    std::vector<uint64_t> distinct(S, 0), table_bytes(S, 0);
     std::vector<MerCounts> shard_out =
-        fleet != nullptr ? fleet->Collect(windows, pool, &distinct)
-                         : CountLocal(pool, &distinct);
+        fleet != nullptr
+            ? fleet->Collect(windows, pool, &distinct, &table_bytes)
+            : CountLocal(pool, &distinct, &table_bytes);
     MerCounts result =
         ConcatenatePartitions(shard_out, config.num_workers, pool);
     if (stats != nullptr) {
@@ -582,6 +591,7 @@ struct CounterSession::Impl {
       stats->total_bases = total_bases.load();
       for (uint64_t w : windows) stats->total_windows += w;
       for (uint64_t d : distinct) stats->distinct_mers += d;
+      for (uint64_t b : table_bytes) stats->table_bytes += b;
       for (const auto& part : result) stats->surviving_mers += part.size();
       for (uint64_t b : bytes) stats->shuffled_bytes += b;
       stats->minimizer_len = EffectiveMinimizerLen(config);
@@ -842,6 +852,11 @@ uint64_t ShardCounterBank::windows(uint32_t shard) const {
 uint64_t ShardCounterBank::distinct(uint32_t shard) const {
   PPA_CHECK(shard < rep_->tables.size());
   return rep_->tables[shard].size();
+}
+
+uint64_t ShardCounterBank::table_bytes(uint32_t shard) const {
+  PPA_CHECK(shard < rep_->tables.size());
+  return rep_->tables[shard].bytes();
 }
 
 MerCounts ShardCounterBank::Finalize(uint32_t shard,

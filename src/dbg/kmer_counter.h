@@ -40,10 +40,11 @@
 // workers' acks) catch up — backpressure that propagates through
 // ReadStream to the input file. Peak transient memory is the
 // configured byte bound plus the tables: a table slot is an 8-byte key
-// plus a 4-byte count, and a table doubles when an insert would reach 70%
-// load, so after its first doubling the load stays in [0.35, 0.7) — 17 to
-// 34 bytes per distinct mer — over a floor of 2048 slots (24 KiB) per
-// shard.
+// plus a 4-byte count, and a table doubles when an insert would pass 85%
+// load, so after its first doubling the load stays in (0.425, 0.85] — 14
+// to 28 bytes per distinct mer — over a floor of 2048 slots (24 KiB) per
+// shard. KmerCountStats::table_bytes reports the slot bytes the tables
+// ended with.
 #ifndef PPA_DBG_KMER_COUNTER_H_
 #define PPA_DBG_KMER_COUNTER_H_
 
@@ -130,6 +131,12 @@ struct KmerCountStats {
   // unacked network bytes, so the bound covers every resident chunk byte.
   uint64_t peak_queued_bytes = 0;
   uint64_t queue_bound_bytes = 0;
+
+  // Slot bytes allocated by this process's count tables when counting
+  // ended (ShardCounterBank::table_bytes summed over shards). A fleet
+  // session's tables live in the workers, so it counts only the shards a
+  // degraded fleet rebuilt here, and reads zero when none were.
+  uint64_t table_bytes = 0;
 
   // How many times a thread exhausted its spin budget on a full bound,
   // full ring or empty ring and parked (also published as the
@@ -268,6 +275,8 @@ class ShardCounterBank {
   uint64_t chunks(uint32_t shard) const;
   uint64_t windows(uint32_t shard) const;
   uint64_t distinct(uint32_t shard) const;
+  /// Slot bytes allocated by `shard`'s table: its capacity times 12.
+  uint64_t table_bytes(uint32_t shard) const;
 
   /// Keeps `shard`'s mers counted at least `coverage_threshold` times and
   /// routes them into `num_workers` partitions by Mix64(code) %

@@ -188,7 +188,7 @@ bool FleetCounter::AllSealed() const {
 
 std::vector<MerCounts> FleetCounter::Collect(
     const std::vector<uint64_t>& shard_windows, ThreadPool& pool,
-    std::vector<uint64_t>* distinct) {
+    std::vector<uint64_t>* distinct, std::vector<uint64_t>* table_bytes) {
   std::vector<MerCounts> shard_out(num_shards_, MerCounts(out_workers_));
   // A shard nothing was routed to has nothing to collect.
   for (uint32_t s = 0; s < num_shards_; ++s) {
@@ -224,7 +224,7 @@ std::vector<MerCounts> FleetCounter::Collect(
     }
   }
   if (degraded_.load(std::memory_order_relaxed)) {
-    RebuildLocally(pool, &shard_out, distinct);
+    RebuildLocally(pool, &shard_out, distinct, table_bytes);
   }
   if (!AllSealed()) {
     Fail("collection did not converge after repeated worker failures");
@@ -329,7 +329,8 @@ void FleetCounter::CollectFrom(uint32_t w,
 // rebuild the unsealed shards through the workers' own bank.
 void FleetCounter::RebuildLocally(ThreadPool& pool,
                                   std::vector<MerCounts>* shard_out,
-                                  std::vector<uint64_t>* distinct) {
+                                  std::vector<uint64_t>* distinct,
+                                  std::vector<uint64_t>* table_bytes) {
   PPA_TRACE_SPAN("net.degraded_local", "net");
   ShardCounterBank bank(mer_length_, num_shards_);
   std::vector<std::string> errors(num_shards_);
@@ -350,6 +351,7 @@ void FleetCounter::RebuildLocally(ThreadPool& pool,
       return;
     }
     (*distinct)[s] = bank.distinct(s);
+    (*table_bytes)[s] = bank.table_bytes(s);
     (*shard_out)[s] = bank.Finalize(s, coverage_threshold_, out_workers_);
     shard_sealed_[s] = true;
   });

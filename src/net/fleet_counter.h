@@ -70,11 +70,14 @@ class FleetCounter {
   /// Pass 2, after every routed chunk was acked: finishes the fleet in
   /// rounds and returns each shard's survivors by output partition. Every
   /// worker's shard summary must match the journal's chunk count and
-  /// shard_windows[s], the windows routed to shard s. Fills distinct[s].
-  /// Throws std::runtime_error on a failure recovery cannot mend.
+  /// shard_windows[s], the windows routed to shard s. Fills distinct[s],
+  /// and table_bytes[s] for a shard a degraded fleet rebuilt in this
+  /// process (a worker's table stays in the worker). Throws
+  /// std::runtime_error on a failure recovery cannot mend.
   std::vector<MerCounts> Collect(const std::vector<uint64_t>& shard_windows,
                                  ThreadPool& pool,
-                                 std::vector<uint64_t>* distinct);
+                                 std::vector<uint64_t>* distinct,
+                                 std::vector<uint64_t>* table_bytes);
 
   /// Sets the distributed and recovery fields of *stats.
   void FillStats(KmerCountStats* stats) const;
@@ -88,7 +91,8 @@ class FleetCounter {
                    std::vector<MerCounts>* shard_out,
                    std::vector<uint64_t>* distinct);
   void RebuildLocally(ThreadPool& pool, std::vector<MerCounts>* shard_out,
-                      std::vector<uint64_t>* distinct);
+                      std::vector<uint64_t>* distinct,
+                      std::vector<uint64_t>* table_bytes);
   bool AllSealed() const;
 
   NetContext& net_;

@@ -57,6 +57,7 @@ void PublishRunMetrics(const RunReportData& data, MetricsRegistry* r) {
     Set(r, "counting.surviving", c.surviving_mers);
     Set(r, "counting.peak_queued_bytes", c.peak_queued_bytes);
     Set(r, "counting.queue_bound_bytes", c.queue_bound_bytes);
+    Set(r, "counting.table_bytes", c.table_bytes);
     Set(r, "counting.pass1_micros", Micros(c.pass1_seconds));
     Set(r, "counting.pass2_micros", Micros(c.pass2_seconds));
     Set(r, "net.workers", c.distributed_workers);

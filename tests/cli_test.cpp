@@ -453,6 +453,10 @@ TEST(AssembleCliRunTest, DistributedEndpointsMatchInProcess) {
       << local_stats;
   EXPECT_GT(ReportField(dist_stats, "chunks"), 0u);
   EXPECT_GT(ReportField(dist_stats, "sent_bytes"), 0u);
+  // A clean fleet's tables live in the workers; the local run's in the
+  // process.
+  EXPECT_GT(ReportField(local_stats, "count_table_bytes"), 0u);
+  EXPECT_EQ(ReportField(dist_stats, "count_table_bytes"), 0u);
   EXPECT_NE(dist_spill_stats.find("net: workers=2"), std::string::npos)
       << dist_spill_stats;
   EXPECT_NE(dist_spill_stats.find("spill: budget_bytes=262144 "),
@@ -565,6 +569,7 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
       {"contigs.total_length", "total_length"},
       {"dbg.peak_rss_kb", "dbg_peak_rss_kb"},
       {"run.peak_rss_kb", "peak_rss_kb"},
+      {"counting.table_bytes", "count_table_bytes"},
   };
   for (const auto& [metric, key] : kPairs) {
     EXPECT_EQ(metrics->GetU64(metric), ReportField(stats, key)) << metric;
@@ -581,6 +586,12 @@ TEST(AssembleCliRunTest, ReportJsonAndTraceMatchTextReport) {
   EXPECT_GT(metrics->GetU64("dbg.peak_rss_kb"), 0u);
   EXPECT_LE(metrics->GetU64("dbg.peak_rss_kb"),
             metrics->GetU64("run.peak_rss_kb"));
+  // Every shard's table holds at least its 2048-slot floor of 12-byte
+  // slots, and the tables together stay at most 85% full.
+  const uint64_t table_bytes = metrics->GetU64("counting.table_bytes");
+  EXPECT_EQ(table_bytes % 12, 0u);
+  EXPECT_GE(table_bytes, metrics->GetU64("counting.shards") * 2048 * 12);
+  EXPECT_LE(metrics->GetU64("counting.distinct") * 20 * 12, table_bytes * 17);
   // The fullest shard holds at least the mean share and at most every window.
   const uint64_t max_shard_windows =
       metrics->GetU64("counting.max_shard_windows");

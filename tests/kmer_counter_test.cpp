@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -518,6 +520,60 @@ TEST(CounterSessionTest, EdgeCaseReadsMatchBatchCounter) {
   for (const auto& part : empty) EXPECT_TRUE(part.empty());
   EXPECT_EQ(empty_stats.total_windows, 0u);
   EXPECT_EQ(empty_stats.peak_queued_bytes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The table growth rule: a table of C slots (a power of two, 12 bytes each)
+// holds floor(0.85 C) distinct mers and doubles on the next insert.
+// ---------------------------------------------------------------------------
+
+TEST(ShardCounterBankTest, TableDoublesOnlyWhenAnInsertWouldPass85PercentLoad) {
+  constexpr int L = 31;
+  // Distinct canonical codes in a fixed order, one one-window record each.
+  std::vector<uint64_t> codes;
+  std::set<uint64_t> seen;
+  for (uint64_t x = 1; codes.size() < 7000; ++x) {
+    const uint64_t code =
+        Kmer(Mix64(x) & ((1ULL << (2 * L)) - 1), L).Canonical().code();
+    if (seen.insert(code).second) codes.push_back(code);
+  }
+  ShardCounterBank bank(L, 1);
+  std::map<uint64_t, uint32_t> expected;
+  // Counts codes[begin, end) as one chunk of one-window records.
+  auto add = [&](size_t begin, size_t end) {
+    std::vector<uint8_t> records;
+    for (size_t i = begin; i < end; ++i) {
+      AppendSuperkmer(Kmer(codes[i], L).ToString(), &records);
+      ++expected[codes[i]];
+    }
+    std::string error;
+    ASSERT_TRUE(
+        bank.AddChunk(0, records.data(), records.size(), end - begin, &error))
+        << error;
+  };
+  EXPECT_EQ(bank.table_bytes(0), 2048u * 12);
+  size_t distinct = 0;
+  for (uint64_t slots : {2048u, 4096u, 8192u}) {
+    const size_t full = slots * 85 / 100;  // floor(0.85 C)
+    add(distinct, full);
+    distinct = full;
+    EXPECT_EQ(bank.distinct(0), distinct);
+    EXPECT_EQ(bank.table_bytes(0), slots * 12) << full << " distinct mers";
+    // Repeats only increment, at any load.
+    add(0, distinct);
+    EXPECT_EQ(bank.table_bytes(0), slots * 12) << "after repeats";
+    add(distinct, distinct + 1);
+    ++distinct;
+    EXPECT_EQ(bank.table_bytes(0), 2 * slots * 12)
+        << distinct << " distinct mers";
+  }
+  // Growth moved every count along: the table finalizes to the map.
+  std::vector<Pair> actual;
+  for (const auto& part : bank.Finalize(0, 1, 3)) {
+    actual.insert(actual.end(), part.begin(), part.end());
+  }
+  std::sort(actual.begin(), actual.end());
+  EXPECT_EQ(actual, std::vector<Pair>(expected.begin(), expected.end()));
 }
 
 // ---------------------------------------------------------------------------

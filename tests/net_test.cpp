@@ -506,6 +506,8 @@ TEST(DistributedCounterTest, WorkerDeathMidStreamRecoversBitIdentical) {
   EXPECT_GT(stats.chunks_replayed, 0u);
   EXPECT_GT(stats.net_journal_bytes, 0u);
   EXPECT_FALSE(stats.net_degraded);
+  // A surviving worker took the shards over, so no table lives here.
+  EXPECT_EQ(stats.table_bytes, 0u);
 }
 
 // A worker dying during result collection (after the whole data stream
@@ -566,6 +568,8 @@ TEST(DistributedCounterTest, AllWorkersDyingDegradesToLocalBitIdentical) {
   EXPECT_EQ(SortedPartitions(session.Finish(&stats)), expected);
   EXPECT_EQ(stats.worker_failures, 2u);
   EXPECT_TRUE(stats.net_degraded);
+  // The rebuilt shards' tables live in this process.
+  EXPECT_GE(stats.table_bytes, 2048u * 12);
 }
 
 // A worker whose reply frame is corrupted (CRC flip) is indistinguishable
