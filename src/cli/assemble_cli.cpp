@@ -61,9 +61,7 @@ QuastReport EvaluateContigs(const AssembleCliOptions& opts,
       reference_ptr = &reference;
     }
   }
-  QuastConfig quast_config;
-  quast_config.min_contig = opts.min_contig;
-  return EvaluateAssembly(contigs, reference_ptr, quast_config);
+  return EvaluateAssembly(contigs, reference_ptr, QuastConfig{});
 }
 
 void WriteReport(const AssembleCliOptions& opts, std::ostream& out,
@@ -234,7 +232,6 @@ std::string AssembleCliUsage() {
       "  --contigs PATH      contig FASTA (default contigs.fasta)\n"
       "  --stats PATH        stats report (default: stdout)\n"
       "  --reference PATH    reference FASTA for QUAST-style metrics\n"
-      "  --min-contig INT    assessment cutoff (default 500)\n"
       "\n"
       "observability:\n"
       "  --report-json PATH  machine-readable run report (schema\n"
@@ -352,8 +349,6 @@ bool ParseAssembleCliArgs(int argc, const char* const* argv,
     } else if (arg == "--reference") {
       if (!need_value(i, arg)) return false;
       opts->reference = argv[++i];
-    } else if (arg == "--min-contig") {
-      if (!int_flag(&i, arg, &opts->min_contig)) return false;
     } else if (arg == "--report-json") {
       if (!need_value(i, arg)) return false;
       opts->report_json = argv[++i];

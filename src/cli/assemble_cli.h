@@ -29,7 +29,6 @@ struct AssembleCliOptions {
   AssemblerOptions assembler;
   ReadStreamConfig stream;
   LabelingMethod labeling = LabelingMethod::kListRanking;
-  size_t min_contig = 500;    // QUAST-style assessment cutoff
 
   // Observability (obs/).
   std::string report_json;    // non-empty: write the machine-readable report

@@ -23,7 +23,7 @@ DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
   // to the CounterSession, whose shard counter threads drain concurrently.
   // The code stream is never resident — the session blocks the scanners
   // (and, transitively, the reader) when they outrun the counters.
-  // Survivors come out routed by Mix64(code) % W, which phase (ii)'s
+  // Survivors come out routed by PartitionOf(code, W), which phase (ii)'s
   // shuffle relies on.
   KmerCountConfig count_config;
   count_config.mer_length = options.k + 1;
@@ -105,7 +105,7 @@ DbgResult BuildDbg(ReadStream& reads, const AssemblerOptions& options,
                    AsmNode>(edge_mers, map_fn, reduce_fn, mr_config, &phase2);
   if (stats != nullptr) stats->Add(phase2);
 
-  // MrKeyHash routes by Mix64(key) % W, which equals PartitionOf(id, W), so
+  // The shuffle routes a uint64_t key as PartitionOf routes an id, so
   // reduce partition d is graph partition d as it stands.
   for (uint32_t d = 0; d < W; ++d) {
     auto& part = result.graph.partition(d);

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "spill/spill.h"
+#include "util/flat_table.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/mpsc_ring.h"
@@ -26,11 +27,6 @@
 namespace ppa {
 
 namespace {
-
-// A canonical code c satisfies c <= ReverseComplement(c); the all-ones word
-// reverse-complements to 0, so ~0 is never canonical for any mer length and
-// is safe as the empty-slot sentinel.
-constexpr uint64_t kEmptySlot = ~0ULL;
 
 // Payload appended per (thread, shard) chunk before it is admitted and
 // routed. Large enough that admission runs once per tens of kilobytes,
@@ -96,79 +92,6 @@ std::vector<uint8_t> EncodePass1Chunk(const Pass1Chunk& chunk) {
   payload.insert(payload.end(), chunk.packed.begin(), chunk.packed.end());
   return payload;
 }
-
-/// One shard's open-addressing (linear probing) count table. Keys are
-/// canonical mer codes; the table doubles when an insert would pass 85%
-/// load.
-class CountTable {
- public:
-  explicit CountTable(uint64_t expected_distinct) {
-    Rehash(NextPow2(std::max<uint64_t>(64, expected_distinct * 2)));
-  }
-
-  void Add(uint64_t code) {
-    size_t i = Mix64(code) & mask_;
-    for (;;) {
-      if (keys_[i] == code) {
-        if (counts_[i] != UINT32_MAX) ++counts_[i];
-        return;
-      }
-      if (keys_[i] == kEmptySlot) {
-        // Grow only on actual inserts, so increment-only traffic never
-        // pays for (or triggers) a rehash.
-        if ((size_ + 1) * 20 > capacity_ * 17) {
-          Rehash(capacity_ * 2);
-          i = Mix64(code) & mask_;
-          while (keys_[i] != kEmptySlot) i = (i + 1) & mask_;
-        }
-        keys_[i] = code;
-        counts_[i] = 1;
-        ++size_;
-        return;
-      }
-      i = (i + 1) & mask_;
-    }
-  }
-
-  uint64_t size() const { return size_; }
-
-  /// Allocated slot bytes: an 8-byte key and a 4-byte count per slot.
-  uint64_t bytes() const {
-    return capacity_ * (sizeof(uint64_t) + sizeof(uint32_t));
-  }
-
-  /// Visits every (code, count) entry.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (size_t i = 0; i < capacity_; ++i) {
-      if (keys_[i] != kEmptySlot) fn(keys_[i], counts_[i]);
-    }
-  }
-
- private:
-  void Rehash(uint64_t new_capacity) {
-    std::vector<uint64_t> old_keys = std::move(keys_);
-    std::vector<uint32_t> old_counts = std::move(counts_);
-    const uint64_t old_capacity = capacity_;
-    capacity_ = new_capacity;
-    mask_ = capacity_ - 1;
-    keys_.assign(capacity_, kEmptySlot);
-    counts_.assign(capacity_, 0);
-    for (uint64_t i = 0; i < old_capacity; ++i) {
-      if (old_keys[i] == kEmptySlot) continue;
-      size_t j = Mix64(old_keys[i]) & mask_;
-      while (keys_[j] != kEmptySlot) j = (j + 1) & mask_;
-      keys_[j] = old_keys[i];
-      counts_[j] = old_counts[i];
-    }
-  }
-
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> counts_;
-  uint64_t capacity_ = 0;
-  uint64_t mask_ = 0;
-  uint64_t size_ = 0;
-};
 
 /// Resolved execution shape of one counting job.
 struct Plan {
@@ -696,7 +619,7 @@ MerCounts CountCanonicalMersSerial(const std::vector<Read>& reads,
   MerCounts result(W);
   for (const auto& [code, count] : counts) {
     if (count >= config.coverage_threshold) {
-      result[Mix64(code) % W].emplace_back(code, count);
+      result[PartitionOf(code, W)].emplace_back(code, count);
     }
   }
 
@@ -771,7 +694,9 @@ RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
 
 struct ShardCounterBank::Rep {
   int mer_length = 0;
-  std::vector<CountTable> tables;
+  // Per shard, canonical mer code -> count (at least 1, so never the
+  // table's empty marker).
+  std::vector<FlatTable<uint64_t, IdHash>> tables;
   std::vector<uint64_t> chunks;
   std::vector<uint64_t> windows;
 };
@@ -781,10 +706,10 @@ ShardCounterBank::ShardCounterBank(int mer_length, uint32_t num_shards)
   PPA_CHECK(mer_length >= 1 && mer_length <= kMaxMerLength);
   PPA_CHECK(num_shards >= 1);
   rep_->mer_length = mer_length;
-  rep_->tables.reserve(num_shards);
-  // Chunks arrive with no per-shard window total to size from; start small
-  // and let the tables grow with the data.
-  for (uint32_t s = 0; s < num_shards; ++s) rep_->tables.emplace_back(1024);
+  // Chunks arrive with no per-shard window total to size from; start each
+  // table at 2048 slots and let it grow with the data.
+  rep_->tables.resize(num_shards);
+  for (auto& table : rep_->tables) table.Reserve(1024);
   rep_->chunks.assign(num_shards, 0);
   rep_->windows.assign(num_shards, 0);
 }
@@ -805,10 +730,11 @@ bool ShardCounterBank::AddChunk(uint32_t shard, const uint8_t* records,
   }
   // A partially counted table is fine on failure: the caller drops the
   // whole count (a worker kills the connection, a session throws).
-  CountTable& table = rep_->tables[shard];
+  auto& table = rep_->tables[shard];
   uint64_t decoded = 0;
   if (!DecodeSuperkmers(records, size, rep_->mer_length, [&](uint64_t code) {
-        table.Add(code);
+        uint32_t& count = table[code];
+        if (count != UINT32_MAX) ++count;
         ++decoded;
       })) {
     *error = "malformed super-k-mer bytes in a chunk for shard " +
@@ -856,7 +782,8 @@ uint64_t ShardCounterBank::distinct(uint32_t shard) const {
 
 uint64_t ShardCounterBank::table_bytes(uint32_t shard) const {
   PPA_CHECK(shard < rep_->tables.size());
-  return rep_->tables[shard].bytes();
+  return rep_->tables[shard].capacity() *
+         (sizeof(uint64_t) + sizeof(uint32_t));
 }
 
 MerCounts ShardCounterBank::Finalize(uint32_t shard,
@@ -867,7 +794,7 @@ MerCounts ShardCounterBank::Finalize(uint32_t shard,
   MerCounts out(num_workers);
   rep_->tables[shard].ForEach([&](uint64_t code, uint32_t count) {
     if (count >= coverage_threshold) {
-      out[Mix64(code) % num_workers].emplace_back(code, count);
+      out[PartitionOf(code, num_workers)].emplace_back(code, count);
     }
   });
   return out;

@@ -21,8 +21,8 @@
 //   of 8w for one code per window.
 //
 //   Pass 2 (count): each shard owns a disjoint slice of mer space, so the
-//   shards are counted fully independently in parallel, one open-addressing
-//   (linear-probe) table per shard. ShardCounterBank is the one place a
+//   shards are counted fully independently in parallel, one FlatTable
+//   (util/flat_table.h) per shard. ShardCounterBank is the one place a
 //   chunk becomes table counts: counter threads drain the shards' lock-free
 //   rings into a local session's bank *while* the scanners are still
 //   producing, and shard workers (net/worker.h) and a degraded fleet
@@ -30,8 +30,8 @@
 //   decoder. No atomics, no merging of tables.
 //
 // Survivors of the coverage filter are routed into `num_workers` output
-// partitions by Mix64(code) % num_workers — the same routing the seed path
-// used — so downstream phase (ii) MapReduce consumes the result unchanged,
+// partitions by PartitionOf(code, num_workers), the graph's partitioner, so
+// downstream phase (ii) MapReduce consumes the result unchanged,
 // bit-identical to CountCanonicalMersSerial, the one counting oracle.
 //
 // CounterSession is the one sharded counter; the batch CountCanonicalMers
@@ -66,7 +66,7 @@ class NetContext;     // net/coordinator.h
 /// Configuration of one counting job.
 struct KmerCountConfig {
   int mer_length = 32;         // length of the counted mers; <= 32.
-  uint32_t num_workers = 16;   // output partitions (Mix64(code) % W routing).
+  uint32_t num_workers = 16;   // output partitions (PartitionOf routing).
   unsigned num_threads = 0;    // OS threads; 0 = hardware concurrency.
   uint32_t num_shards = 0;     // rounded up to a power of two, capped at
                                // 1024; 0 = auto (4x threads).
@@ -162,7 +162,8 @@ struct KmerCountStats {
   bool net_degraded = false;  // fleet exhausted; finished by local counting
 };
 
-/// (canonical code, count) pairs partitioned by Mix64(code) % num_workers.
+/// (canonical code, count) pairs partitioned by PartitionOf(code,
+/// num_workers).
 using MerCounts = Partitioned<std::pair<uint64_t, uint32_t>>;
 
 /// Sharded parallel counter over an in-memory read set: a CounterSession
@@ -239,7 +240,7 @@ class CounterSession {
 RunStats MerCountRunStats(const KmerCountStats& stats, uint32_t num_workers,
                           const std::string& job_name);
 
-/// Pass-2 counting state: one open-addressing table per shard plus the
+/// Pass-2 counting state: one count table per shard plus the
 /// survivor filter and routing, fed one pass-1 chunk at a time. It is the
 /// one place a chunk becomes table counts — a local CounterSession's ring
 /// drain, a shard worker endpoint (net/worker.h, one bank per coordinator
@@ -279,8 +280,8 @@ class ShardCounterBank {
   uint64_t table_bytes(uint32_t shard) const;
 
   /// Keeps `shard`'s mers counted at least `coverage_threshold` times and
-  /// routes them into `num_workers` partitions by Mix64(code) %
-  /// num_workers, the routing phase (ii) consumes.
+  /// routes them into `num_workers` partitions by PartitionOf(code,
+  /// num_workers), the routing phase (ii) consumes.
   MerCounts Finalize(uint32_t shard, uint32_t coverage_threshold,
                      uint32_t num_workers);
 

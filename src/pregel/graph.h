@@ -13,91 +13,41 @@
 #ifndef PPA_PREGEL_GRAPH_H_
 #define PPA_PREGEL_GRAPH_H_
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "util/flat_table.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
 namespace ppa {
 
-/// Open-addressing id -> slot table: the per-partition vertex index.
-///
-/// Linear probing over a power-of-two array of 16-byte {id, slot, live}
-/// entries; no per-key heap node. An id's home entry is the top
-/// log2(capacity) bits of Mix64(id), because PartitionOf already fixed
-/// Mix64(id) mod num_workers for every id of one partition and the low bits
-/// would collide. The table doubles before an insert would push the load
-/// past 7/10, so the load stays at most 0.7 (and above 0.35 once grown); by
-/// Knuth's linear-probing estimates a hit then probes at most ~2.2 entries
-/// on average and a miss at most ~6.
+/// A partition's id -> slot index: a FlatTable (util/flat_table.h) that
+/// stores slot + 1, so its callers see slots and kAbsent. Ids are homed on
+/// the top bits of Mix64(id), which PartitionOf's modulo leaves free. At
+/// the table's maximum load of 0.85, Knuth's linear-probing estimates give
+/// about 3.8 probes per hit and 22.7 per miss on average.
 class IdSlotIndex {
  public:
   static constexpr uint32_t kAbsent = UINT32_MAX;
 
-  /// Slot of `id`, or kAbsent.
-  uint32_t Find(uint64_t id) const {
-    if (size_ == 0) return kAbsent;
-    for (size_t i = Home(id);; i = (i + 1) & mask_) {
-      const Entry& e = entries_[i];
-      if (e.live == 0) return kAbsent;
-      if (e.id == id) return e.slot;
-    }
-  }
+  /// Slot of `id`, or kAbsent (the table's 0 for an absent id, less one).
+  uint32_t Find(uint64_t id) const { return table_.Find(id) - 1; }
 
   /// Maps `id` to `slot` unless `id` is already present (the first mapping
   /// wins); returns the slot `id` maps to.
   uint32_t Insert(uint64_t id, uint32_t slot) {
-    if ((size_ + 1) * 10 > entries_.size() * 7) Rehash(CapacityFor(size_ + 1));
-    for (size_t i = Home(id);; i = (i + 1) & mask_) {
-      Entry& e = entries_[i];
-      if (e.live == 0) {
-        e = Entry{id, slot, 1};
-        ++size_;
-        return slot;
-      }
-      if (e.id == id) return e.slot;
-    }
+    return table_.Insert(id, slot + 1) - 1;
   }
 
   /// Grows once so that `n` ids fit without further rehashing.
-  void Reserve(size_t n) {
-    if (n * 10 > entries_.size() * 7) Rehash(CapacityFor(n));
-  }
+  void Reserve(size_t n) { table_.Reserve(n); }
 
-  size_t size() const { return size_; }
+  size_t size() const { return table_.size(); }
 
  private:
-  struct Entry {
-    uint64_t id = 0;
-    uint32_t slot = 0;
-    uint32_t live = 0;  // 1 once the entry holds an id.
-  };
-
-  static size_t CapacityFor(size_t n) {
-    return std::bit_ceil(std::max<size_t>(16, n * 10 / 7 + 1));
-  }
-
-  size_t Home(uint64_t id) const { return Mix64(id) >> shift_; }
-
-  void Rehash(size_t capacity) {
-    std::vector<Entry> old(capacity);
-    old.swap(entries_);
-    size_ = 0;
-    mask_ = capacity - 1;
-    shift_ = 64 - std::countr_zero(capacity);
-    for (const Entry& e : old) {
-      if (e.live != 0) Insert(e.id, e.slot);
-    }
-  }
-
-  std::vector<Entry> entries_;
-  size_t size_ = 0;
-  size_t mask_ = 0;
-  int shift_ = 64;
+  FlatTable<uint64_t, IdHash> table_;
 };
 
 /// Partitioned vertex store. VertexT must expose:

@@ -25,11 +25,10 @@
 //   outbox[src][dst] vector-of-vectors, whose W^2 buffers re-copied every
 //   pair O(log n) times while doubling.
 //
-//   Reduce side — per destination, HashGroupBy groups the pairs (the
-//   kmer_counter idiom: an open-addressing key index assigns each pair a
-//   dense group id in one pass, then a counting-scatter lays the values
-//   out contiguously per group — O(n), and only the distinct keys are ever
-//   sorted).
+//   Reduce side — per destination, HashGroupBy groups the pairs (a
+//   FlatTable key index assigns each pair a dense group id in one pass,
+//   then a counting-scatter lays the values out contiguously per group —
+//   O(n), and only the distinct keys are ever sorted).
 //
 // Determinism contract (any thread count, any memory budget):
 //   * reduce_fn is invoked in ascending key order within each destination;
@@ -42,7 +41,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <compare>
 #include <cstdint>
 #include <cstring>
@@ -57,6 +55,7 @@
 #include "obs/trace.h"
 #include "pregel/stats.h"
 #include "spill/spill.h"
+#include "util/flat_table.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -137,56 +136,6 @@ namespace mr_internal {
 /// negligible, small enough that a (src, dst) lane with little traffic does
 /// not pin much memory.
 constexpr size_t kChunkPairs = 1024;
-
-/// Open-addressing key -> dense index map (linear probing, the
-/// dbg/kmer_counter.h table idiom generalized to composite keys: slots hold
-/// dense indices instead of keys, so no sentinel key is needed). Doubles at
-/// ~70% load. Assigned indices are insertion-ordered and survive rehashing.
-template <typename K>
-class KeyIndex {
- public:
-  explicit KeyIndex(size_t expected = 0) {
-    capacity_ = std::bit_ceil(std::max<size_t>(64, expected * 2));
-    slots_.assign(capacity_, 0);
-  }
-
-  /// Returns the dense index of `key`, inserting it if new.
-  uint32_t FindOrAdd(const K& key) {
-    size_t i = MrKeyHash<K>{}(key) & (capacity_ - 1);
-    for (;;) {
-      const uint32_t slot = slots_[i];
-      if (slot == 0) {
-        if ((keys_.size() + 1) * 10 >= capacity_ * 7) {
-          Rehash(capacity_ * 2);
-          return FindOrAdd(key);
-        }
-        keys_.push_back(key);
-        slots_[i] = static_cast<uint32_t>(keys_.size());  // index + 1
-        return static_cast<uint32_t>(keys_.size() - 1);
-      }
-      if (keys_[slot - 1] == key) return slot - 1;
-      i = (i + 1) & (capacity_ - 1);
-    }
-  }
-
-  size_t size() const { return keys_.size(); }
-  const std::vector<K>& keys() const { return keys_; }
-
- private:
-  void Rehash(size_t new_capacity) {
-    capacity_ = new_capacity;
-    slots_.assign(capacity_, 0);
-    for (size_t idx = 0; idx < keys_.size(); ++idx) {
-      size_t i = MrKeyHash<K>{}(keys_[idx]) & (capacity_ - 1);
-      while (slots_[i] != 0) i = (i + 1) & (capacity_ - 1);
-      slots_[i] = static_cast<uint32_t>(idx + 1);
-    }
-  }
-
-  std::vector<uint32_t> slots_;  // 0 = empty, else dense index + 1
-  std::vector<K> keys_;
-  size_t capacity_ = 0;
-};
 
 /// Sealed chunk lists of one map task: chunks[dst] holds the task's routed
 /// pairs for destination dst, in emit order. Only the owning source task
@@ -412,20 +361,28 @@ template <typename K, typename V, typename Out, typename ReduceFn>
 uint64_t HashGroupBy(std::vector<std::vector<std::pair<K, V>>*>& chunks,
                      size_t total, ReduceFn& reduce_fn,
                      std::vector<Out>& out) {
-  // Pass 1: assign each pair its dense group id; count group sizes.
-  KeyIndex<K> index(total / 2 + 1);
+  // Pass 1: assign each pair its dense group id; count group sizes. The
+  // index maps a key to its group id + 1. Each new key is a miss probe, so
+  // the index holds room for `total` keys: it never grows, and at phase
+  // (ii)'s two pairs or so per key its load stays below 0.43.
+  FlatTable<K, MrKeyHash<K>> index;
+  index.Reserve(total);
   std::vector<uint32_t> pair_group;
   pair_group.reserve(total);
   std::vector<uint32_t> group_size;
   for (const auto* chunk : chunks) {
     for (const auto& [key, value] : *chunk) {
-      const uint32_t g = index.FindOrAdd(key);
+      const uint32_t g =
+          index.Insert(key, static_cast<uint32_t>(group_size.size()) + 1) - 1;
       if (g == group_size.size()) group_size.push_back(0);
       ++group_size[g];
       pair_group.push_back(g);
     }
   }
-  const size_t num_groups = index.size();
+  const size_t num_groups = group_size.size();
+  std::vector<K> keys(num_groups);
+  index.ForEach([&keys](const K& key, uint32_t g) { keys[g - 1] = key; });
+  index = {};
 
   // Offsets of each group in the flat value array.
   std::vector<size_t> group_begin(num_groups + 1, 0);
@@ -448,7 +405,6 @@ uint64_t HashGroupBy(std::vector<std::vector<std::pair<K, V>>*>& chunks,
   // Reduce in ascending key order (the engine's ordering contract).
   std::vector<uint32_t> order(num_groups);
   std::iota(order.begin(), order.end(), 0);
-  const std::vector<K>& keys = index.keys();
   std::sort(order.begin(), order.end(), [&keys](uint32_t a, uint32_t b) {
     return keys[a] < keys[b];
   });

@@ -47,8 +47,8 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
                      "--labeling", "sv", "--shards", "16",
                      "--memory-budget-bytes", "123456", "--spill-dir",
                      "/tmp/spill-parent", "--contigs", "c.fasta", "--stats",
-                     "s.txt", "--reference", "r.fasta", "--min-contig", "100",
-                     "in.fastq", "in2.fasta"},
+                     "s.txt", "--reference", "r.fasta", "in.fastq",
+                     "in2.fasta"},
                     &opts, &error))
       << error;
   EXPECT_EQ(opts.assembler.k, 21);
@@ -64,7 +64,6 @@ TEST(AssembleCliParseTest, FlagsMapOntoOptions) {
   EXPECT_EQ(opts.contigs_out, "c.fasta");
   EXPECT_EQ(opts.stats_out, "s.txt");
   EXPECT_EQ(opts.reference, "r.fasta");
-  EXPECT_EQ(opts.min_contig, 100u);
   ASSERT_EQ(opts.inputs.size(), 2u);
   EXPECT_EQ(opts.inputs[0], "in.fastq");
   EXPECT_EQ(opts.inputs[1], "in2.fasta");

@@ -1,13 +1,17 @@
-// Tests for util/: varint, hashing, edit distance, text store, thread pool,
-// RNG determinism.
+// Tests for util/: varint, hashing, the open-addressing table, edit
+// distance, text store, thread pool, RNG determinism.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "pregel/mapreduce.h"
 #include "util/edit_distance.h"
+#include "util/flat_table.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/text_store.h"
@@ -174,6 +178,175 @@ TEST(HashTest, PartitionerBalancesSimilarKeys) {
   for (int c : counts) {
     EXPECT_GT(c, 700);
     EXPECT_LT(c, 1300);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// FlatTable, the table behind the count shards, the id indexes and the
+// group-by index, checked against std::map.
+// ---------------------------------------------------------------------------
+
+// 0 (poly-A's canonical code) and ~0 first, then mixed words.
+std::vector<uint64_t> WordKeys(size_t n) {
+  std::vector<uint64_t> keys;
+  for (uint64_t i = 0; i < n; ++i) {
+    keys.push_back(i == 0 ? 0 : i == 1 ? ~0ULL : Mix64(i));
+  }
+  return keys;
+}
+
+// {0, 0} and {~0, ~0} first, then pairs that share first or second words.
+std::vector<PairKey> PairKeys(size_t n) {
+  std::vector<PairKey> keys;
+  for (uint64_t i = 0; i < n; ++i) {
+    keys.push_back(i == 0   ? PairKey{0, 0}
+                   : i == 1 ? PairKey{~0ULL, ~0ULL}
+                            : PairKey{i >> 2, i & 3});
+  }
+  return keys;
+}
+
+// Inserts the first `inserted` keys with value position + 1, then every
+// other one again with a new value, mirroring each insert on std::map, and
+// checks lookups, growth, copies, ForEach, Reserve and operator[] counts.
+// The keys after the first `inserted` are lookups that must miss.
+template <typename K, typename Hash>
+void CheckFlatTableAgainstMap(const std::vector<K>& keys, size_t inserted) {
+  std::vector<std::pair<K, uint32_t>> inserts;
+  for (size_t i = 0; i < inserted; ++i) {
+    inserts.emplace_back(keys[i], static_cast<uint32_t>(i + 1));
+  }
+  for (size_t i = 0; i < inserted; i += 2) {
+    inserts.emplace_back(keys[i], static_cast<uint32_t>(inserted + i + 1));
+  }
+
+  FlatTable<K, Hash> table;
+  EXPECT_EQ(table.capacity(), 0u);  // nothing allocated yet
+  EXPECT_EQ(table.Find(keys[0]), 0u);
+  std::map<K, uint32_t> expected;
+  for (const auto& [key, value] : inserts) {
+    const size_t capacity = table.capacity();
+    const bool fresh = !expected.contains(key);
+    // The first insert wins, as in try_emplace.
+    ASSERT_EQ(table.Insert(key, value),
+              expected.try_emplace(key, value).first->second);
+    // A new key grows the table only when it is the floor(0.85 C) + 1-th;
+    // a repeat never does.
+    size_t grown = capacity;
+    if (fresh && capacity == 0) {
+      grown = 16;
+    } else if (fresh && expected.size() == capacity * 85 / 100 + 1) {
+      grown = 2 * capacity;
+    }
+    ASSERT_EQ(table.capacity(), grown) << expected.size() << " keys";
+  }
+  EXPECT_EQ(table.size(), expected.size());
+  for (const auto& [key, value] : expected) EXPECT_EQ(table.Find(key), value);
+  for (size_t i = inserted; i < keys.size(); ++i) {
+    EXPECT_EQ(table.Find(keys[i]), 0u) << "absent key " << i;
+  }
+
+  // A copy (what CopyIndex makes) finds the same keys.
+  const FlatTable<K, Hash> copy = table;
+  for (const auto& [key, value] : expected) EXPECT_EQ(copy.Find(key), value);
+
+  // ForEach visits each key once, with its value.
+  std::map<K, uint32_t> visited;
+  copy.ForEach([&visited](const K& key, uint32_t value) {
+    EXPECT_TRUE(visited.emplace(key, value).second);
+  });
+  EXPECT_EQ(visited, expected);
+
+  // Reserve(n) then n inserts never grows.
+  FlatTable<K, Hash> reserved;
+  reserved.Reserve(expected.size());
+  const size_t capacity = reserved.capacity();
+  for (const auto& [key, value] : expected) {
+    reserved.Insert(key, value);
+    ASSERT_EQ(reserved.capacity(), capacity);
+  }
+
+  // operator[] starts a new key at 0, as the k-mer counter's increments
+  // and std::map's operator[] both assume.
+  FlatTable<K, Hash> counts;
+  std::map<K, uint32_t> expected_counts;
+  for (size_t i = 0; i < inserted; ++i) {
+    for (const K& key : {keys[i], keys[i / 2]}) {
+      ++counts[key];
+      ++expected_counts[key];
+    }
+  }
+  std::map<K, uint32_t> counted;
+  counts.ForEach([&counted](const K& key, uint32_t count) {
+    counted.emplace(key, count);
+  });
+  EXPECT_EQ(counted, expected_counts);
+}
+
+// 1 and 13 keys fit the 16-slot floor (the largest home shift), 14 is the
+// first to double it, and the larger grids run through many doublings.
+TEST(FlatTableTest, MatchesStdMapOverWordKeys) {
+  for (size_t n : {1u, 13u, 14u, 1000u, 20000u}) {
+    SCOPED_TRACE(n);
+    CheckFlatTableAgainstMap<uint64_t, IdHash>(WordKeys(n + 100), n);
+  }
+}
+
+TEST(FlatTableTest, MatchesStdMapOverPairKeys) {
+  for (size_t n : {1u, 13u, 14u, 1000u, 20000u}) {
+    SCOPED_TRACE(n);
+    CheckFlatTableAgainstMap<PairKey, MrKeyHash<PairKey>>(PairKeys(n + 100),
+                                                          n);
+  }
+}
+
+// A key that counts its equality comparisons, so a test can read how far
+// lookups probe without timing them.
+uint64_t g_key_comparisons = 0;
+
+struct ComparedKey {
+  uint64_t value = 0;
+
+  friend bool operator==(const ComparedKey& a, const ComparedKey& b) {
+    ++g_key_comparisons;
+    return a.value == b.value;
+  }
+};
+
+struct ComparedKeyHash {
+  uint64_t operator()(const ComparedKey& key) const {
+    return MrKeyHash<uint64_t>()(key.value);
+  }
+};
+
+double MeanComparisonsPerHit(const std::vector<ComparedKey>& keys) {
+  FlatTable<ComparedKey, ComparedKeyHash> table;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    table.Insert(keys[i], static_cast<uint32_t>(i + 1));
+  }
+  g_key_comparisons = 0;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(table.Find(keys[i]), i + 1);
+  }
+  return static_cast<double>(g_key_comparisons) / keys.size();
+}
+
+// Emit routes a key to destination MrKeyHash(key) % W, so at W = 16 every
+// key in destination 3's group-by index has a hash that is 3 mod 16. Those
+// keys must probe about as far as keys whose hashes are free, which a home
+// slot taken from the hash's low bits fails.
+TEST(FlatTableTest, KeysOfOneShuffleDestinationProbeLikeAnyKeys) {
+  for (size_t n : {1000u, 20000u, 400000u}) {
+    std::vector<ComparedKey> routed;
+    std::vector<ComparedKey> any;
+    for (uint64_t x = 0; routed.size() < n; ++x) {
+      if (MrKeyHash<uint64_t>()(x) % 16 == 3) routed.push_back({x});
+    }
+    for (uint64_t x = 0; x < n; ++x) any.push_back({x});
+    const double routed_mean = MeanComparisonsPerHit(routed);
+    const double any_mean = MeanComparisonsPerHit(any);
+    EXPECT_LE(routed_mean, 1.5 * any_mean)
+        << n << " keys: " << routed_mean << " against " << any_mean;
   }
 }
 
